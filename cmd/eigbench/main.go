@@ -112,7 +112,7 @@ func main() {
 		show(bench.Stage2ParallelCheck(min(*n, 256), *nb, []int{1, 2, 4}))
 	}
 	if run("ablate-group") {
-		show(bench.AblationGroup(*n, *nb, []int{1, 2, 4, 8, *nb, 2 * *nb}))
+		show(bench.AblationGroup(*n, *nb, []int{1, 2, 4, 8, *nb / 4, *nb / 3, *nb / 2, *nb, 2 * *nb}))
 	}
 	if run("ablate-sched") {
 		show(bench.AblationStage2Cores(*n, *nb, []int{1, 2, 4}))

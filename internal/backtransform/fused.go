@@ -58,15 +58,13 @@ func (p *Plan) ApplyFusedWith(f *band.Factor, sweeps []*Plan, e *matrix.Dense, j
 	if colBlock <= 0 {
 		colBlock = tune.ColBlock(e.Cols, f.NB, job.Workers())
 	}
-	// One workspace serves every factor of a task: each Q₂/sweep plan needs
-	// its maxK·cols, Q₁ needs NB·cols.
-	wkK := max(p.maxK, f.NB)
+	// One workspace serves every factor of a task.
+	wkLen := max(p.Work(), f.Q1Work())
 	var sweepPerCol int64
 	for _, sp := range sweeps {
-		wkK = max(wkK, sp.maxK)
+		wkLen = max(wkLen, sp.Work())
 		sweepPerCol += sp.FlopsPerCol()
 	}
-	wkLen := wkK * min(colBlock, e.Cols)
 	q2PerCol, q1PerCol := p.FlopsPerCol()+sweepPerCol, f.Q1FlopsPerCol()
 	runBlock := func(view *matrix.Dense, wk []float64) {
 		p.applyBlock(view, wk, tc)

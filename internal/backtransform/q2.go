@@ -27,11 +27,15 @@ import (
 	"repro/internal/work"
 )
 
-// defaultGroup picks the diamond width for a chase bandwidth b. Wider
-// diamonds improve blocking but the aggregated V spans b+g−1 rows, so the
-// applied flops grow by (b+g−1)/b — the paper's "small extra cost". The
-// ablation bench (BenchmarkAblationGroupWidth) locates the sweet spot well
-// below b on this substrate.
+// defaultGroup picks the diamond width for a chase bandwidth b: b/4, kept in
+// [4, 16]. Wider diamonds give the second kernel pass a longer k and cut the
+// number of blocks, but the aggregated V spans b+g−1 rows; the prepared
+// reflector skips the zeros of that band (blas.Packing's skyline), so the
+// executed flops no longer grow by the paper's (b+g−1)/b, only the storage
+// does — 2·(b+g−1)·g values per diamond. The sweep recorded in EXPERIMENTS.md
+// ("Packed compact-WY engine") is flat within 3 % from g = 12 to 32 at
+// b = 48, so the narrowest width on the plateau stays the default; the traced
+// flop count (4·rows·k·n, zeros included) is also unchanged that way.
 func defaultGroup(b int) int {
 	g := b / 4
 	if g < 4 {
@@ -44,25 +48,30 @@ func defaultGroup(b int) int {
 }
 
 // diamond is one aggregated block of reflectors: group j covers sweeps
-// [j·g, (j+1)·g) at a fixed chase level.
+// [j·g, (j+1)·g) at a fixed chase level. Only the prepared form is kept: the
+// aggregated V and its T factor live in plan scratch just long enough to be
+// packed.
 type diamond struct {
 	rowStart int // global row of the first reflector's implicit 1
 	rows     int // row span of the aggregated V
 	k        int // number of reflectors (columns of V)
-	v        []float64
-	t        []float64
+	h        householder.Block
 }
 
 // Plan precomputes the diamond blocks of Q₂ for a chase result, so repeated
 // applications (e.g. to different eigenvector sets) skip the aggregation.
-// A Plan built with a workspace arena borrows arena storage (the V/T slab,
-// the block list) and is only valid until the arena is recycled.
+// NewPlan is the one place a diamond is prepared (householder.Block, H form
+// only — Q₂ is never applied transposed); every column block of every Apply
+// then consumes the same packed operands. A Plan built with a workspace arena
+// borrows arena storage (the packed-reflector slab, the block list) and is
+// only valid until the arena is recycled.
 type Plan struct {
-	n     int
-	b     int // chase bandwidth (== stage-1 tile size in the driver)
-	group int
-	maxK  int // widest diamond (bounds the Larfb workspace)
-	ws    *work.Arena
+	n       int
+	b       int // chase bandwidth (== stage-1 tile size in the driver)
+	group   int
+	maxK    int // widest diamond
+	maxRows int // tallest diamond; with maxK it bounds the apply workspace
+	ws      *work.Arena
 	// blocks in application order for Q₂·E (valid DAG linearization:
 	// sweep-group descending, level ascending within a group).
 	blocks []diamond
@@ -71,12 +80,13 @@ type Plan struct {
 }
 
 // planCache is the retained per-arena aggregation scratch: the Plan header,
-// the (sweep, level) lattice index and the block list backing array.
+// the (sweep, level) lattice index, the block list backing array and the
+// staging area one diamond's V, T and tau are aggregated in before packing.
 type planCache struct {
-	plan   Plan
-	idx    []int32
-	blocks []diamond
-	tau    []float64
+	plan    Plan
+	idx     []int32
+	blocks  []diamond
+	staging []float64
 }
 
 // NewPlan builds the diamond decomposition of Q₂ with the given group size
@@ -86,7 +96,7 @@ func NewPlan(res *bulge.Result, group int, ws *work.Arena) *Plan {
 }
 
 // NewPlanKeyed is NewPlan with explicit arena keys for the retained plan
-// header and the V/T slab. The fixed-key NewPlan retains exactly one plan
+// header and the packed-reflector slab. The fixed-key NewPlan retains exactly one plan
 // per arena; multi-sweep SBR pipelines need one live plan per narrowing
 // sweep plus the chase's, so each takes its own key pair.
 func NewPlanKeyed(res *bulge.Result, group int, ws *work.Arena, planKey, slabKey work.Key) *Plan {
@@ -166,7 +176,7 @@ func NewPlanKeyed(res *bulge.Result, group int, ws *work.Arena, planKey, slabKey
 		return
 	}
 
-	// First pass: count blocks and size the V/T slab exactly.
+	// First pass: count blocks and size the packed-reflector slab exactly.
 	nBlocks, slabCap := 0, 0
 	for j := ng - 1; j >= 0; j-- {
 		for l := 0; l < nl; l++ {
@@ -175,16 +185,21 @@ func NewPlanKeyed(res *bulge.Result, group int, ws *work.Arena, planKey, slabKey
 				continue
 			}
 			nBlocks++
-			slabCap += rows*k + k*k
+			slabCap += householder.PackedLen(false, rows, k, householder.FormH)
+			p.maxK = max(p.maxK, k)
+			p.maxRows = max(p.maxRows, rows)
 		}
 	}
 	slab := ws.SlabOf(slabKey, slabCap)
 	if cap(cache.blocks) < nBlocks {
 		cache.blocks = make([]diamond, 0, nBlocks)
 	}
-	if cap(cache.tau) < group {
-		cache.tau = make([]float64, group)
+	nv, nt := p.maxRows*p.maxK, p.maxK*p.maxK
+	if need := nv + nt + p.maxK + householder.PrepareWork(p.maxRows, p.maxK); cap(cache.staging) < need {
+		cache.staging = make([]float64, need)
 	}
+	vbuf, tbuf, taubuf := cache.staging[:nv], cache.staging[nv:nv+nt], cache.staging[nv+nt:nv+nt+p.maxK]
+	prepWork := cache.staging[nv+nt+p.maxK:]
 
 	// Second pass: build the diamonds in application order for Q₂·E
 	// (group index j descending, level ascending).
@@ -195,10 +210,8 @@ func NewPlanKeyed(res *bulge.Result, group int, ws *work.Arena, planKey, slabKey
 			if k == 0 {
 				continue
 			}
-			d := diamond{rowStart: rowStart, rows: rows, k: k}
-			d.v = slab.Take(rows * k)
-			d.t = slab.Take(k * k)
-			tau := cache.tau[:k]
+			v, t, tau := vbuf[:rows*k], tbuf[:k*k], taubuf[:k]
+			clear(v)
 			clear(tau)
 			hi := min(lo+group, maxSweep+1)
 			for s2 := lo; s2 < hi; s2++ {
@@ -214,13 +227,12 @@ func NewPlanKeyed(res *bulge.Result, group int, ws *work.Arena, planKey, slabKey
 					panic("backtransform: reflector off the diamond lattice")
 				}
 				tau[c] = r.Tau
-				copy(d.v[local+1+c*rows:], r.V)
+				copy(v[local+1+c*rows:], r.V)
 			}
-			householder.Larft(rows, k, d.v, rows, tau, d.t, k)
-			blocks = append(blocks, d)
-			if k > p.maxK {
-				p.maxK = k
-			}
+			householder.Larft(rows, k, v, rows, tau, t, k)
+			blocks = append(blocks, diamond{rowStart: rowStart, rows: rows, k: k})
+			blocks[len(blocks)-1].h.Prepare(false, rows, k, v, rows, t, k, householder.FormH,
+				slab.Take(householder.PackedLen(false, rows, k, householder.FormH)), prepWork)
 		}
 	}
 	cache.blocks = blocks
@@ -231,9 +243,10 @@ func NewPlanKeyed(res *bulge.Result, group int, ws *work.Arena, planKey, slabKey
 // NumBlocks reports how many diamond blocks the plan holds.
 func (p *Plan) NumBlocks() int { return len(p.blocks) }
 
-// MaxK reports the widest diamond (reflector count); it bounds the Larfb
-// workspace an ApplyBlock caller must provide (MaxK·cols floats).
-func (p *Plan) MaxK() int { return p.maxK }
+// Work is the scratch ApplyBlock needs, whatever the block's width.
+func (p *Plan) Work() int {
+	return householder.ApplyWork(blas.Left, p.maxRows, p.maxK, 0)
+}
 
 // FlopsPerCol returns the flops Q₂ application spends per eigenvector
 // column (the Larfb cost summed over all diamonds). The fused path uses it
@@ -305,7 +318,7 @@ func (p *Plan) Apply(e *matrix.Dense, job *sched.Job, colBlock int, tc *trace.Co
 		colBlock = tune.ColBlock(e.Cols, p.b, job.Workers())
 	}
 	if !job.Parallel() {
-		wk := p.ws.Floats(work.BacktransApply, p.maxK*min(colBlock, e.Cols), false)
+		wk := p.ws.Floats(work.BacktransApply, p.Work(), false)
 		for j0 := 0; j0 < e.Cols; j0 += colBlock {
 			if job.Canceled() {
 				return
@@ -315,7 +328,7 @@ func (p *Plan) Apply(e *matrix.Dense, job *sched.Job, colBlock int, tc *trace.Co
 		}
 		return
 	}
-	slabs := p.ws.WorkerSlabs(work.BacktransWorker, job.Workers(), p.maxK*min(colBlock, e.Cols))
+	slabs := p.ws.WorkerSlabs(work.BacktransWorker, job.Workers(), p.Work())
 	for j0 := 0; j0 < e.Cols; j0 += colBlock {
 		jb := min(colBlock, e.Cols-j0)
 		view := e.View(0, j0, p.n, jb)
@@ -330,20 +343,19 @@ func (p *Plan) Apply(e *matrix.Dense, job *sched.Job, colBlock int, tc *trace.Co
 }
 
 // ApplyBlock applies every diamond of the plan to one column block of E.
-// work must hold at least MaxK()·e.Cols floats. It is the Q₂ half of the
+// work must hold at least Work() floats. It is the Q₂ half of the
 // fused back-transformation task.
 func (p *Plan) ApplyBlock(e *matrix.Dense, work []float64, tc *trace.Collector) {
 	p.applyBlock(e, work, tc)
 }
 
 // applyBlock applies every diamond to one column block of E. work must hold
-// at least p.maxK·e.Cols floats.
+// at least p.Work() floats.
 func (p *Plan) applyBlock(e *matrix.Dense, work []float64, tc *trace.Collector) {
 	for i := range p.blocks {
 		d := &p.blocks[i]
 		sub := e.View(d.rowStart, 0, d.rows, e.Cols)
-		householder.Larfb(blas.Left, blas.NoTrans, d.rows, e.Cols, d.k,
-			d.v, d.rows, d.t, d.k, sub.Data, sub.Stride, work[:d.k*e.Cols])
+		d.h.Apply(blas.Left, blas.NoTrans, e.Cols, sub.Data, sub.Stride, work)
 		tc.AddFlops(trace.KLarfb, 4*int64(d.rows)*int64(e.Cols)*int64(d.k))
 	}
 }

@@ -2,6 +2,7 @@ package band
 
 import (
 	"repro/internal/blas"
+	"repro/internal/householder"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -32,7 +33,7 @@ func (f *Factor) ApplyQ1(trans blas.Transpose, c *matrix.Dense, job *sched.Job, 
 		colBlock = tune.ColBlock(c.Cols, f.NB, job.Workers())
 	}
 	if !job.Parallel() {
-		wk := f.ws.Floats(work.Q1Apply, f.NB*min(colBlock, c.Cols), false)
+		wk := f.ws.Floats(work.Q1Apply, f.Q1Work(), false)
 		for j0 := 0; j0 < c.Cols; j0 += colBlock {
 			if job.Canceled() {
 				return
@@ -44,7 +45,7 @@ func (f *Factor) ApplyQ1(trans blas.Transpose, c *matrix.Dense, job *sched.Job, 
 	}
 	// Column blocks are disjoint slices of C, so the tasks need no declared
 	// dependences; each worker reuses its own retained slab.
-	slabs := f.ws.WorkerSlabs(work.Q1Worker, job.Workers(), f.NB*min(colBlock, c.Cols))
+	slabs := f.ws.WorkerSlabs(work.Q1Worker, job.Workers(), f.Q1Work())
 	for j0, idx := 0, 0; j0 < c.Cols; j0, idx = j0+colBlock, idx+1 {
 		jb := min(colBlock, c.Cols-j0)
 		view := c.View(0, j0, f.N, jb)
@@ -58,9 +59,14 @@ func (f *Factor) ApplyQ1(trans blas.Transpose, c *matrix.Dense, job *sched.Job, 
 	job.Wait()
 }
 
+// Q1Work is the scratch ApplyQ1Block needs, whatever the block's width.
+func (f *Factor) Q1Work() int {
+	return householder.ApplyWork(blas.Left, f.NB, f.NB, 0)
+}
+
 // ApplyQ1Block applies the full Q₁ (or its transpose) to one column block of
-// C. work must hold at least f.NB·c.Cols floats. It is the Q₁ half of the
-// fused back-transformation task.
+// C. work must hold at least Q1Work() floats. It is the Q₁ half of the fused
+// back-transformation task.
 func (f *Factor) ApplyQ1Block(trans blas.Transpose, c *matrix.Dense, work []float64, tc *trace.Collector) {
 	f.applyQ1Block(trans, c, work, tc)
 }
@@ -85,7 +91,7 @@ func (f *Factor) Q1FlopsPerCol() int64 {
 }
 
 // applyQ1Block applies the full Q₁ (or its transpose) to one column block.
-// work must hold at least f.NB·c.Cols floats.
+// work must hold at least Q1Work() floats.
 func (f *Factor) applyQ1Block(trans blas.Transpose, c *matrix.Dense, work []float64, tc *trace.Collector) {
 	nt, nb := f.NT, f.NB
 	m := c.Cols
@@ -94,19 +100,14 @@ func (f *Factor) applyQ1Block(trans blas.Transpose, c *matrix.Dense, work []floa
 	// For Q₁·C operators apply right-to-left (k descending, i descending,
 	// G last); for Q₁ᵀ·C everything reverses and transposes.
 	apG := func(k int) {
-		m1 := f.A.TileRows(k + 1)
-		kr := f.PanelReflectors(k)
-		panel := f.A.Tile(k+1, k)
-		row := c.View((k+1)*nb, 0, m1, m)
-		Ormqr(blas.Left, trans, m1, m, kr, panel, m1, f.Tge[k], kr, row.Data, row.Stride, work, tc)
+		row := c.View((k+1)*nb, 0, f.A.TileRows(k+1), m)
+		Ormqr(blas.Left, trans, m, &f.Hge[k], row.Data, row.Stride, work, tc)
 	}
 	apS := func(k, i int) {
 		m2 := f.A.TileRows(i)
-		vtile := f.A.Tile(i, k)
-		tts := f.Tts[k][i-(k+2)]
 		a1 := c.View((k+1)*nb, 0, nb, m)
 		a2 := c.View(i*nb, 0, m2, m)
-		Tsmqr(blas.Left, trans, nb, m, 0, m2, a1.Data, a1.Stride, a2.Data, a2.Stride, vtile, m2, tts, nb, work, tc)
+		Tsmqr(blas.Left, trans, m, &f.Hts[k][i-(k+2)], a1.Data, a1.Stride, a2.Data, a2.Stride, work, tc)
 	}
 	if trans == blas.NoTrans {
 		for k := nt - 2; k >= 0; k-- {

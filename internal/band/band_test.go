@@ -6,9 +6,22 @@ import (
 	"testing"
 
 	"repro/internal/blas"
+	"repro/internal/householder"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 )
+
+// prepared packs a freshly factored reflector block (both forms) the way the
+// reducer's GEQRT/TSQRT tasks do, plus scratch for applying it to up to n
+// free rows/columns from either side.
+func prepared(ts bool, rows, k int, v []float64, ldv int, t []float64, n int) (*householder.Block, []float64) {
+	forms := householder.FormH | householder.FormHT
+	h := new(householder.Block)
+	h.Prepare(ts, rows, k, v, ldv, t, k, forms,
+		make([]float64, householder.PackedLen(ts, rows, k, forms)),
+		make([]float64, householder.PrepareWork(rows, k)))
+	return h, make([]float64, householder.ApplyWork(blas.Right, rows, k, n))
+}
 
 func randSym(rng *rand.Rand, n int) *matrix.Dense {
 	a := matrix.NewDense(n, n)
@@ -44,8 +57,8 @@ func TestGeqrtReconstruct(t *testing.T) {
 		}
 		// Q·R must equal the original: apply Q to R via Ormqr.
 		qr := r.Clone()
-		w2 := make([]float64, k*n)
-		Ormqr(blas.Left, blas.NoTrans, m, n, k, a.Data, a.Stride, tm, k, qr.Data, qr.Stride, w2, nil)
+		h, wk := prepared(false, m, k, a.Data, a.Stride, tm, n)
+		Ormqr(blas.Left, blas.NoTrans, n, h, qr.Data, qr.Stride, wk, nil)
 		if !qr.Equalish(orig, 1e-12) {
 			t.Fatalf("m=%d n=%d: Q·R != A", m, n)
 		}
@@ -55,9 +68,8 @@ func TestGeqrtReconstruct(t *testing.T) {
 			x.Data[i] = rng.NormFloat64()
 		}
 		y := x.Clone()
-		w3 := make([]float64, k*3)
-		Ormqr(blas.Left, blas.NoTrans, m, 3, k, a.Data, a.Stride, tm, k, y.Data, y.Stride, w3, nil)
-		Ormqr(blas.Left, blas.Trans, m, 3, k, a.Data, a.Stride, tm, k, y.Data, y.Stride, w3, nil)
+		Ormqr(blas.Left, blas.NoTrans, 3, h, y.Data, y.Stride, wk, nil)
+		Ormqr(blas.Left, blas.Trans, 3, h, y.Data, y.Stride, wk, nil)
 		if !y.Equalish(x, 1e-12) {
 			t.Fatalf("m=%d n=%d: Q not orthogonal", m, n)
 		}
@@ -87,8 +99,8 @@ func TestTsqrtTsmqrReconstruct(t *testing.T) {
 		// Check: Hᵀ·[R0; A2] == [R; 0] by applying Tsmqr to the originals.
 		c1 := r0.Clone()
 		c2 := a2.Clone()
-		w2 := make([]float64, nb*nb)
-		Tsmqr(blas.Left, blas.Trans, nb, nb, 0, m2, c1.Data, c1.Stride, c2.Data, c2.Stride, v2.Data, v2.Stride, tm, nb, w2, nil)
+		h, wk := prepared(true, m2, nb, v2.Data, v2.Stride, tm, 5)
+		Tsmqr(blas.Left, blas.Trans, nb, h, c1.Data, c1.Stride, c2.Data, c2.Stride, wk, nil)
 		if !c1.Equalish(r, 1e-12) {
 			t.Fatalf("m2=%d: top block != R after Hᵀ", m2)
 		}
@@ -108,10 +120,8 @@ func TestTsqrtTsmqrReconstruct(t *testing.T) {
 		}
 		y1 := x1.Transpose()
 		y2 := x2.Transpose()
-		wL := make([]float64, nb*mc)
-		Tsmqr(blas.Left, blas.Trans, nb, mc, 0, m2, y1.Data, y1.Stride, y2.Data, y2.Stride, v2.Data, v2.Stride, tm, nb, wL, nil)
-		wR := make([]float64, mc*nb)
-		Tsmqr(blas.Right, blas.NoTrans, nb, 0, mc, m2, x1.Data, x1.Stride, x2.Data, x2.Stride, v2.Data, v2.Stride, tm, nb, wR, nil)
+		Tsmqr(blas.Left, blas.Trans, mc, h, y1.Data, y1.Stride, y2.Data, y2.Stride, wk, nil)
+		Tsmqr(blas.Right, blas.NoTrans, mc, h, x1.Data, x1.Stride, x2.Data, x2.Stride, wk, nil)
 		if !x1.Equalish(y1.Transpose(), 1e-12) || !x2.Equalish(y2.Transpose(), 1e-12) {
 			t.Fatalf("m2=%d: right application inconsistent with left-on-transpose", m2)
 		}
@@ -250,5 +260,34 @@ func TestReduceTinyAndDegenerate(t *testing.T) {
 	f1 := Reduce(one, 4, nil, nil, nil)
 	if f1.Band.At(0, 0) != 42 {
 		t.Fatal("1x1 reduce broken")
+	}
+}
+
+// TestReduceNamesTasksOnlyWhenTraced: the stage-1 tasks are labelled for a
+// tracing scheduler (the labels are what a task timeline shows) and carry no
+// label — so no per-task string — for a plain one.
+func TestReduceNamesTasksOnlyWhenTraced(t *testing.T) {
+	a := randSym(rand.New(rand.NewSource(9)), 20)
+	s := sched.New(2, sched.WithTrace())
+	defer s.Shutdown()
+	job := s.NewJob(nil)
+	if !job.Traced() || (*sched.Job)(nil).Traced() {
+		t.Fatal("Traced must be true on a tracing scheduler's job and false on a nil job")
+	}
+	Reduce(a.Clone(), 4, job, nil, nil)
+	seen := false
+	for _, ev := range s.Trace() {
+		if ev.Name == "" {
+			t.Fatal("traced stage-1 task without a name")
+		}
+		seen = seen || ev.Name == "GEQRT(1,0)"
+	}
+	if !seen {
+		t.Fatal("no GEQRT(1,0) event in the stage-1 trace")
+	}
+	plain := sched.New(2)
+	defer plain.Shutdown()
+	if plain.NewJob(nil).Traced() {
+		t.Fatal("Traced on a scheduler without WithTrace")
 	}
 }

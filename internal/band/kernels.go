@@ -40,12 +40,14 @@ func Geqrt(m, n int, a []float64, lda int, t []float64, ldt int, work []float64,
 	tc.AddFlops(trace.KLarf, 2*int64(m)*int64(n)*int64(k))
 }
 
-// Ormqr applies the block reflector from Geqrt (V packed in the lower
-// triangle of v, triangular factor t, k reflectors) to the mc×nc tile c.
-// work must have length ≥ k·nc (Left) or k·mc (Right).
-func Ormqr(side blas.Side, trans blas.Transpose, mc, nc, k int, v []float64, ldv int, t []float64, ldt int, c []float64, ldc int, work []float64, tc *trace.Collector) {
-	householder.Larfb(side, trans, mc, nc, k, v, ldv, t, ldt, c, ldc, work)
-	tc.AddFlops(trace.KLarfb, 4*int64(mc)*int64(nc)*int64(k))
+// Ormqr applies the prepared block reflector of a Geqrt panel to a tile c
+// with n free columns (Left: C := op(H)·C, the reflector spans C's rows) or
+// n free rows (Right: C := C·op(H), it spans C's columns). work must hold
+// householder.ApplyWork for the side.
+func Ormqr(side blas.Side, trans blas.Transpose, n int, h *householder.Block, c []float64, ldc int, work []float64, tc *trace.Collector) {
+	h.Apply(side, trans, n, c, ldc, work)
+	rows, k := h.Shape()
+	tc.AddFlops(trace.KLarfb, 4*int64(rows)*int64(n)*int64(k))
 }
 
 // Tsqrt computes the QR factorization of the "triangle-on-top-of-square"
@@ -94,50 +96,18 @@ func Tsqrt(nb, m2 int, a1 []float64, lda1 int, a2 []float64, lda2 int, t []float
 	tc.AddFlops(trace.KLarf, 2*int64(m2+1)*int64(nb)*int64(nb))
 }
 
-// Tsmqr applies the TS block reflector from Tsqrt (dense part v2 with ldv
-// rows per column, factor t, k reflectors) to a pair of tiles. The reflector
-// is H = I − V·op(T)·Vᵀ with V = [I_k ; V2].
+// Tsmqr applies the prepared TS block reflector of a Tsqrt tile (k
+// reflectors, dense part m2 rows) to a pair of tiles, H = I − V·op(T)·Vᵀ with
+// V = [I_k ; V2]:
 //
-//	side = Left:  [A1; A2] := op(H)·[A1; A2], A1 is k×n1, A2 is m2×n1.
-//	side = Right: [A1, A2] := [A1, A2]·op(H), A1 is m1×k, A2 is m1×m2
+//	side = Left:  [A1; A2] := op(H)·[A1; A2], A1 is k×n, A2 is m2×n.
+//	side = Right: [A1, A2] := [A1, A2]·op(H), A1 is n×k, A2 is n×m2
 //	              (the columns of A2 pair with the rows of V2).
 //
-// work needs k·n1 (Left) or m1·k (Right) scratch. Equivalent to PLASMA's
+// work must hold householder.ApplyWork for the side. Equivalent to PLASMA's
 // CORE_dtsmqr.
-func Tsmqr(side blas.Side, trans blas.Transpose, k, n1, m1, m2 int, a1 []float64, lda1 int, a2 []float64, lda2 int, v2 []float64, ldv int, t []float64, ldt int, work []float64, tc *trace.Collector) {
-	tt := blas.NoTrans
-	if trans == blas.Trans {
-		tt = blas.Trans
-	}
-	if side == blas.Left {
-		// W (k×n1) = A1 + V2ᵀ·A2.
-		w := work[:k*n1]
-		for j := 0; j < n1; j++ {
-			blas.Dcopy(k, a1[j*lda1:], 1, w[j*k:], 1)
-		}
-		blas.Dgemm(blas.Trans, blas.NoTrans, k, n1, m2, 1, v2, ldv, a2, lda2, 1, w, k)
-		// W := op(T)·W.
-		blas.Dtrmm(blas.Left, blas.Upper, tt, blas.NonUnit, k, n1, 1, t, ldt, w, k)
-		// A1 -= W ; A2 -= V2·W.
-		for j := 0; j < n1; j++ {
-			blas.Daxpy(k, -1, w[j*k:], 1, a1[j*lda1:], 1)
-		}
-		blas.Dgemm(blas.NoTrans, blas.NoTrans, m2, n1, k, -1, v2, ldv, w, k, 1, a2, lda2)
-		tc.AddFlops(trace.KLarfb, int64(k)*int64(n1)*int64(4*m2+k))
-		return
-	}
-	// side == Right: W (m1×k) = A1 + A2·V2.
-	w := work[:m1*k]
-	for j := 0; j < k; j++ {
-		blas.Dcopy(m1, a1[j*lda1:], 1, w[j*m1:], 1)
-	}
-	blas.Dgemm(blas.NoTrans, blas.NoTrans, m1, k, m2, 1, a2, lda2, v2, ldv, 1, w, m1)
-	// W := W·op(T).
-	blas.Dtrmm(blas.Right, blas.Upper, tt, blas.NonUnit, m1, k, 1, t, ldt, w, m1)
-	// A1 -= W ; A2 -= W·V2ᵀ.
-	for j := 0; j < k; j++ {
-		blas.Daxpy(m1, -1, w[j*m1:], 1, a1[j*lda1:], 1)
-	}
-	blas.Dgemm(blas.NoTrans, blas.Trans, m1, m2, k, -1, w, m1, v2, ldv, 1, a2, lda2)
-	tc.AddFlops(trace.KLarfb, int64(m1)*int64(k)*int64(4*m2+k))
+func Tsmqr(side blas.Side, trans blas.Transpose, n int, h *householder.Block, a1 []float64, lda1 int, a2 []float64, lda2 int, work []float64, tc *trace.Collector) {
+	h.ApplyTS(side, trans, n, a1, lda1, a2, lda2, work)
+	m2, k := h.Shape()
+	tc.AddFlops(trace.KLarfb, int64(k)*int64(n)*int64(4*m2+k))
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/blas"
+	"repro/internal/householder"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -73,6 +74,10 @@ type Config struct {
 	// fused mirror tasks) exactly. Results are bitwise identical either way;
 	// the switch exists for benchmarking and fault isolation.
 	Sequenced bool
+	// ValuesOnly says Q₁ will never be applied: the panel reflectors are then
+	// prepared for the reduction's own Hᵀ updates only, which saves the H-form
+	// operands (n²/2 values) that ApplyQ1 consumes.
+	ValuesOnly bool
 }
 
 // clampLookahead resolves a requested depth to the valid range [1, MaxLookahead].
@@ -106,9 +111,15 @@ func feedBoost(depth, dist int) int {
 //   - tile (i, k), i > k+1: the dense part of the TS reflector that
 //     annihilated that tile.
 //
+// Each reflector block is also held prepared for application
+// (householder.Block: Vᵀ and −V·op(T) packed for the micro-kernel). The task
+// that factors a panel tile prepares its Block right after forming T, under
+// the same Tge/Tts write dependence; the stage-1 update tasks and ApplyQ1
+// only ever read the prepared form, never the tile.
+//
 // When Reduce is given a workspace arena, every buffer reachable from the
-// Factor (tiles, T factors, band) is arena-backed: the Factor is only valid
-// until the arena is recycled.
+// Factor (tiles, T factors, packed reflectors, band) is arena-backed: the
+// Factor is only valid until the arena is recycled.
 type Factor struct {
 	N  int // matrix order
 	NB int // tile size == bandwidth
@@ -121,6 +132,11 @@ type Factor struct {
 	Tge [][]float64
 	// Tts[k][i-(k+2)] is the factor for the TS reflector of tile (i, k).
 	Tts [][][]float64
+	// Hge[k] and Hts[k][i-(k+2)] are the same reflectors prepared for
+	// application: the Hᵀ form the reduction applies and, unless the
+	// reduction was configured ValuesOnly, the H form of Q₁·C.
+	Hge []householder.Block
+	Hts [][]householder.Block
 	// Band is the resulting symmetric band matrix (bandwidth NB).
 	Band *matrix.SymBand
 
@@ -173,7 +189,17 @@ type reducer struct {
 	f       *Factor
 	tm      *matrix.TileMatrix
 	tc      *trace.Collector
-	scratch [][]float64 // per-worker kernel workspace, nb²+2nb floats each
+	scratch [][]float64      // per-worker kernel workspace, scratchLen(nb) each
+	named   bool             // the scheduler records traces, so tasks carry names
+	forms   householder.Form // op(H) forms every panel reflector is prepared for
+	packed  *work.Slab       // storage of the prepared reflectors
+}
+
+// scratchLen is the per-worker kernel workspace for tile size nb: the larger
+// of what preparing a full-tile reflector and applying one from the right
+// need (Geqrt/Tsqrt's own 2nb is below both).
+func scratchLen(nb int) int {
+	return max(householder.PrepareWork(nb, nb), householder.ApplyWork(blas.Right, nb, nb, nb), 2*nb)
 }
 
 // t0 samples the clock for busy-time attribution; zero (free) when no
@@ -207,29 +233,29 @@ func (r *reducer) panelGeom(k int) (m1, kw, kr int) {
 func (r *reducer) geqrt(k, w int) {
 	t := r.t0()
 	m1, kw, kr := r.panelGeom(k)
-	Geqrt(m1, kw, r.tm.Tile(k+1, k), m1, r.f.Tge[k], kr, r.scratch[w][:kr+kw], r.tc)
+	panel := r.tm.Tile(k+1, k)
+	Geqrt(m1, kw, panel, m1, r.f.Tge[k], kr, r.scratch[w][:kr+kw], r.tc)
+	r.f.Hge[k].Prepare(false, m1, kr, panel, m1, r.f.Tge[k], kr, r.forms,
+		r.packed.Take(householder.PackedLen(false, m1, kr, r.forms)), r.scratch[w])
 	r.acc(&r.panelNs, t)
 }
 
 // syrfb applies the GEQRT reflector two-sidedly to the diagonal tile.
 func (r *reducer) syrfb(k, w int) {
 	t := r.t0()
-	m1, _, kr := r.panelGeom(k)
-	panel := r.tm.Tile(k+1, k)
+	m1 := r.tm.TileRows(k + 1)
 	diag := r.tm.Tile(k+1, k+1)
-	wk := r.scratch[w][:kr*m1]
-	Ormqr(blas.Left, blas.Trans, m1, m1, kr, panel, m1, r.f.Tge[k], kr, diag, m1, wk, r.tc)
-	Ormqr(blas.Right, blas.NoTrans, m1, m1, kr, panel, m1, r.f.Tge[k], kr, diag, m1, wk, r.tc)
+	Ormqr(blas.Left, blas.Trans, m1, &r.f.Hge[k], diag, m1, r.scratch[w], r.tc)
+	Ormqr(blas.Right, blas.NoTrans, m1, &r.f.Hge[k], diag, m1, r.scratch[w], r.tc)
 	r.acc(&r.panelNs, t)
 }
 
 // ormqrL updates row tile (k+1, j) from the left: A[k+1][j] := Hᵀ·A[k+1][j].
 func (r *reducer) ormqrL(k, j, w int) {
 	t := r.t0()
-	m1, _, kr := r.panelGeom(k)
+	m1 := r.tm.TileRows(k + 1)
 	nc := r.tm.TileCols(j)
-	Ormqr(blas.Left, blas.Trans, m1, nc, kr, r.tm.Tile(k+1, k), m1, r.f.Tge[k], kr,
-		r.tm.Tile(k+1, j), m1, r.scratch[w][:kr*nc], r.tc)
+	Ormqr(blas.Left, blas.Trans, nc, &r.f.Hge[k], r.tm.Tile(k+1, j), m1, r.scratch[w], r.tc)
 	r.acc(&r.updateNs, t)
 }
 
@@ -250,8 +276,10 @@ func (r *reducer) tsqrt(k, i, w int) {
 	t := r.t0()
 	m1, kw, _ := r.panelGeom(k)
 	m2 := r.tm.TileRows(i)
-	Tsqrt(kw, m2, r.tm.Tile(k+1, k), m1, r.tm.Tile(i, k), m2,
-		r.f.Tts[k][i-(k+2)], kw, r.scratch[w][:kw], r.tc)
+	v2, tts := r.tm.Tile(i, k), r.f.Tts[k][i-(k+2)]
+	Tsqrt(kw, m2, r.tm.Tile(k+1, k), m1, v2, m2, tts, kw, r.scratch[w][:kw], r.tc)
+	r.f.Hts[k][i-(k+2)].Prepare(true, m2, kw, v2, m2, tts, kw, r.forms,
+		r.packed.Take(householder.PackedLen(true, m2, kw, r.forms)), r.scratch[w])
 	r.acc(&r.panelNs, t)
 }
 
@@ -260,12 +288,10 @@ func (r *reducer) tsqrt(k, i, w int) {
 func (r *reducer) tsmqrL(k, i, j, w int) {
 	t := r.t0()
 	m1 := r.tm.TileRows(k + 1)
-	kw := r.tm.TileCols(k)
 	m2 := r.tm.TileRows(i)
 	nc := r.tm.TileCols(j)
-	Tsmqr(blas.Left, blas.Trans, kw, nc, 0, m2,
-		r.tm.Tile(k+1, j), m1, r.tm.Tile(i, j), m2,
-		r.tm.Tile(i, k), m2, r.f.Tts[k][i-(k+2)], kw, r.scratch[w][:kw*nc], r.tc)
+	Tsmqr(blas.Left, blas.Trans, nc, &r.f.Hts[k][i-(k+2)],
+		r.tm.Tile(k+1, j), m1, r.tm.Tile(i, j), m2, r.scratch[w], r.tc)
 	r.acc(&r.updateNs, t)
 }
 
@@ -274,12 +300,9 @@ func (r *reducer) tsmqrL(k, i, j, w int) {
 // are mirrored (see mirror2).
 func (r *reducer) tsmqrC(k, i, row, w int) {
 	t := r.t0()
-	kw := r.tm.TileCols(k)
-	m2 := r.tm.TileRows(i)
 	mr := r.tm.TileRows(row)
-	Tsmqr(blas.Right, blas.NoTrans, kw, 0, mr, m2,
-		r.tm.Tile(row, k+1), mr, r.tm.Tile(row, i), mr,
-		r.tm.Tile(i, k), m2, r.f.Tts[k][i-(k+2)], kw, r.scratch[w][:mr*kw], r.tc)
+	Tsmqr(blas.Right, blas.NoTrans, mr, &r.f.Hts[k][i-(k+2)],
+		r.tm.Tile(row, k+1), mr, r.tm.Tile(row, i), mr, r.scratch[w], r.tc)
 	r.acc(&r.updateNs, t)
 }
 
@@ -349,30 +372,38 @@ func ReduceWith(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc 
 	tm.FromLapack(a)
 	sc := stage1For(ws)
 	f := &sc.f
-	tge, tts := f.Tge, f.Tts
+	tge, tts, hge, hts := f.Tge, f.Tts, f.Hge, f.Hts
 	*f = Factor{N: n, NB: nb, NT: tm.NT, A: tm, ws: ws}
 	nt := f.NT
+	forms := householder.FormH | householder.FormHT
+	if cfg.ValuesOnly {
+		forms = householder.FormHT
+	}
 
-	// Carve every T factor out of one slab: the per-panel counts are known
-	// up front, so size it exactly and hand out zeroed slices. The list
-	// spines (Tge, Tts and its per-panel rows) are retained across solves.
-	capT := 0
+	// Carve every T factor out of one slab and size a second one for the
+	// prepared reflectors: the per-panel counts are known up front, so both
+	// are exact. The list spines (Tge, Tts, Hge, Hts and their per-panel
+	// rows) are retained across solves.
+	capT, capP := 0, 0
 	for k := 0; k < nt-1; k++ {
 		m1 := tm.TileRows(k + 1)
 		kw := tm.TileCols(k)
 		kr := min(m1, kw)
 		capT += kr*kr + max(0, nt-k-2)*kw*kw
+		capP += householder.PackedLen(false, m1, kr, forms)
+		for i := k + 2; i < nt; i++ {
+			capP += householder.PackedLen(true, tm.TileRows(i), kw, forms)
+		}
 	}
 	slab := ws.SlabOf(work.Stage1Slab, capT)
 	np := max(0, nt-1)
 	if cap(tge) < np {
 		tge = make([][]float64, np)
-	}
-	if cap(tts) < np {
 		tts = make([][][]float64, np)
+		hge = make([]householder.Block, np)
+		hts = make([][]householder.Block, np)
 	}
-	f.Tge = tge[:np]
-	f.Tts = tts[:np]
+	f.Tge, f.Tts, f.Hge, f.Hts = tge[:np], tts[:np], hge[:np], hts[:np]
 	for k := 0; k < nt-1; k++ {
 		m1 := tm.TileRows(k + 1)
 		kw := tm.TileCols(k)
@@ -381,8 +412,9 @@ func ReduceWith(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc 
 		nts := max(0, nt-k-2)
 		if cap(f.Tts[k]) < nts {
 			f.Tts[k] = make([][]float64, nts)
+			f.Hts[k] = make([]householder.Block, nts)
 		}
-		f.Tts[k] = f.Tts[k][:nts]
+		f.Tts[k], f.Hts[k] = f.Tts[k][:nts], f.Hts[k][:nts]
 		for i := k + 2; i < nt; i++ {
 			f.Tts[k][i-(k+2)] = slab.Take(kw * kw)
 		}
@@ -391,7 +423,10 @@ func ReduceWith(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc 
 	r := &sc.r
 	*r = reducer{
 		f: f, tm: tm, tc: tc,
-		scratch: ws.PerWorker(work.Stage1Scratch, job.Workers(), nb*nb+2*nb),
+		scratch: ws.PerWorker(work.Stage1Scratch, job.Workers(), scratchLen(nb)),
+		named:   job.Traced(),
+		forms:   forms,
+		packed:  ws.SlabOf(work.Stage1Packed, capP),
 	}
 	workers := job.Workers()
 	var start time.Time
@@ -467,7 +502,7 @@ func (r *reducer) scheduleSequenced(job *sched.Job) {
 		k := k
 		// GEQRT on tile (k+1, k): factor the top of the panel.
 		job.Submit(sched.Task{
-			Name:     taskName("GEQRT", k+1, k),
+			Name:     r.name("GEQRT", k+1, k),
 			Priority: 100, // panel tasks are on the critical path
 			Deps: []sched.Dep{
 				sched.RW(tm.TileID(k+1, k)), sched.W(f.resV(k)), sched.W(f.resR(k)), sched.W(f.resTge(k)),
@@ -478,7 +513,7 @@ func (r *reducer) scheduleSequenced(job *sched.Job) {
 		// Apply the GEQRT reflector two-sidedly to the trailing submatrix.
 		// Diagonal tile: Hᵀ·A·H in one task.
 		job.Submit(sched.Task{
-			Name:     taskName("SYRFB", k+1, k+1),
+			Name:     r.name("SYRFB", k+1, k+1),
 			Priority: 50,
 			Deps: []sched.Dep{
 				sched.RW(tm.TileID(k+1, k+1)), sched.R(f.resV(k)), sched.R(f.resTge(k)),
@@ -488,14 +523,14 @@ func (r *reducer) scheduleSequenced(job *sched.Job) {
 		for j := k + 2; j < nt; j++ {
 			j := j
 			job.Submit(sched.Task{
-				Name: taskName("ORMQR-L", k+1, j),
+				Name: r.name("ORMQR-L", k+1, j),
 				Deps: []sched.Dep{
 					sched.RW(tm.TileID(k+1, j)), sched.R(f.resV(k)), sched.R(f.resTge(k)),
 				},
 				Run: func(w int) { r.ormqrL(k, j, w) },
 			})
 			job.Submit(sched.Task{
-				Name: taskName("MIRROR", j, k+1),
+				Name: r.name("MIRROR", j, k+1),
 				Deps: []sched.Dep{
 					sched.W(tm.TileID(j, k+1)), sched.R(tm.TileID(k+1, j)),
 				},
@@ -508,7 +543,7 @@ func (r *reducer) scheduleSequenced(job *sched.Job) {
 		for i := k + 2; i < nt; i++ {
 			i := i
 			job.Submit(sched.Task{
-				Name:     taskName("TSQRT", i, k),
+				Name:     r.name("TSQRT", i, k),
 				Priority: 100,
 				Deps: []sched.Dep{
 					sched.RW(f.resR(k)), sched.RW(tm.TileID(i, k)), sched.W(f.resTts(k, i)),
@@ -519,7 +554,7 @@ func (r *reducer) scheduleSequenced(job *sched.Job) {
 			for j := k + 1; j < nt; j++ {
 				j := j
 				job.Submit(sched.Task{
-					Name: taskName("TSMQR-L", i, j),
+					Name: r.name("TSMQR-L", i, j),
 					Deps: []sched.Dep{
 						sched.RW(tm.TileID(k+1, j)), sched.RW(tm.TileID(i, j)),
 						sched.R(tm.TileID(i, k)), sched.R(f.resTts(k, i)),
@@ -533,7 +568,7 @@ func (r *reducer) scheduleSequenced(job *sched.Job) {
 			for _, row := range [2]int{k + 1, i} {
 				row := row
 				job.Submit(sched.Task{
-					Name: taskName("TSMQR-C", row, i),
+					Name: r.name("TSMQR-C", row, i),
 					Deps: []sched.Dep{
 						sched.RW(tm.TileID(row, k+1)), sched.RW(tm.TileID(row, i)),
 						sched.R(tm.TileID(i, k)), sched.R(f.resTts(k, i)),
@@ -547,7 +582,7 @@ func (r *reducer) scheduleSequenced(job *sched.Job) {
 				}
 				row := row
 				job.Submit(sched.Task{
-					Name: taskName("MIRROR2", row, i),
+					Name: r.name("MIRROR2", row, i),
 					Deps: []sched.Dep{
 						sched.W(tm.TileID(row, k+1)), sched.R(tm.TileID(k+1, row)),
 						sched.W(tm.TileID(row, i)), sched.R(tm.TileID(i, row)),
@@ -581,7 +616,7 @@ func (r *reducer) scheduleLookahead(job *sched.Job, depth int) {
 	for k := 0; k < nt-1; k++ {
 		k := k
 		job.Submit(sched.Task{
-			Name:     taskName("GEQRT", k+1, k),
+			Name:     r.name("GEQRT", k+1, k),
 			Priority: prioPanel,
 			Deps: []sched.Dep{
 				sched.RW(tm.TileID(k+1, k)), sched.W(f.resV(k)), sched.W(f.resR(k)), sched.W(f.resTge(k)),
@@ -592,7 +627,7 @@ func (r *reducer) scheduleLookahead(job *sched.Job, depth int) {
 		// The diagonal update gates the column-(k+1) TSMQR-L chain — just
 		// under the panel tasks.
 		job.Submit(sched.Task{
-			Name:     taskName("SYRFB", k+1, k+1),
+			Name:     r.name("SYRFB", k+1, k+1),
 			Priority: prioDiag,
 			Deps: []sched.Dep{
 				sched.RW(tm.TileID(k+1, k+1)), sched.R(f.resV(k)), sched.R(f.resTge(k)),
@@ -604,7 +639,7 @@ func (r *reducer) scheduleLookahead(job *sched.Job, depth int) {
 			// ORMQR-L feeds MIRROR, whose output tile (j, k+1) the next
 			// panel's TSQRT chain reads: both are distance-1 feeders.
 			job.Submit(sched.Task{
-				Name:     taskName("ORMQR-L", k+1, j),
+				Name:     r.name("ORMQR-L", k+1, j),
 				Priority: feedBoost(depth, 1),
 				Deps: []sched.Dep{
 					sched.RW(tm.TileID(k+1, j)), sched.R(f.resV(k)), sched.R(f.resTge(k)),
@@ -612,7 +647,7 @@ func (r *reducer) scheduleLookahead(job *sched.Job, depth int) {
 				Run: func(w int) { r.ormqrL(k, j, w) },
 			})
 			job.Submit(sched.Task{
-				Name:     taskName("MIRROR", j, k+1),
+				Name:     r.name("MIRROR", j, k+1),
 				Priority: feedBoost(depth, 1),
 				Deps: []sched.Dep{
 					sched.W(tm.TileID(j, k+1)), sched.R(tm.TileID(k+1, j)),
@@ -624,7 +659,7 @@ func (r *reducer) scheduleLookahead(job *sched.Job, depth int) {
 		for i := k + 2; i < nt; i++ {
 			i := i
 			job.Submit(sched.Task{
-				Name:     taskName("TSQRT", i, k),
+				Name:     r.name("TSQRT", i, k),
 				Priority: prioPanel,
 				Deps: []sched.Dep{
 					sched.RW(f.resR(k)), sched.RW(tm.TileID(i, k)), sched.W(f.resTts(k, i)),
@@ -635,7 +670,7 @@ func (r *reducer) scheduleLookahead(job *sched.Job, depth int) {
 				j := j
 				// Writes column j, which panel j factors: distance j−k.
 				job.Submit(sched.Task{
-					Name:     taskName("TSMQR-L", i, j),
+					Name:     r.name("TSMQR-L", i, j),
 					Priority: feedBoost(depth, j-k),
 					Deps: []sched.Dep{
 						sched.RW(tm.TileID(k+1, j)), sched.RW(tm.TileID(i, j)),
@@ -648,7 +683,7 @@ func (r *reducer) scheduleLookahead(job *sched.Job, depth int) {
 				row := row
 				// Writes tile (row, k+1) — the next panel's column.
 				job.Submit(sched.Task{
-					Name:     taskName("TSMQR-C", row, i),
+					Name:     r.name("TSMQR-C", row, i),
 					Priority: feedBoost(depth, 1),
 					Deps: []sched.Dep{
 						sched.RW(tm.TileID(row, k+1)), sched.RW(tm.TileID(row, i)),
@@ -663,7 +698,7 @@ func (r *reducer) scheduleLookahead(job *sched.Job, depth int) {
 				}
 				row := row
 				job.Submit(sched.Task{
-					Name:     taskName("MIRROR2A", row, i),
+					Name:     r.name("MIRROR2A", row, i),
 					Priority: feedBoost(depth, 1),
 					Deps: []sched.Dep{
 						sched.W(tm.TileID(row, k+1)), sched.R(tm.TileID(k+1, row)),
@@ -671,7 +706,7 @@ func (r *reducer) scheduleLookahead(job *sched.Job, depth int) {
 					Run: func(w int) { r.mirror2a(k, i, row, w) },
 				})
 				job.Submit(sched.Task{
-					Name:     taskName("MIRROR2B", row, i),
+					Name:     r.name("MIRROR2B", row, i),
 					Priority: feedBoost(depth, i-k),
 					Deps: []sched.Dep{
 						sched.W(tm.TileID(row, i)), sched.R(tm.TileID(i, row)),
@@ -719,6 +754,15 @@ func transposeTile(src []float64, r, c int, dst []float64) {
 			dst[j+i*c] = v
 		}
 	}
+}
+
+// name labels a task for the scheduler's trace; without a trace nothing reads
+// the label and the string is not built.
+func (r *reducer) name(kind string, i, j int) string {
+	if !r.named {
+		return ""
+	}
+	return taskName(kind, i, j)
 }
 
 func taskName(kind string, i, j int) string {

@@ -138,7 +138,7 @@ func gemmBlocked(transA, transB Transpose, m, n, k int, alpha float64, a []float
 			for ii := 0; ii < m; ii += bk.MC {
 				mc := min(bk.MC, m-ii)
 				packA(buf.a, transA, a, lda, ii, kk, mc, kc, mr, useAsm)
-				gemmMacro(buf.a, buf.b, mc, nc, kc, mr, useAsm, c[ii+jj*ldc:], ldc)
+				gemmMacro(buf.a, buf.b, kc, mc, nc, kc, mr, useAsm, c[ii+jj*ldc:], ldc, nil)
 			}
 		}
 	}
@@ -254,32 +254,50 @@ func packA(dst []float64, transA Transpose, a []float64, lda, ii, kk, mc, kc, mr
 
 // gemmMacro runs the micro-kernel grid over one packed (mc×kc)·(kc×nc)
 // block. The loop order keeps each 4-column B panel L1-resident while the
-// packed A block streams through it.
-func gemmMacro(apack, bpack []float64, mc, nc, kc, mr int, useAsm bool, c []float64, ldc int) {
+// packed A block streams through it. ldb is the distance between the column
+// streams of B: kc for a panel packed by packB — the only choice in the
+// interleaved layout — or, in the stream layout, the leading dimension of a
+// plain column-major matrix, whose columns 4q..4q+3 already are panel q.
+//
+// sky, when non-nil, is the left operand's skyline (see Packing.PackA): two
+// values per A row-panel giving the k range [lo, hi) outside which the
+// panel is exactly zero. The kernels then run on that sub-range only. Every
+// skipped term is a ±0 product, and adding ±0 never changes a partial sum
+// (a sum that is still zero is +0 either way), so for finite operands the
+// result is bitwise the one the full range gives.
+func gemmMacro(apack, bpack []float64, ldb, mc, nc, kc, mr int, useAsm bool, c []float64, ldc int, sky []float64) {
 	np := (nc + microNR - 1) / microNR
 	for q := 0; q < np; q++ {
-		bp := bpack[q*microNR*kc : (q+1)*microNR*kc]
+		bq := bpack[q*microNR*ldb:]
 		nr := min(microNR, nc-q*microNR)
 		cq := c[q*microNR*ldc:]
 		off := 0
-		for p := 0; p < mc; p += mr {
+		for p, pi := 0, 0; p < mc; p, pi = p+mr, pi+1 {
 			h := min(mr, mc-p)
 			ap := apack[off : off+h*kc]
 			off += h * kc
+			lo, kn := 0, kc
+			if sky != nil {
+				lo = int(sky[2*pi])
+				kn = int(sky[2*pi+1]) - lo
+				if kn <= 0 {
+					continue
+				}
+			}
 			ct := cq[p:]
 			switch {
 			case h < mr && useAsm:
-				kernMx4i(kc, h, ap, bp, ct, ldc, nr)
+				kernMx4i(kn, h, ap[lo:], kc, bq[lo*microNR:], ct, ldc, nr)
 			case h < mr:
-				kernMx4(kc, h, ap, bp, ct, ldc, nr)
+				kernMx4(kn, h, ap[lo:], kc, bq[lo:], ldb, ct, ldc, nr)
 			case useAsm:
-				kern8x4asm(kc, ap, bp, ct, ldc, nr)
+				kern8x4asm(kn, ap[lo*mr:], bq[lo*microNR:], ct, ldc, nr)
 			case mr == 8:
-				kern8x4(kc, ap, bp, ct, ldc, nr)
+				kern8x4(kn, ap[lo:], kc, bq[lo:], ldb, ct, ldc, nr)
 			case mr == 4:
-				kern4x4(kc, ap, bp, ct, ldc, nr)
+				kern4x4(kn, ap[lo:], kc, bq[lo:], ldb, ct, ldc, nr)
 			default:
-				kern2x4(kc, ap, bp, ct, ldc, nr)
+				kern2x4(kn, ap[lo:], kc, bq[lo:], ldb, ct, ldc, nr)
 			}
 		}
 	}

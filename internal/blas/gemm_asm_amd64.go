@@ -56,7 +56,7 @@ func asmActive() bool { return hasAVX2 }
 // add-to-memory per element here matches the portable kernels' rounding.
 func kern8x4asm(kc int, ap, bp []float64, c []float64, ldc, nr int) {
 	if !hasAVX2 {
-		kern8x4(kc, ap, bp, c, ldc, nr)
+		kern8x4(kc, ap, kc, bp, kc, c, ldc, nr)
 		return
 	}
 	var out [32]float64

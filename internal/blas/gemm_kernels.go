@@ -2,12 +2,15 @@ package blas
 
 // Portable register-blocked GEMM micro-kernels. Each computes an h×4 block
 // of C += Ap·Bp from panels packed by packA/packB in stream layout: the
-// panel is h (resp. 4) contiguous length-kc streams, one per A row / B
-// column, so every inner loop is an indexed walk over pre-sliced arrays and
-// the compiler drops all bounds checks (the interleaved layout the assembly
-// kernel uses defeats that and costs ~2.5× in scalar code). nr ≤ 4 is the
-// number of valid C columns; padded B columns are computed into dead
-// accumulators and discarded.
+// panel is h (resp. 4) length-kc streams, one per A row / B column, lda
+// (resp. ldb) apart, so every inner loop is an indexed walk over pre-sliced
+// arrays and the compiler drops all bounds checks (the interleaved layout the
+// assembly kernel uses defeats that and costs ~2.5× in scalar code). A whole
+// panel has lda = ldb = kc; a k sub-range of one — which is how the packed
+// driver skips the leading and trailing zeros of a structured left operand —
+// keeps the panel's strides and starts each stream at the range's offset.
+// nr ≤ 4 is the number of valid C columns; padded B columns are computed into
+// dead accumulators and discarded.
 //
 // Every C element is accumulated in its own scalar chain over l = 0..kc-1
 // and added to memory exactly once, so the kernels are bitwise
@@ -15,13 +18,13 @@ package blas
 // with the assembly kernel (which uses separate multiply and add
 // instructions for exactly this reason).
 
-func kern2x4(kc int, ap, bp []float64, c []float64, ldc, nr int) {
-	a0 := ap[0*kc : 1*kc]
-	a1 := ap[1*kc : 2*kc]
-	b0 := bp[0*kc : 1*kc]
-	b1 := bp[1*kc : 2*kc]
-	b2 := bp[2*kc : 3*kc]
-	b3 := bp[3*kc : 4*kc]
+func kern2x4(kc int, ap []float64, lda int, bp []float64, ldb int, c []float64, ldc, nr int) {
+	a0 := ap[:kc]
+	a1 := ap[lda : lda+kc]
+	b0 := bp[:kc]
+	b1 := bp[ldb : ldb+kc]
+	b2 := bp[2*ldb : 2*ldb+kc]
+	b3 := bp[3*ldb : 3*ldb+kc]
 	var s00, s10, s01, s11, s02, s12, s03, s13 float64
 	for l := 0; l < kc; l++ {
 		av0, av1 := a0[l], a1[l]
@@ -54,15 +57,15 @@ func kern2x4(kc int, ap, bp []float64, c []float64, ldc, nr int) {
 // 16 per 6 for the 2×4 tile). Its 16 accumulators are at the edge of the
 // amd64 XMM file, so a few chains spill; which tile wins is
 // machine-dependent, which is exactly what the autotuner sweep measures.
-func kern4x4(kc int, ap, bp []float64, c []float64, ldc, nr int) {
-	a0 := ap[0*kc : 1*kc]
-	a1 := ap[1*kc : 2*kc]
-	a2 := ap[2*kc : 3*kc]
-	a3 := ap[3*kc : 4*kc]
-	b0 := bp[0*kc : 1*kc]
-	b1 := bp[1*kc : 2*kc]
-	b2 := bp[2*kc : 3*kc]
-	b3 := bp[3*kc : 4*kc]
+func kern4x4(kc int, ap []float64, lda int, bp []float64, ldb int, c []float64, ldc, nr int) {
+	a0 := ap[:kc]
+	a1 := ap[lda : lda+kc]
+	a2 := ap[2*lda : 2*lda+kc]
+	a3 := ap[3*lda : 3*lda+kc]
+	b0 := bp[:kc]
+	b1 := bp[ldb : ldb+kc]
+	b2 := bp[2*ldb : 2*ldb+kc]
+	b3 := bp[3*ldb : 3*ldb+kc]
 	var s00, s10, s20, s30 float64
 	var s01, s11, s21, s31 float64
 	var s02, s12, s22, s32 float64
@@ -120,22 +123,22 @@ func kern4x4(kc int, ap, bp []float64, c []float64, ldc, nr int) {
 // half-tiles over the same packed panel — the chains are identical (each C
 // element is still one sum over l), only the interleaving of independent
 // chains differs, which floating point cannot observe.
-func kern8x4(kc int, ap, bp []float64, c []float64, ldc, nr int) {
-	kern4x4(kc, ap[:4*kc], bp, c, ldc, nr)
-	kern4x4(kc, ap[4*kc:], bp, c[4:], ldc, nr)
+func kern8x4(kc int, ap []float64, lda int, bp []float64, ldb int, c []float64, ldc, nr int) {
+	kern4x4(kc, ap, lda, bp, ldb, c, ldc, nr)
+	kern4x4(kc, ap[4*lda:], lda, bp, ldb, c[4:], ldc, nr)
 }
 
 // kernMx4 handles the ragged final A panel (1 ≤ h < mr rows, packed as h
 // streams). It runs the same per-element accumulation chains as the fast
 // kernels, just without the unrolled register tile; it only ever sees the
 // fringe of the matrix, so its share of the work is O(1/m).
-func kernMx4(kc, h int, ap, bp []float64, c []float64, ldc, nr int) {
-	b0 := bp[0*kc : 1*kc]
-	b1 := bp[1*kc : 2*kc]
-	b2 := bp[2*kc : 3*kc]
-	b3 := bp[3*kc : 4*kc]
+func kernMx4(kc, h int, ap []float64, lda int, bp []float64, ldb int, c []float64, ldc, nr int) {
+	b0 := bp[:kc]
+	b1 := bp[ldb : ldb+kc]
+	b2 := bp[2*ldb : 2*ldb+kc]
+	b3 := bp[3*ldb : 3*ldb+kc]
 	for r := 0; r < h; r++ {
-		ar := ap[r*kc : r*kc+kc]
+		ar := ap[r*lda : r*lda+kc]
 		var s0, s1, s2, s3 float64
 		for l, av := range ar {
 			s0 += av * b0[l]
@@ -159,9 +162,9 @@ func kernMx4(kc, h int, ap, bp []float64, c []float64, ldc, nr int) {
 // kernMx4i is kernMx4 for the assembly-mode packing, where the B panel is
 // interleaved (bp[l*4+t]) instead of column streams. A ragged panels are
 // packed as streams in both modes.
-func kernMx4i(kc, h int, ap, bp []float64, c []float64, ldc, nr int) {
+func kernMx4i(kc, h int, ap []float64, lda int, bp []float64, c []float64, ldc, nr int) {
 	for r := 0; r < h; r++ {
-		ar := ap[r*kc : r*kc+kc]
+		ar := ap[r*lda : r*lda+kc]
 		var s0, s1, s2, s3 float64
 		for l, av := range ar {
 			bl := bp[l*4 : l*4+4]

@@ -274,8 +274,8 @@ func TestLevel3RoutingAgainstRef(t *testing.T) {
 }
 
 // TestDtrsmRecursiveLarge solves a large well-conditioned triangular system
-// through the recursive path and checks the residual of each solve against
-// a Dtrmm round trip.
+// through the recursive path and checks each solve against the dense
+// reference product it must invert.
 func TestDtrsmRecursiveLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, side := range []Side{Left, Right} {
@@ -299,10 +299,10 @@ func TestDtrsmRecursiveLarge(t *testing.T) {
 					}
 					x := randMat(rng, m, n, m)
 					b := append([]float64(nil), x...)
-					Dtrmm(side, uplo, trans, diag, m, n, 1, a, na, b, m)
+					trmmRef(side, uplo, trans, diag, m, n, a, na, b, m)
 					Dtrsm(side, uplo, trans, diag, m, n, 1, a, na, b, m)
 					if d := maxDiff(b, x); d > 1e-10 {
-						t.Fatalf("side=%c uplo=%c trans=%c diag=%c: Dtrsm∘Dtrmm max diff %g",
+						t.Fatalf("side=%c uplo=%c trans=%c diag=%c: Dtrsm of the product: max diff %g",
 							side, uplo, trans, diag, d)
 					}
 				}

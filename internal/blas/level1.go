@@ -66,25 +66,6 @@ func Dscal(n int, alpha float64, x []float64, incX int) {
 	}
 }
 
-// Dcopy copies x into y for strided n-vectors.
-func Dcopy(n int, x []float64, incX int, y []float64, incY int) {
-	checkVector("dcopy", n, x, incX)
-	checkVector("dcopy", n, y, incY)
-	if n == 0 {
-		return
-	}
-	if incX == 1 && incY == 1 {
-		copy(y[:n], x[:n])
-		return
-	}
-	ix, iy := startIdx(n, incX), startIdx(n, incY)
-	for i := 0; i < n; i++ {
-		y[iy] = x[ix]
-		ix += incX
-		iy += incY
-	}
-}
-
 // Dswap exchanges x and y for strided n-vectors.
 func Dswap(n int, x []float64, incX int, y []float64, incY int) {
 	checkVector("dswap", n, x, incX)

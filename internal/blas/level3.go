@@ -207,228 +207,10 @@ func scaleTriangle(uplo Uplo, n int, beta float64, c []float64, ldc int) {
 	}
 }
 
-// Dtrmm computes B := alpha*op(A)*B (side Left) or B := alpha*B*op(A)
-// (side Right) where A is triangular and B is m×n.
-func Dtrmm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
-	na := m
-	if side == Right {
-		na = n
-	}
-	checkMatrix("dtrmm", na, na, a, lda)
-	checkMatrix("dtrmm", m, n, b, ldb)
-	if m == 0 || n == 0 {
-		return
-	}
-	// Recursive blocking: split the triangle so the off-diagonal half of
-	// the work goes through the fast Dgemm kernel; only the small diagonal
-	// blocks run the scalar triangular loops. This matters because every
-	// blocked reflector application (Larfb/Tsmqr) calls Dtrmm on its
-	// triangular factor.
-	const trmmBase = 24
-	if na > 2*trmmBase {
-		h := na / 2
-		if side == Left {
-			b1 := b
-			b2 := b[h:]
-			a11 := a
-			a22 := a[h+h*lda:]
-			switch {
-			case uplo == Upper && trans == NoTrans:
-				// B1 := A11·B1 + A12·B2 ; B2 := A22·B2.
-				Dtrmm(side, uplo, trans, diag, h, n, alpha, a11, lda, b1, ldb)
-				Dgemm(NoTrans, NoTrans, h, n, m-h, alpha, a[h*lda:], lda, b2, ldb, 1, b1, ldb)
-				Dtrmm(side, uplo, trans, diag, m-h, n, alpha, a22, lda, b2, ldb)
-			case uplo == Upper && trans == Trans:
-				// B2 := A22ᵀ·B2 + A12ᵀ·B1 ; B1 := A11ᵀ·B1.
-				Dtrmm(side, uplo, trans, diag, m-h, n, alpha, a22, lda, b2, ldb)
-				Dgemm(Trans, NoTrans, m-h, n, h, alpha, a[h*lda:], lda, b1, ldb, 1, b2, ldb)
-				Dtrmm(side, uplo, trans, diag, h, n, alpha, a11, lda, b1, ldb)
-			case uplo == Lower && trans == NoTrans:
-				// B2 := A22·B2 + A21·B1 ; B1 := A11·B1.
-				Dtrmm(side, uplo, trans, diag, m-h, n, alpha, a22, lda, b2, ldb)
-				Dgemm(NoTrans, NoTrans, m-h, n, h, alpha, a[h:], lda, b1, ldb, 1, b2, ldb)
-				Dtrmm(side, uplo, trans, diag, h, n, alpha, a11, lda, b1, ldb)
-			default: // Lower, Trans
-				// B1 := A11ᵀ·B1 + A21ᵀ·B2 ; B2 := A22ᵀ·B2.
-				Dtrmm(side, uplo, trans, diag, h, n, alpha, a11, lda, b1, ldb)
-				Dgemm(Trans, NoTrans, h, n, m-h, alpha, a[h:], lda, b2, ldb, 1, b1, ldb)
-				Dtrmm(side, uplo, trans, diag, m-h, n, alpha, a22, lda, b2, ldb)
-			}
-			return
-		}
-		// side == Right: B := alpha·B·op(A), split the columns of B.
-		b1 := b
-		b2 := b[h*ldb:]
-		a11 := a
-		a22 := a[h+h*lda:]
-		switch {
-		case uplo == Upper && trans == NoTrans:
-			// B2 := B2·A22 + B1·A12 ; B1 := B1·A11.
-			Dtrmm(side, uplo, trans, diag, m, n-h, alpha, a22, lda, b2, ldb)
-			Dgemm(NoTrans, NoTrans, m, n-h, h, alpha, b1, ldb, a[h*lda:], lda, 1, b2, ldb)
-			Dtrmm(side, uplo, trans, diag, m, h, alpha, a11, lda, b1, ldb)
-		case uplo == Upper && trans == Trans:
-			// B1 := B1·A11ᵀ + B2·A12ᵀ ; B2 := B2·A22ᵀ.
-			Dtrmm(side, uplo, trans, diag, m, h, alpha, a11, lda, b1, ldb)
-			Dgemm(NoTrans, Trans, m, h, n-h, alpha, b2, ldb, a[h*lda:], lda, 1, b1, ldb)
-			Dtrmm(side, uplo, trans, diag, m, n-h, alpha, a22, lda, b2, ldb)
-		case uplo == Lower && trans == NoTrans:
-			// B1 := B1·A11 + B2·A21 ; B2 := B2·A22.
-			Dtrmm(side, uplo, trans, diag, m, h, alpha, a11, lda, b1, ldb)
-			Dgemm(NoTrans, NoTrans, m, h, n-h, alpha, b2, ldb, a[h:], lda, 1, b1, ldb)
-			Dtrmm(side, uplo, trans, diag, m, n-h, alpha, a22, lda, b2, ldb)
-		default: // Lower, Trans
-			// B2 := B2·A22ᵀ + B1·A21ᵀ ; B1 := B1·A11ᵀ.
-			Dtrmm(side, uplo, trans, diag, m, n-h, alpha, a22, lda, b2, ldb)
-			Dgemm(NoTrans, Trans, m, n-h, h, alpha, b1, ldb, a[h:], lda, 1, b2, ldb)
-			Dtrmm(side, uplo, trans, diag, m, h, alpha, a11, lda, b1, ldb)
-		}
-		return
-	}
-	if alpha == 0 {
-		for j := 0; j < n; j++ {
-			col := b[j*ldb : j*ldb+m]
-			for i := range col {
-				col[i] = 0
-			}
-		}
-		return
-	}
-	unit := diag == Unit
-	if side == Left {
-		// B := alpha·op(A)·B using the reference-BLAS column-streaming
-		// loops: every inner loop walks a contiguous column of A or B, so
-		// the kernel runs at gemm-class speed (it sits on the hot path of
-		// every blocked reflector application).
-		switch {
-		case uplo == Upper && trans == NoTrans:
-			for j := 0; j < n; j++ {
-				col := b[j*ldb : j*ldb+m]
-				for k := 0; k < m; k++ {
-					if col[k] == 0 {
-						continue
-					}
-					temp := alpha * col[k]
-					acol := a[k*lda:]
-					for i := 0; i < k; i++ {
-						col[i] += temp * acol[i]
-					}
-					if !unit {
-						temp *= acol[k]
-					}
-					col[k] = temp
-				}
-			}
-		case uplo == Upper && trans == Trans:
-			for j := 0; j < n; j++ {
-				col := b[j*ldb : j*ldb+m]
-				for k := m - 1; k >= 0; k-- {
-					acol := a[k*lda:]
-					temp := col[k]
-					if !unit {
-						temp *= acol[k]
-					}
-					for i := 0; i < k; i++ {
-						temp += acol[i] * col[i]
-					}
-					col[k] = alpha * temp
-				}
-			}
-		case uplo == Lower && trans == NoTrans:
-			for j := 0; j < n; j++ {
-				col := b[j*ldb : j*ldb+m]
-				for k := m - 1; k >= 0; k-- {
-					if col[k] == 0 {
-						continue
-					}
-					temp := alpha * col[k]
-					acol := a[k*lda:]
-					for i := k + 1; i < m; i++ {
-						col[i] += temp * acol[i]
-					}
-					if !unit {
-						temp *= acol[k]
-					}
-					col[k] = temp
-				}
-			}
-		default: // Lower, Trans
-			for j := 0; j < n; j++ {
-				col := b[j*ldb : j*ldb+m]
-				for k := 0; k < m; k++ {
-					acol := a[k*lda:]
-					temp := col[k]
-					if !unit {
-						temp *= acol[k]
-					}
-					for i := k + 1; i < m; i++ {
-						temp += acol[i] * col[i]
-					}
-					col[k] = alpha * temp
-				}
-			}
-		}
-		return
-	}
-	// side == Right: B := alpha * B * op(A). Work row-block-wise over
-	// columns of the result. Let upNoT mark whether column j of the result
-	// depends on columns j..end (true) or 0..j (false) of B.
-	upNoT := (uplo == Upper && trans == NoTrans) || (uplo == Lower && trans == Trans)
-	aval := func(i, j int) float64 {
-		if trans == Trans {
-			i, j = j, i
-		}
-		if i == j && unit {
-			return 1
-		}
-		if (uplo == Upper && i > j) || (uplo == Lower && i < j) {
-			return 0
-		}
-		return a[i+j*lda]
-	}
-	if upNoT {
-		// result col j = sum_{l<=j} B[:,l]*opA[l,j]: process j descending.
-		for j := n - 1; j >= 0; j-- {
-			dst := b[j*ldb : j*ldb+m]
-			d := alpha * aval(j, j)
-			for i := range dst {
-				dst[i] *= d
-			}
-			for l := 0; l < j; l++ {
-				t := alpha * aval(l, j)
-				if t != 0 {
-					src := b[l*ldb : l*ldb+m]
-					for i := range dst {
-						dst[i] += t * src[i]
-					}
-				}
-			}
-		}
-	} else {
-		// result col j depends on B[:,l] for l>=j: process j ascending.
-		for j := 0; j < n; j++ {
-			dst := b[j*ldb : j*ldb+m]
-			d := alpha * aval(j, j)
-			for i := range dst {
-				dst[i] *= d
-			}
-			for l := j + 1; l < n; l++ {
-				t := alpha * aval(l, j)
-				if t != 0 {
-					src := b[l*ldb : l*ldb+m]
-					for i := range dst {
-						dst[i] += t * src[i]
-					}
-				}
-			}
-		}
-	}
-}
-
 // Dtrsm solves op(A)*X = alpha*B (side Left) or X*op(A) = alpha*B (side
 // Right) for X, overwriting B. A is triangular.
 //
-// Like Dtrmm, large triangles are split recursively so the off-diagonal
+// Large triangles are split recursively so the off-diagonal
 // half of the work runs as a rectangular Dgemm update; only diagonal blocks
 // of at most trsmBase run the scalar substitution loops.
 func Dtrsm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {

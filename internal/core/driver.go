@@ -173,8 +173,11 @@ type Options struct {
 
 // EstimateWorkspaceBytes is the admission-control model of one solve's peak
 // internal workspace: the dense working copy, the stage-1 tile storage, the
-// band/workband/reflector structures (O(n·nb)), and — when vectors are
-// computed — the eigenvector staging matrix plus the D&C basis and merge
+// stage-1 block reflectors in both their stored (T factors, n²/2) and
+// prepared form (3n²/2 for the reduction's own updates, n² more for Q₁'s
+// when vectors are computed), the band/workband/reflector structures
+// (O(n·nb)), and — when vectors are computed — the prepared Q₂ diamonds
+// (≈5n²/4), the eigenvector staging matrix plus the D&C basis and merge
 // scratch (≈2n² more). It deliberately overestimates slightly: the batch
 // layer uses it to bound how many solves may hold workspace concurrently
 // under a memory budget, where admitting late is recoverable and admitting
@@ -188,8 +191,10 @@ func EstimateWorkspaceBytes(n, nb int, vectors bool) int64 {
 	}
 	nn := int64(n) * int64(n)
 	bytes := 2 * nn // dense working copy + tile storage
+	bytes += 2 * nn // stage-1 T factors + reflectors prepared for the reduction
 	if vectors {
-		bytes += 3 * nn // vector staging + D&C basis and merge scratch
+		bytes += 3 * nn     // vector staging + D&C basis and merge scratch
+		bytes += 9 * nn / 4 // reflectors prepared for Q₁ and the Q₂ diamonds
 	}
 	bytes += 8 * int64(n) * int64(nb+2) // band, workband, reflector slabs, scratch
 	return 8 * bytes

@@ -241,7 +241,7 @@ func (p Stage1) Run(ctx context.Context, st *SolveState) error {
 	aw := st.ws.Dense(work.Stage1Dense, st.n, st.n, false)
 	aw.CopyFrom(st.a)
 	job := st.phaseJob(ctx, p, st.s)
-	cfg := band.Config{NB: st.nb, Lookahead: st.o.LookaheadDepth, Sequenced: st.o.DisableLookahead}
+	cfg := band.Config{NB: st.nb, Lookahead: st.o.LookaheadDepth, Sequenced: st.o.DisableLookahead, ValuesOnly: !st.o.Vectors}
 	st.tc.Phase(trace.PhaseStage1, func() {
 		st.f1 = band.ReduceWith(aw, cfg, job, st.ws, st.tc)
 	})

@@ -1,9 +1,9 @@
 // Package householder implements the Householder reflector machinery the
 // reductions are built from: reflector generation (Larfg), single-reflector
-// application (Larf), and the compact WY blocked representation
-// (Larft/Larfb) used to aggregate several reflectors so they can be applied
-// with Level 3 BLAS — the core trick behind both reduction stages and both
-// back-transformations in the paper.
+// application (Larf), and the compact WY blocked representation (Larft to
+// form it, Block to apply it) used to aggregate several reflectors so they
+// can be applied at Level-3 speed — the core trick behind both reduction
+// stages and both back-transformations in the paper.
 package householder
 
 import (
@@ -110,72 +110,5 @@ func Larft(m, k int, v []float64, ldv int, tau []float64, t []float64, ldt int) 
 			blas.Dtrmv(blas.Upper, blas.NoTrans, blas.NonUnit, i, t, ldt, t[i*ldt:], 1)
 		}
 		t[i+i*ldt] = tau[i]
-	}
-}
-
-// Larfb applies the block reflector H = I − V·T·Vᵀ (or its transpose) to
-// the m×n matrix C:
-//
-//	side=Left:  C := op(H)·C      (V is m×k)
-//	side=Right: C := C·op(H)      (V is n×k)
-//
-// V is stored column-wise, forward direction, with the implicit unit lower
-// trapezoidal structure (entries on and above the diagonal of its leading
-// k×k block are not referenced; the diagonal is taken as 1). work must have
-// length ≥ k·n (Left) or k·m (Right).
-func Larfb(side blas.Side, trans blas.Transpose, m, n, k int, v []float64, ldv int, t []float64, ldt int, c []float64, ldc int, work []float64) {
-	if m == 0 || n == 0 || k == 0 {
-		return
-	}
-	if side == blas.Left {
-		// W (k×n) = VᵀC = V1ᵀ·C1 + V2ᵀ·C2 with V1 the unit lower
-		// triangular k×k top of V and V2 the (m−k)×k remainder.
-		w := work[:k*n]
-		for j := 0; j < n; j++ {
-			blas.Dcopy(k, c[j*ldc:], 1, w[j*k:], 1)
-		}
-		blas.Dtrmm(blas.Left, blas.Lower, blas.Trans, blas.Unit, k, n, 1, v, ldv, w, k)
-		if m > k {
-			blas.Dgemm(blas.Trans, blas.NoTrans, k, n, m-k, 1, v[k:], ldv, c[k:], ldc, 1, w, k)
-		}
-		// W := op(T)·W.
-		tt := blas.NoTrans
-		if trans == blas.Trans {
-			tt = blas.Trans
-		}
-		blas.Dtrmm(blas.Left, blas.Upper, tt, blas.NonUnit, k, n, 1, t, ldt, w, k)
-		// C := C − V·W: C2 −= V2·W, C1 −= V1·W.
-		if m > k {
-			blas.Dgemm(blas.NoTrans, blas.NoTrans, m-k, n, k, -1, v[k:], ldv, w, k, 1, c[k:], ldc)
-		}
-		blas.Dtrmm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, k, n, 1, v, ldv, w, k)
-		for j := 0; j < n; j++ {
-			blas.Daxpy(k, -1, w[j*k:], 1, c[j*ldc:], 1)
-		}
-		return
-	}
-	// side == Right: C := C − (C·V)·op(T)·Vᵀ. V is n×k.
-	w := work[:m*k]
-	// W (m×k) = C·V = C1·V1 + C2·V2 where C1 is the first k columns of C.
-	for j := 0; j < k; j++ {
-		blas.Dcopy(m, c[j*ldc:], 1, w[j*m:], 1)
-	}
-	blas.Dtrmm(blas.Right, blas.Lower, blas.NoTrans, blas.Unit, m, k, 1, v, ldv, w, m)
-	if n > k {
-		blas.Dgemm(blas.NoTrans, blas.NoTrans, m, k, n-k, 1, c[k*ldc:], ldc, v[k:], ldv, 1, w, m)
-	}
-	// W := W·op(T).
-	tt := blas.NoTrans
-	if trans == blas.Trans {
-		tt = blas.Trans
-	}
-	blas.Dtrmm(blas.Right, blas.Upper, tt, blas.NonUnit, m, k, 1, t, ldt, w, m)
-	// C := C − W·Vᵀ: C2 −= W·V2ᵀ, C1 −= W·V1ᵀ.
-	if n > k {
-		blas.Dgemm(blas.NoTrans, blas.Trans, m, n-k, k, -1, w, m, v[k:], ldv, 1, c[k*ldc:], ldc)
-	}
-	blas.Dtrmm(blas.Right, blas.Lower, blas.Trans, blas.Unit, m, k, 1, v, ldv, w, m)
-	for j := 0; j < k; j++ {
-		blas.Daxpy(m, -1, w[j*m:], 1, c[j*ldc:], 1)
 	}
 }

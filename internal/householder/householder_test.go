@@ -156,102 +156,3 @@ func buildVT(rng *rand.Rand, m, k int) (v []float64, tau []float64) {
 	}
 	return v, tau
 }
-
-// denseH builds the full m×m matrix H = H_0·H_1⋯H_{k-1} from stored V, tau.
-func denseH(m, k int, v []float64, tau []float64) *matrix.Dense {
-	h := matrix.Eye(m)
-	work := make([]float64, m)
-	for j := 0; j < k; j++ {
-		vj := make([]float64, m)
-		vj[j] = 1
-		for i := j + 1; i < m; i++ {
-			vj[i] = v[i+j*m]
-		}
-		// h := h · H_j  (applying from the right accumulates the product in
-		// order H_0 H_1 ... H_{k-1}).
-		Larf(blas.Right, m, m, vj, 1, tau[j], h.Data, h.Stride, work)
-	}
-	return h
-}
-
-func TestLarftLarfbLeft(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, dims := range [][2]int{{6, 1}, {6, 3}, {9, 4}, {12, 12}} {
-		m, k := dims[0], dims[1]
-		n := 5
-		v, tau := buildVT(rng, m, k)
-		tm := make([]float64, k*k)
-		Larft(m, k, v, m, tau, tm, k)
-		h := denseH(m, k, v, tau)
-
-		c := matrix.NewDense(m, n)
-		for i := range c.Data {
-			c.Data[i] = rng.NormFloat64()
-		}
-		// want = Hᵀ·C (trans) and H·C (notrans).
-		for _, tr := range []blas.Transpose{blas.NoTrans, blas.Trans} {
-			want := matrix.NewDense(m, n)
-			blas.Dgemm(tr, blas.NoTrans, m, n, m, 1, h.Data, h.Stride, c.Data, c.Stride, 0, want.Data, want.Stride)
-			got := c.Clone()
-			work := make([]float64, k*n)
-			Larfb(blas.Left, tr, m, n, k, v, m, tm, k, got.Data, got.Stride, work)
-			if !got.Equalish(want, 1e-11) {
-				t.Fatalf("Larfb Left trans=%c m=%d k=%d mismatch", tr, m, k)
-			}
-		}
-	}
-}
-
-func TestLarftLarfbRight(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, dims := range [][2]int{{6, 2}, {10, 5}} {
-		nv, k := dims[0], dims[1]
-		m := 7
-		v, tau := buildVT(rng, nv, k)
-		tm := make([]float64, k*k)
-		Larft(nv, k, v, nv, tau, tm, k)
-		h := denseH(nv, k, v, tau)
-
-		c := matrix.NewDense(m, nv)
-		for i := range c.Data {
-			c.Data[i] = rng.NormFloat64()
-		}
-		for _, tr := range []blas.Transpose{blas.NoTrans, blas.Trans} {
-			want := matrix.NewDense(m, nv)
-			blas.Dgemm(blas.NoTrans, tr, m, nv, nv, 1, c.Data, c.Stride, h.Data, h.Stride, 0, want.Data, want.Stride)
-			got := c.Clone()
-			work := make([]float64, k*m)
-			Larfb(blas.Right, tr, m, nv, k, v, nv, tm, k, got.Data, got.Stride, work)
-			if !got.Equalish(want, 1e-11) {
-				t.Fatalf("Larfb Right trans=%c nv=%d k=%d mismatch", tr, nv, k)
-			}
-		}
-	}
-}
-
-func TestBlockReflectorOrthogonal(t *testing.T) {
-	// H from Larft/Larfb must be orthogonal: apply H then Hᵀ and recover C.
-	rng := rand.New(rand.NewSource(5))
-	m, k, n := 11, 4, 6
-	v, tau := buildVT(rng, m, k)
-	tm := make([]float64, k*k)
-	Larft(m, k, v, m, tau, tm, k)
-	c := matrix.NewDense(m, n)
-	for i := range c.Data {
-		c.Data[i] = rng.NormFloat64()
-	}
-	got := c.Clone()
-	work := make([]float64, k*n)
-	Larfb(blas.Left, blas.NoTrans, m, n, k, v, m, tm, k, got.Data, got.Stride, work)
-	Larfb(blas.Left, blas.Trans, m, n, k, v, m, tm, k, got.Data, got.Stride, work)
-	if !got.Equalish(c, 1e-11) {
-		t.Fatal("H·Hᵀ·C != C: block reflector not orthogonal")
-	}
-}
-
-func TestLarfbZeroSizes(t *testing.T) {
-	// Degenerate shapes must be no-ops, not panics.
-	Larfb(blas.Left, blas.NoTrans, 0, 3, 2, nil, 1, nil, 2, nil, 1, nil)
-	Larfb(blas.Right, blas.Trans, 3, 0, 2, nil, 1, nil, 2, nil, 3, nil)
-	Larfb(blas.Left, blas.NoTrans, 3, 3, 0, nil, 1, nil, 1, make([]float64, 9), 3, nil)
-}

@@ -151,6 +151,30 @@ func TestApplyQTransIsInverse(t *testing.T) {
 	}
 }
 
+// TestApplyQWideMatchesSequential covers the column fan-out of a wide C: the
+// goroutines own disjoint column ranges and the result is bitwise the
+// single-goroutine one.
+func TestApplyQWideMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	n, m := 19, 2*blas.DefaultNC+5
+	a := randSym(rng, n)
+	_, _, tau := Sytrd(a, 4, nil, nil)
+	c := matrix.NewDense(n, m)
+	for i := range c.Data {
+		c.Data[i] = rng.NormFloat64()
+	}
+	old := blas.SetParallelism(1)
+	defer blas.SetParallelism(old)
+	want := c.Clone()
+	ApplyQ(a, tau, blas.NoTrans, want, 4, nil, nil)
+	blas.SetParallelism(3)
+	got := c.Clone()
+	ApplyQ(a, tau, blas.NoTrans, got, 4, nil, nil)
+	if !got.Equalish(want, 0) {
+		t.Fatal("fanned-out ApplyQ differs from the sequential one")
+	}
+}
+
 func TestFullEigendecompositionResidual(t *testing.T) {
 	// End-to-end one-stage: A z = λ z for every eigenpair.
 	rng := rand.New(rand.NewSource(6))

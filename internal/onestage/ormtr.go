@@ -1,6 +1,8 @@
 package onestage
 
 import (
+	"sync"
+
 	"repro/internal/blas"
 	"repro/internal/householder"
 	"repro/internal/matrix"
@@ -15,10 +17,11 @@ import (
 //	trans = Trans:    C := Qᵀ·C
 //
 // Q = H_0·H_1⋯H_{n−3}, where reflector i acts on rows i+1..n−1. The
-// application is blocked (Larft/Larfb) with panel width nb, which is what
-// makes the one-stage back-transformation run at Level-3 speed (the "Update
-// Z = 2n³·f" term in the paper's Eq. 4). This is the equivalent of LAPACK's
-// DORMTR(side='L', uplo='L').
+// application is blocked with panel width nb — each panel's compact-WY
+// reflector is formed (Larft), prepared once (householder.Block) and applied
+// to all of C — which is what makes the one-stage back-transformation run at
+// Level-3 speed (the "Update Z = 2n³·f" term in the paper's Eq. 4). This is
+// the equivalent of LAPACK's DORMTR(side='L', uplo='L').
 func ApplyQ(a *matrix.Dense, tau []float64, trans blas.Transpose, c *matrix.Dense, nb int, ws *work.Arena, tc *trace.Collector) {
 	n := a.Rows
 	if a.Cols != n {
@@ -35,10 +38,28 @@ func ApplyQ(a *matrix.Dense, tau []float64, trans blas.Transpose, c *matrix.Dens
 	}
 	m := c.Cols
 	nr := n - 1 // number of reflector slots (tau has n−1 entries; last may be 0)
-	// Larft writes only the upper triangle of T, so tmat must start zeroed.
-	buf := ws.Floats(work.OneStageWork, nb*m+nb*nb, true)
-	wk := buf[:nb*m]
-	tmat := buf[nb*m:]
+	// One panel is live at a time: its T factor, its packed form and the
+	// scratch to prepare and apply it share one retained buffer.
+	form := householder.FormH
+	if trans == blas.Trans {
+		form = householder.FormHT
+	}
+	// Column ranges of C are independent under a Left application and the
+	// result does not depend on how they are cut, so a wide C is split
+	// across goroutines under the rule Dgemm fans out by (this routine has no
+	// scheduler job; blas.Parallelism is the knob that bounds it).
+	parts := 1
+	if m >= 2*blas.DefaultNC {
+		parts = min(blas.Parallelism(), (m+blas.DefaultNC-1)/blas.DefaultNC)
+	}
+	cols := (m + parts - 1) / parts
+	rmax := n - 1
+	nT, nStore := nb*nb, householder.PackedLen(false, rmax, nb, form)
+	nApply := householder.ApplyWork(blas.Left, rmax, nb, cols)
+	nWork := max(householder.PrepareWork(rmax, nb), parts*nApply)
+	buf := ws.Floats(work.OneStageWork, nT+nStore+nWork, false)
+	tmat, store, wk := buf[:nT], buf[nT:nT+nStore], buf[nT+nStore:]
+	var h householder.Block
 
 	// Panels of reflectors [i0, i0+pb). For Q·C apply the last panel first;
 	// for Qᵀ·C apply in forward order.
@@ -59,7 +80,22 @@ func ApplyQ(a *matrix.Dense, tau []float64, trans blas.Transpose, c *matrix.Dens
 		v := a.Data[(p.i0+1)+p.i0*a.Stride:]
 		householder.Larft(rows, p.pb, v, a.Stride, tau[p.i0:p.i0+p.pb], tmat, p.pb)
 		csub := c.View(p.i0+1, 0, rows, m)
-		householder.Larfb(blas.Left, trans, rows, m, p.pb, v, a.Stride, tmat, p.pb, csub.Data, csub.Stride, wk)
+		h.Prepare(false, rows, p.pb, v, a.Stride, tmat, p.pb, form, store, wk)
+		apply := func(part int) {
+			j0 := part * cols
+			h.Apply(blas.Left, trans, min(cols, m-j0), csub.Data[j0*csub.Stride:], csub.Stride,
+				wk[part*nApply:(part+1)*nApply])
+		}
+		var wg sync.WaitGroup
+		for part := 1; part < parts; part++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				apply(part)
+			}()
+		}
+		apply(0)
+		wg.Wait()
 		tc.AddFlops(trace.KLarfb, 4*int64(rows)*int64(m)*int64(p.pb))
 	}
 }

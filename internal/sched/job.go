@@ -88,6 +88,12 @@ func Inline(ctx context.Context) *Job {
 // uses it to pick the allocation-free sequential path.
 func (j *Job) Parallel() bool { return j != nil && j.s != nil }
 
+// Traced reports whether the executing scheduler records a TraceEvent per
+// task. Trace events are the only consumer of Task.Name, so stage code that
+// submits thousands of tasks may leave the name empty when this is false
+// rather than allocate a string per task.
+func (j *Job) Traced() bool { return j != nil && j.s != nil && j.s.trace }
+
 // Workers returns the width of the executing pool (1 for inline/nil jobs).
 func (j *Job) Workers() int {
 	if j == nil || j.s == nil {

@@ -315,22 +315,25 @@ func (s *Server) liveFor(id string) *liveJob {
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j, err := s.cfg.Store.Get(id)
-	if err != nil {
-		writeError(w, CodeNotFound, "no job "+id)
-		return
-	}
-	if waitStr := r.URL.Query().Get("wait"); waitStr != "" && !j.Status.Terminal() {
+	// The query is validated before any job state is read: whether a
+	// malformed wait is a 400 must not depend on how fast the solve ran.
+	var wait time.Duration
+	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
 		d, err := time.ParseDuration(waitStr)
 		if err != nil || d < 0 {
 			writeError(w, CodeBadRequest, "bad wait duration "+waitStr)
 			return
 		}
-		if d > s.cfg.MaxWait {
-			d = s.cfg.MaxWait
-		}
+		wait = min(d, s.cfg.MaxWait)
+	}
+	j, err := s.cfg.Store.Get(id)
+	if err != nil {
+		writeError(w, CodeNotFound, "no job "+id)
+		return
+	}
+	if wait > 0 && !j.Status.Terminal() {
 		if lj := s.liveFor(id); lj != nil {
-			t := time.NewTimer(d)
+			t := time.NewTimer(wait)
 			select {
 			case <-lj.done:
 			case <-t.C:

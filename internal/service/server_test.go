@@ -163,10 +163,17 @@ func TestServerJobEndpoints(t *testing.T) {
 		t.Fatal("status view must not carry result payloads")
 	}
 
-	rr = req("GET", "/v1/jobs/"+j.ID+"?wait=banana", http.StatusBadRequest)
-	if e := decodeErr(t, rr); e.Code != CodeBadRequest {
-		t.Fatalf("bad wait: code %q", e.Code)
+	// A malformed wait is a 400 whatever state the job is in: here the 2×2
+	// solve may or may not have finished already, below it certainly has.
+	badWait := func() {
+		for _, q := range []string{"banana", "-1s"} {
+			rr := req("GET", "/v1/jobs/"+j.ID+"?wait="+q, http.StatusBadRequest)
+			if e := decodeErr(t, rr); e.Code != CodeBadRequest {
+				t.Fatalf("wait=%s: code %q", q, e.Code)
+			}
+		}
 	}
+	badWait()
 
 	// Long-poll until done, then fetch the result.
 	rr = req("GET", "/v1/jobs/"+j.ID+"?wait=10s", http.StatusOK)
@@ -176,6 +183,7 @@ func TestServerJobEndpoints(t *testing.T) {
 	if j.Status != StatusDone {
 		t.Fatalf("after wait: status %s, want done", j.Status)
 	}
+	badWait()
 	rr = req("GET", "/v1/jobs/"+j.ID+"/result", http.StatusOK)
 	var res ResultResponse
 	if err := json.NewDecoder(rr.Body).Decode(&res); err != nil {

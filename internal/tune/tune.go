@@ -5,7 +5,8 @@
 package tune
 
 // colBlockFloor is the narrowest eigenvector column block worth scheduling:
-// below this the Level-3 kernels degenerate toward Level 2 and task overhead
+// two of the block-reflector engine's 16-column slabs. Below this a block
+// re-reads every prepared reflector for too little work and task overhead
 // dominates.
 const colBlockFloor = 32
 
@@ -24,8 +25,12 @@ const blocksPerWorker = 4
 // number of eigenvector columns being updated, nb the stage-1 tile size /
 // bandwidth, workers the executing pool width. Sequential runs get a
 // cache-friendly max(64, nb); parallel runs shrink the block until every
-// worker owns at least blocksPerWorker blocks, but never below the Level-3
-// floor.
+// worker owns at least blocksPerWorker blocks, but never below the floor.
+// With reflectors packed once instead of per block the width is no longer a
+// kernel-efficiency knob: the sweep recorded in EXPERIMENTS.md ("Packed
+// compact-WY engine") is flat from 32 to 256 columns at n = 1024, so the
+// constants only balance task count against the block's cache footprint
+// (n × 64 doubles is 512 KiB at n = 1024, inside L2).
 func ColBlock(cols, nb, workers int) int {
 	cb := 64
 	if nb > cb {

@@ -35,6 +35,7 @@ const (
 	Stage1Tiles     Key = "stage1.tiles"     // V₁ tile storage (the reduced A)
 	Stage1Scratch   Key = "stage1.scratch"   // per-worker tile-kernel scratch
 	Stage1Slab      Key = "stage1.slab"      // Tge/Tts block-reflector factors
+	Stage1Packed    Key = "stage1.packed"    // prepared (packed) panel reflectors
 	Stage2Band      Key = "stage2.band"      // extracted symmetric band matrix
 	Stage2Work      Key = "stage2.workband"  // extended band (bulge) storage
 	Stage2Slab      Key = "stage2.slab"      // Q₂ reflector essentials

@@ -41,6 +41,17 @@ go test -race -run 'TestStedcSched|TestStebzSched|TestSteinSched|TestSchedAffini
 # cancellation, and the solver-level knob/kill-switch sweeps.
 go test -race -run 'TestReduceLookahead|TestLookahead|TestStage1' ./internal/band ./internal/core .
 
+# The packed compact-WY engine every blocked reflector application runs on
+# (householder.Block over blas.Packing), as a named gate under -race: the
+# property test against the explicitly formed H over ragged shapes, sides,
+# forms and both reflector shapes; bitwise invariance of each result column
+# under any column split and kernel family (what keeps parallel ≡ sequential
+# in stage 1 and both back-transformations); zero allocations per apply; and
+# the packed product's bitwise agreement with Dgemm. The blasasm run puts the
+# same tests on the interleaved panel layout.
+go test -race -run 'TestBlock|TestGemmPackedA' ./internal/householder ./internal/blas
+go test -tags blasasm ./internal/householder
+
 # The GEMM kernel rework, under BOTH build-tag configurations: the portable
 # kernels (default build) and the assembly kernel (-tags blasasm, inert on
 # non-AVX2 hosts where it falls back to the portable 8x4). The suite pins the
