@@ -2,11 +2,9 @@
 // implementation, then persists the result: it measures the machine
 // parameters (α, β), sweeps the GEMM blocking and kernel family, the stage-1
 // tile size n_b (cross-checked against the Eqs. 9–10 analytic optimum), the
-// stage-1 look-ahead depth, the back-transformation column block, and the
-// multi-sweep SBR plan (-sbr: direct vs wide-band→narrow-band sweep
-// sequences, timed end-to-end), and writes the winners to the
-// versioned JSON profile that eigen.Solver loads at construction
-// ($EIGEN_TUNE_PROFILE or ~/.cache/eigen/tune.json).
+// stage-1 look-ahead depth and the back-transformation column block, and
+// writes the winners to the versioned JSON profile that eigen.Solver loads at
+// construction ($EIGEN_TUNE_PROFILE or ~/.cache/eigen/tune.json).
 //
 //	eigtune -save                 # full sweep, write the profile
 //	eigtune -save=false           # report only, write nothing
@@ -19,8 +17,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -28,227 +28,194 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/blas"
 	"repro/internal/model"
+	"repro/internal/sched"
 	"repro/internal/tune"
 )
 
-func die(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "eigtune: "+format+"\n", args...)
-	os.Exit(1)
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "eigtune:", err)
+		os.Exit(1)
+	}
 }
 
-func parseInts(flagName, s string) []int {
+func parseInts(flagName, s string) ([]int, error) {
 	var list []int
 	for _, tok := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(tok))
 		if err != nil || v < 1 {
-			fmt.Fprintf(os.Stderr, "eigtune: bad %s value %q\n", flagName, tok)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad -%s value %q", flagName, tok)
 		}
 		list = append(list, v)
 	}
-	return list
+	return list, nil
 }
 
-// parseSBRConfigs parses the -sbr spec: comma-separated plans, each either
-// "direct" or "b1:b2[:b3...]" with strictly decreasing bandwidths ("64:8"
-// reduces to bandwidth 64 then narrows to 8 before the chase). The direct
-// plan is always swept first — it is the eigenvalue cross-check reference —
-// and is prepended when the spec omits it.
-func parseSBRConfigs(s string) []bench.SBRConfig {
-	var list []bench.SBRConfig
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "direct" {
-			list = append(list, bench.SBRConfig{})
-			continue
+// fastest times every candidate of one knob, reports each under label, and
+// returns the quickest; a candidate that measures no time fails the run.
+func fastest(stdout io.Writer, label string, candidates []int, secs func(int) float64) (int, error) {
+	best, bestSecs := 0, 0.0
+	for _, c := range candidates {
+		s := secs(c)
+		fmt.Fprintf(stdout, "  %s=%-4d %.3fs\n", label, c, s)
+		if !(s > 0) {
+			return 0, fmt.Errorf("%s=%d measured a non-positive time", label, c)
 		}
-		parts := strings.Split(tok, ":")
-		cfg := bench.SBRConfig{}
-		prev := 0
-		for i, p := range parts {
-			v, err := strconv.Atoi(strings.TrimSpace(p))
-			if err != nil || v < 1 || (i > 0 && v >= prev) || len(parts) < 2 {
-				fmt.Fprintf(os.Stderr, "eigtune: bad -sbr plan %q (want \"direct\" or strictly decreasing \"b1:b2[:b3...]\")\n", tok)
-				os.Exit(2)
-			}
-			if i == 0 {
-				cfg.WideBand = v
-			} else {
-				cfg.Sweeps = append(cfg.Sweeps, v)
-			}
-			prev = v
+		if best == 0 || s < bestSecs {
+			best, bestSecs = c, s
 		}
-		list = append(list, cfg)
 	}
-	if len(list) == 0 || list[0].Label() != "direct" {
-		list = append([]bench.SBRConfig{{}}, list...)
-	}
-	return list
+	return best, nil
 }
 
-func main() {
+// run is the whole command: it parses args, measures, prints the report to
+// stdout and, unless -save=false, writes the profile.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("eigtune", flag.ContinueOnError)
 	var (
-		n          = flag.Int("n", 512, "matrix size for the stage-1 nb sweep")
-		nbs        = flag.String("nbs", "8,16,24,32,48,64,96", "comma-separated tile sizes to sweep")
-		gemmN      = flag.Int("gemm-n", 384, "matrix order for the GEMM blocking sweep")
-		colblocks  = flag.String("colblocks", "32,48,64,96,128", "comma-separated column-block widths to sweep")
-		lookaheads = flag.String("lookaheads", "1,2,4", "comma-separated stage-1 look-ahead depths to sweep")
-		sbr        = flag.String("sbr", "direct,64:8,96:16,128:32:8", "comma-separated SBR plans to sweep (direct or b1:b2[:b3...])")
-		reps       = flag.Int("reps", 2, "repetitions per measurement (best-of; raise on noisy hosts)")
-		workers    = flag.Int("workers", 0, "scheduler workers for the nb/colblock sweeps (0 = sequential)")
-		save       = flag.Bool("save", true, "persist the winning profile to disk")
-		out        = flag.String("o", "", "profile path (default $EIGEN_TUNE_PROFILE or the user cache dir)")
+		n          = fs.Int("n", 512, "matrix size for the stage-1 nb sweep")
+		nbs        = fs.String("nbs", "8,16,24,32,48,64,96", "comma-separated tile sizes to sweep")
+		gemmN      = fs.Int("gemm-n", 384, "matrix order for the GEMM blocking sweep")
+		colblocks  = fs.String("colblocks", "32,48,64,96,128", "comma-separated column-block widths to sweep")
+		lookaheads = fs.String("lookaheads", "1,2,4", "comma-separated stage-1 look-ahead depths to sweep")
+		reps       = fs.Int("reps", 2, "repetitions per measurement (best-of; raise on noisy hosts)")
+		workers    = fs.Int("workers", 0, "scheduler workers for the nb/colblock sweeps (0 = sequential)")
+		save       = fs.Bool("save", true, "persist the winning profile to disk")
+		out        = fs.String("o", "", "profile path (default $EIGEN_TUNE_PROFILE or the user cache dir)")
 	)
-	flag.Parse()
-	nbList := parseInts("nb", *nbs)
-	cbList := parseInts("colblock", *colblocks)
-	laList := parseInts("lookahead", *lookaheads)
-	sbrList := parseSBRConfigs(*sbr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	nbList, err := parseInts("nbs", *nbs)
+	if err != nil {
+		return err
+	}
+	cbList, err := parseInts("colblocks", *colblocks)
+	if err != nil {
+		return err
+	}
+	laList, err := parseInts("lookaheads", *lookaheads)
+	if err != nil {
+		return err
+	}
+	if *reps < 1 {
+		*reps = 1
+	}
 
 	// ---- Machine parameters (§7.1: α from gemm, β from symv) ----
-	fmt.Println("Measuring machine parameters...")
+	fmt.Fprintln(stdout, "Measuring machine parameters...")
 	params := model.MeasureParams(runtime.NumCPU())
 	if !(params.Alpha > 0) || !(params.Beta > 0) ||
 		math.IsInf(params.Alpha, 0) || math.IsInf(params.Beta, 0) {
-		die("machine parameter measurement failed: alpha=%g beta=%g", params.Alpha, params.Beta)
+		return fmt.Errorf("machine parameter measurement failed: alpha=%g beta=%g", params.Alpha, params.Beta)
 	}
 	modelNB := model.OptimalNB(params)
-	fmt.Printf("  alpha (gemm) = %.2f Gflop/s\n", params.Alpha/1e9)
-	fmt.Printf("  beta  (symv) = %.2f Gflop/s\n", params.Beta/1e9)
-	fmt.Printf("  model-optimal nb (Eqs. 9-10): %.0f\n\n", modelNB)
+	fmt.Fprintf(stdout, "  alpha (gemm) = %.2f Gflop/s\n", params.Alpha/1e9)
+	fmt.Fprintf(stdout, "  beta  (symv) = %.2f Gflop/s\n", params.Beta/1e9)
+	fmt.Fprintf(stdout, "  model-optimal nb (Eqs. 9-10): %.0f\n\n", modelNB)
 
 	// ---- GEMM kernel and cache-blocking sweep ----
 	// First the kernel family at stock blocking (seed included as the
 	// baseline and the bitwise reference), then a block-size grid around the
 	// winner. KC is pinned by the profile schema: it is the one parameter
 	// that changes rounding.
-	fmt.Printf("Sweeping GEMM kernels and blocking at n=%d (asm=%v)...\n", *gemmN, blas.AsmActive())
-	kernels := []blas.Kernel{blas.KernelSeed, blas.Kernel2x4, blas.Kernel4x4, blas.Kernel8x4, blas.KernelAuto}
-	var configs []blas.Blocking
-	for _, k := range kernels {
-		configs = append(configs, blas.Blocking{Kernel: k})
+	fmt.Fprintf(stdout, "Sweeping GEMM kernels and blocking at n=%d (asm=%v)...\n", *gemmN, blas.AsmActive())
+	ga, gb, gref := gemmOperands(*gemmN)
+	// bestGemm measures every candidate and returns the fastest that is not
+	// the seed kernel; a candidate that is not bitwise equal to the seed
+	// kernel, or measures no rate, fails the whole tuning run.
+	bestGemm := func(candidates []blas.Blocking) (best blas.Blocking, bestRate float64, err error) {
+		for _, bk := range candidates {
+			rate, bitwise := gemmRate(*gemmN, bk, *reps, ga, gb, gref)
+			fmt.Fprintf(stdout, "  kernel %-4s mc=%-4d nc=%-5d %7.2f Gflop/s  bitwise=%v\n", bk.Kernel, bk.MC, bk.NC, rate, bitwise)
+			if !bitwise {
+				return best, 0, fmt.Errorf("kernel %s mc=%d nc=%d is not bitwise identical to the seed kernel — refusing to tune on a broken kernel", bk.Kernel, bk.MC, bk.NC)
+			}
+			if !(rate > 0) {
+				return best, 0, fmt.Errorf("kernel %s measured a non-positive rate", bk.Kernel)
+			}
+			if bk.Kernel != blas.KernelSeed && rate > bestRate {
+				best, bestRate = bk, rate
+			}
+		}
+		return best, bestRate, nil
 	}
-	pts := bench.GemmSweep(*gemmN, configs, *reps)
-	bestKernel := blas.KernelAuto
-	bestRate := 0.0
-	for i, p := range pts {
-		fmt.Printf("  kernel %-4s  %7.2f Gflop/s  bitwise=%v\n", p.Kernel, p.GFlops, p.BitwiseVsSeed)
-		if !p.BitwiseVsSeed {
-			die("kernel %s is not bitwise identical to the seed kernel — refusing to tune on a broken kernel", p.Kernel)
-		}
-		if !(p.GFlops > 0) {
-			die("kernel %s measured a non-positive rate", p.Kernel)
-		}
-		if p.Kernel != "seed" && p.GFlops > bestRate {
-			bestRate, bestKernel = p.GFlops, kernels[i]
-		}
+	var family []blas.Blocking
+	for _, k := range []blas.Kernel{blas.KernelSeed, blas.Kernel2x4, blas.Kernel4x4, blas.Kernel8x4, blas.KernelAuto} {
+		family = append(family, blas.Blocking{MC: blas.DefaultMC, KC: tune.RequiredKC, NC: blas.DefaultNC, Kernel: k})
+	}
+	bestKernel, _, err := bestGemm(family)
+	if err != nil {
+		return err
 	}
 	var grid []blas.Blocking
 	for _, mc := range []int{128, 256, 384} {
 		for _, nc := range []int{256, 512, 1024} {
-			grid = append(grid, blas.Blocking{MC: mc, KC: tune.RequiredKC, NC: nc, Kernel: bestKernel})
+			grid = append(grid, blas.Blocking{MC: mc, KC: tune.RequiredKC, NC: nc, Kernel: bestKernel.Kernel})
 		}
 	}
-	gridPts := bench.GemmSweep(*gemmN, grid, *reps)
-	bestBlock := blas.Blocking{MC: blas.DefaultMC, KC: tune.RequiredKC, NC: blas.DefaultNC, Kernel: bestKernel}
-	bestBlockRate := 0.0
-	for i, p := range gridPts {
-		fmt.Printf("  %s mc=%-4d nc=%-5d %7.2f Gflop/s  bitwise=%v\n", p.Kernel, p.MC, p.NC, p.GFlops, p.BitwiseVsSeed)
-		if !p.BitwiseVsSeed {
-			die("blocking mc=%d nc=%d broke bitwise equality with the seed kernel", p.MC, p.NC)
-		}
-		if p.GFlops > bestBlockRate {
-			bestBlockRate, bestBlock = p.GFlops, grid[i]
-		}
+	bestBlock, bestBlockRate, err := bestGemm(grid)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("  best: kernel=%s mc=%d nc=%d (%.2f Gflop/s)\n\n", bestBlock.Kernel, bestBlock.MC, bestBlock.NC, bestBlockRate)
+	fmt.Fprintf(stdout, "  best: kernel=%s mc=%d nc=%d (%.2f Gflop/s)\n\n", bestBlock.Kernel, bestBlock.MC, bestBlock.NC, bestBlockRate)
 
 	// ---- Stage-1 tile size sweep, cross-checked against the model ----
-	fmt.Printf("Sweeping stage-1 nb at n=%d...\n", *n)
-	nbPts, err := bench.NBSweep(*n, nbList, *workers)
-	if err != nil {
-		die("nb sweep failed: %v", err)
-	}
+	fmt.Fprintf(stdout, "Sweeping stage-1 nb at n=%d...\n", *n)
+	a := matFor(*n)
 	bestNB, bestNBSecs := 0, 0.0
-	for _, p := range nbPts {
-		fmt.Printf("  nb=%-4d stage1 %.3fs  stage2 %.3fs  total %.3fs\n", p.NB, p.Stage1Secs, p.Stage2Secs, p.TotalSecs)
-		if bestNB == 0 || p.TotalSecs < bestNBSecs {
-			bestNB, bestNBSecs = p.NB, p.TotalSecs
+	for _, nb := range nbList {
+		s1, s2, err := reductionSecs(a, nb, *workers)
+		if err != nil {
+			return fmt.Errorf("nb sweep failed: %w", err)
+		}
+		fmt.Fprintf(stdout, "  nb=%-4d stage1 %.3fs  stage2 %.3fs  total %.3fs\n", nb, s1, s2, s1+s2)
+		if bestNB == 0 || s1+s2 < bestNBSecs {
+			bestNB, bestNBSecs = nb, s1+s2
 		}
 	}
-	fmt.Printf("  empirical best nb: %d (model predicts %.0f", bestNB, modelNB)
+	fmt.Fprintf(stdout, "  empirical best nb: %d (model predicts %.0f", bestNB, modelNB)
 	if ratio := float64(bestNB) / modelNB; ratio > 2 || ratio < 0.5 {
-		fmt.Printf(" — disagreement >2x; trust the measurement, see EXPERIMENTS.md")
+		fmt.Fprintf(stdout, " — disagreement >2x; trust the measurement, see EXPERIMENTS.md")
 	}
-	fmt.Printf(")\n\n")
+	fmt.Fprintf(stdout, ")\n\n")
 
 	// ---- Stage-1 look-ahead depth sweep ----
 	// Every depth is bitwise identical (the knob only steers the ready
 	// queue), so only time discriminates. With one worker the depths are
 	// indistinguishable; the sweep still runs so the profile records an
 	// explicit winner for this machine.
-	laWorkers := *workers
-	if laWorkers < 2 {
-		laWorkers = 2
+	laSched := sched.New(max(*workers, 2))
+	defer laSched.Shutdown()
+	fmt.Fprintf(stdout, "Sweeping stage-1 look-ahead depth at n=%d, nb=%d, workers=%d...\n", *n, bestNB, laSched.Workers())
+	bestLA, err := fastest(stdout, "lookahead", laList, func(depth int) float64 {
+		return stage1Secs(laSched, a, bestNB, depth, *reps)
+	})
+	if err != nil {
+		return err
 	}
-	fmt.Printf("Sweeping stage-1 look-ahead depth at n=%d, nb=%d, workers=%d...\n", *n, bestNB, laWorkers)
-	laPts := bench.LookaheadSweep(*n, bestNB, laWorkers, laList, *reps)
-	bestLA, bestLASecs := 0, 0.0
-	for _, p := range laPts {
-		fmt.Printf("  lookahead=%-3d %.3fs\n", p.Depth, p.Secs)
-		if !(p.Secs > 0) {
-			die("lookahead=%d measured a non-positive time", p.Depth)
-		}
-		if bestLA == 0 || p.Secs < bestLASecs {
-			bestLA, bestLASecs = p.Depth, p.Secs
-		}
-	}
-	fmt.Printf("  empirical best look-ahead depth: %d\n\n", bestLA)
+	fmt.Fprintf(stdout, "  empirical best look-ahead depth: %d\n\n", bestLA)
 
 	// ---- Back-transformation column-block sweep ----
-	fmt.Printf("Sweeping back-transformation column block at n=%d, nb=%d...\n", *n, bestNB)
-	cbPts := bench.ColBlockSweep(*n, bestNB, *workers, cbList, *reps)
-	bestCB, bestCBSecs := 0, 0.0
-	for _, p := range cbPts {
-		fmt.Printf("  colBlock=%-4d %.3fs\n", p.ColBlock, p.Secs)
-		if !(p.Secs > 0) {
-			die("colBlock=%d measured a non-positive time", p.ColBlock)
-		}
-		if bestCB == 0 || p.Secs < bestCBSecs {
-			bestCB, bestCBSecs = p.ColBlock, p.Secs
-		}
+	fmt.Fprintf(stdout, "Sweeping back-transformation column block at n=%d, nb=%d...\n", *n, bestNB)
+	fx := newBacktransFixture(a, bestNB)
+	var cbSched *sched.Scheduler
+	if *workers > 1 {
+		cbSched = sched.New(*workers)
+		defer cbSched.Shutdown()
 	}
-	fmt.Printf("  empirical best colBlock: %d\n\n", bestCB)
-
-	// ---- Multi-sweep SBR plan sweep ----
-	// Timed end-to-end (both stages, tridiagonal solve, back-transformation):
-	// a narrowing sweep trades Level-2 bulge-chase work for extra Q-factor
-	// applications, so only the whole solve can rank plans. The sweep itself
-	// cross-checks each plan's spectrum against the direct reduction and
-	// fails on drift, so a broken plan can never be persisted as a winner.
-	sbrWorkers := *workers
-	if sbrWorkers < 2 {
-		sbrWorkers = 2
-	}
-	fmt.Printf("Sweeping SBR plans at n=%d, workers=%d...\n", *n, sbrWorkers)
-	sbrPts, err := bench.SBRSweep(*n, sbrList, sbrWorkers, *reps)
+	bestCB, err := fastest(stdout, "colBlock", cbList, func(cb int) float64 {
+		return fx.fusedSecs(cbSched, cb, *reps)
+	})
 	if err != nil {
-		die("sbr sweep failed: %v", err)
+		return err
 	}
-	bestSBR, bestSBRSecs := bench.SBRConfig{}, 0.0
-	for i, p := range sbrPts {
-		fmt.Printf("  %-14s %.3fs\n", p.Label, p.Secs)
-		if !(p.Secs > 0) {
-			die("sbr plan %s measured a non-positive time", p.Label)
-		}
-		if i == 0 || p.Secs < bestSBRSecs {
-			bestSBR, bestSBRSecs = p.Config, p.Secs
-		}
-	}
-	fmt.Printf("  empirical best SBR plan: %s\n\n", bestSBR.Label())
+	fmt.Fprintf(stdout, "  empirical best colBlock: %d\n\n", bestCB)
 
 	// ---- Persist ----
 	p := tune.NewProfile()
@@ -257,28 +224,26 @@ func main() {
 	p.NB = bestNB
 	p.ColBlock = bestCB
 	p.Lookahead = bestLA
-	p.WideBand = bestSBR.WideBand
-	p.BandSweeps = append([]int(nil), bestSBR.Sweeps...)
 	p.AlphaFlops = params.Alpha
 	p.BetaFlops = params.Beta
 	p.ModelNB = int(modelNB + 0.5)
 	if err := p.Validate(); err != nil {
-		die("assembled profile is invalid: %v", err)
+		return fmt.Errorf("assembled profile is invalid: %w", err)
 	}
 	if !*save {
-		fmt.Println("(-save=false: profile not written)")
-		return
+		fmt.Fprintln(stdout, "(-save=false: profile not written)")
+		return nil
 	}
 	path := *out
 	if path == "" {
-		path, err = tune.DefaultPath()
-		if err != nil {
-			die("%v", err)
+		if path, err = tune.DefaultPath(); err != nil {
+			return err
 		}
 	}
 	if err := p.Save(path); err != nil {
-		die("writing profile: %v", err)
+		return fmt.Errorf("writing profile: %w", err)
 	}
 	tune.InvalidateCache()
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(stdout, "wrote %s\n", path)
+	return nil
 }

@@ -15,8 +15,9 @@
 //	// res.Values — ascending eigenvalues; res.Vectors.Col(k) — eigenvector k
 //
 // The classic one-stage algorithm (LAPACK DSYEVD-style) is available as a
-// baseline via Options.Algorithm; the benchmark harness in this repository
-// uses it to regenerate the paper's comparison figures.
+// baseline via Options.Algorithm; the benchmark in this repository
+// (benchmark/, the onestage_dc_1024 workload) times it as the denominator of
+// the paper's Figure 4 speedup.
 package eigen
 
 import (

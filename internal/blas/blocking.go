@@ -34,8 +34,8 @@ const (
 	Kernel8x4
 	// KernelSeed is the frozen pre-rework kernel (2×4 tile, B re-packed per
 	// j-strip, fixed 128/128/64 blocking): the "before" baseline of
-	// BENCH_kernels.json and the reference the bitwise gates compare
-	// against.
+	// cmd/eigtune's kernel sweep and the reference the bitwise gates
+	// compare against.
 	KernelSeed
 )
 
@@ -156,8 +156,8 @@ func CurrentBlocking() Blocking { return *blocking.Load() }
 
 // AsmActive reports whether the assembly micro-kernel is compiled in (build
 // tag blasasm) and the CPU/OS support it — i.e. whether KernelAuto and
-// Kernel8x4 run the assembly tiles. Exposed for the bench harness and
-// eigtune, which record it alongside measured rates.
+// Kernel8x4 run the assembly tiles. Exposed for eigtune, which prints it
+// alongside measured rates.
 func AsmActive() bool { return asmActive() }
 
 // microNR is the fixed accumulator-tile width: every micro-kernel consumes

@@ -202,30 +202,14 @@ func TestDgemmPanelSplitMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestLevel3RoutingAgainstRef checks the blocked Dsyrk/Dsyr2k/Dsymm/Dtrsm
-// paths (sizes above routeBlock, so off-diagonal work routes through Dgemm)
-// against their scalar reference forms.
+// TestLevel3RoutingAgainstRef checks the blocked Dsyr2k path (sizes above
+// routeBlock, so off-diagonal work routes through Dgemm) against its scalar
+// reference form.
 func TestLevel3RoutingAgainstRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	n, k := routeBlock*2+7, 83
 	for _, uplo := range []Uplo{Upper, Lower} {
 		for _, trans := range []Transpose{NoTrans, Trans} {
-			t.Run(fmt.Sprintf("syrk_%c%c", uplo, trans), func(t *testing.T) {
-				ra, ca := n, k
-				if trans == Trans {
-					ra, ca = k, n
-				}
-				a := randMat(rng, ra, ca, ra)
-				c := randMat(rng, n, n, n)
-				got := append([]float64(nil), c...)
-				Dsyrk(uplo, trans, n, k, 0.75, a, ra, 0.5, got, n)
-				want := append([]float64(nil), c...)
-				scaleTriangle(uplo, n, 0.5, want, n)
-				syrkRef(uplo, trans, n, k, 0.75, a, ra, want, n)
-				if d := maxDiff(got, want); d > 1e-11*float64(k) {
-					t.Fatalf("Dsyrk routed path differs from reference: %g", d)
-				}
-			})
 			t.Run(fmt.Sprintf("syr2k_%c%c", uplo, trans), func(t *testing.T) {
 				ra, ca := n, k
 				if trans == Trans {
@@ -243,70 +227,6 @@ func TestLevel3RoutingAgainstRef(t *testing.T) {
 					t.Fatalf("Dsyr2k routed path differs from reference: %g", d)
 				}
 			})
-		}
-		for _, side := range []Side{Left, Right} {
-			na := n
-			t.Run(fmt.Sprintf("symm_%c%c", side, uplo), func(t *testing.T) {
-				m2, n2 := n+5, n
-				if side == Right {
-					m2, n2 = n, n+5
-					_ = na
-				}
-				nd := n + 5 // order of the symmetric operand (m2 for Left, n2 for Right)
-				a := randMat(rng, nd, nd, nd)
-				b := randMat(rng, m2, n2, m2)
-				c := randMat(rng, m2, n2, m2)
-				got := append([]float64(nil), c...)
-				Dsymm(side, uplo, m2, n2, 1.5, a, nd, b, m2, 0.25, got, m2)
-				want := append([]float64(nil), c...)
-				for j := 0; j < n2; j++ {
-					for i := 0; i < m2; i++ {
-						want[i+j*m2] *= 0.25
-					}
-				}
-				symmRef(side, uplo, m2, n2, 1.5, a, nd, b, m2, want, m2)
-				if d := maxDiff(got, want); d > 1e-11*float64(nd) {
-					t.Fatalf("Dsymm routed path differs from reference: %g", d)
-				}
-			})
-		}
-	}
-}
-
-// TestDtrsmRecursiveLarge solves a large well-conditioned triangular system
-// through the recursive path and checks each solve against the dense
-// reference product it must invert.
-func TestDtrsmRecursiveLarge(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, side := range []Side{Left, Right} {
-		for _, uplo := range []Uplo{Upper, Lower} {
-			for _, trans := range []Transpose{NoTrans, Trans} {
-				for _, diag := range []Diag{NonUnit, Unit} {
-					m, n := 70, 65
-					na := m
-					if side == Right {
-						na = n
-					}
-					a := randMat(rng, na, na, na)
-					// Small off-diagonals plus a dominant diagonal keep the
-					// solve well conditioned for both Unit and NonUnit (Unit
-					// ignores the stored diagonal entirely).
-					for i := range a {
-						a[i] *= 0.1
-					}
-					for i := 0; i < na; i++ {
-						a[i+i*na] += float64(na)
-					}
-					x := randMat(rng, m, n, m)
-					b := append([]float64(nil), x...)
-					trmmRef(side, uplo, trans, diag, m, n, a, na, b, m)
-					Dtrsm(side, uplo, trans, diag, m, n, 1, a, na, b, m)
-					if d := maxDiff(b, x); d > 1e-10 {
-						t.Fatalf("side=%c uplo=%c trans=%c diag=%c: Dtrsm of the product: max diff %g",
-							side, uplo, trans, diag, d)
-					}
-				}
-			}
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 // This file is the frozen pre-rework GEMM path, selectable with
 // Blocking{Kernel: KernelSeed}. It is kept verbatim (fixed 128/128/64
 // blocking, 2×4 tile, B re-packed per j-strip, per-call bpack on the
-// stack) as the "before" baseline of BENCH_kernels.json and as the bitwise
-// reference the packed kernels are gated against. Do not optimize it.
+// stack) as the "before" baseline of cmd/eigtune's kernel sweep and as the
+// bitwise reference the packed kernels are gated against. Do not optimize it.
 
 // Block sizes for the seed cache-blocked Dgemm micro-kernel. The kernel
 // computes C[mc×nc] += A[mc×kc]·B[kc×nc] with A packed row-panel-wise so

@@ -66,18 +66,6 @@ func Dscal(n int, alpha float64, x []float64, incX int) {
 	}
 }
 
-// Dswap exchanges x and y for strided n-vectors.
-func Dswap(n int, x []float64, incX int, y []float64, incY int) {
-	checkVector("dswap", n, x, incX)
-	checkVector("dswap", n, y, incY)
-	ix, iy := startIdx(n, incX), startIdx(n, incY)
-	for i := 0; i < n; i++ {
-		x[ix], y[iy] = y[iy], x[ix]
-		ix += incX
-		iy += incY
-	}
-}
-
 // Dnrm2 returns the Euclidean norm of a strided n-vector, computed with
 // scaling to avoid overflow and underflow, as in the reference BLAS.
 func Dnrm2(n int, x []float64, incX int) float64 {
@@ -107,50 +95,6 @@ func Dnrm2(n int, x []float64, incX int) float64 {
 		}
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// Dasum returns the sum of absolute values of a strided n-vector.
-func Dasum(n int, x []float64, incX int) float64 {
-	checkVector("dasum", n, x, incX)
-	var sum float64
-	ix := startIdx(n, incX)
-	for i := 0; i < n; i++ {
-		sum += math.Abs(x[ix])
-		ix += incX
-	}
-	return sum
-}
-
-// Idamax returns the index of the element with the largest absolute value of
-// a strided n-vector, or -1 if n == 0.
-func Idamax(n int, x []float64, incX int) int {
-	checkVector("idamax", n, x, incX)
-	if n == 0 {
-		return -1
-	}
-	best, bestIdx := math.Abs(x[startIdx(n, incX)]), 0
-	ix := startIdx(n, incX)
-	for i := 0; i < n; i++ {
-		if av := math.Abs(x[ix]); av > best {
-			best, bestIdx = av, i
-		}
-		ix += incX
-	}
-	return bestIdx
-}
-
-// Drot applies a plane rotation: (x, y) := (c*x + s*y, c*y - s*x).
-func Drot(n int, x []float64, incX int, y []float64, incY int, c, s float64) {
-	checkVector("drot", n, x, incX)
-	checkVector("drot", n, y, incY)
-	ix, iy := startIdx(n, incX), startIdx(n, incY)
-	for i := 0; i < n; i++ {
-		xv, yv := x[ix], y[iy]
-		x[ix] = c*xv + s*yv
-		y[iy] = c*yv - s*xv
-		ix += incX
-		iy += incY
-	}
 }
 
 // startIdx returns the starting offset for a strided vector, matching the

@@ -257,61 +257,6 @@ func Dger(m, n int, alpha float64, x []float64, incX int, y []float64, incY int,
 	}
 }
 
-// Dsyr computes the symmetric rank-1 update A := alpha*x*xᵀ + A, updating
-// only the triangle selected by uplo.
-func Dsyr(uplo Uplo, n int, alpha float64, x []float64, incX int, a []float64, lda int) {
-	checkMatrix("dsyr", n, n, a, lda)
-	checkVector("dsyr", n, x, incX)
-	if n == 0 || alpha == 0 {
-		return
-	}
-	for j := 0; j < n; j++ {
-		xj := x[startIdx(n, incX)+j*incX]
-		if xj == 0 {
-			continue
-		}
-		t := alpha * xj
-		col := a[j*lda:]
-		if uplo == Lower {
-			for i := j; i < n; i++ {
-				col[i] += t * x[startIdx(n, incX)+i*incX]
-			}
-		} else {
-			for i := 0; i <= j; i++ {
-				col[i] += t * x[startIdx(n, incX)+i*incX]
-			}
-		}
-	}
-}
-
-// Dsyr2 computes the symmetric rank-2 update A := alpha*(x*yᵀ + y*xᵀ) + A,
-// updating only the triangle selected by uplo. Only unit increments are
-// supported on the fast path; other strides fall back to a simple loop.
-func Dsyr2(uplo Uplo, n int, alpha float64, x []float64, incX int, y []float64, incY int, a []float64, lda int) {
-	checkMatrix("dsyr2", n, n, a, lda)
-	checkVector("dsyr2", n, x, incX)
-	checkVector("dsyr2", n, y, incY)
-	if n == 0 || alpha == 0 {
-		return
-	}
-	xat := func(i int) float64 { return x[startIdx(n, incX)+i*incX] }
-	yat := func(i int) float64 { return y[startIdx(n, incY)+i*incY] }
-	for j := 0; j < n; j++ {
-		tx := alpha * xat(j)
-		ty := alpha * yat(j)
-		col := a[j*lda:]
-		if uplo == Lower {
-			for i := j; i < n; i++ {
-				col[i] += tx*yat(i) + ty*xat(i)
-			}
-		} else {
-			for i := 0; i <= j; i++ {
-				col[i] += tx*yat(i) + ty*xat(i)
-			}
-		}
-	}
-}
-
 // Dtrmv computes x := op(A)*x for an n×n triangular matrix A.
 func Dtrmv(uplo Uplo, trans Transpose, diag Diag, n int, a []float64, lda int, x []float64, incX int) {
 	checkMatrix("dtrmv", n, n, a, lda)

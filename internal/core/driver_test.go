@@ -44,16 +44,36 @@ func checkEigen(t *testing.T, label string, a *matrix.Dense, res *Result, wantVa
 
 func TestTwoStageAllMethodsPlantedSpectrum(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	spec := testmat.UniformSpectrum(60, -3, 7)
-	a := testmat.WithSpectrum(rng, spec)
-	want := append([]float64(nil), spec...)
-	sort.Float64s(want)
-	for _, m := range []Method{MethodDC, MethodBI, MethodQR} {
-		res, err := SyevTwoStage(context.Background(), a, Options{Method: m, Vectors: true, NB: 8})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+	// The wide inputs span three full tiles and a ragged fourth at NB 16.
+	const wide = 56
+	par := Options{NB: 16, Workers: 2}
+	for _, in := range []struct {
+		name string
+		o    Options
+		spec []float64     // the planted spectrum, or
+		a    *matrix.Dense // the matrix itself when its spectrum is not known
+	}{
+		{name: "uniform", o: Options{NB: 8}, spec: testmat.UniformSpectrum(60, -3, 7)},
+		{name: "gaussian", o: par, a: testmat.RandomSym(rng, wide)},
+		{name: "geometric", o: par, spec: testmat.GeometricSpectrum(wide, 1e-3, 1e3)},
+		{name: "clustered", o: par, spec: testmat.ClusteredSpectrum(wide, 5, 1e-9)},
+		{name: "laplacian", o: par, a: testmat.GraphLaplacian(rng, wide, 6)},
+	} {
+		a, want := in.a, []float64(nil)
+		if in.spec != nil {
+			a = testmat.WithSpectrum(rng, in.spec)
+			want = append(want, in.spec...)
+			sort.Float64s(want)
 		}
-		checkEigen(t, "two-stage "+m.String(), a, res, want)
+		for _, m := range []Method{MethodDC, MethodBI, MethodQR} {
+			o := in.o
+			o.Method, o.Vectors = m, true
+			res, err := SyevTwoStage(context.Background(), a, o)
+			if err != nil {
+				t.Fatalf("%s %v: %v", in.name, m, err)
+			}
+			checkEigen(t, "two-stage "+in.name+" "+m.String(), a, res, want)
+		}
 	}
 }
 

@@ -31,7 +31,7 @@ func MeasureAlpha() float64 {
 }
 
 // betaSize is the matrix order used for the memory-bound kernel
-// measurements: 4200² doubles = 141 MB, beyond even the 105 MiB L3 of large
+// measurement: 4200² doubles = 141 MB, beyond even the 105 MiB L3 of large
 // server parts, so the measured rate is genuinely the DRAM-streaming rate β
 // that the one-stage reduction is stuck at for big matrices. (Measuring at
 // an in-L3 size on a big-cache host silently reports a compute-like rate
@@ -56,29 +56,6 @@ func MeasureBeta() float64 {
 	start := time.Now()
 	for time.Since(start) < 100*time.Millisecond {
 		blas.Dsymv(blas.Lower, n, 1, a, n, x, 1, 0, y, 1)
-		iters++
-	}
-	sec := time.Since(start).Seconds()
-	return float64(iters) * 2 * float64(n) * float64(n) / sec
-}
-
-// MeasureGemv benchmarks out-of-cache Dgemv (the BRD/HRD kernel of the
-// paper's Table 2) at the same out-of-cache size as MeasureBeta.
-func MeasureGemv() float64 {
-	n := betaSize
-	a := make([]float64, n*n)
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range a {
-		a[i] = float64(i%9) * 0.125
-	}
-	for i := range x {
-		x[i] = 1
-	}
-	iters := 0
-	start := time.Now()
-	for time.Since(start) < 100*time.Millisecond {
-		blas.Dgemv(blas.NoTrans, n, n, 1, a, n, x, 1, 0, y, 1)
 		iters++
 	}
 	sec := time.Since(start).Seconds()
