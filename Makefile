@@ -35,4 +35,4 @@ bench-compare:
 # Tune this machine and persist the profile eigen.Solver loads at
 # construction ($EIGEN_TUNE_PROFILE or the user cache dir).
 tune:
-	$(GO) run -tags blasasm ./cmd/eigtune -save
+	$(GO) run ./cmd/eigtune -save

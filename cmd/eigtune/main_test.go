@@ -51,6 +51,9 @@ func TestRun(t *testing.T) {
 			if !slices.Contains([]int{8, 16}, p.NB) || !slices.Contains([]int{16, 32}, p.ColBlock) || !slices.Contains([]int{1, 2}, p.Lookahead) {
 				t.Errorf("nb=%d col_block=%d lookahead=%d, want members of the swept lists", p.NB, p.ColBlock, p.Lookahead)
 			}
+			if p.Gemm.Kernel != "" || p.Gemm.MC == 0 || p.Gemm.NC == 0 {
+				t.Errorf("gemm=%+v, want a swept mc/nc and no kernel (the kernel is dispatched at run time, never persisted)", p.Gemm)
+			}
 			if p.WideBand != 0 || len(p.BandSweeps) != 0 {
 				t.Errorf("wide_band=%d band_sweeps=%v, want both unset (eigtune no longer sweeps SBR)", p.WideBand, p.BandSweeps)
 			}

@@ -14,11 +14,14 @@ import (
 type Kernel int
 
 const (
-	// KernelAuto picks the best tile the build supports: the 8×4 assembly
-	// kernel when compiled in (build tag blasasm) and the CPU has AVX2,
-	// otherwise the portable 2×4 kernel (8 accumulator chains fit the
+	// KernelAuto picks the best tile this machine runs, decided once at
+	// start-up: the 8×4 assembly kernel on amd64 when the CPU has AVX2 and the
+	// OS saves YMM state (AsmActive), otherwise — an older x86, or any other
+	// architecture — the portable 2×4 kernel (8 accumulator chains fit the
 	// 16-register scalar FPU file of amd64 without spilling; the wider
 	// portable tiles win only on machines with larger register files).
+	// Naming a portable kernel here is the only way to force the portable
+	// path on a machine that has the assembly one.
 	KernelAuto Kernel = iota
 	// Kernel2x4 is the portable 2×4 accumulator tile (8 chains), the
 	// narrowest register footprint.
@@ -28,8 +31,9 @@ const (
 	// full without spilling on amd64.
 	Kernel4x4
 	// Kernel8x4 is the 8×4 accumulator tile (32 chains): the assembly
-	// kernel's native shape. The portable form spills some accumulators to
-	// the (L1-resident) stack; it exists so the asm and no-asm builds can
+	// kernel's native shape, and the assembly kernel itself wherever
+	// AsmActive. The portable form spills some accumulators to the
+	// (L1-resident) stack; it exists so machines without the assembly can
 	// run the identical tiling.
 	Kernel8x4
 	// KernelSeed is the frozen pre-rework kernel (2×4 tile, B re-packed per
@@ -53,24 +57,6 @@ func (k Kernel) String() string {
 		return "seed"
 	}
 	return "unknown"
-}
-
-// KernelFromString parses the profile-schema spelling of a kernel name.
-// Unknown names report ok=false.
-func KernelFromString(s string) (Kernel, bool) {
-	switch s {
-	case "auto", "":
-		return KernelAuto, true
-	case "2x4":
-		return Kernel2x4, true
-	case "4x4":
-		return Kernel4x4, true
-	case "8x4":
-		return Kernel8x4, true
-	case "seed":
-		return KernelSeed, true
-	}
-	return KernelAuto, false
 }
 
 // Blocking is the runtime-tunable cache/register blocking of the Level 3
@@ -154,10 +140,11 @@ func SetBlocking(b Blocking) Blocking {
 // CurrentBlocking reports the active GEMM blocking configuration.
 func CurrentBlocking() Blocking { return *blocking.Load() }
 
-// AsmActive reports whether the assembly micro-kernel is compiled in (build
-// tag blasasm) and the CPU/OS support it — i.e. whether KernelAuto and
-// Kernel8x4 run the assembly tiles. Exposed for eigtune, which prints it
-// alongside measured rates.
+// AsmActive reports whether this process runs the assembly micro-kernel: an
+// amd64 binary on a CPU and OS that pass the AVX2 probe — i.e. whether
+// KernelAuto and Kernel8x4 run the assembly tiles. Exposed for eigtune, which
+// prints it alongside measured rates, and for tests, which log it so a run
+// that only exercised the portable path says so.
 func AsmActive() bool { return asmActive() }
 
 // microNR is the fixed accumulator-tile width: every micro-kernel consumes
@@ -165,7 +152,8 @@ func AsmActive() bool { return asmActive() }
 const microNR = 4
 
 // resolveMR maps the configured kernel to the packed-A panel height and
-// reports whether the assembly kernel should run the full tiles.
+// reports whether the assembly kernel (and with it the k-interleaved, padded
+// A layout) is in use.
 func (b *Blocking) resolveMR() (mr int, useAsm bool) {
 	k := b.Kernel
 	if k == KernelAuto {

@@ -33,8 +33,7 @@ func Parallelism() int { return int(atomic.LoadInt64(&parallelism)) }
 // the active Blocking over the packed panels. Every C element is one
 // accumulation chain over k in ascending order, split only at KC
 // boundaries, so for a fixed KC all kernels — including the frozen seed
-// kernel and the optional assembly kernel — produce bitwise identical
-// results.
+// kernel and the assembly kernel — produce bitwise identical results.
 func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
 	rowA, colA := m, k
 	if transA == Trans {
@@ -81,8 +80,8 @@ func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, ld
 	// Pack storage sized to the actual problem, not the configured maxima
 	// (a 24-wide tile-kernel gemm should not pin a megabyte of buffers).
 	kcEff := min(bk.KC, k)
-	packNA := min(bk.MC, (m+mr-1)/mr*mr) * kcEff
-	packNB := min(bk.NC, (n+3)&^3) * kcEff
+	packNA := roundUp(min(bk.MC, m), mr) * kcEff
+	packNB := min(bk.NC, roundUp(n, microNR)) * kcEff
 
 	p := Parallelism()
 	if p > 1 && n >= 2*bk.NC && int64(m)*int64(n)*int64(k) > 1<<18 {
@@ -134,7 +133,7 @@ func gemmBlocked(transA, transB Transpose, m, n, k int, alpha float64, a []float
 			// Pack alpha·op(B)[kk:kk+kc, jj:jj+nc] once; it is reused by
 			// every MC strip of A below (the seed kernel re-packed it per
 			// strip, which this structure exists to fix).
-			packB(buf.b, transB, b, ldb, kk, jj, kc, nc, alpha, useAsm)
+			packB(buf.b, transB, b, ldb, kk, jj, kc, nc, alpha)
 			for ii := 0; ii < m; ii += bk.MC {
 				mc := min(bk.MC, m-ii)
 				packA(buf.a, transA, a, lda, ii, kk, mc, kc, mr, useAsm)
@@ -145,39 +144,17 @@ func gemmBlocked(transA, transB Transpose, m, n, k int, alpha float64, a []float
 }
 
 // packB packs alpha·op(B)[kk:kk+kc, jj:jj+nc] into 4-column panels of
-// kc·4 values each. In stream layout (portable kernels) each panel is four
-// contiguous length-kc column streams, panel[t*kc+l]; in interleaved layout
-// (assembly kernel, which broadcasts the four B values of one k step from
-// consecutive memory) it is panel[l*4+t]. Ragged panels are zero-padded to
-// the full tile width; the padded columns are computed by the micro-kernel
-// but never stored. The layout never affects results: each C element's
-// accumulation chain only depends on the order of k, which both layouts
-// preserve.
-func packB(dst []float64, transB Transpose, b []float64, ldb, kk, jj, kc, nc int, alpha float64, interleave bool) {
+// kc·4 values each: four contiguous length-kc column streams,
+// panel[t*kc+l] — the layout of four columns of a column-major matrix with
+// leading dimension kc, which is what lets every kernel also read an unpacked
+// right operand in place (GemmPackedA). Ragged panels are zero-padded to the
+// full tile width; the padded columns are computed by the micro-kernel but
+// never stored.
+func packB(dst []float64, transB Transpose, b []float64, ldb, kk, jj, kc, nc int, alpha float64) {
 	np := (nc + microNR - 1) / microNR
 	for q := 0; q < np; q++ {
 		panel := dst[q*microNR*kc : (q+1)*microNR*kc]
 		w := min(microNR, nc-q*microNR)
-		if interleave {
-			for t := 0; t < w; t++ {
-				if transB == NoTrans {
-					src := b[kk+(jj+q*microNR+t)*ldb:]
-					for l := 0; l < kc; l++ {
-						panel[l*microNR+t] = alpha * src[l]
-					}
-				} else {
-					for l := 0; l < kc; l++ {
-						panel[l*microNR+t] = alpha * b[(jj+q*microNR+t)+(kk+l)*ldb]
-					}
-				}
-			}
-			for t := w; t < microNR; t++ {
-				for l := 0; l < kc; l++ {
-					panel[l*microNR+t] = 0
-				}
-			}
-			continue
-		}
 		for t := 0; t < w; t++ {
 			col := panel[t*kc : t*kc+kc]
 			if transB == NoTrans {
@@ -191,46 +168,48 @@ func packB(dst []float64, transB Transpose, b []float64, ldb, kk, jj, kc, nc int
 				}
 			}
 		}
-		for t := w; t < microNR; t++ {
-			col := panel[t*kc : t*kc+kc]
-			for l := range col {
-				col[l] = 0
-			}
-		}
+		clear(panel[w*kc:])
 	}
 }
 
-// packA packs op(A)[ii:ii+mc, kk:kk+kc] into row-panels of mr rows. Full
-// panels are mr contiguous length-kc row streams (panel[r*kc+l]) for the
-// portable kernels, or k-interleaved (panel[l*mr+r], so one VMOVUPD reads
-// a full column of the tile) for the assembly kernel. The final ragged
-// panel (h < mr rows) is always packed as streams at its exact height and
-// dispatched to the generic fringe kernel.
+// packA packs op(A)[ii:ii+mc, kk:kk+kc] into row-panels of mr rows, in one
+// of two layouts. For the portable kernels a panel is its rows as contiguous
+// length-kc streams (panel[r*kc+l]), and the final ragged panel (h < mr rows)
+// is packed at its exact height for the generic fringe kernel. For the
+// assembly kernel (interleave) a panel is k-interleaved (panel[l*mr+r], so
+// one VMOVUPD reads half a column of the tile) and always mr rows high: a
+// ragged last panel is padded with zero rows, which the kernel computes and
+// nobody stores, so dst must hold roundUp(mc, mr)·kc values.
 func packA(dst []float64, transA Transpose, a []float64, lda, ii, kk, mc, kc, mr int, interleave bool) {
 	off := 0
 	for p := 0; p < mc; p += mr {
 		h := min(mr, mc-p)
-		panel := dst[off : off+h*kc]
-		if interleave && h == mr {
+		if interleave {
+			panel := dst[off : off+mr*kc]
+			off += mr * kc
+			if h < mr {
+				clear(panel)
+			}
 			if transA == NoTrans {
 				for l := 0; l < kc; l++ {
-					src := a[ii+p+(kk+l)*lda:]
-					row := panel[l*h : l*h+h]
-					for r := range row {
-						row[r] = src[r]
+					src := a[ii+p+(kk+l)*lda:][:h]
+					col := panel[l*mr:][:len(src)]
+					for r, v := range src {
+						col[r] = v
 					}
 				}
 			} else {
 				for r := 0; r < h; r++ {
-					src := a[kk+(ii+p+r)*lda:]
-					for l := 0; l < kc; l++ {
-						panel[l*h+r] = src[l]
+					src := a[kk+(ii+p+r)*lda:][:kc]
+					for l, v := range src {
+						panel[l*mr+r] = v
 					}
 				}
 			}
-			off += h * kc
 			continue
 		}
+		panel := dst[off : off+h*kc]
+		off += h * kc
 		if transA == NoTrans {
 			// Row r of the panel is contiguous; the strided reads walk
 			// each column of a once.
@@ -248,15 +227,13 @@ func packA(dst []float64, transA Transpose, a []float64, lda, ii, kk, mc, kc, mr
 				copy(panel[r*kc:r*kc+kc], src[:kc])
 			}
 		}
-		off += h * kc
 	}
 }
 
 // gemmMacro runs the micro-kernel grid over one packed (mc×kc)·(kc×nc)
 // block. The loop order keeps each 4-column B panel L1-resident while the
 // packed A block streams through it. ldb is the distance between the column
-// streams of B: kc for a panel packed by packB — the only choice in the
-// interleaved layout — or, in the stream layout, the leading dimension of a
+// streams of B: kc for a panel packed by packB, or the leading dimension of a
 // plain column-major matrix, whose columns 4q..4q+3 already are panel q.
 //
 // sky, when non-nil, is the left operand's skyline (see Packing.PackA): two
@@ -274,8 +251,12 @@ func gemmMacro(apack, bpack []float64, ldb, mc, nc, kc, mr int, useAsm bool, c [
 		off := 0
 		for p, pi := 0, 0; p < mc; p, pi = p+mr, pi+1 {
 			h := min(mr, mc-p)
-			ap := apack[off : off+h*kc]
-			off += h * kc
+			ph := h // packed panel height: the assembly layout pads to mr
+			if useAsm {
+				ph = mr
+			}
+			ap := apack[off : off+ph*kc]
+			off += ph * kc
 			lo, kn := 0, kc
 			if sky != nil {
 				lo = int(sky[2*pi])
@@ -286,12 +267,10 @@ func gemmMacro(apack, bpack []float64, ldb, mc, nc, kc, mr int, useAsm bool, c [
 			}
 			ct := cq[p:]
 			switch {
-			case h < mr && useAsm:
-				kernMx4i(kn, h, ap[lo:], kc, bq[lo*microNR:], ct, ldc, nr)
+			case useAsm:
+				kern8x4asm(kn, ap[lo*mr:], bq[lo:], ldb, ct, ldc, h, nr)
 			case h < mr:
 				kernMx4(kn, h, ap[lo:], kc, bq[lo:], ldb, ct, ldc, nr)
-			case useAsm:
-				kern8x4asm(kn, ap[lo*mr:], bq[lo*microNR:], ct, ldc, nr)
 			case mr == 8:
 				kern8x4(kn, ap[lo:], kc, bq[lo:], ldb, ct, ldc, nr)
 			case mr == 4:

@@ -1,0 +1,282 @@
+//go:build amd64
+
+package blas
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// The assembly kernel is the one piece of this module the Go runtime does not
+// bounds-check. These tests are its memory-safety gate: the kernel runs on
+// operands embedded in poisoned buffers, and the Go-side assertions in front
+// of it are shown to fire. They run in the default build — under -race in
+// scripts/check.sh — and log whether the assembly was actually exercised.
+
+// poison is the guard value: a quiet NaN with a recognizable payload. A kernel
+// that reads one spoils its result; one that overwrites one is caught by
+// comparing bits.
+var poison = math.Float64frombits(0x7ff8_dead_beef_cafe)
+
+const guardBand = 24
+
+// poisoned returns a random r×c column-major matrix with leading dimension ld
+// embedded in a buffer whose every other value is poison: a band before, a
+// band after, and rows r..ld-1 of every column. mat is capped at its last
+// entry, so only code that bypasses Go's bounds checks can reach the bands.
+func poisoned(rng *rand.Rand, r, c, ld int) (buf, mat []float64) {
+	n := 0
+	if r > 0 && c > 0 {
+		n = (c-1)*ld + r
+	}
+	buf = make([]float64, guardBand+n+guardBand)
+	for i := range buf {
+		buf[i] = poison
+	}
+	mat = buf[guardBand : guardBand+n : guardBand+n]
+	for j := 0; j < c; j++ {
+		for i := 0; i < r; i++ {
+			mat[i+j*ld] = rng.NormFloat64()
+		}
+	}
+	return buf, mat
+}
+
+// checkGuards fails unless every value of buf outside the r×c matrix is still
+// bitwise what it is in orig. With r = 0 the whole buffer must be unchanged
+// (an input operand).
+func checkGuards(t *testing.T, what string, buf, orig []float64, r, c, ld int) {
+	t.Helper()
+	for i := range buf {
+		if k := i - guardBand; k >= 0 && ld > 0 && k%ld < r && k/ld < c {
+			continue
+		}
+		if math.Float64bits(buf[i]) != math.Float64bits(orig[i]) {
+			t.Fatalf("%s: value at offset %d (matrix starts at %d, %d×%d ld %d) changed from %x to %x",
+				what, i, guardBand, r, c, ld, math.Float64bits(orig[i]), math.Float64bits(buf[i]))
+		}
+	}
+}
+
+// sameBits fails unless the r×c matrices got and want (both ld) agree bit for bit.
+func sameBits(t *testing.T, what string, got, want []float64, r, c, ld int) {
+	t.Helper()
+	for j := 0; j < c; j++ {
+		for i := 0; i < r; i++ {
+			if g, w := got[i+j*ld], want[i+j*ld]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: element (%d,%d) = %x (%g), portable 2×4 kernel gives %x (%g)",
+					what, i, j, math.Float64bits(g), g, math.Float64bits(w), w)
+			}
+		}
+	}
+}
+
+// canaryCase multiplies an m×k by a k×n matrix through all three entry points
+// of the micro-kernel grid — Dgemm, PackA+GemmPackedA and gemmMacro itself —
+// under KernelAuto, on poisoned operands, and requires the bits of Kernel2x4
+// and intact guards. Columns [0, lead) and [k−trail, k) of the left operand
+// are zero so that its skyline starts the kernels at an offset into the panels.
+func canaryCase(t *testing.T, rng *rand.Rand, trans Transpose, m, n, k, lead, trail int) {
+	t.Helper()
+	rowsA, colsA := m, k
+	if trans == Trans {
+		rowsA, colsA = k, m
+	}
+	lda, ldb, ldc := rowsA+1, k+2, m+3
+	abuf, a := poisoned(rng, rowsA, colsA, lda)
+	for i := 0; i < m; i++ {
+		for l := 0; l < k; l++ {
+			if l < lead || l >= k-trail {
+				if trans == Trans {
+					a[l+i*lda] = 0
+				} else {
+					a[i+l*lda] = 0
+				}
+			}
+		}
+	}
+	bbuf, b := poisoned(rng, k, n, ldb)
+	cbuf, c := poisoned(rng, m, n, ldc)
+	abuf0, bbuf0, cbuf0 := slices.Clone(abuf), slices.Clone(bbuf), slices.Clone(cbuf)
+
+	// Reference: the portable 2×4 kernel through Dgemm (one chain per element,
+	// split at KC), and through gemmMacro on the whole k range as one chunk.
+	wantGemm, wantMacro := slices.Clone(c), slices.Clone(c)
+	withBlocking(t, Blocking{Kernel: Kernel2x4}, func() {
+		Dgemm(trans, NoTrans, m, n, k, 1, a, lda, b, ldb, 1, wantGemm, ldc)
+		macroOnce(t, CurrentPacking(), trans, m, n, k, a, lda, b, ldb, wantMacro, ldc, rng)
+	})
+
+	withBlocking(t, Blocking{Kernel: KernelAuto}, func() {
+		pk := CurrentPacking()
+		reset := func() { copy(cbuf, cbuf0) }
+		check := func(what string, want []float64) {
+			t.Helper()
+			sameBits(t, what, c, want, m, n, ldc)
+			checkGuards(t, what+": A", abuf, abuf0, 0, 0, lda)
+			checkGuards(t, what+": B", bbuf, bbuf0, 0, 0, ldb)
+			checkGuards(t, what+": C", cbuf, cbuf0, m, n, ldc)
+		}
+
+		Dgemm(trans, NoTrans, m, n, k, 1, a, lda, b, ldb, 1, c, ldc)
+		check("Dgemm", wantGemm)
+
+		reset()
+		apbuf, ap := poisoned(rng, pk.ALen(m, k), 1, pk.ALen(m, k))
+		pk.PackA(ap, trans, a, lda, m, k)
+		apbuf0 := slices.Clone(apbuf)
+		sbuf, scratch := poisoned(rng, pk.BScratch(k, n), 1, pk.BScratch(k, n))
+		sbuf0 := slices.Clone(sbuf)
+		pk.GemmPackedA(m, n, k, ap, b, ldb, c, ldc, scratch)
+		check("GemmPackedA", wantGemm)
+		checkGuards(t, "GemmPackedA: packed A", apbuf, apbuf0, 0, 0, 1)
+		checkGuards(t, "GemmPackedA: scratch", sbuf, sbuf0, len(scratch), 1, len(scratch))
+
+		reset()
+		macroOnce(t, pk, trans, m, n, k, a, lda, b, ldb, c, ldc, rng)
+		check("gemmMacro", wantMacro)
+	})
+}
+
+// macroOnce packs both operands into exact-size poisoned buffers and runs one
+// gemmMacro over the whole k range with the left operand's [lead, k−trail)
+// skyline, as GemmPackedA would for one chunk; the pack buffers must come back
+// untouched.
+func macroOnce(t *testing.T, pk Packing, trans Transpose, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, rng *rand.Rand) {
+	t.Helper()
+	one := Packing{mr: pk.mr, kc: k, asm: pk.asm} // a single chunk: header, then panels
+	apbuf, ap := poisoned(rng, one.ALen(m, k), 1, one.ALen(m, k))
+	one.PackA(ap, trans, a, lda, m, k)
+	sky, panels := one.aChunk(ap, m, 0, k)
+	bpbuf, bp := poisoned(rng, roundUp(n, microNR)*k, 1, roundUp(n, microNR)*k)
+	packB(bp, NoTrans, b, ldb, 0, 0, k, n, 1)
+	apbuf0, bpbuf0 := slices.Clone(apbuf), slices.Clone(bpbuf)
+	gemmMacro(panels, bp, k, m, n, k, pk.mr, pk.asm, c, ldc, sky)
+	checkGuards(t, "gemmMacro: packed A", apbuf, apbuf0, 0, 0, 1)
+	checkGuards(t, "gemmMacro: packed B", bpbuf, bpbuf0, 0, 0, 1)
+}
+
+// TestAsmKernelCanaries drives every tile shape the assembly path has — h
+// valid rows of the last (padded) A panel, nr valid columns of the last B
+// panel, alone and behind a full panel — at chain lengths from one step to
+// past the KC split, with and without a skyline offset.
+func TestAsmKernelCanaries(t *testing.T) {
+	t.Logf("AsmActive() = %v", AsmActive())
+	rng := rand.New(rand.NewSource(41))
+	for _, k := range []int{1, 2, 7, 12, 48, 128, 129} {
+		for h := 1; h <= 8; h++ {
+			for nr := 1; nr <= microNR; nr++ {
+				for _, sk := range [][2]int{{0, 0}, {1, 0}, {3, 2}} {
+					if sk[0]+sk[1] >= k {
+						continue
+					}
+					canaryCase(t, rng, NoTrans, h, nr, k, sk[0], sk[1])
+					canaryCase(t, rng, NoTrans, 8+h, microNR+nr, k, sk[0], sk[1])
+					canaryCase(t, rng, Trans, 8+h, microNR+nr, k, sk[0], sk[1])
+				}
+			}
+		}
+	}
+}
+
+// TestAsmKernelBoundsAssertions checks that kern8x4asm refuses — by panicking
+// in Go, before the assembly runs — every argument set whose tile would reach
+// outside the slices: C must come back untouched.
+func TestAsmKernelBoundsAssertions(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("no AVX2 on this CPU: the assembly kernel never runs")
+	}
+	const kc, ldb, ldc = 5, 7, 9
+	ones := func(n int) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = 1
+		}
+		return x
+	}
+	apLen, bpLen, cLen := 8*kc, 3*ldb+kc, 3*ldc+8
+	for _, tc := range []struct {
+		name               string
+		kc, ap, bp, c      int
+		ldb, ldc, h, nr    int
+		wantPanic, touches bool
+	}{
+		{name: "exact fit, full tile", kc: kc, ap: apLen, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: 8, nr: 4, touches: true},
+		{name: "exact fit, ragged tile", kc: kc, ap: apLen, bp: bpLen, c: 2*ldc + 3, ldb: ldb, ldc: ldc, h: 3, nr: 3, touches: true},
+		{name: "short A panel", kc: kc, ap: apLen - 1, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: 8, nr: 4, wantPanic: true},
+		{name: "short B streams", kc: kc, ap: apLen, bp: bpLen - 1, c: cLen, ldb: ldb, ldc: ldc, h: 8, nr: 4, wantPanic: true},
+		{name: "short C, full tile", kc: kc, ap: apLen, bp: bpLen, c: cLen - 1, ldb: ldb, ldc: ldc, h: 8, nr: 4, wantPanic: true},
+		{name: "short C, ragged tile", kc: kc, ap: apLen, bp: bpLen, c: 2*ldc + 2, ldb: ldb, ldc: ldc, h: 3, nr: 3, wantPanic: true, touches: true},
+		{name: "kc = 0", kc: 0, ap: apLen, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: 8, nr: 4, wantPanic: true},
+		{name: "negative ldb", kc: kc, ap: apLen, bp: bpLen + 100, c: cLen, ldb: -1, ldc: ldc, h: 8, nr: 4, wantPanic: true},
+		{name: "negative ldc", kc: kc, ap: apLen, bp: bpLen, c: cLen + 100, ldb: ldb, ldc: -1, h: 8, nr: 4, wantPanic: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ap, bp, c := ones(tc.ap), ones(tc.bp), ones(tc.c)
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				kern8x4asm(tc.kc, ap, bp, tc.ldb, c, tc.ldc, tc.h, tc.nr)
+				return
+			}()
+			if panicked != tc.wantPanic {
+				t.Fatalf("panicked = %v, want %v", panicked, tc.wantPanic)
+			}
+			touched := false
+			for _, v := range c {
+				touched = touched || v != 1
+			}
+			// A refused call must not have run the kernel on C. (The ragged
+			// short-C case is refused by Go's own slicing after the kernel ran
+			// on the staging tile, so earlier columns are legitimately updated.)
+			if touched != tc.touches {
+				t.Fatalf("C modified = %v, want %v", touched, tc.touches)
+			}
+		})
+	}
+}
+
+// TestKernelAutoWithoutAVX2 keeps the portable fallback tested on an AVX2
+// host: with the probe's answer flipped, KernelAuto must resolve to the 2×4
+// tile in the stream layout and reproduce the assembly run bit for bit.
+func TestKernelAutoWithoutAVX2(t *testing.T) {
+	t.Logf("AsmActive() = %v", AsmActive())
+	if !hasAVX2 {
+		t.Skip("no AVX2 on this CPU: KernelAuto already is the portable path")
+	}
+	bk := CurrentBlocking()
+	if mr, asm := bk.resolveMR(); mr != 8 || !asm {
+		t.Fatalf("with AVX2, KernelAuto resolves to mr=%d asm=%v, want the 8×4 assembly tile", mr, asm)
+	}
+	rng := rand.New(rand.NewSource(43))
+	const m, n, k = 59, 37, 141
+	a := randMat(rng, m, k, m)
+	b := randMat(rng, k, n, k)
+	c := randMat(rng, m, n, m)
+	run := func() (gemm, packed []float64) {
+		gemm = gemmOnce(NoTrans, NoTrans, m, n, k, 1, a, m, b, k, 1, c, m)
+		pk := CurrentPacking()
+		ap := make([]float64, pk.ALen(m, k))
+		pk.PackA(ap, NoTrans, a, m, m, k)
+		packed = slices.Clone(c)
+		pk.GemmPackedA(m, n, k, ap, b, k, packed, m, make([]float64, pk.BScratch(k, n)))
+		return gemm, packed
+	}
+	asmGemm, asmPacked := run()
+
+	hasAVX2 = false
+	t.Cleanup(func() { hasAVX2 = true })
+	if AsmActive() {
+		t.Fatal("AsmActive() still true with the probe flipped")
+	}
+	if mr, asm := bk.resolveMR(); mr != 2 || asm {
+		t.Fatalf("without AVX2, KernelAuto resolves to mr=%d asm=%v, want the portable 2×4 tile", mr, asm)
+	}
+	if pk, want := CurrentPacking(), (Packing{mr: 2, kc: DefaultKC}); pk != want {
+		t.Fatalf("CurrentPacking() = %+v, want the stream layout %+v", pk, want)
+	}
+	gemm, packed := run()
+	sameBits(t, "Dgemm", asmGemm, gemm, m, n, m)
+	sameBits(t, "GemmPackedA", asmPacked, packed, m, n, m)
+}

@@ -1,16 +1,18 @@
 package blas
 
 // Portable register-blocked GEMM micro-kernels. Each computes an h×4 block
-// of C += Ap·Bp from panels packed by packA/packB in stream layout: the
-// panel is h (resp. 4) length-kc streams, one per A row / B column, lda
-// (resp. ldb) apart, so every inner loop is an indexed walk over pre-sliced
-// arrays and the compiler drops all bounds checks (the interleaved layout the
-// assembly kernel uses defeats that and costs ~2.5× in scalar code). A whole
-// panel has lda = ldb = kc; a k sub-range of one — which is how the packed
-// driver skips the leading and trailing zeros of a structured left operand —
-// keeps the panel's strides and starts each stream at the range's offset.
-// nr ≤ 4 is the number of valid C columns; padded B columns are computed into
-// dead accumulators and discarded.
+// of C += Ap·Bp from panels in stream layout: the panel is h (resp. 4)
+// length-kc streams, one per A row / B column, lda (resp. ldb) apart, so every
+// inner loop is an indexed walk over pre-sliced arrays and the compiler drops
+// all bounds checks. A whole packed panel has lda = ldb = kc; a k sub-range of
+// one — which is how the packed driver skips the leading and trailing zeros of
+// a structured left operand — keeps the panel's strides and starts each stream
+// at the range's offset; and four columns of a plain column-major matrix are a
+// B panel as they stand. (The assembly kernel reads B the same way; only its A
+// panels differ, k-interleaved so that one vector load fetches four rows — a
+// layout that costs scalar code about 2.5×, which is why the portable kernels
+// keep their own.) nr ≤ 4 is the number of valid C columns; padded B columns
+// are computed into dead accumulators and discarded.
 //
 // Every C element is accumulated in its own scalar chain over l = 0..kc-1
 // and added to memory exactly once, so the kernels are bitwise
@@ -128,10 +130,10 @@ func kern8x4(kc int, ap []float64, lda int, bp []float64, ldb int, c []float64, 
 	kern4x4(kc, ap[4*lda:], lda, bp, ldb, c[4:], ldc, nr)
 }
 
-// kernMx4 handles the ragged final A panel (1 ≤ h < mr rows, packed as h
-// streams). It runs the same per-element accumulation chains as the fast
-// kernels, just without the unrolled register tile; it only ever sees the
-// fringe of the matrix, so its share of the work is O(1/m).
+// kernMx4 handles the portable layout's ragged final A panel (1 ≤ h < mr
+// rows, packed as h streams). It runs the same per-element accumulation
+// chains as the fast kernels, just without the unrolled register tile; it
+// only ever sees the fringe of the matrix, so its share of the work is O(1/m).
 func kernMx4(kc, h int, ap []float64, lda int, bp []float64, ldb int, c []float64, ldc, nr int) {
 	b0 := bp[:kc]
 	b1 := bp[ldb : ldb+kc]
@@ -145,33 +147,6 @@ func kernMx4(kc, h int, ap []float64, lda int, bp []float64, ldb int, c []float6
 			s1 += av * b1[l]
 			s2 += av * b2[l]
 			s3 += av * b3[l]
-		}
-		c[r] += s0
-		if nr > 1 {
-			c[r+ldc] += s1
-		}
-		if nr > 2 {
-			c[r+2*ldc] += s2
-		}
-		if nr > 3 {
-			c[r+3*ldc] += s3
-		}
-	}
-}
-
-// kernMx4i is kernMx4 for the assembly-mode packing, where the B panel is
-// interleaved (bp[l*4+t]) instead of column streams. A ragged panels are
-// packed as streams in both modes.
-func kernMx4i(kc, h int, ap []float64, lda int, bp []float64, c []float64, ldc, nr int) {
-	for r := 0; r < h; r++ {
-		ar := ap[r*lda : r*lda+kc]
-		var s0, s1, s2, s3 float64
-		for l, av := range ar {
-			bl := bp[l*4 : l*4+4]
-			s0 += av * bl[0]
-			s1 += av * bl[1]
-			s2 += av * bl[2]
-			s3 += av * bl[3]
 		}
 		c[r] += s0
 		if nr > 1 {

@@ -3,11 +3,12 @@ package blas
 // Packing is a snapshot of the packed left-operand layout Dgemm's blocked
 // driver uses under the active Blocking: the micro-kernel's A-panel height,
 // the KC split of every accumulation chain, and whether panels are
-// k-interleaved (assembly kernel) or plain row streams (portable kernels). It
-// lets a caller that multiplies by the same matrix many times — the prepared
-// block reflectors of internal/householder — pack it once with PackA and then
-// run the micro-kernel grid on it directly with GemmPackedA, skipping Dgemm's
-// per-call packing.
+// k-interleaved and padded to whole tiles (assembly kernel) or plain row
+// streams of exact height (portable kernels). It lets a caller that
+// multiplies by the same matrix many times — the prepared block reflectors of
+// internal/householder — pack it once with PackA and then run the
+// micro-kernel grid on it directly with GemmPackedA, skipping Dgemm's per-call
+// packing.
 //
 // An operand packed under one Packing must be multiplied under the same
 // value: SetBlocking may change the layout, so owners of long-lived packed
@@ -26,24 +27,40 @@ func CurrentPacking() Packing {
 	return Packing{mr: mr, kc: bk.KC, asm: asm}
 }
 
-// roundNR rounds a column count up to whole micro-kernel B panels.
-func roundNR(n int) int { return (n + microNR - 1) &^ (microNR - 1) }
+// roundUp rounds n up to a multiple of to.
+func roundUp(n, to int) int { return (n + to - 1) / to * to }
+
+// packedRows is the number of rows an m-row left operand occupies once
+// packed: the assembly layout pads the last panel to a whole tile.
+func (p Packing) packedRows(m int) int {
+	if p.asm {
+		return roundUp(m, p.mr)
+	}
+	return m
+}
 
 // aChunk locates KC chunk kk of a packed m×k left operand: its skyline header
-// (two values per row-panel) and its m×kc block of panels.
+// (two values per row-panel) and its block of panels.
 func (p Packing) aChunk(ap []float64, m, kk, kc int) (sky, panels []float64) {
 	hdr := 2 * ((m + p.mr - 1) / p.mr)
-	off := m*kk + hdr*(kk/p.kc)
-	return ap[off : off+hdr], ap[off+hdr : off+hdr+m*kc]
+	rows := p.packedRows(m)
+	off := rows*kk + hdr*(kk/p.kc)
+	return ap[off : off+hdr], ap[off+hdr : off+hdr+rows*kc]
 }
 
 // ALen is the packed length of an m×k left operand.
 func (p Packing) ALen(m, k int) int {
-	return m*k + 2*((m+p.mr-1)/p.mr)*((k+p.kc-1)/p.kc)
+	return p.packedRows(m)*k + 2*((m+p.mr-1)/p.mr)*((k+p.kc-1)/p.kc)
 }
 
-// BScratch is the scratch GemmPackedA needs for a k×n right operand.
-func (p Packing) BScratch(k, n int) int { return k * roundNR(n) }
+// BScratch is the scratch GemmPackedA needs for a k×n right operand: room
+// for one KC chunk of the ragged last B panel, if n has one.
+func (p Packing) BScratch(k, n int) int {
+	if n%microNR == 0 {
+		return 0
+	}
+	return microNR * min(k, p.kc)
+}
 
 // PackA packs the m×k matrix op(A) as a left operand: one m×kc block of
 // row-panels per KC chunk of k, chunk after chunk. Each block is preceded by
@@ -83,34 +100,30 @@ func (p Packing) PackA(dst []float64, trans Transpose, a []float64, lda, m, k in
 }
 
 // GemmPackedA computes C += A·B for the m×n column-major C, with A (m×k)
-// packed by PackA and B a plain k×n column-major matrix. In the stream layout
-// the micro-kernels read B in place — columns 4q..4q+3 of a column-major
-// matrix are exactly the four streams of B panel q — so nothing is copied;
-// that is also what lets a product accumulated into a k×n matrix serve
-// directly as the next product's right operand. Only a ragged last panel
-// (n mod 4 columns), or all of B in the interleaved layout, is packed into
-// scratch (BScratch(k, n) values).
+// packed by PackA and B a plain k×n column-major matrix. The micro-kernels
+// read B in place — columns 4q..4q+3 of a column-major matrix are exactly the
+// four streams of B panel q — so nothing is copied; that is also what lets a
+// product accumulated into a k×n matrix serve directly as the next product's
+// right operand. Only a ragged last panel (n mod 4 columns) is packed into
+// scratch (BScratch(k, n) values), zero-padded to the four streams every
+// kernel reads.
 //
 // Every element of C is the same accumulation chain Dgemm runs — ascending k,
 // one partial sum added to memory per KC chunk — so for finite operands the
 // result is bitwise what Dgemm(…, 1, A, B, 1, C) gives, for every kernel and
 // for any split of C into column ranges.
 func (p Packing) GemmPackedA(m, n, k int, ap, b []float64, ldb int, c []float64, ldc int, scratch []float64) {
-	direct := 0 // leading columns of B the kernels read in place
-	if !p.asm {
-		direct = n &^ (microNR - 1)
-	}
+	direct := n &^ (microNR - 1) // leading columns of B the kernels read in place
 	rest := n - direct
-	n4 := roundNR(rest)
 	for kk := 0; kk < k; kk += p.kc {
 		kc := min(p.kc, k-kk)
 		sky, panels := p.aChunk(ap, m, kk, kc)
 		if direct > 0 {
-			gemmMacro(panels, b[kk:], ldb, m, direct, kc, p.mr, false, c, ldc, sky)
+			gemmMacro(panels, b[kk:], ldb, m, direct, kc, p.mr, p.asm, c, ldc, sky)
 		}
 		if rest > 0 {
-			bp := scratch[:n4*kc]
-			packB(bp, NoTrans, b[direct*ldb:], ldb, kk, 0, kc, rest, 1, p.asm)
+			bp := scratch[:microNR*kc]
+			packB(bp, NoTrans, b[direct*ldb:], ldb, kk, 0, kc, rest, 1)
 			gemmMacro(panels, bp, kc, m, rest, kc, p.mr, p.asm, c[direct*ldc:], ldc, sky)
 		}
 	}

@@ -8,9 +8,13 @@ import (
 // TestGemmPackedABitwiseDgemm pins the contract the prepared block reflectors
 // rest on: a product run on a left operand packed once is bitwise the product
 // Dgemm computes, for every kernel family, for chains split by a small KC,
-// for ragged shapes — and for structured operands whose leading and trailing
-// zeros the skyline skips (skipping a ±0 term never changes a sum).
+// for ragged shapes (every fringe of the assembly layout: a padded last A
+// panel, ragged tiles in either direction) — and for structured operands whose
+// leading and trailing zeros the skyline skips (skipping a ±0 term never
+// changes a sum). Dgemm runs under the same Blocking, so the cross-kernel half
+// of the contract is TestDgemmKernelsBitwiseIdentical's.
 func TestGemmPackedABitwiseDgemm(t *testing.T) {
+	t.Logf("AsmActive() = %v", AsmActive())
 	type zeros int
 	const (
 		dense zeros = iota
@@ -19,12 +23,15 @@ func TestGemmPackedABitwiseDgemm(t *testing.T) {
 		banded
 	)
 	for _, bk := range []Blocking{
-		{}, {Kernel: Kernel4x4}, {Kernel: Kernel8x4}, {KC: 8}, {KC: 8, Kernel: Kernel8x4}, {Kernel: KernelSeed},
+		{}, {Kernel: Kernel2x4}, {Kernel: Kernel4x4}, {Kernel: Kernel8x4}, {KC: 8}, {KC: 8, Kernel: Kernel2x4}, {KC: 8, Kernel: Kernel8x4}, {Kernel: KernelSeed},
 	} {
 		withBlocking(t, bk, func() {
 			rng := rand.New(rand.NewSource(31))
 			pk := CurrentPacking()
-			for _, sh := range [][3]int{{1, 1, 1}, {2, 4, 3}, {7, 5, 9}, {12, 16, 12}, {59, 37, 12}, {13, 6, 150}, {48, 48, 48}} {
+			for _, sh := range [][3]int{
+				{1, 1, 1}, {2, 4, 3}, {7, 5, 9}, {12, 16, 12}, {59, 37, 12}, {13, 6, 150}, {48, 48, 48},
+				{1, 16, 12}, {7, 3, 12}, {9, 1, 59}, {9, 37, 5}, {12, 5, 59}, {59, 16, 12}, {59, 3, 131},
+			} {
 				m, n, k := sh[0], sh[1], sh[2]
 				for _, trans := range []Transpose{NoTrans, Trans} {
 					for _, z := range []zeros{dense, upper, lower, banded} {
@@ -64,5 +71,25 @@ func TestGemmPackedABitwiseDgemm(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGemmPackedAAllocs: the engine's inner product must not allocate — in
+// particular the assembly path's staging tile must stay on the stack.
+func TestGemmPackedAAllocs(t *testing.T) {
+	t.Logf("AsmActive() = %v", AsmActive())
+	rng := rand.New(rand.NewSource(37))
+	const m, n, k = 59, 37, 12 // padded last panel, ragged tiles both ways
+	pk := CurrentPacking()
+	a := randMat(rng, m, k, m)
+	b := randMat(rng, k, n, k)
+	c := randMat(rng, m, n, m)
+	ap := make([]float64, pk.ALen(m, k))
+	pk.PackA(ap, NoTrans, a, m, m, k)
+	scratch := make([]float64, pk.BScratch(k, n))
+	if allocs := testing.AllocsPerRun(20, func() {
+		pk.GemmPackedA(m, n, k, ap, b, k, c, m, scratch)
+	}); allocs != 0 {
+		t.Fatalf("%v allocations per GemmPackedA, want 0", allocs)
 	}
 }

@@ -38,8 +38,8 @@ const applySlab = 16
 // as two micro-kernel passes over a slab of C, with W produced directly as the
 // second pass's right operand: no triangular multiply (the packed operands
 // carry their zero structure as a skyline the kernels skip), no staging
-// copies, no per-call packing of V or — with the portable kernels — of C, no
-// allocation.
+// copies, no per-call packing of V, of C or of W (every kernel reads a
+// column-major right operand in place), no allocation.
 //
 // Two shapes share the engine. The triangular-top shape is Larfb's: V is
 // rows×k, unit lower trapezoidal. The TS ("triangle on top of square") shape

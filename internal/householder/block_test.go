@@ -173,30 +173,35 @@ func withBlocking(b blas.Blocking, f func()) {
 }
 
 // blockings covers the layouts and chain splits the engine must be correct
-// under: each portable tile height (and the assembly layout when built with
-// -tags blasasm), and a KC of 8 so that modest shapes exercise rows > KC and
-// k > KC — the chunked operands and the repacked W.
+// under: KernelAuto (the assembly layout wherever blas.AsmActive, which the
+// tests log), each portable tile height named explicitly so that the stream
+// layout stays tested on an AVX2 host, and a KC of 8 so that modest shapes
+// exercise rows > KC and k > KC — the chunked operands and the repacked W.
 var blockings = []blas.Blocking{
 	{},
+	{Kernel: blas.Kernel2x4},
 	{Kernel: blas.Kernel4x4},
 	{Kernel: blas.Kernel8x4},
 	{KC: 8},
+	{KC: 8, Kernel: blas.Kernel2x4},
 	{KC: 8, Kernel: blas.Kernel8x4},
 }
 
 // TestBlockAgainstExplicitH is the property test: over ragged shapes — rows
-// not a multiple of any tile height, k from 1 to a full tile, a column
-// fringe, rows above the default KC — both sides, both forms and both shapes
-// must match the explicitly formed H to a c·rows·ε budget.
+// not a multiple of any tile height (so the assembly layout pads its last
+// panel), k from 1 to a full tile, a column fringe, rows above the default KC
+// — both sides, both forms and both shapes must match the explicitly formed H
+// to a c·rows·ε budget.
 func TestBlockAgainstExplicitH(t *testing.T) {
+	t.Logf("blas.AsmActive() = %v", blas.AsmActive())
 	type shape struct {
 		ts      bool
 		rows, k int
 	}
 	shapes := []shape{
-		{false, 1, 1}, {false, 7, 5}, {false, 13, 12}, {false, 59, 12}, {false, 63, 16},
-		{false, 48, 48}, {false, 131, 48}, {false, 150, 12},
-		{true, 1, 1}, {true, 5, 5}, {true, 33, 12}, {true, 47, 16}, {true, 48, 48}, {true, 150, 5},
+		{false, 1, 1}, {false, 7, 5}, {false, 9, 4}, {false, 12, 12}, {false, 13, 12}, {false, 59, 12},
+		{false, 63, 16}, {false, 48, 48}, {false, 131, 48}, {false, 150, 12},
+		{true, 1, 1}, {true, 5, 5}, {true, 9, 7}, {true, 33, 12}, {true, 47, 16}, {true, 48, 48}, {true, 150, 5},
 	}
 	const eps = 0x1p-52
 	for _, bk := range blockings {
@@ -208,7 +213,7 @@ func TestBlockAgainstExplicitH(t *testing.T) {
 				}
 				tb := newTestBlock(rng, sh.ts, sh.rows, sh.k, FormH|FormHT)
 				m := tb.order()
-				for _, n := range []int{1, 3, 16, 37} {
+				for _, n := range []int{1, 3, 5, 16, 37} {
 					for _, side := range []blas.Side{blas.Left, blas.Right} {
 						c := randDense(rng, m, n)
 						if side == blas.Right {
@@ -237,6 +242,7 @@ func TestBlockAgainstExplicitH(t *testing.T) {
 // retuned freely: each result column is bitwise the same whatever column
 // blocks C is cut into, and whichever kernel family runs.
 func TestBlockColumnSplitBitwise(t *testing.T) {
+	t.Logf("blas.AsmActive() = %v", blas.AsmActive())
 	const n = 67
 	for _, ts := range []bool{false, true} {
 		rows, k := 59, 12
@@ -244,7 +250,7 @@ func TestBlockColumnSplitBitwise(t *testing.T) {
 			rows, k = 48, 48
 		}
 		var ref *matrix.Dense
-		for _, bk := range blockings[:3] {
+		for _, bk := range blockings[:4] {
 			withBlocking(bk, func() {
 				rng := rand.New(rand.NewSource(11))
 				tb := newTestBlock(rng, ts, rows, k, FormH)
@@ -306,6 +312,7 @@ func TestBlockDegenerate(t *testing.T) {
 }
 
 func TestBlockApplyAllocs(t *testing.T) {
+	t.Logf("blas.AsmActive() = %v", blas.AsmActive())
 	rng := rand.New(rand.NewSource(3))
 	for _, ts := range []bool{false, true} {
 		tb := newTestBlock(rng, ts, 59, 12, FormH|FormHT)

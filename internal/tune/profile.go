@@ -34,15 +34,20 @@ const RequiredKC = 128
 const ProfileEnv = "EIGEN_TUNE_PROFILE"
 
 // kernelNames is the closed set of GEMM kernel spellings the schema
-// admits. It mirrors blas.KernelFromString (tune is a leaf package and cannot
+// admits (blas.Kernel's String forms; tune is a leaf package and cannot
 // import blas to ask).
 var kernelNames = map[string]bool{
 	"": true, "auto": true, "2x4": true, "4x4": true, "8x4": true, "seed": true,
 }
 
-// GemmConfig is the persisted GEMM blocking: cache block sizes and the
-// accumulator-tile kernel, in the spelling blas.KernelFromString accepts.
-// Zero fields mean "keep the built-in default".
+// GemmConfig is the persisted GEMM blocking: the cache block sizes. Zero
+// fields mean "keep the built-in default".
+//
+// Kernel is what older profiles recorded as the winning accumulator tile. It
+// is still parsed and validated, so those files load, but nothing applies it
+// and eigtune no longer writes it: the kernel is chosen at run time
+// (blas.KernelAuto), and a tile name persisted before the assembly kernel was
+// a candidate would pin the slower portable path.
 type GemmConfig struct {
 	MC     int    `json:"mc,omitempty"`
 	KC     int    `json:"kc,omitempty"`
@@ -57,11 +62,11 @@ type GemmConfig struct {
 // default for that knob.
 //
 // Numerics contract: every field a Solver applies automatically is
-// numerically neutral — GEMM MC/NC and the kernel never reorder an
-// accumulation chain (see internal/blas), and ColBlock only partitions
-// independent eigenvector columns. The two exceptions are KC (pinned by
-// Validate to RequiredKC) and NB, which selects a different — equally valid —
-// factorization exactly like Options.NB does.
+// numerically neutral — GEMM MC/NC never reorder an accumulation chain (see
+// internal/blas), and ColBlock only partitions independent eigenvector
+// columns. The two exceptions are KC (pinned by Validate to RequiredKC) and
+// NB, which selects a different — equally valid — factorization exactly like
+// Options.NB does.
 type Profile struct {
 	Version int    `json:"version"`
 	GOOS    string `json:"goos"`

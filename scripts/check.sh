@@ -1,7 +1,11 @@
 #!/bin/sh
-# Pre-merge gate: everything must build, vet clean, and pass the test suite
+# Pre-merge gate: everything must build, vet clean (asmdecl included: the
+# AVX2 GEMM kernel is part of the default amd64 build), and pass the test suite
 # under the race detector (the Solver is documented as safe for concurrent
-# use, so -race is part of the baseline, not an extra).
+# use, so -race is part of the baseline, not an extra). There is one build
+# configuration: on an AVX2 host the race pass runs the assembly kernel and
+# its memory-safety tests, and the tests that compare it with the portable
+# kernels log blas.AsmActive() rather than skip.
 set -eu
 
 set -x
@@ -9,10 +13,10 @@ go build ./...
 go vet ./...
 go test -race ./...
 
-# The one other build configuration: the assembly GEMM kernel (-tags blasasm,
-# inert on non-AVX2 hosts where it falls back to the portable 8x4), on the two
-# packages whose results depend on the micro-kernel and panel layout.
-go test -tags blasasm ./internal/blas ./internal/householder
+# The files that replace the assembly off amd64 are compiled by nothing above:
+# cross-compile them (pure Go, needs no network or C toolchain).
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/blas ./internal/householder
 set +x
 
 # Named gates. The race pass above already ran every test; what a later
@@ -37,7 +41,7 @@ batch                TestSolveBatch|TestBatchIsolationMixed|TestNotFiniteError|T
 pipeline             TestSolveBatchPipeline|TestSolveBatchReentrant|TestPipeline|TestSolveState|TestBuildPlan  ./internal/core .
 tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestSchedAffinity|TestParallelTridiag  ./internal/tridiag ./internal/core
 stage1-lookahead     TestReduceLookahead|TestLookahead|TestStage1  ./internal/band ./internal/core .
-packed-engine        TestBlock|TestGemmPackedA  ./internal/householder ./internal/blas
+packed-engine        TestBlock|TestGemmPackedA|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestKernelAutoWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestSolveBitwiseAcrossKernels  ./internal/householder ./internal/blas .
 sbr                  TestSBR|TestMultiSweep|TestChaseBanded  ./internal/sbr ./internal/core ./internal/bulge .
 tune-profile         TestTuneProfileRoundTripSolve|TestTuning|TestProfileRoundTrip|TestProfileValidateRejects|TestLoadRejectsMismatch|TestProfileMigration  . ./internal/tune
 service              TestServerAuth|TestServerSubmitValidation|TestServerJobEndpoints|TestServerNaNPayloadMapsTo400|TestErrorMapping|TestMemStore|TestDiskStore|TestRoundTripBitwise|TestCancelMidSolveFreesSlot|TestOverBudgetRefused|TestConcurrentClients  ./internal/service ./client

@@ -6,9 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/blas"
 	"repro/internal/trace"
 )
 
@@ -352,6 +354,42 @@ func TestEigValuesRangeNonBI(t *testing.T) {
 		}
 		if _, ok := phases[trace.PhaseUpdateQ1]; ok {
 			t.Fatalf("method %d: values-only range ran the Q1 update", m)
+		}
+	}
+}
+
+// TestSolveBitwiseAcrossKernels is the solver-level half of the kernel
+// contract: whichever micro-kernel KernelAuto resolves to on this host (the
+// AVX2 assembly wherever blas.AsmActive), a whole solve — two-stage with
+// vectors, values only, and the one-stage reference, on the parallel path —
+// returns the bits of the portable 2×4 tile.
+func TestSolveBitwiseAcrossKernels(t *testing.T) {
+	t.Logf("blas.AsmActive() = %v", blas.AsmActive())
+	t.Cleanup(func() { blas.SetBlocking(blas.DefaultBlocking()) })
+	a := randSymMatrix(rand.New(rand.NewSource(23)), 131)
+	type outcome struct{ vals, vecs, valsOnly, oneVals, oneVecs []float64 }
+	solve := func(k blas.Kernel) outcome {
+		blas.SetBlocking(blas.Blocking{Kernel: k})
+		var o outcome
+		o.vals, o.vecs = solveOnce(t, a, &Options{Workers: 2, DisableTuning: true})
+		var err error
+		if o.valsOnly, err = EigValues(a, &Options{Workers: 2, DisableTuning: true}); err != nil {
+			t.Fatalf("EigValues: %v", err)
+		}
+		o.oneVals, o.oneVecs = solveOnce(t, a, &Options{Workers: 2, DisableTuning: true, Algorithm: OneStage})
+		return o
+	}
+	want, got := solve(blas.Kernel2x4), solve(blas.KernelAuto)
+	for _, cmp := range []struct {
+		what      string
+		got, want []float64
+	}{
+		{"Eig values", got.vals, want.vals}, {"Eig vectors", got.vecs, want.vecs},
+		{"EigValues", got.valsOnly, want.valsOnly},
+		{"OneStage values", got.oneVals, want.oneVals}, {"OneStage vectors", got.oneVecs, want.oneVecs},
+	} {
+		if !slices.Equal(cmp.got, cmp.want) {
+			t.Errorf("%s differ between Kernel2x4 and KernelAuto", cmp.what)
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // TuneProfile is the persisted autotuning profile written by cmd/eigtune and
 // consumed by Options.Tuning: the machine identity it was measured on plus
-// the winning GEMM blocking, stage-1 tile size, column-block width and
+// the winning GEMM cache blocking, stage-1 tile size, column-block width and
 // stage-1 look-ahead depth.
 // Aliased from the internal tune package so external callers can construct,
 // load (LoadTuneProfile) and save (its Save method) profiles.
@@ -36,11 +36,14 @@ func DefaultTuneProfilePath() (string, error) { return tune.DefaultPath() }
 //
 // Application is deliberately asymmetric:
 //
-//   - The GEMM blocking is process-wide (it describes the machine, not a
-//     solver) and is installed via blas.SetBlocking. Its fields are
-//     numerically neutral — the profile schema pins KC, the only blocking
+//   - The GEMM cache blocking (MC/NC) is process-wide (it describes the
+//     machine, not a solver) and is installed via blas.SetBlocking. Its fields
+//     are numerically neutral — the profile schema pins KC, the only blocking
 //     parameter that changes rounding — so installing it never perturbs any
-//     concurrent solver's results.
+//     concurrent solver's results. The kernel family is never taken from a
+//     profile: blas.KernelAuto picks the assembly tile wherever the CPU has
+//     it, and a profile written before that kernel was in the default build
+//     names a portable tile that would silently pin the slow path.
 //   - NB, ColBlock and LookaheadDepth are per-solver and only fill fields
 //     the caller left unset, so explicit Options always win over the profile.
 //
@@ -58,11 +61,8 @@ func applyTuning(o *Options) {
 	if p == nil || p.Validate() != nil {
 		return
 	}
-	if g := p.Gemm; g.MC != 0 || g.NC != 0 || g.KC != 0 || g.Kernel != "" {
-		kern, ok := blas.KernelFromString(g.Kernel)
-		if ok {
-			blas.SetBlocking(blas.Blocking{MC: g.MC, KC: g.KC, NC: g.NC, Kernel: kern})
-		}
+	if g := p.Gemm; g.MC != 0 || g.NC != 0 || g.KC != 0 {
+		blas.SetBlocking(blas.Blocking{MC: g.MC, KC: g.KC, NC: g.NC, Kernel: blas.KernelAuto})
 	}
 	if o.NB == 0 && p.NB > 0 {
 		o.NB = p.NB

@@ -1,8 +1,11 @@
 package eigen
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/blas"
@@ -10,8 +13,9 @@ import (
 )
 
 // neutralProfile returns a valid profile that moves every numerically-neutral
-// knob off its default: different cache blocking (KC pinned), an explicit
-// kernel, and a non-default column block. NB is left unset — it is the one
+// knob off its default: different cache blocking (KC pinned), a kernel name
+// as profiles written before run-time dispatch carry one (loaded, never
+// applied), and a non-default column block. NB is left unset — it is the one
 // knob that legitimately changes the computed basis, so the bitwise gate
 // exercises everything else.
 func neutralProfile() *tune.Profile {
@@ -66,8 +70,8 @@ func TestTuneProfileRoundTripSolve(t *testing.T) {
 	// Tuned: the profile is picked up from disk at Solver construction.
 	tune.InvalidateCache()
 	vals1, vecs1 := solveOnce(t, a, nil)
-	if cb := blas.CurrentBlocking(); cb.MC != 96 || cb.NC != 256 || cb.Kernel != blas.Kernel4x4 {
-		t.Fatalf("profile not applied to GEMM blocking: %+v", cb)
+	if cb := blas.CurrentBlocking(); cb.MC != 96 || cb.NC != 256 || cb.Kernel != blas.KernelAuto {
+		t.Fatalf("GEMM blocking after the profile: %+v, want its mc/nc under KernelAuto", cb)
 	}
 
 	for i := range vals0 {
@@ -79,6 +83,42 @@ func TestTuneProfileRoundTripSolve(t *testing.T) {
 		if vecs0[i] != vecs1[i] {
 			t.Fatalf("eigenvector element %d differs with profile: %v vs %v", i, vecs0[i], vecs1[i])
 		}
+	}
+}
+
+// TestTuningStaleKernelNotApplied is the regression test for profiles written
+// before the assembly kernel was in the default build: they persist the
+// portable tile that won then ("2x4" or "4x4" — the assembly tile was never a
+// candidate), and applying it would silently pin the slow path on an AVX2
+// host. Such a file must still load, and must leave the kernel at KernelAuto.
+func TestTuningStaleKernelNotApplied(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tune.json")
+	t.Setenv(tune.ProfileEnv, path)
+	tune.InvalidateCache()
+	blas.SetBlocking(blas.DefaultBlocking())
+	t.Cleanup(func() {
+		tune.InvalidateCache()
+		blas.SetBlocking(blas.DefaultBlocking())
+	})
+	stale := fmt.Sprintf(`{"version":%d,"goos":%q,"goarch":%q,"num_cpu":%d,"gemm":{"mc":128,"kc":128,"nc":1024,"kernel":"2x4"},"nb":32}`,
+		tune.ProfileVersion, runtime.GOOS, runtime.GOARCH, runtime.NumCPU())
+	if err := os.WriteFile(path, []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := tune.Load(path)
+	if err != nil {
+		t.Fatalf("a profile carrying a kernel name no longer loads: %v", err)
+	}
+	if p.Gemm.Kernel != "2x4" {
+		t.Fatalf("kernel field parsed as %q, want it preserved", p.Gemm.Kernel)
+	}
+	s := NewSolver(nil)
+	defer s.Close()
+	if s.opts.NB != 32 {
+		t.Fatalf("profile not picked up from disk: NB=%d", s.opts.NB)
+	}
+	if cb := blas.CurrentBlocking(); cb.Kernel != blas.KernelAuto || cb.MC != 128 || cb.NC != 1024 {
+		t.Fatalf("GEMM blocking after NewSolver: %+v, want mc=128 nc=1024 under KernelAuto", cb)
 	}
 }
 
