@@ -179,16 +179,17 @@ type Options struct {
 // (O(n·nb)), and — when vectors are computed — the prepared Q₂ diamonds
 // (≈3n²/2: a 59×12 diamond's two packed operands occupy 64×12 and 16×59 in
 // the assembly kernel's layout, which pads the last row-panel to a whole
-// tile), the eigenvector staging matrix plus the D&C basis and merge scratch
-// (≈2n² more). It deliberately overestimates slightly: the batch layer uses
-// it to bound how many solves may hold workspace concurrently under a memory
-// budget, where admitting late is recoverable and admitting past physical
-// memory is not. nb ≤ 0 means the default tile size.
-//
-// Known gap (measured at n = 1024, see ROADMAP): the stage-1, band and
-// prepared-reflector terms cover their arena slots, but the D&C term does
-// not — tridiag.WorkSet retains ≈ 8n² of pooled merge scratch on a sequential
-// solve and more per worker, against the ≈ 2n² counted here.
+// tile), the eigenvector staging matrix, and the D&C's pool. The last is
+// what tridiag.WorkSet retains: a rank-one merge of order m holds three m×m
+// buffers (the left factor of its eigenvector update, that factor packed for
+// the micro-kernel, and its result), the pool keeps them by size, and with
+// every node of every level of the tree in flight at once — the most any
+// worker count can ask for — that is 3n²·(1 + ½ + ¼ + …) = 6n² (a sequential
+// solve keeps ≈ 4.5n², two workers ≈ 5.5n²). The estimate deliberately
+// overestimates slightly: the batch layer uses it to bound how many solves may
+// hold workspace concurrently under a memory budget, where admitting late is
+// recoverable and admitting past physical memory is not. nb ≤ 0 means the
+// default tile size.
 func EstimateWorkspaceBytes(n, nb int, vectors bool) int64 {
 	if n <= 0 {
 		return 0
@@ -200,7 +201,8 @@ func EstimateWorkspaceBytes(n, nb int, vectors bool) int64 {
 	bytes := 2 * nn // dense working copy + tile storage
 	bytes += 2 * nn // stage-1 T factors + reflectors prepared for the reduction
 	if vectors {
-		bytes += 3 * nn     // vector staging + D&C basis and merge scratch
+		bytes += nn         // vector staging
+		bytes += 6 * nn     // D&C pool
 		bytes += 5 * nn / 2 // reflectors prepared for Q₁ and the Q₂ diamonds
 	}
 	bytes += 8 * int64(n) * int64(nb+2) // band, workband, reflector slabs, scratch

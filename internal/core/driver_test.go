@@ -12,6 +12,7 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/testmat"
 	"repro/internal/trace"
+	"repro/internal/work"
 )
 
 // residualBudget is the allowed normalized residual (units of n·ε·‖A‖).
@@ -58,6 +59,8 @@ func TestTwoStageAllMethodsPlantedSpectrum(t *testing.T) {
 		{name: "geometric", o: par, spec: testmat.GeometricSpectrum(wide, 1e-3, 1e3)},
 		{name: "clustered", o: par, spec: testmat.ClusteredSpectrum(wide, 5, 1e-9)},
 		{name: "laplacian", o: par, a: testmat.GraphLaplacian(rng, wide, 6)},
+		{name: "wilkinson", o: par, a: testmat.Wilkinson(57)},
+		{name: "glued wilkinson", o: par, a: testmat.GluedWilkinson(21, 3, 1e-8)},
 	} {
 		a, want := in.a, []float64(nil)
 		if in.spec != nil {
@@ -73,6 +76,28 @@ func TestTwoStageAllMethodsPlantedSpectrum(t *testing.T) {
 				t.Fatalf("%s %v: %v", in.name, m, err)
 			}
 			checkEigen(t, "two-stage "+in.name+" "+m.String(), a, res, want)
+		}
+	}
+}
+
+// TestEstimateCoversArena: the admission-control estimate prices what a
+// vectors solve leaves in its arena — the D&C's pool included, which it
+// undercounted by half before that pool was bounded.
+func TestEstimateCoversArena(t *testing.T) {
+	for _, n := range []int{256, 1024} {
+		a := testmat.RandomSym(rand.New(rand.NewSource(int64(n))), n)
+		for _, workers := range []int{1, 2} {
+			arena := work.NewArena()
+			o := Options{Method: MethodDC, Vectors: true, Workers: workers, Arena: arena}
+			if _, err := SyevTwoStage(context.Background(), a, o); err != nil {
+				t.Fatal(err)
+			}
+			got, est := arena.Bytes(), EstimateWorkspaceBytes(n, o.NB, true)
+			nn := float64(8 * n * n)
+			t.Logf("n=%d workers=%d: arena %.2f n², estimate %.2f n²", n, workers, float64(got)/nn, float64(est)/nn)
+			if est < got {
+				t.Errorf("n=%d workers=%d: estimate %d bytes < arena %d bytes", n, workers, est, got)
+			}
 		}
 	}
 }

@@ -126,6 +126,35 @@ func ClusteredSpectrum(n, k int, spread float64) []float64 {
 	return s
 }
 
+// Wilkinson returns the Wilkinson matrix W⁺ of odd order n as a dense
+// matrix: tridiagonal, |i − (n−1)/2| on the diagonal, ones beside it. Its
+// larger eigenvalues come in pairs that agree to many digits without being
+// equal — the classic test of deflation (D&C) and of reorthogonalization
+// (inverse iteration).
+func Wilkinson(n int) *matrix.Dense { return GluedWilkinson(n, 1, 0) }
+
+// GluedWilkinson returns copies of W⁺ of order m along the diagonal, each
+// coupled to the next by the off-diagonal entry glue. With glue near
+// √ε·‖W‖ every eigenvalue of W⁺ becomes a cluster of `copies` eigenvalues
+// whose vectors are spread over all the blocks: the matrix the LAPACK
+// testers use against eigenvectors computed cluster by cluster.
+func GluedWilkinson(m, copies int, glue float64) *matrix.Dense {
+	n := m * copies
+	a := matrix.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, math.Abs(float64(i%m-(m-1)/2)))
+		if i+1 < n {
+			off := 1.0
+			if (i+1)%m == 0 {
+				off = glue
+			}
+			a.Set(i, i+1, off)
+			a.Set(i+1, i, off)
+		}
+	}
+	return a
+}
+
 // GraphLaplacian returns the Laplacian of a random undirected graph with n
 // vertices and average degree deg — the workload of the spectral-clustering
 // example. Always symmetric positive semidefinite.

@@ -1,0 +1,281 @@
+package tridiag
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/sched"
+)
+
+// goeTridiag returns the tridiagonal a Householder reduction leaves of an
+// n×n GOE matrix, drawn directly (Dumitriu–Edelman): N(0, 2) on the diagonal,
+// χ with n−1, …, 1 degrees of freedom beside it. Little of it deflates, which
+// is the regime the benchmark's headline solve is in.
+func goeTridiag(rng *rand.Rand, n int) (d, e []float64) {
+	d = make([]float64, n)
+	e = make([]float64, n-1)
+	for i := range d {
+		d[i] = rng.NormFloat64() * math.Sqrt2
+	}
+	for i := range e {
+		var c float64
+		for j := i; j < n-1; j++ {
+			v := rng.NormFloat64()
+			c += v * v
+		}
+		e[i] = math.Sqrt(c)
+	}
+	return d, e
+}
+
+// mergeCounts sums what the rank-one merges of the last StedcSched on ws
+// did. Only merges above the cutoff are nodes of the DAG, so a caller that
+// wants all of them sets DCParCutoff to dcBaseSize first.
+type mergeCounts struct {
+	roots, evals  int   // secular roots, evaluations of f they took
+	maxIters      int   // most evaluations any one root took
+	nk2           int64 // Σ n·k²
+	gemm, secular int64 // Σ attributed flops
+}
+
+func countMerges(ws *WorkSet) (c mergeCounts) {
+	for i := range ws.run.nodes {
+		nd := &ws.run.nodes[i]
+		if nd.left < 0 || nd.rho == 0 {
+			continue
+		}
+		st := &nd.st
+		c.roots += st.k
+		c.evals += st.evals
+		c.maxIters = max(c.maxIters, st.worst)
+		c.nk2 += int64(st.n) * int64(st.k) * int64(st.k)
+		c.gemm += st.gemmFlops(st.k)
+		c.secular += dcSecularFlops(st.k, st.evals)
+	}
+	return c
+}
+
+// TestStedcHard drives the D&C over the tridiagonals that are hard for it —
+// tight pairs (Wilkinson), blocks glued by a coupling at the deflation
+// threshold, a spectrum that deflates almost everywhere ((−1, 2, −1)), graded
+// and clustered entries, and entries at both ends of the exponent range —
+// under the budgets the rest of this file's siblings apply, sequentially and
+// on two workers (bitwise the same), and holds the root finder to its
+// iteration count on each.
+func TestStedcHard(t *testing.T) {
+	defer func(c int) { DCParCutoff = c }(DCParCutoff)
+	DCParCutoff = dcBaseSize // every merge is a DAG node, so countMerges sees it
+	rng := rand.New(rand.NewSource(77))
+	glued := func(m, copies int, glue float64) (d, e []float64) {
+		for b := 0; b < copies; b++ {
+			wd, we := wilkinson(m)
+			d = append(d, wd...)
+			if b > 0 {
+				e = append(e, glue)
+			}
+			e = append(e, we...)
+		}
+		return d, e
+	}
+	times := func(f float64, d, e []float64) {
+		for i := range d {
+			d[i] *= f
+		}
+		for i := range e {
+			e[i] *= f
+		}
+	}
+	type row struct {
+		name  string
+		d, e  []float64
+		unexp int // the check runs on T·2^−unexp, which is of order one
+	}
+	var rows []row
+	add := func(name string, unexp int, d, e []float64) {
+		rows = append(rows, row{name: name, d: d, e: e, unexp: unexp})
+	}
+	d, e := wilkinson(1001)
+	add("wilkinson1001", 0, d, e)
+	d, e = glued(21, 40, 1e-8)
+	add("glued40x21", 0, d, e)
+	d, e = laplacian121(1000)
+	for i := range e {
+		e[i] = -1
+	}
+	add("-1,2,-1", 0, d, e)
+	n := 400
+	d, e = make([]float64, n), make([]float64, n-1)
+	for i := range d {
+		d[i] = math.Pow(10, -12*float64(i)/float64(n-1)) * (1 + rng.Float64())
+	}
+	for i := range e {
+		e[i] = 0.5 * math.Sqrt(d[i]*d[i+1])
+	}
+	add("graded", 0, d, e)
+	d, e = make([]float64, n), make([]float64, n-1)
+	for i := range d {
+		d[i] = float64(i%5) + 1e-10*rng.Float64()
+	}
+	for i := range e {
+		e[i] = 1e-10 * rng.NormFloat64()
+	}
+	add("clustered1e-10", 0, d, e)
+	d, e = randTridiag(rng, 300)
+	times(1e150, d, e)
+	add("normal*1e+150", 498, d, e)
+	d, e = randTridiag(rng, 300)
+	times(1e-150, d, e)
+	add("normal*1e-150", -498, d, e)
+
+	s := sched.New(2)
+	defer s.Shutdown()
+	for _, r := range rows {
+		n := len(r.d)
+		vals, q, err := Stedc(r.d, r.e)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		ws := NewWorkSet(2)
+		pvals, pq, err := StedcSched(r.d, r.e, ws, s.NewJob(nil), 0, nil)
+		if err != nil {
+			t.Fatalf("%s on two workers: %v", r.name, err)
+		}
+		if !sameVec(vals, pvals) || !sameMat(q, pq) {
+			t.Errorf("%s: StedcSched on two workers differs from Stedc", r.name)
+		}
+		// The budgets, on T brought to order one by an exact power of two (at
+		// 1e−150 the squares residualT sums would underflow to a pass).
+		sd, se, sv := make([]float64, n), make([]float64, n-1), make([]float64, n)
+		for i := range sd {
+			sd[i], sv[i] = math.Ldexp(r.d[i], -r.unexp), math.Ldexp(vals[i], -r.unexp)
+		}
+		for i := range se {
+			se[i] = math.Ldexp(r.e[i], -r.unexp)
+		}
+		scale := scaleOf(sd, se)
+		for i := 1; i < n; i++ {
+			if !(sv[i-1] <= sv[i]) {
+				t.Fatalf("%s: eigenvalues %d, %d out of order: %g, %g", r.name, i-1, i, sv[i-1], sv[i])
+			}
+		}
+		if res := residualT(sd, se, sv, q); !(res <= 1e-12*scale*float64(n)) {
+			t.Errorf("%s: residual %g (%.3g n·ε·‖T‖)", r.name, res, res/(scale*float64(n)*Eps))
+		}
+		if o := orthoError(q); !(o <= 1e-12*float64(n)) {
+			t.Errorf("%s: orthogonality %g (%.3g n·ε)", r.name, o, o/(float64(n)*Eps))
+		}
+		c := countMerges(ws)
+		if c.roots > 0 {
+			perRoot := float64(c.evals) / float64(c.roots)
+			t.Logf("%-16s n = %4d: %5d roots, %.2f evaluations per root, at most %d", r.name, n, c.roots, perRoot, c.maxIters)
+			if perRoot > 8 {
+				t.Errorf("%s: %.2f evaluations per root, want ≤ 8", r.name, perRoot)
+			}
+		}
+		if c.maxIters >= secularMaxRational {
+			t.Errorf("%s: a root took %d evaluations, the safeguard's cap", r.name, c.maxIters)
+		}
+	}
+}
+
+// TestStedcScalingExact pins what makes the 1e±150 rows above safe: T is
+// scaled by a power of two before anything divides, so T·2^s is solved by the
+// very operations that solve T — the vectors come out bitwise the same and
+// the values are the same significands with the exponent moved.
+func TestStedcScalingExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	d, e := randTridiag(rng, 150)
+	vals, q, err := Stedc(d, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []int{498, -498, 1000, -1000} {
+		sd, se := make([]float64, len(d)), make([]float64, len(e))
+		for i := range d {
+			sd[i] = math.Ldexp(d[i], s)
+		}
+		for i := range e {
+			se[i] = math.Ldexp(e[i], s)
+		}
+		svals, sq, err := Stedc(sd, se)
+		if err != nil {
+			t.Fatalf("2^%d: %v", s, err)
+		}
+		if !sameMat(sq, q) {
+			t.Errorf("2^%d·T: eigenvectors differ from T's", s)
+		}
+		for i, v := range svals {
+			if v != math.Ldexp(vals[i], s) {
+				t.Errorf("2^%d·T: eigenvalue %d is %g, want %g", s, i, v, math.Ldexp(vals[i], s))
+				break
+			}
+		}
+	}
+}
+
+// TestStedcWorkAllocs: a pooled repeat solve allocates nothing — the left
+// factor's packed form, the group permutation, the column kinds and the
+// ragged-panel scratch of the update all come from the Work.
+func TestStedcWorkAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	d, e := randTridiag(rng, 301)
+	w := NewWork()
+	solve := func() {
+		vals, q, err := StedcWork(d, e, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.PutVec(vals)
+		w.PutMat(q)
+	}
+	solve()
+	if a := testing.AllocsPerRun(3, solve); a != 0 {
+		t.Errorf("pooled StedcWork allocates %v times per solve, want 0", a)
+	}
+}
+
+// TestWorkSetRetention: what a WorkSet retains is a function of the problem
+// order, not of how many different matrices it has solved. Merge scratch is
+// sized by the node and resliced to the survivor count, and the members of a
+// set share their free lists, so forty different matrices leave behind what
+// two do — exactly on the inline path, and within the bound of a full tree
+// in flight (3n² per level, 6n² in all, plus vectors) on two workers.
+func TestWorkSetRetention(t *testing.T) {
+	const n, solves = 512, 40
+	for _, workers := range []int{1, 2} {
+		rng := rand.New(rand.NewSource(9))
+		ws := NewWorkSet(workers)
+		var s *sched.Scheduler
+		if workers > 1 {
+			s = sched.New(workers)
+			defer s.Shutdown()
+		}
+		var after2 int64
+		for it := 1; it <= solves; it++ {
+			d, e := goeTridiag(rng, n)
+			var job *sched.Job // nil: inline
+			if s != nil {
+				job = s.NewJob(nil)
+			}
+			vals, q, err := StedcSched(d, e, ws, job, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws.PutVec(vals)
+			ws.PutMat(q)
+			if it == 2 {
+				after2 = ws.WorkspaceBytes()
+			}
+		}
+		got := ws.WorkspaceBytes()
+		nn := float64(8 * n * n)
+		t.Logf("workers=%d: %.2f n² after 2 solves, %.2f n² after %d", workers, float64(after2)/nn, float64(got)/nn, solves)
+		if workers == 1 && got != after2 {
+			t.Errorf("inline: %d bytes retained after %d solves, %d after 2", got, solves, after2)
+		}
+		if float64(got) > 7*nn {
+			t.Errorf("workers=%d: %.2f n² retained after %d solves, want ≤ 7 n²", workers, float64(got)/nn, solves)
+		}
+	}
+}

@@ -4,14 +4,16 @@
 //
 //   - StedcSched executes Cuppen's recursion as a flat task DAG: subtrees
 //     below a cutoff are one sequential task each, and every rank-one merge
-//     above it splits into a pre task (deflation, secular solves, Löwner
-//     rebuild, output ordering), per-column-block GEMM tile tasks, and a
-//     post task that scatters the secular columns. Determinism: the tree
-//     shape and the rank-one tears depend only on the problem; tile widths
-//     depend only on the node size; distinct tasks write disjoint outputs;
-//     and the merge GEMM computes each output column independently, so any
-//     column partition is bitwise neutral (pinned by tests against the
-//     plain recursive StedcWork).
+//     above it splits into a pre task (deflation, the left factor of the
+//     eigenvector update gathered by group and packed, the secular roots, the
+//     Löwner rebuild), one GEMM tile task per dcTileCols columns (each builds
+//     its columns of the secular eigenvector matrix and multiplies them), and
+//     a task that releases the scratch. Determinism: the tree shape and the
+//     rank-one tears depend only on the problem; so do deflation and the
+//     grouping of the survivors; tile widths depend on nothing; distinct
+//     tasks write disjoint outputs; and every column of the update is
+//     computed independently of its tile, so any column partition is bitwise
+//     neutral (pinned by tests against the plain recursive StedcWork).
 //
 //   - StebzSched partitions the index range into fixed-width chunks; each
 //     chunk refines its eigenvalues with the shared-Sturm-count bracket
@@ -44,11 +46,6 @@ import (
 // tree — and therefore every floating-point operation — is unchanged, so
 // any cutoff produces bitwise identical results.
 var DCParCutoff = 64
-
-// dcTileCols is the secular-update GEMM tile width of the parallel merge.
-// It is a function of nothing — in particular not of the worker count —
-// so the column partition (and the results) never depend on parallelism.
-const dcTileCols = 64
 
 // errLatch is the shared failure flag of a task DAG: the first error wins,
 // later tasks observe failed() and skip their bodies.
@@ -89,12 +86,11 @@ type dcNode struct {
 	lo, hi      int // half-open index range in (dd, ee)
 	left, right int // child node indices; -1 at leaves
 	depth       int
-	rho         float64 // |e[mid-1]| of a rank-one tear, 0 if decoupled
-	theta       float64 // sign(e[mid-1])
+	rho         float64 // e[mid-1]: the coupling of a rank-one tear, 0 if decoupled
 
-	vals []float64     // result eigenvalues (pool-owned)
+	vals []float64     // result eigenvalues (pool-owned), in merge order
 	q    *matrix.Dense // result basis (pool-owned)
-	st   dcMergeState  // rank-one merge state, live between pre and post
+	st   dcMergeState  // rank-one merge state; its counts outlive the merge
 }
 
 // dcRun is the per-solve state of the D&C DAG; it is retained inside the
@@ -105,7 +101,7 @@ type dcRun struct {
 	job    *sched.Job
 	tc     *trace.Collector
 	aff    uint64
-	dd, ee []float64
+	dd, ee []float64 // the tridiagonal, scaled (see scaleT)
 	nodes  []dcNode
 	latch  errLatch
 }
@@ -129,17 +125,11 @@ func (r *dcRun) build(lo, hi, depth, cutoff int) int {
 		return i
 	}
 	m := lo + (hi-lo)/2
-	rho := r.ee[m-1]
-	if rho != 0 {
-		rhoAbs := math.Abs(rho)
-		theta := 1.0
-		if rho < 0 {
-			theta = -1
-		}
+	if rho := r.ee[m-1]; rho != 0 {
 		// Rank-one tear (see dcRecurse): T = diag(T1', T2') + |rho|·u·uᵀ.
-		r.dd[m-1] -= rhoAbs
-		r.dd[m] -= rhoAbs
-		r.nodes[i].rho, r.nodes[i].theta = rhoAbs, theta
+		r.dd[m-1] -= math.Abs(rho)
+		r.dd[m] -= math.Abs(rho)
+		r.nodes[i].rho = rho
 	}
 	l := r.build(lo, m, depth+1, cutoff)
 	rt := r.build(m, hi, depth+1, cutoff)
@@ -148,7 +138,7 @@ func (r *dcRun) build(lo, hi, depth, cutoff int) int {
 }
 
 // Resource IDs: node i's result is resource i; a rank-one node's merge
-// state is resource len(nodes)+i. Tile tasks read the merge state; the post
+// state is resource len(nodes)+i. Tile tasks read the merge state; the finish
 // task read-writes it, which orders it after every tile (write-after-read).
 func (r *dcRun) resNode(i int) int  { return i }
 func (r *dcRun) resMerge(i int) int { return len(r.nodes) + i }
@@ -170,86 +160,68 @@ func (r *dcRun) leafBody(i int, wk *Work) {
 	r.tc.AttributeFlops(trace.PhaseEigTRecurse, dcRecurseFlops(nd.hi-nd.lo))
 }
 
+// children returns the two solved halves of node i.
+func (r *dcRun) children(i int) (l, rt *dcNode) {
+	nd := &r.nodes[i]
+	return &r.nodes[nd.left], &r.nodes[nd.right]
+}
+
+// releaseChildren recycles the children's results once node i has read them.
+func (r *dcRun) releaseChildren(i int, wk *Work) {
+	l, rt := r.children(i)
+	recycleHalf(l.vals, r.dd[l.lo:], wk)
+	recycleHalf(rt.vals, r.dd[rt.lo:], wk)
+	wk.putMat(l.q)
+	wk.putMat(rt.q)
+	l.vals, l.q, rt.vals, rt.q = nil, nil, nil, nil
+}
+
 // decoupledBody combines two children across an exact-zero coupling.
 func (r *dcRun) decoupledBody(i int, wk *Work) {
 	if r.latch.failed() {
 		return
 	}
 	nd := &r.nodes[i]
-	l, rt := &r.nodes[nd.left], &r.nodes[nd.right]
-	vals, q := dcDecoupled(l.vals, l.q, rt.vals, rt.q, wk)
-	recycleHalf(l.vals, r.dd[l.lo:], wk)
-	recycleHalf(rt.vals, r.dd[rt.lo:], wk)
-	wk.putMat(l.q)
-	wk.putMat(rt.q)
-	l.vals, l.q, rt.vals, rt.q = nil, nil, nil, nil
-	nd.vals, nd.q = vals, q
+	l, rt := r.children(i)
+	nd.vals, nd.q = dcDecoupled(l.vals, l.q, rt.vals, rt.q, wk)
+	r.releaseChildren(i, wk)
 }
 
-// preBody combines the children of a rank-one node (the z vector, merged
-// eigenvalues, block-diagonal basis — the same assembly dcRecurse performs)
-// and runs dcMergePre.
+// preBody, tileBody and finishBody are the steps of dcMerge for a rank-one
+// node (see dcMergeState). Tiles beyond the (deflation-dependent) k are
+// no-ops, so the task count can be fixed at submission time from the node
+// size alone.
+
 func (r *dcRun) preBody(i int, wk *Work) {
 	if r.latch.failed() {
 		return
 	}
 	nd := &r.nodes[i]
-	l, rt := &r.nodes[nd.left], &r.nodes[nd.right]
-	n := nd.hi - nd.lo
-	m := l.hi - l.lo
-	// z = [last row of Q1 ; theta · first row of Q2].
-	z := wk.vec(n)
-	for j := 0; j < m; j++ {
-		z[j] = l.q.At(m-1, j)
-	}
-	for j := 0; j < n-m; j++ {
-		z[m+j] = nd.theta * rt.q.At(0, j)
-	}
-	dvals := wk.vec(n)
-	copy(dvals, l.vals)
-	copy(dvals[m:], rt.vals)
-	// Block-diagonal accumulated basis.
-	q := wk.mat(n, n)
-	for j := 0; j < m; j++ {
-		copy(q.Data[j*q.Stride:j*q.Stride+m], l.q.Data[j*l.q.Stride:j*l.q.Stride+m])
-	}
-	for j := 0; j < n-m; j++ {
-		copy(q.Data[(m+j)*q.Stride+m:(m+j)*q.Stride+n], rt.q.Data[j*rt.q.Stride:j*rt.q.Stride+n-m])
-	}
-	recycleHalf(l.vals, r.dd[l.lo:], wk)
-	recycleHalf(rt.vals, r.dd[rt.lo:], wk)
-	wk.putMat(l.q)
-	wk.putMat(rt.q)
-	l.vals, l.q, rt.vals, rt.q = nil, nil, nil, nil
-	nd.st = dcMergePre(dvals, z, nd.rho, q, wk)
-	r.tc.AttributeFlops(trace.PhaseEigTMerge, dcSecularFlops(nd.st.k))
+	l, rt := r.children(i)
+	nd.st.pre(l.vals, l.q, rt.vals, rt.q, nd.rho, wk)
+	r.releaseChildren(i, wk)
+	r.tc.AttributeFlops(trace.PhaseEigTMerge, dcSecularFlops(nd.st.k, nd.st.evals))
 }
 
-// tileBody computes one column block of the merge GEMM. Block t covers
-// secular columns [t·dcTileCols, (t+1)·dcTileCols) ∩ [0, k); blocks beyond
-// the (deflation-dependent) k are no-ops, so the task count can be fixed at
-// submission time from the node size alone.
-func (r *dcRun) tileBody(i, t int) {
+func (r *dcRun) tileBody(i, t int, wk *Work) {
 	if r.latch.failed() {
 		return
 	}
 	st := &r.nodes[i].st
 	j0 := t * dcTileCols
-	j1 := min(j0+dcTileCols, st.k)
-	if j0 >= j1 {
+	if j0 >= st.k {
 		return
 	}
-	dcMergeGemm(st, j0, j1)
-	r.tc.AttributeFlops(trace.PhaseEigTMerge, 2*int64(st.n)*int64(j1-j0)*int64(st.k))
+	st.tile(j0, wk)
+	r.tc.AttributeFlops(trace.PhaseEigTMerge, st.gemmFlops(min(dcTileCols, st.k-j0)))
 }
 
-// postBody scatters the secular columns and finishes the node.
-func (r *dcRun) postBody(i int, wk *Work) {
+func (r *dcRun) finishBody(i int, wk *Work) {
 	if r.latch.failed() {
 		return
 	}
 	nd := &r.nodes[i]
-	nd.vals, nd.q = dcMergePost(&nd.st, wk)
+	nd.vals, nd.q = nd.st.finish(wk)
 }
 
 // tileCount is the fixed number of GEMM tile tasks of a node of size n
@@ -262,14 +234,11 @@ func tileCount(n int) int { return (n + dcTileCols - 1) / dcTileCols }
 // from inside a worker (which would deadlock the pool).
 func (r *dcRun) submitNode(i int) {
 	nd := &r.nodes[i]
+	submit := func(name string, run func(worker int), deps ...sched.Dep) {
+		r.job.Submit(sched.Task{Name: name, Priority: nd.depth, Affinity: r.aff, Deps: deps, Run: run})
+	}
 	if nd.left < 0 {
-		r.job.Submit(sched.Task{
-			Name:     "dc.leaf",
-			Priority: nd.depth,
-			Affinity: r.aff,
-			Deps:     []sched.Dep{sched.W(r.resNode(i))},
-			Run:      func(worker int) { r.leafBody(i, r.ws.Worker(worker)) },
-		})
+		submit("dc.leaf", func(worker int) { r.leafBody(i, r.ws.Worker(worker)) }, sched.W(r.resNode(i)))
 		return
 	}
 	r.submitNode(nd.left)
@@ -277,38 +246,18 @@ func (r *dcRun) submitNode(i int) {
 	ldep := sched.R(r.resNode(nd.left))
 	rdep := sched.R(r.resNode(nd.right))
 	if nd.rho == 0 {
-		r.job.Submit(sched.Task{
-			Name:     "dc.decoupled",
-			Priority: nd.depth,
-			Affinity: r.aff,
-			Deps:     []sched.Dep{ldep, rdep, sched.W(r.resNode(i))},
-			Run:      func(worker int) { r.decoupledBody(i, r.ws.Worker(worker)) },
-		})
+		submit("dc.decoupled", func(worker int) { r.decoupledBody(i, r.ws.Worker(worker)) },
+			ldep, rdep, sched.W(r.resNode(i)))
 		return
 	}
-	r.job.Submit(sched.Task{
-		Name:     "dc.merge.pre",
-		Priority: nd.depth,
-		Affinity: r.aff,
-		Deps:     []sched.Dep{ldep, rdep, sched.W(r.resMerge(i))},
-		Run:      func(worker int) { r.preBody(i, r.ws.Worker(worker)) },
-	})
+	submit("dc.merge.pre", func(worker int) { r.preBody(i, r.ws.Worker(worker)) },
+		ldep, rdep, sched.W(r.resMerge(i)))
 	for t := 0; t < tileCount(nd.hi-nd.lo); t++ {
-		r.job.Submit(sched.Task{
-			Name:     "dc.merge.gemm",
-			Priority: nd.depth,
-			Affinity: r.aff,
-			Deps:     []sched.Dep{sched.R(r.resMerge(i))},
-			Run:      func(worker int) { r.tileBody(i, t) },
-		})
+		submit("dc.merge.gemm", func(worker int) { r.tileBody(i, t, r.ws.Worker(worker)) },
+			sched.R(r.resMerge(i)))
 	}
-	r.job.Submit(sched.Task{
-		Name:     "dc.merge.post",
-		Priority: nd.depth,
-		Affinity: r.aff,
-		Deps:     []sched.Dep{sched.RW(r.resMerge(i)), sched.W(r.resNode(i))},
-		Run:      func(worker int) { r.postBody(i, r.ws.Worker(worker)) },
-	})
+	submit("dc.merge.finish", func(worker int) { r.finishBody(i, r.ws.Worker(worker)) },
+		sched.RW(r.resMerge(i)), sched.W(r.resNode(i)))
 }
 
 // runInline executes the same bodies in dependence order on the calling
@@ -340,24 +289,26 @@ func (r *dcRun) runInline(i int) {
 		if r.job.Canceled() {
 			return
 		}
-		r.tileBody(i, t)
+		r.tileBody(i, t, wk)
 	}
-	r.postBody(i, wk)
+	r.finishBody(i, wk)
 }
 
-// dcRecurseFlops and dcSecularFlops are the coarse attribution models of
-// the eig_t sub-phases (bookkeeping only — the kernels count real flops by
-// class): a sequential subtree is bounded by QR-style 6n³, a merge's
-// secular solves + Löwner rebuild + eigenvector-matrix build cost O(k²)
-// with a constant dominated by the ~60-iteration root bisections.
+// dcRecurseFlops and dcSecularFlops are the attribution models of the eig_t
+// sub-phases (bookkeeping only — the kernels count real flops by class). A
+// sequential subtree is bounded by QR-style 6n³. A merge's secular work is
+// what it did: each of the evals evaluations of the secular function the root
+// finder made costs 8 flops per pole (two subtractions, a division, the terms
+// of f, f′ and the error bound), and the Löwner rebuild (5 per pair) and the
+// eigenvector matrix (3 per entry to form, 3 to normalise) are 11·k² more.
 func dcRecurseFlops(n int) int64 {
 	nn := int64(n)
 	return 6 * nn * nn * nn
 }
 
-func dcSecularFlops(k int) int64 {
+func dcSecularFlops(k, evals int) int64 {
 	kk := int64(k)
-	return 250 * kk * kk
+	return 8*int64(evals)*kk + 11*kk*kk
 }
 
 // StedcSched is StedcWork executing over a scheduler job: the recursion's
@@ -395,10 +346,9 @@ func StedcSched(d, e []float64, ws *WorkSet, job *sched.Job, aff uint64, tc *tra
 	seq := ws.Seq()
 	r := &ws.run
 	r.reset(ws, job, aff, tc)
-	r.dd = seq.vec(n)
-	copy(r.dd, d)
-	r.ee = seq.vec(n - 1)
-	copy(r.ee, e[:n-1])
+	r.dd = seq.buf(n)
+	r.ee = seq.buf(n - 1)
+	exp := scaleT(r.dd, r.ee, d, e)
 	root := r.build(0, n, 0, cutoff)
 
 	var err error
@@ -419,10 +369,8 @@ func StedcSched(d, e []float64, ws *WorkSet, job *sched.Job, aff uint64, tc *tra
 		return nil, nil, err
 	}
 	rn := &r.nodes[root]
-	out := seq.vec(n)
-	copy(out, rn.vals)
+	out, q := dcSorted(rn.vals, rn.q, exp, seq)
 	seq.putVec(rn.vals)
-	q := rn.q
 	rn.vals, rn.q = nil, nil
 	return out, q, nil
 }

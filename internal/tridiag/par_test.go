@@ -419,10 +419,17 @@ func TestSchedAffinityRestriction(t *testing.T) {
 }
 
 // TestSchedFlopAttribution: the eig_t sub-phases must be attributed (side
-// channel only — AttributedFlops never contributes to TotalFlops).
+// channel only — AttributedFlops never contributes to TotalFlops), and the
+// merge's attribution must say what ran: the same flops from the inline path
+// and from two workers, the secular share computed from the evaluations the
+// root finder made, and the GEMM share from the nonzero range the grouped left
+// factor leaves the kernels — n·k² per merge where the halves survive evenly,
+// not the 2·n·k² of a dense product.
 func TestSchedFlopAttribution(t *testing.T) {
+	defer func(c int) { DCParCutoff = c }(DCParCutoff)
+	DCParCutoff = dcBaseSize // every merge is attributed as a merge
 	rng := rand.New(rand.NewSource(31))
-	d, e := randTridiag(rng, 200)
+	d, e := goeTridiag(rng, 512)
 	s := sched.New(2)
 	defer s.Shutdown()
 	set := NewWorkSet(2)
@@ -436,9 +443,33 @@ func TestSchedFlopAttribution(t *testing.T) {
 	if tc.AttributedFlops(trace.PhaseEigTRecurse) <= 0 {
 		t.Error("no recurse flops attributed")
 	}
-	if tc.AttributedFlops(trace.PhaseEigTMerge) <= 0 {
-		t.Error("no merge flops attributed")
+	merge := tc.AttributedFlops(trace.PhaseEigTMerge)
+	c := countMerges(set)
+	if merge != c.secular+c.gemm {
+		t.Errorf("merge flops attributed: %d, want %d secular + %d GEMM", merge, c.secular, c.gemm)
 	}
+	t.Logf("merge GEMM %d flops = %.3f of Σ n·k², secular %d flops, %d roots, %.2f evaluations per root, at most %d",
+		c.gemm, float64(c.gemm)/float64(c.nk2), c.secular, c.roots, float64(c.evals)/float64(c.roots), c.maxIters)
+	if lo, hi := 0.9*float64(c.nk2), 1.1*float64(c.nk2); float64(c.gemm) < lo || float64(c.gemm) > hi {
+		t.Errorf("GEMM share %d is not within 10%% of Σ n·k² = %d", c.gemm, c.nk2)
+	}
+	if perRoot := float64(c.evals) / float64(c.roots); perRoot < 2 || perRoot > 8 {
+		t.Errorf("%.2f evaluations per root attributed, want 2–8", perRoot)
+	}
+	seqTC := trace.New()
+	seqSet := NewWorkSet(1)
+	vals, q, err = StedcSched(d, e, seqSet, nil, 0, seqTC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqSet.PutVec(vals)
+	seqSet.PutMat(q)
+	for _, ph := range []string{trace.PhaseEigTRecurse, trace.PhaseEigTMerge} {
+		if a, b := seqTC.AttributedFlops(ph), tc.AttributedFlops(ph); a != b {
+			t.Errorf("%s: inline attributes %d flops, two workers %d", ph, a, b)
+		}
+	}
+
 	w := StebzSched(d, e, 1, len(d), set, s.NewJob(nil), 0, tc)
 	if tc.AttributedFlops(trace.PhaseEigTBisect) <= 0 {
 		t.Error("no bisect flops attributed")

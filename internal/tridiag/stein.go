@@ -100,7 +100,7 @@ func steinCluster(d, e, w []float64, z *matrix.Dense, cs, ce int, eps3 float64, 
 	sup := wk.vec(n)
 	sup2 := wk.vec(n)
 	x := wk.vec(n)
-	swapped := wk.deflatedBuf(n)
+	swapped := wk.swappedBuf(n)
 	put := func() {
 		wk.putVec(sub)
 		wk.putVec(diag)

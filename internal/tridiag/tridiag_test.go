@@ -353,62 +353,6 @@ func TestSteinSubsetVectors(t *testing.T) {
 	}
 }
 
-func TestSecularRootInterlacing(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(12)
-		d := make([]float64, n)
-		z := make([]float64, n)
-		d[0] = rng.NormFloat64()
-		for i := 1; i < n; i++ {
-			d[i] = d[i-1] + 0.1 + rng.Float64() // strictly increasing
-		}
-		for i := range z {
-			z[i] = rng.NormFloat64()
-			if math.Abs(z[i]) < 1e-3 {
-				z[i] = 1e-3
-			}
-		}
-		rho := 0.1 + rng.Float64()
-		var zsq float64
-		for _, v := range z {
-			zsq += v * v
-		}
-		for k := 0; k < n; k++ {
-			base, mu := SecularRoot(d, z, rho, k)
-			lam := d[base] + mu
-			lo := d[k]
-			hi := d[k] + rho*zsq + 1e-12
-			if k < n-1 {
-				hi = d[k+1]
-			}
-			if !(lam > lo && lam <= hi) {
-				t.Logf("seed %d root %d: λ=%g not in (%g, %g]", seed, k, lam, lo, hi)
-				return false
-			}
-			// Residual check: f(λ) ≈ 0.
-			fval := secularEval(d, z, rho, base, mu)
-			// f'(λ) ≥ rho·z_k²/gap² can be huge; just require the bisection
-			// interval collapsed: |f| should change sign within a few ulps.
-			next := math.Nextafter(mu, math.Inf(1))
-			fnext := secularEval(d, z, rho, base, next)
-			if fval != 0 && fnext != 0 && math.Signbit(fval) == math.Signbit(fnext) {
-				// Allow: mu at the other side boundary.
-				prev := math.Nextafter(mu, math.Inf(-1))
-				fprev := secularEval(d, z, rho, base, prev)
-				if math.Signbit(fprev) == math.Signbit(fval) {
-					t.Logf("seed %d root %d: no sign change around root", seed, k)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStedcMatchesSteqr(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, n := range []int{1, 2, 16, 33, 64, 100, 150} {

@@ -2,6 +2,7 @@ package tridiag
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/matrix"
 )
@@ -13,51 +14,63 @@ import (
 // free in steady state, which is what the reusable Solver's workspace arena
 // needs from this layer.
 //
-// A Work serves one solve at a time (the D&C recursion is sequential). A
-// nil *Work is valid everywhere and falls back to plain allocation, so the
-// public one-shot entry points need no conditionals.
+// Buffers are keyed by their full length, and a caller that needs k ≤ n
+// values of a size only known at run time — the merge's survivor count —
+// asks for n and reslices: the population of a pool is then a function of the
+// problem order and the D&C cutoff (and, through how many nodes are in
+// flight at once, the worker count) alone, however many different matrices
+// it serves.
+//
+// A Work serves one task body at a time. A nil *Work is valid everywhere and
+// falls back to plain allocation, so the public one-shot entry points need no
+// conditionals.
 type Work struct {
-	vecs map[int][][]float64     // free float buffers, keyed by exact length
-	mats map[int][]*matrix.Dense // free matrices, keyed by len(Data)
-	ints map[int][][]int         // free int buffers, keyed by exact length
+	free *freeLists
 
-	// Per-merge scratch, reused across the sequential merge nodes.
-	perm     []int
-	sidx     []int
-	bases    []int
-	deflated []bool
-	outs     []dcOut
-	ents     []dcEnt
-	stebz    []stebzIval // bisection interval work-stack
+	// Scratch of one task body, never held across bodies.
+	perm    []int
+	partner []int
+	kind    []uint8
+	swapped []bool      // inverse iteration's pivot flags
+	stebz   []stebzIval // bisection interval work-stack
 
 	permSort permSorter
-	outSort  outSorter
-	entSort  entSorter
 }
 
-// NewWork returns an empty pool.
-func NewWork() *Work {
-	return &Work{
+// freeLists holds the pooled buffers of a Work, or of all the members of a
+// WorkSet. A D&C buffer is taken by the task that starts a merge and put back
+// by the one that ends it, or by the merge above, on whichever workers those
+// run: with a free list per worker the buffers drift to the lists that only
+// receive (the submitting goroutine's, which gets every result back) while
+// the others allocate anew, solve after solve. One list under a lock has no
+// such drift, and the lock is taken a few hundred times per solve.
+type freeLists struct {
+	mu   sync.Mutex
+	vecs map[int][][]float64     // free float buffers, keyed by full length (= cap)
+	mats map[int][]*matrix.Dense // free matrices, keyed by len(Data)
+	ints map[int][][]int         // free int buffers, keyed by full length (= cap)
+}
+
+func newFreeLists() *freeLists {
+	return &freeLists{
 		vecs: make(map[int][][]float64),
 		mats: make(map[int][]*matrix.Dense),
 		ints: make(map[int][][]int),
 	}
 }
 
-// WorkspaceBytes reports the pool's retained float storage (for workspace-
-// budget accounting; see work.WorkspaceSized). The D&C matrices dominate;
-// the int/bool merge scratch is ignored.
-func (w *Work) WorkspaceBytes() int64 {
-	if w == nil {
-		return 0
-	}
+// bytes is the retained float storage. The D&C matrices dominate; the int
+// buffers and the per-body scratch are ignored.
+func (f *freeLists) bytes() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	var b int64
-	for _, l := range w.vecs {
+	for _, l := range f.vecs {
 		for _, v := range l {
 			b += int64(cap(v)) * 8
 		}
 	}
-	for _, l := range w.mats {
+	for _, l := range f.mats {
 		for _, m := range l {
 			b += int64(cap(m.Data)) * 8
 		}
@@ -65,42 +78,81 @@ func (w *Work) WorkspaceBytes() int64 {
 	return b
 }
 
+// pop and push are the two operations of a free list keyed by size.
+func pop[T any](mu *sync.Mutex, lists map[int][]T, key int) (v T, ok bool) {
+	mu.Lock()
+	defer mu.Unlock()
+	l := lists[key]
+	if len(l) == 0 {
+		return v, false
+	}
+	v = l[len(l)-1]
+	lists[key] = l[:len(l)-1]
+	return v, true
+}
+
+func push[T any](mu *sync.Mutex, lists map[int][]T, key int, v T) {
+	mu.Lock()
+	lists[key] = append(lists[key], v)
+	mu.Unlock()
+}
+
+// NewWork returns an empty pool.
+func NewWork() *Work { return &Work{free: newFreeLists()} }
+
+// WorkspaceBytes reports the pool's retained float storage (for workspace-
+// budget accounting; see work.WorkspaceSized).
+func (w *Work) WorkspaceBytes() int64 {
+	if w == nil {
+		return 0
+	}
+	return w.free.bytes()
+}
+
 // vec returns a zeroed float buffer of exactly length n.
 func (w *Work) vec(n int) []float64 {
-	if w == nil {
-		return make([]float64, n)
-	}
-	if l := w.vecs[n]; len(l) > 0 {
-		buf := l[len(l)-1]
-		w.vecs[n] = l[:len(l)-1]
-		clear(buf)
-		return buf
+	b := w.buf(n)
+	clear(b)
+	return b
+}
+
+// buf is vec without the clearing, for a buffer its caller overwrites in
+// full: a pooled buffer comes back with whatever its last user left in it.
+func (w *Work) buf(n int) []float64 {
+	if w != nil {
+		if b, ok := pop(&w.free.mu, w.free.vecs, n); ok {
+			return b
+		}
 	}
 	return make([]float64, n)
 }
 
-// putVec returns a buffer obtained from vec to the pool. Never put a slice
-// that aliases live data (e.g. a sub-slice of a caller's array).
+// putVec returns a buffer obtained from vec or buf to the pool, at its full
+// length even when the caller holds a shorter reslice of it. Never put a
+// slice that aliases live data (e.g. a sub-slice of a caller's array).
 func (w *Work) putVec(b []float64) {
 	if w == nil || cap(b) == 0 {
 		return
 	}
-	w.vecs[len(b)] = append(w.vecs[len(b)], b)
+	b = b[:cap(b)]
+	push(&w.free.mu, w.free.vecs, len(b), b)
 }
 
 // mat returns a zeroed r×c matrix (Stride == r), reusing a pooled header
 // and backing array of the same element count when available.
 func (w *Work) mat(r, c int) *matrix.Dense {
-	if w == nil || r*c == 0 {
-		return matrix.NewDense(r, c)
-	}
-	key := r * c
-	if l := w.mats[key]; len(l) > 0 {
-		m := l[len(l)-1]
-		w.mats[key] = l[:len(l)-1]
-		m.Rows, m.Cols, m.Stride = r, c, r
-		clear(m.Data)
-		return m
+	m := w.matBuf(r, c)
+	clear(m.Data)
+	return m
+}
+
+// matBuf is mat without the clearing (see buf).
+func (w *Work) matBuf(r, c int) *matrix.Dense {
+	if w != nil && r*c != 0 {
+		if m, ok := pop(&w.free.mu, w.free.mats, r*c); ok {
+			m.Rows, m.Cols, m.Stride = r, c, r
+			return m
+		}
 	}
 	return matrix.NewDense(r, c)
 }
@@ -110,38 +162,30 @@ func (w *Work) putMat(m *matrix.Dense) {
 	if w == nil || m == nil || len(m.Data) == 0 {
 		return
 	}
-	w.mats[len(m.Data)] = append(w.mats[len(m.Data)], m)
+	push(&w.free.mu, w.free.mats, len(m.Data), m)
 }
 
-// intVec returns a zeroed int buffer of exactly length n. Unlike the
-// singleton permBuf/sidxBuf scratch, these buffers may be held across task
-// boundaries (the D&C merge's secular-column placement map lives from the
-// pre-task to the post-task), so they are pooled like vec/mat.
+// intVec returns an int buffer of exactly length n with unspecified contents.
+// Unlike the per-body scratch below, these buffers may be held across task
+// boundaries (a merge's root origins and group permutation live from its
+// first task to its last), so they are pooled like vec/mat.
 func (w *Work) intVec(n int) []int {
-	if w == nil {
-		return make([]int, n)
-	}
-	if w.ints == nil {
-		w.ints = make(map[int][][]int)
-	}
-	if l := w.ints[n]; len(l) > 0 {
-		buf := l[len(l)-1]
-		w.ints[n] = l[:len(l)-1]
-		clear(buf)
-		return buf
+	if w != nil {
+		if b, ok := pop(&w.free.mu, w.free.ints, n); ok {
+			return b
+		}
 	}
 	return make([]int, n)
 }
 
-// putIntVec returns a buffer obtained from intVec to the pool.
+// putIntVec returns a buffer obtained from intVec to the pool, at its full
+// length like putVec.
 func (w *Work) putIntVec(b []int) {
 	if w == nil || cap(b) == 0 {
 		return
 	}
-	if w.ints == nil {
-		w.ints = make(map[int][][]int)
-	}
-	w.ints[len(b)] = append(w.ints[len(b)], b)
+	b = b[:cap(b)]
+	push(&w.free.mu, w.free.ints, len(b), b)
 }
 
 // stebzStackBuf returns the (empty) bisection work-stack; putStebzStack
@@ -179,71 +223,48 @@ func (w *Work) eye(n int) *matrix.Dense {
 	return m
 }
 
-// permBuf, sidxBuf, basesBuf, deflatedBuf, outsBuf and entsBuf return
-// per-merge scratch with capacity n; the three int buffers are distinct
-// because they are live simultaneously within one merge. Appending up to n
-// elements to the [:0] variants never reallocates.
+// grown returns (*buf)[:n] with unspecified contents, reallocating *buf when
+// it is too short: the per-body scratch of a Work only ever grows.
+func grown[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
+// permBuf, partnerBuf and kindBuf return the scratch of one deflation step,
+// each of length n with unspecified contents; they are distinct because they
+// are live simultaneously.
 
 func (w *Work) permBuf(n int) []int {
 	if w == nil {
 		return make([]int, n)
 	}
-	if cap(w.perm) < n {
-		w.perm = make([]int, n)
-	}
-	return w.perm[:n]
+	return grown(&w.perm, n)
 }
 
-func (w *Work) sidxBuf(n int) []int {
-	if w == nil {
-		return make([]int, 0, n)
-	}
-	if cap(w.sidx) < n {
-		w.sidx = make([]int, n)
-	}
-	return w.sidx[:0]
-}
-
-func (w *Work) basesBuf(n int) []int {
+func (w *Work) partnerBuf(n int) []int {
 	if w == nil {
 		return make([]int, n)
 	}
-	if cap(w.bases) < n {
-		w.bases = make([]int, n)
-	}
-	return w.bases[:n]
+	return grown(&w.partner, n)
 }
 
-func (w *Work) deflatedBuf(n int) []bool {
+func (w *Work) kindBuf(n int) []uint8 {
+	if w == nil {
+		return make([]uint8, n)
+	}
+	return grown(&w.kind, n)
+}
+
+// swappedBuf returns steinCluster's zeroed pivot flags.
+func (w *Work) swappedBuf(n int) []bool {
 	if w == nil {
 		return make([]bool, n)
 	}
-	if cap(w.deflated) < n {
-		w.deflated = make([]bool, n)
-	}
-	b := w.deflated[:n]
+	b := grown(&w.swapped, n)
 	clear(b)
 	return b
-}
-
-func (w *Work) outsBuf(n int) []dcOut {
-	if w == nil {
-		return make([]dcOut, 0, n)
-	}
-	if cap(w.outs) < n {
-		w.outs = make([]dcOut, n)
-	}
-	return w.outs[:0]
-}
-
-func (w *Work) entsBuf(n int) []dcEnt {
-	if w == nil {
-		return make([]dcEnt, 0, n)
-	}
-	if cap(w.ents) < n {
-		w.ents = make([]dcEnt, n)
-	}
-	return w.ents[:0]
 }
 
 // sortPerm sorts perm so that key[perm[i]] ascends. With a pool the sorter
@@ -258,68 +279,43 @@ func (w *Work) sortPerm(perm []int, key []float64) {
 	w.permSort.perm, w.permSort.key = nil, nil
 }
 
-// sortOuts sorts merge output columns by eigenvalue.
-func (w *Work) sortOuts(outs []dcOut) {
-	if w == nil {
-		sort.Slice(outs, func(a, b int) bool { return outs[a].val < outs[b].val })
-		return
-	}
-	w.outSort.s = outs
-	sort.Sort(&w.outSort)
-	w.outSort.s = nil
-}
-
-// sortEnts sorts decoupled-merge entries by eigenvalue.
-func (w *Work) sortEnts(ents []dcEnt) {
-	if w == nil {
-		sort.Slice(ents, func(a, b int) bool { return ents[a].val < ents[b].val })
-		return
-	}
-	w.entSort.s = ents
-	sort.Sort(&w.entSort)
-	w.entSort.s = nil
-}
-
-// WorkSet is the parallel-solve extension of Work: one retained pool per
-// scheduler worker plus one for the submitting goroutine (which builds the
-// task DAG — and runs the whole solve in inline mode — concurrently with
-// worker 0, so it must not share worker 0's pool). Task bodies draw scratch
-// from Worker(id) with the id the scheduler hands them; everything outside
-// a task body uses Seq().
-//
-// Buffers may migrate between member pools: a merge task recycles its
-// children's buffers into the pool of whichever worker ran it. That is safe
-// because each pool is only ever touched by the single goroutine currently
-// running a task for that worker (or, for Seq, by the submitting goroutine
-// outside the submit/Wait window), and the scheduler's lock orders a
-// buffer's last write before its next reuse.
+// WorkSet is the parallel-solve extension of Work: one Work per scheduler
+// worker plus one for the submitting goroutine (which builds the task DAG —
+// and runs the whole solve in inline mode — concurrently with worker 0, so
+// it must not share worker 0's per-body scratch). Task bodies draw scratch
+// from Worker(id) with the id the scheduler hands them; everything outside a
+// task body uses Seq(). The members share one set of free lists (see
+// freeLists), so a buffer may be taken through one member and put back
+// through another; the scheduler's lock orders a buffer's last write before
+// its next reuse.
 //
 // A nil *WorkSet is valid and falls back to plain allocation, like a nil
 // *Work.
 type WorkSet struct {
+	free  *freeLists
 	works []*Work // [0, workers) per scheduler worker; last entry = Seq
 	run   dcRun   // retained D&C DAG state (nodes, latch), reused per solve
 }
 
 // NewWorkSet returns a pool set serving the given scheduler width.
 func NewWorkSet(workers int) *WorkSet {
-	s := &WorkSet{}
+	s := &WorkSet{free: newFreeLists()}
 	s.Grow(workers)
 	return s
 }
 
-// Grow ensures the set serves at least the given scheduler width. Existing
-// pools (and their retained buffers) are kept; the Seq pool stays last.
+// Grow ensures the set serves at least the given scheduler width. Retained
+// buffers are kept; the Seq member stays last.
 func (s *WorkSet) Grow(workers int) {
 	if s == nil || workers < 1 {
 		return
 	}
 	for len(s.works) < workers+1 {
-		s.works = append(s.works, NewWork())
+		s.works = append(s.works, &Work{free: s.free})
 	}
 }
 
-// Worker returns the pool owned by the given scheduler worker.
+// Worker returns the member owned by the given scheduler worker.
 func (s *WorkSet) Worker(i int) *Work {
 	if s == nil {
 		return nil
@@ -327,7 +323,7 @@ func (s *WorkSet) Worker(i int) *Work {
 	return s.works[i]
 }
 
-// Seq returns the submitting goroutine's pool; it also serves the whole
+// Seq returns the submitting goroutine's member; it also serves the whole
 // solve on the inline (sequential) path.
 func (s *WorkSet) Seq() *Work {
 	if s == nil {
@@ -336,23 +332,19 @@ func (s *WorkSet) Seq() *Work {
 	return s.works[len(s.works)-1]
 }
 
-// PutVec hands a solver-returned vector back to the set (the Seq pool).
+// PutVec hands a solver-returned vector back to the set.
 func (s *WorkSet) PutVec(b []float64) { s.Seq().PutVec(b) }
 
-// PutMat hands a solver-returned matrix back to the set (the Seq pool).
+// PutMat hands a solver-returned matrix back to the set.
 func (s *WorkSet) PutMat(m *matrix.Dense) { s.Seq().PutMat(m) }
 
-// WorkspaceBytes sums the retained float storage of every member pool (see
+// WorkspaceBytes reports the set's retained float storage (see
 // work.WorkspaceSized).
 func (s *WorkSet) WorkspaceBytes() int64 {
 	if s == nil {
 		return 0
 	}
-	var b int64
-	for _, w := range s.works {
-		b += w.WorkspaceBytes()
-	}
-	return b
+	return s.free.bytes()
 }
 
 type permSorter struct {
@@ -363,15 +355,3 @@ type permSorter struct {
 func (p *permSorter) Len() int           { return len(p.perm) }
 func (p *permSorter) Less(i, j int) bool { return p.key[p.perm[i]] < p.key[p.perm[j]] }
 func (p *permSorter) Swap(i, j int)      { p.perm[i], p.perm[j] = p.perm[j], p.perm[i] }
-
-type outSorter struct{ s []dcOut }
-
-func (o *outSorter) Len() int           { return len(o.s) }
-func (o *outSorter) Less(i, j int) bool { return o.s[i].val < o.s[j].val }
-func (o *outSorter) Swap(i, j int)      { o.s[i], o.s[j] = o.s[j], o.s[i] }
-
-type entSorter struct{ s []dcEnt }
-
-func (e *entSorter) Len() int           { return len(e.s) }
-func (e *entSorter) Less(i, j int) bool { return e.s[i].val < e.s[j].val }
-func (e *entSorter) Swap(i, j int)      { e.s[i], e.s[j] = e.s[j], e.s[i] }
