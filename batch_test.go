@@ -371,7 +371,7 @@ func TestOptionsClamp(t *testing.T) {
 		{Workers: 1000},
 		{Workers: -5},
 		{NB: -3},
-		{Workers: 2, Stage2Workers: 1 << 20, Stage2Static: true},
+		{Workers: 2, Stage2Workers: 1 << 20},
 		{Group: -2},
 		{MemoryBudget: -1, BatchConcurrency: -4, BatchFanout: -1},
 		{PipelineDepth: -7},

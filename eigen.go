@@ -98,35 +98,9 @@ type Options struct {
 	// exists for benchmarking and as an escape hatch, mirroring
 	// DisableFusedBacktrans and DisableParallelTridiag.
 	DisableLookahead bool
-	// WideBand is the stage-1 bandwidth b₁ of the multi-sweep successive
-	// band reduction: when BandSweeps selects at least one narrowing sweep,
-	// stage 1 stops at this wider, cache-friendlier band and the SBR sweeps
-	// narrow it before the bulge chase. 0 (or an inactive BandSweeps) leaves
-	// stage 1 at NB. Like NB, an active WideBand selects a different —
-	// equally valid — factorization, so results differ from the single-sweep
-	// path in the last bits; each configuration is still deterministic at
-	// every worker count.
-	WideBand int
-	// BandSweeps are the intermediate bandwidths of the multi-sweep stage 1,
-	// e.g. {8} for 64→8→tridiagonal or {32, 8} for 128→32→8→tridiagonal
-	// (with WideBand 64 and 128 respectively). Entries that do not strictly
-	// narrow the band are ignored; the last effective entry is the bandwidth
-	// the bulge chase consumes. Empty (the default) keeps the classic
-	// single-sweep pipeline. A default may come from the machine's tune
-	// profile (see Tuning); DisableMultiSweep suppresses both.
-	BandSweeps []int
-	// DisableMultiSweep is the kill-switch for the multi-sweep stage 1: when
-	// set, WideBand and BandSweeps — explicit or from the tune profile — are
-	// ignored entirely and the solve is bitwise identical to one that never
-	// configured them.
-	DisableMultiSweep bool
 	// Stage2Workers restricts the memory-bound bulge-chasing stage to fewer
-	// cores for locality (the paper's hybrid scheduling); 0 = no limit.
+	// cores for locality (the paper's core restriction); 0 = no limit.
 	Stage2Workers int
-	// Stage2Static runs the bulge chasing under the static progress-table
-	// runtime instead of the dynamic scheduler; results are identical, the
-	// choice only affects scheduling overhead.
-	Stage2Static bool
 	// TridiagWorkers restricts the tridiagonal eigensolver stage (eig_t) to
 	// this many workers; 0 inherits the full scheduler width. The stage is
 	// mixed compute/memory-bound — for small matrices the task overhead can
@@ -226,23 +200,11 @@ func (o *Options) normalize() {
 	if o.Stage2Workers < 0 {
 		o.Stage2Workers = 0
 	}
-	if o.Stage2Workers > sched.MaxWorkers {
-		// The static stage-2 runtime sizes per-worker state from this value.
-		o.Stage2Workers = sched.MaxWorkers
-	}
 	if o.TridiagWorkers < 0 {
 		o.TridiagWorkers = 0
 	}
 	if o.LookaheadDepth < 0 {
 		o.LookaheadDepth = 0
-	}
-	if o.WideBand < 0 {
-		o.WideBand = 0
-	}
-	for i, b := range o.BandSweeps {
-		if b < 0 {
-			o.BandSweeps[i] = 0 // non-narrowing entries are ignored downstream
-		}
 	}
 	if o.TridiagWorkers > sched.MaxWorkers {
 		o.TridiagWorkers = sched.MaxWorkers
@@ -274,14 +236,10 @@ func (o *Options) toCore(vectors bool, il, iu int) core.Options {
 		c.ColBlock = o.ColBlock
 		c.Workers = o.Workers
 		c.Stage2Workers = o.Stage2Workers
-		c.Stage2Static = o.Stage2Static
 		c.TridiagWorkers = o.TridiagWorkers
 		c.DisableParallelTridiag = o.DisableParallelTridiag
 		c.LookaheadDepth = o.LookaheadDepth
 		c.DisableLookahead = o.DisableLookahead
-		c.WideBand = o.WideBand
-		c.BandSweeps = append([]int(nil), o.BandSweeps...)
-		c.DisableMultiSweep = o.DisableMultiSweep
 		c.Group = o.Group
 		c.Collector = o.Collector
 		if o.DisableFusedBacktrans {

@@ -28,29 +28,11 @@ import (
 // nil; Q₂/Q₁ flop shares are attributed to the legacy phase names via
 // AttributeFlops.
 func (p *Plan) ApplyFused(f *band.Factor, e *matrix.Dense, job *sched.Job, colBlock int, tc *trace.Collector) {
-	p.ApplyFusedWith(f, nil, e, job, colBlock, tc)
-}
-
-// ApplyFusedWith is ApplyFused with the multi-sweep SBR factors composed in:
-// it computes E := Q₁·S₁⋯S_k·(Q₂·E) in the same single pass per column
-// block. sweeps holds the diamond plans of the narrowing sweeps in
-// application order — innermost factor first, i.e. the last (narrowest)
-// sweep's plan at index 0 — each built over the full matrix order n. A nil
-// or empty sweeps slice degenerates to ApplyFused. The sweep flop shares are
-// attributed to PhaseUpdateQ2 together with the chase's (both are band
-// Q-factors; the per-sweep reduction cost has its own wall-clock phases in
-// the driver).
-func (p *Plan) ApplyFusedWith(f *band.Factor, sweeps []*Plan, e *matrix.Dense, job *sched.Job, colBlock int, tc *trace.Collector) {
 	if e.Rows != p.n {
 		panic("backtransform: E row count mismatch")
 	}
 	if f.N != p.n {
 		panic("backtransform: stage-1 factor order mismatch")
-	}
-	for _, sp := range sweeps {
-		if sp.n != p.n {
-			panic("backtransform: sweep plan order mismatch")
-		}
 	}
 	if e.Cols == 0 {
 		return
@@ -58,19 +40,11 @@ func (p *Plan) ApplyFusedWith(f *band.Factor, sweeps []*Plan, e *matrix.Dense, j
 	if colBlock <= 0 {
 		colBlock = tune.ColBlock(e.Cols, f.NB, job.Workers())
 	}
-	// One workspace serves every factor of a task.
+	// One workspace serves both halves of a task.
 	wkLen := max(p.Work(), f.Q1Work())
-	var sweepPerCol int64
-	for _, sp := range sweeps {
-		wkLen = max(wkLen, sp.Work())
-		sweepPerCol += sp.FlopsPerCol()
-	}
-	q2PerCol, q1PerCol := p.FlopsPerCol()+sweepPerCol, f.Q1FlopsPerCol()
+	q2PerCol, q1PerCol := p.FlopsPerCol(), f.Q1FlopsPerCol()
 	runBlock := func(view *matrix.Dense, wk []float64) {
 		p.applyBlock(view, wk, tc)
-		for _, sp := range sweeps {
-			sp.applyBlock(view, wk, tc)
-		}
 		f.ApplyQ1Block(blas.NoTrans, view, wk, tc)
 		tc.AttributeFlops(trace.PhaseUpdateQ2, q2PerCol*int64(view.Cols))
 		tc.AttributeFlops(trace.PhaseUpdateQ1, q1PerCol*int64(view.Cols))

@@ -92,24 +92,16 @@ type planCache struct {
 // NewPlan builds the diamond decomposition of Q₂ with the given group size
 // (≤ 0 picks a bandwidth-dependent default). ws may be nil.
 func NewPlan(res *bulge.Result, group int, ws *work.Arena) *Plan {
-	return NewPlanKeyed(res, group, ws, work.BacktransPlan, work.BacktransSlab)
-}
-
-// NewPlanKeyed is NewPlan with explicit arena keys for the retained plan
-// header and the packed-reflector slab. The fixed-key NewPlan retains exactly one plan
-// per arena; multi-sweep SBR pipelines need one live plan per narrowing
-// sweep plus the chase's, so each takes its own key pair.
-func NewPlanKeyed(res *bulge.Result, group int, ws *work.Arena, planKey, slabKey work.Key) *Plan {
 	if group <= 0 {
 		group = defaultGroup(res.B)
 	}
 	if group < 1 {
 		group = 1
 	}
-	cache, _ := ws.Value(planKey).(*planCache)
+	cache, _ := ws.Value(work.BacktransPlan).(*planCache)
 	if cache == nil {
 		cache = &planCache{} // nil ws: fresh each call, SetValue is a no-op
-		ws.SetValue(planKey, cache)
+		ws.SetValue(work.BacktransPlan, cache)
 	}
 	p := &cache.plan
 	*p = Plan{n: res.N, b: res.B, group: group, refs: res.Refs, ws: ws}
@@ -190,7 +182,7 @@ func NewPlanKeyed(res *bulge.Result, group int, ws *work.Arena, planKey, slabKey
 			p.maxRows = max(p.maxRows, rows)
 		}
 	}
-	slab := ws.SlabOf(slabKey, slabCap)
+	slab := ws.SlabOf(work.BacktransSlab, slabCap)
 	if cap(cache.blocks) < nBlocks {
 		cache.blocks = make([]diamond, 0, nBlocks)
 	}

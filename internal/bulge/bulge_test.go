@@ -1,7 +1,6 @@
 package bulge
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -214,50 +213,6 @@ func TestReflectorLattice(t *testing.T) {
 		}
 		if r.Row+len(r.V) > n-1 {
 			t.Fatalf("reflector (%d,%d) exceeds matrix", r.Sweep, r.Level)
-		}
-	}
-}
-
-func TestChaseStaticMatchesDynamic(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n, kd := 36, 4
-	b := randBand(rng, n, kd)
-	ref := Chase(b, nil, 0, true, nil, nil)
-	for _, workers := range []int{1, 2, 4} {
-		got, err := ChaseStatic(context.Background(), b, workers, true, nil, nil)
-		if err != nil {
-			t.Fatalf("ChaseStatic: %v", err)
-		}
-		for i := range ref.T.D {
-			if ref.T.D[i] != got.T.D[i] {
-				t.Fatalf("static workers=%d: D[%d] differs", workers, i)
-			}
-		}
-		for i := range ref.T.E {
-			if ref.T.E[i] != got.T.E[i] {
-				t.Fatalf("static workers=%d: E[%d] differs", workers, i)
-			}
-		}
-		if len(ref.Refs) != len(got.Refs) {
-			t.Fatalf("static workers=%d: reflector count %d vs %d", workers, len(got.Refs), len(ref.Refs))
-		}
-		for i := range ref.Refs {
-			if ref.Refs[i].Tau != got.Refs[i].Tau {
-				t.Fatalf("static workers=%d: reflector %d tau differs", workers, i)
-			}
-		}
-	}
-}
-
-func TestChaseStaticDegenerate(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 5} {
-		b := matrix.NewSymBand(n, min(1, max(0, n-1)))
-		res, err := ChaseStatic(context.Background(), b, 3, true, nil, nil)
-		if err != nil {
-			t.Fatalf("ChaseStatic: %v", err)
-		}
-		if res.T.N() != n {
-			t.Fatalf("n=%d: bad T size", n)
 		}
 	}
 }

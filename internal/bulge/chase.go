@@ -23,8 +23,6 @@
 package bulge
 
 import (
-	"context"
-
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -329,64 +327,6 @@ func Chase(b2 *matrix.SymBand, job *sched.Job, affinity uint64, wantQ bool, ws *
 	}
 	c.finish(res, &oc.t, wantQ)
 	return res
-}
-
-// ChaseStatic runs the same kernel tasks under the static progress-table
-// runtime (the paper's other scheduling mode for this stage): tasks are
-// assigned to workers round-robin in generation order and cross-worker
-// ordering is enforced by explicit After edges derived from the same
-// conservative block resources the dynamic scheduler uses. The result is
-// bitwise identical to Chase. On ctx cancellation the workers stop at a
-// task boundary and the context error is returned with a nil Result.
-func ChaseStatic(ctx context.Context, b2 *matrix.SymBand, workers int, wantQ bool, ws *work.Arena, tc *trace.Collector) (*Result, error) {
-	n := b2.N
-	bw := b2.KD
-	oc := outFor(ws)
-	res := &oc.res
-	*res = Result{N: n, B: bw}
-	if n == 0 {
-		res.T = matrix.NewTridiagonal(0)
-		return res, nil
-	}
-	if bw <= 1 {
-		res.T = matrix.TridiagonalFromBand(b2)
-		return res, nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	c := newChaser(b2, workers, ws, tc)
-
-	var tasks []sched.StaticTask
-	lastUser := map[int]int{} // resource → index of the last task touching it
-	forEachStep(n, bw, func(sw, lvl int) bool {
-		var name string
-		var run func(int)
-		if lvl == 0 {
-			name = kname("HBCEU", sw, 0)
-			run = func(w int) { c.startSweep(sw, w) }
-		} else {
-			name = kname("HBREL+HBLRU", sw, lvl)
-			run = func(w int) { c.chaseStep(sw, lvl, w) }
-		}
-		idx := len(tasks)
-		var after []int
-		seen := map[int]bool{}
-		for _, d := range c.deps(sw, lvl) {
-			if prev, ok := lastUser[d.Resource]; ok && !seen[prev] {
-				after = append(after, prev)
-				seen[prev] = true
-			}
-			lastUser[d.Resource] = idx
-		}
-		tasks = append(tasks, sched.StaticTask{Name: name, Run: run, After: after})
-		return true
-	})
-	if err := sched.RunStaticCtx(ctx, sched.RoundRobinSchedule(tasks, workers)); err != nil {
-		return nil, err
-	}
-	c.finish(res, &oc.t, wantQ)
-	return res, nil
 }
 
 // kname builds a task name without fmt to keep submission cheap.

@@ -96,33 +96,10 @@ type Options struct {
 	// identical — this exists for benchmarking and fault isolation, like
 	// DisableParallelTridiag and FuseOff.
 	DisableLookahead bool
-	// WideBand is the stage-1 reduction bandwidth b₁ when the multi-sweep
-	// successive band reduction is active (BandSweeps selects at least one
-	// narrowing sweep and DisableMultiSweep is unset): stage 1 stops at this
-	// wider, cache-friendlier band and the SBR sweeps narrow it before the
-	// bulge chase. ≤ 0 — or multi-sweep inactive — leaves stage 1 at NB.
-	WideBand int
-	// BandSweeps are the intermediate bandwidths of the multi-sweep stage 1.
-	// Each entry adds one band→band narrowing sweep (internal/sbr) and the
-	// last entry is the bandwidth the bulge chase consumes; entries that do
-	// not strictly narrow the band are ignored. Empty means the classic
-	// single sweep (stage 1 → chase directly). Multi-sweep solves are
-	// deterministic at any worker count, but they are a different
-	// factorization from the single-sweep path, so results differ in
-	// rounding — exactly as a changed NB would.
-	BandSweeps []int
-	// DisableMultiSweep is the kill-switch for the multi-sweep stage 1: when
-	// set, WideBand and BandSweeps are ignored entirely and the solve is
-	// bitwise identical to one that never set them.
-	DisableMultiSweep bool
 	// Stage2Workers restricts the bulge-chasing tasks to this many workers
 	// (the paper's core-restriction: the stage is memory-bound, and using
 	// fewer cores improves locality). 0 means no restriction.
 	Stage2Workers int
-	// Stage2Static runs the bulge chasing under the static progress-table
-	// runtime instead of the dynamic scheduler (the paper's hybrid
-	// dynamic/static design); the results are bitwise identical.
-	Stage2Static bool
 	// TridiagWorkers restricts the tridiagonal-eigensolver tasks (D&C
 	// subtrees and merge tiles, bisection chunks, inverse-iteration
 	// clusters) to this many workers. 0 inherits the full scheduler width.
@@ -218,38 +195,6 @@ type Result struct {
 	// requested, else nil. It is Options.Dst when that was supplied, else a
 	// freshly allocated matrix; never arena-backed.
 	Vectors *matrix.Dense
-}
-
-// sbrSweeps resolves the effective narrowing sequence of the multi-sweep
-// stage 1: the strictly decreasing subsequence of BandSweeps below the
-// starting bandwidth b1. Nil when the kill-switch is set or nothing narrows
-// — the classic single-sweep pipeline.
-func (o *Options) sbrSweeps(b1 int) []int {
-	if o.DisableMultiSweep || len(o.BandSweeps) == 0 {
-		return nil
-	}
-	var out []int
-	cur := b1
-	for _, b := range o.BandSweeps {
-		if b >= 1 && b < cur {
-			out = append(out, b)
-			cur = b
-		}
-	}
-	return out
-}
-
-// stage1NB resolves the stage-1 reduction bandwidth: WideBand when the
-// multi-sweep pipeline is active with it, else NB (≤ 0 → the default tile
-// size).
-func (o *Options) stage1NB() int {
-	if o.WideBand > 0 && len(o.sbrSweeps(o.WideBand)) > 0 {
-		return o.WideBand
-	}
-	if o.NB > 0 {
-		return o.NB
-	}
-	return band.DefaultNB
 }
 
 func (o *Options) indexRange(n int) (il, iu int, err error) {

@@ -396,27 +396,6 @@ func TestNBRobustness(t *testing.T) {
 	}
 }
 
-func TestStage2StaticMatchesDynamic(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := testmat.RandomSym(rng, 44)
-	dyn, err := SyevTwoStage(context.Background(), a, Options{Method: MethodDC, Vectors: true, NB: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := SyevTwoStage(context.Background(), a, Options{Method: MethodDC, Vectors: true, NB: 8, Stage2Static: true, Stage2Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range dyn.Values {
-		if dyn.Values[i] != st.Values[i] {
-			t.Fatalf("static stage-2 value %d differs", i)
-		}
-	}
-	if !st.Vectors.Equalish(dyn.Vectors, 0) {
-		t.Fatal("static stage-2 vectors differ")
-	}
-}
-
 func TestScalingRobustness(t *testing.T) {
 	// The pipeline must be scale-invariant: eigenvalues of s·A are s·λ(A),
 	// even for extreme s (exercises the Larfg rescaling guards and the

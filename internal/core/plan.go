@@ -1,16 +1,15 @@
 // The phase plan: the two-stage driver decomposed into resumable steps.
 //
-// SyevTwoStage used to be one straight-line function; it is now a thin loop
-// over a Plan — a typed sequence of Phase values (Stage1, Stage2, Tridiag,
-// Backtrans) advancing a SolveState that carries every cross-phase artifact
-// (the band factor, the chase result, eigenvalues, the eigenvector staging
-// matrix, the arena). The decomposition is what lets the batch layer
-// interleave *different solves'* phases on one scheduler — the compute-bound
-// stage 1 of item k+1 overlapping the memory-bound bulge chase of item k,
-// the paper's hybrid static/dynamic core restriction applied *between*
-// solves — and what makes a solve suspendable: a SolveState may be stopped
-// after any phase and resumed later to a bitwise-identical result, the
-// checkpointing surface the service layer needs.
+// SyevTwoStage is a thin loop over a Plan — a typed sequence of Phase values
+// (Stage1, Stage2, Tridiag, Backtrans) advancing a SolveState that carries
+// every cross-phase artifact (the band factor, the chase result, eigenvalues,
+// the eigenvector staging matrix, the arena). The decomposition is what lets
+// the batch layer interleave *different solves'* phases on one scheduler —
+// the compute-bound stage 1 of item k+1 overlapping the memory-bound bulge
+// chase of item k, the paper's core restriction applied *between* solves —
+// and what makes a solve suspendable: a SolveState may be stopped after any
+// phase and resumed later to a bitwise-identical result, the checkpointing
+// surface the service layer needs.
 //
 // Ownership: a SolveState pins its Options.Arena for its whole lifetime.
 // The arena must not serve another solve until the plan has completed (or
@@ -26,7 +25,6 @@ import (
 	"repro/internal/blas"
 	"repro/internal/bulge"
 	"repro/internal/matrix"
-	"repro/internal/sbr"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/work"
@@ -74,18 +72,9 @@ type Phase interface {
 type Plan []Phase
 
 // BuildPlan returns the two-stage phase sequence for the given options:
-// Stage1 → SBR×k → Stage2 → Tridiag, plus Backtrans when eigenvectors are
-// wanted. The SBR sweeps appear only for an active multi-sweep configuration
-// (Options.WideBand/BandSweeps): each narrowing of the band is its own
-// resumable phase with a distinct name, so per-sweep wall-clock is
-// attributable and the pipelined batch executor can interleave sweeps of
-// different items.
+// Stage1 → Stage2 → Tridiag, plus Backtrans when eigenvectors are wanted.
 func BuildPlan(o *Options) Plan {
-	p := Plan{Stage1{}}
-	for i, b2 := range o.sbrSweeps(o.stage1NB()) {
-		p = append(p, SBRSweep{Index: i, B2: b2})
-	}
-	p = append(p, Stage2{}, Tridiag{})
+	p := Plan{Stage1{}, Stage2{}, Tridiag{}}
 	if o.Vectors {
 		p = append(p, Backtrans{})
 	}
@@ -129,7 +118,6 @@ type SolveState struct {
 	// Cross-phase artifacts, owned by the state (arena-backed except for
 	// vals/evecs, which are caller-owned copies).
 	f1       *band.Factor
-	sweeps   []*sbr.Factor // SBR narrowing factors, in execution order
 	chase    *bulge.Result
 	vals     []float64
 	evecs    *matrix.Dense
@@ -179,7 +167,10 @@ func NewSolveState(ctx context.Context, a *matrix.Dense, o Options) (*SolveState
 	if st.s != nil && o.Stage2Workers > 0 && o.Stage2Workers < st.workers {
 		st.stage2Aff = sched.AffinityMask(o.Stage2Workers)
 	}
-	st.nb = o.stage1NB()
+	st.nb = o.NB
+	if st.nb <= 0 {
+		st.nb = band.DefaultNB
+	}
 	return st, BuildPlan(&o), nil
 }
 
@@ -248,44 +239,6 @@ func (p Stage1) Run(ctx context.Context, st *SolveState) error {
 	return job.Err()
 }
 
-// SBRSweep is one band→band narrowing sweep of the multi-sweep stage 1
-// (successive band reduction): it consumes the narrowest band produced so
-// far and reduces it to bandwidth B2, recording the orthogonal factor for
-// the back-transformation. Memory-bound like the bulge chase — the kernels
-// stream the band — so it runs under the stage-2 core restriction.
-type SBRSweep struct {
-	Index int // 0-based sweep position; names the phase and its arena keys
-	B2    int // target bandwidth of this sweep
-}
-
-func (s SBRSweep) Name() string    { return trace.PhaseSBRSweep(s.Index) }
-func (SBRSweep) Class() PhaseClass { return MemoryBound }
-
-func (s SBRSweep) Run(ctx context.Context, st *SolveState) error {
-	job := st.phaseJob(ctx, s, st.s)
-	cfg := sbr.Config{
-		B2:        s.B2,
-		Lookahead: st.o.LookaheadDepth,
-		Sequenced: st.o.DisableLookahead,
-		WantQ:     st.o.Vectors,
-		Affinity:  st.stage2Aff,
-		Keys:      sbr.KeysFor(s.Index),
-	}
-	st.tc.Phase(s.Name(), func() {
-		st.sweeps = append(st.sweeps, sbr.Reduce(st.stage2Band(), cfg, job, st.ws, st.tc))
-	})
-	return job.Err()
-}
-
-// stage2Band returns the band the next narrowing sweep or the bulge chase
-// consumes: the narrowest factor produced so far.
-func (st *SolveState) stage2Band() *matrix.SymBand {
-	if k := len(st.sweeps); k > 0 {
-		return st.sweeps[k-1].Band
-	}
-	return st.f1.Band
-}
-
 // Stage2 chases the band down to tridiagonal form (bulge chasing).
 // Memory-bound: the kernels stream the band with Level-2-like intensity,
 // which is why the paper restricts this stage to fewer cores.
@@ -295,22 +248,9 @@ func (Stage2) Name() string      { return trace.PhaseStage2 }
 func (Stage2) Class() PhaseClass { return MemoryBound }
 
 func (p Stage2) Run(ctx context.Context, st *SolveState) error {
-	// Skip reflector accumulation when no vectors are wanted — the
-	// back-transformation never runs.
-	if st.o.Stage2Static {
-		wkr := st.o.Stage2Workers
-		if wkr <= 0 {
-			wkr = max(1, st.workers)
-		}
-		var serr error
-		st.tc.Phase(trace.PhaseStage2, func() {
-			st.chase, serr = bulge.ChaseStatic(ctx, st.stage2Band(), wkr, st.o.Vectors, st.ws, st.tc)
-		})
-		return serr
-	}
 	job := st.phaseJob(ctx, p, st.s)
 	st.tc.Phase(trace.PhaseStage2, func() {
-		st.chase = bulge.Chase(st.stage2Band(), job, st.stage2Aff, st.o.Vectors, st.ws, st.tc)
+		st.chase = bulge.Chase(st.f1.Band, job, st.stage2Aff, st.o.Vectors, st.ws, st.tc)
 	})
 	return job.Err()
 }
@@ -340,30 +280,10 @@ func (p Tridiag) Run(ctx context.Context, st *SolveState) error {
 }
 
 // Backtrans accumulates the eigenvectors of A from the eigenvectors of T:
-// Z = Q₁·S₁⋯S_k·(Q₂·E) — the SBR sweep factors Sᵢ slot between Q₂ and Q₁,
-// applied in reverse sweep order (the last, narrowest sweep first) because
-// the reconstruction nests as A = Q₁·S₁⋯S_k·Q₂·T·Q₂ᵀ·S_kᵀ⋯S₁ᵀ·Q₁ᵀ. Fused
-// single pass by default, the legacy barrier-separated sequence under the
-// FuseOff kill-switch. Compute-bound: 2n³·f Level-3 flops per factor.
+// Z = Q₁·(Q₂·E), fused single pass by default, the legacy two-phase
+// sequence under the FuseOff kill-switch. Compute-bound: 2n³·f Level-3
+// flops per factor.
 type Backtrans struct{}
-
-// sweepPlans builds the diamond plans of the SBR factors in application
-// order for the back-transformation (innermost factor first, i.e. reverse
-// sweep order). Each plan retains its own arena keys so all of them — plus
-// the chase's fixed-key plan — coexist on one arena. Pass-through sweeps
-// (no reflectors) are skipped.
-func (st *SolveState) sweepPlans() []*backtransform.Plan {
-	var plans []*backtransform.Plan
-	for i := len(st.sweeps) - 1; i >= 0; i-- {
-		f := st.sweeps[i]
-		if len(f.Refs) == 0 {
-			continue
-		}
-		plans = append(plans, backtransform.NewPlanKeyed(f.Result(), st.o.Group, st.ws,
-			work.Key(fmt.Sprintf("sbr.btplan.%d", i)), work.Key(fmt.Sprintf("sbr.btslab.%d", i))))
-	}
-	return plans
-}
 
 func (Backtrans) Name() string      { return trace.PhaseBacktrans }
 func (Backtrans) Class() PhaseClass { return ComputeBound }
@@ -386,7 +306,7 @@ func (p Backtrans) Run(ctx context.Context, st *SolveState) error {
 		job := st.phaseJob(ctx, p, st.s)
 		st.tc.Phase(trace.PhaseBacktransFused, func() {
 			plan := backtransform.NewPlan(st.chase, st.o.Group, st.ws)
-			plan.ApplyFusedWith(st.f1, st.sweepPlans(), st.evecs, job, colBlock, st.tc)
+			plan.ApplyFused(st.f1, st.evecs, job, colBlock, st.tc)
 		})
 		if err := job.Err(); err != nil {
 			return err
@@ -401,16 +321,6 @@ func (p Backtrans) Run(ctx context.Context, st *SolveState) error {
 	})
 	if err := job.Err(); err != nil {
 		return err
-	}
-	// The SBR sweep factors, barrier-separated like the legacy Q₂/Q₁ split.
-	for _, sp := range st.sweepPlans() {
-		job = st.phaseJob(ctx, p, st.s)
-		st.tc.Phase(trace.PhaseUpdateQ2, func() {
-			sp.Apply(st.evecs, job, colBlock, st.tc)
-		})
-		if err := job.Err(); err != nil {
-			return err
-		}
 	}
 	job = st.phaseJob(ctx, p, st.s)
 	st.tc.Phase(trace.PhaseUpdateQ1, func() {

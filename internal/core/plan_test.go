@@ -50,24 +50,35 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 }
 
 // TestBuildPlan pins the phase sequence and the resource classes the batch
-// pipeline steers on.
+// pipeline steers on: exactly these four phases (three without vectors),
+// whatever else the options say.
 func TestBuildPlan(t *testing.T) {
-	p := BuildPlan(&Options{Vectors: true})
 	wantNames := []string{"stage1", "stage2", "eig_t", "back_trans"}
 	wantClass := []PhaseClass{ComputeBound, MemoryBound, MemoryBound, ComputeBound}
-	if len(p) != len(wantNames) {
-		t.Fatalf("plan has %d phases, want %d", len(p), len(wantNames))
-	}
-	for i, ph := range p {
-		if ph.Name() != wantNames[i] {
-			t.Fatalf("phase %d: name %q, want %q", i, ph.Name(), wantNames[i])
+	for _, o := range []Options{
+		{},
+		{NB: 96, Group: 16, ColBlock: 32},
+		{Workers: 4, Stage2Workers: 2, TridiagWorkers: 1, LookaheadDepth: 3},
+		{Workers: 2, DisableLookahead: true, DisableParallelTridiag: true, FusedBacktrans: FuseOff},
+		{Method: MethodBI, IL: 2, IU: 5},
+		{Method: MethodQR},
+	} {
+		for _, vectors := range []bool{true, false} {
+			o.Vectors = vectors
+			want := len(wantNames)
+			if !vectors {
+				want--
+			}
+			p := BuildPlan(&o)
+			if len(p) != want {
+				t.Fatalf("%+v: plan has %d phases, want %d", o, len(p), want)
+			}
+			for i, ph := range p {
+				if ph.Name() != wantNames[i] || ph.Class() != wantClass[i] {
+					t.Fatalf("%+v: phase %d is %q (%v), want %q (%v)", o, i, ph.Name(), ph.Class(), wantNames[i], wantClass[i])
+				}
+			}
 		}
-		if ph.Class() != wantClass[i] {
-			t.Fatalf("phase %d (%s): class %v, want %v", i, ph.Name(), ph.Class(), wantClass[i])
-		}
-	}
-	if vp := BuildPlan(&Options{}); len(vp) != 3 || vp[len(vp)-1].Name() != "eig_t" {
-		t.Fatalf("values-only plan = %v phases ending in %q", len(vp), vp[len(vp)-1].Name())
 	}
 }
 

@@ -308,69 +308,6 @@ func TestDuplicateResourceInDeps(t *testing.T) {
 	s.Wait()
 }
 
-func TestStaticScheduleRespectsAfter(t *testing.T) {
-	// Build a chain 0←1←2...←n across round-robin workers.
-	const n = 40
-	var order []int
-	var mu sync.Mutex
-	tasks := make([]StaticTask, n)
-	for i := 0; i < n; i++ {
-		i := i
-		var after []int
-		if i > 0 {
-			after = []int{i - 1}
-		}
-		tasks[i] = StaticTask{
-			Name:  "st",
-			After: after,
-			Run: func(int) {
-				mu.Lock()
-				order = append(order, i)
-				mu.Unlock()
-			},
-		}
-	}
-	RunStatic(RoundRobinSchedule(tasks, 4))
-	if len(order) != n {
-		t.Fatalf("ran %d/%d static tasks", len(order), n)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("static chain out of order: %v", order)
-		}
-	}
-}
-
-func TestStaticDiamond(t *testing.T) {
-	// Diamond: 0 → {1,2} → 3.
-	var seen [4]int32
-	tasks := []StaticTask{
-		{Name: "top", Run: func(int) { atomic.StoreInt32(&seen[0], 1) }},
-		{Name: "l", After: []int{0}, Run: func(int) {
-			if atomic.LoadInt32(&seen[0]) != 1 {
-				panic("l before top")
-			}
-			atomic.StoreInt32(&seen[1], 1)
-		}},
-		{Name: "r", After: []int{0}, Run: func(int) {
-			if atomic.LoadInt32(&seen[0]) != 1 {
-				panic("r before top")
-			}
-			atomic.StoreInt32(&seen[2], 1)
-		}},
-		{Name: "bot", After: []int{1, 2}, Run: func(int) {
-			if atomic.LoadInt32(&seen[1]) != 1 || atomic.LoadInt32(&seen[2]) != 1 {
-				panic("bot before l/r")
-			}
-			atomic.StoreInt32(&seen[3], 1)
-		}},
-	}
-	RunStatic(RoundRobinSchedule(tasks, 3))
-	if seen[3] != 1 {
-		t.Fatal("diamond did not complete")
-	}
-}
-
 func TestSchedulerStress(t *testing.T) {
 	// Hammer the scheduler with a wide mix of dependence patterns under the
 	// race detector.

@@ -28,7 +28,7 @@ func RandomSym(rng *rand.Rand, n int) *matrix.Dense {
 
 // RandomSymBand returns an n×n symmetric band matrix of bandwidth kd with
 // N(0,1) entries inside the band — the pre-banded inputs the stage-2 bulge
-// chase and the SBR narrowing sweeps are property-tested on.
+// chase is property-tested on.
 func RandomSymBand(rng *rand.Rand, n, kd int) *matrix.SymBand {
 	b := matrix.NewSymBand(n, kd)
 	for j := 0; j < n; j++ {

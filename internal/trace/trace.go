@@ -76,28 +76,7 @@ const (
 	PhaseEigTMerge   = "eig_t_merge"   // secular solves + rank-one update GEMM
 	PhaseEigTBisect  = "eig_t_bisect"  // Sturm-count bisection (Stebz)
 	PhaseEigTStein   = "eig_t_stein"   // inverse iteration + cluster MGS
-
-	// PhaseSBRPrefix prefixes the wall-clock phase of each successive-band-
-	// reduction sweep ("sbr_sweep0", "sbr_sweep1", …). Each narrowing sweep
-	// of a multi-sweep stage 1 is its own resumable driver phase, so its
-	// wall-clock is attributed separately — see PhaseSBRSweep.
-	PhaseSBRPrefix = "sbr_sweep"
 )
-
-// PhaseSBRSweep returns the wall-clock phase name of SBR narrowing sweep i.
-// Distinct per index: the pipelined batch executor keys its drain bias by
-// phase name, and per-sweep timings must stay attributable.
-func PhaseSBRSweep(i int) string {
-	if i < 10 {
-		return PhaseSBRPrefix + string(rune('0'+i))
-	}
-	n := ""
-	for i > 0 {
-		n = string(rune('0'+i%10)) + n
-		i /= 10
-	}
-	return PhaseSBRPrefix + n
-}
 
 // Collector accumulates flops per kernel class and durations per phase. The
 // zero value is ready to use. A nil *Collector is valid everywhere and

@@ -2,15 +2,17 @@ package tune
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
 func validProfile() *Profile {
 	p := NewProfile()
-	p.Gemm = GemmConfig{MC: 192, KC: RequiredKC, NC: 768, Kernel: "2x4"}
+	p.Gemm = GemmConfig{MC: 192, KC: RequiredKC, NC: 768}
 	p.NB = 48
 	p.ColBlock = 96
 	p.AlphaFlops = 5e9
@@ -29,7 +31,7 @@ func TestProfileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if !got.Equal(want) {
+	if *got != *want {
 		t.Errorf("round trip changed profile:\n got %+v\nwant %+v", *got, *want)
 	}
 	// No temp litter left behind by the atomic write.
@@ -52,13 +54,8 @@ func TestProfileValidateRejects(t *testing.T) {
 		{"goarch", func(p *Profile) { p.GOARCH = "wasm" }},
 		{"numcpu", func(p *Profile) { p.NumCPU = runtime.NumCPU() + 1 }},
 		{"kc", func(p *Profile) { p.Gemm.KC = RequiredKC * 2 }},
-		{"kernel", func(p *Profile) { p.Gemm.Kernel = "16x16" }},
 		{"negative-nb", func(p *Profile) { p.NB = -1 }},
 		{"negative-mc", func(p *Profile) { p.Gemm.MC = -5 }},
-		{"negative-wideband", func(p *Profile) { p.WideBand = -8 }},
-		{"zero-sweep", func(p *Profile) { p.BandSweeps = []int{8, 0} }},
-		{"non-narrowing-sweeps", func(p *Profile) { p.WideBand = 64; p.BandSweeps = []int{32, 32} }},
-		{"sweep-wider-than-band", func(p *Profile) { p.WideBand = 32; p.BandSweeps = []int{64} }},
 	}
 	for _, tc := range cases {
 		p := validProfile()
@@ -75,124 +72,102 @@ func TestProfileValidateRejects(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("valid profile rejected: %v", err)
 	}
-	// Unset KC and kernel are valid (defer to defaults).
+	// An unset KC is valid (defers to the default).
 	p.Gemm.KC = 0
-	p.Gemm.Kernel = ""
 	if err := p.Validate(); err != nil {
-		t.Errorf("zero KC/kernel rejected: %v", err)
+		t.Errorf("zero KC rejected: %v", err)
 	}
+}
+
+// legacyKeysProfile is a v3 file as builds before the schema lost them wrote
+// it: it carries gemm.kernel, wide_band and band_sweeps, which this build
+// skips like any unknown key.
+func legacyKeysProfile() []byte {
+	return fmt.Appendf(nil, `{"version":%d,"goos":%q,"goarch":%q,"num_cpu":%d,"gemm":{"mc":128,"kc":128,"nc":1024,"kernel":"2x4"},"nb":32,"wide_band":64,"band_sweeps":[8]}`,
+		ProfileVersion, runtime.GOOS, runtime.GOARCH, runtime.NumCPU())
+}
+
+// withVersion is validProfile stamped with another schema version, as JSON.
+func withVersion(t testing.TB, v int) []byte {
+	p := validProfile()
+	p.Version = v
+	return mustJSON(t, p)
 }
 
 func TestLoadRejectsMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tune.json")
-	p := validProfile()
-	p.NumCPU = runtime.NumCPU() + 7
-	// Bypass Save's validation to simulate a profile tuned on another box.
-	if err := os.WriteFile(path, mustJSON(t, p), 0o644); err != nil {
-		t.Fatal(err)
+	otherBox := validProfile()
+	otherBox.NumCPU = runtime.NumCPU() + 7
+	cases := []struct {
+		name    string
+		data    []byte // written as is, bypassing Save's validation
+		errHas  string
+		wantErr bool
+	}{
+		{name: "tuned on another box", data: mustJSON(t, otherBox), wantErr: true},
+		{name: "malformed JSON", data: []byte("{not json"), wantErr: true},
+		// One schema: every other version is refused, and the error names it.
+		{name: "v1", data: withVersion(t, 1), wantErr: true, errHas: "schema v1,"},
+		{name: "v2", data: withVersion(t, 2), wantErr: true, errHas: "schema v2,"},
+		{name: "future", data: withVersion(t, ProfileVersion+7), wantErr: true, errHas: fmt.Sprintf("schema v%d,", ProfileVersion+7)},
+		{name: "legacy keys under v3", data: legacyKeysProfile()},
 	}
-	if got, err := Load(path); err == nil {
-		t.Errorf("Load accepted hardware-mismatched profile %+v", got)
-	}
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err == nil {
-		t.Error("Load accepted malformed JSON")
-	}
-}
-
-// TestProfileMigrationV1 is the schema-migration gate named in
-// scripts/check.sh: v1- and v2-era on-disk profiles (no lookahead / no SBR
-// fields) must load in this build, come back stamped with the current version
-// and zero values for the fields their schema predates (= keep the built-in
-// defaults, exactly the old build's behaviour), and survive a Save → Load
-// round trip unchanged. Files that claim an old version but set a field from
-// a newer schema are corrupt, not old, and must be rejected — migrating them
-// would silently apply settings their schema never defined (the v1+lookahead
-// case used to slip through as a zero depth).
-func TestProfileMigrationV1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tune.json")
-	for _, oldV := range []int{1, 2} {
-		old := validProfile()
-		old.Version = oldV
-		if oldV >= 2 {
-			old.Lookahead = 3 // the v2 schema legitimately carries a depth
-		}
-		// Bypass Save's validation: this build would refuse to write old
-		// versions, but it must still read profiles an older build wrote.
-		if err := os.WriteFile(path, mustJSON(t, old), 0o644); err != nil {
+	for _, tc := range cases {
+		path := filepath.Join(t.TempDir(), "tune.json")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		got, err := Load(path)
-		if err != nil {
-			t.Fatalf("Load rejected a v%d profile: %v", oldV, err)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: Load = %+v, %v; want error %v", tc.name, got, err, tc.wantErr)
+			continue
 		}
-		if got.Version != ProfileVersion {
-			t.Fatalf("migrated v%d profile has version %d, want %d", oldV, got.Version, ProfileVersion)
+		if err != nil && !strings.Contains(err.Error(), tc.errHas) {
+			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.errHas)
 		}
-		if oldV < 2 && got.Lookahead != 0 {
-			t.Fatalf("migrated v1 profile has Lookahead %d, want 0 (keep default)", got.Lookahead)
-		}
-		if got.WideBand != 0 || got.BandSweeps != nil {
-			t.Fatalf("migrated v%d profile has SBR plan %d/%v, want zero (keep default)", oldV, got.WideBand, got.BandSweeps)
-		}
-		// Everything else must be carried over untouched.
-		want := *old
-		want.Version = ProfileVersion
-		if !got.Equal(&want) {
-			t.Fatalf("migration changed fields beyond the version:\n got %+v\nwant %+v", *got, want)
-		}
-		// A migrated profile re-saved by this build round-trips as the
-		// current schema.
-		if err := got.Save(path); err != nil {
-			t.Fatalf("Save after migration: %v", err)
-		}
-		again, err := Load(path)
-		if err != nil {
-			t.Fatalf("reload after migration save: %v", err)
-		}
-		if !again.Equal(got) {
-			t.Fatalf("migration save/load round trip changed profile:\n got %+v\nwant %+v", *again, *got)
-		}
-	}
-	// Unknown future schemas are still rejected, not "migrated".
-	v9 := validProfile()
-	v9.Version = ProfileVersion + 7
-	if err := os.WriteFile(path, mustJSON(t, v9), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err == nil {
-		t.Fatal("Load accepted a profile from an unknown future schema")
 	}
 }
 
-// TestProfileMigrationRejectsNewerFields is the regression test for the
-// silent-migration hole: an on-disk profile whose version predates a field it
-// nevertheless sets must be rejected by Load, not migrated. Before the fix a
-// v1 file carrying "lookahead" loaded fine and the depth was quietly
-// interpreted under v2 semantics it was never written against.
-func TestProfileMigrationRejectsNewerFields(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tune.json")
-	cases := []struct {
-		name string
-		mut  func(*Profile)
-	}{
-		{"v1-with-lookahead", func(p *Profile) { p.Version = 1; p.Lookahead = 2 }},
-		{"v1-with-wideband", func(p *Profile) { p.Version = 1; p.WideBand = 64 }},
-		{"v2-with-wideband", func(p *Profile) { p.Version = 2; p.WideBand = 64 }},
-		{"v2-with-sweeps", func(p *Profile) { p.Version = 2; p.BandSweeps = []int{8} }},
+// FuzzLoad feeds Load arbitrary file contents: it must never panic, and
+// whatever it accepts must be valid and survive Save → Load unchanged. The
+// seed corpus runs under plain `go test`.
+func FuzzLoad(f *testing.F) {
+	saved, err := json.MarshalIndent(validProfile(), "", "  ")
+	if err != nil {
+		f.Fatal(err)
 	}
-	for _, tc := range cases {
-		p := validProfile()
-		tc.mut(p)
-		if err := os.WriteFile(path, mustJSON(t, p), 0o644); err != nil {
+	f.Add(saved)
+	f.Add(legacyKeysProfile())
+	f.Add(withVersion(f, 1))
+	f.Add(withVersion(f, 2))
+	f.Add(saved[:len(saved)/2])
+	f.Add([]byte(`{"version":3,"nb":-48,"gemm":{"mc":-1}}`))
+	f.Add([]byte(`{"version":3,"num_cpu":9223372036854775808,"nb":9223372036854775807,"alpha_flops":1e999}`))
+	f.Add([]byte(`{"version":3,"nb":"48","gemm":{"kc":"128"}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "tune.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := Load(path); err == nil {
-			t.Errorf("%s: Load migrated a version-inconsistent profile: %+v", tc.name, got)
+		p, err := Load(path)
+		if err != nil {
+			return
 		}
-	}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Load accepted a profile Validate rejects: %v", err)
+		}
+		again := filepath.Join(dir, "again.json")
+		if err := p.Save(again); err != nil {
+			t.Fatalf("Save of a loaded profile: %v", err)
+		}
+		q, err := Load(again)
+		if err != nil {
+			t.Fatalf("reload: %v", err)
+		}
+		if *q != *p {
+			t.Fatalf("Save → Load changed the profile:\n got %+v\nwant %+v", *q, *p)
+		}
+	})
 }
 
 func TestDefaultPathEnvOverride(t *testing.T) {
@@ -240,12 +215,12 @@ func TestCachedUsesEnvPathAndInvalidate(t *testing.T) {
 	}
 	InvalidateCache()
 	got := Cached()
-	if !got.Equal(want) {
+	if got == nil || *got != *want {
 		t.Errorf("Cached after save = %+v, want %+v", got, want)
 	}
 }
 
-func mustJSON(t *testing.T, p *Profile) []byte {
+func mustJSON(t testing.TB, p *Profile) []byte {
 	t.Helper()
 	data, err := json.Marshal(p)
 	if err != nil {

@@ -127,15 +127,14 @@ func TestSolveBatchPipelineDepthAndDisable(t *testing.T) {
 }
 
 // TestSolveBatchPipelineStage2Options checks the pipeline composes with the
-// stage-2 tuning knobs (explicit core restriction, static scheduling, the
-// parallel-tridiagonal kill-switch) without perturbing results.
+// stage-2 tuning knobs (explicit core restriction, the parallel-tridiagonal
+// kill-switch) without perturbing results.
 func TestSolveBatchPipelineStage2Options(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	items := pipelineItems(rng)
 
 	for _, opts := range []Options{
 		{Workers: 4, Stage2Workers: 2},
-		{Workers: 4, Stage2Static: true, Stage2Workers: 2},
 		{Workers: 4, DisableParallelTridiag: true},
 		{Workers: 4, Method: BisectionInverseIteration},
 	} {

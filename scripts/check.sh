@@ -42,9 +42,14 @@ pipeline             TestSolveBatchPipeline|TestSolveBatchReentrant|TestPipeline
 tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestSchedAffinity|TestParallelTridiag|TestSecularRoot|TestStedcHard|TestStedcScalingExact|TestWorkSetRetention|TestEstimateCoversArena  ./internal/tridiag ./internal/core
 stage1-lookahead     TestReduceLookahead|TestLookahead|TestStage1  ./internal/band ./internal/core .
 packed-engine        TestBlock|TestGemmPackedA|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestKernelAutoWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestSolveBitwiseAcrossKernels  ./internal/householder ./internal/blas .
-sbr                  TestSBR|TestMultiSweep|TestChaseBanded  ./internal/sbr ./internal/core ./internal/bulge .
-tune-profile         TestTuneProfileRoundTripSolve|TestTuning|TestProfileRoundTrip|TestProfileValidateRejects|TestLoadRejectsMismatch|TestProfileMigration  . ./internal/tune
+bulge                TestChaseBanded|TestChaseAffinityRestriction|TestReflectorLattice  ./internal/bulge
+tune-profile         TestTuneProfileRoundTripSolve|TestTuning|TestProfileRoundTrip|TestProfileValidateRejects|TestLoadRejectsMismatch|FuzzLoad  . ./internal/tune
 service              TestServerAuth|TestServerSubmitValidation|TestServerJobEndpoints|TestServerNaNPayloadMapsTo400|TestErrorMapping|TestMemStore|TestDiskStore|TestRoundTripBitwise|TestCancelMidSolveFreesSlot|TestOverBudgetRefused|TestConcurrentClients  ./internal/service ./client
 no-home-dir          TestNewSolverWithoutHomeDir|TestDefaultPathWithoutHomeDir  . ./internal/tune
 EOF
+
+# The size triple ROADMAP.md tracks under "Size", printed for the next
+# re-anchor to read; nothing here is gated.
+options() { awk '/^type Options struct \{/ {f = 1; next} f && /^}/ {exit} f && $0 ~ "^\t" pat "[A-Za-z0-9]* " {n++} END {print n + 0}' pat="$1" eigen.go; }
+echo "size: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l) non-test Go lines outside benchmark/, $(options '[A-Z]') eigen.Options fields, $(options Disable) Disable* fields"
 exit $status

@@ -40,10 +40,9 @@ func DefaultTuneProfilePath() (string, error) { return tune.DefaultPath() }
 //     machine, not a solver) and is installed via blas.SetBlocking. Its fields
 //     are numerically neutral — the profile schema pins KC, the only blocking
 //     parameter that changes rounding — so installing it never perturbs any
-//     concurrent solver's results. The kernel family is never taken from a
-//     profile: blas.KernelAuto picks the assembly tile wherever the CPU has
-//     it, and a profile written before that kernel was in the default build
-//     names a portable tile that would silently pin the slow path.
+//     concurrent solver's results. The kernel family is not a profile field:
+//     blas.KernelAuto picks the assembly tile wherever the CPU has it, and the
+//     "kernel" key of a file written before that is skipped on load.
 //   - NB, ColBlock and LookaheadDepth are per-solver and only fill fields
 //     the caller left unset, so explicit Options always win over the profile.
 //
@@ -72,14 +71,5 @@ func applyTuning(o *Options) {
 	}
 	if o.LookaheadDepth == 0 && p.Lookahead > 0 {
 		o.LookaheadDepth = p.Lookahead
-	}
-	// The SBR plan is one knob, not two: a profile's WideBand is only
-	// meaningful together with its sweep list, so both are applied together
-	// and only when the caller expressed no multi-sweep preference at all —
-	// setting either field, or the kill-switch, pins the whole plan.
-	if o.WideBand == 0 && len(o.BandSweeps) == 0 && !o.DisableMultiSweep &&
-		p.WideBand > 0 && len(p.BandSweeps) > 0 {
-		o.WideBand = p.WideBand
-		o.BandSweeps = append([]int(nil), p.BandSweeps...)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/blas"
@@ -13,14 +14,12 @@ import (
 )
 
 // neutralProfile returns a valid profile that moves every numerically-neutral
-// knob off its default: different cache blocking (KC pinned), a kernel name
-// as profiles written before run-time dispatch carry one (loaded, never
-// applied), and a non-default column block. NB is left unset — it is the one
-// knob that legitimately changes the computed basis, so the bitwise gate
-// exercises everything else.
+// knob off its default: different cache blocking (KC pinned) and a non-default
+// column block. NB is left unset — it is the one knob that legitimately
+// changes the computed basis, so the bitwise gate exercises everything else.
 func neutralProfile() *tune.Profile {
 	p := tune.NewProfile()
-	p.Gemm = tune.GemmConfig{MC: 96, KC: tune.RequiredKC, NC: 256, Kernel: "4x4"}
+	p.Gemm = tune.GemmConfig{MC: 96, KC: tune.RequiredKC, NC: 256}
 	p.ColBlock = 48
 	return p
 }
@@ -56,7 +55,7 @@ func TestTuneProfileRoundTripSolve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load after Save: %v", err)
 	}
-	if !got.Equal(neutralProfile()) {
+	if *got != *neutralProfile() {
 		t.Fatalf("profile did not survive the disk round trip: %+v", *got)
 	}
 
@@ -86,39 +85,54 @@ func TestTuneProfileRoundTripSolve(t *testing.T) {
 	}
 }
 
-// TestTuningStaleKernelNotApplied is the regression test for profiles written
-// before the assembly kernel was in the default build: they persist the
-// portable tile that won then ("2x4" or "4x4" — the assembly tile was never a
-// candidate), and applying it would silently pin the slow path on an AVX2
-// host. Such a file must still load, and must leave the kernel at KernelAuto.
+// TestTuningStaleKernelNotApplied is the regression test for v3 profiles
+// written by older builds: they may carry the portable tile that won before
+// the assembly kernel was a candidate ("kernel") and a multi-sweep stage-1
+// plan ("wide_band", "band_sweeps"). Such a file must still load, install its
+// mc/nc under KernelAuto, apply its nb, and solve bitwise like the same
+// profile without the three keys.
 func TestTuningStaleKernelNotApplied(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tune.json")
 	t.Setenv(tune.ProfileEnv, path)
-	tune.InvalidateCache()
 	blas.SetBlocking(blas.DefaultBlocking())
 	t.Cleanup(func() {
 		tune.InvalidateCache()
 		blas.SetBlocking(blas.DefaultBlocking())
 	})
-	stale := fmt.Sprintf(`{"version":%d,"goos":%q,"goarch":%q,"num_cpu":%d,"gemm":{"mc":128,"kc":128,"nc":1024,"kernel":"2x4"},"nb":32}`,
-		tune.ProfileVersion, runtime.GOOS, runtime.GOARCH, runtime.NumCPU())
-	if err := os.WriteFile(path, []byte(stale), 0o644); err != nil {
-		t.Fatal(err)
+	profile := func(kernel, plan string) string {
+		return fmt.Sprintf(`{"version":%d,"goos":%q,"goarch":%q,"num_cpu":%d,"gemm":{"mc":128,"kc":128,"nc":1024%s},"nb":32%s}`,
+			tune.ProfileVersion, runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), kernel, plan)
 	}
-	p, err := tune.Load(path)
-	if err != nil {
-		t.Fatalf("a profile carrying a kernel name no longer loads: %v", err)
+	a := randSymMatrix(rand.New(rand.NewSource(11)), 70)
+	var vals, vecs [2][]float64
+	for i, file := range []string{
+		profile(`,"kernel":"2x4"`, `,"wide_band":64,"band_sweeps":[8]`),
+		profile("", ""),
+	} {
+		if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tune.Load(path); err != nil {
+			t.Fatalf("profile %d no longer loads: %v", i, err)
+		}
+		tune.InvalidateCache()
+		blas.SetBlocking(blas.DefaultBlocking())
+		s := NewSolver(nil)
+		defer s.Close()
+		if s.opts.NB != 32 {
+			t.Fatalf("profile %d not picked up from disk: NB=%d", i, s.opts.NB)
+		}
+		if cb := blas.CurrentBlocking(); cb.Kernel != blas.KernelAuto || cb.MC != 128 || cb.NC != 1024 {
+			t.Fatalf("GEMM blocking after NewSolver with profile %d: %+v, want mc=128 nc=1024 under KernelAuto", i, cb)
+		}
+		res, err := s.Eig(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals[i], vecs[i] = res.Values, res.Vectors.data
 	}
-	if p.Gemm.Kernel != "2x4" {
-		t.Fatalf("kernel field parsed as %q, want it preserved", p.Gemm.Kernel)
-	}
-	s := NewSolver(nil)
-	defer s.Close()
-	if s.opts.NB != 32 {
-		t.Fatalf("profile not picked up from disk: NB=%d", s.opts.NB)
-	}
-	if cb := blas.CurrentBlocking(); cb.Kernel != blas.KernelAuto || cb.MC != 128 || cb.NC != 1024 {
-		t.Fatalf("GEMM blocking after NewSolver: %+v, want mc=128 nc=1024 under KernelAuto", cb)
+	if !slices.Equal(vals[0], vals[1]) || !slices.Equal(vecs[0], vecs[1]) {
+		t.Fatal("the legacy keys changed the solve")
 	}
 }
 
@@ -142,27 +156,6 @@ func TestTuningOptionsPrecedence(t *testing.T) {
 		t.Errorf("explicit options lost to profile: NB=%d ColBlock=%d", s2.opts.NB, s2.opts.ColBlock)
 	}
 
-	// The profile's SBR plan fills in only when the caller expressed no
-	// multi-sweep preference: explicit fields or the kill-switch pin it.
-	psbr := neutralProfile()
-	psbr.WideBand = 64
-	psbr.BandSweeps = []int{8}
-	s4 := NewSolver(&Options{Tuning: psbr})
-	defer s4.Close()
-	if s4.opts.WideBand != 64 || len(s4.opts.BandSweeps) != 1 || s4.opts.BandSweeps[0] != 8 {
-		t.Errorf("profile SBR plan not applied: WideBand=%d BandSweeps=%v", s4.opts.WideBand, s4.opts.BandSweeps)
-	}
-	s5 := NewSolver(&Options{Tuning: psbr, BandSweeps: []int{16}})
-	defer s5.Close()
-	if s5.opts.WideBand != 0 || len(s5.opts.BandSweeps) != 1 || s5.opts.BandSweeps[0] != 16 {
-		t.Errorf("explicit SBR options lost to profile: WideBand=%d BandSweeps=%v", s5.opts.WideBand, s5.opts.BandSweeps)
-	}
-	s6 := NewSolver(&Options{Tuning: psbr, DisableMultiSweep: true})
-	defer s6.Close()
-	if s6.opts.WideBand != 0 || s6.opts.BandSweeps != nil {
-		t.Errorf("DisableMultiSweep still applied profile SBR plan: WideBand=%d BandSweeps=%v", s6.opts.WideBand, s6.opts.BandSweeps)
-	}
-
 	blas.SetBlocking(blas.DefaultBlocking())
 	s3 := NewSolver(&Options{Tuning: p, DisableTuning: true})
 	defer s3.Close()
@@ -174,21 +167,26 @@ func TestTuningOptionsPrecedence(t *testing.T) {
 	}
 }
 
-// TestTuningInvalidProfileIgnored: a hardware-mismatched profile must be
-// silently skipped, never break construction.
+// TestTuningInvalidProfileIgnored: a hardware-mismatched profile, or one from
+// another schema version, must be silently skipped, never break construction.
 func TestTuningInvalidProfileIgnored(t *testing.T) {
 	t.Cleanup(func() { blas.SetBlocking(blas.DefaultBlocking()) })
-	blas.SetBlocking(blas.DefaultBlocking())
-	p := neutralProfile()
-	p.NumCPU += 3
-	p.NB = 40
-	s := NewSolver(&Options{Tuning: p})
-	defer s.Close()
-	if s.opts.NB != 0 {
-		t.Errorf("mismatched profile applied NB=%d", s.opts.NB)
-	}
-	if cb := blas.CurrentBlocking(); cb != blas.DefaultBlocking() {
-		t.Errorf("mismatched profile changed blocking: %+v", cb)
+	for name, mut := range map[string]func(*tune.Profile){
+		"other machine": func(p *tune.Profile) { p.NumCPU += 3 },
+		"schema v2":     func(p *tune.Profile) { p.Version = 2 },
+	} {
+		blas.SetBlocking(blas.DefaultBlocking())
+		p := neutralProfile()
+		p.NB = 40
+		mut(p)
+		s := NewSolver(&Options{Tuning: p})
+		if s.opts.NB != 0 || s.opts.ColBlock != 0 {
+			t.Errorf("%s: profile applied NB=%d ColBlock=%d", name, s.opts.NB, s.opts.ColBlock)
+		}
+		if cb := blas.CurrentBlocking(); cb != blas.DefaultBlocking() {
+			t.Errorf("%s: profile changed blocking: %+v", name, cb)
+		}
+		s.Close()
 	}
 }
 
