@@ -3,12 +3,16 @@ package eigen
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/sched"
+	"repro/internal/trace"
 	"repro/internal/tridiag"
 )
 
@@ -53,73 +57,88 @@ func requireBitwise(t *testing.T, label string, got BatchResult, wantVals []floa
 	}
 }
 
-// TestSolveBatchMatchesSolo checks the core batch guarantee: a mixed batch
-// solved concurrently is bitwise identical to solving each item alone on the
-// same Solver, across item flavors (full, values-only, range, in-place Dst).
+// soloReference solves every item alone on a sequential Solver with the same
+// numerical options, giving the bitwise ground truth a batch must reproduce
+// at any worker count.
+func soloReference(t *testing.T, opts Options, items []BatchItem) []BatchResult {
+	t.Helper()
+	opts.Workers = 0
+	ref := NewSolver(&opts)
+	defer ref.Close()
+	return soloOn(t, ref, items)
+}
+
+// soloOn solves every item alone, one after the other, on the given Solver
+// (a Dst item into a fresh matrix, so the batch's own Dst is left alone).
+func soloOn(t *testing.T, s *Solver, items []BatchItem) []BatchResult {
+	t.Helper()
+	out := make([]BatchResult, len(items))
+	for i, it := range items {
+		var res *Result
+		var err error
+		if it.ValuesOnly {
+			var vals []float64
+			if it.IL != 0 || it.IU != 0 {
+				vals, err = s.EigValuesRange(it.A, it.IL, it.IU)
+			} else {
+				vals, err = s.EigValues(it.A)
+			}
+			res = &Result{Values: vals}
+		} else if it.IL != 0 || it.IU != 0 {
+			res, err = s.EigRange(it.A, it.IL, it.IU)
+		} else {
+			res, err = s.Eig(it.A)
+		}
+		if err != nil {
+			t.Fatalf("solo reference item %d: %v", i, err)
+		}
+		out[i] = BatchResult{Values: res.Values, Vectors: res.Vectors}
+	}
+	return out
+}
+
+// mixedItems is the mixed batch the equivalence tests sweep: assorted sizes,
+// a values-only item, and a range item.
+func mixedItems(rng *rand.Rand) []BatchItem {
+	return []BatchItem{
+		{A: randSymMatrix(rng, 48)},
+		{A: randSymMatrix(rng, 32)},
+		{A: randSymMatrix(rng, 64)},
+		{A: randSymMatrix(rng, 24), ValuesOnly: true},
+		{A: randSymMatrix(rng, 40), IL: 2, IU: 9},
+		{A: randSymMatrix(rng, 56)},
+	}
+}
+
+// TestSolveBatchMatchesSolo checks the core batch guarantee at every worker
+// count: a mixed batch solved concurrently (whole solves as tasks, different
+// items on different workers) is bitwise identical to solving each item alone
+// — on the same Solver and on a sequential one — across item flavors (full,
+// values-only, range, in-place Dst). Run under -race by scripts/check.sh.
 func TestSolveBatchMatchesSolo(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewSolver(&Options{Workers: 4})
-	defer s.Close()
-
-	a32 := randSymMatrix(rng, 32)
-	a64 := randSymMatrix(rng, 64)
-	a96 := randSymMatrix(rng, 96)
-	aRange := randSymMatrix(rng, 48)
-	aDst := randSymMatrix(rng, 40)
 	dst := NewMatrix(40)
+	items := append(mixedItems(rng),
+		BatchItem{A: randSymMatrix(rng, 96)},
+		BatchItem{A: randSymMatrix(rng, 40), Dst: dst})
+	want := soloReference(t, Options{}, items)
 
-	items := []BatchItem{
-		{A: a32},
-		{A: a64},
-		{A: a96},
-		{A: a64, ValuesOnly: true},
-		{A: aRange, IL: 3, IU: 10},
-		{A: aDst, Dst: dst},
+	for _, workers := range []int{1, 2, 4, 7} {
+		s := NewSolver(&Options{Workers: workers})
+		results := s.SolveBatch(context.Background(), items)
+		if len(results) != len(items) {
+			t.Fatalf("got %d results for %d items", len(results), len(items))
+		}
+		same := soloOn(t, s, items)
+		for i, r := range results {
+			requireBitwise(t, fmt.Sprintf("workers=%d item %d vs sequential", workers, i), r, want[i].Values, want[i].Vectors)
+			requireBitwise(t, fmt.Sprintf("workers=%d item %d vs same Solver", workers, i), r, same[i].Values, same[i].Vectors)
+		}
+		if results[len(items)-1].Vectors != dst {
+			t.Fatal("Dst item did not return the caller's matrix")
+		}
+		s.Close()
 	}
-	results := s.SolveBatch(context.Background(), items)
-	if len(results) != len(items) {
-		t.Fatalf("got %d results for %d items", len(results), len(items))
-	}
-
-	r32, err := s.Eig(a32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitwise(t, "n=32", results[0], r32.Values, r32.Vectors)
-
-	r64, err := s.Eig(a64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitwise(t, "n=64", results[1], r64.Values, r64.Vectors)
-
-	r96, err := s.Eig(a96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitwise(t, "n=96", results[2], r96.Values, r96.Vectors)
-
-	vals64, err := s.EigValues(a64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitwise(t, "values-only", results[3], vals64, nil)
-
-	rr, err := s.EigRange(aRange, 3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitwise(t, "range", results[4], rr.Values, rr.Vectors)
-
-	if results[5].Vectors != dst {
-		t.Fatal("Dst item did not return the caller's matrix")
-	}
-	soloDst := NewMatrix(40)
-	soloVals, err := s.EigTo(context.Background(), aDst, soloDst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitwise(t, "dst", results[5], soloVals, soloDst)
 }
 
 // TestSolveBatchSequentialSolver runs a batch on a schedulerless Solver:
@@ -143,25 +162,44 @@ func TestSolveBatchSequentialSolver(t *testing.T) {
 	requireBitwise(t, "seq item 2", results[1], want2.Values, want2.Vectors)
 }
 
-// TestSolveBatchFanout forces the per-tile fan-out path (BatchFanout below
-// the problem sizes) and checks it against solo solves too.
+// TestSolveBatchFanout forces the per-tile fan-out shape (BatchFanout below
+// the problem sizes: every item's phases expand into their task DAGs on the
+// shared scheduler) and checks bitwise identity with solo solves there too.
 func TestSolveBatchFanout(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	s := NewSolver(&Options{Workers: 3, BatchFanout: 1})
-	defer s.Close()
-	a1 := randSymMatrix(rng, 48)
-	a2 := randSymMatrix(rng, 32)
-	results := s.SolveBatch(context.Background(), []BatchItem{{A: a1}, {A: a2}})
-	want1, err := s.Eig(a1)
-	if err != nil {
-		t.Fatal(err)
+	items := mixedItems(rng)
+	want := soloReference(t, Options{}, items)
+
+	for _, workers := range []int{2, 3, 4, 7} {
+		s := NewSolver(&Options{Workers: workers, BatchFanout: 1})
+		for i, r := range s.SolveBatch(context.Background(), items) {
+			requireBitwise(t, fmt.Sprintf("workers=%d fanout item %d", workers, i), r, want[i].Values, want[i].Vectors)
+		}
+		s.Close()
 	}
-	want2, err := s.Eig(a2)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestSolveBatchStage2Options checks the batch composes with the within-solve
+// knobs (the stage-2 and eig_t core restrictions, another tridiagonal method)
+// on both admission shapes without perturbing results.
+func TestSolveBatchStage2Options(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	items := mixedItems(rng)
+
+	for _, opts := range []Options{
+		{Workers: 4, Stage2Workers: 2},
+		{Workers: 4, Stage2Workers: 2, TridiagWorkers: 1, BatchFanout: 1},
+		{Workers: 4, Method: BisectionInverseIteration},
+	} {
+		opts := opts
+		want := soloReference(t, opts, items)
+		s := NewSolver(&opts)
+		results := s.SolveBatch(context.Background(), items)
+		for i, r := range results {
+			requireBitwise(t, t.Name(), r, want[i].Values, want[i].Vectors)
+		}
+		s.Close()
 	}
-	requireBitwise(t, "fanout item 1", results[0], want1.Values, want1.Vectors)
-	requireBitwise(t, "fanout item 2", results[1], want2.Values, want2.Vectors)
 }
 
 // TestSolveBatchMemoryBudget runs a batch under a tight byte budget: items
@@ -374,8 +412,6 @@ func TestOptionsClamp(t *testing.T) {
 		{Workers: 2, Stage2Workers: 1 << 20},
 		{Group: -2},
 		{MemoryBudget: -1, BatchConcurrency: -4, BatchFanout: -1},
-		{PipelineDepth: -7},
-		{Workers: 2, PipelineDepth: 1 << 30},
 	} {
 		res, err := Eig(a, opts)
 		if err != nil {
@@ -598,5 +634,240 @@ func TestSolverGateSharedAcrossBatchCalls(t *testing.T) {
 		if err != nil {
 			t.Fatalf("concurrent single-item batch: %v", err)
 		}
+	}
+}
+
+// TestSolveBatchCancel cancels a batch mid-flight: items must come
+// back either complete (bitwise correct) or with the context's error — never
+// wedged, never corrupt — and the Solver must stay usable.
+func TestSolveBatchCancel(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	s := NewSolver(&Options{Workers: 4})
+	defer s.Close()
+
+	items := make([]BatchItem, 12)
+	for i := range items {
+		items[i].A = randSymMatrix(rng, 72)
+	}
+	want := soloReference(t, Options{}, items)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(2 * time.Millisecond) // land mid-batch, not before admission
+		cancel()
+	}()
+	results := s.SolveBatch(ctx, items)
+	for i, r := range results {
+		if r.Err != nil {
+			if !errors.Is(r.Err, context.Canceled) {
+				t.Fatalf("item %d: err=%v, want context.Canceled", i, r.Err)
+			}
+			continue
+		}
+		requireBitwise(t, t.Name(), r, want[i].Values, want[i].Vectors)
+	}
+
+	// The canceled batch released its slots and workspaces: a fresh batch
+	// on the same Solver runs clean.
+	for i, r := range s.SolveBatch(context.Background(), items[:3]) {
+		requireBitwise(t, t.Name(), r, want[i].Values, want[i].Vectors)
+	}
+}
+
+// TestSolveBatchCloseMidFlight closes the Solver a few milliseconds into a
+// batch: every item must come back either complete (bitwise correct) or with
+// ErrClosed — the scheduler's ErrStopped never leaks, no item returns neither
+// a result nor an error, and the call never wedges.
+func TestSolveBatchCloseMidFlight(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	items := make([]BatchItem, 12)
+	for i := range items {
+		items[i].A = randSymMatrix(rng, 72)
+	}
+	want := soloReference(t, Options{}, items)
+
+	for trial := 0; trial < 20; trial++ {
+		s := NewSolver(&Options{Workers: 4})
+		done := make(chan []BatchResult, 1)
+		go func() { done <- s.SolveBatch(context.Background(), items) }()
+		time.Sleep(time.Duration(trial%5) * time.Millisecond)
+		s.Close()
+		var results []BatchResult
+		select {
+		case results = <-done:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("trial %d: SolveBatch wedged after Close", trial)
+		}
+		for i, r := range results {
+			if r.Err != nil {
+				if !errors.Is(r.Err, ErrClosed) {
+					t.Fatalf("trial %d item %d: err=%v, want ErrClosed", trial, i, r.Err)
+				}
+				continue
+			}
+			if r.Values == nil {
+				t.Fatalf("trial %d item %d: neither a result nor an error", trial, i)
+			}
+			requireBitwise(t, fmt.Sprintf("trial %d item %d", trial, i), r, want[i].Values, want[i].Vectors)
+		}
+	}
+}
+
+// TestSolveBatchNonConverging routes a non-converging item through a parallel
+// batch: its typed error must stay item-local while the surrounding items
+// complete bitwise intact.
+func TestSolveBatchNonConverging(t *testing.T) {
+	oldQL := tridiag.MaxIterQL
+	tridiag.MaxIterQL = 0
+	defer func() { tridiag.MaxIterQL = oldQL }()
+
+	rng := rand.New(rand.NewSource(26))
+	opts := Options{Workers: 4, Method: QRIteration}
+
+	// Diagonal items converge under a zero iteration budget; the dense one
+	// cannot.
+	d1 := make([]float64, 32)
+	d2 := make([]float64, 48)
+	for i := range d1 {
+		d1[i] = rng.NormFloat64()
+	}
+	for i := range d2 {
+		d2[i] = rng.NormFloat64()
+	}
+	items := []BatchItem{
+		{A: diagMatrix(d1)},
+		{A: randSymMatrix(rng, 40)}, // fails convergence
+		{A: diagMatrix(d2)},
+	}
+	want := soloReference(t, opts, []BatchItem{items[0], items[2]})
+
+	s := NewSolver(&opts)
+	defer s.Close()
+	results := s.SolveBatch(context.Background(), items)
+	requireBitwise(t, "pre-failure item", results[0], want[0].Values, want[0].Vectors)
+	if results[1].Err != ErrNoConvergence {
+		t.Fatalf("non-converging item: err=%v, want ErrNoConvergence", results[1].Err)
+	}
+	requireBitwise(t, "post-failure item", results[2], want[1].Values, want[1].Vectors)
+}
+
+// TestSolveBatchReentrant calls SolveBatch from inside one of the Solver's
+// own scheduler tasks: every item must be refused with ErrReentrantBatch (the
+// call could only deadlock waiting for the worker it occupies). The same call
+// aimed at a different Solver is legal and must succeed.
+func TestSolveBatchReentrant(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	a := randSymMatrix(rng, 16)
+
+	s := NewSolver(&Options{Workers: 2})
+	defer s.Close()
+	other := NewSolver(&Options{Workers: 2})
+	defer other.Close()
+
+	var reentrant []BatchResult
+	var crossRes []BatchResult
+	job := s.sched.NewJob(context.Background())
+	job.Submit(sched.Task{
+		Name: "REENTER",
+		Run: func(int) {
+			reentrant = s.SolveBatch(context.Background(), []BatchItem{{A: a}, {A: a}})
+			crossRes = other.SolveBatch(context.Background(), []BatchItem{{A: a}})
+		},
+	})
+	if err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(reentrant) != 2 {
+		t.Fatalf("got %d results", len(reentrant))
+	}
+	for i, r := range reentrant {
+		if !errors.Is(r.Err, ErrReentrantBatch) {
+			t.Fatalf("re-entrant item %d: err=%v, want ErrReentrantBatch", i, r.Err)
+		}
+	}
+	if len(crossRes) != 1 || crossRes[0].Err != nil {
+		t.Fatalf("cross-solver call from a task must succeed, got %+v", crossRes)
+	}
+
+	// Outside any task the same Solver accepts batches as usual.
+	for _, r := range s.SolveBatch(context.Background(), []BatchItem{{A: a}}) {
+		if r.Err != nil {
+			t.Fatalf("non-reentrant batch after refusal: %v", r.Err)
+		}
+	}
+}
+
+// TestSolveBatchTraceAttribution checks the per-item collectors that come back
+// from a parallel batch: every solve's phases must be attributed (stage1,
+// stage2, eig_t, back-transformation) plus the admission-wait phase, and the
+// Solver-level collector must hold the merged aggregate.
+func TestSolveBatchTraceAttribution(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	agg := trace.New()
+	s := NewSolver(&Options{Workers: 4, Collector: agg})
+	defer s.Close()
+
+	items := []BatchItem{
+		{A: randSymMatrix(rng, 48)},
+		{A: randSymMatrix(rng, 64)},
+		{A: randSymMatrix(rng, 32)},
+	}
+	results := s.SolveBatch(context.Background(), items)
+	var itemStage1 time.Duration
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("item %d: %v", i, r.Err)
+		}
+		if r.Trace == nil {
+			t.Fatalf("item %d: no per-item trace", i)
+		}
+		ph := r.Trace.Phases()
+		for _, name := range []string{"stage1", "stage2", "eig_t"} {
+			if ph[name] <= 0 {
+				t.Fatalf("item %d: phase %q not attributed (got %v)", i, name, ph)
+			}
+		}
+		if _, ok := ph["batch_wait"]; !ok {
+			t.Fatalf("item %d: admission wait not recorded", i)
+		}
+		itemStage1 += ph["stage1"]
+	}
+	if got := agg.PhaseTime("stage1"); got < itemStage1 {
+		t.Fatalf("aggregate stage1 %v < sum of per-item %v", got, itemStage1)
+	}
+}
+
+// TestSolveBatchConcurrentCalls throws several batches at one Solver from
+// concurrent goroutines (run under -race): the shared scheduler,
+// gate, and pool must keep every item isolated and correct.
+func TestSolveBatchConcurrentCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	a1 := randSymMatrix(rng, 40)
+	a2 := randSymMatrix(rng, 56)
+	want := soloReference(t, Options{}, []BatchItem{{A: a1}, {A: a2}})
+
+	s := NewSolver(&Options{Workers: 4})
+	defer s.Close()
+
+	var failures atomic.Int64
+	done := make(chan struct{})
+	for g := 0; g < 3; g++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			results := s.SolveBatch(context.Background(), []BatchItem{{A: a1}, {A: a2}})
+			for i, r := range results {
+				if r.Err != nil || !sameFloats(r.Values, want[i].Values) ||
+					r.Vectors == nil || !sameFloats(r.Vectors.data, want[i].Vectors.data) {
+					failures.Add(1)
+				}
+			}
+		}()
+	}
+	for g := 0; g < 3; g++ {
+		<-done
+	}
+	if n := failures.Load(); n != 0 {
+		t.Fatalf("%d item results diverged across concurrent batches", n)
 	}
 }

@@ -73,8 +73,8 @@ type Options struct {
 	// different (equally valid) factorization, so changing it changes the
 	// computed eigenvector basis in the last bits.
 	NB int
-	// ColBlock is the eigenvector column-block width shared by the Q₂/Q₁
-	// appliers and the fused back-transformation; 0 picks a default (the
+	// ColBlock is the eigenvector column-block width of the fused
+	// back-transformation (one task per block); 0 picks a default (the
 	// tune profile when installed, else the internal/tune heuristic).
 	// Results are bitwise identical at any width — the knob only partitions
 	// independent columns.
@@ -92,12 +92,6 @@ type Options struct {
 	// internally. The depth only steers the ready queue: results are bitwise
 	// identical at every depth and worker count.
 	LookaheadDepth int
-	// DisableLookahead is the kill-switch for stage-1 look-ahead: when set,
-	// the scheduled reduction uses the flat pre-look-ahead priority scheme
-	// exactly. The results are bitwise identical either way; the switch
-	// exists for benchmarking and as an escape hatch, mirroring
-	// DisableFusedBacktrans and DisableParallelTridiag.
-	DisableLookahead bool
 	// Stage2Workers restricts the memory-bound bulge-chasing stage to fewer
 	// cores for locality (the paper's core restriction); 0 = no limit.
 	Stage2Workers int
@@ -108,23 +102,9 @@ type Options struct {
 	// cores free for co-scheduled solves. Results are identical at any
 	// setting.
 	TridiagWorkers int
-	// DisableParallelTridiag is the kill-switch for the parallel
-	// tridiagonal stage (on by default when Workers > 1): when set, the D&C
-	// recursion, bisection, and inverse iteration run sequentially on the
-	// calling goroutine. The results are bitwise identical either way; the
-	// switch exists for benchmarking and as an escape hatch, mirroring
-	// DisableFusedBacktrans.
-	DisableParallelTridiag bool
 	// Group is the number of bulge-chasing sweeps aggregated into one
 	// diamond block when applying Q₂; 0 picks the bandwidth.
 	Group int
-	// DisableFusedBacktrans is the kill-switch for the fused single-pass
-	// back-transformation (on by default): when set, Q₂ and Q₁ are applied
-	// in two barrier-separated sweeps over the eigenvector matrix instead
-	// of one fused cache-hot pass per column block. The results are bitwise
-	// identical either way; the switch exists for benchmarking and as an
-	// escape hatch.
-	DisableFusedBacktrans bool
 	// SkipSymmetryCheck disables the O(n²) input-symmetry validation. The
 	// solver then trusts the caller: a non-symmetric input yields the
 	// spectrum of an unspecified nearby matrix rather than an error. Use it
@@ -151,15 +131,6 @@ type Options struct {
 	// out into per-tile tasks on the shared scheduler instead of running as
 	// a single whole-solve task; 0 picks DefaultBatchFanout.
 	BatchFanout int
-	// PipelineDepth bounds how many SolveBatch items may be mid-plan at
-	// once in the pipelined executor — the window over which the
-	// compute-bound stage 1 of one item overlaps the memory-bound stage
-	// 2/tridiagonal phases of its predecessors. 0 picks the scheduler
-	// width; values are clamped like Workers (negatives → 0, capped at
-	// sched.MaxWorkers and, at batch time, at the scheduler width). It
-	// composes with BatchConcurrency: the effective in-flight cap is the
-	// smaller of the two.
-	PipelineDepth int
 	// Tuning overrides the machine's persisted tune profile for this Solver:
 	// when non-nil (and valid for this machine) it is applied instead of the
 	// on-disk profile from eigtune. Explicitly set Options fields (NB,
@@ -171,13 +142,6 @@ type Options struct {
 	// process-wide GEMM blocking untouched — the zero-configuration behavior
 	// from before the autotuner existed.
 	DisableTuning bool
-	// DisablePipeline is the kill-switch for the pipelined batch executor:
-	// when set, SolveBatch runs each item as an opaque whole-solve task (or
-	// per-tile fan-out above BatchFanout) exactly as before the phase
-	// pipeline existed. Results are bitwise identical either way; the
-	// switch exists for benchmarking and fault isolation, mirroring
-	// DisableFusedBacktrans and DisableParallelTridiag.
-	DisablePipeline bool
 }
 
 // normalize clamps out-of-range option values in place so that invalid
@@ -221,12 +185,6 @@ func (o *Options) normalize() {
 	if o.BatchFanout < 0 {
 		o.BatchFanout = 0
 	}
-	if o.PipelineDepth < 0 {
-		o.PipelineDepth = 0
-	}
-	if o.PipelineDepth > sched.MaxWorkers {
-		o.PipelineDepth = sched.MaxWorkers
-	}
 }
 
 func (o *Options) toCore(vectors bool, il, iu int) core.Options {
@@ -237,14 +195,9 @@ func (o *Options) toCore(vectors bool, il, iu int) core.Options {
 		c.Workers = o.Workers
 		c.Stage2Workers = o.Stage2Workers
 		c.TridiagWorkers = o.TridiagWorkers
-		c.DisableParallelTridiag = o.DisableParallelTridiag
 		c.LookaheadDepth = o.LookaheadDepth
-		c.DisableLookahead = o.DisableLookahead
 		c.Group = o.Group
 		c.Collector = o.Collector
-		if o.DisableFusedBacktrans {
-			c.FusedBacktrans = core.FuseOff
-		}
 		switch o.Method {
 		case BisectionInverseIteration:
 			c.Method = core.MethodBI

@@ -13,19 +13,19 @@ import (
 // ApplyFused computes E := Q₁·(Q₂·E) in a single pass over E. The paper's
 // Figure 3c partitioning makes each column block of E independent through
 // *both* back-transformation factors, so instead of streaming the whole
-// matrix through memory twice with a global barrier in between (the legacy
-// PhaseUpdateQ2/PhaseUpdateQ1 sequence), one task per block applies every
-// Q₂ diamond and then the full Q₁ tile-reflector sequence while the block is
-// cache-hot. f must be the stage-1 factor of the same reduction the plan's
-// chase consumed (f.N == n).
+// matrix through memory once per factor with a global barrier in between,
+// one task per block applies every Q₂ diamond and then the full Q₁
+// tile-reflector sequence while the block is cache-hot. f must be the
+// stage-1 factor of the same reduction the plan's chase consumed (f.N == n).
 //
 // colBlock ≤ 0 picks the shared tune.ColBlock default. With a
 // scheduler-backed job each block runs on its own worker with a retained
 // worker-owned slab (no per-task allocation); a nil or inline job runs the
 // blocks sequentially on one shared workspace, stopping at a block boundary
 // on cancellation (the caller must check job.Err and discard E). The result
-// is bitwise identical to the two-phase path at equal colBlock. tc may be
-// nil; Q₂/Q₁ flop shares are attributed to the legacy phase names via
+// is bitwise identical to ApplyBlock followed by f.ApplyQ1Block over the
+// whole of E, at any colBlock and worker count. tc may be nil; the Q₂/Q₁
+// flop shares are attributed to trace.PhaseUpdateQ2/PhaseUpdateQ1 via
 // AttributeFlops.
 func (p *Plan) ApplyFused(f *band.Factor, e *matrix.Dense, job *sched.Job, colBlock int, tc *trace.Collector) {
 	if e.Rows != p.n {
@@ -44,7 +44,7 @@ func (p *Plan) ApplyFused(f *band.Factor, e *matrix.Dense, job *sched.Job, colBl
 	wkLen := max(p.Work(), f.Q1Work())
 	q2PerCol, q1PerCol := p.FlopsPerCol(), f.Q1FlopsPerCol()
 	runBlock := func(view *matrix.Dense, wk []float64) {
-		p.applyBlock(view, wk, tc)
+		p.ApplyBlock(view, wk, tc)
 		f.ApplyQ1Block(blas.NoTrans, view, wk, tc)
 		tc.AttributeFlops(trace.PhaseUpdateQ2, q2PerCol*int64(view.Cols))
 		tc.AttributeFlops(trace.PhaseUpdateQ1, q1PerCol*int64(view.Cols))

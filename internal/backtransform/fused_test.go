@@ -24,6 +24,17 @@ func fusedFixture(rng *rand.Rand, n, nb int, ws *work.Arena) (*band.Factor, *Pla
 	return f, NewPlan(res, 0, ws)
 }
 
+// twoPhase is the sequential per-factor reference of the fused path: every
+// Q₂ diamond over the whole of E, then the whole Q₁ sequence over the whole
+// of E.
+func twoPhase(f *band.Factor, p *Plan, e *matrix.Dense) {
+	applyQ2(p, e)
+	f.ApplyQ1Block(blas.NoTrans, e, make([]float64, f.Q1Work()), nil)
+}
+
+// TestApplyFusedMatchesTwoPhase: the fused single pass — inline and on a
+// scheduler, at several column-block widths — is bitwise the two factors
+// applied one after the other to the whole of E.
 func TestApplyFusedMatchesTwoPhase(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range []struct{ n, nb, cols, colBlock int }{
@@ -38,8 +49,7 @@ func TestApplyFusedMatchesTwoPhase(t *testing.T) {
 			e.Data[i] = rng.NormFloat64()
 		}
 		want := e.Clone()
-		p.Apply(want, nil, tc.colBlock, nil)
-		f.ApplyQ1(blas.NoTrans, want, nil, tc.colBlock, nil)
+		twoPhase(f, p, want)
 
 		// Inline job.
 		got := e.Clone()
@@ -78,8 +88,7 @@ func TestApplyFusedArenaReuse(t *testing.T) {
 			e.Data[i] = rng.NormFloat64()
 		}
 		want := e.Clone()
-		p.Apply(want, nil, 9, nil)
-		f.ApplyQ1(blas.NoTrans, want, nil, 9, nil)
+		twoPhase(f, p, want)
 		got := e.Clone()
 		s := sched.New(2)
 		job := s.NewJob(nil)

@@ -21,9 +21,7 @@ import (
 	"repro/internal/bulge"
 	"repro/internal/householder"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 	"repro/internal/trace"
-	"repro/internal/tune"
 	"repro/internal/work"
 )
 
@@ -61,22 +59,18 @@ type diamond struct {
 // Plan precomputes the diamond blocks of Q₂ for a chase result, so repeated
 // applications (e.g. to different eigenvector sets) skip the aggregation.
 // NewPlan is the one place a diamond is prepared (householder.Block, H form
-// only — Q₂ is never applied transposed); every column block of every Apply
-// then consumes the same packed operands. A Plan built with a workspace arena
-// borrows arena storage (the packed-reflector slab, the block list) and is
-// only valid until the arena is recycled.
+// only — Q₂ is never applied transposed); every column block of every
+// application then consumes the same packed operands. A Plan built with a
+// workspace arena borrows arena storage (the packed-reflector slab, the block
+// list) and is only valid until the arena is recycled.
 type Plan struct {
 	n       int
-	b       int // chase bandwidth (== stage-1 tile size in the driver)
-	group   int
 	maxK    int // widest diamond
 	maxRows int // tallest diamond; with maxK it bounds the apply workspace
 	ws      *work.Arena
 	// blocks in application order for Q₂·E (valid DAG linearization:
 	// sweep-group descending, level ascending within a group).
 	blocks []diamond
-	// naive fallback data.
-	refs []bulge.Reflector
 }
 
 // planCache is the retained per-arena aggregation scratch: the Plan header,
@@ -104,7 +98,7 @@ func NewPlan(res *bulge.Result, group int, ws *work.Arena) *Plan {
 		ws.SetValue(work.BacktransPlan, cache)
 	}
 	p := &cache.plan
-	*p = Plan{n: res.N, b: res.B, group: group, refs: res.Refs, ws: ws}
+	*p = Plan{n: res.N, ws: ws}
 	if len(res.Refs) == 0 {
 		return p
 	}
@@ -292,58 +286,12 @@ func (p *Plan) overlapEdgesQuad() int {
 	return edges
 }
 
-// Apply computes E := Q₂·E using the diamond blocks. E is partitioned into
-// column blocks of width colBlock (≤ 0 → the shared tune.ColBlock default)
-// and each block is one task: with a scheduler-backed job the blocks run
-// concurrently on distinct workers with no shared data, each on its own
-// retained worker slab; a nil (or inline) job runs them sequentially with
-// one shared workspace, stopping at a block boundary on cancellation (the
-// caller must check job.Err and discard E). tc may be nil.
-func (p *Plan) Apply(e *matrix.Dense, job *sched.Job, colBlock int, tc *trace.Collector) {
-	if e.Rows != p.n {
-		panic("backtransform: E row count mismatch")
-	}
-	if e.Cols == 0 {
-		return
-	}
-	if colBlock <= 0 {
-		colBlock = tune.ColBlock(e.Cols, p.b, job.Workers())
-	}
-	if !job.Parallel() {
-		wk := p.ws.Floats(work.BacktransApply, p.Work(), false)
-		for j0 := 0; j0 < e.Cols; j0 += colBlock {
-			if job.Canceled() {
-				return
-			}
-			jb := min(colBlock, e.Cols-j0)
-			p.applyBlock(e.View(0, j0, p.n, jb), wk, tc)
-		}
-		return
-	}
-	slabs := p.ws.WorkerSlabs(work.BacktransWorker, job.Workers(), p.Work())
-	for j0 := 0; j0 < e.Cols; j0 += colBlock {
-		jb := min(colBlock, e.Cols-j0)
-		view := e.View(0, j0, p.n, jb)
-		job.Submit(sched.Task{
-			Name: "APPLYQ2",
-			Run: func(w int) {
-				p.applyBlock(view, slabs.For(w), tc)
-			},
-		})
-	}
-	job.Wait()
-}
-
-// ApplyBlock applies every diamond of the plan to one column block of E.
-// work must hold at least Work() floats. It is the Q₂ half of the
-// fused back-transformation task.
+// ApplyBlock computes E := Q₂·E using the diamond blocks, where e is E or
+// any column block of it: the columns never interact (Figure 3c), so the
+// fused back-transformation gives each of its tasks one block and the result
+// does not depend on the partition. e must have as many rows as the chased
+// matrix; work must hold at least Work() floats. tc may be nil.
 func (p *Plan) ApplyBlock(e *matrix.Dense, work []float64, tc *trace.Collector) {
-	p.applyBlock(e, work, tc)
-}
-
-// applyBlock applies every diamond to one column block of E. work must hold
-// at least p.Work() floats.
-func (p *Plan) applyBlock(e *matrix.Dense, work []float64, tc *trace.Collector) {
 	for i := range p.blocks {
 		d := &p.blocks[i]
 		sub := e.View(d.rowStart, 0, d.rows, e.Cols)

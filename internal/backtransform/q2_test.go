@@ -8,7 +8,6 @@ import (
 	"repro/internal/bulge"
 	"repro/internal/householder"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 )
 
 func randBand(rng *rand.Rand, n, kd int) *matrix.SymBand {
@@ -19,6 +18,12 @@ func randBand(rng *rand.Rand, n, kd int) *matrix.SymBand {
 		}
 	}
 	return b
+}
+
+// applyQ2 computes E := Q₂·E over the whole of E in one sequential
+// application — the per-factor reference.
+func applyQ2(p *Plan, e *matrix.Dense) {
+	p.ApplyBlock(e, make([]float64, p.Work()), nil)
 }
 
 // denseQ2 builds Q₂ explicitly from the reflectors in generation order.
@@ -75,13 +80,17 @@ func TestDiamondMatchesNaive(t *testing.T) {
 		want := e.Clone()
 		ApplyNaive(res, want, nil)
 		got := e.Clone()
-		NewPlan(res, tc.group, nil).Apply(got, nil, 0, nil)
+		applyQ2(NewPlan(res, tc.group, nil), got)
 		if !got.Equalish(want, 1e-11*float64(tc.n)) {
 			t.Fatalf("n=%d kd=%d group=%d: diamond apply != naive", tc.n, tc.kd, tc.group)
 		}
 	}
 }
 
+// TestApplyParallelMatchesSequential pins what lets the fused
+// back-transformation hand each of its parallel tasks one column block: the
+// diamonds applied block by block are bitwise the sequential application to
+// the whole of E, at any block width.
 func TestApplyParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n, kd := 30, 4
@@ -93,13 +102,15 @@ func TestApplyParallelMatchesSequential(t *testing.T) {
 		e.Data[i] = rng.NormFloat64()
 	}
 	want := e.Clone()
-	p.Apply(want, nil, 7, nil)
-	s := sched.New(3)
-	got := e.Clone()
-	p.Apply(got, s.NewJob(nil), 7, nil)
-	s.Shutdown()
-	if !got.Equalish(want, 0) {
-		t.Fatal("parallel Apply differs from sequential")
+	applyQ2(p, want)
+	for _, colBlock := range []int{1, 7, 16} {
+		got := e.Clone()
+		for j0 := 0; j0 < n; j0 += colBlock {
+			applyQ2(p, got.View(0, j0, n, min(colBlock, n-j0)))
+		}
+		if !got.Equalish(want, 0) {
+			t.Fatalf("colBlock=%d: blocked ApplyBlock differs from the whole-matrix application", colBlock)
+		}
 	}
 }
 
@@ -118,8 +129,8 @@ func TestPlanReusable(t *testing.T) {
 		e2.Data[i] = rng.NormFloat64()
 	}
 	g1, g2 := e1.Clone(), e2.Clone()
-	p.Apply(g1, nil, 0, nil)
-	p.Apply(g2, nil, 0, nil)
+	applyQ2(p, g1)
+	applyQ2(p, g2)
 	w1, w2 := e1.Clone(), e2.Clone()
 	ApplyNaive(res, w1, nil)
 	ApplyNaive(res, w2, nil)
@@ -136,7 +147,7 @@ func TestEmptyQ2(t *testing.T) {
 	}
 	res := bulge.Chase(b, nil, 0, true, nil, nil)
 	e := matrix.Eye(8)
-	NewPlan(res, 0, nil).Apply(e, nil, 0, nil)
+	applyQ2(NewPlan(res, 0, nil), e)
 	if !e.Equalish(matrix.Eye(8), 0) {
 		t.Fatal("empty Q2 modified E")
 	}
@@ -159,9 +170,9 @@ func TestApplySubsetColumns(t *testing.T) {
 		full.Data[i] = rng.NormFloat64()
 	}
 	fullOut := full.Clone()
-	p.Apply(fullOut, nil, 0, nil)
+	applyQ2(p, fullOut)
 	thin := full.View(0, 2, n, 5).Clone()
-	p.Apply(thin, nil, 0, nil)
+	applyQ2(p, thin)
 	if !thin.Equalish(fullOut.View(0, 2, n, 5).Clone(), 1e-12*float64(n)) {
 		t.Fatal("thin apply != corresponding columns of full apply")
 	}

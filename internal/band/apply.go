@@ -4,74 +4,15 @@ import (
 	"repro/internal/blas"
 	"repro/internal/householder"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 	"repro/internal/trace"
-	"repro/internal/tune"
-	"repro/internal/work"
 )
-
-// ApplyQ1 computes C := Q₁·C (trans == NoTrans) or C := Q₁ᵀ·C (trans ==
-// Trans) where Q₁ is the orthogonal factor of the stage-1 reduction held in
-// f. C must have f.N rows.
-//
-// Parallelization follows the paper's Figure 3c: C is split into column
-// blocks and each block is one task that applies the entire reflector
-// sequence, so blocks never share data, there is no inter-core
-// communication, and each core streams its own block through cache. A nil
-// (or inline) job runs the blocks sequentially with one shared workspace;
-// a canceled job stops at a block boundary, leaving C partially updated
-// (the caller must check job.Err and discard). colBlock ≤ 0 picks the shared
-// tune.ColBlock default.
-func (f *Factor) ApplyQ1(trans blas.Transpose, c *matrix.Dense, job *sched.Job, colBlock int, tc *trace.Collector) {
-	if c.Rows != f.N {
-		panic("band: ApplyQ1 dimension mismatch")
-	}
-	if c.Cols == 0 {
-		return
-	}
-	if colBlock <= 0 {
-		colBlock = tune.ColBlock(c.Cols, f.NB, job.Workers())
-	}
-	if !job.Parallel() {
-		wk := f.ws.Floats(work.Q1Apply, f.Q1Work(), false)
-		for j0 := 0; j0 < c.Cols; j0 += colBlock {
-			if job.Canceled() {
-				return
-			}
-			jb := min(colBlock, c.Cols-j0)
-			f.applyQ1Block(trans, c.View(0, j0, f.N, jb), wk, tc)
-		}
-		return
-	}
-	// Column blocks are disjoint slices of C, so the tasks need no declared
-	// dependences; each worker reuses its own retained slab.
-	slabs := f.ws.WorkerSlabs(work.Q1Worker, job.Workers(), f.Q1Work())
-	for j0, idx := 0, 0; j0 < c.Cols; j0, idx = j0+colBlock, idx+1 {
-		jb := min(colBlock, c.Cols-j0)
-		view := c.View(0, j0, f.N, jb)
-		job.Submit(sched.Task{
-			Name: taskName("APPLYQ1", idx, 0),
-			Run: func(w int) {
-				f.applyQ1Block(trans, view, slabs.For(w), tc)
-			},
-		})
-	}
-	job.Wait()
-}
 
 // Q1Work is the scratch ApplyQ1Block needs, whatever the block's width.
 func (f *Factor) Q1Work() int {
 	return householder.ApplyWork(blas.Left, f.NB, f.NB, 0)
 }
 
-// ApplyQ1Block applies the full Q₁ (or its transpose) to one column block of
-// C. work must hold at least Q1Work() floats. It is the Q₁ half of the fused
-// back-transformation task.
-func (f *Factor) ApplyQ1Block(trans blas.Transpose, c *matrix.Dense, work []float64, tc *trace.Collector) {
-	f.applyQ1Block(trans, c, work, tc)
-}
-
-// Q1FlopsPerCol returns the flops ApplyQ1 spends per column of C (the
+// Q1FlopsPerCol returns the flops ApplyQ1Block spends per column of C (the
 // Ormqr/Tsmqr costs summed over the whole reflector sequence). The fused
 // back-transformation uses it to attribute the Q₁ share of its single
 // wall-clock phase.
@@ -90,9 +31,13 @@ func (f *Factor) Q1FlopsPerCol() int64 {
 	return flops
 }
 
-// applyQ1Block applies the full Q₁ (or its transpose) to one column block.
-// work must hold at least Q1Work() floats.
-func (f *Factor) applyQ1Block(trans blas.Transpose, c *matrix.Dense, work []float64, tc *trace.Collector) {
+// ApplyQ1Block computes C := Q₁·C (trans == NoTrans) or C := Q₁ᵀ·C (trans ==
+// Trans) where Q₁ is the orthogonal factor of the stage-1 reduction held in
+// f and c is C or any column block of it: the columns never interact (the
+// paper's Figure 3c), so the fused back-transformation gives each of its
+// tasks one block and the result does not depend on the partition. c must
+// have f.N rows; work must hold at least Q1Work() floats.
+func (f *Factor) ApplyQ1Block(trans blas.Transpose, c *matrix.Dense, work []float64, tc *trace.Collector) {
 	nt, nb := f.NT, f.NB
 	m := c.Cols
 
@@ -129,6 +74,6 @@ func (f *Factor) applyQ1Block(trans blas.Transpose, c *matrix.Dense, work []floa
 // BuildQ1 forms Q₁ explicitly (for tests and small problems).
 func (f *Factor) BuildQ1(tc *trace.Collector) *matrix.Dense {
 	q := matrix.Eye(f.N)
-	f.ApplyQ1(blas.NoTrans, q, nil, 0, tc)
+	f.ApplyQ1Block(blas.NoTrans, q, make([]float64, f.Q1Work()), tc)
 	return q
 }

@@ -195,13 +195,18 @@ func TestApplyQ1TransInverse(t *testing.T) {
 		c.Data[i] = rng.NormFloat64()
 	}
 	got := c.Clone()
-	f.ApplyQ1(blas.NoTrans, got, nil, 0, nil)
-	f.ApplyQ1(blas.Trans, got, nil, 0, nil)
+	wk := make([]float64, f.Q1Work())
+	f.ApplyQ1Block(blas.NoTrans, got, wk, nil)
+	f.ApplyQ1Block(blas.Trans, got, wk, nil)
 	if !got.Equalish(c, 1e-12) {
 		t.Fatal("Q1ᵀ·Q1·C != C")
 	}
 }
 
+// TestApplyQ1ParallelMatchesSequential pins what lets the fused
+// back-transformation hand each of its parallel tasks one column block: Q₁
+// applied block by block is bitwise the sequential application to the whole
+// of C, at any block width.
 func TestApplyQ1ParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n, nb := 24, 6
@@ -211,14 +216,17 @@ func TestApplyQ1ParallelMatchesSequential(t *testing.T) {
 	for i := range c.Data {
 		c.Data[i] = rng.NormFloat64()
 	}
+	wk := make([]float64, f.Q1Work())
 	want := c.Clone()
-	f.ApplyQ1(blas.NoTrans, want, nil, 5, nil)
-	s := sched.New(3)
-	got := c.Clone()
-	f.ApplyQ1(blas.NoTrans, got, s.NewJob(nil), 5, nil)
-	s.Shutdown()
-	if !got.Equalish(want, 0) {
-		t.Fatal("parallel ApplyQ1 differs from sequential")
+	f.ApplyQ1Block(blas.NoTrans, want, wk, nil)
+	for _, colBlock := range []int{1, 5, 16} {
+		got := c.Clone()
+		for j0 := 0; j0 < n; j0 += colBlock {
+			f.ApplyQ1Block(blas.NoTrans, got.View(0, j0, n, min(colBlock, n-j0)), wk, nil)
+		}
+		if !got.Equalish(want, 0) {
+			t.Fatalf("colBlock=%d: blocked ApplyQ1Block differs from the whole-matrix application", colBlock)
+		}
 	}
 }
 

@@ -49,9 +49,9 @@ func factorsIdentical(t *testing.T, label string, ref, got *Factor) {
 }
 
 // TestReduceLookaheadBitwise pins the core invariant of the look-ahead
-// restructure: at every worker count and depth, and under the Sequenced
-// kill-switch, the scheduled reduction is bitwise identical to the
-// sequential reference — the priorities only reorder the ready queue.
+// schedule: at every worker count and depth the scheduled reduction is
+// bitwise identical to the inline reference (runSeq, the kernels in
+// submission order) — the priorities only reorder the ready queue.
 func TestReduceLookaheadBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	n, nb := 30, 4
@@ -63,8 +63,6 @@ func TestReduceLookaheadBitwise(t *testing.T) {
 			got := ReduceWith(a.Clone(), Config{NB: nb, Lookahead: depth}, s.NewJob(nil), nil, nil)
 			factorsIdentical(t, label("lookahead", workers, depth), ref, got)
 		}
-		got := ReduceWith(a.Clone(), Config{NB: nb, Sequenced: true}, s.NewJob(nil), nil, nil)
-		factorsIdentical(t, label("sequenced", workers, 0), ref, got)
 		s.Shutdown()
 	}
 }
@@ -106,17 +104,13 @@ func TestReduceLookaheadDepthClamp(t *testing.T) {
 
 // TestReduceLookaheadPriorityBounds pins the priority layering contract: the
 // graded feed boosts stay strictly below the SYRFB and panel priorities at
-// the maximum depth, and everything stays far below the batch pipeline's
-// 2^16 per-phase drain bias so Job.SetBias still dominates.
+// the maximum depth.
 func TestReduceLookaheadPriorityBounds(t *testing.T) {
 	if feedBoost(MaxLookahead, 1) >= prioDiag {
 		t.Fatalf("max feed boost %d reaches the SYRFB priority %d", feedBoost(MaxLookahead, 1), prioDiag)
 	}
 	if prioDiag >= prioPanel {
 		t.Fatalf("SYRFB priority %d reaches the panel priority %d", prioDiag, prioPanel)
-	}
-	if prioPanel >= 1<<16 {
-		t.Fatalf("panel priority %d reaches the pipeline drain-bias step 2^16", prioPanel)
 	}
 	for _, d := range []int{1, 2, MaxLookahead} {
 		if feedBoost(d, 0) != 0 || feedBoost(d, d+1) != 0 {

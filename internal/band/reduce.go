@@ -43,8 +43,7 @@ const (
 	// panel chain fed without starving the trailing update entirely.
 	DefaultLookahead = 2
 	// MaxLookahead caps the depth so the graded boosts stay strictly below
-	// the panel-task priorities (and far below the batch pipeline's 2^16
-	// per-phase drain bias, which layers on top via Job.SetBias).
+	// the panel-task priorities.
 	MaxLookahead = 63
 
 	// prioFeedStep is the per-column-distance step of the look-ahead boost:
@@ -69,14 +68,9 @@ type Config struct {
 	// clamped. The depth only steers the ready queue — results are bitwise
 	// identical at every depth and worker count.
 	Lookahead int
-	// Sequenced is the look-ahead kill-switch: it restores the flat
-	// pre-look-ahead priority scheme (panel 100 / diagonal 50 / updates 0,
-	// fused mirror tasks) exactly. Results are bitwise identical either way;
-	// the switch exists for benchmarking and fault isolation.
-	Sequenced bool
 	// ValuesOnly says Q₁ will never be applied: the panel reflectors are then
 	// prepared for the reduction's own Hᵀ updates only, which saves the H-form
-	// operands (n²/2 values) that ApplyQ1 consumes.
+	// operands (n²/2 values) that ApplyQ1Block consumes.
 	ValuesOnly bool
 }
 
@@ -114,7 +108,7 @@ func feedBoost(depth, dist int) int {
 // Each reflector block is also held prepared for application
 // (householder.Block: Vᵀ and −V·op(T) packed for the micro-kernel). The task
 // that factors a panel tile prepares its Block right after forming T, under
-// the same Tge/Tts write dependence; the stage-1 update tasks and ApplyQ1
+// the same Tge/Tts write dependence; the stage-1 update tasks and ApplyQ1Block
 // only ever read the prepared form, never the tile.
 //
 // When Reduce is given a workspace arena, every buffer reachable from the
@@ -139,10 +133,6 @@ type Factor struct {
 	Hts [][]householder.Block
 	// Band is the resulting symmetric band matrix (bandwidth NB).
 	Band *matrix.SymBand
-
-	// ws is the arena the Factor was built from (nil for one-shot use);
-	// ApplyQ1 draws its sequential column-block scratch from it.
-	ws *work.Arena
 }
 
 // stage1Cache bundles the Factor and reducer headers so a recycled arena
@@ -306,18 +296,12 @@ func (r *reducer) tsmqrC(k, i, row, w int) {
 	r.acc(&r.updateNs, t)
 }
 
-// mirror2 transposes the freshly left-updated row tiles of pair (k+1, i)
-// into the corresponding column tiles of row `row` (symmetry exploitation,
-// as in mirror). The sequenced path runs it fused; the look-ahead path
-// splits it into mirror2a/mirror2b so the column-(k+1) half — which the next
-// panel's TSQRT chain reads — is an independent task that does not wait
-// behind, or share a ready-queue slot with, the column-i half.
-func (r *reducer) mirror2(k, i, row, w int) {
-	r.mirror2a(k, i, row, w)
-	r.mirror2b(k, i, row, w)
-}
-
-// mirror2a is the column-(k+1) half of mirror2: tile (row, k+1) ← (k+1, row)ᵀ.
+// mirror2a and mirror2b transpose the freshly left-updated row tiles of pair
+// (k+1, i) into the corresponding column tiles of row `row` (symmetry
+// exploitation, as in mirror). They are two tasks so the column-(k+1) half —
+// which the next panel's TSQRT chain reads — does not wait behind, or share a
+// ready-queue slot with, the column-i half. mirror2a is the column-(k+1)
+// half: tile (row, k+1) ← (k+1, row)ᵀ.
 func (r *reducer) mirror2a(k, _, row, _ int) {
 	t := r.t0()
 	m1 := r.tm.TileRows(k + 1)
@@ -326,7 +310,7 @@ func (r *reducer) mirror2a(k, _, row, _ int) {
 	r.acc(&r.updateNs, t)
 }
 
-// mirror2b is the column-i half of mirror2: tile (row, i) ← (i, row)ᵀ.
+// mirror2b is the column-i half: tile (row, i) ← (i, row)ᵀ.
 func (r *reducer) mirror2b(_, i, row, _ int) {
 	t := r.t0()
 	m2 := r.tm.TileRows(i)
@@ -347,14 +331,13 @@ func Reduce(a *matrix.Dense, nb int, job *sched.Job, ws *work.Arena, tc *trace.C
 //
 // job selects the execution mode: a nil job (or one created with
 // sched.Inline) runs the kernels sequentially in submission order — the
-// reference execution the scheduled ones must match bit-for-bit — while a
-// scheduler-backed job runs the DAG on the worker pool, under the look-ahead
-// priority scheme unless cfg.Sequenced restores the flat one. All three
-// modes produce bitwise-identical factors: the task set and per-tile
-// operation order never change, only readiness and ready-queue order do. If
-// the job is canceled the reduction stops at a task boundary and the
-// Factor's contents are unspecified; the caller must check job.Err. ws may
-// be nil (fresh allocations); when non-nil the returned Factor is
+// reference execution the scheduled one must match bit-for-bit — while a
+// scheduler-backed job runs the DAG on the worker pool under the look-ahead
+// priority scheme. Both modes produce bitwise-identical factors: the
+// per-tile operation order never changes, only readiness and ready-queue
+// order do. If the job is canceled the reduction stops at a task boundary
+// and the Factor's contents are unspecified; the caller must check job.Err.
+// ws may be nil (fresh allocations); when non-nil the returned Factor is
 // arena-backed and only valid until the arena is recycled. tc may be nil;
 // when set, the stage's busy time is attributed to PhaseStage1Panel and
 // PhaseStage1Update and the scheduled run's idle worker-time to
@@ -373,7 +356,7 @@ func ReduceWith(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc 
 	sc := stage1For(ws)
 	f := &sc.f
 	tge, tts, hge, hts := f.Tge, f.Tts, f.Hge, f.Hts
-	*f = Factor{N: n, NB: nb, NT: tm.NT, A: tm, ws: ws}
+	*f = Factor{N: n, NB: nb, NT: tm.NT, A: tm}
 	nt := f.NT
 	forms := householder.FormH | householder.FormHT
 	if cfg.ValuesOnly {
@@ -434,11 +417,7 @@ func ReduceWith(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc 
 		start = time.Now()
 	}
 	if job.Parallel() {
-		if cfg.Sequenced {
-			r.scheduleSequenced(job)
-		} else {
-			r.scheduleLookahead(job, clampLookahead(cfg.Lookahead))
-		}
+		r.scheduleLookahead(job, clampLookahead(cfg.Lookahead))
 		job.Wait() // error, if any, surfaces through job.Err at the caller
 	} else {
 		r.runSeq(job)
@@ -486,131 +465,28 @@ func (r *reducer) runSeq(job *sched.Job) {
 				if row == k+1 || row == i {
 					continue
 				}
-				r.mirror2(k, i, row, 0)
+				r.mirror2a(k, i, row, 0)
+				r.mirror2b(k, i, row, 0)
 			}
 		}
 	}
 }
 
-// scheduleSequenced submits the same kernel sequence as tasks with their
-// access lists; the scheduler infers the DAG from submission order. This is
-// the pre-look-ahead scheme (flat priorities, fused MIRROR2 tasks), kept
-// verbatim as the Sequenced kill-switch path.
-func (r *reducer) scheduleSequenced(job *sched.Job) {
-	f, tm, nt := r.f, r.tm, r.f.NT
-	for k := 0; k < nt-1; k++ {
-		k := k
-		// GEQRT on tile (k+1, k): factor the top of the panel.
-		job.Submit(sched.Task{
-			Name:     r.name("GEQRT", k+1, k),
-			Priority: 100, // panel tasks are on the critical path
-			Deps: []sched.Dep{
-				sched.RW(tm.TileID(k+1, k)), sched.W(f.resV(k)), sched.W(f.resR(k)), sched.W(f.resTge(k)),
-			},
-			Run: func(w int) { r.geqrt(k, w) },
-		})
-
-		// Apply the GEQRT reflector two-sidedly to the trailing submatrix.
-		// Diagonal tile: Hᵀ·A·H in one task.
-		job.Submit(sched.Task{
-			Name:     r.name("SYRFB", k+1, k+1),
-			Priority: 50,
-			Deps: []sched.Dep{
-				sched.RW(tm.TileID(k+1, k+1)), sched.R(f.resV(k)), sched.R(f.resTge(k)),
-			},
-			Run: func(w int) { r.syrfb(k, w) },
-		})
-		for j := k + 2; j < nt; j++ {
-			j := j
-			job.Submit(sched.Task{
-				Name: r.name("ORMQR-L", k+1, j),
-				Deps: []sched.Dep{
-					sched.RW(tm.TileID(k+1, j)), sched.R(f.resV(k)), sched.R(f.resTge(k)),
-				},
-				Run: func(w int) { r.ormqrL(k, j, w) },
-			})
-			job.Submit(sched.Task{
-				Name: r.name("MIRROR", j, k+1),
-				Deps: []sched.Dep{
-					sched.W(tm.TileID(j, k+1)), sched.R(tm.TileID(k+1, j)),
-				},
-				Run: func(w int) { r.mirror(k, j, w) },
-			})
-		}
-
-		// TSQRT chain down the panel, each followed by its two-sided
-		// application to row/column pairs (k+1, i).
-		for i := k + 2; i < nt; i++ {
-			i := i
-			job.Submit(sched.Task{
-				Name:     r.name("TSQRT", i, k),
-				Priority: 100,
-				Deps: []sched.Dep{
-					sched.RW(f.resR(k)), sched.RW(tm.TileID(i, k)), sched.W(f.resTts(k, i)),
-				},
-				Run: func(w int) { r.tsqrt(k, i, w) },
-			})
-			// Left on row pair (k+1, i), every column k+1..nt-1.
-			for j := k + 1; j < nt; j++ {
-				j := j
-				job.Submit(sched.Task{
-					Name: r.name("TSMQR-L", i, j),
-					Deps: []sched.Dep{
-						sched.RW(tm.TileID(k+1, j)), sched.RW(tm.TileID(i, j)),
-						sched.R(tm.TileID(i, k)), sched.R(f.resTts(k, i)),
-					},
-					Run: func(w int) { r.tsmqrL(k, i, j, w) },
-				})
-			}
-			// Right on column pair (k+1, i). Only the 2×2 corner (rows
-			// {k+1, i}) needs real computation; every other row is the
-			// transpose of a freshly left-updated tile — mirror it.
-			for _, row := range [2]int{k + 1, i} {
-				row := row
-				job.Submit(sched.Task{
-					Name: r.name("TSMQR-C", row, i),
-					Deps: []sched.Dep{
-						sched.RW(tm.TileID(row, k+1)), sched.RW(tm.TileID(row, i)),
-						sched.R(tm.TileID(i, k)), sched.R(f.resTts(k, i)),
-					},
-					Run: func(w int) { r.tsmqrC(k, i, row, w) },
-				})
-			}
-			for row := k + 1; row < nt; row++ {
-				if row == k+1 || row == i {
-					continue
-				}
-				row := row
-				job.Submit(sched.Task{
-					Name: r.name("MIRROR2", row, i),
-					Deps: []sched.Dep{
-						sched.W(tm.TileID(row, k+1)), sched.R(tm.TileID(k+1, row)),
-						sched.W(tm.TileID(row, i)), sched.R(tm.TileID(i, row)),
-					},
-					Run: func(w int) { r.mirror2(k, i, row, w) },
-				})
-			}
-		}
-	}
-}
-
-// scheduleLookahead submits the identical kernel sequence — same tasks (bar
-// the MIRROR2 split), same per-tile submission order, so the DAG and the
-// results are unchanged — under the look-ahead priority scheme: panel tasks
-// (GEQRT/TSQRT) at prioPanel, the diagonal SYRFB just under them, and every
-// trailing-update task boosted by feedBoost according to the nearest future
-// panel column it writes, out to `depth` panels ahead. The one structural
-// change is MIRROR2 → MIRROR2A + MIRROR2B: the fused task coupled a
-// critical-path column-(k+1) write to a non-critical column-i write, which
-// would hold the next panel's TSQRT chain behind slack work; the halves touch
-// disjoint tiles, so splitting them preserves each tile's write order.
+// scheduleLookahead submits runSeq's kernel sequence as tasks with their
+// access lists — same kernels, same per-tile submission order; the scheduler
+// infers the DAG from that order — under the look-ahead priority scheme:
+// panel tasks (GEQRT/TSQRT) at prioPanel, the diagonal SYRFB just under
+// them, and every trailing-update task boosted by feedBoost according to the
+// nearest future panel column it writes, out to `depth` panels ahead.
+// MIRROR2A and MIRROR2B are separate tasks because one task for both would
+// couple a critical-path column-(k+1) write to a non-critical column-i write
+// and hold the next panel's TSQRT chain behind slack work; the halves touch
+// disjoint tiles.
 //
-// Bitwise identity holds because priorities only reorder the ready queue:
-// which tasks may run concurrently is fixed by the dependences, and every
-// per-tile operation sequence is a dependence chain, so no floating-point
-// accumulation order can change. Priorities stay ≤ prioPanel = 2¹³, strictly
-// below the batch pipeline's 2¹⁶ per-phase drain bias (Job.SetBias), so phase
-// ordering across pipelined solves is also unaffected.
+// Bitwise identity with runSeq holds because priorities only reorder the
+// ready queue: which tasks may run concurrently is fixed by the dependences,
+// and every per-tile operation sequence is a dependence chain, so no
+// floating-point accumulation order can change.
 func (r *reducer) scheduleLookahead(job *sched.Job, depth int) {
 	f, tm, nt := r.f, r.tm, r.f.NT
 	for k := 0; k < nt-1; k++ {

@@ -28,7 +28,7 @@ func eigBand(t *testing.T, b *matrix.SymBand) ([]float64, *matrix.Dense) {
 		t.Fatalf("Stedc: %v", err)
 	}
 	plan := backtransform.NewPlan(res, 0, nil)
-	plan.Apply(z, nil, 0, nil)
+	plan.ApplyBlock(z, make([]float64, plan.Work()), nil)
 	return vals, z
 }
 

@@ -54,24 +54,10 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
-// FuseMode selects the back-transformation execution strategy.
-type FuseMode int
-
-const (
-	// FuseAuto is the default: the fused single-pass back-transformation.
-	FuseAuto FuseMode = iota
-	// FuseOn forces the fused path explicitly.
-	FuseOn
-	// FuseOff is the kill-switch: the legacy two-phase sequence
-	// (PhaseUpdateQ2 then PhaseUpdateQ1 with a global barrier between).
-	FuseOff
-)
-
-// DefaultColBlock is the shared eigenvector column-block default used by
-// both back-transformation appliers (and the fused path): cols eigenvector
-// columns, stage-1 tile size nb, scheduler width workers. It delegates to
-// tune.ColBlock so the appliers — which cannot import core — agree with the
-// driver on the fused task granularity.
+// DefaultColBlock is the eigenvector column-block default of the fused
+// back-transformation: cols eigenvector columns, stage-1 tile size nb,
+// scheduler width workers. It delegates to tune.ColBlock so the applier —
+// which cannot import core — agrees with the driver on the task granularity.
 func DefaultColBlock(cols, nb, workers int) int {
 	return tune.ColBlock(cols, nb, workers)
 }
@@ -91,11 +77,6 @@ type Options struct {
 	// picks band.DefaultLookahead; absurd depths are clamped. The depth only
 	// steers scheduling — results are bitwise identical at every depth.
 	LookaheadDepth int
-	// DisableLookahead is the kill-switch for stage-1 look-ahead: it restores
-	// the flat pre-look-ahead priority scheme exactly. Both paths are bitwise
-	// identical — this exists for benchmarking and fault isolation, like
-	// DisableParallelTridiag and FuseOff.
-	DisableLookahead bool
 	// Stage2Workers restricts the bulge-chasing tasks to this many workers
 	// (the paper's core-restriction: the stage is memory-bound, and using
 	// fewer cores improves locality). 0 means no restriction.
@@ -104,12 +85,6 @@ type Options struct {
 	// subtrees and merge tiles, bisection chunks, inverse-iteration
 	// clusters) to this many workers. 0 inherits the full scheduler width.
 	TridiagWorkers int
-	// DisableParallelTridiag is the kill-switch for the parallel
-	// tridiagonal stage: when set, eig_t runs sequentially on the calling
-	// goroutine even when a scheduler is available. Both paths are bitwise
-	// identical — this exists for benchmarking and fault isolation, like
-	// FuseOff for the back-transformation.
-	DisableParallelTridiag bool
 	// Method selects the tridiagonal eigensolver.
 	Method Method
 	// Vectors requests eigenvectors.
@@ -126,11 +101,6 @@ type Options struct {
 	// ColBlock is the eigenvector column-block width for per-core locality
 	// (≤ 0 → the shared DefaultColBlock heuristic).
 	ColBlock int
-	// FusedBacktrans is the kill-switch for the fused single-pass
-	// back-transformation: the zero value (FuseAuto) and FuseOn apply Q₂
-	// and Q₁ per column block in one cache-hot sweep; FuseOff restores the
-	// legacy two-phase sequence. Both paths are bitwise identical.
-	FusedBacktrans FuseMode
 	// Collector receives flop counts and per-phase timings; may be nil.
 	Collector *trace.Collector
 
@@ -233,10 +203,10 @@ func ctxErr(ctx context.Context) error {
 // cancellation the context's error is returned and any shared scheduler in
 // o.Sched remains usable.
 //
-// It is a thin loop over the phase plan (see plan.go): callers that need to
-// interleave or suspend phases — the pipelined batch executor, a future
-// checkpointing service — use NewSolveState and run the plan themselves;
-// both paths execute the identical phase bodies and are bitwise identical.
+// It is a thin loop over the phase plan (see plan.go): a caller that wants
+// to time or inspect the phases one by one — the benchmark's traced pass —
+// uses NewSolveState and runs the plan itself; both paths execute the
+// identical phase bodies and are bitwise identical.
 func SyevTwoStage(ctx context.Context, a *matrix.Dense, o Options) (*Result, error) {
 	st, plan, err := NewSolveState(ctx, a, o)
 	if err != nil {
@@ -291,12 +261,7 @@ func SyevOneStage(ctx context.Context, a *matrix.Dense, o Options) (*Result, err
 		return nil, err
 	}
 	t := &matrix.Tridiagonal{D: d, E: e}
-	es := s
-	if o.DisableParallelTridiag {
-		es = nil
-	}
-	vals, evecs, err := solveTridiagonal(ctx, t, &o, es, il, iu, ws, tc,
-		func() *sched.Job { return phaseJob(es, ctx) })
+	vals, evecs, err := solveTridiagonal(t, &o, il, iu, ws, tc, phaseJob(s, ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -347,29 +312,22 @@ func intoVectors(dst *matrix.Dense, src *matrix.Dense) *matrix.Dense {
 // returns the [il, iu] slice of the spectrum (and vectors when requested).
 // The returned slices/matrices are caller-owned copies, never arena-backed.
 //
-// es is the scheduler the stage runs on: the solve's scheduler, or nil when
-// the DisableParallelTridiag kill-switch forces the stage sequential. With
-// a scheduler the stage runs its parallel entry points — concurrent D&C
-// subtrees and tiled merges, chunked bisection, cluster-parallel inverse
-// iteration — on a job obtained from newJob (which lets the phase plan
-// route labeled/biased jobs through); results are bitwise identical to the
-// sequential path at any worker count. Options.TridiagWorkers restricts the
-// stage's tasks to a prefix of the pool, like Stage2Workers does for the
-// bulge chasing.
-func solveTridiagonal(ctx context.Context, t *matrix.Tridiagonal, o *Options, es *sched.Scheduler, il, iu int, ws *work.Arena, tc *trace.Collector, newJob func() *sched.Job) (vals []float64, evecs *matrix.Dense, err error) {
+// job is the stage's task stream. On a scheduler-backed job the stage runs
+// its parallel entry points — concurrent D&C subtrees and tiled merges,
+// chunked bisection, cluster-parallel inverse iteration; results are bitwise
+// identical to the sequential path (an inline or nil job) at any worker
+// count. Options.TridiagWorkers restricts the stage's tasks to a prefix of
+// the pool, like Stage2Workers does for the bulge chasing.
+func solveTridiagonal(t *matrix.Tridiagonal, o *Options, il, iu int, ws *work.Arena, tc *trace.Collector, job *sched.Job) (vals []float64, evecs *matrix.Dense, err error) {
 	n := t.N()
 	k := iu - il + 1
 	var aff uint64
-	poolW := 1
-	if es != nil {
-		poolW = es.Workers()
-		if o.TridiagWorkers > 0 && o.TridiagWorkers < poolW {
-			aff = sched.AffinityMask(o.TridiagWorkers)
-		}
+	poolW := job.Workers()
+	if o.TridiagWorkers > 0 && o.TridiagWorkers < poolW {
+		aff = sched.AffinityMask(o.TridiagWorkers)
 	}
 	set := tridiagWorks(ws, poolW)
 	tc.Phase(trace.PhaseEigT, func() {
-		job := newJob()
 		// Scratch copies of (d, e): the solvers destroy their inputs.
 		scratch := func() (d, e []float64) {
 			d = ws.Floats(work.TridiagD, n, false)

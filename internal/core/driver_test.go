@@ -242,8 +242,8 @@ func TestPhaseTimings(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := testmat.RandomSym(rng, 64)
 
-	// Default (fused) path: one back-transformation phase, with the Q₂/Q₁
-	// split preserved as attributed flops.
+	// One back-transformation phase, with the Q₂/Q₁ split preserved as
+	// attributed flops.
 	tc := trace.New()
 	if _, err := SyevTwoStage(context.Background(), a, Options{Method: MethodDC, Vectors: true, NB: 8, Collector: tc}); err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestPhaseTimings(t *testing.T) {
 		}
 	}
 	if tc.PhaseTime(trace.PhaseUpdateQ2) != 0 || tc.PhaseTime(trace.PhaseUpdateQ1) != 0 {
-		t.Fatal("legacy back-transformation phases timed on the fused path")
+		t.Fatal("the Q2/Q1 attribution names were timed as phases")
 	}
 	if tc.AttributedFlops(trace.PhaseUpdateQ2) <= 0 || tc.AttributedFlops(trace.PhaseUpdateQ1) <= 0 {
 		t.Fatal("fused phase did not attribute the Q2/Q1 flop split")
@@ -263,65 +263,39 @@ func TestPhaseTimings(t *testing.T) {
 		t.Fatal("no flops recorded")
 	}
 
-	// Kill-switch: the legacy two-phase sequence is timed under its old
-	// names.
-	tc = trace.New()
-	if _, err := SyevTwoStage(context.Background(), a, Options{Method: MethodDC, Vectors: true, NB: 8, Collector: tc, FusedBacktrans: FuseOff}); err != nil {
-		t.Fatal(err)
-	}
-	for _, ph := range []string{trace.PhaseUpdateQ2, trace.PhaseUpdateQ1} {
-		if tc.PhaseTime(ph) <= 0 {
-			t.Fatalf("legacy phase %s not timed with FuseOff", ph)
-		}
-	}
-	if tc.PhaseTime(trace.PhaseBacktransFused) != 0 {
-		t.Fatal("fused phase timed with FuseOff")
-	}
 }
 
-// TestFusedBacktransBitwiseIdentity pins the tentpole invariant: the fused
-// single-pass back-transformation produces exactly the same eigenvector
-// matrix as the legacy two-phase sequence — per column block the two paths
-// run the identical kernel stream, so the results must agree to the last
-// bit, for inline jobs and under the dynamic scheduler alike.
+// TestFusedBacktransBitwiseIdentity pins the fused back-transformation's
+// invariant at the driver: one task per column block, on any number of
+// workers and at any block width, produces exactly the eigenvector matrix of
+// the Workers ≤ 1 solve of the same matrix (column blocks one after the
+// other, inline) — per column the kernel stream is the same.
 func TestFusedBacktransBitwiseIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	for _, workers := range []int{0, 3} {
-		for _, shape := range []struct{ n, nb, colBlock int }{
-			{40, 8, 7},
-			{64, 16, 0}, // shared default colBlock
-			{33, 8, 16},
-			{50, 12, 5},
-			{48, 48, 13}, // single tile column: Q1 sequence is empty
-		} {
-			base := Options{
-				Method: MethodDC, Vectors: true,
-				NB: shape.nb, ColBlock: shape.colBlock, Workers: workers,
-			}
-			a := testmat.RandomSym(rng, shape.n)
-			legacy := base
-			legacy.FusedBacktrans = FuseOff
-			want, err := SyevTwoStage(context.Background(), a, legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fused := base
-			fused.FusedBacktrans = FuseOn
-			got, err := SyevTwoStage(context.Background(), a, fused)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := t.Name()
-			for i := range want.Values {
-				if want.Values[i] != got.Values[i] {
-					t.Fatalf("workers=%d n=%d: eigenvalue %d differs", workers, shape.n, i)
+	for _, shape := range []struct{ n, nb, colBlock int }{
+		{40, 8, 7},
+		{64, 16, 0}, // shared default colBlock
+		{33, 8, 16},
+		{50, 12, 5},
+		{48, 48, 13}, // single tile column: Q1 sequence is empty
+	} {
+		a := testmat.RandomSym(rng, shape.n)
+		want, err := SyevTwoStage(context.Background(), a, Options{Method: MethodDC, Vectors: true, NB: shape.nb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEigen(t, t.Name(), a, want, nil)
+		for _, workers := range []int{2, 3, 7} {
+			for _, colBlock := range []int{shape.colBlock, 1, shape.n} {
+				got, err := SyevTwoStage(context.Background(), a, Options{
+					Method: MethodDC, Vectors: true,
+					NB: shape.nb, ColBlock: colBlock, Workers: workers,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
+				requireSameResult(t, fmt.Sprintf("workers=%d n=%d nb=%d colBlock=%d", workers, shape.n, shape.nb, colBlock), got, want)
 			}
-			if !got.Vectors.Equalish(want.Vectors, 0) {
-				t.Fatalf("workers=%d n=%d nb=%d colBlock=%d: fused vectors differ bitwise from legacy",
-					workers, shape.n, shape.nb, shape.colBlock)
-			}
-			checkEigen(t, label, a, got, nil)
 		}
 	}
 }
@@ -332,18 +306,23 @@ func TestFusedBacktransSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	n := 52
 	a := testmat.RandomSym(rng, n)
-	legacy, err := SyevTwoStage(context.Background(), a, Options{Method: MethodBI, Vectors: true, NB: 8, IL: 3, IU: 17, FusedBacktrans: FuseOff})
+	base := Options{Method: MethodBI, Vectors: true, NB: 8, IL: 3, IU: 17}
+	want, err := SyevTwoStage(context.Background(), a, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := SyevTwoStage(context.Background(), a, Options{Method: MethodBI, Vectors: true, NB: 8, IL: 3, IU: 17, FusedBacktrans: FuseOn})
-	if err != nil {
-		t.Fatal(err)
+	checkEigen(t, "fused subset", a, want, nil)
+	for _, workers := range []int{2, 3} {
+		for _, colBlock := range []int{0, 4} {
+			o := base
+			o.Workers, o.ColBlock = workers, colBlock
+			got, err := SyevTwoStage(context.Background(), a, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, fmt.Sprintf("subset workers=%d colBlock=%d", workers, colBlock), got, want)
+		}
 	}
-	if !fused.Vectors.Equalish(legacy.Vectors, 0) {
-		t.Fatal("fused subset vectors differ bitwise from legacy")
-	}
-	checkEigen(t, "fused subset", a, fused, nil)
 }
 
 func TestDegenerateSizes(t *testing.T) {
@@ -499,7 +478,7 @@ func TestParallelTridiagBitwiseIdentity(t *testing.T) {
 	n := 150
 	a := testmat.RandomSym(rng, n)
 	for _, m := range []Method{MethodDC, MethodBI, MethodQR} {
-		seq := Options{Method: m, Vectors: true, NB: 8, Workers: 4, DisableParallelTridiag: true}
+		seq := Options{Method: m, Vectors: true, NB: 8}
 		want, err := SyevTwoStage(context.Background(), a, seq)
 		if err != nil {
 			t.Fatalf("%v sequential: %v", m, err)
@@ -556,9 +535,7 @@ func TestParallelTridiagSubset(t *testing.T) {
 	n := 130
 	a := testmat.RandomSym(rng, n)
 	base := Options{Method: MethodBI, Vectors: true, NB: 8, IL: 11, IU: 73}
-	seq := base
-	seq.Workers, seq.DisableParallelTridiag = 4, true
-	want, err := SyevTwoStage(context.Background(), a, seq)
+	want, err := SyevTwoStage(context.Background(), a, base) // no scheduler: sequential eig_t
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,8 +571,8 @@ func TestParallelTridiagAttribution(t *testing.T) {
 	}
 }
 
-// TestStage1LookaheadBitwise: the look-ahead stage-1 schedule, the Sequenced
-// kill-switch, and a sequential solve must produce bitwise-identical
+// TestStage1LookaheadBitwise: the look-ahead stage-1 schedule and a
+// sequential solve (stage 1 inline, runSeq) must produce bitwise-identical
 // eigensystems at every tested worker count and depth — the priorities only
 // reorder the scheduler's ready queue.
 func TestStage1LookaheadBitwise(t *testing.T) {
@@ -620,13 +597,13 @@ func TestStage1LookaheadBitwise(t *testing.T) {
 		for _, o := range []Options{
 			{Method: MethodDC, Vectors: true, NB: 8, Workers: workers, LookaheadDepth: 1},
 			{Method: MethodDC, Vectors: true, NB: 8, Workers: workers, LookaheadDepth: 4},
-			{Method: MethodDC, Vectors: true, NB: 8, Workers: workers, DisableLookahead: true},
+			{Method: MethodDC, Vectors: true, NB: 8, Workers: workers},
 		} {
 			res, err := SyevTwoStage(context.Background(), a, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			same(fmt.Sprintf("workers=%d depth=%d seq=%v", workers, o.LookaheadDepth, o.DisableLookahead), res)
+			same(fmt.Sprintf("workers=%d depth=%d", workers, o.LookaheadDepth), res)
 		}
 	}
 }

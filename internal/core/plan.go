@@ -1,15 +1,13 @@
-// The phase plan: the two-stage driver decomposed into resumable steps.
+// The phase plan: the two-stage driver decomposed into steps.
 //
 // SyevTwoStage is a thin loop over a Plan — a typed sequence of Phase values
 // (Stage1, Stage2, Tridiag, Backtrans) advancing a SolveState that carries
 // every cross-phase artifact (the band factor, the chase result, eigenvalues,
-// the eigenvector staging matrix, the arena). The decomposition is what lets
-// the batch layer interleave *different solves'* phases on one scheduler —
-// the compute-bound stage 1 of item k+1 overlapping the memory-bound bulge
-// chase of item k, the paper's core restriction applied *between* solves —
-// and what makes a solve suspendable: a SolveState may be stopped after any
-// phase and resumed later to a bitwise-identical result, the checkpointing
-// surface the service layer needs.
+// the eigenvector staging matrix, the arena). The decomposition lets a caller
+// step a solve phase by phase — the benchmark's traced pass times each layer
+// that way — and pause between phases: a SolveState stopped after any phase
+// and resumed later gives a bitwise-identical result
+// (TestSolveStateSuspendResume). Nothing in the library suspends a state.
 //
 // Ownership: a SolveState pins its Options.Arena for its whole lifetime.
 // The arena must not serve another solve until the plan has completed (or
@@ -22,37 +20,12 @@ import (
 
 	"repro/internal/backtransform"
 	"repro/internal/band"
-	"repro/internal/blas"
 	"repro/internal/bulge"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/work"
 )
-
-// PhaseClass tags a phase with the resource it is bound by. The batch
-// pipeline steers on it: memory-bound phases are restricted to a prefix of
-// the workers (sched.AffinityMask) so the compute-bound phases of other
-// in-flight solves saturate the remaining cores — the paper's core
-// restriction, applied across solves instead of within one.
-type PhaseClass int
-
-const (
-	// ComputeBound phases (tile reduction, back-transformation) scale with
-	// cores and may use the whole pool.
-	ComputeBound PhaseClass = iota
-	// MemoryBound phases (bulge chasing, the tridiagonal eigensolver's
-	// Level-2-heavy kernels) are bandwidth-limited; restricting them to
-	// fewer cores costs little time and frees the rest.
-	MemoryBound
-)
-
-func (c PhaseClass) String() string {
-	if c == MemoryBound {
-		return "memory-bound"
-	}
-	return "compute-bound"
-}
 
 // Phase is one resumable step of the two-stage eigensolver. Running a phase
 // reads and extends its SolveState; phases must execute in plan order, each
@@ -61,8 +34,6 @@ func (c PhaseClass) String() string {
 type Phase interface {
 	// Name is the phase's trace attribution name (trace.PhaseStage1, ...).
 	Name() string
-	// Class reports whether the phase is compute- or memory-bound.
-	Class() PhaseClass
 	// Run executes the phase, advancing st. A non-nil error aborts the
 	// plan; the SolveState must then be abandoned.
 	Run(ctx context.Context, st *SolveState) error
@@ -88,14 +59,6 @@ func BuildPlan(o *Options) Plan {
 // finished by Result. A SolveState is not safe for concurrent use; one
 // phase runs at a time.
 type SolveState struct {
-	// JobFactory, when non-nil, replaces the default per-phase job creation
-	// for scheduler-backed phases. The batch pipeline uses it to label each
-	// phase's job per item (trace attribution) and to bias late-phase tasks
-	// above the early-phase tasks of newly admitted items (sched.Job.SetBias).
-	// It is only consulted when the phase runs on a scheduler; sequential
-	// phases share one inline job carrying the solve's cancellation state.
-	JobFactory func(ph Phase, ctx context.Context) *sched.Job
-
 	a *matrix.Dense
 	o Options
 
@@ -199,18 +162,13 @@ func (st *SolveState) Result() *Result {
 	return res
 }
 
-// phaseJob returns the task stream a phase runs on. Scheduler-backed phases
-// get a fresh job per phase (or whatever JobFactory supplies); sequential
-// phases — including ones forced sequential by a kill-switch while the rest
-// of the solve is scheduled — share the state's single inline job, which
-// carries cancellation across phases exactly like the straight-line driver
-// did. s is the scheduler the phase will use (nil for sequential).
-func (st *SolveState) phaseJob(ctx context.Context, ph Phase, s *sched.Scheduler) *sched.Job {
-	if s != nil {
-		if st.JobFactory != nil {
-			return st.JobFactory(ph, ctx)
-		}
-		return s.NewJob(ctx)
+// phaseJob returns the task stream a phase runs on: a fresh job per phase on
+// the solve's scheduler, or — for a sequential solve — the state's single
+// inline job, which carries cancellation across phases exactly like the
+// straight-line driver did.
+func (st *SolveState) phaseJob(ctx context.Context) *sched.Job {
+	if st.s != nil {
+		return st.s.NewJob(ctx)
 	}
 	if !st.inlineSet {
 		st.inlineSet = true
@@ -225,14 +183,13 @@ func (st *SolveState) phaseJob(ctx context.Context, ph Phase, s *sched.Scheduler
 // the paper's first stage). Compute-bound: ~(4/3)n³ Level-3 flops.
 type Stage1 struct{}
 
-func (Stage1) Name() string      { return trace.PhaseStage1 }
-func (Stage1) Class() PhaseClass { return ComputeBound }
+func (Stage1) Name() string { return trace.PhaseStage1 }
 
-func (p Stage1) Run(ctx context.Context, st *SolveState) error {
+func (Stage1) Run(ctx context.Context, st *SolveState) error {
 	aw := st.ws.Dense(work.Stage1Dense, st.n, st.n, false)
 	aw.CopyFrom(st.a)
-	job := st.phaseJob(ctx, p, st.s)
-	cfg := band.Config{NB: st.nb, Lookahead: st.o.LookaheadDepth, Sequenced: st.o.DisableLookahead, ValuesOnly: !st.o.Vectors}
+	job := st.phaseJob(ctx)
+	cfg := band.Config{NB: st.nb, Lookahead: st.o.LookaheadDepth, ValuesOnly: !st.o.Vectors}
 	st.tc.Phase(trace.PhaseStage1, func() {
 		st.f1 = band.ReduceWith(aw, cfg, job, st.ws, st.tc)
 	})
@@ -244,11 +201,10 @@ func (p Stage1) Run(ctx context.Context, st *SolveState) error {
 // which is why the paper restricts this stage to fewer cores.
 type Stage2 struct{}
 
-func (Stage2) Name() string      { return trace.PhaseStage2 }
-func (Stage2) Class() PhaseClass { return MemoryBound }
+func (Stage2) Name() string { return trace.PhaseStage2 }
 
-func (p Stage2) Run(ctx context.Context, st *SolveState) error {
-	job := st.phaseJob(ctx, p, st.s)
+func (Stage2) Run(ctx context.Context, st *SolveState) error {
+	job := st.phaseJob(ctx)
 	st.tc.Phase(trace.PhaseStage2, func() {
 		st.chase = bulge.Chase(st.f1.Band, job, st.stage2Aff, st.o.Vectors, st.ws, st.tc)
 	})
@@ -256,22 +212,13 @@ func (p Stage2) Run(ctx context.Context, st *SolveState) error {
 }
 
 // Tridiag solves the tridiagonal eigenproblem (eig_t) with the selected
-// method. Tagged memory-bound for pipeline steering: D&C merges carry
-// Level-3 work, but the stage's bisection/inverse-iteration kernels and the
-// small-n regimes the pipeline targets are bandwidth-limited, and keeping it
-// off the full pool leaves cores for co-scheduled stage-1 DAGs.
+// method.
 type Tridiag struct{}
 
-func (Tridiag) Name() string      { return trace.PhaseEigT }
-func (Tridiag) Class() PhaseClass { return MemoryBound }
+func (Tridiag) Name() string { return trace.PhaseEigT }
 
-func (p Tridiag) Run(ctx context.Context, st *SolveState) error {
-	es := st.s
-	if st.o.DisableParallelTridiag {
-		es = nil
-	}
-	vals, evecs, err := solveTridiagonal(ctx, st.chase.T, &st.o, es, st.il, st.iu, st.ws, st.tc,
-		func() *sched.Job { return st.phaseJob(ctx, p, es) })
+func (Tridiag) Run(ctx context.Context, st *SolveState) error {
+	vals, evecs, err := solveTridiagonal(st.chase.T, &st.o, st.il, st.iu, st.ws, st.tc, st.phaseJob(ctx))
 	if err != nil {
 		return err
 	}
@@ -280,51 +227,26 @@ func (p Tridiag) Run(ctx context.Context, st *SolveState) error {
 }
 
 // Backtrans accumulates the eigenvectors of A from the eigenvectors of T:
-// Z = Q₁·(Q₂·E), fused single pass by default, the legacy two-phase
-// sequence under the FuseOff kill-switch. Compute-bound: 2n³·f Level-3
-// flops per factor.
+// Z = Q₁·(Q₂·E), in one fused pass — one task per column block applies every
+// Q₂ diamond and then the full Q₁ sequence while the block is hot, so E is
+// swept once and there is no barrier between the factors. Compute-bound:
+// 2n³·f Level-3 flops per factor.
 type Backtrans struct{}
 
-func (Backtrans) Name() string      { return trace.PhaseBacktrans }
-func (Backtrans) Class() PhaseClass { return ComputeBound }
+func (Backtrans) Name() string { return trace.PhaseBacktrans }
 
-func (p Backtrans) Run(ctx context.Context, st *SolveState) error {
+func (Backtrans) Run(ctx context.Context, st *SolveState) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	// Both paths share one column-block width so the fused and legacy
-	// sweeps partition E identically (which is what makes them bitwise
-	// comparable).
 	colBlock := st.o.ColBlock
 	if colBlock <= 0 {
 		colBlock = DefaultColBlock(st.evecs.Cols, st.nb, st.workers)
 	}
-	if st.o.FusedBacktrans != FuseOff {
-		// Fused single pass: one task per column block applies every Q₂
-		// diamond and then the full Q₁ sequence while the block is hot —
-		// no inter-phase barrier, one sweep over E instead of two.
-		job := st.phaseJob(ctx, p, st.s)
-		st.tc.Phase(trace.PhaseBacktransFused, func() {
-			plan := backtransform.NewPlan(st.chase, st.o.Group, st.ws)
-			plan.ApplyFused(st.f1, st.evecs, job, colBlock, st.tc)
-		})
-		if err := job.Err(); err != nil {
-			return err
-		}
-		st.vecsDone = true
-		return nil
-	}
-	job := st.phaseJob(ctx, p, st.s)
-	st.tc.Phase(trace.PhaseUpdateQ2, func() {
+	job := st.phaseJob(ctx)
+	st.tc.Phase(trace.PhaseBacktransFused, func() {
 		plan := backtransform.NewPlan(st.chase, st.o.Group, st.ws)
-		plan.Apply(st.evecs, job, colBlock, st.tc)
-	})
-	if err := job.Err(); err != nil {
-		return err
-	}
-	job = st.phaseJob(ctx, p, st.s)
-	st.tc.Phase(trace.PhaseUpdateQ1, func() {
-		st.f1.ApplyQ1(blas.NoTrans, st.evecs, job, colBlock, st.tc)
+		plan.ApplyFused(st.f1, st.evecs, job, colBlock, st.tc)
 	})
 	if err := job.Err(); err != nil {
 		return err

@@ -49,17 +49,14 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestBuildPlan pins the phase sequence and the resource classes the batch
-// pipeline steers on: exactly these four phases (three without vectors),
-// whatever else the options say.
+// TestBuildPlan pins the phase sequence: exactly these four phases (three
+// without vectors), whatever else the options say.
 func TestBuildPlan(t *testing.T) {
 	wantNames := []string{"stage1", "stage2", "eig_t", "back_trans"}
-	wantClass := []PhaseClass{ComputeBound, MemoryBound, MemoryBound, ComputeBound}
 	for _, o := range []Options{
 		{},
 		{NB: 96, Group: 16, ColBlock: 32},
 		{Workers: 4, Stage2Workers: 2, TridiagWorkers: 1, LookaheadDepth: 3},
-		{Workers: 2, DisableLookahead: true, DisableParallelTridiag: true, FusedBacktrans: FuseOff},
 		{Method: MethodBI, IL: 2, IU: 5},
 		{Method: MethodQR},
 	} {
@@ -74,8 +71,8 @@ func TestBuildPlan(t *testing.T) {
 				t.Fatalf("%+v: plan has %d phases, want %d", o, len(p), want)
 			}
 			for i, ph := range p {
-				if ph.Name() != wantNames[i] || ph.Class() != wantClass[i] {
-					t.Fatalf("%+v: phase %d is %q (%v), want %q (%v)", o, i, ph.Name(), ph.Class(), wantNames[i], wantClass[i])
+				if ph.Name() != wantNames[i] {
+					t.Fatalf("%+v: phase %d is %q, want %q", o, i, ph.Name(), wantNames[i])
 				}
 			}
 		}
@@ -128,9 +125,8 @@ func TestSolveStateSuspendResume(t *testing.T) {
 }
 
 // TestSolveStateSharedScheduler drives two SolveStates with interleaved
-// phases over one caller-owned scheduler and arena pair — the exact shape the
-// pipelined batch executor creates — and checks both land bitwise on the
-// straight-through results.
+// phases over one caller-owned scheduler and an arena each, and checks both
+// land bitwise on the straight-through results.
 func TestSolveStateSharedScheduler(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	a1 := testmat.WithSpectrum(rng, testmat.UniformSpectrum(40, -2, 5))
@@ -161,7 +157,7 @@ func TestSolveStateSharedScheduler(t *testing.T) {
 	}
 	defer st2.Close()
 
-	// Interleave: st1 runs one phase ahead, like a pipelined batch.
+	// Interleave: st1 runs one phase ahead.
 	for i := range plan1 {
 		if err := plan1[i].Run(context.Background(), st1); err != nil {
 			t.Fatalf("st1 %s: %v", plan1[i].Name(), err)
@@ -177,44 +173,6 @@ func TestSolveStateSharedScheduler(t *testing.T) {
 	}
 	requireSameResult(t, "interleaved st1", st1.Result(), want1)
 	requireSameResult(t, "interleaved st2", st2.Result(), want2)
-}
-
-// TestSolveStateJobFactory checks the batch pipeline's labeling hook: every
-// scheduler-backed phase must route its job through the factory, and the
-// biased jobs must not perturb results.
-func TestSolveStateJobFactory(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	a := testmat.WithSpectrum(rng, testmat.UniformSpectrum(48, -3, 3))
-
-	s := sched.New(3)
-	defer s.Shutdown()
-	o := Options{Vectors: true, NB: 8, Sched: s}
-	want, err := SyevTwoStage(context.Background(), a, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	st, plan, err := NewSolveState(context.Background(), a, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	seen := map[string]int{}
-	st.JobFactory = func(ph Phase, ctx context.Context) *sched.Job {
-		seen[ph.Name()]++
-		return s.NewJobNamed(ctx, "factory "+ph.Name()).SetBias(1 << 16)
-	}
-	for _, ph := range plan {
-		if err := ph.Run(context.Background(), st); err != nil {
-			t.Fatalf("%s: %v", ph.Name(), err)
-		}
-	}
-	requireSameResult(t, "factory-labeled", st.Result(), want)
-	for _, name := range []string{"stage1", "stage2", "eig_t", "back_trans"} {
-		if seen[name] == 0 {
-			t.Fatalf("phase %s never consulted the job factory (seen=%v)", name, seen)
-		}
-	}
 }
 
 // TestSolveStateTrivial pins the n = 0 fast path: an empty plan whose Result

@@ -21,17 +21,8 @@ var ErrStopped = errors.New("sched: scheduler is shut down")
 // written once against the Job API and works in all three modes
 // (sequential, scheduled, canceled).
 type Job struct {
-	s     *Scheduler // nil → inline execution
-	ctx   context.Context
-	label string // attribution label carried into TraceEvents ("" = anonymous)
-
-	// bias is added to the Priority of every task submitted on the job. It
-	// is the cross-job steering knob of the pipelined batch executor: a
-	// solve in a late (drained) phase biases its tasks above the early-phase
-	// tasks of newly admitted solves, so items near completion finish and
-	// release their workspace before new items grab workers. Written before
-	// the first Submit, read under s.mu afterwards.
-	bias int
+	s   *Scheduler // nil → inline execution
+	ctx context.Context
 
 	// Scheduler-mode state, guarded by s.mu.
 	resources map[int]*resourceState
@@ -48,33 +39,7 @@ type Job struct {
 // bodies, Wait returns ctx's error, and the scheduler stays usable for
 // other jobs. A nil ctx means no cancellation.
 func (s *Scheduler) NewJob(ctx context.Context) *Job {
-	return s.NewJobNamed(ctx, "")
-}
-
-// NewJobNamed is NewJob with an attribution label: every TraceEvent produced
-// by the job's tasks carries it, so co-scheduled solves sharing one pool can
-// be told apart in traces (the per-solve namespacing of the batch layer).
-func (s *Scheduler) NewJobNamed(ctx context.Context, label string) *Job {
-	return &Job{s: s, ctx: ctx, label: label, resources: make(map[int]*resourceState)}
-}
-
-// SetBias sets the priority bias added to every task subsequently submitted
-// on the job (see the bias field). It must be called before the first Submit
-// and returns the job for chaining. Inline jobs ignore the bias — they run
-// tasks immediately, so ordering never arises.
-func (j *Job) SetBias(bias int) *Job {
-	if j != nil {
-		j.bias = bias
-	}
-	return j
-}
-
-// Label returns the job's attribution label.
-func (j *Job) Label() string {
-	if j == nil {
-		return ""
-	}
-	return j.label
+	return &Job{s: s, ctx: ctx, resources: make(map[int]*resourceState)}
 }
 
 // Inline creates a schedulerless job: Submit runs each task immediately on

@@ -82,7 +82,6 @@ type TraceEvent struct {
 	Worker     int
 	Start, End time.Duration // relative to scheduler start
 	Seq        int           // submission sequence number
-	Job        string        // label of the job the task ran under ("" for the default job)
 }
 
 // node is the runtime state of a submitted task.
@@ -90,7 +89,6 @@ type node struct {
 	task      Task
 	job       *Job // the job the task belongs to
 	seq       int
-	prio      int     // effective priority: Task.Priority + the job's bias
 	waitCount int     // unsatisfied dependences
 	children  []*node // tasks that depend on this one
 	done      bool
@@ -223,7 +221,7 @@ func (s *Scheduler) submitLocked(j *Job, t Task) {
 		}
 		return
 	}
-	n := &node{task: t, job: j, seq: s.seq, prio: t.Priority + j.bias}
+	n := &node{task: t, job: j, seq: s.seq}
 	s.seq++
 	s.pending++
 	j.pending++
@@ -401,7 +399,6 @@ func (s *Scheduler) worker(id int) {
 		if s.trace && !skip {
 			s.events = append(s.events, TraceEvent{
 				Name: n.task.Name, Worker: id, Start: start, End: end, Seq: n.seq,
-				Job: n.job.label,
 			})
 		}
 		for _, c := range n.children {
@@ -460,12 +457,11 @@ func (q *readyQueues) popFor(workerMask uint64) *node {
 	return heap.Pop(best).(*node)
 }
 
-// less orders the ready queue: higher effective priority (the task's own
-// priority plus its job's bias) first, then submission order (FIFO) for
-// determinism.
+// less orders the ready queue: higher priority first, then submission order
+// (FIFO) for determinism.
 func less(a, b *node) bool {
-	if a.prio != b.prio {
-		return a.prio > b.prio
+	if a.task.Priority != b.task.Priority {
+		return a.task.Priority > b.task.Priority
 	}
 	return a.seq < b.seq
 }

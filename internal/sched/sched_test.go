@@ -362,33 +362,6 @@ func TestWorkersAndString(t *testing.T) {
 	s.Submit(Task{Name: "empty"})
 }
 
-func TestJobLabelInTrace(t *testing.T) {
-	// Per-job attribution: every trace event carries the label of the job
-	// that submitted it, so co-scheduled solves can be told apart.
-	s := New(2, WithTrace())
-	defer s.Shutdown()
-	ja := s.NewJobNamed(nil, "solve-a")
-	jb := s.NewJobNamed(nil, "solve-b")
-	if ja.Label() != "solve-a" {
-		t.Fatalf("Label = %q", ja.Label())
-	}
-	for i := 0; i < 3; i++ {
-		ja.Submit(Task{Name: "a", Run: func(int) {}})
-		jb.Submit(Task{Name: "b", Run: func(int) {}})
-	}
-	s.Submit(Task{Name: "anon", Run: func(int) {}})
-	ja.Wait()
-	jb.Wait()
-	s.Wait()
-	counts := map[string]int{}
-	for _, ev := range s.Trace() {
-		counts[ev.Job]++
-	}
-	if counts["solve-a"] != 3 || counts["solve-b"] != 3 || counts[""] != 1 {
-		t.Fatalf("job attribution counts: %v", counts)
-	}
-}
-
 func TestNewRejectsTooManyWorkers(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -411,46 +384,6 @@ func TestSubmitAfterShutdown(t *testing.T) {
 	}
 	if err := j.Err(); err != ErrStopped {
 		t.Fatalf("Err = %v, want ErrStopped", err)
-	}
-}
-
-func TestJobBiasOrdersAcrossJobs(t *testing.T) {
-	// Two jobs on a deferred one-worker scheduler: the biased job's tasks
-	// must run before the unbiased job's, even though the unbiased tasks
-	// carry a higher intrinsic Priority and were submitted first — the bias
-	// is what lets a drained-phase pipeline item overtake fresh items whose
-	// phases use large internal priorities.
-	s := New(1, Deferred())
-	defer s.Shutdown()
-	fresh := s.NewJob(nil)
-	drained := s.NewJob(nil).SetBias(1 << 16)
-	var order []string
-	var mu sync.Mutex
-	record := func(tag string) func(int) {
-		return func(int) {
-			mu.Lock()
-			order = append(order, tag)
-			mu.Unlock()
-		}
-	}
-	for i := 0; i < 3; i++ {
-		fresh.Submit(Task{Name: "fresh", Priority: 100, Deps: []Dep{W(i)}, Run: record("fresh")})
-	}
-	for i := 0; i < 3; i++ {
-		drained.Submit(Task{Name: "drained", Priority: 10, Deps: []Dep{W(100 + i)}, Run: record("drained")})
-	}
-	s.Start()
-	if err := fresh.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := drained.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"drained", "drained", "drained", "fresh", "fresh", "fresh"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("execution order %v, want biased job first (%v)", order, want)
-		}
 	}
 }
 

@@ -34,22 +34,23 @@ const (
 	PhaseStage1    = "stage1"     // dense → band
 	PhaseStage2    = "stage2"     // band → tridiagonal (bulge chasing)
 	PhaseEigT      = "eig_t"      // tridiagonal eigensolver
-	PhaseUpdateQ2  = "update_q2"  // apply Q2 to E (legacy two-phase path)
-	PhaseUpdateQ1  = "update_q1"  // apply Q1 to (Q2 E) (legacy two-phase path)
+	PhaseUpdateQ2  = "update_q2"  // Q2 flop share of back_trans (attribution only)
+	PhaseUpdateQ1  = "update_q1"  // Q1 flop share of back_trans (attribution only)
 	PhaseBacktrans = "back_trans" // total back-transformation
 
 	// PhaseBacktransFused is the fused single-pass back-transformation:
 	// Q₂ and Q₁ applied per column block of E with no inter-phase barrier.
-	// The Q₂/Q₁ split inside it is recorded via AttributeFlops under the
-	// legacy phase names, so the Figure 1 breakdown stays reconstructible.
+	// The Q₂/Q₁ split inside it is recorded via AttributeFlops under
+	// PhaseUpdateQ2/PhaseUpdateQ1, so the Figure 1 breakdown stays
+	// reconstructible.
 	PhaseBacktransFused = "backtrans_fused"
 
 	// PhaseBatchWait is the time a batch item spent blocked in SolveBatch's
 	// admission gate (concurrency slots + memory-budget reservation) before
 	// its first phase ran. It is recorded into the item's own collector, so
-	// per-item traces through the pipelined executor separate queueing delay
-	// from compute — without it, admission pressure would be invisible in
-	// the per-phase breakdown and look like a slow stage 1.
+	// per-item traces separate queueing delay from compute — without it,
+	// admission pressure would be invisible in the per-phase breakdown and
+	// look like a slow stage 1.
 	PhaseBatchWait = "batch_wait"
 
 	// Attribution-only sub-phases of the stage-1 reduction. The stage runs

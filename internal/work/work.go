@@ -31,34 +31,30 @@ type Key string
 
 // The workspace slots used by the solve pipeline.
 const (
-	Stage1Dense     Key = "stage1.dense"     // dense working copy of A
-	Stage1Tiles     Key = "stage1.tiles"     // V₁ tile storage (the reduced A)
-	Stage1Scratch   Key = "stage1.scratch"   // per-worker tile-kernel scratch
-	Stage1Slab      Key = "stage1.slab"      // Tge/Tts block-reflector factors
-	Stage1Packed    Key = "stage1.packed"    // prepared (packed) panel reflectors
-	Stage2Band      Key = "stage2.band"      // extracted symmetric band matrix
-	Stage2Work      Key = "stage2.workband"  // extended band (bulge) storage
-	Stage2Slab      Key = "stage2.slab"      // Q₂ reflector essentials
-	Stage2Scratch   Key = "stage2.scratch"   // per-worker bulge-kernel scratch
-	Stage2Refs      Key = "stage2.refs"      // reflector lattice slots
-	Stage2Out       Key = "stage2.out"       // chase output (Result + Tridiagonal)
-	Stage2OutD      Key = "stage2.out.d"     // tridiagonal output diagonal
-	Stage2OutE      Key = "stage2.out.e"     // tridiagonal output off-diagonal
-	Stage2Chaser    Key = "stage2.chaser"    // chaser state (refs output list)
-	Stage1Factor    Key = "stage1.factor"    // band factorization header + T lists
-	TridiagD        Key = "tridiag.d"        // diagonal scratch copy
-	TridiagE        Key = "tridiag.e"        // off-diagonal scratch copy
-	BacktransSlab   Key = "backtrans.slab"   // diamond V/T aggregate storage
-	BacktransPlan   Key = "backtrans.plan"   // diamond lattice index + block list
-	BacktransApply  Key = "backtrans.apply"  // sequential Apply column-block scratch
-	BacktransWorker Key = "backtrans.worker" // per-worker parallel Apply scratch
-	FusedApply      Key = "backtrans.fused"  // fused Q₂+Q₁ column-block scratch
-	Q1Apply         Key = "stage1.q1apply"   // sequential ApplyQ1 column-block scratch
-	Q1Worker        Key = "stage1.q1worker"  // per-worker parallel ApplyQ1 scratch
-	TridiagWork     Key = "tridiag.work"     // tridiag.WorkSet: per-worker solver scratch pools
-	VectorStage     Key = "vectors.stage"    // eigenvector staging matrix
-	OneStagePanel   Key = "onestage.panel"   // DLATRD W panel
-	OneStageWork    Key = "onestage.work"    // ORMTR work + T factor
+	Stage1Dense   Key = "stage1.dense"    // dense working copy of A
+	Stage1Tiles   Key = "stage1.tiles"    // V₁ tile storage (the reduced A)
+	Stage1Scratch Key = "stage1.scratch"  // per-worker tile-kernel scratch
+	Stage1Slab    Key = "stage1.slab"     // Tge/Tts block-reflector factors
+	Stage1Packed  Key = "stage1.packed"   // prepared (packed) panel reflectors
+	Stage2Band    Key = "stage2.band"     // extracted symmetric band matrix
+	Stage2Work    Key = "stage2.workband" // extended band (bulge) storage
+	Stage2Slab    Key = "stage2.slab"     // Q₂ reflector essentials
+	Stage2Scratch Key = "stage2.scratch"  // per-worker bulge-kernel scratch
+	Stage2Refs    Key = "stage2.refs"     // reflector lattice slots
+	Stage2Out     Key = "stage2.out"      // chase output (Result + Tridiagonal)
+	Stage2OutD    Key = "stage2.out.d"    // tridiagonal output diagonal
+	Stage2OutE    Key = "stage2.out.e"    // tridiagonal output off-diagonal
+	Stage2Chaser  Key = "stage2.chaser"   // chaser state (refs output list)
+	Stage1Factor  Key = "stage1.factor"   // band factorization header + T lists
+	TridiagD      Key = "tridiag.d"       // diagonal scratch copy
+	TridiagE      Key = "tridiag.e"       // off-diagonal scratch copy
+	BacktransSlab Key = "backtrans.slab"  // diamond V/T aggregate storage
+	BacktransPlan Key = "backtrans.plan"  // diamond lattice index + block list
+	FusedApply    Key = "backtrans.fused" // fused Q₂+Q₁ column-block scratch
+	TridiagWork   Key = "tridiag.work"    // tridiag.WorkSet: per-worker solver scratch pools
+	VectorStage   Key = "vectors.stage"   // eigenvector staging matrix
+	OneStagePanel Key = "onestage.panel"  // DLATRD W panel
+	OneStageWork  Key = "onestage.work"   // ORMTR work + T factor
 )
 
 // Arena is a per-solve workspace. It is NOT safe for concurrent use by
@@ -70,9 +66,9 @@ const (
 // With the phase-plan driver a "solve" may span dormant time: a
 // core.SolveState pins its arena from NewSolveState until the plan
 // completes or is abandoned, including any suspension between phases. An
-// arena handed to a SolveState (or held by a pipelined batch item mid-plan)
-// must therefore not return to a Pool or serve another solve until that
-// state is finished — suspending a state suspends the arena with it.
+// arena handed to a SolveState must therefore not return to a Pool or serve
+// another solve until that state is finished — suspending a state suspends
+// the arena with it.
 type Arena struct {
 	floats    map[Key][]float64
 	perWorker map[Key][][]float64

@@ -23,9 +23,9 @@ func bitwiseEqual(a, b []float64) bool {
 
 // TestLookaheadSolverBitwise is the solver-level half of the stage-1
 // look-ahead gate (the DAG-level half lives in internal/band): for both solve
-// shapes — full Eig (vectors) and values-only EigValues — every worker count,
-// every look-ahead depth, and the DisableLookahead kill-switch must produce
-// results bitwise identical to the sequential solve. The look-ahead
+// shapes — full Eig (vectors) and values-only EigValues — every worker count
+// and every look-ahead depth must produce results bitwise identical to the
+// sequential solve (stage 1 inline, in submission order). The look-ahead
 // priorities only reorder the scheduler's ready queue; they never change
 // which floating-point operations run or in what per-tile order.
 func TestLookaheadSolverBitwise(t *testing.T) {
@@ -68,8 +68,6 @@ func TestLookaheadSolverBitwise(t *testing.T) {
 			check(fmt.Sprintf("workers=%d depth=%d", w, d),
 				&Options{NB: 8, Workers: w, LookaheadDepth: d})
 		}
-		check(fmt.Sprintf("workers=%d sequenced", w),
-			&Options{NB: 8, Workers: w, DisableLookahead: true})
 	}
 }
 

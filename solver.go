@@ -220,23 +220,11 @@ func (s *Solver) solve(ctx context.Context, a *Matrix, vectors bool, il, iu int,
 	return s.runSolve(ctx, scheduler, s.opts.Collector, a, dst, vectors, il, iu)
 }
 
-// prepared is one validated solve, ready to execute: the arena it will run
-// on (owned by the caller, who must return it to the pool), the arena-backed
-// headers over the caller's input/destination storage, and the assembled
-// core options. It is the shared setup of runSolve (which executes the whole
-// plan in one call) and the pipelined batch executor (which advances the
-// plan phase by phase).
-type prepared struct {
-	ws  *work.Arena
-	ad  *matrix.Dense
-	dst *matrix.Dense // nil unless a destination matrix was supplied
-	co  core.Options
-}
-
-// prepare validates the input, borrows a size-matched arena, and assembles
-// the headers and core options of one solve. On success the caller owns
-// prep.ws and must Put it back; on error nothing is held.
-func (s *Solver) prepare(scheduler *sched.Scheduler, tc *trace.Collector, a, dst *Matrix, vectors bool, il, iu int) (*prepared, error) {
+// runSolve validates the input, borrows a size-matched arena, and runs the
+// selected pipeline on the given scheduler (nil → inline execution on the
+// calling goroutine). It is the shared core of the one-at-a-time entry
+// points and of SolveBatch.
+func (s *Solver) runSolve(ctx context.Context, scheduler *sched.Scheduler, tc *trace.Collector, a, dst *Matrix, vectors bool, il, iu int) (*Result, error) {
 	if a == nil {
 		return nil, fmt.Errorf("eigen: nil matrix")
 	}
@@ -256,6 +244,7 @@ func (s *Solver) prepare(scheduler *sched.Scheduler, tc *trace.Collector, a, dst
 	}
 
 	ws := s.pool.Get(n)
+	defer s.pool.Put(ws)
 
 	// Headers over caller-owned data live on the arena, so steady-state
 	// solves do not allocate them. The arena is private to this solve, which
@@ -271,29 +260,27 @@ func (s *Solver) prepare(scheduler *sched.Scheduler, tc *trace.Collector, a, dst
 
 	if !s.opts.SkipSymmetryCheck {
 		if !ad.IsSymmetric(symTol * ad.MaxAbs()) {
-			s.pool.Put(ws)
 			return nil, fmt.Errorf("eigen: matrix is not symmetric (tolerance %g·max|a|)", symTol)
 		}
 	}
 
-	prep := &prepared{ws: ws, ad: ad}
-	prep.co = s.opts.toCore(vectors, il, iu)
-	prep.co.Workers = 0 // the persistent scheduler replaces per-solve workers
-	prep.co.Sched = scheduler
-	prep.co.Arena = ws
-	prep.co.Collector = tc
+	co := s.opts.toCore(vectors, il, iu)
+	co.Workers = 0 // the persistent scheduler replaces per-solve workers
+	co.Sched = scheduler
+	co.Arena = ws
+	co.Collector = tc
 	if dst != nil {
-		prep.dst = &hs.dst
-		*prep.dst = matrix.Dense{Rows: dst.r, Cols: dst.c, Stride: max(1, dst.r), Data: dst.data}
-		prep.co.Dst = prep.dst
+		hs.dst = matrix.Dense{Rows: dst.r, Cols: dst.c, Stride: max(1, dst.r), Data: dst.data}
+		co.Dst = &hs.dst
 	}
-	return prep, nil
-}
 
-// finish maps a core result/error pair to the public surface: scheduler
-// shutdown surfaces as ErrClosed, and solver-owned result storage is
-// adopted or copied out (never arena-backed).
-func (s *Solver) finish(prep *prepared, dst *Matrix, cres *core.Result, err error) (*Result, error) {
+	var cres *core.Result
+	var err error
+	if s.opts.Algorithm == OneStage {
+		cres, err = core.SyevOneStage(ctx, ad, co)
+	} else {
+		cres, err = core.SyevTwoStage(ctx, ad, co)
+	}
 	if err != nil {
 		if errors.Is(err, sched.ErrStopped) {
 			// The shared scheduler was shut down under this solve.
@@ -301,34 +288,15 @@ func (s *Solver) finish(prep *prepared, dst *Matrix, cres *core.Result, err erro
 		}
 		return nil, err
 	}
+	// Solver-owned result storage is adopted or copied out, never
+	// arena-backed.
 	res := &Result{Values: cres.Values}
 	if cres.Vectors != nil {
-		if dst != nil && cres.Vectors == prep.dst {
+		if dst != nil && cres.Vectors == co.Dst {
 			res.Vectors = dst
 		} else {
 			res.Vectors = fromDense(cres.Vectors)
 		}
 	}
 	return res, nil
-}
-
-// runSolve validates the input, borrows a size-matched arena, and runs the
-// selected pipeline on the given scheduler (nil → inline execution on the
-// calling goroutine). It is the shared core of the one-at-a-time entry
-// points and of SolveBatch's whole-solve path; the pipelined batch executor
-// shares prepare/finish but advances the phase plan itself (see batch.go).
-func (s *Solver) runSolve(ctx context.Context, scheduler *sched.Scheduler, tc *trace.Collector, a, dst *Matrix, vectors bool, il, iu int) (*Result, error) {
-	prep, err := s.prepare(scheduler, tc, a, dst, vectors, il, iu)
-	if err != nil {
-		return nil, err
-	}
-	defer s.pool.Put(prep.ws)
-
-	var cres *core.Result
-	if s.opts.Algorithm == OneStage {
-		cres, err = core.SyevOneStage(ctx, prep.ad, prep.co)
-	} else {
-		cres, err = core.SyevTwoStage(ctx, prep.ad, prep.co)
-	}
-	return s.finish(prep, dst, cres, err)
 }
