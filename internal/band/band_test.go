@@ -94,7 +94,7 @@ func TestTsqrtTsmqrReconstruct(t *testing.T) {
 		r := r0.Clone()
 		v2 := a2.Clone()
 		tm := make([]float64, nb*nb)
-		work := make([]float64, nb)
+		work := make([]float64, 2*nb)
 		Tsqrt(nb, m2, r.Data, r.Stride, v2.Data, v2.Stride, tm, nb, work, nil)
 		// Check: Hᵀ·[R0; A2] == [R; 0] by applying Tsmqr to the originals.
 		c1 := r0.Clone()

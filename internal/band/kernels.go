@@ -55,25 +55,25 @@ func Ormqr(side blas.Side, trans blas.Transpose, n int, h *householder.Block, c 
 // m2×nb tile. Because R is triangular, each reflector j has the structure
 // v_j = [e_j ; v2_j]: the top part is an identity column and only the dense
 // part v2_j (length m2) needs storing — it overwrites column j of a2. R is
-// updated in place; t receives the nb×nb triangular block factor.
-// Equivalent to PLASMA's CORE_dtsqrt.
+// updated in place; t receives the nb×nb triangular block factor; work must
+// hold 2nb floats. Equivalent to PLASMA's CORE_dtsqrt.
 func Tsqrt(nb, m2 int, a1 []float64, lda1 int, a2 []float64, lda2 int, t []float64, ldt int, work []float64, tc *trace.Collector) {
-	tau := work[:nb]
+	tau, w := work[:nb], work[nb:2*nb]
 	for j := 0; j < nb; j++ {
 		// Reflector from [R[j,j]; A2[:,j]].
 		beta, tj := householder.Larfg(m2+1, a1[j+j*lda1], a2[j*lda2:], 1)
 		a1[j+j*lda1] = beta
 		tau[j] = tj
-		if tj != 0 {
-			// Apply to the trailing columns jj > j:
-			// w = R[j,jj] + v2ᵀ·A2[:,jj]; R[j,jj] -= τ·w; A2[:,jj] -= τ·w·v2.
-			v2 := a2[j*lda2 : j*lda2+m2]
-			for jj := j + 1; jj < nb; jj++ {
-				col := a2[jj*lda2 : jj*lda2+m2]
-				w := a1[j+jj*lda1] + blas.Ddot(m2, v2, 1, col, 1)
-				a1[j+jj*lda1] -= tj * w
-				blas.Daxpy(m2, -tj*w, v2, 1, col, 1)
+		if nt := nb - j - 1; tj != 0 && nt > 0 {
+			// Apply to the trailing columns, all at once:
+			// w = R[j,j+1:] + v2ᵀ·A2[:,j+1:]; R[j,j+1:] -= τ·w; A2[:,j+1:] -= τ·v2·wᵀ.
+			v2, r, trail := a2[j*lda2:], a1[j+(j+1)*lda1:], a2[(j+1)*lda2:]
+			for jj := range w[:nt] {
+				w[jj] = r[jj*lda1]
 			}
+			blas.Dgemv(blas.Trans, m2, nt, 1, trail, lda2, v2, 1, 1, w, 1)
+			blas.Daxpy(nt, -tj, w, 1, r, lda1)
+			blas.Dger(m2, nt, -tj, v2, 1, w, 1, trail, lda2)
 		}
 	}
 	// Build T: T[0:j, j] = −τ_j · T[0:j,0:j] · (V2[:,0:j]ᵀ · v2_j); the
@@ -85,10 +85,8 @@ func Tsqrt(nb, m2 int, a1 []float64, lda1 int, a2 []float64, lda2 int, t []float
 			}
 			continue
 		}
-		for i := 0; i < j; i++ {
-			t[i+j*ldt] = -tau[j] * blas.Ddot(m2, a2[i*lda2:], 1, a2[j*lda2:], 1)
-		}
 		if j > 0 {
+			blas.Dgemv(blas.Trans, m2, j, -tau[j], a2, lda2, a2[j*lda2:], 1, 0, t[j*ldt:], 1)
 			blas.Dtrmv(blas.Upper, blas.NoTrans, blas.NonUnit, j, t, ldt, t[j*ldt:], 1)
 		}
 		t[j+j*ldt] = tau[j]

@@ -267,7 +267,7 @@ func (r *reducer) tsqrt(k, i, w int) {
 	m1, kw, _ := r.panelGeom(k)
 	m2 := r.tm.TileRows(i)
 	v2, tts := r.tm.Tile(i, k), r.f.Tts[k][i-(k+2)]
-	Tsqrt(kw, m2, r.tm.Tile(k+1, k), m1, v2, m2, tts, kw, r.scratch[w][:kw], r.tc)
+	Tsqrt(kw, m2, r.tm.Tile(k+1, k), m1, v2, m2, tts, kw, r.scratch[w], r.tc)
 	r.f.Hts[k][i-(k+2)].Prepare(true, m2, kw, v2, m2, tts, kw, r.forms,
 		r.packed.Take(householder.PackedLen(true, m2, kw, r.forms)), r.scratch[w])
 	r.acc(&r.panelNs, t)

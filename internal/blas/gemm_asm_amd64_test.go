@@ -15,51 +15,6 @@ import (
 // of it are shown to fire. They run in the default build — under -race in
 // scripts/check.sh — and log whether the assembly was actually exercised.
 
-// poison is the guard value: a quiet NaN with a recognizable payload. A kernel
-// that reads one spoils its result; one that overwrites one is caught by
-// comparing bits.
-var poison = math.Float64frombits(0x7ff8_dead_beef_cafe)
-
-const guardBand = 24
-
-// poisoned returns a random r×c column-major matrix with leading dimension ld
-// embedded in a buffer whose every other value is poison: a band before, a
-// band after, and rows r..ld-1 of every column. mat is capped at its last
-// entry, so only code that bypasses Go's bounds checks can reach the bands.
-func poisoned(rng *rand.Rand, r, c, ld int) (buf, mat []float64) {
-	n := 0
-	if r > 0 && c > 0 {
-		n = (c-1)*ld + r
-	}
-	buf = make([]float64, guardBand+n+guardBand)
-	for i := range buf {
-		buf[i] = poison
-	}
-	mat = buf[guardBand : guardBand+n : guardBand+n]
-	for j := 0; j < c; j++ {
-		for i := 0; i < r; i++ {
-			mat[i+j*ld] = rng.NormFloat64()
-		}
-	}
-	return buf, mat
-}
-
-// checkGuards fails unless every value of buf outside the r×c matrix is still
-// bitwise what it is in orig. With r = 0 the whole buffer must be unchanged
-// (an input operand).
-func checkGuards(t *testing.T, what string, buf, orig []float64, r, c, ld int) {
-	t.Helper()
-	for i := range buf {
-		if k := i - guardBand; k >= 0 && ld > 0 && k%ld < r && k/ld < c {
-			continue
-		}
-		if math.Float64bits(buf[i]) != math.Float64bits(orig[i]) {
-			t.Fatalf("%s: value at offset %d (matrix starts at %d, %d×%d ld %d) changed from %x to %x",
-				what, i, guardBand, r, c, ld, math.Float64bits(orig[i]), math.Float64bits(buf[i]))
-		}
-	}
-}
-
 // sameBits fails unless the r×c matrices got and want (both ld) agree bit for bit.
 func sameBits(t *testing.T, what string, got, want []float64, r, c, ld int) {
 	t.Helper()
@@ -239,7 +194,8 @@ func TestAsmKernelBoundsAssertions(t *testing.T) {
 
 // TestKernelAutoWithoutAVX2 keeps the portable fallback tested on an AVX2
 // host: with the probe's answer flipped, KernelAuto must resolve to the 2×4
-// tile in the stream layout and reproduce the assembly run bit for bit.
+// tile in the stream layout and reproduce the assembly run bit for bit, and so
+// must the Level-1/2 routines on their portable twins.
 func TestKernelAutoWithoutAVX2(t *testing.T) {
 	t.Logf("AsmActive() = %v", AsmActive())
 	if !hasAVX2 {
@@ -264,6 +220,20 @@ func TestKernelAutoWithoutAVX2(t *testing.T) {
 		return gemm, packed
 	}
 	asmGemm, asmPacked := run()
+	// The Level-1/2 routines sit behind the same probe: one pass through every
+	// routed public routine, whose results the portable twins must reproduce.
+	level := func() []float64 {
+		x, y := slices.Clone(b[:m]), slices.Clone(b[m:2*m])
+		s := slices.Clone(a[:m*m])
+		Dgemv(NoTrans, m, n, 0.5, c, m, b, 1, 1, x, 1)
+		Dgemv(Trans, m, n, 0.5, c, m, x, 1, 1, y, 1)
+		Dsymv(Lower, m, -1.5, s, m, x, 1, 0.25, y, 1)
+		Dger(m, m, 0.125, x, 1, y, 1, s, m)
+		Dsyr2(Lower, m, 2, x, 1, y, 1, s, m)
+		Daxpy(m, Ddot(m, x, 1, y, 1), s, 1, s[m:], 1)
+		return s
+	}
+	asmLevel := level()
 
 	hasAVX2 = false
 	t.Cleanup(func() { hasAVX2 = true })
@@ -279,4 +249,5 @@ func TestKernelAutoWithoutAVX2(t *testing.T) {
 	gemm, packed := run()
 	sameBits(t, "Dgemm", asmGemm, gemm, m, n, m)
 	sameBits(t, "GemmPackedA", asmPacked, packed, m, n, m)
+	sameBits(t, "Level-1/2 routines", asmLevel, level(), m, m, m)
 }

@@ -2,7 +2,8 @@ package blas
 
 import "math"
 
-// Ddot returns the dot product xᵀy of two strided n-vectors.
+// Ddot returns the dot product xᵀy of two strided n-vectors. Unit strides run
+// the dot kernel (level_kernels.go gives its summation order).
 func Ddot(n int, x []float64, incX int, y []float64, incY int) float64 {
 	checkVector("ddot", n, x, incX)
 	checkVector("ddot", n, y, incY)
@@ -10,11 +11,7 @@ func Ddot(n int, x []float64, incX int, y []float64, incY int) float64 {
 		return 0
 	}
 	if incX == 1 && incY == 1 {
-		var sum float64
-		for i, v := range x[:n] {
-			sum += v * y[i]
-		}
-		return sum
+		return dot(n, x, y)
 	}
 	var sum float64
 	ix, iy := startIdx(n, incX), startIdx(n, incY)
@@ -34,9 +31,7 @@ func Daxpy(n int, alpha float64, x []float64, incX int, y []float64, incY int) {
 		return
 	}
 	if incX == 1 && incY == 1 {
-		for i, v := range x[:n] {
-			y[i] += alpha * v
-		}
+		axpy(n, alpha, x, y)
 		return
 	}
 	ix, iy := startIdx(n, incX), startIdx(n, incY)

@@ -1,7 +1,25 @@
 package blas
 
+// scaleVector computes y := beta*y for a strided n-vector (beta = 0 stores
+// zeros whatever y held).
+func scaleVector(n int, beta float64, y []float64, incY int) {
+	switch beta {
+	case 1:
+	case 0:
+		iy := startIdx(n, incY)
+		for i := 0; i < n; i++ {
+			y[iy] = 0
+			iy += incY
+		}
+	default:
+		Dscal(n, beta, y, incY)
+	}
+}
+
 // Dgemv computes y := alpha*op(A)*x + beta*y where op(A) is A or Aᵀ and A is
-// an m×n column-major matrix.
+// an m×n column-major matrix. Unit strides run on the gemvN and gemvT kernels,
+// as does NoTrans with only x strided (gathered through a buffer); every other
+// strided call keeps a plain loop.
 func Dgemv(trans Transpose, m, n int, alpha float64, a []float64, lda int, x []float64, incX int, beta float64, y []float64, incY int) {
 	checkMatrix("dgemv", m, n, a, lda)
 	lenX, lenY := n, m
@@ -13,105 +31,31 @@ func Dgemv(trans Transpose, m, n int, alpha float64, a []float64, lda int, x []f
 	if m == 0 || n == 0 {
 		return
 	}
-	if beta != 1 {
-		if beta == 0 {
-			iy := startIdx(lenY, incY)
-			for i := 0; i < lenY; i++ {
-				y[iy] = 0
-				iy += incY
-			}
-		} else {
-			Dscal(lenY, beta, y, incY)
-		}
-	}
+	scaleVector(lenY, beta, y, incY)
 	if alpha == 0 {
 		return
 	}
-	switch trans {
-	case NoTrans:
-		// y += alpha * A * x, traversing A by columns.
+	switch {
+	case trans == NoTrans && incY == 1 && incX == 1:
+		gemvN(m, n, alpha, a, lda, x, y)
+	case trans == NoTrans && incY == 1:
+		gemvNStaged(m, n, alpha, a, lda, x, incX, y)
+	case trans == NoTrans:
 		ix := startIdx(n, incX)
-		if incY == 1 {
-			// Fast path: fuse four column axpys per pass over y, so each
-			// y element is loaded and stored once per four columns instead
-			// of once per column.
-			yy := y[:m]
-			j := 0
-			for ; j+3 < n; j += 4 {
-				t0 := alpha * x[ix]
-				t1 := alpha * x[ix+incX]
-				t2 := alpha * x[ix+2*incX]
-				t3 := alpha * x[ix+3*incX]
-				ix += 4 * incX
-				c0 := a[(j+0)*lda : (j+0)*lda+m]
-				c1 := a[(j+1)*lda : (j+1)*lda+m]
-				c2 := a[(j+2)*lda : (j+2)*lda+m]
-				c3 := a[(j+3)*lda : (j+3)*lda+m]
-				for i, v := range c0 {
-					yy[i] += t0*v + t1*c1[i] + t2*c2[i] + t3*c3[i]
-				}
-			}
-			for ; j < n; j++ {
-				t := alpha * x[ix]
-				ix += incX
-				if t != 0 {
-					col := a[j*lda : j*lda+m]
-					for i, v := range col {
-						yy[i] += t * v
-					}
-				}
-			}
-			return
-		}
 		for j := 0; j < n; j++ {
 			t := alpha * x[ix]
 			ix += incX
-			if t != 0 {
-				col := a[j*lda : j*lda+m]
-				iy := startIdx(m, incY)
-				for i := 0; i < m; i++ {
-					y[iy] += t * col[i]
-					iy += incY
-				}
-			}
-		}
-	case Trans:
-		// y += alpha * Aᵀ * x: each column of A dotted with x.
-		iy := startIdx(n, incY)
-		if incX == 1 {
-			// Fast path: four simultaneous dot products share each load
-			// of x.
-			xx := x[:m]
-			j := 0
-			for ; j+3 < n; j += 4 {
-				c0 := a[(j+0)*lda : (j+0)*lda+m]
-				c1 := a[(j+1)*lda : (j+1)*lda+m]
-				c2 := a[(j+2)*lda : (j+2)*lda+m]
-				c3 := a[(j+3)*lda : (j+3)*lda+m]
-				var s0, s1, s2, s3 float64
-				for i, xv := range xx {
-					s0 += c0[i] * xv
-					s1 += c1[i] * xv
-					s2 += c2[i] * xv
-					s3 += c3[i] * xv
-				}
-				y[iy] += alpha * s0
-				y[iy+incY] += alpha * s1
-				y[iy+2*incY] += alpha * s2
-				y[iy+3*incY] += alpha * s3
-				iy += 4 * incY
-			}
-			for ; j < n; j++ {
-				col := a[j*lda : j*lda+m]
-				var sum float64
-				for i, v := range col {
-					sum += v * xx[i]
-				}
-				y[iy] += alpha * sum
+			col := a[j*lda : j*lda+m]
+			iy := startIdx(m, incY)
+			for i := 0; i < m; i++ {
+				y[iy] += t * col[i]
 				iy += incY
 			}
-			return
 		}
+	case trans == Trans && incX == 1 && incY == 1:
+		gemvT(m, n, alpha, a, lda, x, y)
+	case trans == Trans:
+		iy := startIdx(n, incY)
 		for j := 0; j < n; j++ {
 			col := a[j*lda : j*lda+m]
 			var sum float64
@@ -128,26 +72,41 @@ func Dgemv(trans Transpose, m, n int, alpha float64, a []float64, lda int, x []f
 	}
 }
 
+// stage is how many entries of a strided x gemvNStaged moves through its
+// buffer at a time. Staging changes no result: every element of y still
+// receives its terms in ascending column order.
+const stage = 64
+
+// gemvNStaged is y += alpha·A·x for a strided x (one entry per column of A,
+// as when latrd multiplies by a row of its panel): gemvN on stage columns at a
+// time, their x entries gathered.
+func gemvNStaged(m, n int, alpha float64, a []float64, lda int, x []float64, incX int, y []float64) {
+	var buf [stage]float64
+	ix := startIdx(n, incX)
+	for j := 0; j < n; j += stage {
+		xs := buf[:min(stage, n-j)]
+		for k := range xs {
+			xs[k] = x[ix]
+			ix += incX
+		}
+		gemvN(m, len(xs), alpha, a[j*lda:], lda, xs, y)
+	}
+}
+
 // Dsymv computes y := alpha*A*x + beta*y where A is an n×n symmetric matrix
-// of which only the triangle selected by uplo is referenced.
+// of which only the triangle selected by uplo is referenced. Lower with unit
+// strides — every call the solvers make — runs on the symvL kernel.
 func Dsymv(uplo Uplo, n int, alpha float64, a []float64, lda int, x []float64, incX int, beta float64, y []float64, incY int) {
 	checkMatrix("dsymv", n, n, a, lda)
 	checkVector("dsymv", n, x, incX)
 	checkVector("dsymv", n, y, incY)
+	if uplo != Lower && uplo != Upper {
+		panic(badParam("dsymv", "uplo"))
+	}
 	if n == 0 {
 		return
 	}
-	if beta != 1 {
-		if beta == 0 {
-			iy := startIdx(n, incY)
-			for i := 0; i < n; i++ {
-				y[iy] = 0
-				iy += incY
-			}
-		} else {
-			Dscal(n, beta, y, incY)
-		}
-	}
+	scaleVector(n, beta, y, incY)
 	if alpha == 0 {
 		return
 	}
@@ -164,58 +123,32 @@ func Dsymv(uplo Uplo, n int, alpha float64, a []float64, lda int, x []float64, i
 		}
 		return
 	}
+	if uplo == Lower {
+		symvL(n, alpha, a, lda, x, y)
+		return
+	}
 	// Each stored column j contributes an axpy into y (the column itself)
-	// and a dot product against x (its mirrored row). The inner loops are
-	// unrolled four ways with two independent partial sums so the fused
-	// multiply chains do not serialize on a single accumulator.
-	switch uplo {
-	case Lower:
-		for j := 0; j < n; j++ {
-			t := alpha * x[j]
-			col := a[j*lda:]
-			y[j] += t * col[j]
-			var s0, s1 float64
-			i := j + 1
-			for ; i+3 < n; i += 4 {
-				v0, v1, v2, v3 := col[i], col[i+1], col[i+2], col[i+3]
-				y[i] += t * v0
-				y[i+1] += t * v1
-				y[i+2] += t * v2
-				y[i+3] += t * v3
-				s0 += v0*x[i] + v1*x[i+1]
-				s1 += v2*x[i+2] + v3*x[i+3]
-			}
-			for ; i < n; i++ {
-				v := col[i]
-				y[i] += t * v
-				s0 += v * x[i]
-			}
-			y[j] += alpha * (s0 + s1)
+	// and a dot product against x (its mirrored row).
+	for j := 0; j < n; j++ {
+		t := alpha * x[j]
+		col := a[j*lda:]
+		var s0, s1 float64
+		i := 0
+		for ; i+3 < j; i += 4 {
+			v0, v1, v2, v3 := col[i], col[i+1], col[i+2], col[i+3]
+			y[i] += t * v0
+			y[i+1] += t * v1
+			y[i+2] += t * v2
+			y[i+3] += t * v3
+			s0 += v0*x[i] + v1*x[i+1]
+			s1 += v2*x[i+2] + v3*x[i+3]
 		}
-	case Upper:
-		for j := 0; j < n; j++ {
-			t := alpha * x[j]
-			col := a[j*lda:]
-			var s0, s1 float64
-			i := 0
-			for ; i+3 < j; i += 4 {
-				v0, v1, v2, v3 := col[i], col[i+1], col[i+2], col[i+3]
-				y[i] += t * v0
-				y[i+1] += t * v1
-				y[i+2] += t * v2
-				y[i+3] += t * v3
-				s0 += v0*x[i] + v1*x[i+1]
-				s1 += v2*x[i+2] + v3*x[i+3]
-			}
-			for ; i < j; i++ {
-				v := col[i]
-				y[i] += t * v
-				s0 += v * x[i]
-			}
-			y[j] += t*col[j] + alpha*(s0+s1)
+		for ; i < j; i++ {
+			v := col[i]
+			y[i] += t * v
+			s0 += v * x[i]
 		}
-	default:
-		panic(badParam("dsymv", "uplo"))
+		y[j] += t*col[j] + alpha*(s0+s1)
 	}
 }
 
@@ -228,7 +161,8 @@ func symAt(uplo Uplo, a []float64, lda, i, j int) float64 {
 	return a[i+j*lda]
 }
 
-// Dger computes the rank-1 update A := alpha*x*yᵀ + A for an m×n matrix A.
+// Dger computes the rank-1 update A := alpha*x*yᵀ + A for an m×n matrix A;
+// unit strides run on the ger kernel.
 func Dger(m, n int, alpha float64, x []float64, incX int, y []float64, incY int, a []float64, lda int) {
 	checkMatrix("dger", m, n, a, lda)
 	checkVector("dger", m, x, incX)
@@ -236,25 +170,40 @@ func Dger(m, n int, alpha float64, x []float64, incX int, y []float64, incY int,
 	if m == 0 || n == 0 || alpha == 0 {
 		return
 	}
+	if incX == 1 && incY == 1 {
+		ger(m, n, alpha, x, y, a, lda)
+		return
+	}
 	iy := startIdx(n, incY)
 	for j := 0; j < n; j++ {
 		t := alpha * y[iy]
 		iy += incY
-		if t != 0 {
-			col := a[j*lda : j*lda+m]
-			if incX == 1 {
-				for i := range col {
-					col[i] += t * x[i]
-				}
-			} else {
-				ix := startIdx(m, incX)
-				for i := range col {
-					col[i] += t * x[ix]
-					ix += incX
-				}
-			}
+		col := a[j*lda : j*lda+m]
+		ix := startIdx(m, incX)
+		for i := range col {
+			col[i] += t * x[ix]
+			ix += incX
 		}
 	}
+}
+
+// Dsyr2 computes the symmetric rank-2 update A := alpha*(x*yᵀ + y*xᵀ) + A on
+// the lower triangle of the n×n matrix A, on the syr2L kernel. Only what the
+// solvers call is implemented: uplo must be Lower and both strides 1.
+func Dsyr2(uplo Uplo, n int, alpha float64, x []float64, incX int, y []float64, incY int, a []float64, lda int) {
+	checkMatrix("dsyr2", n, n, a, lda)
+	checkVector("dsyr2", n, x, incX)
+	checkVector("dsyr2", n, y, incY)
+	if uplo != Lower {
+		panic(badParam("dsyr2", "uplo (only Lower supported)"))
+	}
+	if incX != 1 || incY != 1 {
+		panic(badParam("dsyr2", "increment (only 1 supported)"))
+	}
+	if n == 0 || alpha == 0 {
+		return
+	}
+	syr2L(n, alpha, x, y, a, lda)
 }
 
 // Dtrmv computes x := op(A)*x for an n×n triangular matrix A.

@@ -1,8 +1,11 @@
 package bulge
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/blas"
@@ -147,32 +150,85 @@ func TestChaseSmallAndDegenerate(t *testing.T) {
 	}
 }
 
+// TestChaseScheduledMatchesSequential: the task graph must reproduce the
+// sequential chase bit for bit — T and every reflector — at every worker
+// count, on shapes whose first sweep has four, five and fifteen kernels, is a
+// single kernel, and on a matrix narrower than two bandwidths.
 func TestChaseScheduledMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	n, kd := 40, 5
+	for _, tc := range []struct {
+		name  string
+		n, kd int
+	}{
+		{"4-kernel sweep", 20, 5},
+		{"5-kernel sweep", 26, 5},
+		{"15-kernel sweep", 60, 4},
+		{"one-kernel sweep", 6, 5},
+		{"n < 2b", 8, 5},
+	} {
+		if got, want := sweepSteps(tc.n, tc.kd, 0), 1+(tc.n-2)/tc.kd; got != want {
+			t.Fatalf("%s: first sweep has %d kernels, want %d", tc.name, got, want)
+		}
+		b := randBand(rng, tc.n, tc.kd)
+		ref := Chase(b, nil, 0, true, nil, nil)
+		for _, workers := range []int{1, 2, 4, 7} {
+			s := sched.New(workers)
+			got := Chase(b, s.NewJob(nil), 0, true, nil, nil)
+			s.Shutdown()
+			if !slices.Equal(ref.T.D, got.T.D) || !slices.Equal(ref.T.E, got.T.E) {
+				t.Fatalf("%s workers=%d: T differs from the sequential chase", tc.name, workers)
+			}
+			if len(ref.Refs) != len(got.Refs) {
+				t.Fatalf("%s workers=%d: %d reflectors, want %d", tc.name, workers, len(got.Refs), len(ref.Refs))
+			}
+			for i, r := range ref.Refs {
+				g := got.Refs[i]
+				if g.Sweep != r.Sweep || g.Level != r.Level || g.Row != r.Row || g.Tau != r.Tau || !slices.Equal(g.V, r.V) {
+					t.Fatalf("%s workers=%d: reflector %d (sweep %d level %d) differs", tc.name, workers, i, r.Sweep, r.Level)
+				}
+			}
+		}
+	}
+}
+
+// TestChaseCancelDrains cancels a scheduled chase part-way: a task that
+// cancels the job's context is made to depend on row block 0, which the first
+// kernel of every early sweep writes, so it runs after some kernels and — the
+// rest of the chase being one long dependence chain behind those sweeps —
+// before most. Whatever the worker count, some kernels must have run, the
+// others must have drained without running, Wait must return the context's
+// error, and the scheduler must serve a healthy chase afterwards.
+func TestChaseCancelDrains(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n, kd = 400, 5
 	b := randBand(rng, n, kd)
 	ref := Chase(b, nil, 0, true, nil, nil)
-	for _, workers := range []int{1, 3} {
-		s := sched.New(workers)
+	all := 0
+	forEachStep(n, kd, func(int, int) bool { all++; return true })
+	for _, workers := range []int{1, 2, 4, 7} {
+		s := sched.New(workers, sched.Deferred())
+		ctx, cancel := context.WithCancel(context.Background())
+		job := s.NewJob(ctx)
+		c := newChaser(b, workers, nil, nil)
+		c.schedule(job, 0)
+		job.Submit(sched.Task{Priority: 1 << 20, Deps: []sched.Dep{sched.RW(0)}, Run: func(int) { cancel() }})
+		s.Start()
+		if err := job.Wait(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: Wait returned %v, want context.Canceled", workers, err)
+		}
+		ran := 0
+		for i := range c.refs {
+			if c.refs[i].V != nil {
+				ran++
+			}
+		}
+		if ran == 0 || ran >= all {
+			t.Fatalf("workers=%d: %d of %d kernels ran, want some but not all", workers, ran, all)
+		}
 		got := Chase(b, s.NewJob(nil), 0, true, nil, nil)
 		s.Shutdown()
-		for i := range ref.T.D {
-			if ref.T.D[i] != got.T.D[i] {
-				t.Fatalf("workers=%d: D[%d] differs", workers, i)
-			}
-		}
-		for i := range ref.T.E {
-			if ref.T.E[i] != got.T.E[i] {
-				t.Fatalf("workers=%d: E[%d] differs", workers, i)
-			}
-		}
-		if len(ref.Refs) != len(got.Refs) {
-			t.Fatalf("workers=%d: reflector count differs", workers)
-		}
-		for i := range ref.Refs {
-			if ref.Refs[i].Tau != got.Refs[i].Tau || ref.Refs[i].Row != got.Refs[i].Row {
-				t.Fatalf("workers=%d: reflector %d differs", workers, i)
-			}
+		if !slices.Equal(ref.T.D, got.T.D) || !slices.Equal(ref.T.E, got.T.E) {
+			t.Fatalf("workers=%d: the chase after a canceled one differs from the sequential chase", workers)
 		}
 	}
 }

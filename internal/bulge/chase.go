@@ -23,6 +23,8 @@
 package bulge
 
 import (
+	"fmt"
+
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -59,30 +61,26 @@ type Result struct {
 	Refs []Reflector
 }
 
-// forEachStep walks the kernel lattice of the chase in sequential order:
-// fn(sw, 0) is the sweep-starting xHBCEU kernel, fn(sw, lvl) for lvl ≥ 1 the
-// combined xHBREL+xHBLRU chase kernel. fn returning false stops the walk.
+// sweepSteps is the one definition of the kernel lattice: the number of
+// kernels of sweep sw. Level 0 is the sweep-starting xHBCEU kernel, which
+// exists when column sw has at least two entries below the diagonal to work
+// on; level ℓ ≥ 1 is the combined xHBREL+xHBLRU chase kernel, which exists
+// while the previous block was a full one (bw rows from sw+(ℓ−1)·bw+1) with at
+// least one row after it.
+func sweepSteps(n, bw, sw int) int {
+	if min(bw, n-1-sw) < 2 {
+		return 0
+	}
+	return 1 + (n-2-sw)/bw
+}
+
+// forEachStep walks the kernel lattice of the chase in sequential order,
+// sweep-major and level-minor. fn returning false stops the walk.
 func forEachStep(n, bw int, fn func(sw, lvl int) bool) {
 	for sw := 0; sw <= n-3; sw++ {
-		len0 := min(bw, n-1-sw)
-		if len0 < 2 {
-			continue
-		}
-		if !fn(sw, 0) {
-			return
-		}
-		for lvl := 1; ; lvl++ {
-			prevStart := sw + (lvl-1)*bw + 1
-			prevLen := min(bw, n-1-sw-(lvl-1)*bw)
-			nextStart := prevStart + prevLen
-			if prevLen < bw || nextStart > n-1 {
-				break // previous block was the last one
-			}
+		for lvl, steps := 0, sweepSteps(n, bw, sw); lvl < steps; lvl++ {
 			if !fn(sw, lvl) {
 				return
-			}
-			if min(bw, n-1-sw-lvl*bw) < 1 {
-				break
 			}
 		}
 	}
@@ -102,7 +100,7 @@ type chaser struct {
 	out       []Reflector // retained Result.Refs storage
 	maxLevels int
 	slab      *work.Slab
-	scratch   [][]float64 // per worker, ≥ bw+1 floats
+	scratch   [][]float64 // per worker, 2·bw floats: u = [1; v], then a product
 }
 
 // outCache bundles the chase outputs that outlive the kernels (the Result
@@ -160,7 +158,7 @@ func newChaser(b2 *matrix.SymBand, workers int, ws *work.Arena, tc *trace.Collec
 
 	c.ws, c.tc, c.refs, c.maxLevels = ws, tc, refs, maxLevels
 	c.slab = ws.SlabOf(work.Stage2Slab, capV)
-	c.scratch = ws.PerWorker(work.Stage2Scratch, workers, bw+1)
+	c.scratch = ws.PerWorker(work.Stage2Scratch, workers, 2*bw)
 	return c
 }
 
@@ -172,9 +170,10 @@ func (c *chaser) startSweep(sw, worker int) {
 	n, bw := c.w.n, c.w.bw
 	len0 := min(bw, n-1-sw)
 	r0 := sw + 1
-	v, tau := c.w.larfgColumn(sw, r0, len0, c.slab, c.tc)
+	u, p := c.scratch[worker][:bw], c.scratch[worker][bw:]
+	v, tau := c.w.larfgColumn(sw, r0, len0, c.slab, u, c.tc)
 	c.refs[c.slot(sw, 0)] = Reflector{Sweep: sw, Level: 0, Row: r0, V: v, Tau: tau}
-	c.w.symTwoSided(r0, len0, v, tau, c.scratch[worker], c.tc)
+	c.w.symTwoSided(r0, len0, u, tau, p, c.tc)
 }
 
 // chaseStep is the combined xHBREL+xHBLRU kernel at chase depth lvl ≥ 1.
@@ -186,79 +185,100 @@ func (c *chaser) chaseStep(sw, lvl, worker int) {
 	nextLen := min(bw, n-nextStart)
 
 	prev := &c.refs[c.slot(sw, lvl-1)]
+	u, p := c.scratch[worker][:bw], c.scratch[worker][bw:]
+	u[0] = 1
+	copy(u[1:], prev.V)
 	// xHBREL: right update of the off-diagonal block by the previous
 	// reflector (creates the bulge)…
-	c.w.rightUpdate(nextStart, nextLen, prevStart, prevLen, prev.V, prev.Tau, c.scratch[worker], c.tc)
+	c.w.rightUpdate(nextStart, nextLen, prevStart, prevLen, u, prev.Tau, p, c.tc)
 	// …then annihilate only the bulge's first column and apply the new
 	// reflector from the left to the rest of the block while it is hot in
 	// cache.
 	var v []float64
 	var tau float64
 	if nextLen >= 2 {
-		v, tau = c.w.larfgColumn(prevStart, nextStart, nextLen, c.slab, c.tc)
+		v, tau = c.w.larfgColumn(prevStart, nextStart, nextLen, c.slab, u, c.tc)
 	} else {
 		v, tau = emptyV, 0
 	}
 	c.refs[c.slot(sw, lvl)] = Reflector{Sweep: sw, Level: lvl, Row: nextStart, V: v, Tau: tau}
 	if tau != 0 {
-		c.w.leftUpdate(nextStart, nextLen, prevStart+1, prevLen-1, v, tau, c.tc)
+		c.w.leftUpdate(nextStart, nextLen, prevStart+1, prevLen-1, u, tau, p, c.tc)
 		// xHBLRU: two-sided update of the next symmetric triangle.
-		c.w.symTwoSided(nextStart, nextLen, v, tau, c.scratch[worker], c.tc)
+		c.w.symTwoSided(nextStart, nextLen, u, tau, p, c.tc)
 	}
 }
 
-// deps returns the conservative access list of kernel (sw, lvl); see
-// blockDeps.
-func (c *chaser) deps(sw, lvl int) []sched.Dep {
-	n, bw := c.w.n, c.w.bw
+// step runs kernel (sw, lvl).
+func (c *chaser) step(sw, lvl, worker int) {
 	if lvl == 0 {
-		len0 := min(bw, n-1-sw)
-		r0 := sw + 1
-		return blockDeps(&c.w, r0, r0+len0-1, r0, r0+len0-1, sw)
+		c.startSweep(sw, worker)
+	} else {
+		c.chaseStep(sw, lvl, worker)
 	}
-	prevStart := sw + (lvl-1)*bw + 1
-	prevLen := min(bw, n-1-sw-(lvl-1)*bw)
-	nextStart := prevStart + prevLen
-	nextLen := min(bw, n-nextStart)
-	return blockDeps(&c.w, nextStart, nextStart+nextLen-1, prevStart, nextStart+nextLen-1, -1)
 }
 
 // runSeq executes the kernels in sequential order on the calling goroutine,
 // checking for cancellation once per sweep. No per-kernel allocations.
 func (c *chaser) runSeq(job *sched.Job) {
 	forEachStep(c.w.n, c.w.bw, func(sw, lvl int) bool {
-		if lvl == 0 {
-			if job.Canceled() {
-				return false
-			}
-			c.startSweep(sw, 0)
-		} else {
-			c.chaseStep(sw, lvl, 0)
+		if lvl == 0 && job.Canceled() {
+			return false
 		}
+		c.step(sw, lvl, 0)
 		return true
 	})
 }
 
-// schedule submits one task per kernel; the scheduler reproduces the
-// sequential order through the conservative block dependences.
+// blockSpan returns the first and last bw-aligned row block kernel (sw, lvl)
+// touches: the kernel's rows and columns, and for the sweep-starting kernel
+// the column sw it reads. One resource per block serializes exactly the
+// kernels whose footprints can overlap.
+func (c *chaser) blockSpan(sw, lvl int) (lo, hi int) {
+	n, bw := c.w.n, c.w.bw
+	if lvl == 0 {
+		return sw / bw, (sw + min(bw, n-1-sw)) / bw
+	}
+	prevStart := sw + (lvl-1)*bw + 1
+	nextStart := prevStart + bw
+	return prevStart / bw, (nextStart + min(bw, n-nextStart) - 1) / bw
+}
+
+// schedule submits one task per kernel. Its access list is the kernel's row
+// blocks, read-write, so the scheduler reproduces the sequential order wherever
+// two kernels can touch the same entries. (Tasks of several consecutive levels
+// of a sweep were measured and tied with this on solve time: EXPERIMENTS.md,
+// "Level-1/2 at vector speed".)
 func (c *chaser) schedule(job *sched.Job, affinity uint64) {
-	forEachStep(c.w.n, c.w.bw, func(sw, lvl int) bool {
-		var name string
-		var run func(int)
-		if lvl == 0 {
-			name = kname("HBCEU", sw, 0)
-			run = func(w int) { c.startSweep(sw, w) }
-		} else {
-			name = kname("HBREL+HBLRU", sw, lvl)
-			run = func(w int) { c.chaseStep(sw, lvl, w) }
+	n, bw := c.w.n, c.w.bw
+	traced := job.Traced()
+	// All access lists are carved from one slice: a kernel covers at most 2·bw
+	// consecutive rows, so at most three blocks.
+	tasks := 0
+	for sw := 0; sw <= n-3; sw++ {
+		tasks += sweepSteps(n, bw, sw)
+	}
+	deps := make([]sched.Dep, 0, 3*tasks)
+	forEachStep(n, bw, func(sw, lvl int) bool {
+		lo, hi := c.blockSpan(sw, lvl)
+		first := len(deps)
+		for g := lo; g <= hi; g++ {
+			deps = append(deps, sched.RW(g))
 		}
-		job.Submit(sched.Task{
-			Name:     name,
+		task := sched.Task{
 			Priority: 10,
 			Affinity: affinity,
-			Deps:     c.deps(sw, lvl),
-			Run:      run,
-		})
+			Deps:     deps[first:len(deps):len(deps)],
+			Run:      func(w int) { c.step(sw, lvl, w) },
+		}
+		if traced { // only a tracing scheduler reads the name
+			kind := "HBREL+HBLRU"
+			if lvl == 0 {
+				kind = "HBCEU"
+			}
+			task.Name = fmt.Sprintf("%s#%d.%d", kind, sw, lvl)
+		}
+		job.Submit(task)
 		return true
 	})
 }
@@ -327,41 +347,4 @@ func Chase(b2 *matrix.SymBand, job *sched.Job, affinity uint64, wantQ bool, ws *
 	}
 	c.finish(res, &oc.t, wantQ)
 	return res
-}
-
-// kname builds a task name without fmt to keep submission cheap.
-func kname(kind string, s, l int) string {
-	return kind + "#" + itoa(s) + "." + itoa(l)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	p := len(buf)
-	for v > 0 {
-		p--
-		buf[p] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[p:])
-}
-
-// blockDeps declares conservative resources for a kernel touching rows
-// [r0, r1] and columns [c0, c1] of the band: one resource per bw-aligned
-// row block spanned, which serializes exactly the kernels whose footprints
-// can overlap. col0 ≥ 0 additionally claims that column's block (for the
-// sweep-starting kernel that reads column sw).
-func blockDeps(w *workBand, r0, r1, c0, c1, col0 int) []sched.Dep {
-	lo := min(r0, c0) / w.bw
-	hi := max(r1, c1) / w.bw
-	if col0 >= 0 && col0/w.bw < lo {
-		lo = col0 / w.bw
-	}
-	deps := make([]sched.Dep, 0, hi-lo+1)
-	for g := lo; g <= hi; g++ {
-		deps = append(deps, sched.RW(g))
-	}
-	return deps
 }

@@ -1,6 +1,7 @@
 package bulge
 
 import (
+	"repro/internal/blas"
 	"repro/internal/householder"
 	"repro/internal/matrix"
 	"repro/internal/trace"
@@ -64,132 +65,76 @@ func (w *workBand) col(j, r0, length int) []float64 {
 	return w.data[off : off+length]
 }
 
+// block returns the rlen×clen block of the band whose first element is
+// (r0, c0), as a column-major matrix and its leading dimension. Consecutive
+// columns of band storage are lda apart but start one row lower, so the block
+// is an ordinary matrix with leading dimension lda−1 (dsbtrd addresses its
+// band the same way) and the Level-2 BLAS apply to it as they stand. The
+// first and last column go through col, which checks the
+// delayed-annihilation invariant at the block's two extreme corners.
+func (w *workBand) block(r0, rlen, c0, clen int) ([]float64, int) {
+	w.col(c0, r0, rlen)
+	w.col(c0+clen-1, r0, rlen)
+	return w.data[(r0-c0)+c0*w.lda:], w.lda - 1
+}
+
 // larfgColumn generates the reflector annihilating all but the first entry
 // of B[r0 : r0+length, c], writes the annihilated column back (beta then
-// zeros), and returns the essential part (carved from slab) and tau.
-func (w *workBand) larfgColumn(c, r0, length int, slab *work.Slab, tc *trace.Collector) ([]float64, float64) {
+// zeros), and returns the essential part (carved from slab) and tau. u
+// receives the full vector [1; v] the update kernels multiply by.
+func (w *workBand) larfgColumn(c, r0, length int, slab *work.Slab, u []float64, tc *trace.Collector) ([]float64, float64) {
 	x := w.col(c, r0, length)
 	beta, tau := householder.Larfg(length, x[0], x[1:], 1)
 	v := slab.Take(length - 1)
 	copy(v, x[1:])
+	u[0] = 1
+	copy(u[1:], v)
 	x[0] = beta
-	for i := 1; i < length; i++ {
-		x[i] = 0
-	}
+	clear(x[1:])
 	tc.AddFlops(trace.KOther, 3*int64(length))
 	return v, tau
 }
 
-// symTwoSided applies H = I − τ·u·uᵀ (u = [1; v]) two-sidedly to the
-// symmetric block starting at index r0 with the given length:
-// S := H·S·H via the standard rank-2 form S −= u·wᵀ + w·uᵀ,
-// w = τ·S·u − (τ²/2)(uᵀSu)·u. scratch must hold ≥ length floats.
-func (w *workBand) symTwoSided(r0, length int, v []float64, tau float64, scratch []float64, tc *trace.Collector) {
+// symTwoSided applies H = I − τ·u·uᵀ two-sidedly to the symmetric block of
+// the given order at (r0, r0): S := H·S·H via the standard rank-2 form
+// S −= u·wᵀ + w·uᵀ, w = τ·S·u − (τ²/2)(uᵀSu)·u. p is scratch for w.
+func (w *workBand) symTwoSided(r0, length int, u []float64, tau float64, p []float64, tc *trace.Collector) {
 	if tau == 0 || length == 0 {
 		return
 	}
-	// p = τ·S·u using the lower-stored symmetric block.
-	p := scratch[:length]
-	clear(p)
-	for j := 0; j < length; j++ {
-		uj := 1.0
-		if j > 0 {
-			uj = v[j-1]
-		}
-		cj := w.col(r0+j, r0+j, length-j)
-		// Diagonal contribution.
-		p[j] += cj[0] * uj
-		for i := j + 1; i < length; i++ {
-			s := cj[i-j]
-			ui := v[i-1]
-			p[i] += s * uj
-			p[j] += s * ui
-		}
-	}
-	for i := range p {
-		p[i] *= tau
-	}
-	// w = p − (τ/2)(uᵀp)·u.
-	dot := p[0]
-	for i := 1; i < length; i++ {
-		dot += v[i-1] * p[i]
-	}
-	alpha := -0.5 * tau * dot
-	p[0] += alpha
-	for i := 1; i < length; i++ {
-		p[i] += alpha * v[i-1]
-	}
-	// S −= u·pᵀ + p·uᵀ (lower part only).
-	for j := 0; j < length; j++ {
-		uj := 1.0
-		if j > 0 {
-			uj = v[j-1]
-		}
-		cj := w.col(r0+j, r0+j, length-j)
-		cj[0] -= 2 * uj * p[j]
-		for i := j + 1; i < length; i++ {
-			ui := v[i-1]
-			cj[i-j] -= ui*p[j] + uj*p[i]
-		}
-	}
+	w.col(r0, r0, length)
+	w.col(r0+length-1, r0+length-1, 1)
+	s, ld := w.data[r0*w.lda:], w.lda-1
+	blas.Dsymv(blas.Lower, length, tau, s, ld, u, 1, 0, p, 1)
+	blas.Daxpy(length, -0.5*tau*blas.Ddot(length, u, 1, p, 1), u, 1, p, 1)
+	blas.Dsyr2(blas.Lower, length, -1, u, 1, p, 1, s, ld)
 	tc.AddFlops(trace.KSymv, 4*int64(length)*int64(length))
 }
 
 // rightUpdate applies H from the right to the block
-// G = B[r0 : r0+rlen, c0 : c0+clen]:  G := G·(I − τ·u·uᵀ), u = [1; v] over
-// the columns. This is the bulge-creating update of xHBREL. scratch must
-// hold ≥ rlen floats.
-func (w *workBand) rightUpdate(r0, rlen, c0, clen int, v []float64, tau float64, scratch []float64, tc *trace.Collector) {
+// G = B[r0 : r0+rlen, c0 : c0+clen]:  G := G·(I − τ·u·uᵀ), u over the
+// columns. This is the bulge-creating update of xHBREL. t is scratch for G·u.
+func (w *workBand) rightUpdate(r0, rlen, c0, clen int, u []float64, tau float64, t []float64, tc *trace.Collector) {
 	if tau == 0 || rlen == 0 || clen == 0 {
 		return
 	}
-	// t = G·u.
-	t := scratch[:rlen]
-	clear(t)
-	for j := 0; j < clen; j++ {
-		uj := 1.0
-		if j > 0 {
-			uj = v[j-1]
-		}
-		cj := w.col(c0+j, r0, rlen)
-		for i := 0; i < rlen; i++ {
-			t[i] += cj[i] * uj
-		}
-	}
-	// G −= τ·t·uᵀ.
-	for j := 0; j < clen; j++ {
-		uj := tau
-		if j > 0 {
-			uj = tau * v[j-1]
-		}
-		cj := w.col(c0+j, r0, rlen)
-		for i := 0; i < rlen; i++ {
-			cj[i] -= t[i] * uj
-		}
-	}
+	g, ld := w.block(r0, rlen, c0, clen)
+	blas.Dgemv(blas.NoTrans, rlen, clen, 1, g, ld, u, 1, 0, t, 1)
+	blas.Dger(rlen, clen, -tau, t, 1, u, 1, g, ld)
 	tc.AddFlops(trace.KGemv, 4*int64(rlen)*int64(clen))
 }
 
 // leftUpdate applies H from the left to the block
 // G = B[r0 : r0+rlen, c0 : c0+clen]:  G := (I − τ·u·uᵀ)·G, u over the rows.
 // This is the delayed-annihilation update of xHBREL after the bulge's first
-// column has been eliminated.
-func (w *workBand) leftUpdate(r0, rlen, c0, clen int, v []float64, tau float64, tc *trace.Collector) {
+// column has been eliminated. t is scratch for Gᵀ·u.
+func (w *workBand) leftUpdate(r0, rlen, c0, clen int, u []float64, tau float64, t []float64, tc *trace.Collector) {
 	if tau == 0 || rlen == 0 || clen == 0 {
 		return
 	}
-	for j := 0; j < clen; j++ {
-		cj := w.col(c0+j, r0, rlen)
-		dot := cj[0]
-		for i := 1; i < rlen; i++ {
-			dot += v[i-1] * cj[i]
-		}
-		dot *= tau
-		cj[0] -= dot
-		for i := 1; i < rlen; i++ {
-			cj[i] -= dot * v[i-1]
-		}
-	}
+	g, ld := w.block(r0, rlen, c0, clen)
+	blas.Dgemv(blas.Trans, rlen, clen, 1, g, ld, u, 1, 0, t, 1)
+	blas.Dger(rlen, clen, -tau, u, 1, t, 1, g, ld)
 	tc.AddFlops(trace.KGemv, 4*int64(rlen)*int64(clen))
 }
 

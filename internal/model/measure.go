@@ -6,11 +6,20 @@ import (
 	"repro/internal/blas"
 )
 
-// MeasureAlpha benchmarks the blocked Dgemm kernel at a cache-friendly size
-// and returns its rate in flop/s — the machine's α. The measurement is a
-// handful of milliseconds.
+// alphaSize is the matrix order of the compute-bound measurement. Dgemm packs
+// O(n²) values in Go around O(n³) flops of micro-kernel, and α is the rate the
+// kernel sustains, so n is taken large enough that the packing is noise: the
+// plain build reads the same 15.7 Gflop/s at 192 and at 768, but under the
+// race detector, which instruments the packing loops and nothing inside the
+// assembly, 192 read 5.6 and 768 reads 11.4 — against 8.4 for the all-assembly
+// Dsymv, so only the larger size keeps α > β measurable there. 768 is also
+// below 2·DefaultNC, where Dgemm would start splitting across goroutines.
+const alphaSize = 768
+
+// MeasureAlpha benchmarks the blocked Dgemm kernel and returns its rate in
+// flop/s — the machine's α. The measurement is about a tenth of a second.
 func MeasureAlpha() float64 {
-	const n = 192
+	const n = alphaSize
 	a := make([]float64, n*n)
 	b := make([]float64, n*n)
 	c := make([]float64, n*n)

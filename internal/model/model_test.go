@@ -137,9 +137,9 @@ func TestMeasureParamsSane(t *testing.T) {
 	// The compute-bound kernel must beat the memory-bound one — the entire
 	// premise of the paper; if this fails the substrate cannot reproduce
 	// any of the figures. Each rate is one short timing window and load only
-	// ever lowers it (under -race beside another package's tests the margin
-	// is 1.4×, and a window that lost its CPU has inverted the order), so
-	// the measurement is repeated before the order counts as wrong.
+	// ever lowers it (under -race the margin is 1.35×, see alphaSize, and a
+	// window that lost its CPU has inverted the order), so the measurement
+	// is repeated before the order counts as wrong.
 	var p Params
 	for try := 0; try < 3; try++ {
 		p = MeasureParams(1)

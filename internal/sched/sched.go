@@ -226,42 +226,49 @@ func (s *Scheduler) submitLocked(j *Job, t Task) {
 	s.pending++
 	j.pending++
 
-	// Infer dependences. A resource may appear more than once in the access
-	// list (e.g. a two-sided kernel reading and writing the same tile); the
-	// strongest mode wins.
-	strongest := make(map[int]AccessMode, len(t.Deps))
-	for _, d := range t.Deps {
-		if cur, ok := strongest[d.Resource]; !ok || modeRank(d.Mode) > modeRank(cur) {
-			strongest[d.Resource] = d.Mode
+	// Infer dependences, one edge set per resource in declaration order. A
+	// resource may appear more than once in the access list (e.g. a two-sided
+	// kernel reading and writing the same tile): it is handled at its first
+	// mention, with the strongest mode of all of them. Access lists are a
+	// handful of entries, so the scan is cheaper than the map it replaced.
+	for i, d := range t.Deps {
+		mode, seen := d.Mode, false
+		for k, o := range t.Deps {
+			if o.Resource != d.Resource {
+				continue
+			}
+			if k < i {
+				seen = true
+				break
+			}
+			if modeRank(o.Mode) > modeRank(mode) {
+				mode = o.Mode
+			}
 		}
-	}
-	for res, mode := range strongest {
-		st := j.resources[res]
+		if seen {
+			continue
+		}
+		st := j.resources[d.Resource]
 		if st == nil {
 			st = &resourceState{}
-			j.resources[res] = st
+			j.resources[d.Resource] = st
 		}
-		switch mode {
-		case Read:
-			if st.lastWriter != nil && !st.lastWriter.done {
-				st.lastWriter.children = append(st.lastWriter.children, n)
-				n.waitCount++
-			}
+		if st.lastWriter != nil && !st.lastWriter.done {
+			st.lastWriter.children = append(st.lastWriter.children, n)
+			n.waitCount++
+		}
+		if mode == Read {
 			st.readers = append(st.readers, n)
-		default: // Write, ReadWrite
-			if st.lastWriter != nil && !st.lastWriter.done {
-				st.lastWriter.children = append(st.lastWriter.children, n)
+			continue
+		}
+		for _, r := range st.readers {
+			if r != n && !r.done {
+				r.children = append(r.children, n)
 				n.waitCount++
 			}
-			for _, r := range st.readers {
-				if r != n && !r.done {
-					r.children = append(r.children, n)
-					n.waitCount++
-				}
-			}
-			st.lastWriter = n
-			st.readers = st.readers[:0]
 		}
+		st.lastWriter = n
+		st.readers = st.readers[:0]
 	}
 	if n.waitCount == 0 {
 		s.ready.push(n)

@@ -65,13 +65,7 @@ func StedcWork(d, e []float64, w *Work) ([]float64, *matrix.Dense, error) {
 // which were below every tolerance of the solver already).
 func scaleT(dd, ee, d, e []float64) (exp int) {
 	n := len(dd)
-	var tmax float64
-	for _, v := range d[:n] {
-		tmax = math.Max(tmax, math.Abs(v))
-	}
-	for _, v := range e[:len(ee)] {
-		tmax = math.Max(tmax, math.Abs(v))
-	}
+	tmax := maxAbs(d[:n], e[:len(ee)])
 	if tmax == 0 || math.IsInf(tmax, 0) || math.IsNaN(tmax) {
 		copy(dd, d)
 		copy(ee, e)

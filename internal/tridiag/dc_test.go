@@ -56,16 +56,18 @@ func countMerges(ws *WorkSet) (c mergeCounts) {
 	return c
 }
 
-// TestStedcHard drives the D&C over the tridiagonals that are hard for it —
-// tight pairs (Wilkinson), blocks glued by a coupling at the deflation
+// hardRow is one of the tridiagonals that are hard for an eigensolver.
+type hardRow struct {
+	name  string
+	d, e  []float64
+	unexp int // checks run on T·2^−unexp, which is of order one
+}
+
+// hardTridiagonals returns the hard classes TestStedcHard and TestSterfHard
+// share: tight pairs (Wilkinson), blocks glued by a coupling at the deflation
 // threshold, a spectrum that deflates almost everywhere ((−1, 2, −1)), graded
-// and clustered entries, and entries at both ends of the exponent range —
-// under the budgets the rest of this file's siblings apply, sequentially and
-// on two workers (bitwise the same), and holds the root finder to its
-// iteration count on each.
-func TestStedcHard(t *testing.T) {
-	defer func(c int) { DCParCutoff = c }(DCParCutoff)
-	DCParCutoff = dcBaseSize // every merge is a DAG node, so countMerges sees it
+// and clustered entries, and entries at both ends of the exponent range.
+func hardTridiagonals() []hardRow {
 	rng := rand.New(rand.NewSource(77))
 	glued := func(m, copies int, glue float64) (d, e []float64) {
 		for b := 0; b < copies; b++ {
@@ -86,14 +88,9 @@ func TestStedcHard(t *testing.T) {
 			e[i] *= f
 		}
 	}
-	type row struct {
-		name  string
-		d, e  []float64
-		unexp int // the check runs on T·2^−unexp, which is of order one
-	}
-	var rows []row
+	var rows []hardRow
 	add := func(name string, unexp int, d, e []float64) {
-		rows = append(rows, row{name: name, d: d, e: e, unexp: unexp})
+		rows = append(rows, hardRow{name: name, d: d, e: e, unexp: unexp})
 	}
 	d, e := wilkinson(1001)
 	add("wilkinson1001", 0, d, e)
@@ -127,6 +124,30 @@ func TestStedcHard(t *testing.T) {
 	d, e = randTridiag(rng, 300)
 	times(1e-150, d, e)
 	add("normal*1e-150", -498, d, e)
+	return rows
+}
+
+// unscaled returns r's tridiagonal brought to order one by an exact power of
+// two (at 1e−150 the squares a residual sums would underflow to a pass).
+func (r hardRow) unscaled() (d, e []float64) {
+	d, e = make([]float64, len(r.d)), make([]float64, len(r.e))
+	for i := range d {
+		d[i] = math.Ldexp(r.d[i], -r.unexp)
+	}
+	for i := range e {
+		e[i] = math.Ldexp(r.e[i], -r.unexp)
+	}
+	return d, e
+}
+
+// TestStedcHard drives the D&C over the tridiagonals that are hard for it
+// (hardTridiagonals) under the budgets the rest of this file's siblings
+// apply, sequentially and on two workers (bitwise the same), and holds the
+// root finder to its iteration count on each.
+func TestStedcHard(t *testing.T) {
+	defer func(c int) { DCParCutoff = c }(DCParCutoff)
+	DCParCutoff = dcBaseSize // every merge is a DAG node, so countMerges sees it
+	rows := hardTridiagonals()
 
 	s := sched.New(2)
 	defer s.Shutdown()
@@ -144,14 +165,11 @@ func TestStedcHard(t *testing.T) {
 		if !sameVec(vals, pvals) || !sameMat(q, pq) {
 			t.Errorf("%s: StedcSched on two workers differs from Stedc", r.name)
 		}
-		// The budgets, on T brought to order one by an exact power of two (at
-		// 1e−150 the squares residualT sums would underflow to a pass).
-		sd, se, sv := make([]float64, n), make([]float64, n-1), make([]float64, n)
-		for i := range sd {
-			sd[i], sv[i] = math.Ldexp(r.d[i], -r.unexp), math.Ldexp(vals[i], -r.unexp)
-		}
-		for i := range se {
-			se[i] = math.Ldexp(r.e[i], -r.unexp)
+		// The budgets, on T brought to order one.
+		sd, se := r.unscaled()
+		sv := make([]float64, n)
+		for i := range sv {
+			sv[i] = math.Ldexp(vals[i], -r.unexp)
 		}
 		scale := scaleOf(sd, se)
 		for i := 1; i < n; i++ {

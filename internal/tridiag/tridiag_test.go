@@ -1,6 +1,7 @@
 package tridiag
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -214,6 +215,55 @@ func TestSterfMatchesSteqr(t *testing.T) {
 				t.Fatalf("n=%d: Sterf[%d]=%g vs Steqr %g", n, i, d1[i], d2[i])
 			}
 		}
+	}
+}
+
+// TestSterfHard holds the root-free iteration to the hard classes the D&C is
+// held to, against two independent methods on T brought to order one — Steqr
+// (rotations, square roots) and bisection — within TestStedcHard's eigenvalue
+// budget; the 1e±150 rows pass only because each block is scaled before it is
+// squared. It also pins the budget semantics: n·MaxIterQL sweeps in all, and
+// ErrNoConvergence when a block needs one more.
+func TestSterfHard(t *testing.T) {
+	for _, r := range hardTridiagonals() {
+		n := len(r.d)
+		got := append([]float64(nil), r.d...)
+		if err := Sterf(got, append([]float64(nil), r.e...)); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		sd, se := r.unscaled()
+		bis := Stebz(sd, se, 1, n)
+		qr, qe := append([]float64(nil), sd...), append([]float64(nil), se...)
+		if err := Steqr(qr, qe, nil); err != nil {
+			t.Fatalf("%s: Steqr: %v", r.name, err)
+		}
+		budget := 1e-12 * scaleOf(sd, se) * float64(n)
+		var worstB, worstQ float64
+		for i, v := range got {
+			v = math.Ldexp(v, -r.unexp)
+			if i > 0 && !(got[i-1] <= got[i]) {
+				t.Fatalf("%s: eigenvalues %d, %d out of order: %g, %g", r.name, i-1, i, got[i-1], got[i])
+			}
+			worstB = math.Max(worstB, math.Abs(v-bis[i]))
+			worstQ = math.Max(worstQ, math.Abs(v-qr[i]))
+		}
+		t.Logf("%-16s n = %4d: off bisection by %.3g, off Steqr by %.3g (budget %.3g)", r.name, n, worstB, worstQ, budget)
+		if !(worstB <= budget) || !(worstQ <= budget) {
+			t.Errorf("%s: eigenvalues off bisection by %g and off Steqr by %g, want ≤ %g", r.name, worstB, worstQ, budget)
+		}
+	}
+
+	defer func(m int) { MaxIterQL = m }(MaxIterQL)
+	MaxIterQL = 0
+	d, e := wilkinson(21)
+	if err := Sterf(d, e); !errors.Is(err, ErrNoConvergence) {
+		t.Errorf("no sweeps allowed on an unreduced matrix: got %v, want ErrNoConvergence", err)
+	}
+	d, e = []float64{3, 1, 2, 5}, []float64{0, 1, 0} // 1×1 and 2×2 blocks need no sweep
+	if err := Sterf(d, e); err != nil {
+		t.Errorf("no sweeps allowed on 1×1 and 2×2 blocks: %v", err)
+	} else if want := []float64{(3 - math.Sqrt(5)) / 2, (3 + math.Sqrt(5)) / 2, 3, 5}; math.Abs(d[0]-want[0]) > 1e-15 || math.Abs(d[1]-want[1]) > 1e-15 || d[2] != 3 || d[3] != 5 {
+		t.Errorf("1×1 and 2×2 blocks: got %v, want %v", d, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Pre-merge gate: everything must build, vet clean (asmdecl included: the
-# AVX2 GEMM kernel is part of the default amd64 build), and pass the test suite
+# AVX2 GEMM and Level-1/2 kernels are part of the default amd64 build), and
+# pass the test suite
 # under the race detector (the Solver is documented as safe for concurrent
 # use, so -race is part of the baseline, not an extra). There is one build
 # configuration: on an AVX2 host the race pass runs the assembly kernel and
@@ -13,10 +14,12 @@ go build ./...
 go vet ./...
 go test -race ./...
 
-# The files that replace the assembly off amd64 are compiled by nothing above:
-# cross-compile them (pure Go, needs no network or C toolchain).
+# The files that replace the assembly off amd64 — the GEMM stub and the
+# portable twins of the Level-1/2 kernels — are compiled by nothing above:
+# cross-compile them and their nearest callers (pure Go, needs no network or C
+# toolchain).
 GOARCH=arm64 go build ./...
-GOARCH=arm64 go vet ./internal/blas ./internal/householder
+GOARCH=arm64 go vet ./internal/blas ./internal/householder ./internal/bulge
 set +x
 
 # Named gates. The race pass above already ran every test; what a later
@@ -39,10 +42,11 @@ done <<'EOF'
 fused-backtransform  TestApplyFused|TestFusedBacktrans|TestSolverCancelDuringBacktrans  ./internal/backtransform ./internal/core .
 batch                TestSolveBatch|TestSolveBatchMatchesSolo|TestSolveBatchFanout|TestSolveBatchCancel|TestSolveBatchCloseMidFlight|TestSolveBatchReentrant|TestSolveBatchConcurrentCalls|TestSolveBatchTraceAttribution|TestBatchIsolationMixed|TestNotFiniteError|TestNoConvergencePropagation|TestOptionsClamp|TestDegenerateShapes|TestBatchRangeValidatedWithoutDst|TestBatchGateOverBudgetClamp|TestSolveBatchOversizedItemsRunAlone|TestSolverGateSharedAcrossBatchCalls  .
 phase-plan           TestSolveState|TestBuildPlan  ./internal/core
-tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestSchedAffinity|TestParallelTridiag|TestSecularRoot|TestStedcHard|TestStedcScalingExact|TestWorkSetRetention|TestEstimateCoversArena  ./internal/tridiag ./internal/core
+tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestSchedAffinity|TestParallelTridiag|TestSecularRoot|TestStedcHard|TestStedcScalingExact|TestSterfHard|TestWorkSetRetention|TestEstimateCoversArena  ./internal/tridiag ./internal/core
 stage1-lookahead     TestReduceLookahead|TestLookahead|TestStage1  ./internal/band ./internal/core .
 packed-engine        TestBlock|TestGemmPackedA|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestKernelAutoWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestSolveBitwiseAcrossKernels  ./internal/householder ./internal/blas .
-bulge                TestChaseBanded|TestChaseAffinityRestriction|TestReflectorLattice  ./internal/bulge
+level-kernels        TestLevel1AsmBitwisePortable|TestLevel2AsmBitwisePortable|TestLevelCanaries  ./internal/blas
+bulge                TestChaseBanded|TestChaseAffinityRestriction|TestReflectorLattice|TestChaseScheduledMatchesSequential|TestChaseCancelDrains  ./internal/bulge
 tune-profile         TestTuneProfileRoundTripSolve|TestTuning|TestProfileRoundTrip|TestProfileValidateRejects|TestLoadRejectsMismatch|FuzzLoad  . ./internal/tune
 service              TestServerAuth|TestServerSubmitValidation|TestServerJobEndpoints|TestServerNaNPayloadMapsTo400|TestErrorMapping|TestMemStore|TestDiskStore|TestRoundTripBitwise|TestCancelMidSolveFreesSlot|TestOverBudgetRefused|TestConcurrentClients  ./internal/service ./client
 no-home-dir          TestNewSolverWithoutHomeDir|TestDefaultPathWithoutHomeDir  . ./internal/tune

@@ -385,3 +385,38 @@ func TestSolveBitwiseAcrossKernels(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveBitwiseAcrossWorkers: at a size whose band is the default 48 wide
+// (so the chase runs whole Level-2 kernels on full blocks), a full solve and
+// a values-only solve return the same bits sequentially and on 2 and 4
+// workers, and again when repeated on the same Solver — the order of
+// operations inside a Level-1/2 kernel is fixed, and nothing else about the
+// arithmetic depends on the schedule.
+func TestSolveBitwiseAcrossWorkers(t *testing.T) {
+	a := randSymMatrix(rand.New(rand.NewSource(29)), 256)
+	var refVals, refVecs, refOnly []float64
+	for _, w := range []int{1, 2, 4} {
+		s := NewSolver(&Options{Workers: w, DisableTuning: true})
+		for rep := 0; rep < 2; rep++ {
+			res, err := s.Eig(a)
+			if err != nil {
+				t.Fatalf("workers=%d: Eig: %v", w, err)
+			}
+			only, err := s.EigValues(a)
+			if err != nil {
+				t.Fatalf("workers=%d: EigValues: %v", w, err)
+			}
+			if refVals == nil {
+				refVals, refVecs, refOnly = res.Values, res.Vectors.data, only
+				continue
+			}
+			if !slices.Equal(res.Values, refVals) || !slices.Equal(res.Vectors.data, refVecs) {
+				t.Errorf("workers=%d repetition %d: Eig differs from the first sequential solve", w, rep)
+			}
+			if !slices.Equal(only, refOnly) {
+				t.Errorf("workers=%d repetition %d: EigValues differs from the first sequential solve", w, rep)
+			}
+		}
+		s.Close()
+	}
+}
