@@ -61,9 +61,18 @@ func Dsyr2k(uplo Uplo, trans Transpose, n, k int, alpha float64, a []float64, ld
 	}
 }
 
-// syr2kRef is the scalar rank-2k triangle update (the pre-rework Dsyr2k
-// body), used for small problems and diagonal blocks.
+// syr2kRef is the rank-2k triangle update of small problems and diagonal
+// blocks. Lower/NoTrans — onestage.Sytrd's trailing update, the only one the
+// solvers make — is k rank-2 updates on the syr2L kernel: element (i, j) gets
+// the same two products per l, in the same ascending l order, as the scalar
+// loops below, which the other three cases keep.
 func syr2kRef(uplo Uplo, trans Transpose, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	if uplo == Lower && trans == NoTrans {
+		for l := 0; l < k; l++ {
+			syr2L(n, alpha, a[l*lda:], b[l*ldb:], c, ldc)
+		}
+		return
+	}
 	if trans == NoTrans {
 		// Stream columns: C[:,j] += alpha·(B[j,l]·A[:,l] + A[j,l]·B[:,l]).
 		for j := 0; j < n; j++ {
