@@ -28,7 +28,7 @@ func matFor(n int) *matrix.Dense {
 }
 
 // gemmOperands builds the n×n operands of the GEMM sweep and their product
-// under the frozen seed kernel, the bitwise reference of every candidate.
+// under the portable 2×4 kernel, the bitwise reference of every candidate.
 func gemmOperands(n int) (a, b, ref []float64) {
 	rng := rand.New(rand.NewSource(int64(n)*104729 + 5))
 	a = make([]float64, n*n)
@@ -37,7 +37,7 @@ func gemmOperands(n int) (a, b, ref []float64) {
 		a[i] = rng.NormFloat64()
 		b[i] = rng.NormFloat64()
 	}
-	old := blas.SetBlocking(blas.Blocking{Kernel: blas.KernelSeed})
+	old := blas.SetBlocking(blas.Blocking{Kernel: blas.Kernel2x4})
 	defer blas.SetBlocking(old)
 	ref = make([]float64, n*n)
 	blas.Dgemm(blas.NoTrans, blas.NoTrans, n, n, n, 1, a, n, b, n, 0, ref, n)

@@ -5,42 +5,24 @@ import (
 	"sync/atomic"
 )
 
-// Kernel selects the GEMM micro-kernel family. All kernels produce bitwise
-// identical results for the same KC (every element of C is accumulated as an
-// independent chain over k in ascending order, split at KC boundaries; the
-// accumulator tile shape and the MC/NC cache blocking never reorder a
-// chain), so the autotuner may switch kernels freely without perturbing
-// solver output.
+// Kernel selects the GEMM micro-kernel. Both produce bitwise identical
+// results for the same KC (every element of C is accumulated as an
+// independent fused chain over k in ascending order, split at KC boundaries;
+// the accumulator tile shape and the MC/NC cache blocking never reorder a
+// chain), so the choice never perturbs solver output.
 type Kernel int
 
 const (
-	// KernelAuto picks the best tile this machine runs, decided once at
-	// start-up: the 8×4 assembly kernel on amd64 when the CPU has AVX2 and the
-	// OS saves YMM state (AsmActive), otherwise — an older x86, or any other
-	// architecture — the portable 2×4 kernel (8 accumulator chains fit the
-	// 16-register scalar FPU file of amd64 without spilling; the wider
-	// portable tiles win only on machines with larger register files).
-	// Naming a portable kernel here is the only way to force the portable
-	// path on a machine that has the assembly one.
+	// KernelAuto runs the best tile this machine has, decided once at
+	// start-up: the 12×4 AVX2/FMA assembly kernel on amd64 when the CPU has
+	// AVX2 and FMA and the OS saves YMM state (AsmActive), otherwise — an
+	// older x86, or any other architecture — the portable 2×4 kernel.
 	KernelAuto Kernel = iota
-	// Kernel2x4 is the portable 2×4 accumulator tile (8 chains), the
-	// narrowest register footprint.
+	// Kernel2x4 is the portable 2×4 accumulator tile (8 chains, which fit
+	// the 16-register scalar FPU file of amd64 without spilling): the twin
+	// the assembly kernel is tested against, and the only way to force the
+	// portable path on a machine that has the assembly one.
 	Kernel2x4
-	// Kernel4x4 is the portable 4×4 accumulator tile (16 chains): each
-	// packed load is reused four times, which keeps the scalar FPU pipeline
-	// full without spilling on amd64.
-	Kernel4x4
-	// Kernel8x4 is the 8×4 accumulator tile (32 chains): the assembly
-	// kernel's native shape, and the assembly kernel itself wherever
-	// AsmActive. The portable form spills some accumulators to the
-	// (L1-resident) stack; it exists so machines without the assembly can
-	// run the identical tiling.
-	Kernel8x4
-	// KernelSeed is the frozen pre-rework kernel (2×4 tile, B re-packed per
-	// j-strip, fixed 128/128/64 blocking): the "before" baseline of
-	// cmd/eigtune's kernel sweep and the reference the bitwise gates
-	// compare against.
-	KernelSeed
 )
 
 func (k Kernel) String() string {
@@ -49,12 +31,6 @@ func (k Kernel) String() string {
 		return "auto"
 	case Kernel2x4:
 		return "2x4"
-	case Kernel4x4:
-		return "4x4"
-	case Kernel8x4:
-		return "8x4"
-	case KernelSeed:
-		return "seed"
 	}
 	return "unknown"
 }
@@ -67,18 +43,19 @@ func (k Kernel) String() string {
 // KC is the one parameter that is *not* numerically neutral: C is
 // accumulated in KC-sized partial sums, so changing it changes the rounding
 // of every result. The default (and the only value the stock autotuner
-// persists) is DefaultKC, which keeps all kernels, the seed baseline, and
-// tuned-vs-untuned runs bitwise identical.
+// persists) is DefaultKC, which keeps both kernels and tuned-vs-untuned runs
+// bitwise identical.
 type Blocking struct {
 	MC, KC, NC int
 	Kernel     Kernel
 }
 
-// Default blocking. KC matches the seed kernel so the rework is bitwise
-// identical to it; MC/NC are a 256 KiB A-block and a B panel wide enough to
-// amortize packing across all MC strips.
+// Default blocking. KC is the one value results are computed with (tune
+// profiles must carry it unchanged); MC is a whole number of 12-row assembly
+// panels (a 264 KiB A-block), NC a B panel wide enough to amortize packing
+// across all MC strips.
 const (
-	DefaultMC = 256
+	DefaultMC = 264
 	DefaultKC = 128
 	DefaultNC = 512
 )
@@ -92,7 +69,7 @@ func DefaultBlocking() Blocking {
 // to sane values in place (minimums keep the pack buffers non-degenerate;
 // NC is rounded up to the 4-column tile so packed B panels stay uniform).
 // The zero Blocking therefore means "stock configuration except where set":
-// Blocking{Kernel: Kernel4x4} selects a kernel without disturbing the cache
+// Blocking{Kernel: Kernel2x4} selects a kernel without disturbing the cache
 // blocking.
 func (b *Blocking) normalize() {
 	if b.MC <= 0 {
@@ -114,7 +91,7 @@ func (b *Blocking) normalize() {
 		b.NC = 8
 	}
 	b.NC = (b.NC + 3) &^ 3
-	if b.Kernel < KernelAuto || b.Kernel > KernelSeed {
+	if b.Kernel < KernelAuto || b.Kernel > Kernel2x4 {
 		b.Kernel = KernelAuto
 	}
 }
@@ -140,36 +117,35 @@ func SetBlocking(b Blocking) Blocking {
 // CurrentBlocking reports the active GEMM blocking configuration.
 func CurrentBlocking() Blocking { return *blocking.Load() }
 
-// AsmActive reports whether this process runs the assembly micro-kernel: an
-// amd64 binary on a CPU and OS that pass the AVX2 probe — i.e. whether
-// KernelAuto and Kernel8x4 run the assembly tiles. Exposed for eigtune, which
-// prints it alongside measured rates, and for tests, which log it so a run
-// that only exercised the portable path says so.
-func AsmActive() bool { return asmActive() }
+// asmKernels reports whether this process runs the assembly kernels — the
+// GEMM micro-kernel and the seven Level-1/2 kernels. It is the CPU probe's
+// answer, taken once at package init (always false off amd64); tests flip it
+// to run the portable twins on a machine that has the assembly.
+var asmKernels = probeAsm()
+
+// AsmActive reports whether this process runs the assembly kernels: an amd64
+// binary on a CPU and OS that pass the AVX2/FMA probe — i.e. whether
+// KernelAuto runs the 12×4 assembly tile. Exposed for eigtune, which prints it
+// alongside measured rates, and for tests, which log it so a run that only
+// exercised the portable path says so.
+func AsmActive() bool { return asmKernels }
 
 // microNR is the fixed accumulator-tile width: every micro-kernel consumes
 // packed B in 4-column panels.
 const microNR = 4
 
+// asmMR is the assembly kernel's tile height: 12 rows are three YMM loads per
+// k step, whose 12 accumulator chains cover the FMA latency on two ports.
+const asmMR = 12
+
 // resolveMR maps the configured kernel to the packed-A panel height and
 // reports whether the assembly kernel (and with it the k-interleaved, padded
 // A layout) is in use.
 func (b *Blocking) resolveMR() (mr int, useAsm bool) {
-	k := b.Kernel
-	if k == KernelAuto {
-		if asmActive() {
-			return 8, true
-		}
-		return 2, false
+	if b.Kernel == KernelAuto && asmKernels {
+		return asmMR, true
 	}
-	switch k {
-	case Kernel2x4:
-		return 2, false
-	case Kernel8x4:
-		return 8, asmActive()
-	default:
-		return 4, false
-	}
+	return 2, false
 }
 
 // packBuf carries the packed-A and packed-B panels of one blocked GEMM

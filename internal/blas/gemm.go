@@ -30,10 +30,10 @@ func Parallelism() int { return int(atomic.LoadInt64(&parallelism)) }
 // The blocked driver packs op(A) into MC×KC row-panels and op(B) into
 // KC×NC column-panels (once per block — the packed B panel is reused across
 // every MC strip), then runs the register-blocked micro-kernel selected by
-// the active Blocking over the packed panels. Every C element is one
+// the active Blocking over the packed panels. Every C element is one fused
 // accumulation chain over k in ascending order, split only at KC
-// boundaries, so for a fixed KC all kernels — including the frozen seed
-// kernel and the assembly kernel — produce bitwise identical results.
+// boundaries, so for a fixed KC the portable and the assembly kernel produce
+// bitwise identical results.
 func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
 	rowA, colA := m, k
 	if transA == Trans {
@@ -72,10 +72,6 @@ func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, ld
 	// escape into the closures below and cost one heap allocation per call,
 	// which the tile kernels issue millions of times.
 	bk := blocking.Load()
-	if bk.Kernel == KernelSeed {
-		dgemmSeed(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
-		return
-	}
 	mr, useAsm := bk.resolveMR()
 	// Pack storage sized to the actual problem, not the configured maxima
 	// (a 24-wide tile-kernel gemm should not pin a megabyte of buffers).
@@ -131,8 +127,7 @@ func gemmBlocked(transA, transB Transpose, m, n, k int, alpha float64, a []float
 		for kk := 0; kk < k; kk += bk.KC {
 			kc := min(bk.KC, k-kk)
 			// Pack alpha·op(B)[kk:kk+kc, jj:jj+nc] once; it is reused by
-			// every MC strip of A below (the seed kernel re-packed it per
-			// strip, which this structure exists to fix).
+			// every MC strip of A below.
 			packB(buf.b, transB, b, ldb, kk, jj, kc, nc, alpha)
 			for ii := 0; ii < m; ii += bk.MC {
 				mc := min(bk.MC, m-ii)
@@ -239,9 +234,11 @@ func packA(dst []float64, transA Transpose, a []float64, lda, ii, kk, mc, kc, mr
 // sky, when non-nil, is the left operand's skyline (see Packing.PackA): two
 // values per A row-panel giving the k range [lo, hi) outside which the
 // panel is exactly zero. The kernels then run on that sub-range only. Every
-// skipped term is a ±0 product, and adding ±0 never changes a partial sum
-// (a sum that is still zero is +0 either way), so for finite operands the
-// result is bitwise the one the full range gives.
+// skipped term is a ±0 product, and fma(±0, b, s) is s for every finite b and
+// every partial sum s but −0 (a leading run of them keeps the chain at +0), so
+// for finite operands the result is bitwise the one the full range gives —
+// unless a step's exact value underflows to −0, whose sign a skipped trailing
+// term would have turned to +0.
 func gemmMacro(apack, bpack []float64, ldb, mc, nc, kc, mr int, useAsm bool, c []float64, ldc int, sky []float64) {
 	np := (nc + microNR - 1) / microNR
 	for q := 0; q < np; q++ {
@@ -268,13 +265,9 @@ func gemmMacro(apack, bpack []float64, ldb, mc, nc, kc, mr int, useAsm bool, c [
 			ct := cq[p:]
 			switch {
 			case useAsm:
-				kern8x4asm(kn, ap[lo*mr:], bq[lo:], ldb, ct, ldc, h, nr)
+				kern12x4asm(kn, ap[lo*mr:], bq[lo:], ldb, ct, ldc, h, nr)
 			case h < mr:
 				kernMx4(kn, h, ap[lo:], kc, bq[lo:], ldb, ct, ldc, nr)
-			case mr == 8:
-				kern8x4(kn, ap[lo:], kc, bq[lo:], ldb, ct, ldc, nr)
-			case mr == 4:
-				kern4x4(kn, ap[lo:], kc, bq[lo:], ldb, ct, ldc, nr)
 			default:
 				kern2x4(kn, ap[lo:], kc, bq[lo:], ldb, ct, ldc, nr)
 			}

@@ -121,27 +121,27 @@ func TestAsmKernelCanaries(t *testing.T) {
 	t.Logf("AsmActive() = %v", AsmActive())
 	rng := rand.New(rand.NewSource(41))
 	for _, k := range []int{1, 2, 7, 12, 48, 128, 129} {
-		for h := 1; h <= 8; h++ {
+		for h := 1; h <= asmMR; h++ {
 			for nr := 1; nr <= microNR; nr++ {
 				for _, sk := range [][2]int{{0, 0}, {1, 0}, {3, 2}} {
 					if sk[0]+sk[1] >= k {
 						continue
 					}
 					canaryCase(t, rng, NoTrans, h, nr, k, sk[0], sk[1])
-					canaryCase(t, rng, NoTrans, 8+h, microNR+nr, k, sk[0], sk[1])
-					canaryCase(t, rng, Trans, 8+h, microNR+nr, k, sk[0], sk[1])
+					canaryCase(t, rng, NoTrans, asmMR+h, microNR+nr, k, sk[0], sk[1])
+					canaryCase(t, rng, Trans, asmMR+h, microNR+nr, k, sk[0], sk[1])
 				}
 			}
 		}
 	}
 }
 
-// TestAsmKernelBoundsAssertions checks that kern8x4asm refuses — by panicking
-// in Go, before the assembly runs — every argument set whose tile would reach
-// outside the slices: C must come back untouched.
+// TestAsmKernelBoundsAssertions checks that kern12x4asm refuses — by
+// panicking in Go, before the assembly runs — every argument set whose tile
+// would reach outside the slices: C must come back untouched.
 func TestAsmKernelBoundsAssertions(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip("no AVX2 on this CPU: the assembly kernel never runs")
+	if !asmKernels {
+		t.Skip("no AVX2/FMA on this CPU: the assembly kernel never runs")
 	}
 	const kc, ldb, ldc = 5, 7, 9
 	ones := func(n int) []float64 {
@@ -151,28 +151,28 @@ func TestAsmKernelBoundsAssertions(t *testing.T) {
 		}
 		return x
 	}
-	apLen, bpLen, cLen := 8*kc, 3*ldb+kc, 3*ldc+8
+	apLen, bpLen, cLen := asmMR*kc, 3*ldb+kc, 3*ldc+asmMR
 	for _, tc := range []struct {
 		name               string
 		kc, ap, bp, c      int
 		ldb, ldc, h, nr    int
 		wantPanic, touches bool
 	}{
-		{name: "exact fit, full tile", kc: kc, ap: apLen, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: 8, nr: 4, touches: true},
+		{name: "exact fit, full tile", kc: kc, ap: apLen, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: asmMR, nr: 4, touches: true},
 		{name: "exact fit, ragged tile", kc: kc, ap: apLen, bp: bpLen, c: 2*ldc + 3, ldb: ldb, ldc: ldc, h: 3, nr: 3, touches: true},
-		{name: "short A panel", kc: kc, ap: apLen - 1, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: 8, nr: 4, wantPanic: true},
-		{name: "short B streams", kc: kc, ap: apLen, bp: bpLen - 1, c: cLen, ldb: ldb, ldc: ldc, h: 8, nr: 4, wantPanic: true},
-		{name: "short C, full tile", kc: kc, ap: apLen, bp: bpLen, c: cLen - 1, ldb: ldb, ldc: ldc, h: 8, nr: 4, wantPanic: true},
+		{name: "short A panel", kc: kc, ap: apLen - 1, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: asmMR, nr: 4, wantPanic: true},
+		{name: "short B streams", kc: kc, ap: apLen, bp: bpLen - 1, c: cLen, ldb: ldb, ldc: ldc, h: asmMR, nr: 4, wantPanic: true},
+		{name: "short C, full tile", kc: kc, ap: apLen, bp: bpLen, c: cLen - 1, ldb: ldb, ldc: ldc, h: asmMR, nr: 4, wantPanic: true},
 		{name: "short C, ragged tile", kc: kc, ap: apLen, bp: bpLen, c: 2*ldc + 2, ldb: ldb, ldc: ldc, h: 3, nr: 3, wantPanic: true, touches: true},
-		{name: "kc = 0", kc: 0, ap: apLen, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: 8, nr: 4, wantPanic: true},
-		{name: "negative ldb", kc: kc, ap: apLen, bp: bpLen + 100, c: cLen, ldb: -1, ldc: ldc, h: 8, nr: 4, wantPanic: true},
-		{name: "negative ldc", kc: kc, ap: apLen, bp: bpLen, c: cLen + 100, ldb: ldb, ldc: -1, h: 8, nr: 4, wantPanic: true},
+		{name: "kc = 0", kc: 0, ap: apLen, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: asmMR, nr: 4, wantPanic: true},
+		{name: "negative ldb", kc: kc, ap: apLen, bp: bpLen + 100, c: cLen, ldb: -1, ldc: ldc, h: asmMR, nr: 4, wantPanic: true},
+		{name: "negative ldc", kc: kc, ap: apLen, bp: bpLen, c: cLen + 100, ldb: ldb, ldc: -1, h: asmMR, nr: 4, wantPanic: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ap, bp, c := ones(tc.ap), ones(tc.bp), ones(tc.c)
 			panicked := func() (p bool) {
 				defer func() { p = recover() != nil }()
-				kern8x4asm(tc.kc, ap, bp, tc.ldb, c, tc.ldc, tc.h, tc.nr)
+				kern12x4asm(tc.kc, ap, bp, tc.ldb, c, tc.ldc, tc.h, tc.nr)
 				return
 			}()
 			if panicked != tc.wantPanic {
@@ -192,18 +192,36 @@ func TestAsmKernelBoundsAssertions(t *testing.T) {
 	}
 }
 
-// TestKernelAutoWithoutAVX2 keeps the portable fallback tested on an AVX2
-// host: with the probe's answer flipped, KernelAuto must resolve to the 2×4
-// tile in the stream layout and reproduce the assembly run bit for bit, and so
-// must the Level-1/2 routines on their portable twins.
+// TestKernelAutoWithoutAVX2 keeps the portable fallback tested on an AVX2/FMA
+// host. The probe must fail when CPUID lacks any one of the bits it needs —
+// FMA included — and with its answer flipped, KernelAuto must resolve to the
+// 2×4 tile in the stream layout and reproduce the assembly run bit for bit, and
+// so must the Level-1/2 routines on their portable twins.
 func TestKernelAutoWithoutAVX2(t *testing.T) {
 	t.Logf("AsmActive() = %v", AsmActive())
-	if !hasAVX2 {
-		t.Skip("no AVX2 on this CPU: KernelAuto already is the portable path")
+	ecx1, ebx7, xcr0 := cpuBits()
+	if got := cpuRunsKernels(ecx1, ebx7, xcr0); got != asmKernels {
+		t.Fatalf("probe on this CPU's bits = %v, init-time probe = %v", got, asmKernels)
+	}
+	for _, c := range []struct {
+		what             string
+		ecx1, ebx7, xcr0 uint32
+	}{
+		{"FMA", ecx1 &^ cpuidFMA, ebx7, xcr0},
+		{"AVX2", ecx1, ebx7 &^ cpuidAVX2, xcr0},
+		{"OSXSAVE", ecx1 &^ cpuidOSXSAVE, ebx7, xcr0},
+		{"YMM state", ecx1, ebx7, xcr0 &^ 0x4},
+	} {
+		if cpuRunsKernels(c.ecx1, c.ebx7, c.xcr0) {
+			t.Errorf("probe passes with the %s bit cleared", c.what)
+		}
+	}
+	if !asmKernels {
+		t.Skip("no AVX2/FMA on this CPU: KernelAuto already is the portable path")
 	}
 	bk := CurrentBlocking()
-	if mr, asm := bk.resolveMR(); mr != 8 || !asm {
-		t.Fatalf("with AVX2, KernelAuto resolves to mr=%d asm=%v, want the 8×4 assembly tile", mr, asm)
+	if mr, asm := bk.resolveMR(); mr != asmMR || !asm {
+		t.Fatalf("with AVX2/FMA, KernelAuto resolves to mr=%d asm=%v, want the 12×4 assembly tile", mr, asm)
 	}
 	rng := rand.New(rand.NewSource(43))
 	const m, n, k = 59, 37, 141
@@ -235,13 +253,13 @@ func TestKernelAutoWithoutAVX2(t *testing.T) {
 	}
 	asmLevel := level()
 
-	hasAVX2 = false
-	t.Cleanup(func() { hasAVX2 = true })
+	asmKernels = false
+	t.Cleanup(func() { asmKernels = true })
 	if AsmActive() {
 		t.Fatal("AsmActive() still true with the probe flipped")
 	}
 	if mr, asm := bk.resolveMR(); mr != 2 || asm {
-		t.Fatalf("without AVX2, KernelAuto resolves to mr=%d asm=%v, want the portable 2×4 tile", mr, asm)
+		t.Fatalf("without AVX2/FMA, KernelAuto resolves to mr=%d asm=%v, want the portable 2×4 tile", mr, asm)
 	}
 	if pk, want := CurrentPacking(), (Packing{mr: 2, kc: DefaultKC}); pk != want {
 		t.Fatalf("CurrentPacking() = %+v, want the stream layout %+v", pk, want)

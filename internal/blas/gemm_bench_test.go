@@ -27,7 +27,7 @@ func benchGemm(b *testing.B, n int, kern Kernel) {
 }
 
 func BenchmarkDgemm(b *testing.B) {
-	kernels := []Kernel{KernelSeed, Kernel2x4, Kernel4x4, Kernel8x4, KernelAuto}
+	kernels := []Kernel{Kernel2x4, KernelAuto}
 	for _, n := range []int{128, 512} {
 		for _, k := range kernels {
 			b.Run(fmt.Sprintf("n=%d/%v", n, k), func(b *testing.B) { benchGemm(b, n, k) })

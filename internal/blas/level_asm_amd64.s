@@ -2,14 +2,15 @@
 
 #include "textflag.h"
 
-// AVX2 forms of the seven Level-1/2 kernels. level_kernels.go states the
+// AVX2/FMA forms of the seven Level-1/2 kernels. level_kernels.go states the
 // operation order each one follows; level_asm_amd64.go holds the Go wrappers
 // that are their only callers and assert every bound. Conventions shared by
 // all of them: lengths are ≥ 1, lda ≥ rows and arrives in elements (converted
-// to bytes in R10, 3·lda in R11), multiplies and adds are separate
-// instructions, whole row quads run in YMM registers and the 0–3 rows after
-// the last quad in scalar code, four columns per pass and the 0–3 columns
-// after the last whole group one at a time.
+// to bytes in R10, 3·lda in R11), every a·b + c is one VFMADD231PD/SD (Go
+// operand order: VFMADD231PD b, a, c computes c = a·b + c), whole row quads
+// run in YMM registers and the 0–3 rows after the last quad in scalar code,
+// four columns per pass and the 0–3 columns after the last whole group one at
+// a time.
 
 // REDUCE4 leaves in Y0 the four column sums of the accumulators Y0..Y3, lane c
 // holding (s₀+s₁)+(s₂+s₃) of Yc: the two VHADDPD give [a₀+a₁, b₀+b₁, a₂+a₃,
@@ -30,8 +31,8 @@
 	VMOVHPD     (AX)(R11*1), x1, x1; \
 	VINSERTF128 $1, x1, y0, y0
 
-// func dotAVX2(n int, x, y *float64) float64
-TEXT ·dotAVX2(SB), NOSPLIT, $0-32
+// func dotFMA(n int, x, y *float64) float64
+TEXT ·dotFMA(SB), NOSPLIT, $0-32
 	MOVQ   n+0(FP), CX
 	MOVQ   x+8(FP), SI
 	MOVQ   y+16(FP), DI
@@ -41,10 +42,9 @@ TEXT ·dotAVX2(SB), NOSPLIT, $0-32
 	JZ     reduce
 
 quads:
-	VMOVUPD (SI), Y1
-	VMULPD  (DI), Y1, Y1
-	VADDPD  Y1, Y0, Y0
-	ADDQ    $32, SI
+	VMOVUPD     (SI), Y1
+	VFMADD231PD (DI), Y1, Y0
+	ADDQ        $32, SI
 	ADDQ    $32, DI
 	DECQ    DX
 	JNZ     quads
@@ -57,21 +57,20 @@ reduce:
 	JZ           done
 
 tail:
-	VMOVSD (SI), X1
-	VMULSD (DI), X1, X1
-	VADDSD X1, X0, X0
-	ADDQ   $8, SI
-	ADDQ   $8, DI
-	DECQ   CX
-	JNZ    tail
+	VMOVSD      (SI), X1
+	VFMADD231SD (DI), X1, X0
+	ADDQ        $8, SI
+	ADDQ        $8, DI
+	DECQ        CX
+	JNZ         tail
 
 done:
 	VZEROUPPER
 	MOVSD X0, ret+24(FP)
 	RET
 
-// func axpyAVX2(n int, alpha float64, x, y *float64)
-TEXT ·axpyAVX2(SB), NOSPLIT, $0-32
+// func axpyFMA(n int, alpha float64, x, y *float64)
+TEXT ·axpyFMA(SB), NOSPLIT, $0-32
 	MOVQ         n+0(FP), CX
 	VBROADCASTSD alpha+8(FP), Y8
 	MOVQ         x+16(FP), SI
@@ -81,37 +80,37 @@ TEXT ·axpyAVX2(SB), NOSPLIT, $0-32
 	JZ           tail
 
 quads:
-	VMULPD  (SI), Y8, Y0
-	VADDPD  (DI), Y0, Y0
-	VMOVUPD Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	DECQ    DX
-	JNZ     quads
+	VMOVUPD     (DI), Y0
+	VFMADD231PD (SI), Y8, Y0
+	VMOVUPD     Y0, (DI)
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	DECQ        DX
+	JNZ         quads
 
 tail:
 	ANDQ $3, CX
 	JZ   done
 
 rows:
-	VMULSD (SI), X8, X0
-	VADDSD (DI), X0, X0
-	VMOVSD X0, (DI)
-	ADDQ   $8, SI
-	ADDQ   $8, DI
-	DECQ   CX
-	JNZ    rows
+	VMOVSD      (DI), X0
+	VFMADD231SD (SI), X8, X0
+	VMOVSD      X0, (DI)
+	ADDQ        $8, SI
+	ADDQ        $8, DI
+	DECQ        CX
+	JNZ         rows
 
 done:
 	VZEROUPPER
 	RET
 
-// func gemvNAVX2(m, n int, alpha float64, a *float64, lda int, x, y *float64)
+// func gemvNFMA(m, n int, alpha float64, a *float64, lda int, x, y *float64)
 //
 // y[0:m] += alpha·A·x. Per group of four columns the scaled x values sit
 // broadcast in Y8..Y11 and each y quad is loaded once, takes its four terms in
 // column order and is stored once.
-TEXT ·gemvNAVX2(SB), NOSPLIT, $0-56
+TEXT ·gemvNFMA(SB), NOSPLIT, $0-56
 	MOVQ         m+0(FP), R8
 	MOVQ         n+8(FP), R9
 	VBROADCASTSD alpha+16(FP), Y15
@@ -143,20 +142,16 @@ col4:
 	JZ           tail4
 
 quads4:
-	VMOVUPD (BX), Y0
-	VMULPD  (AX), Y8, Y4
-	VADDPD  Y4, Y0, Y0
-	VMULPD  (AX)(R10*1), Y9, Y5
-	VADDPD  Y5, Y0, Y0
-	VMULPD  (AX)(R10*2), Y10, Y6
-	VADDPD  Y6, Y0, Y0
-	VMULPD  (AX)(R11*1), Y11, Y7
-	VADDPD  Y7, Y0, Y0
-	VMOVUPD Y0, (BX)
-	ADDQ    $32, AX
-	ADDQ    $32, BX
-	DECQ    CX
-	JNZ     quads4
+	VMOVUPD     (BX), Y0
+	VFMADD231PD (AX), Y8, Y0
+	VFMADD231PD (AX)(R10*1), Y9, Y0
+	VFMADD231PD (AX)(R10*2), Y10, Y0
+	VFMADD231PD (AX)(R11*1), Y11, Y0
+	VMOVUPD     Y0, (BX)
+	ADDQ        $32, AX
+	ADDQ        $32, BX
+	DECQ        CX
+	JNZ         quads4
 
 tail4:
 	MOVQ  R8, CX
@@ -164,20 +159,16 @@ tail4:
 	JZ    next4
 
 rows4:
-	VMOVSD (BX), X0
-	VMULSD (AX), X8, X4
-	VADDSD X4, X0, X0
-	VMULSD (AX)(R10*1), X9, X5
-	VADDSD X5, X0, X0
-	VMULSD (AX)(R10*2), X10, X6
-	VADDSD X6, X0, X0
-	VMULSD (AX)(R11*1), X11, X7
-	VADDSD X7, X0, X0
-	VMOVSD X0, (BX)
-	ADDQ   $8, AX
-	ADDQ   $8, BX
-	DECQ   CX
-	JNZ    rows4
+	VMOVSD      (BX), X0
+	VFMADD231SD (AX), X8, X0
+	VFMADD231SD (AX)(R10*1), X9, X0
+	VFMADD231SD (AX)(R10*2), X10, X0
+	VFMADD231SD (AX)(R11*1), X11, X0
+	VMOVSD      X0, (BX)
+	ADDQ        $8, AX
+	ADDQ        $8, BX
+	DECQ        CX
+	JNZ         rows4
 
 next4:
 	LEAQ (SI)(R10*4), SI
@@ -199,13 +190,13 @@ cols:
 	JZ           tail1
 
 quads1:
-	VMULPD  (AX), Y8, Y0
-	VADDPD  (BX), Y0, Y0
-	VMOVUPD Y0, (BX)
-	ADDQ    $32, AX
-	ADDQ    $32, BX
-	DECQ    CX
-	JNZ     quads1
+	VMOVUPD     (BX), Y0
+	VFMADD231PD (AX), Y8, Y0
+	VMOVUPD     Y0, (BX)
+	ADDQ        $32, AX
+	ADDQ        $32, BX
+	DECQ        CX
+	JNZ         quads1
 
 tail1:
 	MOVQ  R8, CX
@@ -213,13 +204,13 @@ tail1:
 	JZ    next1
 
 rows1:
-	VMULSD (AX), X8, X0
-	VADDSD (BX), X0, X0
-	VMOVSD X0, (BX)
-	ADDQ   $8, AX
-	ADDQ   $8, BX
-	DECQ   CX
-	JNZ    rows1
+	VMOVSD      (BX), X0
+	VFMADD231SD (AX), X8, X0
+	VMOVSD      X0, (BX)
+	ADDQ        $8, AX
+	ADDQ        $8, BX
+	DECQ        CX
+	JNZ         rows1
 
 next1:
 	ADDQ R10, SI
@@ -231,11 +222,11 @@ done:
 	VZEROUPPER
 	RET
 
-// func gemvTAVX2(m, n int, alpha float64, a *float64, lda int, x, y *float64)
+// func gemvTFMA(m, n int, alpha float64, a *float64, lda int, x, y *float64)
 //
 // y[j] += alpha·(A(:, j)·x[0:m]) for j < n. Four columns are reduced per
 // pass, each into its own four-lane accumulator, sharing every load of x.
-TEXT ·gemvTAVX2(SB), NOSPLIT, $0-56
+TEXT ·gemvTFMA(SB), NOSPLIT, $0-56
 	MOVQ         m+0(FP), R8
 	MOVQ         n+8(FP), R9
 	VBROADCASTSD alpha+16(FP), Y15
@@ -263,19 +254,15 @@ col4:
 	JZ     reduce4
 
 quads4:
-	VMOVUPD (BX), Y4
-	VMULPD  (AX), Y4, Y5
-	VADDPD  Y5, Y0, Y0
-	VMULPD  (AX)(R10*1), Y4, Y6
-	VADDPD  Y6, Y1, Y1
-	VMULPD  (AX)(R10*2), Y4, Y7
-	VADDPD  Y7, Y2, Y2
-	VMULPD  (AX)(R11*1), Y4, Y8
-	VADDPD  Y8, Y3, Y3
-	ADDQ    $32, AX
-	ADDQ    $32, BX
-	DECQ    CX
-	JNZ     quads4
+	VMOVUPD     (BX), Y4
+	VFMADD231PD (AX), Y4, Y0
+	VFMADD231PD (AX)(R10*1), Y4, Y1
+	VFMADD231PD (AX)(R10*2), Y4, Y2
+	VFMADD231PD (AX)(R11*1), Y4, Y3
+	ADDQ        $32, AX
+	ADDQ        $32, BX
+	DECQ        CX
+	JNZ         quads4
 
 reduce4:
 	REDUCE4(Y4, Y5)
@@ -286,21 +273,20 @@ reduce4:
 rows4:
 	ROWOF4(Y4, X4, X5)
 	VBROADCASTSD (BX), Y5
-	VMULPD       Y5, Y4, Y4
-	VADDPD       Y4, Y0, Y0
+	VFMADD231PD  Y5, Y4, Y0
 	ADDQ         $8, AX
 	ADDQ         $8, BX
 	DECQ         CX
 	JNZ          rows4
 
 next4:
-	VMULPD  Y15, Y0, Y0
-	VADDPD  (DX), Y0, Y0
-	VMOVUPD Y0, (DX)
-	LEAQ    (SI)(R10*4), SI
-	ADDQ    $32, DX
-	SUBQ    $4, R9
-	JMP     col4
+	VMOVUPD     (DX), Y4
+	VFMADD231PD Y15, Y0, Y4
+	VMOVUPD     Y4, (DX)
+	LEAQ        (SI)(R10*4), SI
+	ADDQ        $32, DX
+	SUBQ        $4, R9
+	JMP         col4
 
 col1:
 	TESTQ R9, R9
@@ -315,13 +301,12 @@ cols:
 	JZ     reduce1
 
 quads1:
-	VMOVUPD (BX), Y4
-	VMULPD  (AX), Y4, Y5
-	VADDPD  Y5, Y0, Y0
-	ADDQ    $32, AX
-	ADDQ    $32, BX
-	DECQ    CX
-	JNZ     quads1
+	VMOVUPD     (BX), Y4
+	VFMADD231PD (AX), Y4, Y0
+	ADDQ        $32, AX
+	ADDQ        $32, BX
+	DECQ        CX
+	JNZ         quads1
 
 reduce1:
 	VHADDPD      Y0, Y0, Y0
@@ -332,19 +317,18 @@ reduce1:
 	JZ           next1
 
 rows1:
-	VMOVSD (AX), X1
-	VMULSD (BX), X1, X1
-	VADDSD X1, X0, X0
-	ADDQ   $8, AX
-	ADDQ   $8, BX
-	DECQ   CX
-	JNZ    rows1
+	VMOVSD      (AX), X1
+	VFMADD231SD (BX), X1, X0
+	ADDQ        $8, AX
+	ADDQ        $8, BX
+	DECQ        CX
+	JNZ         rows1
 
 next1:
-	VMULSD X15, X0, X0
-	VADDSD (DX), X0, X0
-	VMOVSD X0, (DX)
-	ADDQ   R10, SI
+	VMOVSD      (DX), X1
+	VFMADD231SD X15, X0, X1
+	VMOVSD      X1, (DX)
+	ADDQ        R10, SI
 	ADDQ   $8, DX
 	DECQ   R9
 	JNZ    cols
@@ -353,10 +337,10 @@ done:
 	VZEROUPPER
 	RET
 
-// func gerAVX2(m, n int, alpha float64, x, y, a *float64, lda int)
+// func gerFMA(m, n int, alpha float64, x, y, a *float64, lda int)
 //
 // A += alpha·x[0:m]·y[0:n]ᵀ, four columns sharing every load of x.
-TEXT ·gerAVX2(SB), NOSPLIT, $0-56
+TEXT ·gerFMA(SB), NOSPLIT, $0-56
 	MOVQ         m+0(FP), R8
 	MOVQ         n+8(FP), R9
 	VBROADCASTSD alpha+16(FP), Y15
@@ -388,23 +372,23 @@ col4:
 	JZ           tail4
 
 quads4:
-	VMOVUPD (BX), Y4
-	VMULPD  Y4, Y8, Y0
-	VADDPD  (AX), Y0, Y0
-	VMOVUPD Y0, (AX)
-	VMULPD  Y4, Y9, Y1
-	VADDPD  (AX)(R10*1), Y1, Y1
-	VMOVUPD Y1, (AX)(R10*1)
-	VMULPD  Y4, Y10, Y2
-	VADDPD  (AX)(R10*2), Y2, Y2
-	VMOVUPD Y2, (AX)(R10*2)
-	VMULPD  Y4, Y11, Y3
-	VADDPD  (AX)(R11*1), Y3, Y3
-	VMOVUPD Y3, (AX)(R11*1)
-	ADDQ    $32, AX
-	ADDQ    $32, BX
-	DECQ    CX
-	JNZ     quads4
+	VMOVUPD     (BX), Y4
+	VMOVUPD     (AX), Y0
+	VFMADD231PD Y4, Y8, Y0
+	VMOVUPD     Y0, (AX)
+	VMOVUPD     (AX)(R10*1), Y1
+	VFMADD231PD Y4, Y9, Y1
+	VMOVUPD     Y1, (AX)(R10*1)
+	VMOVUPD     (AX)(R10*2), Y2
+	VFMADD231PD Y4, Y10, Y2
+	VMOVUPD     Y2, (AX)(R10*2)
+	VMOVUPD     (AX)(R11*1), Y3
+	VFMADD231PD Y4, Y11, Y3
+	VMOVUPD     Y3, (AX)(R11*1)
+	ADDQ        $32, AX
+	ADDQ        $32, BX
+	DECQ        CX
+	JNZ         quads4
 
 tail4:
 	MOVQ  R8, CX
@@ -412,23 +396,23 @@ tail4:
 	JZ    next4
 
 rows4:
-	VMOVSD (BX), X4
-	VMULSD X4, X8, X0
-	VADDSD (AX), X0, X0
-	VMOVSD X0, (AX)
-	VMULSD X4, X9, X1
-	VADDSD (AX)(R10*1), X1, X1
-	VMOVSD X1, (AX)(R10*1)
-	VMULSD X4, X10, X2
-	VADDSD (AX)(R10*2), X2, X2
-	VMOVSD X2, (AX)(R10*2)
-	VMULSD X4, X11, X3
-	VADDSD (AX)(R11*1), X3, X3
-	VMOVSD X3, (AX)(R11*1)
-	ADDQ   $8, AX
-	ADDQ   $8, BX
-	DECQ   CX
-	JNZ    rows4
+	VMOVSD      (BX), X4
+	VMOVSD      (AX), X0
+	VFMADD231SD X4, X8, X0
+	VMOVSD      X0, (AX)
+	VMOVSD      (AX)(R10*1), X1
+	VFMADD231SD X4, X9, X1
+	VMOVSD      X1, (AX)(R10*1)
+	VMOVSD      (AX)(R10*2), X2
+	VFMADD231SD X4, X10, X2
+	VMOVSD      X2, (AX)(R10*2)
+	VMOVSD      (AX)(R11*1), X3
+	VFMADD231SD X4, X11, X3
+	VMOVSD      X3, (AX)(R11*1)
+	ADDQ        $8, AX
+	ADDQ        $8, BX
+	DECQ        CX
+	JNZ         rows4
 
 next4:
 	LEAQ (SI)(R10*4), SI
@@ -450,13 +434,13 @@ cols:
 	JZ           tail1
 
 quads1:
-	VMULPD  (BX), Y8, Y0
-	VADDPD  (AX), Y0, Y0
-	VMOVUPD Y0, (AX)
-	ADDQ    $32, AX
-	ADDQ    $32, BX
-	DECQ    CX
-	JNZ     quads1
+	VMOVUPD     (AX), Y0
+	VFMADD231PD (BX), Y8, Y0
+	VMOVUPD     Y0, (AX)
+	ADDQ        $32, AX
+	ADDQ        $32, BX
+	DECQ        CX
+	JNZ         quads1
 
 tail1:
 	MOVQ  R8, CX
@@ -464,13 +448,13 @@ tail1:
 	JZ    next1
 
 rows1:
-	VMULSD (BX), X8, X0
-	VADDSD (AX), X0, X0
-	VMOVSD X0, (AX)
-	ADDQ   $8, AX
-	ADDQ   $8, BX
-	DECQ   CX
-	JNZ    rows1
+	VMOVSD      (AX), X0
+	VFMADD231SD (BX), X8, X0
+	VMOVSD      X0, (AX)
+	ADDQ        $8, AX
+	ADDQ        $8, BX
+	DECQ        CX
+	JNZ         rows1
 
 next1:
 	ADDQ R10, SI
@@ -482,31 +466,26 @@ done:
 	VZEROUPPER
 	RET
 
-// SYMV_DIAG adds t·a[c,c] to y[c]; SYMV_OFF serves one element below the
-// diagonal inside the 4×4 block: y[i] += t·a[i,c] and lane 0 of column c's
-// accumulator s += a[i,c]·x[i].
+// SYMV_DIAG takes y[c] = fma(t, a[c,c], y[c]); SYMV_OFF serves one element
+// below the diagonal inside the 4×4 block: y[i] = fma(t, a[i,c], y[i]) and
+// lane 0 of column c's accumulator s = fma(a[i,c], x[i], s).
 #define SYMV_DIAG(a, t, y) \
-	VMULSD a, t, X13; \
-	VADDSD X13, y, y
+	VFMADD231SD a, t, y
 
 #define SYMV_OFF(a, t, y, x, s) \
-	VMOVSD a, X12; \
-	VMULSD X12, t, X13; \
-	VADDSD X13, y, y; \
-	VMULSD x, X12, X12; \
-	VADDSD X12, s, s
+	VMOVSD      a, X12; \
+	VFMADD231SD X12, t, y; \
+	VFMADD231SD x, X12, s
 
 // SYMV_COL is one column of the rectangle below the diagonal block: the row
-// quad a feeds the y quad in Y13 (scaled by the column's t) and, multiplied by
-// the x quad in Y12, the column's accumulator s.
+// quad a feeds the y quad in Y13 (times the column's t) and, times the x quad
+// in Y12, the column's accumulator s.
 #define SYMV_COL(a, t, s) \
-	VMOVUPD a, Y14; \
-	VMULPD  Y14, t, Y15; \
-	VADDPD  Y15, Y13, Y13; \
-	VMULPD  Y12, Y14, Y14; \
-	VADDPD  Y14, s, s
+	VMOVUPD     a, Y14; \
+	VFMADD231PD Y14, t, Y13; \
+	VFMADD231PD Y12, Y14, s
 
-// func symvLAVX2(n int, alpha float64, a *float64, lda int, x, y *float64)
+// func symvLFMA(n int, alpha float64, a *float64, lda int, x, y *float64)
 //
 // y[0:n] += alpha·A·x, A symmetric with its lower triangle stored. Per group
 // of four columns: SI, DI, DX point at a[g,g], x[g], y[g]; the 4×4 diagonal
@@ -514,7 +493,7 @@ done:
 // sums started in lane 0 of Y0..Y3; the rectangle below it runs in row quads;
 // the sums are reduced, the last rows added, and y[g..g+3] stored with
 // alpha·sum added. A last group of fewer than four columns is all scalar.
-TEXT ·symvLAVX2(SB), NOSPLIT, $0-48
+TEXT ·symvLFMA(SB), NOSPLIT, $0-48
 	MOVQ n+0(FP), R9
 	MOVQ a+16(FP), SI
 	MOVQ lda+24(FP), R10
@@ -586,17 +565,12 @@ reduce:
 rows:
 	ROWOF4(Y12, X12, X13)
 	VBROADCASTSD (BX), Y13
-	VMULPD       Y13, Y12, Y12
-	VADDPD       Y12, Y0, Y0
+	VFMADD231PD  Y13, Y12, Y0
 	VMOVSD       (R13), X14
-	VMULSD       (AX), X8, X15
-	VADDSD       X15, X14, X14
-	VMULSD       (AX)(R10*1), X9, X15
-	VADDSD       X15, X14, X14
-	VMULSD       (AX)(R10*2), X10, X15
-	VADDSD       X15, X14, X14
-	VMULSD       (AX)(R11*1), X11, X15
-	VADDSD       X15, X14, X14
+	VFMADD231SD  (AX), X8, X14
+	VFMADD231SD  (AX)(R10*1), X9, X14
+	VFMADD231SD  (AX)(R10*2), X10, X14
+	VFMADD231SD  (AX)(R11*1), X11, X14
 	VMOVSD       X14, (R13)
 	ADDQ         $8, AX
 	ADDQ         $8, BX
@@ -609,8 +583,7 @@ store:
 	VUNPCKLPD    X7, X6, X6
 	VINSERTF128  $1, X6, Y4, Y4
 	VBROADCASTSD alpha+8(FP), Y15
-	VMULPD       Y15, Y0, Y0
-	VADDPD       Y0, Y4, Y4
+	VFMADD231PD  Y15, Y0, Y4
 	VMOVUPD      Y4, (DX)
 	LEAQ         32(SI)(R10*4), SI
 	ADDQ         $32, DI
@@ -624,11 +597,10 @@ last:
 	VMOVSD alpha+8(FP), X15
 
 lastcol:
-	VMULSD (DI), X15, X8
-	VMOVSD (DX), X4
-	VMULSD (SI), X8, X13
-	VADDSD X13, X4, X4
-	VXORPD X0, X0, X0
+	VMULSD      (DI), X15, X8
+	VMOVSD      (DX), X4
+	VFMADD231SD (SI), X8, X4
+	VXORPD      X0, X0, X0
 	LEAQ   8(SI), AX
 	LEAQ   8(DI), BX
 	LEAQ   8(DX), R13
@@ -637,22 +609,20 @@ lastcol:
 	JZ     lastfin
 
 lastrow:
-	VMOVSD (AX), X12
-	VMULSD X12, X8, X13
-	VADDSD (R13), X13, X13
-	VMOVSD X13, (R13)
-	VMULSD (BX), X12, X12
-	VADDSD X12, X0, X0
-	ADDQ   $8, AX
-	ADDQ   $8, BX
-	ADDQ   $8, R13
-	DECQ   CX
-	JNZ    lastrow
+	VMOVSD      (AX), X12
+	VMOVSD      (R13), X13
+	VFMADD231SD X12, X8, X13
+	VMOVSD      X13, (R13)
+	VFMADD231SD (BX), X12, X0
+	ADDQ        $8, AX
+	ADDQ        $8, BX
+	ADDQ        $8, R13
+	DECQ        CX
+	JNZ         lastrow
 
 lastfin:
-	VMULSD X15, X0, X0
-	VADDSD X0, X4, X4
-	VMOVSD X4, (DX)
+	VFMADD231SD X15, X0, X4
+	VMOVSD      X4, (DX)
 	LEAQ   8(SI)(R10*1), SI
 	ADDQ   $8, DI
 	ADDQ   $8, DX
@@ -663,32 +633,27 @@ done:
 	VZEROUPPER
 	RET
 
-// SYR2_ELEM updates one element: a += x[i]·t1 + y[i]·t2, the products summed
-// first.
+// SYR2_ELEM updates one element: a = fma(y[i], t2, fma(x[i], t1, a)).
 #define SYR2_ELEM(a, xi, yi, t1, t2) \
-	VMOVSD xi, X12; \
-	VMULSD t1, X12, X12; \
-	VMOVSD yi, X13; \
-	VMULSD t2, X13, X13; \
-	VADDSD X13, X12, X12; \
-	VADDSD a, X12, X12; \
-	VMOVSD X12, a
+	VMOVSD      a, X12; \
+	VFMADD231SD xi, t1, X12; \
+	VFMADD231SD yi, t2, X12; \
+	VMOVSD      X12, a
 
 // SYR2_COL is the same for a row quad, x in Y12 and y in Y13.
 #define SYR2_COL(a, t1, t2) \
-	VMULPD  t1, Y12, Y14; \
-	VMULPD  t2, Y13, Y0; \
-	VADDPD  Y0, Y14, Y14; \
-	VADDPD  a, Y14, Y14; \
-	VMOVUPD Y14, a
+	VMOVUPD     a, Y14; \
+	VFMADD231PD Y12, t1, Y14; \
+	VFMADD231PD Y13, t2, Y14; \
+	VMOVUPD     Y14, a
 
-// func syr2LAVX2(n int, alpha float64, x, y, a *float64, lda int)
+// func syr2LFMA(n int, alpha float64, x, y, a *float64, lda int)
 //
 // A += alpha·(x·yᵀ + y·xᵀ) on the lower triangle. Per group of four columns:
 // SI, DI, DX point at a[g,g], x[g], y[g]; Y8..Y11 hold alpha·y[c] and Y4..Y7
 // alpha·x[c]; the 4×4 diagonal block's ten elements run in scalar code, the
 // rectangle below in row quads.
-TEXT ·syr2LAVX2(SB), NOSPLIT, $0-48
+TEXT ·syr2LFMA(SB), NOSPLIT, $0-48
 	MOVQ         n+0(FP), R9
 	VBROADCASTSD alpha+8(FP), Y15
 	MOVQ         x+16(FP), DI

@@ -124,9 +124,9 @@ type Options struct {
 // prepared form (3n²/2 for the reduction's own updates, n² more for Q₁'s
 // when vectors are computed), the band/workband/reflector structures
 // (O(n·nb)), and — when vectors are computed — the prepared Q₂ diamonds
-// (≈3n²/2: a 59×12 diamond's two packed operands occupy 64×12 and 16×59 in
+// (≈3n²/2: a 59×12 diamond's two packed operands occupy 60×12 and 12×59 in
 // the assembly kernel's layout, which pads the last row-panel to a whole
-// tile), the eigenvector staging matrix, and the D&C's pool. The last is
+// 12-row tile), the eigenvector staging matrix, and the D&C's pool. The last is
 // what tridiag.WorkSet retains: a rank-one merge of order m holds three m×m
 // buffers (the left factor of its eigenvector update, that factor packed for
 // the micro-kernel, and its result), the pool keeps them by size, and with

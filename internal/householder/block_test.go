@@ -174,17 +174,14 @@ func withBlocking(b blas.Blocking, f func()) {
 
 // blockings covers the layouts and chain splits the engine must be correct
 // under: KernelAuto (the assembly layout wherever blas.AsmActive, which the
-// tests log), each portable tile height named explicitly so that the stream
-// layout stays tested on an AVX2 host, and a KC of 8 so that modest shapes
+// tests log), the portable tile named explicitly so that the stream layout
+// stays tested on an AVX2/FMA host, and a KC of 8 so that modest shapes
 // exercise rows > KC and k > KC — the chunked operands and the repacked W.
 var blockings = []blas.Blocking{
 	{},
 	{Kernel: blas.Kernel2x4},
-	{Kernel: blas.Kernel4x4},
-	{Kernel: blas.Kernel8x4},
 	{KC: 8},
 	{KC: 8, Kernel: blas.Kernel2x4},
-	{KC: 8, Kernel: blas.Kernel8x4},
 }
 
 // TestBlockAgainstExplicitH is the property test: over ragged shapes — rows
@@ -240,7 +237,7 @@ func TestBlockAgainstExplicitH(t *testing.T) {
 // TestBlockColumnSplitBitwise pins the property that keeps every parallel
 // applier identical to the sequential one and lets the column-block width be
 // retuned freely: each result column is bitwise the same whatever column
-// blocks C is cut into, and whichever kernel family runs.
+// blocks C is cut into, and whichever kernel runs (at the same KC).
 func TestBlockColumnSplitBitwise(t *testing.T) {
 	t.Logf("blas.AsmActive() = %v", blas.AsmActive())
 	const n = 67
@@ -249,16 +246,16 @@ func TestBlockColumnSplitBitwise(t *testing.T) {
 		if ts {
 			rows, k = 48, 48
 		}
-		var ref *matrix.Dense
-		for _, bk := range blockings[:4] {
+		refs := map[int]*matrix.Dense{} // by KC
+		for _, bk := range blockings {
 			withBlocking(bk, func() {
 				rng := rand.New(rand.NewSource(11))
 				tb := newTestBlock(rng, ts, rows, k, FormH)
 				c := randDense(rng, tb.order(), n)
 				whole := c.Clone()
 				tb.apply(blas.Left, blas.NoTrans, whole)
-				if ref == nil {
-					ref = whole
+				if ref := refs[bk.KC]; ref == nil {
+					refs[bk.KC] = whole
 				} else if maxAbsDiff(whole, ref) != 0 {
 					t.Fatalf("ts=%v: result differs between kernels (%+v)", ts, bk)
 				}

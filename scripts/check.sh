@@ -1,12 +1,11 @@
 #!/bin/sh
 # Pre-merge gate: everything must build, vet clean (asmdecl included: the
-# AVX2 GEMM and Level-1/2 kernels are part of the default amd64 build), and
-# pass the test suite
-# under the race detector (the Solver is documented as safe for concurrent
-# use, so -race is part of the baseline, not an extra). There is one build
-# configuration: on an AVX2 host the race pass runs the assembly kernel and
-# its memory-safety tests, and the tests that compare it with the portable
-# kernels log blas.AsmActive() rather than skip.
+# AVX2/FMA GEMM and Level-1/2 kernels are part of the default amd64 build), and
+# pass the test suite under the race detector (the Solver is documented as safe
+# for concurrent use, so -race is part of the baseline, not an extra). There is
+# one build configuration: on an AVX2/FMA host the race pass runs the assembly
+# kernels and their memory-safety tests, and the tests that compare them with
+# the portable twins log blas.AsmActive() rather than skip.
 set -eu
 
 set -x
@@ -20,6 +19,15 @@ go test -race ./...
 # toolchain).
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/blas ./internal/householder ./internal/bulge
+
+# The portable twins compute every fused multiply-add with math.FMA, which the
+# compiler emits as a run-time-checked VFMADD231SD by default, as a bare one at
+# GOAMD64=v3, and as a call to Go's software FMA where the CPU has none
+# (GODEBUG=cpu.fma=off simulates that CPU; the probe of the assembly kernels
+# does not read GODEBUG, so the assembly still runs). All three must give the
+# assembly's bits.
+GOAMD64=v3 go test ./internal/blas ./internal/householder
+GODEBUG=cpu.fma=off go test -run 'AsmBitwisePortable|FusedRulePin|KernelAutoWithoutAVX2' ./internal/blas
 set +x
 
 # Named gates. The race pass above already ran every test; what a later
@@ -44,8 +52,8 @@ batch                TestSolveBatch|TestSolveBatchMatchesSolo|TestSolveBatchFano
 phase-plan           TestSolveState|TestBuildPlan  ./internal/core
 tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestSchedAffinity|TestParallelTridiag|TestSecularRoot|TestStedcHard|TestStedcScalingExact|TestSterfHard|TestWorkSetRetention|TestEstimateCoversArena  ./internal/tridiag ./internal/core
 stage1-lookahead     TestReduceLookahead|TestLookahead|TestStage1  ./internal/band ./internal/core .
-packed-engine        TestBlock|TestGemmPackedA|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestKernelAutoWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestSolveBitwiseAcrossKernels  ./internal/householder ./internal/blas .
-level-kernels        TestLevel1AsmBitwisePortable|TestLevel2AsmBitwisePortable|TestLevelCanaries  ./internal/blas
+packed-engine        TestBlock|TestGemmPackedA|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestKernelAutoWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestGemmAsmBitwisePortable|TestFusedRulePin|TestSolveBitwiseAcrossKernels  ./internal/householder ./internal/blas .
+level-kernels        TestLevel1AsmBitwisePortable|TestLevel2AsmBitwisePortable|TestLevelCanaries|TestFusedRulePin  ./internal/blas
 bulge                TestChaseBanded|TestChaseAffinityRestriction|TestReflectorLattice|TestChaseScheduledMatchesSequential|TestChaseCancelDrains  ./internal/bulge
 tune-profile         TestTuneProfileRoundTripSolve|TestTuning|TestProfileRoundTrip|TestProfileValidateRejects|TestLoadRejectsMismatch|FuzzLoad  . ./internal/tune
 service              TestServerAuth|TestServerSubmitValidation|TestServerJobEndpoints|TestServerNaNPayloadMapsTo400|TestErrorMapping|TestMemStore|TestDiskStore|TestRoundTripBitwise|TestCancelMidSolveFreesSlot|TestOverBudgetRefused|TestConcurrentClients  ./internal/service ./client

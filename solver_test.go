@@ -352,7 +352,7 @@ func TestEigValuesRangeNonBI(t *testing.T) {
 
 // TestSolveBitwiseAcrossKernels is the solver-level half of the kernel
 // contract: whichever micro-kernel KernelAuto resolves to on this host (the
-// AVX2 assembly wherever blas.AsmActive), a whole solve — two-stage with
+// AVX2/FMA assembly wherever blas.AsmActive), a whole solve — two-stage with
 // vectors, values only, and the one-stage reference, on the parallel path —
 // returns the bits of the portable 2×4 tile.
 func TestSolveBitwiseAcrossKernels(t *testing.T) {
