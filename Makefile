@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-compare tune
+.PHONY: all build vet test race check bench bench-compare
 
 all: check
 
@@ -31,8 +31,3 @@ bench:
 bench-compare:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=old.json NEW=new.json"; exit 2; }
 	$(GO) run ./benchmark -compare $(OLD) $(NEW)
-
-# Tune this machine and persist the profile eigen.Solver loads at
-# construction ($EIGEN_TUNE_PROFILE or the user cache dir).
-tune:
-	$(GO) run ./cmd/eigtune -save

@@ -410,7 +410,6 @@ func TestOptionsClamp(t *testing.T) {
 		{Workers: -5},
 		{NB: -3},
 		{Workers: 2, Stage2Workers: 1 << 20},
-		{Group: -2},
 		{MemoryBudget: -1, BatchConcurrency: -4, BatchFanout: -1},
 	} {
 		res, err := Eig(a, opts)

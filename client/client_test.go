@@ -18,10 +18,9 @@ import (
 )
 
 // testOpts are the solver options shared by the served and the reference
-// solvers, so the bitwise comparison compares like with like. Tuning is
-// disabled to keep the tests hermetic against on-disk profiles.
+// solvers, so the bitwise comparison compares like with like.
 func testOpts() *eigen.Options {
-	return &eigen.Options{Workers: 2, DisableTuning: true}
+	return &eigen.Options{Workers: 2}
 }
 
 // startServer launches a service over a fresh solver and returns a client

@@ -47,7 +47,7 @@ func run() error {
 		workers     = flag.Int("workers", runtime.NumCPU(), "solver worker count (1 = sequential)")
 		memBudget   = flag.Int64("memory-budget", 0, "workspace byte budget for concurrent jobs (0 = unlimited; over-budget requests are refused with 413)")
 		batchConc   = flag.Int("batch-concurrency", 0, "max jobs in flight (0 = worker count)")
-		nb          = flag.Int("nb", 0, "tile size/bandwidth override (0 = tuned/default)")
+		nb          = flag.Int("nb", 0, "tile size/bandwidth override (0 = default)")
 		apiKey      = flag.String("api-key", "", "static API key (comma-separated for several; also $EIGSERVE_API_KEY)")
 		insecure    = flag.Bool("insecure", false, "serve without authentication (trusted networks only)")
 		storeKind   = flag.String("store", "mem", "job store backend: mem | disk")

@@ -67,31 +67,17 @@ type Options struct {
 	// Method selects the tridiagonal eigensolver (default DivideAndConquer).
 	Method Method
 	// NB is the tile size/bandwidth (two-stage) or panel width (one-stage);
-	// 0 picks a default — the machine's tune profile when one is installed
-	// (see Tuning), else the built-in constant. See the tuning discussion in
-	// EXPERIMENTS.md. Note that unlike every other tuning knob, NB selects a
-	// different (equally valid) factorization, so changing it changes the
-	// computed eigenvector basis in the last bits.
+	// 0 picks the built-in default, 48. It is the one block size a caller
+	// sets: the back-transformation's column blocks and diamond groups are
+	// derived from it and the worker count, and stage 1 looks two panels
+	// ahead.
+	// NB selects a different (equally valid) factorization, so changing it
+	// changes the computed eigenvector basis in the last bits.
 	NB int
-	// ColBlock is the eigenvector column-block width of the fused
-	// back-transformation (one task per block); 0 picks a default (the
-	// tune profile when installed, else the internal/tune heuristic).
-	// Results are bitwise identical at any width — the knob only partitions
-	// independent columns.
-	ColBlock int
 	// Workers sets the task-scheduler width; 0 or 1 runs sequentially.
 	// Values above sched.MaxWorkers (64, the width of the scheduler's
 	// affinity masks) are clamped to 64; negative values run sequentially.
 	Workers int
-	// LookaheadDepth is the stage-1 look-ahead depth d ≥ 1: when the
-	// reduction runs on a scheduler, trailing-update tasks that feed one of
-	// the next d panels get priority boosts graded by proximity, so panel
-	// k+1's factorization overlaps panel k's trailing update. 0 picks a
-	// default — the machine's tune profile when one records a swept depth,
-	// else the built-in band.DefaultLookahead; absurd depths are clamped
-	// internally. The depth only steers the ready queue: results are bitwise
-	// identical at every depth and worker count.
-	LookaheadDepth int
 	// Stage2Workers restricts the memory-bound bulge-chasing stage to fewer
 	// cores for locality (the paper's core restriction); 0 = no limit.
 	Stage2Workers int
@@ -102,9 +88,6 @@ type Options struct {
 	// cores free for co-scheduled solves. Results are identical at any
 	// setting.
 	TridiagWorkers int
-	// Group is the number of bulge-chasing sweeps aggregated into one
-	// diamond block when applying Q₂; 0 picks the bandwidth.
-	Group int
 	// SkipSymmetryCheck disables the O(n²) input-symmetry validation. The
 	// solver then trusts the caller: a non-symmetric input yields the
 	// spectrum of an unspecified nearby matrix rather than an error. Use it
@@ -131,17 +114,6 @@ type Options struct {
 	// out into per-tile tasks on the shared scheduler instead of running as
 	// a single whole-solve task; 0 picks DefaultBatchFanout.
 	BatchFanout int
-	// Tuning overrides the machine's persisted tune profile for this Solver:
-	// when non-nil (and valid for this machine) it is applied instead of the
-	// on-disk profile from eigtune. Explicitly set Options fields (NB,
-	// ColBlock) still win over the profile's values. See cmd/eigtune and the
-	// README's "tuning your machine" section.
-	Tuning *TuneProfile
-	// DisableTuning is the kill-switch for profile application: when set,
-	// NewSolver ignores both Tuning and the on-disk profile and leaves the
-	// process-wide GEMM blocking untouched — the zero-configuration behavior
-	// from before the autotuner existed.
-	DisableTuning bool
 }
 
 // normalize clamps out-of-range option values in place so that invalid
@@ -158,23 +130,14 @@ func (o *Options) normalize() {
 	if o.NB < 0 {
 		o.NB = 0
 	}
-	if o.ColBlock < 0 {
-		o.ColBlock = 0
-	}
 	if o.Stage2Workers < 0 {
 		o.Stage2Workers = 0
 	}
 	if o.TridiagWorkers < 0 {
 		o.TridiagWorkers = 0
 	}
-	if o.LookaheadDepth < 0 {
-		o.LookaheadDepth = 0
-	}
 	if o.TridiagWorkers > sched.MaxWorkers {
 		o.TridiagWorkers = sched.MaxWorkers
-	}
-	if o.Group < 0 {
-		o.Group = 0
 	}
 	if o.MemoryBudget < 0 {
 		o.MemoryBudget = 0
@@ -191,12 +154,9 @@ func (o *Options) toCore(vectors bool, il, iu int) core.Options {
 	var c core.Options
 	if o != nil {
 		c.NB = o.NB
-		c.ColBlock = o.ColBlock
 		c.Workers = o.Workers
 		c.Stage2Workers = o.Stage2Workers
 		c.TridiagWorkers = o.TridiagWorkers
-		c.LookaheadDepth = o.LookaheadDepth
-		c.Group = o.Group
 		c.Collector = o.Collector
 		switch o.Method {
 		case BisectionInverseIteration:

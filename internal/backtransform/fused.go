@@ -6,7 +6,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
-	"repro/internal/tune"
 	"repro/internal/work"
 )
 
@@ -18,15 +17,14 @@ import (
 // tile-reflector sequence while the block is cache-hot. f must be the
 // stage-1 factor of the same reduction the plan's chase consumed (f.N == n).
 //
-// colBlock ≤ 0 picks the shared tune.ColBlock default. With a
-// scheduler-backed job each block runs on its own worker with a retained
-// worker-owned slab (no per-task allocation); a nil or inline job runs the
-// blocks sequentially on one shared workspace, stopping at a block boundary
-// on cancellation (the caller must check job.Err and discard E). The result
-// is bitwise identical to ApplyBlock followed by f.ApplyQ1Block over the
-// whole of E, at any colBlock and worker count. tc may be nil; the Q₂/Q₁
-// flop shares are attributed to trace.PhaseUpdateQ2/PhaseUpdateQ1 via
-// AttributeFlops.
+// colBlock ≤ 0 picks the defaultColBlock width. With a scheduler-backed job
+// each block runs on its own worker with a retained worker-owned slab (no
+// per-task allocation); a nil or inline job runs the blocks sequentially on
+// one shared workspace, stopping at a block boundary on cancellation (the
+// caller must check job.Err and discard E). The result is bitwise identical
+// to ApplyBlock followed by f.ApplyQ1Block over the whole of E, at any
+// colBlock and worker count. tc may be nil; the Q₂/Q₁ flop shares are
+// attributed to trace.PhaseUpdateQ2/PhaseUpdateQ1 via AttributeFlops.
 func (p *Plan) ApplyFused(f *band.Factor, e *matrix.Dense, job *sched.Job, colBlock int, tc *trace.Collector) {
 	if e.Rows != p.n {
 		panic("backtransform: E row count mismatch")
@@ -38,7 +36,7 @@ func (p *Plan) ApplyFused(f *band.Factor, e *matrix.Dense, job *sched.Job, colBl
 		return
 	}
 	if colBlock <= 0 {
-		colBlock = tune.ColBlock(e.Cols, f.NB, job.Workers())
+		colBlock = defaultColBlock(e.Cols, f.NB, job.Workers())
 	}
 	// One workspace serves both halves of a task.
 	wkLen := max(p.Work(), f.Q1Work())

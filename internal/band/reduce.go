@@ -12,14 +12,11 @@ import (
 	"repro/internal/work"
 )
 
-// DefaultNB is the built-in fallback tile size / bandwidth for stage 1, used
-// only when neither Options.NB nor an installed tune profile supplies one.
-// The paper's model (§7.1) puts the sweet spot at 120–200 on a 48-core
-// Opteron; on this substrate smaller tiles balance the two stages. Since the
-// PR-6 autotuner, the effective default on a tuned machine is the profile's
-// measured nb (cmd/eigtune sweeps it and eigen.NewSolver fills unset Options
-// from the profile), so this constant is the zero-configuration fallback,
-// not the tuned operating point.
+// DefaultNB is the stage-1 tile size / bandwidth used when Options.NB is
+// unset. The paper's model (§7.1) puts the sweet spot at 120–200 on a
+// 48-core Opteron; on this substrate smaller tiles balance the two stages,
+// and 48 is the measured optimum of stage 1 + stage 2 recorded in
+// EXPERIMENTS.md.
 const DefaultNB = 48
 
 // Look-ahead configuration of the scheduled stage-1 DAG.

@@ -35,25 +35,22 @@ func (k Kernel) String() string {
 	return "unknown"
 }
 
-// Blocking is the runtime-tunable cache/register blocking of the Level 3
-// GEMM driver. MC×KC is the packed A block (streamed from L2), KC×NC the
-// packed B block (reused across every MC strip), and Kernel the accumulator
-// tile.
+// Blocking is the cache/register blocking of the Level 3 GEMM driver. MC×KC
+// is the packed A block (streamed from L2), KC×NC the packed B block (reused
+// across every MC strip), and Kernel the accumulator tile.
 //
 // KC is the one parameter that is *not* numerically neutral: C is
 // accumulated in KC-sized partial sums, so changing it changes the rounding
-// of every result. The default (and the only value the stock autotuner
-// persists) is DefaultKC, which keeps both kernels and tuned-vs-untuned runs
-// bitwise identical.
+// of every result. Every solve runs at DefaultKC, which keeps both kernels
+// and every MC/NC bitwise identical.
 type Blocking struct {
 	MC, KC, NC int
 	Kernel     Kernel
 }
 
-// Default blocking. KC is the one value results are computed with (tune
-// profiles must carry it unchanged); MC is a whole number of 12-row assembly
-// panels (a 264 KiB A-block), NC a B panel wide enough to amortize packing
-// across all MC strips.
+// Default blocking. KC is the one value results are computed with; MC is a
+// whole number of 12-row assembly panels (a 264 KiB A-block), NC a B panel
+// wide enough to amortize packing across all MC strips.
 const (
 	DefaultMC = 264
 	DefaultKC = 128
@@ -106,8 +103,9 @@ func init() {
 
 // SetBlocking installs a new GEMM blocking configuration and returns the
 // previous one. Out-of-range values are clamped. The configuration is
-// global: it describes the machine, not a particular caller, and is
-// normally installed once from the persisted tune profile.
+// global: it describes the machine, not a particular caller. No solver path
+// sets it; tests use it to force the portable kernel (Kernel2x4) and to pin
+// that results do not depend on MC and NC.
 func SetBlocking(b Blocking) Blocking {
 	b.normalize()
 	old := blocking.Swap(&b)
@@ -125,9 +123,8 @@ var asmKernels = probeAsm()
 
 // AsmActive reports whether this process runs the assembly kernels: an amd64
 // binary on a CPU and OS that pass the AVX2/FMA probe — i.e. whether
-// KernelAuto runs the 12×4 assembly tile. Exposed for eigtune, which prints it
-// alongside measured rates, and for tests, which log it so a run that only
-// exercised the portable path says so.
+// KernelAuto runs the 12×4 assembly tile. Exposed for tests, which log it so a
+// run that only exercised the portable path says so.
 func AsmActive() bool { return asmKernels }
 
 // microNR is the fixed accumulator-tile width: every micro-kernel consumes

@@ -23,7 +23,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/tridiag"
-	"repro/internal/tune"
 	"repro/internal/work"
 )
 
@@ -52,14 +51,6 @@ func (m Method) String() string {
 		return "QR"
 	}
 	return fmt.Sprintf("Method(%d)", int(m))
-}
-
-// DefaultColBlock is the eigenvector column-block default of the fused
-// back-transformation: cols eigenvector columns, stage-1 tile size nb,
-// scheduler width workers. It delegates to tune.ColBlock so the applier —
-// which cannot import core — agrees with the driver on the task granularity.
-func DefaultColBlock(cols, nb, workers int) int {
-	return tune.ColBlock(cols, nb, workers)
 }
 
 // Options configures the drivers. The zero value computes all eigenvalues
@@ -96,10 +87,10 @@ type Options struct {
 	// argument of the paper's fraction f).
 	IL, IU int
 	// Group is the diamond-group width for the Q₂ back-transformation
-	// (≤ 0 → bandwidth).
+	// (≤ 0 → a quarter of the bandwidth, clamped to [4, 16]).
 	Group int
 	// ColBlock is the eigenvector column-block width for per-core locality
-	// (≤ 0 → the shared DefaultColBlock heuristic).
+	// (≤ 0 → backtransform.ApplyFused's default).
 	ColBlock int
 	// Collector receives flop counts and per-phase timings; may be nil.
 	Collector *trace.Collector

@@ -608,6 +608,35 @@ func TestStage1LookaheadBitwise(t *testing.T) {
 	}
 }
 
+// TestLookaheadSolverBitwise is the whole-solve half of the stage-1
+// look-ahead gate (the DAG-level half lives in internal/band): for both solve
+// shapes — vectors and values only — every worker count and every look-ahead
+// depth, absurd ones included (they are clamped inside stage 1), must produce
+// results bitwise identical to the sequential solve (stage 1 inline, in
+// submission order). The look-ahead priorities only reorder the scheduler's
+// ready queue; they never change which floating-point operations run or in
+// what per-tile order.
+func TestLookaheadSolverBitwise(t *testing.T) {
+	a := testmat.RandomSym(rand.New(rand.NewSource(7)), 48)
+	for _, vectors := range []bool{true, false} {
+		ref, err := SyevTwoStage(context.Background(), a, Options{Method: MethodDC, Vectors: vectors, NB: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 2, 4, 7} {
+			for _, d := range []int{-9, 1, 2, 4, 1 << 30} {
+				got, err := SyevTwoStage(context.Background(), a, Options{
+					Method: MethodDC, Vectors: vectors, NB: 8, Workers: w, LookaheadDepth: d,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, fmt.Sprintf("vectors=%v workers=%d depth=%d", vectors, w, d), got, ref)
+			}
+		}
+	}
+}
+
 // TestStage1LookaheadAttribution: a scheduled two-stage solve records the
 // stage-1 sub-phase split (panel/update busy time plus idle worker-time)
 // under the wall-clock PhaseStage1.

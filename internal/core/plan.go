@@ -239,14 +239,10 @@ func (Backtrans) Run(ctx context.Context, st *SolveState) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	colBlock := st.o.ColBlock
-	if colBlock <= 0 {
-		colBlock = DefaultColBlock(st.evecs.Cols, st.nb, st.workers)
-	}
 	job := st.phaseJob(ctx)
 	st.tc.Phase(trace.PhaseBacktransFused, func() {
 		plan := backtransform.NewPlan(st.chase, st.o.Group, st.ws)
-		plan.ApplyFused(st.f1, st.evecs, job, colBlock, st.tc)
+		plan.ApplyFused(st.f1, st.evecs, job, st.o.ColBlock, st.tc)
 	})
 	if err := job.Err(); err != nil {
 		return err

@@ -1,9 +1,9 @@
 // Package model implements the paper's execution-time and complexity models
-// (§4, Eqs. 4–6) and the bulge-chasing tuning model (§7.1, Eqs. 9–10),
-// together with micro-benchmarks that measure this machine's parameters
-// (α = compute-bound xGEMM rate, β = memory-bound xGEMV/xSYMV rate) so the
-// analytic figures can be regenerated for the hardware at hand, as Table 3
-// does for the paper's two test machines.
+// (§4, Eqs. 4–6) and the bulge-chasing tuning model (§7.1, Eqs. 9–10). The
+// machine parameters they take (α = compute-bound xGEMM rate, β =
+// memory-bound xGEMV/xSYMV rate) are measured by the benchmark's in-run
+// roofline (blas.dgemm_gflops, blas.dsymv_gflops), as Table 3 does for the
+// paper's two test machines.
 package model
 
 import "math"
@@ -83,6 +83,12 @@ func BulgeComputeTime(n float64, nb int, p Params) float64 {
 func BulgeCommTime(n float64, nb int, p Params) float64 {
 	return n * n * (float64(nb)/p.Beta + p.Gamma/float64(nb))
 }
+
+// Gamma is the latency coefficient γ of Eq. 10 for this substrate: the extra
+// time charged per band element when the working set misses cache, amortized
+// over the n_b-element reuse window (so γ/n_b is seconds per element). One
+// ~100 ns line miss per 8-element line gives the order of magnitude.
+const Gamma = 100e-9 * 8
 
 // OptimalNB minimizes t_x + t_c over n_b:
 // d/dn_b [n_b/α + n_b/β + γ/n_b] = 0  ⇒  n_b* = sqrt(γ·αβ/(α+β)).

@@ -130,29 +130,6 @@ func TestTable1Shape(t *testing.T) {
 	}
 }
 
-func TestMeasureParamsSane(t *testing.T) {
-	if testing.Short() {
-		t.Skip("micro-benchmarks skipped in -short")
-	}
-	// The compute-bound kernel must beat the memory-bound one — the entire
-	// premise of the paper; if this fails the substrate cannot reproduce
-	// any of the figures. Each rate is one short timing window and load only
-	// ever lowers it (under -race the margin is 1.35×, see alphaSize, and a
-	// window that lost its CPU has inverted the order), so the measurement
-	// is repeated before the order counts as wrong.
-	var p Params
-	for try := 0; try < 3; try++ {
-		p = MeasureParams(1)
-		if p.Alpha <= 0 || p.Beta <= 0 {
-			t.Fatalf("non-positive rates: %+v", p)
-		}
-		if p.Alpha > p.Beta {
-			return
-		}
-	}
-	t.Fatalf("gemm rate %.2e not above symv rate %.2e", p.Alpha, p.Beta)
-}
-
 func TestEq7Eq8SVDComparison(t *testing.T) {
 	// §4.1: the SVD pipeline has exactly twice the cubic flops of the EVD
 	// pipeline, so the EVD's Amdahl (memory-bound) fraction is ~2x larger.

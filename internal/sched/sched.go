@@ -1,20 +1,16 @@
 // Package sched implements the task runtime the tile algorithms are built
-// on. It provides the two execution strategies the paper combines:
+// on: one dynamic scheduler in the style of PLASMA's QUARK. Tasks are
+// submitted with their read/write sets over abstract resources (tile
+// handles); the runtime infers RAW/WAR/WAW dependences from the submission
+// order, builds the DAG implicitly, and executes ready tasks on a worker
+// pool. Tasks carry priorities (to push the critical path) and an optional
+// worker-affinity mask, which implements the paper's core restriction for
+// the memory-bound bulge-chasing stage. The paper's second strategy, a
+// static runtime replaying a precomputed per-worker order, was measured
+// against this one and removed (EXPERIMENTS.md, "One phase plan").
 //
-//   - A dynamic scheduler in the style of PLASMA's QUARK: tasks are submitted
-//     with their read/write sets over abstract resources (tile handles); the
-//     runtime infers RAW/WAR/WAW dependences from the submission order,
-//     builds the DAG implicitly, and executes ready tasks on a worker pool.
-//     Tasks carry priorities (to push the critical path) and an optional
-//     worker-affinity mask, which implements the paper's core restriction
-//     for the memory-bound bulge-chasing stage.
-//
-//   - A static scheduler (see static.go) that replays a precomputed
-//     per-worker order with a progress table, as PLASMA's static runtime
-//     does for the second stage.
-//
-// Both honour the same dependence semantics: the execution is equivalent to
-// executing the tasks sequentially in submission order.
+// The execution is equivalent to executing the tasks sequentially in
+// submission order: priorities and affinity only choose among ready tasks.
 package sched
 
 import (

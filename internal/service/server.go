@@ -177,7 +177,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	data, code, msg := decodeMatrixPayload(&req)
+	data, code, msg := decodeMatrixPayload(&req, s.cfg.MaxBodyBytes)
 	if code != "" {
 		writeError(w, code, msg)
 		return
@@ -397,10 +397,17 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeMatrixPayload extracts and validates the matrix of a submit request,
-// returning the row-major entries or a wire error code and message.
-func decodeMatrixPayload(req *SubmitRequest) (data []float64, code, msg string) {
+// returning the row-major entries or a wire error code and message. maxBody
+// is the request-body limit: every entry takes at least two bytes on the wire
+// ("0," in JSON, 10⅔ characters in base64), so an n with n² > maxBody/2 names
+// a matrix no admitted body can carry. It is refused before n² is formed,
+// which would overflow for n ≥ 2³².
+func decodeMatrixPayload(req *SubmitRequest, maxBody int64) (data []float64, code, msg string) {
 	if req.N <= 0 {
 		return nil, CodeBadRequest, fmt.Sprintf("n must be positive, got %d", req.N)
+	}
+	if n := int64(req.N); n > maxBody/2/n {
+		return nil, CodeBadRequest, fmt.Sprintf("n=%d is too large: an n×n matrix does not fit in the %d-byte request limit", req.N, maxBody)
 	}
 	if (req.Data != nil) == (req.DataB64 != "") {
 		return nil, CodeBadRequest, "exactly one of data and data_b64 must be set"

@@ -14,7 +14,7 @@ import (
 func testServer(t *testing.T, opts *eigen.Options, cfg Config) *Server {
 	t.Helper()
 	if opts == nil {
-		opts = &eigen.Options{Workers: 2, DisableTuning: true}
+		opts = &eigen.Options{Workers: 2}
 	}
 	solver := eigen.NewSolver(opts)
 	t.Cleanup(func() { solver.Close() })
@@ -109,6 +109,9 @@ func TestServerSubmitValidation(t *testing.T) {
 		{"invalid range", `{"n": 2, "data": [1, 0, 0, 2], "il": 2, "iu": 1}`, CodeInvalidRange},
 		{"range beyond n", `{"n": 2, "data": [1, 0, 0, 2], "il": 1, "iu": 5}`, CodeInvalidRange},
 		{"oversized body", `{"n": 2, "data": [` + strings.Repeat("1,", 4000) + `1]}`, CodeTooLarge},
+		{"n² wraps to zero", `{"n": 4294967296, "data": []}`, CodeBadRequest},
+		{"n² wraps negative", `{"n": 3037000500, "data": []}`, CodeBadRequest},
+		{"n too large for the body limit", `{"n": 46, "data": []}`, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -28,6 +28,10 @@ GOARCH=arm64 go vet ./internal/blas ./internal/householder ./internal/bulge
 # assembly's bits.
 GOAMD64=v3 go test ./internal/blas ./internal/householder
 GODEBUG=cpu.fma=off go test -run 'AsmBitwisePortable|FusedRulePin|KernelAutoWithoutAVX2' ./internal/blas
+
+# The service's payload decoding is where hostile input arrives: fuzz it past
+# its seed corpus (which plain `go test` already runs).
+go test -run '^$' -fuzz FuzzSubmitDecode -fuzztime 10s ./internal/service
 set +x
 
 # Named gates. The race pass above already ran every test; what a later
@@ -48,20 +52,18 @@ while read -r name regex pkgs; do
 	done
 done <<'EOF'
 fused-backtransform  TestApplyFused|TestFusedBacktrans|TestSolverCancelDuringBacktrans  ./internal/backtransform ./internal/core .
-batch                TestSolveBatch|TestSolveBatchMatchesSolo|TestSolveBatchFanout|TestSolveBatchCancel|TestSolveBatchCloseMidFlight|TestSolveBatchReentrant|TestSolveBatchConcurrentCalls|TestSolveBatchTraceAttribution|TestBatchIsolationMixed|TestNotFiniteError|TestNoConvergencePropagation|TestOptionsClamp|TestDegenerateShapes|TestBatchRangeValidatedWithoutDst|TestBatchGateOverBudgetClamp|TestSolveBatchOversizedItemsRunAlone|TestSolverGateSharedAcrossBatchCalls  .
+batch                TestSolveBatch|TestSolveBatchMatchesSolo|TestSolveBatchFanout|TestSolveBatchCancel|TestSolveBatchCloseMidFlight|TestSolveBatchReentrant|TestSolveBatchConcurrentCalls|TestSolveBatchTraceAttribution|TestBatchIsolationMixed|TestNotFiniteError|TestNoConvergencePropagation|TestOptionsClamp|TestDegenerateShapes|TestBatchRangeValidatedWithoutDst|TestBatchGateOverBudgetClamp|TestSolveBatchOversizedItemsRunAlone|TestSolverGateSharedAcrossBatchCalls|TestNewSolverIgnoresTuneProfileEnv  .
 phase-plan           TestSolveState|TestBuildPlan  ./internal/core
 tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestSchedAffinity|TestParallelTridiag|TestSecularRoot|TestStedcHard|TestStedcScalingExact|TestSterfHard|TestWorkSetRetention|TestEstimateCoversArena  ./internal/tridiag ./internal/core
-stage1-lookahead     TestReduceLookahead|TestLookahead|TestStage1  ./internal/band ./internal/core .
+stage1-lookahead     TestReduceLookahead|TestLookaheadSolverBitwise|TestStage1  ./internal/band ./internal/core
 packed-engine        TestBlock|TestGemmPackedA|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestKernelAutoWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestGemmAsmBitwisePortable|TestFusedRulePin|TestSolveBitwiseAcrossKernels  ./internal/householder ./internal/blas .
 level-kernels        TestLevel1AsmBitwisePortable|TestLevel2AsmBitwisePortable|TestLevelCanaries|TestFusedRulePin  ./internal/blas
 bulge                TestChaseBanded|TestChaseAffinityRestriction|TestReflectorLattice|TestChaseScheduledMatchesSequential|TestChaseCancelDrains  ./internal/bulge
-tune-profile         TestTuneProfileRoundTripSolve|TestTuning|TestProfileRoundTrip|TestProfileValidateRejects|TestLoadRejectsMismatch|FuzzLoad  . ./internal/tune
-service              TestServerAuth|TestServerSubmitValidation|TestServerJobEndpoints|TestServerNaNPayloadMapsTo400|TestErrorMapping|TestMemStore|TestDiskStore|TestRoundTripBitwise|TestCancelMidSolveFreesSlot|TestOverBudgetRefused|TestConcurrentClients  ./internal/service ./client
-no-home-dir          TestNewSolverWithoutHomeDir|TestDefaultPathWithoutHomeDir  . ./internal/tune
+service              TestServerAuth|TestServerSubmitValidation|FuzzSubmitDecode|TestServerJobEndpoints|TestServerNaNPayloadMapsTo400|TestErrorMapping|TestMemStore|TestDiskStore|TestRoundTripBitwise|TestCancelMidSolveFreesSlot|TestOverBudgetRefused|TestConcurrentClients  ./internal/service ./client
 EOF
 
-# The size triple ROADMAP.md tracks under "Size", printed for the next
+# The size figures ROADMAP.md tracks under "Size", printed for the next
 # re-anchor to read; nothing here is gated.
 options() { awk '/^type Options struct \{/ {f = 1; next} f && /^}/ {exit} f && $0 ~ "^\t" pat "[A-Za-z0-9]* " {n++} END {print n + 0}' pat="$1" eigen.go; }
-echo "size: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l) non-test Go lines outside benchmark/, $(options '[A-Z]') eigen.Options fields, $(options Disable) Disable* fields"
+echo "size: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l) non-test Go lines outside benchmark/, $(options '[A-Z]') eigen.Options fields, $(options Disable) Disable* fields, $(grep -c '^[a-z][a-z-]*:' Makefile) Makefile targets"
 exit $status

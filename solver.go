@@ -70,7 +70,6 @@ func NewSolver(opts *Options) *Solver {
 	if opts != nil {
 		s.opts = *opts
 	}
-	applyTuning(&s.opts)
 	s.opts.normalize()
 	if s.opts.MemoryBudget > 0 {
 		s.pool.SetBudget(s.opts.MemoryBudget)

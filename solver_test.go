@@ -3,13 +3,17 @@ package eigen
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/band"
 	"repro/internal/blas"
 	"repro/internal/trace"
 )
@@ -363,12 +367,12 @@ func TestSolveBitwiseAcrossKernels(t *testing.T) {
 	solve := func(k blas.Kernel) outcome {
 		blas.SetBlocking(blas.Blocking{Kernel: k})
 		var o outcome
-		o.vals, o.vecs = solveOnce(t, a, &Options{Workers: 2, DisableTuning: true})
+		o.vals, o.vecs = solveOnce(t, a, &Options{Workers: 2})
 		var err error
-		if o.valsOnly, err = EigValues(a, &Options{Workers: 2, DisableTuning: true}); err != nil {
+		if o.valsOnly, err = EigValues(a, &Options{Workers: 2}); err != nil {
 			t.Fatalf("EigValues: %v", err)
 		}
-		o.oneVals, o.oneVecs = solveOnce(t, a, &Options{Workers: 2, DisableTuning: true, Algorithm: OneStage})
+		o.oneVals, o.oneVecs = solveOnce(t, a, &Options{Workers: 2, Algorithm: OneStage})
 		return o
 	}
 	want, got := solve(blas.Kernel2x4), solve(blas.KernelAuto)
@@ -396,7 +400,7 @@ func TestSolveBitwiseAcrossWorkers(t *testing.T) {
 	a := randSymMatrix(rand.New(rand.NewSource(29)), 256)
 	var refVals, refVecs, refOnly []float64
 	for _, w := range []int{1, 2, 4} {
-		s := NewSolver(&Options{Workers: w, DisableTuning: true})
+		s := NewSolver(&Options{Workers: w})
 		for rep := 0; rep < 2; rep++ {
 			res, err := s.Eig(a)
 			if err != nil {
@@ -418,5 +422,42 @@ func TestSolveBitwiseAcrossWorkers(t *testing.T) {
 			}
 		}
 		s.Close()
+	}
+}
+
+// solveOnce runs one full eigensolve and returns values and the flattened
+// eigenvector matrix.
+func solveOnce(t *testing.T, a *Matrix, opts *Options) ([]float64, []float64) {
+	t.Helper()
+	res, err := Eig(a, opts)
+	if err != nil {
+		t.Fatalf("Eig: %v", err)
+	}
+	return res.Values, res.Vectors.data
+}
+
+// TestNewSolverIgnoresTuneProfileEnv: construction reads no file. A
+// well-formed profile of the deleted autotuner's last schema (v3) at the path
+// $EIGEN_TUNE_PROFILE used to name, asking for nb = 16 and a different GEMM
+// blocking, changes nothing: the GEMM blocking stays the stock one, and the
+// solve returns the bits of the built-in tile size with the variable unset.
+func TestNewSolverIgnoresTuneProfileEnv(t *testing.T) {
+	a := randSymMatrix(rand.New(rand.NewSource(31)), 200)
+	path := filepath.Join(t.TempDir(), "tune.json")
+	profile := fmt.Sprintf(`{"version": 3, "goos": %q, "goarch": %q, "num_cpu": %d,
+		"gemm": {"mc": 96, "kc": 128, "nc": 256}, "nb": 16}`, runtime.GOOS, runtime.GOARCH, runtime.NumCPU())
+	if err := os.WriteFile(path, []byte(profile), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("EIGEN_TUNE_PROFILE", path)
+	gotVals, gotVecs := solveOnce(t, a, &Options{Workers: 2})
+	if b := blas.CurrentBlocking(); b != blas.DefaultBlocking() {
+		t.Errorf("GEMM blocking %+v after NewSolver, want the stock %+v", b, blas.DefaultBlocking())
+	}
+
+	os.Unsetenv("EIGEN_TUNE_PROFILE")
+	wantVals, wantVecs := solveOnce(t, a, &Options{Workers: 2, NB: band.DefaultNB})
+	if !slices.Equal(gotVals, wantVals) || !slices.Equal(gotVecs, wantVecs) {
+		t.Fatal("a profile at $EIGEN_TUNE_PROFILE changed the solve")
 	}
 }
