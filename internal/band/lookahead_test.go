@@ -49,75 +49,38 @@ func factorsIdentical(t *testing.T, label string, ref, got *Factor) {
 }
 
 // TestReduceLookaheadBitwise pins the core invariant of the look-ahead
-// schedule: at every worker count and depth the scheduled reduction is
-// bitwise identical to the inline reference (runSeq, the kernels in
-// submission order) — the priorities only reorder the ready queue.
+// schedule: at every worker count the scheduled reduction is bitwise
+// identical to the inline reference (runSeq, the kernels in submission
+// order) — the priorities only reorder the ready queue.
 func TestReduceLookaheadBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	n, nb := 30, 4
 	a := randSym(rng, n)
 	ref := ReduceWith(a.Clone(), Config{NB: nb}, nil, nil, nil)
-	for _, workers := range []int{1, 2, 4, 7} {
+	for workers := 1; workers <= 8; workers++ {
 		s := sched.New(workers)
-		for _, depth := range []int{1, 2, 4} {
-			got := ReduceWith(a.Clone(), Config{NB: nb, Lookahead: depth}, s.NewJob(nil), nil, nil)
-			factorsIdentical(t, label("lookahead", workers, depth), ref, got)
-		}
+		got := ReduceWith(a.Clone(), Config{NB: nb}, s.NewJob(nil), nil, nil)
 		s.Shutdown()
-	}
-}
-
-func label(mode string, workers, depth int) string {
-	return fmt.Sprintf("%s workers=%d depth=%d", mode, workers, depth)
-}
-
-// TestReduceLookaheadDepthClamp covers the depth knob's edge behaviour: the
-// resolver maps non-positive depths to the default and absurd ones to the
-// cap, and an absurd depth passed end to end still yields the bitwise
-// reference result.
-func TestReduceLookaheadDepthClamp(t *testing.T) {
-	cases := []struct{ in, want int }{
-		{-3, DefaultLookahead},
-		{0, DefaultLookahead},
-		{1, 1},
-		{MaxLookahead, MaxLookahead},
-		{MaxLookahead + 1, MaxLookahead},
-		{1000, MaxLookahead},
-		{1 << 30, MaxLookahead},
-	}
-	for _, c := range cases {
-		if got := clampLookahead(c.in); got != c.want {
-			t.Fatalf("clampLookahead(%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
-	rng := rand.New(rand.NewSource(42))
-	n, nb := 26, 5
-	a := randSym(rng, n)
-	ref := ReduceWith(a.Clone(), Config{NB: nb}, nil, nil, nil)
-	s := sched.New(3)
-	defer s.Shutdown()
-	for _, depth := range []int{-7, 0, 1 << 30} {
-		got := ReduceWith(a.Clone(), Config{NB: nb, Lookahead: depth}, s.NewJob(nil), nil, nil)
-		factorsIdentical(t, label("clamped", 3, depth), ref, got)
+		factorsIdentical(t, fmt.Sprintf("workers=%d", workers), ref, got)
 	}
 }
 
 // TestReduceLookaheadPriorityBounds pins the priority layering contract: the
-// graded feed boosts stay strictly below the SYRFB and panel priorities at
-// the maximum depth.
+// graded feed boosts stay strictly below the SYRFB and panel priorities,
+// vanish outside the look-ahead window and prefer nearer panels.
 func TestReduceLookaheadPriorityBounds(t *testing.T) {
-	if feedBoost(MaxLookahead, 1) >= prioDiag {
-		t.Fatalf("max feed boost %d reaches the SYRFB priority %d", feedBoost(MaxLookahead, 1), prioDiag)
+	if feedBoost(1) >= prioDiag {
+		t.Fatalf("max feed boost %d reaches the SYRFB priority %d", feedBoost(1), prioDiag)
 	}
 	if prioDiag >= prioPanel {
 		t.Fatalf("SYRFB priority %d reaches the panel priority %d", prioDiag, prioPanel)
 	}
-	for _, d := range []int{1, 2, MaxLookahead} {
-		if feedBoost(d, 0) != 0 || feedBoost(d, d+1) != 0 {
-			t.Fatalf("feedBoost(depth=%d) boosts outside the window", d)
-		}
-		if feedBoost(d, 1) <= feedBoost(d, d) && d > 1 {
-			t.Fatalf("feedBoost(depth=%d) does not prefer nearer panels", d)
+	if feedBoost(0) != 0 || feedBoost(lookahead+1) != 0 {
+		t.Fatal("feedBoost boosts outside the look-ahead window")
+	}
+	for dist := 1; dist < lookahead; dist++ {
+		if feedBoost(dist) <= feedBoost(dist+1) || feedBoost(dist+1) <= 0 {
+			t.Fatalf("feedBoost does not prefer panel distance %d over %d", dist, dist+1)
 		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // EXPERIMENTS.md.
 const DefaultNB = 48
 
-// Look-ahead configuration of the scheduled stage-1 DAG.
+// Look-ahead priorities of the scheduled stage-1 DAG.
 //
 // The reduction's critical path is the panel chain: GEQRT(k) → the TSQRT
 // chain of panel k → the column-(k+1) updates → GEQRT(k+1) → … Everything
@@ -32,20 +32,18 @@ const DefaultNB = 48
 // near-global drain. Look-ahead is therefore a priority discipline
 // (Rodríguez-Sánchez et al., "Look-Ahead in the Two-Sided Reduction to
 // Compact Band Forms"): panel tasks outrank everything, and update tasks are
-// graded by how soon a future panel reads the tile they write, out to a
-// configurable depth d.
+// graded by how soon a future panel reads the tile they write, out to
+// lookahead panels ahead.
 const (
-	// DefaultLookahead is the depth used when Config.Lookahead is unset: the
-	// updates feeding the next two panels are prioritized, which keeps the
-	// panel chain fed without starving the trailing update entirely.
-	DefaultLookahead = 2
-	// MaxLookahead caps the depth so the graded boosts stay strictly below
-	// the panel-task priorities.
-	MaxLookahead = 63
+	// lookahead is the look-ahead depth: the updates feeding the next two
+	// panels are prioritized, which keeps the panel chain fed without
+	// starving the trailing update entirely. Depths 1 and 4 measured no
+	// different (EXPERIMENTS.md).
+	lookahead = 2
 
 	// prioFeedStep is the per-column-distance step of the look-ahead boost:
 	// a task whose written tile feeds panel k+dist gets
-	// (d-dist+1)·prioFeedStep, so nearer panels win.
+	// (lookahead-dist+1)·prioFeedStep, so nearer panels win.
 	prioFeedStep = 64
 	// prioPanel is the priority of the panel-factorization tasks
 	// (GEQRT/TSQRT) — the critical path, above every boosted update.
@@ -55,41 +53,25 @@ const (
 	prioDiag = prioPanel - prioFeedStep
 )
 
-// Config bundles the stage-1 tuning knobs of ReduceWith.
+// Config bundles the stage-1 settings of ReduceWith.
 type Config struct {
 	// NB is the tile size / bandwidth (≤ 0 → DefaultNB).
 	NB int
-	// Lookahead is the look-ahead depth d ≥ 1: trailing-update tasks whose
-	// written tiles feed one of the next d panels get a priority boost graded
-	// by proximity. ≤ 0 picks DefaultLookahead; values above MaxLookahead are
-	// clamped. The depth only steers the ready queue — results are bitwise
-	// identical at every depth and worker count.
-	Lookahead int
 	// ValuesOnly says Q₁ will never be applied: the panel reflectors are then
 	// prepared for the reduction's own Hᵀ updates only, which saves the H-form
 	// operands (n²/2 values) that ApplyQ1Block consumes.
 	ValuesOnly bool
 }
 
-// clampLookahead resolves a requested depth to the valid range [1, MaxLookahead].
-func clampLookahead(d int) int {
-	if d <= 0 {
-		return DefaultLookahead
-	}
-	if d > MaxLookahead {
-		return MaxLookahead
-	}
-	return d
-}
-
 // feedBoost is the look-ahead priority of an update task whose most urgent
-// written tile lies in panel column k+dist: within the depth window nearer
-// columns get larger boosts; beyond it the task is ordinary trailing update.
-func feedBoost(depth, dist int) int {
-	if dist < 1 || dist > depth {
+// written tile lies in panel column k+dist: within the look-ahead window
+// nearer columns get larger boosts; beyond it the task is ordinary trailing
+// update.
+func feedBoost(dist int) int {
+	if dist < 1 || dist > lookahead {
 		return 0
 	}
-	return (depth - dist + 1) * prioFeedStep
+	return (lookahead - dist + 1) * prioFeedStep
 }
 
 // Factor is the output of the stage-1 reduction: the band matrix B plus the
@@ -237,24 +219,37 @@ func (r *reducer) syrfb(k, w int) {
 	r.acc(&r.panelNs, t)
 }
 
-// ormqrL updates row tile (k+1, j) from the left: A[k+1][j] := Hᵀ·A[k+1][j].
+// transpose exploits symmetry: a tile updated from the left only, (i, j),
+// holds the transpose of the two-sided result in (j, i), so the right-side
+// update of (j, i) is a copy rather than flops — this is how the tile
+// algorithm keeps the 4/3·n³-class cost of a symmetry-aware reduction. The
+// update tasks call it on their own freshly written tiles, while those are
+// still in cache.
+func (r *reducer) transpose(i, j int) {
+	transposeTile(r.tm.Tile(i, j), r.tm.TileRows(i), r.tm.TileCols(j), r.tm.Tile(j, i))
+}
+
+// keepColumnCopy reports whether (j, k+1), the column-(k+1) copy of row tile
+// (k+1, j), must be written by the panel-k task that has just updated (k+1, j)
+// at TS step i (i = k+1 for ORMQR-L). Within panel k that copy is read only at
+// step j (TSMQR-L(k, j, k+1) and TSMQR-C(k, j, row j)) and after the panel by
+// panel k+1; every other store is overwritten before any read. So the copy is
+// written just before step j (by ORMQR-L when j = k+2, else at step j−1) and
+// at the panel's last step.
+func (r *reducer) keepColumnCopy(i, j int) bool {
+	return j == i+1 || i == r.f.NT-1
+}
+
+// ormqrL updates row tile (k+1, j) from the left, A[k+1][j] := Hᵀ·A[k+1][j],
+// and writes its column copy when one is read (keepColumnCopy).
 func (r *reducer) ormqrL(k, j, w int) {
 	t := r.t0()
 	m1 := r.tm.TileRows(k + 1)
 	nc := r.tm.TileCols(j)
 	Ormqr(blas.Left, blas.Trans, nc, &r.f.Hge[k], r.tm.Tile(k+1, j), m1, r.scratch[w], r.tc)
-	r.acc(&r.updateNs, t)
-}
-
-// mirror exploits symmetry: the two-sided result satisfies A[j][k+1] =
-// (Hᵀ·A[k+1][j])ᵀ, so the freshly left-updated row tile is transposed into
-// the column tile instead of recomputed (a copy, not flops — this is how the
-// tile algorithm keeps the 4/3·n³-class cost of a symmetry-aware reduction).
-func (r *reducer) mirror(k, j, _ int) {
-	t := r.t0()
-	m1 := r.tm.TileRows(k + 1)
-	mr := r.tm.TileRows(j)
-	transposeTile(r.tm.Tile(k+1, j), m1, mr, r.tm.Tile(j, k+1))
+	if r.keepColumnCopy(k+1, j) {
+		r.transpose(k+1, j)
+	}
 	r.acc(&r.updateNs, t)
 }
 
@@ -271,7 +266,10 @@ func (r *reducer) tsqrt(k, i, w int) {
 }
 
 // tsmqrL applies the TS reflector of (i, k) from the left to row pair
-// (k+1, i), column j.
+// (k+1, i), column j. Outside the pair's own columns (j ∉ {k+1, i}, which
+// tsmqrC updates from the right) it then writes the transposes: (j, i) always
+// — a later step or panel reads each one — and (j, k+1) when it is read
+// (keepColumnCopy).
 func (r *reducer) tsmqrL(k, i, j, w int) {
 	t := r.t0()
 	m1 := r.tm.TileRows(k + 1)
@@ -279,12 +277,18 @@ func (r *reducer) tsmqrL(k, i, j, w int) {
 	nc := r.tm.TileCols(j)
 	Tsmqr(blas.Left, blas.Trans, nc, &r.f.Hts[k][i-(k+2)],
 		r.tm.Tile(k+1, j), m1, r.tm.Tile(i, j), m2, r.scratch[w], r.tc)
+	if j != k+1 && j != i {
+		r.transpose(i, j)
+		if r.keepColumnCopy(i, j) {
+			r.transpose(k+1, j)
+		}
+	}
 	r.acc(&r.updateNs, t)
 }
 
 // tsmqrC applies the TS reflector of (i, k) from the right to column pair
-// (k+1, i), row `row` — only rows {k+1, i} need real computation; the rest
-// are mirrored (see mirror2).
+// (k+1, i), row `row` — only rows {k+1, i} need real computation; the other
+// rows of the pair are the transposes tsmqrL writes.
 func (r *reducer) tsmqrC(k, i, row, w int) {
 	t := r.t0()
 	mr := r.tm.TileRows(row)
@@ -293,32 +297,8 @@ func (r *reducer) tsmqrC(k, i, row, w int) {
 	r.acc(&r.updateNs, t)
 }
 
-// mirror2a and mirror2b transpose the freshly left-updated row tiles of pair
-// (k+1, i) into the corresponding column tiles of row `row` (symmetry
-// exploitation, as in mirror). They are two tasks so the column-(k+1) half —
-// which the next panel's TSQRT chain reads — does not wait behind, or share a
-// ready-queue slot with, the column-i half. mirror2a is the column-(k+1)
-// half: tile (row, k+1) ← (k+1, row)ᵀ.
-func (r *reducer) mirror2a(k, _, row, _ int) {
-	t := r.t0()
-	m1 := r.tm.TileRows(k + 1)
-	mr := r.tm.TileRows(row)
-	transposeTile(r.tm.Tile(k+1, row), m1, mr, r.tm.Tile(row, k+1))
-	r.acc(&r.updateNs, t)
-}
-
-// mirror2b is the column-i half: tile (row, i) ← (i, row)ᵀ.
-func (r *reducer) mirror2b(_, i, row, _ int) {
-	t := r.t0()
-	m2 := r.tm.TileRows(i)
-	mr := r.tm.TileRows(row)
-	transposeTile(r.tm.Tile(i, row), m2, mr, r.tm.Tile(row, i))
-	r.acc(&r.updateNs, t)
-}
-
 // Reduce runs the stage-1 reduction of the dense symmetric matrix a (both
-// triangles must be filled) to band form with bandwidth nb, with the default
-// look-ahead depth. See ReduceWith for the knobs.
+// triangles must be filled) to band form with bandwidth nb. See ReduceWith.
 func Reduce(a *matrix.Dense, nb int, job *sched.Job, ws *work.Arena, tc *trace.Collector) *Factor {
 	return ReduceWith(a, Config{NB: nb}, job, ws, tc)
 }
@@ -340,6 +320,38 @@ func Reduce(a *matrix.Dense, nb int, job *sched.Job, ws *work.Arena, tc *trace.C
 // PhaseStage1Update and the scheduled run's idle worker-time to
 // PhaseStage1Stall.
 func ReduceWith(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc *trace.Collector) *Factor {
+	r := newReducer(a, cfg, job, ws, tc)
+	workers := job.Workers()
+	var start time.Time
+	if tc != nil {
+		start = time.Now()
+	}
+	if job.Parallel() {
+		r.scheduleLookahead(job)
+		job.Wait() // error, if any, surfaces through job.Err at the caller
+	} else {
+		r.runSeq(job)
+	}
+	if tc != nil {
+		wall := time.Since(start)
+		panel := time.Duration(atomic.LoadInt64(&r.panelNs))
+		update := time.Duration(atomic.LoadInt64(&r.updateNs))
+		tc.AddPhase(trace.PhaseStage1Panel, panel)
+		tc.AddPhase(trace.PhaseStage1Update, update)
+		// Idle worker-time: the stage held `workers` workers for `wall` but
+		// only panel+update of worker-time was busy. Clamped at zero — timer
+		// skew can make busy marginally exceed the product on tiny problems.
+		if stall := time.Duration(workers)*wall - panel - update; stall > 0 {
+			tc.AddPhase(trace.PhaseStage1Stall, stall)
+		}
+	}
+	r.f.Band = extractBand(r.tm, r.f.NB, ws)
+	return r.f
+}
+
+// newReducer tiles a and carves the T-factor and prepared-reflector storage
+// of its Factor, and returns the reducer whose kernels run on them.
+func newReducer(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc *trace.Collector) *reducer {
 	n := a.Rows
 	if a.Cols != n {
 		panic("band: Reduce requires a square matrix")
@@ -408,32 +420,7 @@ func ReduceWith(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc 
 		forms:   forms,
 		packed:  ws.SlabOf(work.Stage1Packed, capP),
 	}
-	workers := job.Workers()
-	var start time.Time
-	if tc != nil {
-		start = time.Now()
-	}
-	if job.Parallel() {
-		r.scheduleLookahead(job, clampLookahead(cfg.Lookahead))
-		job.Wait() // error, if any, surfaces through job.Err at the caller
-	} else {
-		r.runSeq(job)
-	}
-	if tc != nil {
-		wall := time.Since(start)
-		panel := time.Duration(atomic.LoadInt64(&r.panelNs))
-		update := time.Duration(atomic.LoadInt64(&r.updateNs))
-		tc.AddPhase(trace.PhaseStage1Panel, panel)
-		tc.AddPhase(trace.PhaseStage1Update, update)
-		// Idle worker-time: the stage held `workers` workers for `wall` but
-		// only panel+update of worker-time was busy. Clamped at zero — timer
-		// skew can make busy marginally exceed the product on tiny problems.
-		if stall := time.Duration(workers)*wall - panel - update; stall > 0 {
-			tc.AddPhase(trace.PhaseStage1Stall, stall)
-		}
-	}
-	f.Band = extractBand(tm, nb, ws)
-	return f
+	return r
 }
 
 // runSeq executes the kernel sequence in submission order on the calling
@@ -449,7 +436,6 @@ func (r *reducer) runSeq(job *sched.Job) {
 		r.syrfb(k, 0)
 		for j := k + 2; j < nt; j++ {
 			r.ormqrL(k, j, 0)
-			r.mirror(k, j, 0)
 		}
 		for i := k + 2; i < nt; i++ {
 			r.tsqrt(k, i, 0)
@@ -458,13 +444,6 @@ func (r *reducer) runSeq(job *sched.Job) {
 			}
 			r.tsmqrC(k, i, k+1, 0)
 			r.tsmqrC(k, i, i, 0)
-			for row := k + 1; row < nt; row++ {
-				if row == k+1 || row == i {
-					continue
-				}
-				r.mirror2a(k, i, row, 0)
-				r.mirror2b(k, i, row, 0)
-			}
 		}
 	}
 }
@@ -474,17 +453,17 @@ func (r *reducer) runSeq(job *sched.Job) {
 // infers the DAG from that order — under the look-ahead priority scheme:
 // panel tasks (GEQRT/TSQRT) at prioPanel, the diagonal SYRFB just under
 // them, and every trailing-update task boosted by feedBoost according to the
-// nearest future panel column it writes, out to `depth` panels ahead.
-// MIRROR2A and MIRROR2B are separate tasks because one task for both would
-// couple a critical-path column-(k+1) write to a non-critical column-i write
-// and hold the next panel's TSQRT chain behind slack work; the halves touch
-// disjoint tiles.
+// nearest panel column among the tiles it writes, out to lookahead panels
+// ahead. A task that writes a column-(k+1) copy feeds the next panel
+// (distance 1). The transposes that restore symmetry are written by the
+// update tasks themselves, so each update's write set includes them; there
+// are no separate copy tasks.
 //
 // Bitwise identity with runSeq holds because priorities only reorder the
 // ready queue: which tasks may run concurrently is fixed by the dependences,
 // and every per-tile operation sequence is a dependence chain, so no
 // floating-point accumulation order can change.
-func (r *reducer) scheduleLookahead(job *sched.Job, depth int) {
+func (r *reducer) scheduleLookahead(job *sched.Job) {
 	f, tm, nt := r.f, r.tm, r.f.NT
 	for k := 0; k < nt-1; k++ {
 		k := k
@@ -509,23 +488,18 @@ func (r *reducer) scheduleLookahead(job *sched.Job, depth int) {
 		})
 		for j := k + 2; j < nt; j++ {
 			j := j
-			// ORMQR-L feeds MIRROR, whose output tile (j, k+1) the next
-			// panel's TSQRT chain reads: both are distance-1 feeders.
+			deps := make([]sched.Dep, 0, 4)
+			deps = append(deps, sched.RW(tm.TileID(k+1, j)), sched.R(f.resV(k)), sched.R(f.resTge(k)))
+			dist := j - k
+			if r.keepColumnCopy(k+1, j) {
+				deps = append(deps, sched.W(tm.TileID(j, k+1)))
+				dist = 1
+			}
 			job.Submit(sched.Task{
 				Name:     r.name("ORMQR-L", k+1, j),
-				Priority: feedBoost(depth, 1),
-				Deps: []sched.Dep{
-					sched.RW(tm.TileID(k+1, j)), sched.R(f.resV(k)), sched.R(f.resTge(k)),
-				},
-				Run: func(w int) { r.ormqrL(k, j, w) },
-			})
-			job.Submit(sched.Task{
-				Name:     r.name("MIRROR", j, k+1),
-				Priority: feedBoost(depth, 1),
-				Deps: []sched.Dep{
-					sched.W(tm.TileID(j, k+1)), sched.R(tm.TileID(k+1, j)),
-				},
-				Run: func(w int) { r.mirror(k, j, w) },
+				Priority: feedBoost(dist),
+				Deps:     deps,
+				Run:      func(w int) { r.ormqrL(k, j, w) },
 			})
 		}
 
@@ -541,15 +515,25 @@ func (r *reducer) scheduleLookahead(job *sched.Job, depth int) {
 			})
 			for j := k + 1; j < nt; j++ {
 				j := j
-				// Writes column j, which panel j factors: distance j−k.
+				deps := make([]sched.Dep, 0, 6)
+				deps = append(deps,
+					sched.RW(tm.TileID(k+1, j)), sched.RW(tm.TileID(i, j)),
+					sched.R(tm.TileID(i, k)), sched.R(f.resTts(k, i)))
+				// Writes column j and, through its transposes, columns i
+				// and k+1.
+				dist := min(i, j) - k
+				if j != k+1 && j != i {
+					deps = append(deps, sched.W(tm.TileID(j, i)))
+					if r.keepColumnCopy(i, j) {
+						deps = append(deps, sched.W(tm.TileID(j, k+1)))
+						dist = 1
+					}
+				}
 				job.Submit(sched.Task{
 					Name:     r.name("TSMQR-L", i, j),
-					Priority: feedBoost(depth, j-k),
-					Deps: []sched.Dep{
-						sched.RW(tm.TileID(k+1, j)), sched.RW(tm.TileID(i, j)),
-						sched.R(tm.TileID(i, k)), sched.R(f.resTts(k, i)),
-					},
-					Run: func(w int) { r.tsmqrL(k, i, j, w) },
+					Priority: feedBoost(dist),
+					Deps:     deps,
+					Run:      func(w int) { r.tsmqrL(k, i, j, w) },
 				})
 			}
 			for _, row := range [2]int{k + 1, i} {
@@ -557,34 +541,12 @@ func (r *reducer) scheduleLookahead(job *sched.Job, depth int) {
 				// Writes tile (row, k+1) — the next panel's column.
 				job.Submit(sched.Task{
 					Name:     r.name("TSMQR-C", row, i),
-					Priority: feedBoost(depth, 1),
+					Priority: feedBoost(1),
 					Deps: []sched.Dep{
 						sched.RW(tm.TileID(row, k+1)), sched.RW(tm.TileID(row, i)),
 						sched.R(tm.TileID(i, k)), sched.R(f.resTts(k, i)),
 					},
 					Run: func(w int) { r.tsmqrC(k, i, row, w) },
-				})
-			}
-			for row := k + 1; row < nt; row++ {
-				if row == k+1 || row == i {
-					continue
-				}
-				row := row
-				job.Submit(sched.Task{
-					Name:     r.name("MIRROR2A", row, i),
-					Priority: feedBoost(depth, 1),
-					Deps: []sched.Dep{
-						sched.W(tm.TileID(row, k+1)), sched.R(tm.TileID(k+1, row)),
-					},
-					Run: func(w int) { r.mirror2a(k, i, row, w) },
-				})
-				job.Submit(sched.Task{
-					Name:     r.name("MIRROR2B", row, i),
-					Priority: feedBoost(depth, i-k),
-					Deps: []sched.Dep{
-						sched.W(tm.TileID(row, i)), sched.R(tm.TileID(i, row)),
-					},
-					Run: func(w int) { r.mirror2b(k, i, row, w) },
 				})
 			}
 		}

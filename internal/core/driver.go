@@ -62,12 +62,6 @@ type Options struct {
 	// Workers is the task-scheduler width; ≤ 1 runs sequentially. Ignored
 	// when Sched is set.
 	Workers int
-	// LookaheadDepth is the stage-1 look-ahead depth d ≥ 1: trailing-update
-	// tasks feeding one of the next d panels get priority boosts graded by
-	// proximity, so panel factorization overlaps the trailing update. ≤ 0
-	// picks band.DefaultLookahead; absurd depths are clamped. The depth only
-	// steers scheduling — results are bitwise identical at every depth.
-	LookaheadDepth int
 	// Stage2Workers restricts the bulge-chasing tasks to this many workers
 	// (the paper's core-restriction: the stage is memory-bound, and using
 	// fewer cores improves locality). 0 means no restriction.

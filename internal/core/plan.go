@@ -189,7 +189,7 @@ func (Stage1) Run(ctx context.Context, st *SolveState) error {
 	aw := st.ws.Dense(work.Stage1Dense, st.n, st.n, false)
 	aw.CopyFrom(st.a)
 	job := st.phaseJob(ctx)
-	cfg := band.Config{NB: st.nb, Lookahead: st.o.LookaheadDepth, ValuesOnly: !st.o.Vectors}
+	cfg := band.Config{NB: st.nb, ValuesOnly: !st.o.Vectors}
 	st.tc.Phase(trace.PhaseStage1, func() {
 		st.f1 = band.ReduceWith(aw, cfg, job, st.ws, st.tc)
 	})

@@ -56,7 +56,7 @@ func TestBuildPlan(t *testing.T) {
 	for _, o := range []Options{
 		{},
 		{NB: 96, Group: 16, ColBlock: 32},
-		{Workers: 4, Stage2Workers: 2, TridiagWorkers: 1, LookaheadDepth: 3},
+		{Workers: 4, Stage2Workers: 2, TridiagWorkers: 1},
 		{Method: MethodBI, IL: 2, IU: 5},
 		{Method: MethodQR},
 	} {

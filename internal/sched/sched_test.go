@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -410,5 +413,105 @@ func TestOnWorkerGoroutine(t *testing.T) {
 	}
 	if onOther {
 		t.Fatal("task body misattributed to a different scheduler's worker")
+	}
+}
+
+// TestSchedRandomDAGDrains drives random access lists — reads, writes and
+// in-place updates over 16 resources, repeats included — with random
+// priorities at several widths, and cancels the job from inside a random task
+// (or not at all). Wait must return; every task runs at most once, and the
+// tasks that ran are exactly the ones the trace records (the others were
+// skipped); a task that ran sees, on each resource it lists, the version its
+// last writer in submission order left; without a cancellation every task
+// runs.
+func TestSchedRandomDAGDrains(t *testing.T) {
+	const nRes = 16
+	for _, w := range []int{1, 2, 4, 7} {
+		for trial := 0; trial < 25; trial++ {
+			rng := rand.New(rand.NewSource(int64(1000*w + trial)))
+			nTasks := 20 + rng.Intn(300)
+			cancelAt := rng.Intn(nTasks + nTasks/4) // ≥ nTasks: never canceled
+			s := New(w, WithTrace())
+			ctx, cancel := context.WithCancel(context.Background())
+			job := s.NewJob(ctx)
+
+			var version [nRes]atomic.Int64 // 1 + index of the task that last wrote it
+			var lastWriter [nRes]int64
+			ran := make([]atomic.Int32, nTasks)
+			for i := 0; i < nTasks; i++ {
+				var deps []Dep
+				for d := 1 + rng.Intn(4); d > 0; d-- {
+					deps = append(deps, Dep{Resource: rng.Intn(nRes), Mode: AccessMode(rng.Intn(3))})
+				}
+				want := map[int]int64{}
+				var writes []int
+				for _, d := range deps {
+					want[d.Resource] = lastWriter[d.Resource]
+					if d.Mode != Read && !slices.Contains(writes, d.Resource) {
+						writes = append(writes, d.Resource)
+					}
+				}
+				for _, res := range writes {
+					lastWriter[res] = int64(i + 1)
+				}
+				i := i
+				job.Submit(Task{
+					Name:     "random",
+					Deps:     deps,
+					Priority: rng.Intn(7) - 3,
+					Run: func(int) {
+						if ran[i].Add(1) != 1 {
+							t.Errorf("workers=%d trial=%d: task %d ran twice", w, trial, i)
+						}
+						for res, v := range want {
+							if got := version[res].Load(); got != v {
+								t.Errorf("workers=%d trial=%d: task %d saw version %d of resource %d, want %d", w, trial, i, got, res, v)
+							}
+						}
+						for _, res := range writes {
+							version[res].Store(int64(i + 1))
+						}
+						if i == cancelAt {
+							cancel()
+						}
+					},
+				})
+			}
+
+			done := make(chan error, 1)
+			go func() { done <- job.Wait() }()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(20 * time.Second):
+				t.Fatalf("workers=%d trial=%d: Wait did not return", w, trial)
+			}
+			events := s.Trace()
+			s.Shutdown()
+			cancel()
+
+			traced := make([]bool, nTasks)
+			for _, ev := range events {
+				if traced[ev.Seq] {
+					t.Fatalf("workers=%d trial=%d: task %d traced twice", w, trial, ev.Seq)
+				}
+				traced[ev.Seq] = true
+			}
+			for i := range ran {
+				if (ran[i].Load() == 1) != traced[i] {
+					t.Fatalf("workers=%d trial=%d: task %d ran %d times but traced=%v", w, trial, i, ran[i].Load(), traced[i])
+				}
+				if cancelAt >= nTasks && ran[i].Load() != 1 {
+					t.Fatalf("workers=%d trial=%d: task %d skipped without a cancellation", w, trial, i)
+				}
+			}
+			if cancelAt < nTasks {
+				if ran[cancelAt].Load() != 1 || !errors.Is(err, context.Canceled) {
+					t.Fatalf("workers=%d trial=%d: canceling task ran %d times, Wait = %v", w, trial, ran[cancelAt].Load(), err)
+				}
+			} else if err != nil {
+				t.Fatalf("workers=%d trial=%d: Wait = %v without a cancellation", w, trial, err)
+			}
+		}
 	}
 }

@@ -60,7 +60,7 @@ const (
 	// restructure proves the panel factorization left the critical path
 	// (look-ahead shrinks stall without changing panel/update work).
 	PhaseStage1Panel  = "stage1_panel"  // GEQRT/TSQRT/SYRFB (panel factorization chain)
-	PhaseStage1Update = "stage1_update" // trailing-update and mirror kernels
+	PhaseStage1Update = "stage1_update" // trailing-update kernels and the transposes they write
 	// PhaseStage1Stall is workers·wall − busy for the stage: the worker-time
 	// spent idle waiting for dependences (plus scheduler overhead). On an
 	// oversubscribed host it also absorbs time-sharing noise, so compare

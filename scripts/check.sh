@@ -55,7 +55,8 @@ fused-backtransform  TestApplyFused|TestFusedBacktrans|TestSolverCancelDuringBac
 batch                TestSolveBatch|TestSolveBatchMatchesSolo|TestSolveBatchFanout|TestSolveBatchCancel|TestSolveBatchCloseMidFlight|TestSolveBatchReentrant|TestSolveBatchConcurrentCalls|TestSolveBatchTraceAttribution|TestBatchIsolationMixed|TestNotFiniteError|TestNoConvergencePropagation|TestOptionsClamp|TestDegenerateShapes|TestBatchRangeValidatedWithoutDst|TestBatchGateOverBudgetClamp|TestSolveBatchOversizedItemsRunAlone|TestSolverGateSharedAcrossBatchCalls|TestNewSolverIgnoresTuneProfileEnv  .
 phase-plan           TestSolveState|TestBuildPlan  ./internal/core
 tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestSchedAffinity|TestParallelTridiag|TestSecularRoot|TestStedcHard|TestStedcScalingExact|TestSterfHard|TestWorkSetRetention|TestEstimateCoversArena  ./internal/tridiag ./internal/core
-stage1-lookahead     TestReduceLookahead|TestLookaheadSolverBitwise|TestStage1  ./internal/band ./internal/core
+stage1-lookahead     TestReduceLookahead|TestReduceMatchesMirrorReference|TestReduceTaskCount|TestLookaheadSolverBitwise|TestStage1  ./internal/band ./internal/core
+sched                TestSchedRandomDAGDrains  ./internal/sched
 packed-engine        TestBlock|TestGemmPackedA|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestKernelAutoWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestGemmAsmBitwisePortable|TestFusedRulePin|TestSolveBitwiseAcrossKernels  ./internal/householder ./internal/blas .
 level-kernels        TestLevel1AsmBitwisePortable|TestLevel2AsmBitwisePortable|TestLevelCanaries|TestFusedRulePin  ./internal/blas
 bulge                TestChaseBanded|TestChaseAffinityRestriction|TestReflectorLattice|TestChaseScheduledMatchesSequential|TestChaseCancelDrains  ./internal/bulge
