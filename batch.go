@@ -2,7 +2,6 @@ package eigen
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -12,13 +11,13 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultBatchFanout is the matrix order at or above which a batch item is
-// decomposed into per-tile tasks on the shared scheduler. Below it the whole
-// solve runs as a single scheduler task: for small problems the per-tile DAG
-// has too little work per task to amortize dependence tracking, and running
-// several whole solves concurrently on different workers parallelizes
-// better.
-const DefaultBatchFanout = 512
+// batchFanout is the matrix order at or above which a batch item fans out
+// into per-tile tasks on the shared scheduler. Below it the item's whole
+// solve runs sequentially on the goroutine SolveBatch gave it: for small
+// problems the per-tile DAG has too little work per task to amortize
+// dependence tracking, and several whole solves side by side parallelize
+// better. Tests lower it to force the fan-out shape.
+var batchFanout = 512
 
 // BatchItem describes one independent eigenproblem in a SolveBatch call.
 // The zero value of the optional fields requests a full eigendecomposition
@@ -66,19 +65,16 @@ type BatchResult struct {
 // estimated workspace footprint fits under it. The gate is per-Solver, not
 // per-call: concurrent SolveBatch calls (for example one per network job in
 // a serving layer) share the same slots and budget, so the Solver's
-// footprint is bounded no matter how many callers feed it. An admitted item
-// of order below Options.BatchFanout runs as one whole-solve task on a
-// worker, so distinct items occupy distinct workers; a larger one fans out
-// into the usual per-tile task DAG. On a sequential Solver (Workers ≤ 1)
-// items run one at a time on the callers' goroutines.
+// footprint is bounded no matter how many callers feed it. Every item runs
+// on its own goroutine: an admitted item of order below 512 solves there
+// sequentially, exactly as on a sequential Solver, so distinct small items
+// run side by side; a larger one fans out into the usual per-tile task DAG
+// on the shared scheduler. On a sequential Solver (Workers ≤ 1) the default
+// gate admits one item at a time.
 //
 // SolveBatch never fails as a whole: per-item errors (invalid shapes,
 // non-finite entries, non-convergence, cancellation) land in the matching
 // BatchResult.Err and leave the Solver and every other item untouched.
-// Calling SolveBatch from inside one of this Solver's own scheduler tasks
-// (e.g. from code running under another solve on the same Solver) is
-// detected and refused with ErrReentrantBatch per item — the work it would
-// submit could only run on workers the caller already occupies.
 func (s *Solver) SolveBatch(ctx context.Context, items []BatchItem) []BatchResult {
 	out := make([]BatchResult, len(items))
 	if len(items) == 0 {
@@ -93,16 +89,6 @@ func (s *Solver) SolveBatch(ctx context.Context, items []BatchItem) []BatchResul
 		}
 		return out
 	}
-	if scheduler != nil && scheduler.OnWorkerGoroutine() {
-		// Re-entrant call from inside a task of this very scheduler: the
-		// batch would block waiting for workers that are occupied by the
-		// caller — deadlock on a saturated pool. Refuse every item with a
-		// typed error instead.
-		for i := range out {
-			out[i].Err = ErrReentrantBatch
-		}
-		return out
-	}
 
 	if ctx != nil {
 		// Wake gate waiters when the context dies so they can return its
@@ -110,17 +96,13 @@ func (s *Solver) SolveBatch(ctx context.Context, items []BatchItem) []BatchResul
 		stop := context.AfterFunc(ctx, s.gate.broadcast)
 		defer stop()
 	}
-	fanout := s.opts.BatchFanout
-	if fanout <= 0 {
-		fanout = DefaultBatchFanout
-	}
 
 	var wg sync.WaitGroup
 	for i := range items {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i] = s.batchSolve(ctx, &items[i], scheduler, fanout)
+			out[i] = s.batchSolve(ctx, &items[i], scheduler)
 		}(i)
 	}
 	wg.Wait()
@@ -128,7 +110,7 @@ func (s *Solver) SolveBatch(ctx context.Context, items []BatchItem) []BatchResul
 }
 
 // batchSolve validates, admits, and runs one batch item.
-func (s *Solver) batchSolve(ctx context.Context, it *BatchItem, scheduler *sched.Scheduler, fanout int) BatchResult {
+func (s *Solver) batchSolve(ctx context.Context, it *BatchItem, scheduler *sched.Scheduler) BatchResult {
 	if err := validateBatchItem(it); err != nil {
 		return BatchResult{Err: err}
 	}
@@ -154,36 +136,10 @@ func (s *Solver) batchSolve(ctx context.Context, it *BatchItem, scheduler *sched
 	tc.AddPhase(trace.PhaseBatchWait, time.Since(waitStart))
 	defer s.gate.release(cost)
 
-	var res *Result
-	var err error
-	if scheduler != nil && n < fanout {
-		// Whole-solve-as-one-task: one job, one task, inline solve inside the
-		// task body. Distinct items occupy distinct workers.
-		job := scheduler.NewJob(ctx)
-		task := sched.Task{Run: func(int) {
-			res, err = s.runSolve(ctx, nil, tc, it.A, it.Dst, vectors, it.IL, it.IU)
-		}}
-		if job.Traced() {
-			task.Name = "SOLVE"
-		}
-		job.Submit(task)
-		werr := job.Wait() // also orders the closure writes before our reads
-		if res == nil && err == nil {
-			// The task body never ran: the job was canceled or the
-			// scheduler shut down before execution.
-			err = werr
-			if errors.Is(err, sched.ErrStopped) {
-				err = ErrClosed
-			}
-			if err == nil {
-				err = context.Canceled
-			}
-		}
-	} else {
-		// Large problems fan out into the per-tile DAG (scheduler non-nil),
-		// or the Solver is sequential and the solve runs inline here.
-		res, err = s.runSolve(ctx, scheduler, tc, it.A, it.Dst, vectors, it.IL, it.IU)
+	if n < batchFanout {
+		scheduler = nil // a small item solves inline on this goroutine
 	}
+	res, err := s.runSolve(ctx, scheduler, tc, it.A, it.Dst, vectors, it.IL, it.IU)
 
 	r := BatchResult{Err: err}
 	if err == nil {

@@ -111,8 +111,8 @@ func mixedItems(rng *rand.Rand) []BatchItem {
 }
 
 // TestSolveBatchMatchesSolo checks the core batch guarantee at every worker
-// count: a mixed batch solved concurrently (whole solves as tasks, different
-// items on different workers) is bitwise identical to solving each item alone
+// count: a mixed batch solved concurrently (each small item a whole sequential
+// solve on its own goroutine) is bitwise identical to solving each item alone
 // — on the same Solver and on a sequential one — across item flavors (full,
 // values-only, range, in-place Dst). Run under -race by scripts/check.sh.
 func TestSolveBatchMatchesSolo(t *testing.T) {
@@ -162,16 +162,18 @@ func TestSolveBatchSequentialSolver(t *testing.T) {
 	requireBitwise(t, "seq item 2", results[1], want2.Values, want2.Vectors)
 }
 
-// TestSolveBatchFanout forces the per-tile fan-out shape (BatchFanout below
+// TestSolveBatchFanout forces the per-tile fan-out shape (batchFanout below
 // the problem sizes: every item's phases expand into their task DAGs on the
 // shared scheduler) and checks bitwise identity with solo solves there too.
 func TestSolveBatchFanout(t *testing.T) {
+	defer func(f int) { batchFanout = f }(batchFanout)
+	batchFanout = 1
 	rng := rand.New(rand.NewSource(9))
 	items := mixedItems(rng)
 	want := soloReference(t, Options{}, items)
 
 	for _, workers := range []int{2, 3, 4, 7} {
-		s := NewSolver(&Options{Workers: workers, BatchFanout: 1})
+		s := NewSolver(&Options{Workers: workers})
 		for i, r := range s.SolveBatch(context.Background(), items) {
 			requireBitwise(t, fmt.Sprintf("workers=%d fanout item %d", workers, i), r, want[i].Values, want[i].Vectors)
 		}
@@ -183,15 +185,20 @@ func TestSolveBatchFanout(t *testing.T) {
 // knobs (the stage-2 and eig_t core restrictions, another tridiagonal method)
 // on both admission shapes without perturbing results.
 func TestSolveBatchStage2Options(t *testing.T) {
+	defer func(f int) { batchFanout = f }(batchFanout)
 	rng := rand.New(rand.NewSource(24))
 	items := mixedItems(rng)
 
-	for _, opts := range []Options{
-		{Workers: 4, Stage2Workers: 2},
-		{Workers: 4, Stage2Workers: 2, TridiagWorkers: 1, BatchFanout: 1},
-		{Workers: 4, Method: BisectionInverseIteration},
+	for _, tc := range []struct {
+		opts   Options
+		fanout int
+	}{
+		{Options{Workers: 4, Stage2Workers: 2}, batchFanout},
+		{Options{Workers: 4, Stage2Workers: 2, TridiagWorkers: 1}, 1},
+		{Options{Workers: 4, Method: BisectionInverseIteration}, batchFanout},
 	} {
-		opts := opts
+		opts := tc.opts
+		batchFanout = tc.fanout
 		want := soloReference(t, opts, items)
 		s := NewSolver(&opts)
 		results := s.SolveBatch(context.Background(), items)
@@ -340,7 +347,7 @@ func TestBatchIsolationMixed(t *testing.T) {
 }
 
 // TestNotFiniteError places NaN, +Inf and -Inf at assorted positions and
-// checks the typed error (and the skip switch) for both algorithms.
+// checks the typed error for both algorithms.
 func TestNotFiniteError(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, alg := range []Algorithm{TwoStage, OneStage} {
@@ -375,23 +382,6 @@ func TestNotFiniteError(t *testing.T) {
 		}
 	}
 
-	// SkipFiniteCheck suppresses the scan; with the symmetry check also off,
-	// the solve proceeds into the pipeline (garbage in, garbage out).
-	a := diagMatrix([]float64{1, 2, 3})
-	a.Set(1, 1, math.NaN())
-	vals, err := EigValues(a, &Options{SkipFiniteCheck: true, SkipSymmetryCheck: true})
-	if errors.Is(err, ErrNotFinite) {
-		t.Fatal("SkipFiniteCheck did not suppress the scan")
-	}
-	if err == nil {
-		hasNaN := false
-		for _, v := range vals {
-			hasNaN = hasNaN || math.IsNaN(v)
-		}
-		if !hasNaN {
-			t.Fatal("NaN input with checks skipped produced a finite spectrum")
-		}
-	}
 }
 
 // TestOptionsClamp feeds out-of-range option values into every knob that
@@ -410,7 +400,7 @@ func TestOptionsClamp(t *testing.T) {
 		{Workers: -5},
 		{NB: -3},
 		{Workers: 2, Stage2Workers: 1 << 20},
-		{MemoryBudget: -1, BatchConcurrency: -4, BatchFanout: -1},
+		{MemoryBudget: -1, BatchConcurrency: -4},
 	} {
 		res, err := Eig(a, opts)
 		if err != nil {
@@ -750,50 +740,42 @@ func TestSolveBatchNonConverging(t *testing.T) {
 	requireBitwise(t, "post-failure item", results[2], want[1].Values, want[1].Vectors)
 }
 
-// TestSolveBatchReentrant calls SolveBatch from inside one of the Solver's
-// own scheduler tasks: every item must be refused with ErrReentrantBatch (the
-// call could only deadlock waiting for the worker it occupies). The same call
-// aimed at a different Solver is legal and must succeed.
-func TestSolveBatchReentrant(t *testing.T) {
+// TestSolveBatchSmallItemsNeedNoWorker holds both workers of a parallel
+// Solver with tasks blocked on a channel, then runs a batch of small items:
+// each must solve on its own goroutine without waiting for a scheduler worker,
+// and match a solo solve bitwise.
+func TestSolveBatchSmallItemsNeedNoWorker(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	a := randSymMatrix(rng, 16)
+	items := mixedItems(rng)
+	want := soloReference(t, Options{}, items)
 
 	s := NewSolver(&Options{Workers: 2})
 	defer s.Close()
-	other := NewSolver(&Options{Workers: 2})
-	defer other.Close()
-
-	var reentrant []BatchResult
-	var crossRes []BatchResult
+	release := make(chan struct{})
+	var held sync.WaitGroup
+	held.Add(2)
 	job := s.sched.NewJob(context.Background())
-	job.Submit(sched.Task{
-		Name: "REENTER",
-		Run: func(int) {
-			reentrant = s.SolveBatch(context.Background(), []BatchItem{{A: a}, {A: a}})
-			crossRes = other.SolveBatch(context.Background(), []BatchItem{{A: a}})
-		},
-	})
-	if err := job.Wait(); err != nil {
-		t.Fatal(err)
+	for w := 0; w < 2; w++ {
+		job.Submit(sched.Task{Name: "HOLD", Run: func(int) {
+			held.Done()
+			<-release
+		}})
 	}
+	held.Wait()
+	defer func() {
+		close(release)
+		job.Wait()
+	}()
 
-	if len(reentrant) != 2 {
-		t.Fatalf("got %d results", len(reentrant))
-	}
-	for i, r := range reentrant {
-		if !errors.Is(r.Err, ErrReentrantBatch) {
-			t.Fatalf("re-entrant item %d: err=%v, want ErrReentrantBatch", i, r.Err)
+	done := make(chan []BatchResult, 1)
+	go func() { done <- s.SolveBatch(context.Background(), items) }()
+	select {
+	case results := <-done:
+		for i, r := range results {
+			requireBitwise(t, fmt.Sprintf("item %d", i), r, want[i].Values, want[i].Vectors)
 		}
-	}
-	if len(crossRes) != 1 || crossRes[0].Err != nil {
-		t.Fatalf("cross-solver call from a task must succeed, got %+v", crossRes)
-	}
-
-	// Outside any task the same Solver accepts batches as usual.
-	for _, r := range s.SolveBatch(context.Background(), []BatchItem{{A: a}}) {
-		if r.Err != nil {
-			t.Fatalf("non-reentrant batch after refusal: %v", r.Err)
-		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("small batch items waited for a held scheduler worker")
 	}
 }
 

@@ -88,17 +88,6 @@ type Options struct {
 	// cores free for co-scheduled solves. Results are identical at any
 	// setting.
 	TridiagWorkers int
-	// SkipSymmetryCheck disables the O(n²) input-symmetry validation. The
-	// solver then trusts the caller: a non-symmetric input yields the
-	// spectrum of an unspecified nearby matrix rather than an error. Use it
-	// when matrices are constructed symmetric by design and the solve is
-	// latency-critical.
-	SkipSymmetryCheck bool
-	// SkipFiniteCheck disables the O(n²) scan that rejects NaN/±Inf inputs
-	// with a *NotFiniteError before any factorization work. With the check
-	// skipped, a non-finite input produces unspecified results (typically a
-	// NaN-filled spectrum or a symmetry-check failure).
-	SkipFiniteCheck bool
 	// Collector, when non-nil, receives per-phase timings and per-kernel
 	// flop counts. Batch solves attribute work per item into child
 	// collectors and merge them here (see BatchResult.Trace).
@@ -110,10 +99,6 @@ type Options struct {
 	// BatchConcurrency caps how many batch items SolveBatch runs at once;
 	// 0 picks the scheduler width (Workers, or 1 for a sequential Solver).
 	BatchConcurrency int
-	// BatchFanout is the matrix order at or above which a batch item fans
-	// out into per-tile tasks on the shared scheduler instead of running as
-	// a single whole-solve task; 0 picks DefaultBatchFanout.
-	BatchFanout int
 }
 
 // normalize clamps out-of-range option values in place so that invalid
@@ -145,9 +130,6 @@ func (o *Options) normalize() {
 	if o.BatchConcurrency < 0 {
 		o.BatchConcurrency = 0
 	}
-	if o.BatchFanout < 0 {
-		o.BatchFanout = 0
-	}
 }
 
 func (o *Options) toCore(vectors bool, il, iu int) core.Options {
@@ -170,13 +152,6 @@ func (o *Options) toCore(vectors bool, il, iu int) core.Options {
 	c.Vectors = vectors
 	c.IL, c.IU = il, iu
 	return c
-}
-
-func (o *Options) algorithm() Algorithm {
-	if o == nil {
-		return TwoStage
-	}
-	return o.Algorithm
 }
 
 // Result holds the output of an eigensolve.
@@ -284,10 +259,6 @@ func fromDense(d *matrix.Dense) *Matrix {
 		copy(m.data[j*m.r:j*m.r+m.r], d.Data[j*d.Stride:j*d.Stride+d.Rows])
 	}
 	return m
-}
-
-func (m *Matrix) dense() *matrix.Dense {
-	return matrix.NewDenseFrom(m.r, m.c, max(1, m.r), m.data)
 }
 
 // Dims returns the matrix dimensions.

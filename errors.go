@@ -16,7 +16,7 @@ var ErrNotFinite = errors.New("eigen: input contains a non-finite value")
 
 // NotFiniteError reports the first non-finite entry found in an input
 // matrix. It matches ErrNotFinite under errors.Is. The scan runs on every
-// solve unless Options.SkipFiniteCheck is set.
+// solve, before the symmetry check and any factorization work.
 type NotFiniteError struct {
 	// Row, Col locate the offending entry.
 	Row, Col int
@@ -57,15 +57,6 @@ func (e *RangeError) Error() string {
 
 // Is reports whether target is ErrInvalidRange.
 func (e *RangeError) Is(target error) bool { return target == ErrInvalidRange }
-
-// ErrReentrantBatch is returned in every BatchResult when SolveBatch is
-// called from inside one of the Solver's own scheduler tasks (for example
-// from code running under another solve on the same Solver). Such a call
-// would submit work and then block waiting for workers that are already
-// occupied by the caller — a guaranteed deadlock on a saturated pool — so it
-// is detected up front and refused per item. Calling SolveBatch from an
-// ordinary goroutine, or on a *different* Solver, is always fine.
-var ErrReentrantBatch = errors.New("eigen: SolveBatch called from inside a scheduler task")
 
 // ErrNoConvergence is returned (unwrapped, so == comparison also works) when
 // an iterative tridiagonal eigensolver exceeds its iteration budget. For

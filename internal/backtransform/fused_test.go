@@ -32,14 +32,17 @@ func twoPhase(f *band.Factor, p *Plan, e *matrix.Dense) {
 	f.ApplyQ1Block(blas.NoTrans, e, make([]float64, f.Q1Work()), nil)
 }
 
-// TestApplyFusedMatchesTwoPhase: the fused single pass — inline and on a
-// scheduler, at several column-block widths — is bitwise the two factors
-// applied one after the other to the whole of E.
+// TestApplyFusedMatchesTwoPhase: the fused single pass — inline and on
+// schedulers of several widths, at several column-block widths from one
+// column to all of E — is bitwise the two factors applied one after the
+// other to the whole of E.
 func TestApplyFusedMatchesTwoPhase(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range []struct{ n, nb, cols, colBlock int }{
 		{30, 6, 30, 7},
 		{40, 8, 40, 0},
+		{40, 8, 40, 1},
+		{40, 8, 40, 40},
 		{33, 8, 12, 5}, // thin E
 		{24, 24, 24, 6},
 	} {
@@ -59,18 +62,20 @@ func TestApplyFusedMatchesTwoPhase(t *testing.T) {
 				tc.n, tc.nb, tc.cols, tc.colBlock)
 		}
 
-		// Dynamic scheduler job.
-		s := sched.New(3)
-		got2 := e.Clone()
-		job := s.NewJob(nil)
-		p.ApplyFused(f, got2, job, tc.colBlock, nil)
-		if err := job.Err(); err != nil {
-			t.Fatal(err)
-		}
-		s.Shutdown()
-		if !got2.Equalish(want, 0) {
-			t.Fatalf("n=%d nb=%d cols=%d colBlock=%d: scheduled fused differs from two-phase",
-				tc.n, tc.nb, tc.cols, tc.colBlock)
+		// Dynamic scheduler jobs.
+		for _, workers := range []int{2, 3, 7} {
+			s := sched.New(workers)
+			got2 := e.Clone()
+			job := s.NewJob(nil)
+			p.ApplyFused(f, got2, job, tc.colBlock, nil)
+			if err := job.Err(); err != nil {
+				t.Fatal(err)
+			}
+			s.Shutdown()
+			if !got2.Equalish(want, 0) {
+				t.Fatalf("n=%d nb=%d cols=%d colBlock=%d workers=%d: scheduled fused differs from two-phase",
+					tc.n, tc.nb, tc.cols, tc.colBlock, workers)
+			}
 		}
 	}
 }

@@ -158,7 +158,7 @@ type reducer struct {
 	f       *Factor
 	tm      *matrix.TileMatrix
 	tc      *trace.Collector
-	scratch [][]float64      // per-worker kernel workspace, scratchLen(nb) each
+	scratch work.WorkerSlabs // per-worker kernel workspace, scratchLen(nb) each
 	named   bool             // the scheduler records traces, so tasks carry names
 	forms   householder.Form // op(H) forms every panel reflector is prepared for
 	packed  *work.Slab       // storage of the prepared reflectors
@@ -203,9 +203,9 @@ func (r *reducer) geqrt(k, w int) {
 	t := r.t0()
 	m1, kw, kr := r.panelGeom(k)
 	panel := r.tm.Tile(k+1, k)
-	Geqrt(m1, kw, panel, m1, r.f.Tge[k], kr, r.scratch[w][:kr+kw], r.tc)
+	Geqrt(m1, kw, panel, m1, r.f.Tge[k], kr, r.scratch.For(w)[:kr+kw], r.tc)
 	r.f.Hge[k].Prepare(false, m1, kr, panel, m1, r.f.Tge[k], kr, r.forms,
-		r.packed.Take(householder.PackedLen(false, m1, kr, r.forms)), r.scratch[w])
+		r.packed.Take(householder.PackedLen(false, m1, kr, r.forms)), r.scratch.For(w))
 	r.acc(&r.panelNs, t)
 }
 
@@ -214,8 +214,8 @@ func (r *reducer) syrfb(k, w int) {
 	t := r.t0()
 	m1 := r.tm.TileRows(k + 1)
 	diag := r.tm.Tile(k+1, k+1)
-	Ormqr(blas.Left, blas.Trans, m1, &r.f.Hge[k], diag, m1, r.scratch[w], r.tc)
-	Ormqr(blas.Right, blas.NoTrans, m1, &r.f.Hge[k], diag, m1, r.scratch[w], r.tc)
+	Ormqr(blas.Left, blas.Trans, m1, &r.f.Hge[k], diag, m1, r.scratch.For(w), r.tc)
+	Ormqr(blas.Right, blas.NoTrans, m1, &r.f.Hge[k], diag, m1, r.scratch.For(w), r.tc)
 	r.acc(&r.panelNs, t)
 }
 
@@ -246,7 +246,7 @@ func (r *reducer) ormqrL(k, j, w int) {
 	t := r.t0()
 	m1 := r.tm.TileRows(k + 1)
 	nc := r.tm.TileCols(j)
-	Ormqr(blas.Left, blas.Trans, nc, &r.f.Hge[k], r.tm.Tile(k+1, j), m1, r.scratch[w], r.tc)
+	Ormqr(blas.Left, blas.Trans, nc, &r.f.Hge[k], r.tm.Tile(k+1, j), m1, r.scratch.For(w), r.tc)
 	if r.keepColumnCopy(k+1, j) {
 		r.transpose(k+1, j)
 	}
@@ -259,9 +259,9 @@ func (r *reducer) tsqrt(k, i, w int) {
 	m1, kw, _ := r.panelGeom(k)
 	m2 := r.tm.TileRows(i)
 	v2, tts := r.tm.Tile(i, k), r.f.Tts[k][i-(k+2)]
-	Tsqrt(kw, m2, r.tm.Tile(k+1, k), m1, v2, m2, tts, kw, r.scratch[w], r.tc)
+	Tsqrt(kw, m2, r.tm.Tile(k+1, k), m1, v2, m2, tts, kw, r.scratch.For(w), r.tc)
 	r.f.Hts[k][i-(k+2)].Prepare(true, m2, kw, v2, m2, tts, kw, r.forms,
-		r.packed.Take(householder.PackedLen(true, m2, kw, r.forms)), r.scratch[w])
+		r.packed.Take(householder.PackedLen(true, m2, kw, r.forms)), r.scratch.For(w))
 	r.acc(&r.panelNs, t)
 }
 
@@ -276,7 +276,7 @@ func (r *reducer) tsmqrL(k, i, j, w int) {
 	m2 := r.tm.TileRows(i)
 	nc := r.tm.TileCols(j)
 	Tsmqr(blas.Left, blas.Trans, nc, &r.f.Hts[k][i-(k+2)],
-		r.tm.Tile(k+1, j), m1, r.tm.Tile(i, j), m2, r.scratch[w], r.tc)
+		r.tm.Tile(k+1, j), m1, r.tm.Tile(i, j), m2, r.scratch.For(w), r.tc)
 	if j != k+1 && j != i {
 		r.transpose(i, j)
 		if r.keepColumnCopy(i, j) {
@@ -293,7 +293,7 @@ func (r *reducer) tsmqrC(k, i, row, w int) {
 	t := r.t0()
 	mr := r.tm.TileRows(row)
 	Tsmqr(blas.Right, blas.NoTrans, mr, &r.f.Hts[k][i-(k+2)],
-		r.tm.Tile(row, k+1), mr, r.tm.Tile(row, i), mr, r.scratch[w], r.tc)
+		r.tm.Tile(row, k+1), mr, r.tm.Tile(row, i), mr, r.scratch.For(w), r.tc)
 	r.acc(&r.updateNs, t)
 }
 
@@ -415,7 +415,7 @@ func newReducer(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc 
 	r := &sc.r
 	*r = reducer{
 		f: f, tm: tm, tc: tc,
-		scratch: ws.PerWorker(work.Stage1Scratch, job.Workers(), scratchLen(nb)),
+		scratch: ws.WorkerSlabs(work.Stage1Scratch, job.Workers(), scratchLen(nb)),
 		named:   job.Traced(),
 		forms:   forms,
 		packed:  ws.SlabOf(work.Stage1Packed, capP),

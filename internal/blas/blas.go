@@ -6,12 +6,11 @@
 // matrix a lives at a[i+j*lda] with lda >= m. All routines are pure Go and
 // allocation-free on their hot paths.
 //
-// The Level 3 kernels (Gemm, Syr2k) are cache-blocked. Gemm additionally
-// supports parallel execution over column panels via SetParallelism, and its
-// packed left-operand layout and micro-kernel grid are exported (Packing) for
-// callers that multiply by one matrix many times; everything else is
-// sequential because the eigensolver extracts its parallelism one level up,
-// from the task scheduler in internal/sched.
+// The Level 3 kernels (Gemm, Syr2k) are cache-blocked. Gemm's packed
+// left-operand layout and micro-kernel grid are exported (Packing) for
+// callers that multiply by one matrix many times. Every routine is
+// sequential: the eigensolver extracts its parallelism one level up, from the
+// task scheduler in internal/sched.
 package blas
 
 import "fmt"

@@ -245,23 +245,6 @@ func TestDgemmAgainstNaive(t *testing.T) {
 	}
 }
 
-func TestDgemmParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m, n, k := 150, 260, 90
-	a := randMat(rng, m, k, m)
-	b := randMat(rng, k, n, k)
-	c1 := make([]float64, m*n)
-	c2 := make([]float64, m*n)
-	old := SetParallelism(1)
-	Dgemm(NoTrans, NoTrans, m, n, k, 1, a, m, b, k, 0, c1, m)
-	SetParallelism(4)
-	Dgemm(NoTrans, NoTrans, m, n, k, 1, a, m, b, k, 0, c2, m)
-	SetParallelism(old)
-	if d := maxDiff(c1, c2); d != 0 {
-		t.Fatalf("parallel Dgemm differs from serial by %g", d)
-	}
-}
-
 func TestDsyr2kAgainstGemm(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n, k := 11, 7
@@ -332,12 +315,4 @@ func TestParamPanics(t *testing.T) {
 	mustPanic("bad lda", func() {
 		Dgemm(NoTrans, NoTrans, 4, 4, 4, 1, make([]float64, 16), 2, make([]float64, 16), 4, 0, make([]float64, 16), 4)
 	})
-}
-
-func TestSetParallelismClamp(t *testing.T) {
-	old := SetParallelism(-3)
-	if Parallelism() != 1 {
-		t.Fatalf("negative parallelism not clamped: %d", Parallelism())
-	}
-	SetParallelism(old)
 }

@@ -1,29 +1,5 @@
 package blas
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// parallelism is the number of goroutines Dgemm may fan out to. It defaults
-// to GOMAXPROCS and may be changed with SetParallelism. The eigensolver's
-// task scheduler usually wants this set to 1 so that parallelism is
-// extracted at the task level instead of inside individual kernels.
-var parallelism int64 = int64(runtime.GOMAXPROCS(0))
-
-// SetParallelism sets the maximum number of goroutines the Level 3 kernels
-// may use internally and returns the previous value. n < 1 is treated as 1.
-func SetParallelism(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return int(atomic.SwapInt64(&parallelism, int64(n)))
-}
-
-// Parallelism reports the current Level 3 kernel parallelism.
-func Parallelism() int { return int(atomic.LoadInt64(&parallelism)) }
-
 // Dgemm computes C := alpha*op(A)*op(B) + beta*C where op(A) is m×k and
 // op(B) is k×n, all column-major.
 //
@@ -68,9 +44,7 @@ func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, ld
 	}
 
 	// The loaded configuration is shared by pointer (SetBlocking swaps the
-	// pointer, never mutates in place); copying it here would make the copy
-	// escape into the closures below and cost one heap allocation per call,
-	// which the tile kernels issue millions of times.
+	// pointer, never mutates in place).
 	bk := blocking.Load()
 	mr, useAsm := bk.resolveMR()
 	// Pack storage sized to the actual problem, not the configured maxima
@@ -79,40 +53,6 @@ func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, ld
 	packNA := roundUp(min(bk.MC, m), mr) * kcEff
 	packNB := min(bk.NC, roundUp(n, microNR)) * kcEff
 
-	p := Parallelism()
-	if p > 1 && n >= 2*bk.NC && int64(m)*int64(n)*int64(k) > 1<<18 {
-		// Split C into column panels; each panel is an independent gemm.
-		panels := (n + bk.NC - 1) / bk.NC
-		if p > panels {
-			p = panels
-		}
-		var wg sync.WaitGroup
-		var next int64
-		for w := 0; w < p; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				buf := getPackBuf(packNA, packNB)
-				defer putPackBuf(buf)
-				for {
-					j := int(atomic.AddInt64(&next, 1)-1) * bk.NC
-					if j >= n {
-						return
-					}
-					jn := min(bk.NC, n-j)
-					var bsub []float64
-					if transB == NoTrans {
-						bsub = b[j*ldb:]
-					} else {
-						bsub = b[j:]
-					}
-					gemmBlocked(transA, transB, m, jn, k, alpha, a, lda, bsub, ldb, c[j*ldc:], ldc, bk, mr, useAsm, buf)
-				}
-			}()
-		}
-		wg.Wait()
-		return
-	}
 	buf := getPackBuf(packNA, packNB)
 	gemmBlocked(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc, bk, mr, useAsm, buf)
 	putPackBuf(buf)

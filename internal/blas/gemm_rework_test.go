@@ -173,26 +173,6 @@ func TestSetBlockingNormalizes(t *testing.T) {
 	}
 }
 
-// TestDgemmPanelSplitMatchesSerial checks that the worker split over NC
-// panels is numerically inert (bitwise, not just approximately).
-func TestDgemmPanelSplitMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	m, n, k := 96, 4*DefaultNC, 64
-	a := randMat(rng, m, k, m)
-	b := randMat(rng, k, n, k)
-	c := randMat(rng, m, n, m)
-	prev := SetParallelism(1)
-	serial := gemmOnce(NoTrans, NoTrans, m, n, k, 1, a, m, b, k, 0, c, m)
-	SetParallelism(4)
-	par := gemmOnce(NoTrans, NoTrans, m, n, k, 1, a, m, b, k, 0, c, m)
-	SetParallelism(prev)
-	for i := range par {
-		if par[i] != serial[i] {
-			t.Fatalf("parallel element %d differs from serial", i)
-		}
-	}
-}
-
 // TestLevel3RoutingAgainstRef checks the blocked Dsyr2k path (sizes above
 // routeBlock, so off-diagonal work routes through Dgemm) against its scalar
 // reference form.

@@ -100,7 +100,7 @@ type chaser struct {
 	out       []Reflector // retained Result.Refs storage
 	maxLevels int
 	slab      *work.Slab
-	scratch   [][]float64 // per worker, 2·bw floats: u = [1; v], then a product
+	scratch   work.WorkerSlabs // per worker, 2·bw floats: u = [1; v], then a product
 }
 
 // outCache bundles the chase outputs that outlive the kernels (the Result
@@ -158,7 +158,7 @@ func newChaser(b2 *matrix.SymBand, workers int, ws *work.Arena, tc *trace.Collec
 
 	c.ws, c.tc, c.refs, c.maxLevels = ws, tc, refs, maxLevels
 	c.slab = ws.SlabOf(work.Stage2Slab, capV)
-	c.scratch = ws.PerWorker(work.Stage2Scratch, workers, 2*bw)
+	c.scratch = ws.WorkerSlabs(work.Stage2Scratch, workers, 2*bw)
 	return c
 }
 
@@ -170,7 +170,8 @@ func (c *chaser) startSweep(sw, worker int) {
 	n, bw := c.w.n, c.w.bw
 	len0 := min(bw, n-1-sw)
 	r0 := sw + 1
-	u, p := c.scratch[worker][:bw], c.scratch[worker][bw:]
+	sc := c.scratch.For(worker)
+	u, p := sc[:bw], sc[bw:]
 	v, tau := c.w.larfgColumn(sw, r0, len0, c.slab, u, c.tc)
 	c.refs[c.slot(sw, 0)] = Reflector{Sweep: sw, Level: 0, Row: r0, V: v, Tau: tau}
 	c.w.symTwoSided(r0, len0, u, tau, p, c.tc)
@@ -185,7 +186,8 @@ func (c *chaser) chaseStep(sw, lvl, worker int) {
 	nextLen := min(bw, n-nextStart)
 
 	prev := &c.refs[c.slot(sw, lvl-1)]
-	u, p := c.scratch[worker][:bw], c.scratch[worker][bw:]
+	sc := c.scratch.For(worker)
+	u, p := sc[:bw], sc[bw:]
 	u[0] = 1
 	copy(u[1:], prev.V)
 	// xHBREL: right update of the off-diagonal block by the previous

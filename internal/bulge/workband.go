@@ -47,13 +47,6 @@ func (w *workBand) at(i, j int) float64 {
 	return w.data[(i-j)+j*w.lda]
 }
 
-func (w *workBand) set(i, j int, v float64) {
-	if i < j {
-		i, j = j, i
-	}
-	w.data[(i-j)+j*w.lda] = v
-}
-
 // col returns the contiguous storage of column j for rows [r0, r0+len).
 // The requested rows must lie inside the extended band — a violation would
 // silently alias the next column's storage, so it is checked.

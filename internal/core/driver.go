@@ -80,12 +80,6 @@ type Options struct {
 	// and return the slice (matching LAPACK semantics, and the complexity
 	// argument of the paper's fraction f).
 	IL, IU int
-	// Group is the diamond-group width for the Q₂ back-transformation
-	// (≤ 0 → a quarter of the bandwidth, clamped to [4, 16]).
-	Group int
-	// ColBlock is the eigenvector column-block width for per-core locality
-	// (≤ 0 → backtransform.ApplyFused's default).
-	ColBlock int
 	// Collector receives flop counts and per-phase timings; may be nil.
 	Collector *trace.Collector
 

@@ -241,8 +241,8 @@ func (Backtrans) Run(ctx context.Context, st *SolveState) error {
 	}
 	job := st.phaseJob(ctx)
 	st.tc.Phase(trace.PhaseBacktransFused, func() {
-		plan := backtransform.NewPlan(st.chase, st.o.Group, st.ws)
-		plan.ApplyFused(st.f1, st.evecs, job, st.o.ColBlock, st.tc)
+		plan := backtransform.NewPlan(st.chase, 0, st.ws)
+		plan.ApplyFused(st.f1, st.evecs, job, 0, st.tc)
 	})
 	if err := job.Err(); err != nil {
 		return err

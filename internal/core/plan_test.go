@@ -55,7 +55,6 @@ func TestBuildPlan(t *testing.T) {
 	wantNames := []string{"stage1", "stage2", "eig_t", "back_trans"}
 	for _, o := range []Options{
 		{},
-		{NB: 96, Group: 16, ColBlock: 32},
 		{Workers: 4, Stage2Workers: 2, TridiagWorkers: 1},
 		{Method: MethodBI, IL: 2, IU: 5},
 		{Method: MethodQR},

@@ -25,21 +25,6 @@ func NewSymBand(n, kd int) *SymBand {
 	return &SymBand{N: n, KD: kd, LDA: kd + 1, Data: make([]float64, (kd+1)*n)}
 }
 
-// NewSymBandFrom wraps existing band storage (length ≥ (kd+1)·n) without
-// copying; used by pooled workspaces.
-func NewSymBandFrom(n, kd int, data []float64) *SymBand {
-	if n < 0 || kd < 0 {
-		panic("matrix: negative band dimension")
-	}
-	if kd >= n && n > 0 {
-		kd = n - 1
-	}
-	if len(data) < (kd+1)*n {
-		panic("matrix: band data slice too short")
-	}
-	return &SymBand{N: n, KD: kd, LDA: kd + 1, Data: data[:(kd+1)*n]}
-}
-
 // InBand reports whether (i, j) lies within the stored band (including the
 // symmetric upper part).
 func (b *SymBand) InBand(i, j int) bool {

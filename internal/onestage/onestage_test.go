@@ -3,6 +3,7 @@ package onestage
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/blas"
@@ -163,11 +164,10 @@ func TestApplyQWideMatchesSequential(t *testing.T) {
 	for i := range c.Data {
 		c.Data[i] = rng.NormFloat64()
 	}
-	old := blas.SetParallelism(1)
-	defer blas.SetParallelism(old)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	want := c.Clone()
 	ApplyQ(a, tau, blas.NoTrans, want, 4, nil, nil)
-	blas.SetParallelism(3)
+	runtime.GOMAXPROCS(3)
 	got := c.Clone()
 	ApplyQ(a, tau, blas.NoTrans, got, 4, nil, nil)
 	if !got.Equalish(want, 0) {

@@ -1,6 +1,7 @@
 package onestage
 
 import (
+	"runtime"
 	"sync"
 
 	"repro/internal/blas"
@@ -45,12 +46,12 @@ func ApplyQ(a *matrix.Dense, tau []float64, trans blas.Transpose, c *matrix.Dens
 		form = householder.FormHT
 	}
 	// Column ranges of C are independent under a Left application and the
-	// result does not depend on how they are cut, so a wide C is split
-	// across goroutines under the rule Dgemm fans out by (this routine has no
-	// scheduler job; blas.Parallelism is the knob that bounds it).
+	// result does not depend on how they are cut, so a wide C is split into
+	// NC-wide ranges across up to GOMAXPROCS goroutines (this routine has no
+	// scheduler job).
 	parts := 1
 	if m >= 2*blas.DefaultNC {
-		parts = min(blas.Parallelism(), (m+blas.DefaultNC-1)/blas.DefaultNC)
+		parts = min(runtime.GOMAXPROCS(0), (m+blas.DefaultNC-1)/blas.DefaultNC)
 	}
 	cols := (m + parts - 1) / parts
 	rmax := n - 1

@@ -14,11 +14,8 @@
 package sched
 
 import (
-	"bytes"
 	"container/heap"
 	"fmt"
-	"runtime"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -328,45 +325,8 @@ func (s *Scheduler) Trace() []TraceEvent {
 	return out
 }
 
-// workerGoros maps the goroutine id of every live scheduler worker to its
-// owning *Scheduler. It backs OnWorkerGoroutine, the re-entrance probe that
-// lets blocking entry points (SolveBatch's admission gate, whole-phase task
-// waits) refuse to run from inside one of their own tasks instead of
-// deadlocking on workers that are already occupied by the caller.
-var workerGoros sync.Map
-
-// curGoroutineID extracts the calling goroutine's id from the first line of
-// its stack trace ("goroutine N [running]:"). It is the standard trick for
-// goroutine identity in the absence of goroutine-local storage; the cost is
-// one runtime.Stack call, paid once per registration or probe — never per
-// task.
-func curGoroutineID() uint64 {
-	var buf [64]byte
-	b := buf[:runtime.Stack(buf[:], false)]
-	b = bytes.TrimPrefix(b, []byte("goroutine "))
-	if i := bytes.IndexByte(b, ' '); i >= 0 {
-		b = b[:i]
-	}
-	id, _ := strconv.ParseUint(string(b), 10, 64)
-	return id
-}
-
-// OnWorkerGoroutine reports whether the calling goroutine is one of this
-// scheduler's workers — i.e. whether the caller is executing inside a task.
-// Code that would block waiting for scheduler capacity (such as submitting
-// work and waiting on it) must not do so from a worker goroutine; this probe
-// makes that error detectable so it can surface as a typed error instead of
-// a deadlock.
-func (s *Scheduler) OnWorkerGoroutine() bool {
-	owner, ok := workerGoros.Load(curGoroutineID())
-	return ok && owner.(*Scheduler) == s
-}
-
 func (s *Scheduler) worker(id int) {
 	defer s.wg.Done()
-	gid := curGoroutineID()
-	workerGoros.Store(gid, s)
-	defer workerGoros.Delete(gid)
 	mask := uint64(1) << uint(id)
 	for {
 		s.mu.Lock()

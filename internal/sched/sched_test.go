@@ -390,32 +390,6 @@ func TestSubmitAfterShutdown(t *testing.T) {
 	}
 }
 
-func TestOnWorkerGoroutine(t *testing.T) {
-	s := New(2)
-	defer s.Shutdown()
-	other := New(1)
-	defer other.Shutdown()
-
-	if s.OnWorkerGoroutine() {
-		t.Fatal("submitting goroutine misdetected as a worker")
-	}
-	var onS, onOther bool
-	j := s.NewJob(nil)
-	j.Submit(Task{Name: "probe", Run: func(int) {
-		onS = s.OnWorkerGoroutine()
-		onOther = other.OnWorkerGoroutine()
-	}})
-	if err := j.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if !onS {
-		t.Fatal("task body not detected as running on its own scheduler's worker")
-	}
-	if onOther {
-		t.Fatal("task body misattributed to a different scheduler's worker")
-	}
-}
-
 // TestSchedRandomDAGDrains drives random access lists — reads, writes and
 // in-place updates over 16 resources, repeats included — with random
 // priorities at several widths, and cancels the job from inside a random task

@@ -129,17 +129,6 @@ func (d *DiskStore) Get(id string) (*Job, error) {
 	return j.Clone(), nil
 }
 
-// List implements Store.
-func (d *DiskStore) List() ([]*Job, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]*Job, 0, len(d.jobs))
-	for _, j := range d.jobs {
-		out = append(out, j.Clone())
-	}
-	return out, nil
-}
-
 // Delete implements Store: it appends a tombstone.
 func (d *DiskStore) Delete(id string) error {
 	d.mu.Lock()

@@ -16,16 +16,14 @@ var ErrNotFound = errors.New("service: job not found")
 // backends (an SQL table, Redis, an object store) can slot in behind it
 // later without touching the HTTP layer.
 //
-// Implementations must be safe for concurrent use. Get and List return
-// private copies: mutating a returned job never changes the stored record.
+// Implementations must be safe for concurrent use. Get returns a private
+// copy: mutating a returned job never changes the stored record.
 type Store interface {
 	// Put inserts or replaces the record with j.ID. The store keeps its own
 	// copy; the caller may reuse j afterwards.
 	Put(j *Job) error
 	// Get returns a copy of the record, or ErrNotFound.
 	Get(id string) (*Job, error)
-	// List returns copies of every live record, in no particular order.
-	List() ([]*Job, error)
 	// Delete removes the record; deleting an unknown ID is ErrNotFound.
 	Delete(id string) error
 	// Close releases the store's resources. The store is unusable after.
@@ -122,21 +120,6 @@ func (m *MemStore) Get(id string) (*Job, error) {
 		return nil, ErrNotFound
 	}
 	return j.Clone(), nil
-}
-
-// List implements Store.
-func (m *MemStore) List() ([]*Job, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*Job, 0, len(m.jobs))
-	now := time.Now()
-	for id, j := range m.jobs {
-		if at, exp := m.expiry[id]; exp && now.After(at) {
-			continue
-		}
-		out = append(out, j.Clone())
-	}
-	return out, nil
 }
 
 // Delete implements Store.

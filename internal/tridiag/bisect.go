@@ -134,16 +134,3 @@ func Stebz(d, e []float64, il, iu int) []float64 {
 	(*Work)(nil).stebzInto(d, e, il, iu, out, il)
 	return out
 }
-
-// StebzRange computes all eigenvalues in the half-open interval (vl, vu],
-// returning them in ascending order together with the index (1-based) of the
-// first one.
-func StebzRange(d, e []float64, vl, vu float64) (vals []float64, first int) {
-	nLess := SturmCount(d, e, vl)
-	nLeq := SturmCount(d, e, vu)
-	// Eigenvalues with index nLess+1 .. nLeq lie in (vl, vu].
-	if nLeq <= nLess {
-		return nil, nLess + 1
-	}
-	return Stebz(d, e, nLess+1, nLeq), nLess + 1
-}

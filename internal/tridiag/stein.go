@@ -229,8 +229,6 @@ func solveLU(n int, sub, diag, sup, sup2 []float64, swapped []bool, b []float64)
 // not orthogonal to the target eigenvector.
 type xorshift struct{ s uint64 }
 
-func newXorshift(seed uint64) *xorshift { return &xorshift{s: seed | 1} }
-
 func (x *xorshift) next() uint64 {
 	x.s ^= x.s << 13
 	x.s ^= x.s >> 7

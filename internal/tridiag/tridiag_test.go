@@ -324,31 +324,6 @@ func TestStebzSubset(t *testing.T) {
 	}
 }
 
-func TestStebzRange(t *testing.T) {
-	d, e := laplacian121(30)
-	vals, first := StebzRange(d, e, 1.0, 3.0)
-	// All returned values must lie in (1, 3].
-	for _, v := range vals {
-		if v <= 1.0-1e-10 || v > 3.0+1e-10 {
-			t.Fatalf("value %g outside (1,3]", v)
-		}
-	}
-	// Cross-check count against the analytic spectrum.
-	var want int
-	firstWant := 1
-	for _, v := range analytic121(30) {
-		if v > 1 && v <= 3 {
-			want++
-		}
-		if v <= 1 {
-			firstWant++
-		}
-	}
-	if len(vals) != want || first != firstWant {
-		t.Fatalf("range: got %d values starting at %d, want %d at %d", len(vals), first, want, firstWant)
-	}
-}
-
 func TestSteinResidualAndOrtho(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, n := range []int{2, 10, 60} {

@@ -100,15 +100,6 @@ func push[T any](mu *sync.Mutex, lists map[int][]T, key int, v T) {
 // NewWork returns an empty pool.
 func NewWork() *Work { return &Work{free: newFreeLists()} }
 
-// WorkspaceBytes reports the pool's retained float storage (for workspace-
-// budget accounting; see work.WorkspaceSized).
-func (w *Work) WorkspaceBytes() int64 {
-	if w == nil {
-		return 0
-	}
-	return w.free.bytes()
-}
-
 // vec returns a zeroed float buffer of exactly length n.
 func (w *Work) vec(n int) []float64 {
 	b := w.buf(n)

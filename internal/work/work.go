@@ -59,8 +59,8 @@ const (
 
 // Arena is a per-solve workspace. It is NOT safe for concurrent use by
 // multiple solves; the only concurrency it supports is multiple scheduler
-// workers of one solve calling Slab.Take and using their own PerWorker
-// slots. A nil *Arena is valid everywhere and simply allocates fresh
+// workers of one solve calling Slab.Take and using their own WorkerSlabs
+// slices. A nil *Arena is valid everywhere and simply allocates fresh
 // buffers, so one-shot code paths need no conditionals.
 //
 // With the phase-plan driver a "solve" may span dormant time: a
@@ -70,12 +70,11 @@ const (
 // another solve until that state is finished — suspending a state suspends
 // the arena with it.
 type Arena struct {
-	floats    map[Key][]float64
-	perWorker map[Key][][]float64
-	slabs     map[Key]*Slab
-	values    map[Key]any
-	denses    map[Key]*matrix.Dense
-	bands     map[Key]*matrix.SymBand
+	floats map[Key][]float64
+	slabs  map[Key]*Slab
+	values map[Key]any
+	denses map[Key]*matrix.Dense
+	bands  map[Key]*matrix.SymBand
 
 	// Pool bookkeeping: the size class of the solve the arena last served
 	// and, while idle under a budgeted pool, its counted footprint.
@@ -86,12 +85,11 @@ type Arena struct {
 // NewArena returns an empty arena.
 func NewArena() *Arena {
 	return &Arena{
-		floats:    make(map[Key][]float64),
-		perWorker: make(map[Key][][]float64),
-		slabs:     make(map[Key]*Slab),
-		values:    make(map[Key]any),
-		denses:    make(map[Key]*matrix.Dense),
-		bands:     make(map[Key]*matrix.SymBand),
+		floats: make(map[Key][]float64),
+		slabs:  make(map[Key]*Slab),
+		values: make(map[Key]any),
+		denses: make(map[Key]*matrix.Dense),
+		bands:  make(map[Key]*matrix.SymBand),
 	}
 }
 
@@ -148,33 +146,6 @@ func (a *Arena) Band(k Key, n, kd int) *matrix.SymBand {
 	}
 	b.N, b.KD, b.LDA, b.Data = n, kd, kd+1, a.Floats(k, (kd+1)*n, true)
 	return b
-}
-
-// PerWorker returns workers buffers of the given size for the slot, one per
-// scheduler worker. Buffer contents are unspecified.
-func (a *Arena) PerWorker(k Key, workers, size int) [][]float64 {
-	if a == nil {
-		bufs := make([][]float64, workers)
-		for i := range bufs {
-			bufs[i] = make([]float64, size)
-		}
-		return bufs
-	}
-	bufs := a.perWorker[k]
-	if len(bufs) < workers {
-		grown := make([][]float64, workers)
-		copy(grown, bufs)
-		bufs = grown
-		a.perWorker[k] = bufs
-	}
-	for i := 0; i < workers; i++ {
-		if cap(bufs[i]) < size {
-			bufs[i] = make([]float64, size)
-		} else {
-			bufs[i] = bufs[i][:size]
-		}
-	}
-	return bufs[:workers]
 }
 
 // slabAlign is the worker-slab stride granularity in float64s (64 bytes =
@@ -294,7 +265,7 @@ type WorkspaceSized interface {
 }
 
 // Bytes reports the arena's retained workspace footprint: the capacity of
-// every float slot, per-worker buffer and slab, plus whatever cached opaque
+// every float slot (worker slabs included) and slab, plus whatever cached opaque
 // values report through WorkspaceSized. Dense/band headers alias the float
 // slots and are not double-counted.
 func (a *Arena) Bytes() int64 {
@@ -304,11 +275,6 @@ func (a *Arena) Bytes() int64 {
 	var b int64
 	for _, v := range a.floats {
 		b += int64(cap(v)) * 8
-	}
-	for _, bufs := range a.perWorker {
-		for _, v := range bufs {
-			b += int64(cap(v)) * 8
-		}
 	}
 	for _, s := range a.slabs {
 		b += int64(cap(s.buf)) * 8

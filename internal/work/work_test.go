@@ -49,9 +49,6 @@ func TestNilArena(t *testing.T) {
 		t.Fatal("nil arena Value")
 	}
 	a.SetValue("k", 1) // must not panic
-	if bufs := a.PerWorker("k", 2, 3); len(bufs) != 2 || len(bufs[0]) != 3 {
-		t.Fatal("nil arena PerWorker")
-	}
 }
 
 func TestDenseHeaderReuse(t *testing.T) {
@@ -118,22 +115,6 @@ func TestSlab(t *testing.T) {
 	}
 	if w[0] != 0 {
 		t.Fatal("Take did not zero")
-	}
-}
-
-func TestPerWorker(t *testing.T) {
-	a := NewArena()
-	bufs := a.PerWorker("k", 3, 4)
-	if len(bufs) != 3 {
-		t.Fatal("worker count")
-	}
-	bufs[2][0] = 9
-	grown := a.PerWorker("k", 5, 2)
-	if len(grown) != 5 || len(grown[0]) != 2 {
-		t.Fatal("grow")
-	}
-	if &grown[2][0] != &bufs[2][0] {
-		t.Fatal("existing worker buffers not retained across growth")
 	}
 }
 
@@ -261,9 +242,9 @@ func TestArenaBytes(t *testing.T) {
 		t.Fatal("empty arena has nonzero footprint")
 	}
 	a.Floats("f", 100, false)
-	a.PerWorker("w", 2, 50)
+	a.WorkerSlabs("w", 2, 50) // two 50-float slabs at a 56-float (cache-line) stride
 	a.SlabOf("s", 30)
-	want := int64(100+2*50+30) * 8
+	want := int64(100+2*56+30) * 8
 	if got := a.Bytes(); got != want {
 		t.Fatalf("Bytes = %d, want %d", got, want)
 	}

@@ -236,10 +236,8 @@ func (s *Solver) runSolve(ctx context.Context, scheduler *sched.Scheduler, tc *t
 			return nil, &RangeError{IL: il, IU: iu, N: n}
 		}
 	}
-	if !s.opts.SkipFiniteCheck {
-		if err := checkFinite(a.data, max(1, n)); err != nil {
-			return nil, err
-		}
+	if err := checkFinite(a.data, max(1, n)); err != nil {
+		return nil, err
 	}
 
 	ws := s.pool.Get(n)
@@ -257,10 +255,8 @@ func (s *Solver) runSolve(ctx context.Context, scheduler *sched.Scheduler, tc *t
 	ad := &hs.a
 	*ad = matrix.Dense{Rows: a.r, Cols: a.c, Stride: max(1, a.r), Data: a.data}
 
-	if !s.opts.SkipSymmetryCheck {
-		if !ad.IsSymmetric(symTol * ad.MaxAbs()) {
-			return nil, fmt.Errorf("eigen: matrix is not symmetric (tolerance %g·max|a|)", symTol)
-		}
+	if !ad.IsSymmetric(symTol * ad.MaxAbs()) {
+		return nil, fmt.Errorf("eigen: matrix is not symmetric (tolerance %g·max|a|)", symTol)
 	}
 
 	co := s.opts.toCore(vectors, il, iu)

@@ -14,7 +14,7 @@ func BenchmarkSolverReuse(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	n := 256
 	a := randSymMatrix(rng, n)
-	s := NewSolver(&Options{NB: 32, SkipSymmetryCheck: true})
+	s := NewSolver(&Options{NB: 32})
 	defer s.Close()
 	dst := NewMatrix(n)
 	ctx := context.Background()
@@ -38,7 +38,7 @@ func BenchmarkEigOneShot(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	n := 256
 	a := randSymMatrix(rng, n)
-	opts := &Options{NB: 32, SkipSymmetryCheck: true}
+	opts := &Options{NB: 32}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -60,7 +60,7 @@ func TestSolverReuseAllocRatio(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 256
 	a := randSymMatrix(rng, n)
-	opts := &Options{NB: 32, SkipSymmetryCheck: true}
+	opts := &Options{NB: 32}
 
 	oneShot := testing.AllocsPerRun(2, func() {
 		if _, err := Eig(a, opts); err != nil {

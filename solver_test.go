@@ -243,27 +243,17 @@ func TestSolverClose(t *testing.T) {
 	}
 }
 
-// TestSkipSymmetryCheck exercises both sides of the validation toggle: with
-// the check on, an asymmetric matrix is rejected; with it off, the solver
-// trusts the caller and still solves honest symmetric input correctly.
-func TestSkipSymmetryCheck(t *testing.T) {
+// TestSymmetryCheck pins the input validation every solve runs: an asymmetric
+// matrix is rejected before any factorization work, by both algorithms.
+func TestSymmetryCheck(t *testing.T) {
 	bad := NewMatrix(3)
 	bad.Set(0, 1, 1)
 	bad.Set(1, 0, 5)
-	if _, err := Eig(bad, nil); err == nil {
-		t.Fatal("asymmetric matrix accepted with check on")
+	for _, alg := range []Algorithm{TwoStage, OneStage} {
+		if _, err := Eig(bad, &Options{Algorithm: alg}); err == nil {
+			t.Fatalf("alg=%v: asymmetric matrix accepted", alg)
+		}
 	}
-	if _, err := Eig(bad, &Options{SkipSymmetryCheck: true}); err != nil {
-		t.Fatalf("SkipSymmetryCheck still validated: %v", err)
-	}
-
-	rng := rand.New(rand.NewSource(15))
-	a := randSymMatrix(rng, 20)
-	res, err := Eig(a, &Options{SkipSymmetryCheck: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResidual(t, a, res)
 }
 
 // TestEigTo checks the in-place entry point: the vectors land in dst, the
