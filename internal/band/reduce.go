@@ -1,6 +1,7 @@
 package band
 
 import (
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -597,25 +598,5 @@ func (r *reducer) name(kind string, i, j int) string {
 	if !r.named {
 		return ""
 	}
-	return taskName(kind, i, j)
-}
-
-func taskName(kind string, i, j int) string {
-	// Small helper to keep task submission readable; names only matter for
-	// traces.
-	return kind + "(" + itoa(i) + "," + itoa(j) + ")"
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	p := len(buf)
-	for v > 0 {
-		p--
-		buf[p] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[p:])
+	return kind + "(" + strconv.Itoa(i) + "," + strconv.Itoa(j) + ")"
 }

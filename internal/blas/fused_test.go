@@ -8,16 +8,18 @@ import (
 )
 
 // forEachPath runs f on the assembly kernels, where this CPU runs them, and
-// then with the probe forced off, on the portable twins.
-func forEachPath(t *testing.T, f func(path string)) {
-	t.Helper()
-	probed := asmKernels
-	if probed {
+// then with them turned off, on the portable twins.
+func forEachPath(f func(path string)) {
+	if asmKernels {
 		f("assembly")
 	}
-	asmKernels = false
-	defer func() { asmKernels = probed }()
-	f("portable")
+	portable(func() { f("portable") })
+}
+
+// portable runs f on the portable kernels.
+func portable(f func()) {
+	defer UseAsm(UseAsm(false))
+	f()
 }
 
 // TestGemmAsmBitwisePortable compares the assembly GEMM tile with its portable
@@ -73,7 +75,7 @@ func gemmTileCase(t *testing.T, rng *rand.Rand, m, n, kc, lo, hi int, kind fillK
 		sameFloats(t, "gemmMacro: assembly tile", macro(asmMR, true), twin)
 	}
 	var want []float64
-	forEachPath(t, func(path string) {
+	forEachPath(func(path string) {
 		got := slices.Clone(c)
 		Dgemm(NoTrans, NoTrans, m, n, kc, 1, a, m, b, kc, 1, got, m)
 		if want == nil {
@@ -111,7 +113,7 @@ func TestFusedRulePin(t *testing.T) {
 			}
 		}
 	}
-	forEachPath(t, func(path string) {
+	forEachPath(func(path string) {
 		t.Run(path, func(t *testing.T) {
 			// Ddot: the rows 0 and 4 of lane 0 through the quads, and the
 			// same terms as tail rows.
@@ -189,13 +191,9 @@ func TestFusedRulePin(t *testing.T) {
 			for j := 0; j < nc; j++ {
 				b[j*k], b[1+j*k] = q, p
 			}
-			for _, kern := range []Kernel{KernelAuto, Kernel2x4} {
-				c := make([]float64, m*nc)
-				withBlocking(t, Blocking{Kernel: kern}, func() {
-					Dgemm(NoTrans, NoTrans, m, nc, k, 1, a, m, b, k, 1, c, m)
-				})
-				check(t, "Dgemm "+kern.String(), c...)
-			}
+			c := make([]float64, m*nc)
+			Dgemm(NoTrans, NoTrans, m, nc, k, 1, a, m, b, k, 1, c, m)
+			check(t, "Dgemm", c...)
 		})
 	})
 }

@@ -5,11 +5,11 @@ package blas
 //
 // The blocked driver packs op(A) into MC×KC row-panels and op(B) into
 // KC×NC column-panels (once per block — the packed B panel is reused across
-// every MC strip), then runs the register-blocked micro-kernel selected by
-// the active Blocking over the packed panels. Every C element is one fused
+// every MC strip), then runs the register-blocked micro-kernel the CPU probe
+// selected (resolveMR) over the packed panels. Every C element is one fused
 // accumulation chain over k in ascending order, split only at KC
-// boundaries, so for a fixed KC the portable and the assembly kernel produce
-// bitwise identical results.
+// boundaries, so the portable and the assembly kernel produce bitwise
+// identical results.
 func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
 	rowA, colA := m, k
 	if transA == Trans {
@@ -43,34 +43,31 @@ func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, ld
 		return
 	}
 
-	// The loaded configuration is shared by pointer (SetBlocking swaps the
-	// pointer, never mutates in place).
-	bk := blocking.Load()
-	mr, useAsm := bk.resolveMR()
-	// Pack storage sized to the actual problem, not the configured maxima
-	// (a 24-wide tile-kernel gemm should not pin a megabyte of buffers).
-	kcEff := min(bk.KC, k)
-	packNA := roundUp(min(bk.MC, m), mr) * kcEff
-	packNB := min(bk.NC, roundUp(n, microNR)) * kcEff
+	mr, useAsm := resolveMR()
+	// Pack storage sized to the actual problem, not the blocking maxima (a
+	// 24-wide tile-kernel gemm should not pin a megabyte of buffers).
+	kcEff := min(DefaultKC, k)
+	packNA := roundUp(min(DefaultMC, m), mr) * kcEff
+	packNB := min(DefaultNC, roundUp(n, microNR)) * kcEff
 
 	buf := getPackBuf(packNA, packNB)
-	gemmBlocked(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc, bk, mr, useAsm, buf)
+	gemmBlocked(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc, mr, useAsm, buf)
 	putPackBuf(buf)
 }
 
 // gemmBlocked computes C += alpha*op(A)*op(B) (beta already applied) with
 // the three-level cache blocking. buf supplies the pack storage for the
 // whole call; nothing below this level allocates.
-func gemmBlocked(transA, transB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, bk *Blocking, mr int, useAsm bool, buf *packBuf) {
-	for jj := 0; jj < n; jj += bk.NC {
-		nc := min(bk.NC, n-jj)
-		for kk := 0; kk < k; kk += bk.KC {
-			kc := min(bk.KC, k-kk)
+func gemmBlocked(transA, transB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, mr int, useAsm bool, buf *packBuf) {
+	for jj := 0; jj < n; jj += DefaultNC {
+		nc := min(DefaultNC, n-jj)
+		for kk := 0; kk < k; kk += DefaultKC {
+			kc := min(DefaultKC, k-kk)
 			// Pack alpha·op(B)[kk:kk+kc, jj:jj+nc] once; it is reused by
 			// every MC strip of A below.
 			packB(buf.b, transB, b, ldb, kk, jj, kc, nc, alpha)
-			for ii := 0; ii < m; ii += bk.MC {
-				mc := min(bk.MC, m-ii)
+			for ii := 0; ii < m; ii += DefaultMC {
+				mc := min(DefaultMC, m-ii)
 				packA(buf.a, transA, a, lda, ii, kk, mc, kc, mr, useAsm)
 				gemmMacro(buf.a, buf.b, kc, mc, nc, kc, mr, useAsm, c[ii+jj*ldc:], ldc, nil)
 			}

@@ -5,8 +5,8 @@ package blas
 import "math"
 
 // The AVX2/FMA 12×4 micro-kernel, built into every amd64 binary and selected
-// at run time: asmKernels holds the CPU probe's answer, and KernelAuto runs
-// the assembly only when it passed. Every chain is fused — s ← fma(a, b, s),
+// at run time: resolveMR picks it wherever asmKernels is set, i.e. where the
+// CPU probe passed and UseAsm did not turn it off. Every chain is fused — s ← fma(a, b, s),
 // one rounding per step — which is also what the portable kernels compute
 // with math.FMA, so the two are bitwise identical and the tests compare them
 // for equality, not tolerance.
@@ -25,7 +25,7 @@ func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 // xgetbvAsm reads XCR0 (requires OSXSAVE).
 func xgetbvAsm() (eax, edx uint32)
 
-// probeAsm is the CPU probe asmKernels takes at package init.
+// probeAsm is the CPU probe taken once at package init (probedAsm).
 func probeAsm() bool { return cpuRunsKernels(cpuBits()) }
 
 // cpuBits reads CPUID leaf 1 ECX, leaf 7 EBX (0 where the CPU has no leaf 7)

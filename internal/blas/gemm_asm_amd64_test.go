@@ -29,9 +29,9 @@ func sameBits(t *testing.T, what string, got, want []float64, r, c, ld int) {
 }
 
 // canaryCase multiplies an m×k by a k×n matrix through all three entry points
-// of the micro-kernel grid — Dgemm, PackA+GemmPackedA and gemmMacro itself —
-// under KernelAuto, on poisoned operands, and requires the bits of Kernel2x4
-// and intact guards. Columns [0, lead) and [k−trail, k) of the left operand
+// of the micro-kernel grid — Dgemm, PackA+GemmPackedA and, for k ≤ KC,
+// gemmMacro itself — on the probe's kernels, on poisoned operands, and
+// requires the bits of the portable 2×4 kernel and intact guards. Columns [0, lead) and [k−trail, k) of the left operand
 // are zero so that its skyline starts the kernels at an offset into the panels.
 func canaryCase(t *testing.T, rng *rand.Rand, trans Transpose, m, n, k, lead, trail int) {
 	t.Helper()
@@ -57,58 +57,49 @@ func canaryCase(t *testing.T, rng *rand.Rand, trans Transpose, m, n, k, lead, tr
 	abuf0, bbuf0, cbuf0 := slices.Clone(abuf), slices.Clone(bbuf), slices.Clone(cbuf)
 
 	// Reference: the portable 2×4 kernel through Dgemm (one chain per element,
-	// split at KC), and through gemmMacro on the whole k range as one chunk.
-	wantGemm, wantMacro := slices.Clone(c), slices.Clone(c)
-	withBlocking(t, Blocking{Kernel: Kernel2x4}, func() {
-		Dgemm(trans, NoTrans, m, n, k, 1, a, lda, b, ldb, 1, wantGemm, ldc)
-		macroOnce(t, CurrentPacking(), trans, m, n, k, a, lda, b, ldb, wantMacro, ldc, rng)
+	// split at KC).
+	want := slices.Clone(c)
+	portable(func() {
+		Dgemm(trans, NoTrans, m, n, k, 1, a, lda, b, ldb, 1, want, ldc)
 	})
 
-	withBlocking(t, Blocking{Kernel: KernelAuto}, func() {
-		pk := CurrentPacking()
-		reset := func() { copy(cbuf, cbuf0) }
-		check := func(what string, want []float64) {
-			t.Helper()
-			sameBits(t, what, c, want, m, n, ldc)
-			checkGuards(t, what+": A", abuf, abuf0, 0, 0, lda)
-			checkGuards(t, what+": B", bbuf, bbuf0, 0, 0, ldb)
-			checkGuards(t, what+": C", cbuf, cbuf0, m, n, ldc)
-		}
+	pk := CurrentPacking()
+	reset := func() { copy(cbuf, cbuf0) }
+	check := func(what string, want []float64) {
+		t.Helper()
+		sameBits(t, what, c, want, m, n, ldc)
+		checkGuards(t, what+": A", abuf, abuf0, 0, 0, lda)
+		checkGuards(t, what+": B", bbuf, bbuf0, 0, 0, ldb)
+		checkGuards(t, what+": C", cbuf, cbuf0, m, n, ldc)
+	}
 
-		Dgemm(trans, NoTrans, m, n, k, 1, a, lda, b, ldb, 1, c, ldc)
-		check("Dgemm", wantGemm)
+	Dgemm(trans, NoTrans, m, n, k, 1, a, lda, b, ldb, 1, c, ldc)
+	check("Dgemm", want)
 
-		reset()
-		apbuf, ap := poisoned(rng, pk.ALen(m, k), 1, pk.ALen(m, k))
-		pk.PackA(ap, trans, a, lda, m, k)
-		apbuf0 := slices.Clone(apbuf)
-		sbuf, scratch := poisoned(rng, pk.BScratch(k, n), 1, pk.BScratch(k, n))
-		sbuf0 := slices.Clone(sbuf)
-		pk.GemmPackedA(m, n, k, ap, b, ldb, c, ldc, scratch)
-		check("GemmPackedA", wantGemm)
-		checkGuards(t, "GemmPackedA: packed A", apbuf, apbuf0, 0, 0, 1)
-		checkGuards(t, "GemmPackedA: scratch", sbuf, sbuf0, len(scratch), 1, len(scratch))
+	reset()
+	apbuf, ap := poisoned(rng, pk.ALen(m, k), 1, pk.ALen(m, k))
+	pk.PackA(ap, trans, a, lda, m, k)
+	apbuf0 := slices.Clone(apbuf)
+	sbuf, scratch := poisoned(rng, pk.BScratch(k, n), 1, pk.BScratch(k, n))
+	sbuf0 := slices.Clone(sbuf)
+	pk.GemmPackedA(m, n, k, ap, b, ldb, c, ldc, scratch)
+	check("GemmPackedA", want)
+	checkGuards(t, "GemmPackedA: packed A", apbuf, apbuf0, 0, 0, 1)
+	checkGuards(t, "GemmPackedA: scratch", sbuf, sbuf0, len(scratch), 1, len(scratch))
 
-		reset()
-		macroOnce(t, pk, trans, m, n, k, a, lda, b, ldb, c, ldc, rng)
-		check("gemmMacro", wantMacro)
-	})
-}
-
-// macroOnce packs both operands into exact-size poisoned buffers and runs one
-// gemmMacro over the whole k range with the left operand's [lead, k−trail)
-// skyline, as GemmPackedA would for one chunk; the pack buffers must come back
-// untouched.
-func macroOnce(t *testing.T, pk Packing, trans Transpose, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, rng *rand.Rand) {
-	t.Helper()
-	one := Packing{mr: pk.mr, kc: k, asm: pk.asm} // a single chunk: header, then panels
-	apbuf, ap := poisoned(rng, one.ALen(m, k), 1, one.ALen(m, k))
-	one.PackA(ap, trans, a, lda, m, k)
-	sky, panels := one.aChunk(ap, m, 0, k)
+	if k > DefaultKC {
+		return // gemmMacro runs one KC chunk; GemmPackedA above ran it on each
+	}
+	// gemmMacro on the packed A above (one chunk: its [lead, k−trail) skyline,
+	// then its panels) and an exact-size poisoned packed B; neither pack buffer
+	// may be touched.
+	reset()
+	sky, panels := pk.aChunk(ap, m, 0, k)
 	bpbuf, bp := poisoned(rng, roundUp(n, microNR)*k, 1, roundUp(n, microNR)*k)
 	packB(bp, NoTrans, b, ldb, 0, 0, k, n, 1)
-	apbuf0, bpbuf0 := slices.Clone(apbuf), slices.Clone(bpbuf)
+	bpbuf0 := slices.Clone(bpbuf)
 	gemmMacro(panels, bp, k, m, n, k, pk.mr, pk.asm, c, ldc, sky)
+	check("gemmMacro", want)
 	checkGuards(t, "gemmMacro: packed A", apbuf, apbuf0, 0, 0, 1)
 	checkGuards(t, "gemmMacro: packed B", bpbuf, bpbuf0, 0, 0, 1)
 }
@@ -192,16 +183,17 @@ func TestAsmKernelBoundsAssertions(t *testing.T) {
 	}
 }
 
-// TestKernelAutoWithoutAVX2 keeps the portable fallback tested on an AVX2/FMA
+// TestProbeWithoutAVX2 keeps the portable fallback tested on an AVX2/FMA
 // host. The probe must fail when CPUID lacks any one of the bits it needs —
-// FMA included — and with its answer flipped, KernelAuto must resolve to the
-// 2×4 tile in the stream layout and reproduce the assembly run bit for bit, and
-// so must the Level-1/2 routines on their portable twins.
-func TestKernelAutoWithoutAVX2(t *testing.T) {
+// FMA included — and UseAsm must never turn on what the probe refused. With
+// the assembly turned off, GEMM must resolve to the 2×4 tile in the stream
+// layout and reproduce the assembly run bit for bit, and so must the
+// Level-1/2 routines on their portable twins.
+func TestProbeWithoutAVX2(t *testing.T) {
 	t.Logf("AsmActive() = %v", AsmActive())
 	ecx1, ebx7, xcr0 := cpuBits()
-	if got := cpuRunsKernels(ecx1, ebx7, xcr0); got != asmKernels {
-		t.Fatalf("probe on this CPU's bits = %v, init-time probe = %v", got, asmKernels)
+	if got := cpuRunsKernels(ecx1, ebx7, xcr0); got != probedAsm || probedAsm != asmKernels {
+		t.Fatalf("probe on this CPU's bits = %v, init-time probe = %v, in use = %v", got, probedAsm, asmKernels)
 	}
 	for _, c := range []struct {
 		what             string
@@ -216,12 +208,18 @@ func TestKernelAutoWithoutAVX2(t *testing.T) {
 			t.Errorf("probe passes with the %s bit cleared", c.what)
 		}
 	}
+	func() {
+		defer func(probed, on bool) { probedAsm, asmKernels = probed, on }(probedAsm, asmKernels)
+		probedAsm = false
+		if UseAsm(true); AsmActive() {
+			t.Error("UseAsm(true) turned the assembly on where the probe failed")
+		}
+	}()
 	if !asmKernels {
-		t.Skip("no AVX2/FMA on this CPU: KernelAuto already is the portable path")
+		t.Skip("no AVX2/FMA on this CPU: the probe's kernels already are the portable path")
 	}
-	bk := CurrentBlocking()
-	if mr, asm := bk.resolveMR(); mr != asmMR || !asm {
-		t.Fatalf("with AVX2/FMA, KernelAuto resolves to mr=%d asm=%v, want the 12×4 assembly tile", mr, asm)
+	if mr, asm := resolveMR(); mr != asmMR || !asm {
+		t.Fatalf("with AVX2/FMA, GEMM resolves to mr=%d asm=%v, want the 12×4 assembly tile", mr, asm)
 	}
 	rng := rand.New(rand.NewSource(43))
 	const m, n, k = 59, 37, 141
@@ -253,15 +251,17 @@ func TestKernelAutoWithoutAVX2(t *testing.T) {
 	}
 	asmLevel := level()
 
-	asmKernels = false
-	t.Cleanup(func() { asmKernels = true })
+	if !UseAsm(false) {
+		t.Fatal("UseAsm(false) reports the assembly was off")
+	}
+	t.Cleanup(func() { UseAsm(true) })
 	if AsmActive() {
-		t.Fatal("AsmActive() still true with the probe flipped")
+		t.Fatal("AsmActive() still true after UseAsm(false)")
 	}
-	if mr, asm := bk.resolveMR(); mr != 2 || asm {
-		t.Fatalf("without AVX2/FMA, KernelAuto resolves to mr=%d asm=%v, want the portable 2×4 tile", mr, asm)
+	if mr, asm := resolveMR(); mr != 2 || asm {
+		t.Fatalf("without the assembly, GEMM resolves to mr=%d asm=%v, want the portable 2×4 tile", mr, asm)
 	}
-	if pk, want := CurrentPacking(), (Packing{mr: 2, kc: DefaultKC}); pk != want {
+	if pk, want := CurrentPacking(), (Packing{mr: 2}); pk != want {
 		t.Fatalf("CurrentPacking() = %+v, want the stream layout %+v", pk, want)
 	}
 	gemm, packed := run()

@@ -6,10 +6,8 @@ import (
 	"testing"
 )
 
-// benchGemm measures C += A·B at n×n×n for a fixed kernel selection.
-func benchGemm(b *testing.B, n int, kern Kernel) {
-	prev := SetBlocking(Blocking{Kernel: kern})
-	defer SetBlocking(prev)
+// benchGemm measures C += A·B at n×n×n on the kernels in use.
+func benchGemm(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(1))
 	a := make([]float64, n*n)
 	bm := make([]float64, n*n)
@@ -27,10 +25,9 @@ func benchGemm(b *testing.B, n int, kern Kernel) {
 }
 
 func BenchmarkDgemm(b *testing.B) {
-	kernels := []Kernel{Kernel2x4, KernelAuto}
 	for _, n := range []int{128, 512} {
-		for _, k := range kernels {
-			b.Run(fmt.Sprintf("n=%d/%v", n, k), func(b *testing.B) { benchGemm(b, n, k) })
-		}
+		forEachPath(func(path string) {
+			b.Run(fmt.Sprintf("n=%d/%s", n, path), func(b *testing.B) { benchGemm(b, n) })
+		})
 	}
 }

@@ -2,9 +2,8 @@
 
 package blas
 
-// There is no assembly micro-kernel off amd64: the probe fails, so
-// Blocking.resolveMR never selects the assembly layout and KernelAuto runs the
-// portable 2×4 tile.
+// There is no assembly micro-kernel off amd64: the probe fails, UseAsm cannot
+// turn it on, and resolveMR always selects the portable 2×4 tile.
 
 func probeAsm() bool { return false }
 

@@ -6,14 +6,6 @@ import (
 	"testing"
 )
 
-// withBlocking runs f under a temporary GEMM blocking configuration.
-func withBlocking(t *testing.T, bk Blocking, f func()) {
-	t.Helper()
-	prev := SetBlocking(bk)
-	defer SetBlocking(prev)
-	f()
-}
-
 // gemmOnce runs one Dgemm over fresh copies of the inputs and returns C.
 func gemmOnce(transA, transB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) []float64 {
 	cc := append([]float64(nil), c...)
@@ -27,12 +19,10 @@ func gemmOnce(transA, transB Transpose, m, n, k int, alpha float64, a []float64,
 // all transpose combinations, for every kernel.
 func TestDgemmFringeAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	bk := DefaultBlocking()
 	dims := []int{1, 2, 3, 5, 7, 9, 11, 12, 13}
-	for _, edge := range []int{bk.MC, bk.KC, bk.NC} {
+	for _, edge := range []int{DefaultMC, DefaultKC, DefaultNC} {
 		dims = append(dims, edge-1, edge+1)
 	}
-	kernels := []Kernel{Kernel2x4, KernelAuto}
 	cases := 0
 	for _, m := range dims {
 		for _, n := range dims {
@@ -72,24 +62,21 @@ func TestDgemmFringeAgainstNaive(t *testing.T) {
 				beta := []float64{0, 1, 2}[cases%3]
 				want := append([]float64(nil), c...)
 				naiveGemm(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, want, ldc)
-				for _, kern := range kernels {
-					var got []float64
-					withBlocking(t, Blocking{Kernel: kern}, func() {
-						got = gemmOnce(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-					})
+				forEachPath(func(path string) {
+					got := gemmOnce(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 					if d := maxDiff(got, want); d > 1e-10*float64(k+1) {
-						t.Fatalf("kernel %v m=%d n=%d k=%d tA=%c tB=%c alpha=%g beta=%g: max diff %g",
-							kern, m, n, k, transA, transB, alpha, beta, d)
+						t.Fatalf("%s kernel m=%d n=%d k=%d tA=%c tB=%c alpha=%g beta=%g: max diff %g",
+							path, m, n, k, transA, transB, alpha, beta, d)
 					}
-				}
+				})
 			}
 		}
 	}
 }
 
 // TestDgemmKernelsBitwiseIdentical checks the central determinism contract:
-// for the default KC, KernelAuto — on an AVX2/FMA host the assembly kernel —
-// produces output bitwise identical to the portable 2×4 tile, on block-sized
+// the kernels the CPU probe selects — on an AVX2/FMA host the assembly one —
+// produce output bitwise identical to the portable 2×4 tile, on block-sized
 // shapes and on the fringe shapes that hit the assembly layout's padded last
 // panel and ragged tiles.
 func TestDgemmKernelsBitwiseIdentical(t *testing.T) {
@@ -111,13 +98,11 @@ func TestDgemmKernelsBitwiseIdentical(t *testing.T) {
 		a := randMat(rng, s.m, s.k, s.m)
 		b := randMat(rng, s.k, s.n, s.k)
 		c := randMat(rng, s.m, s.n, s.m)
-		var ref, got []float64
-		withBlocking(t, Blocking{Kernel: Kernel2x4}, func() {
+		var ref []float64
+		portable(func() {
 			ref = gemmOnce(NoTrans, NoTrans, s.m, s.n, s.k, 1.25, a, s.m, b, s.k, 0.5, c, s.m)
 		})
-		withBlocking(t, Blocking{Kernel: KernelAuto}, func() {
-			got = gemmOnce(NoTrans, NoTrans, s.m, s.n, s.k, 1.25, a, s.m, b, s.k, 0.5, c, s.m)
-		})
+		got := gemmOnce(NoTrans, NoTrans, s.m, s.n, s.k, 1.25, a, s.m, b, s.k, 0.5, c, s.m)
 		for i := range got {
 			if got[i] != ref[i] {
 				t.Fatalf("shape %v: element %d = %x, portable 2×4 = %x (not bitwise identical)",
@@ -128,49 +113,33 @@ func TestDgemmKernelsBitwiseIdentical(t *testing.T) {
 }
 
 // TestDgemmBlockingInvariance checks that MC and NC are numerically
-// neutral: only KC may change results (it splits the accumulation chains),
-// and the default configurations all share KC.
+// neutral: a product whose C crosses both an MC and an NC boundary (and whose
+// chains cross KC boundaries) is bitwise the same as its row strips and column
+// panels computed as separate products, none of which any MC or NC boundary
+// cuts — on every kernel.
 func TestDgemmBlockingInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	m, n, k := 200, 180, 300
+	const m, n, k = DefaultMC + 36, DefaultNC + 8, 300
 	a := randMat(rng, m, k, m)
 	b := randMat(rng, k, n, k)
 	c := randMat(rng, m, n, m)
-	var ref []float64
-	withBlocking(t, DefaultBlocking(), func() {
-		ref = gemmOnce(NoTrans, NoTrans, m, n, k, 1, a, m, b, k, 1, c, m)
-	})
-	configs := []Blocking{
-		{MC: 32, NC: 32},
-		{MC: 64, NC: 512},
-		{MC: 8, NC: 8},
-		{MC: 1024, NC: 1024, Kernel: KernelAuto},
-		{MC: 48, NC: 36, Kernel: Kernel2x4},
-	}
-	for _, bk := range configs {
-		var got []float64
-		withBlocking(t, bk, func() {
-			got = gemmOnce(NoTrans, NoTrans, m, n, k, 1, a, m, b, k, 1, c, m)
-		})
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Fatalf("blocking %+v: element %d differs from default blocking (%x vs %x)",
-					bk, i, got[i], ref[i])
+	forEachPath(func(path string) {
+		whole := gemmOnce(NoTrans, NoTrans, m, n, k, 1, a, m, b, k, 1, c, m)
+		parts := append([]float64(nil), c...)
+		rows, cols := []int{0, 150, m}, []int{0, 257, n} // strip and panel edges
+		for r := 0; r < 2; r++ {
+			for q := 0; q < 2; q++ {
+				i0, j0 := rows[r], cols[q]
+				Dgemm(NoTrans, NoTrans, rows[r+1]-i0, cols[q+1]-j0, k, 1, a[i0:], m, b[j0*k:], k, 1, parts[i0+j0*m:], m)
 			}
 		}
-	}
-}
-
-// TestSetBlockingNormalizes documents the zero-value semantics: unset
-// fields take the defaults, so a profile can set just the kernel.
-func TestSetBlockingNormalizes(t *testing.T) {
-	prev := SetBlocking(Blocking{Kernel: Kernel2x4})
-	got := CurrentBlocking()
-	SetBlocking(prev)
-	want := Blocking{MC: DefaultMC, KC: DefaultKC, NC: DefaultNC, Kernel: Kernel2x4}
-	if got != want {
-		t.Fatalf("SetBlocking{Kernel:2x4} = %+v, want %+v", got, want)
-	}
+		for i := range whole {
+			if whole[i] != parts[i] {
+				t.Fatalf("%s kernel: element %d of the whole product differs from the split one (%x vs %x)",
+					path, i, whole[i], parts[i])
+			}
+		}
+	})
 }
 
 // TestLevel3RoutingAgainstRef checks the blocked Dsyr2k path (sizes above

@@ -2,9 +2,9 @@ package blas
 
 // Dsyr2k is a thin block decomposition over Dgemm: only small diagonal
 // blocks run scalar loops; all O(n²·k) bulk work goes through the packed
-// register-blocked GEMM kernels. The block size is a compile-time constant so
+// register-blocked GEMM kernels. The block size is a compile-time constant, so
 // the decomposition — and therefore the floating-point result — never
-// depends on the runtime Blocking configuration.
+// depends on which kernels run.
 
 // routeBlock is the diagonal-block edge of the Dsyr2k decomposition:
 // matrices at or below this order run the reference scalar loops outright.

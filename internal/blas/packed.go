@@ -1,30 +1,28 @@
 package blas
 
 // Packing is a snapshot of the packed left-operand layout Dgemm's blocked
-// driver uses under the active Blocking: the micro-kernel's A-panel height,
-// the KC split of every accumulation chain, and whether panels are
-// k-interleaved and padded to whole tiles (assembly kernel) or plain row
-// streams of exact height (portable kernels). It lets a caller that
-// multiplies by the same matrix many times — the prepared block reflectors of
-// internal/householder — pack it once with PackA and then run the
-// micro-kernel grid on it directly with GemmPackedA, skipping Dgemm's per-call
-// packing.
+// driver uses with the kernels now in use: the micro-kernel's A-panel height
+// and whether panels are k-interleaved and padded to whole tiles (assembly
+// kernel) or plain row streams of exact height (portable kernels). Every
+// operand is cut into DefaultKC chunks of k, as Dgemm cuts its chains. It
+// lets a caller that multiplies by the same matrix many times — the prepared
+// block reflectors of internal/householder — pack it once with PackA and then
+// run the micro-kernel grid on it directly with GemmPackedA, skipping Dgemm's
+// per-call packing.
 //
 // An operand packed under one Packing must be multiplied under the same
-// value: SetBlocking may change the layout, so owners of long-lived packed
+// value: UseAsm may change the layout, so owners of long-lived packed
 // operands keep the Packing they were built with. Results do not depend on
-// the layout (kernel family), only on KC, exactly as for Dgemm.
+// the layout (kernel family), exactly as for Dgemm.
 type Packing struct {
 	mr  int
-	kc  int
 	asm bool
 }
 
-// CurrentPacking returns the layout of the active Blocking.
+// CurrentPacking returns the layout of the kernels now in use.
 func CurrentPacking() Packing {
-	bk := blocking.Load()
-	mr, asm := bk.resolveMR()
-	return Packing{mr: mr, kc: bk.KC, asm: asm}
+	mr, asm := resolveMR()
+	return Packing{mr: mr, asm: asm}
 }
 
 // roundUp rounds n up to a multiple of to.
@@ -44,13 +42,13 @@ func (p Packing) packedRows(m int) int {
 func (p Packing) aChunk(ap []float64, m, kk, kc int) (sky, panels []float64) {
 	hdr := 2 * ((m + p.mr - 1) / p.mr)
 	rows := p.packedRows(m)
-	off := rows*kk + hdr*(kk/p.kc)
+	off := rows*kk + hdr*(kk/DefaultKC)
 	return ap[off : off+hdr], ap[off+hdr : off+hdr+rows*kc]
 }
 
 // ALen is the packed length of an m×k left operand.
 func (p Packing) ALen(m, k int) int {
-	return p.packedRows(m)*k + 2*((m+p.mr-1)/p.mr)*((k+p.kc-1)/p.kc)
+	return p.packedRows(m)*k + 2*((m+p.mr-1)/p.mr)*((k+DefaultKC-1)/DefaultKC)
 }
 
 // BScratch is the scratch GemmPackedA needs for a k×n right operand: room
@@ -59,7 +57,7 @@ func (p Packing) BScratch(k, n int) int {
 	if n%microNR == 0 {
 		return 0
 	}
-	return microNR * min(k, p.kc)
+	return microNR * min(k, DefaultKC)
 }
 
 // PackA packs the m×k matrix op(A) as a left operand: one m×kc block of
@@ -69,8 +67,8 @@ func (p Packing) BScratch(k, n int) int {
 // triangular factor, a trapezoidal or banded V) on its nonzero range only,
 // without the caller describing the structure.
 func (p Packing) PackA(dst []float64, trans Transpose, a []float64, lda, m, k int) {
-	for kk := 0; kk < k; kk += p.kc {
-		kc := min(p.kc, k-kk)
+	for kk := 0; kk < k; kk += DefaultKC {
+		kc := min(DefaultKC, k-kk)
 		sky, panels := p.aChunk(dst, m, kk, kc)
 		packA(panels, trans, a, lda, 0, kk, m, kc, p.mr, p.asm)
 		for r0, pi := 0, 0; r0 < m; r0, pi = r0+p.mr, pi+1 {
@@ -115,8 +113,8 @@ func (p Packing) PackA(dst []float64, trans Transpose, a []float64, lda, m, k in
 func (p Packing) GemmPackedA(m, n, k int, ap, b []float64, ldb int, c []float64, ldc int, scratch []float64) {
 	direct := n &^ (microNR - 1) // leading columns of B the kernels read in place
 	rest := n - direct
-	for kk := 0; kk < k; kk += p.kc {
-		kc := min(p.kc, k-kk)
+	for kk := 0; kk < k; kk += DefaultKC {
+		kc := min(DefaultKC, k-kk)
 		sky, panels := p.aChunk(ap, m, kk, kc)
 		if direct > 0 {
 			gemmMacro(panels, b[kk:], ldb, m, direct, kc, p.mr, p.asm, c, ldc, sky)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/blas"
@@ -195,9 +196,11 @@ func TestChaseScheduledMatchesSequential(t *testing.T) {
 // cancels the job's context is made to depend on row block 0, which the first
 // kernel of every early sweep writes, so it runs after some kernels and — the
 // rest of the chase being one long dependence chain behind those sweeps —
-// before most. Whatever the worker count, some kernels must have run, the
-// others must have drained without running, Wait must return the context's
-// error, and the scheduler must serve a healthy chase afterwards.
+// before most. Gate tasks on a job of their own hold every worker until the
+// whole chase and the canceling task are submitted. Whatever the worker count,
+// some kernels must have run, the others must have drained without running,
+// Wait must return the context's error, and the scheduler must serve a
+// healthy chase afterwards.
 func TestChaseCancelDrains(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const n, kd = 400, 5
@@ -206,13 +209,24 @@ func TestChaseCancelDrains(t *testing.T) {
 	all := 0
 	forEachStep(n, kd, func(int, int) bool { all++; return true })
 	for _, workers := range []int{1, 2, 4, 7} {
-		s := sched.New(workers, sched.Deferred())
+		s := sched.New(workers)
+		gate := make(chan struct{})
+		var held sync.WaitGroup
+		held.Add(workers)
+		hold := s.NewJob(nil)
+		for w := 0; w < workers; w++ {
+			hold.Submit(sched.Task{Run: func(int) {
+				held.Done()
+				<-gate
+			}})
+		}
+		held.Wait()
 		ctx, cancel := context.WithCancel(context.Background())
 		job := s.NewJob(ctx)
 		c := newChaser(b, workers, nil, nil)
 		c.schedule(job, 0)
 		job.Submit(sched.Task{Priority: 1 << 20, Deps: []sched.Dep{sched.RW(0)}, Run: func(int) { cancel() }})
-		s.Start()
+		close(gate)
 		if err := job.Wait(); !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: Wait returned %v, want context.Canceled", workers, err)
 		}

@@ -62,8 +62,8 @@ type Block struct {
 	top  [2][]float64 // TS shape: packed −op(T) (k × k)
 }
 
-// PackedLen is the storage a Block of the given shape and forms needs under
-// the active Blocking.
+// PackedLen is the storage a Block of the given shape and forms needs with
+// the GEMM kernels now in use (blas.CurrentPacking).
 func PackedLen(ts bool, rows, k int, forms Form) int {
 	pk := blas.CurrentPacking()
 	n := pk.ALen(k, rows)
@@ -88,7 +88,7 @@ func PrepareWork(rows, k int) int { return 2*rows*k + k*k }
 // the dense V2 — and t the k×k upper triangular factor (only its upper
 // triangle is read). store receives the operands (PackedLen values) and is
 // owned by the Block afterwards; work is PrepareWork scratch. The layouts are
-// those of the Blocking active now and travel with the Block.
+// those of blas.CurrentPacking now and travel with the Block.
 func (b *Block) Prepare(ts bool, rows, k int, v []float64, ldv int, t []float64, ldt int, forms Form, store, work []float64) {
 	pk := blas.CurrentPacking()
 	*b = Block{pk: pk, rows: rows, k: k, ts: ts}

@@ -165,30 +165,23 @@ func maxAbsDiff(a, b *matrix.Dense) float64 {
 	return d
 }
 
-// withBlocking runs f under a temporary GEMM blocking.
-func withBlocking(b blas.Blocking, f func()) {
-	old := blas.SetBlocking(b)
-	defer blas.SetBlocking(old)
-	f()
-}
-
-// blockings covers the layouts and chain splits the engine must be correct
-// under: KernelAuto (the assembly layout wherever blas.AsmActive, which the
-// tests log), the portable tile named explicitly so that the stream layout
-// stays tested on an AVX2/FMA host, and a KC of 8 so that modest shapes
-// exercise rows > KC and k > KC — the chunked operands and the repacked W.
-var blockings = []blas.Blocking{
-	{},
-	{Kernel: blas.Kernel2x4},
-	{KC: 8},
-	{KC: 8, Kernel: blas.Kernel2x4},
+// forEachKernel runs f on the kernels the CPU probe selected (the assembly
+// layout wherever blas.AsmActive, which the tests log) and then on the
+// portable ones, so that the stream layout stays tested on an AVX2/FMA host.
+func forEachKernel(f func(kernel string)) {
+	if blas.AsmActive() {
+		f("assembly")
+	}
+	defer blas.UseAsm(blas.UseAsm(false))
+	f("portable")
 }
 
 // TestBlockAgainstExplicitH is the property test: over ragged shapes — rows
 // not a multiple of any tile height (so the assembly layout pads its last
-// panel), k from 1 to a full tile, a column fringe, rows above the default KC
-// — both sides, both forms and both shapes must match the explicitly formed H
-// to a c·rows·ε budget.
+// panel), k from 1 to a full tile, a column fringe, rows and k above KC (the
+// chunked operands and the repacked W) — both sides, both forms and both
+// shapes must match the explicitly formed H to a c·rows·ε budget, on every
+// kernel.
 func TestBlockAgainstExplicitH(t *testing.T) {
 	t.Logf("blas.AsmActive() = %v", blas.AsmActive())
 	type shape struct {
@@ -197,81 +190,78 @@ func TestBlockAgainstExplicitH(t *testing.T) {
 	}
 	shapes := []shape{
 		{false, 1, 1}, {false, 7, 5}, {false, 9, 4}, {false, 12, 12}, {false, 13, 12}, {false, 59, 12},
-		{false, 63, 16}, {false, 48, 48}, {false, 131, 48}, {false, 150, 12},
+		{false, 63, 16}, {false, 48, 48}, {false, 131, 48}, {false, 150, 12}, {false, 150, 131},
 		{true, 1, 1}, {true, 5, 5}, {true, 9, 7}, {true, 33, 12}, {true, 47, 16}, {true, 48, 48}, {true, 150, 5},
+		{true, 133, 130},
 	}
 	const eps = 0x1p-52
-	for _, bk := range blockings {
-		withBlocking(bk, func() {
-			rng := rand.New(rand.NewSource(7))
-			for _, sh := range shapes {
-				if bk.KC != 0 && sh.rows > 64 {
-					continue // chunking is already exercised by the smaller shapes
-				}
-				tb := newTestBlock(rng, sh.ts, sh.rows, sh.k, FormH|FormHT)
-				m := tb.order()
-				for _, n := range []int{1, 3, 5, 16, 37} {
-					for _, side := range []blas.Side{blas.Left, blas.Right} {
-						c := randDense(rng, m, n)
-						if side == blas.Right {
-							c = randDense(rng, n, m)
-						}
-						for _, tr := range []blas.Transpose{blas.NoTrans, blas.Trans} {
-							want := naiveMul(side, tr, tb.h, c)
-							got := c.Clone()
-							tb.apply(side, tr, got)
-							// ‖op(H)‖₂ = 1, entries of C are O(1): the error
-							// is a modest multiple of order·ε.
-							if d, tol := maxAbsDiff(got, want), 32*float64(m)*eps; d > tol {
-								t.Fatalf("blocking %+v ts=%v rows=%d k=%d n=%d side=%c trans=%c: max diff %g > %g",
-									bk, sh.ts, sh.rows, sh.k, n, side, tr, d, tol)
-							}
+	forEachKernel(func(kernel string) {
+		rng := rand.New(rand.NewSource(7))
+		for _, sh := range shapes {
+			tb := newTestBlock(rng, sh.ts, sh.rows, sh.k, FormH|FormHT)
+			m := tb.order()
+			for _, n := range []int{1, 3, 5, 16, 37} {
+				for _, side := range []blas.Side{blas.Left, blas.Right} {
+					c := randDense(rng, m, n)
+					if side == blas.Right {
+						c = randDense(rng, n, m)
+					}
+					for _, tr := range []blas.Transpose{blas.NoTrans, blas.Trans} {
+						want := naiveMul(side, tr, tb.h, c)
+						got := c.Clone()
+						tb.apply(side, tr, got)
+						// ‖op(H)‖₂ = 1, entries of C are O(1): the error
+						// is a modest multiple of order·ε.
+						if d, tol := maxAbsDiff(got, want), 32*float64(m)*eps; d > tol {
+							t.Fatalf("%s kernel ts=%v rows=%d k=%d n=%d side=%c trans=%c: max diff %g > %g",
+								kernel, sh.ts, sh.rows, sh.k, n, side, tr, d, tol)
 						}
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestBlockColumnSplitBitwise pins the property that keeps every parallel
 // applier identical to the sequential one and lets the column-block width be
 // retuned freely: each result column is bitwise the same whatever column
-// blocks C is cut into, and whichever kernel runs (at the same KC).
+// blocks C is cut into, and whichever kernel runs — also with rows and k
+// above KC, where the operands are chunked and W is repacked.
 func TestBlockColumnSplitBitwise(t *testing.T) {
 	t.Logf("blas.AsmActive() = %v", blas.AsmActive())
 	const n = 67
-	for _, ts := range []bool{false, true} {
-		rows, k := 59, 12
-		if ts {
-			rows, k = 48, 48
-		}
-		refs := map[int]*matrix.Dense{} // by KC
-		for _, bk := range blockings {
-			withBlocking(bk, func() {
-				rng := rand.New(rand.NewSource(11))
-				tb := newTestBlock(rng, ts, rows, k, FormH)
-				c := randDense(rng, tb.order(), n)
-				whole := c.Clone()
-				tb.apply(blas.Left, blas.NoTrans, whole)
-				if ref := refs[bk.KC]; ref == nil {
-					refs[bk.KC] = whole
-				} else if maxAbsDiff(whole, ref) != 0 {
-					t.Fatalf("ts=%v: result differs between kernels (%+v)", ts, bk)
+	for _, sh := range []struct {
+		ts      bool
+		rows, k int
+	}{
+		{false, 59, 12}, {true, 48, 48}, {false, 150, 131}, {true, 133, 130},
+	} {
+		ts, rows, k := sh.ts, sh.rows, sh.k
+		var ref *matrix.Dense
+		forEachKernel(func(kernel string) {
+			rng := rand.New(rand.NewSource(11))
+			tb := newTestBlock(rng, ts, rows, k, FormH)
+			c := randDense(rng, tb.order(), n)
+			whole := c.Clone()
+			tb.apply(blas.Left, blas.NoTrans, whole)
+			if ref == nil {
+				ref = whole
+			} else if maxAbsDiff(whole, ref) != 0 {
+				t.Fatalf("ts=%v rows=%d k=%d: the %s kernel's result differs", ts, rows, k, kernel)
+			}
+			for trial := 0; trial < 8; trial++ {
+				got := c.Clone()
+				for j0 := 0; j0 < n; {
+					jb := 1 + rng.Intn(n-j0)
+					tb.apply(blas.Left, blas.NoTrans, got.View(0, j0, got.Rows, jb))
+					j0 += jb
 				}
-				for trial := 0; trial < 8; trial++ {
-					got := c.Clone()
-					for j0 := 0; j0 < n; {
-						jb := 1 + rng.Intn(n-j0)
-						tb.apply(blas.Left, blas.NoTrans, got.View(0, j0, got.Rows, jb))
-						j0 += jb
-					}
-					if maxAbsDiff(got, whole) != 0 {
-						t.Fatalf("ts=%v blocking %+v: column split changed the result", ts, bk)
-					}
+				if maxAbsDiff(got, whole) != 0 {
+					t.Fatalf("ts=%v rows=%d k=%d %s kernel: column split changed the result", ts, rows, k, kernel)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

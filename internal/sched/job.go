@@ -131,9 +131,6 @@ func (j *Job) Wait() error {
 	s := j.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.started {
-		panic("sched: Wait on a deferred scheduler that was never started")
-	}
 	for j.pending > 0 {
 		s.cond.Wait()
 	}

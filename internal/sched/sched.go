@@ -15,7 +15,6 @@ package sched
 
 import (
 	"container/heap"
-	"fmt"
 	"sync"
 	"time"
 )
@@ -94,30 +93,26 @@ type resourceState struct {
 }
 
 // Scheduler is the dynamic dependence-tracking runtime. Create with New,
-// submit tasks with Submit (from any goroutine, though dependence semantics
-// follow the global submission order, so concurrent submitters must do their
-// own ordering), and call Wait to drain.
+// open a Job per stream of tasks with NewJob, submit the tasks on the job and
+// Wait on it.
 //
 // A Scheduler is designed to be long-lived: a persistent worker pool serves
-// any number of Jobs (see NewJob), each with its own dependence frontier,
-// completion tracking and cancellation context, so concurrent solves can
-// share one pool without false dependences. Submit/Wait remain as the
-// single-stream convenience API backed by an implicit default job.
+// any number of Jobs, each with its own dependence frontier, completion
+// tracking and cancellation context, so concurrent solves can share one pool
+// without false dependences.
 type Scheduler struct {
 	workers int
 	trace   bool
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	defaultJob *Job // backs the legacy Submit/Wait API
-	ready      readyQueues
-	pending    int // submitted but not finished, across all jobs
-	started    bool
-	stopped    bool
-	seq        int
-	startTime  time.Time
-	events     []TraceEvent
-	wg         sync.WaitGroup
+	mu        sync.Mutex
+	cond      *sync.Cond
+	ready     readyQueues
+	pending   int // submitted but not finished, across all jobs
+	stopped   bool
+	seq       int
+	startTime time.Time
+	events    []TraceEvent
+	wg        sync.WaitGroup
 }
 
 // Option configures a Scheduler.
@@ -125,11 +120,6 @@ type Option func(*Scheduler)
 
 // WithTrace enables recording of TraceEvents for every executed task.
 func WithTrace() Option { return func(s *Scheduler) { s.trace = true } }
-
-// Deferred creates the scheduler paused: no task runs until Start is called.
-// Useful to build the whole DAG first (and in tests, to make priority order
-// observable).
-func Deferred() Option { return func(s *Scheduler) { s.started = false } }
 
 // MaxWorkers is the widest pool New accepts: affinity masks are 64-bit, one
 // bit per worker. Public entry points must clamp (or reject) user-supplied
@@ -162,10 +152,7 @@ func New(workers int, opts ...Option) *Scheduler {
 	if workers > MaxWorkers {
 		panic("sched: at most 64 workers (affinity masks are 64-bit)")
 	}
-	s := &Scheduler{
-		workers: workers,
-		started: true,
-	}
+	s := &Scheduler{workers: workers}
 	s.cond = sync.NewCond(&s.mu)
 	for _, o := range opts {
 		o(s)
@@ -181,28 +168,11 @@ func New(workers int, opts ...Option) *Scheduler {
 // Workers reports the worker pool width.
 func (s *Scheduler) Workers() int { return s.workers }
 
-// Submit registers a task on the scheduler's default job. Dependences are
-// inferred against previously submitted tasks from the access list.
-func (s *Scheduler) Submit(t Task) {
-	if t.Run == nil {
-		panic("sched: task without body")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.defaultJob == nil {
-		s.defaultJob = &Job{s: s, resources: make(map[int]*resourceState)}
-	}
-	s.submitLocked(s.defaultJob, t)
-}
-
-// submit registers a task on an explicit job.
+// submit registers a task on job j. Dependences are inferred against the
+// job's previously submitted tasks from the access list.
 func (s *Scheduler) submit(j *Job, t Task) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.submitLocked(j, t)
-}
-
-func (s *Scheduler) submitLocked(j *Job, t Task) {
 	if s.stopped {
 		// A submit that races Shutdown (a solve snapshotting the scheduler
 		// just before Close) must not panic from library code: the task is
@@ -276,40 +246,13 @@ func modeRank(m AccessMode) int {
 	return 1
 }
 
-// Start releases a scheduler created with Deferred.
-func (s *Scheduler) Start() {
+// Shutdown drains remaining work, across all jobs, and stops the workers.
+// The scheduler cannot be used afterwards.
+func (s *Scheduler) Shutdown() {
 	s.mu.Lock()
-	s.started = true
-	s.startTime = time.Now()
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// Wait blocks until every submitted task has finished. The scheduler remains
-// usable: more tasks may be submitted afterwards.
-func (s *Scheduler) Wait() {
-	s.mu.Lock()
-	if !s.started {
-		s.mu.Unlock()
-		panic("sched: Wait on a deferred scheduler that was never started")
-	}
 	for s.pending > 0 {
 		s.cond.Wait()
 	}
-	s.mu.Unlock()
-}
-
-// Shutdown drains remaining work and stops the workers. The scheduler cannot
-// be used afterwards.
-func (s *Scheduler) Shutdown() {
-	s.mu.Lock()
-	if !s.started {
-		s.started = true
-	}
-	s.mu.Unlock()
-	s.cond.Broadcast()
-	s.Wait()
-	s.mu.Lock()
 	s.stopped = true
 	s.mu.Unlock()
 	s.cond.Broadcast()
@@ -332,11 +275,8 @@ func (s *Scheduler) worker(id int) {
 		s.mu.Lock()
 		var n *node
 		for {
-			if s.started {
-				n = s.ready.popFor(mask)
-				if n != nil {
-					break
-				}
+			if n = s.ready.popFor(mask); n != nil {
+				break
 			}
 			if s.stopped {
 				s.mu.Unlock()
@@ -441,11 +381,4 @@ func (h *taskHeap) Pop() interface{} {
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
-}
-
-// String implements fmt.Stringer for debugging.
-func (s *Scheduler) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return fmt.Sprintf("sched{workers=%d pending=%d submitted=%d}", s.workers, s.pending, s.seq)
 }

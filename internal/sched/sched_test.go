@@ -16,11 +16,12 @@ func TestSequentialChain(t *testing.T) {
 	// A chain of RW tasks on one resource must execute in submission order.
 	s := New(4)
 	defer s.Shutdown()
+	j := s.NewJob(nil)
 	var order []int
 	var mu sync.Mutex
 	for i := 0; i < 50; i++ {
 		i := i
-		s.Submit(Task{
+		j.Submit(Task{
 			Name: "chain",
 			Deps: []Dep{RW(1)},
 			Run: func(int) {
@@ -30,7 +31,7 @@ func TestSequentialChain(t *testing.T) {
 			},
 		})
 	}
-	s.Wait()
+	j.Wait()
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("chain executed out of order at %d: %v", i, order[:i+1])
@@ -42,25 +43,26 @@ func TestReadersRunConcurrentlyBetweenWriters(t *testing.T) {
 	// writer; N readers; writer. The second writer must see all readers done.
 	s := New(4)
 	defer s.Shutdown()
+	j := s.NewJob(nil)
 	var stage int32 // 0 before w1, 1 after w1, 2 after w2
 	var readersDone int32
-	s.Submit(Task{Name: "w1", Deps: []Dep{W(7)}, Run: func(int) { atomic.StoreInt32(&stage, 1) }})
+	j.Submit(Task{Name: "w1", Deps: []Dep{W(7)}, Run: func(int) { atomic.StoreInt32(&stage, 1) }})
 	const nr = 16
 	for i := 0; i < nr; i++ {
-		s.Submit(Task{Name: "r", Deps: []Dep{R(7)}, Run: func(int) {
+		j.Submit(Task{Name: "r", Deps: []Dep{R(7)}, Run: func(int) {
 			if atomic.LoadInt32(&stage) != 1 {
 				t.Error("reader ran before first writer or after second")
 			}
 			atomic.AddInt32(&readersDone, 1)
 		}})
 	}
-	s.Submit(Task{Name: "w2", Deps: []Dep{W(7)}, Run: func(int) {
+	j.Submit(Task{Name: "w2", Deps: []Dep{W(7)}, Run: func(int) {
 		if atomic.LoadInt32(&readersDone) != nr {
 			t.Errorf("second writer ran with %d/%d readers done", readersDone, nr)
 		}
 		atomic.StoreInt32(&stage, 2)
 	}})
-	s.Wait()
+	j.Wait()
 	if stage != 2 {
 		t.Fatal("not all tasks ran")
 	}
@@ -72,12 +74,13 @@ func TestIndependentTasksParallel(t *testing.T) {
 	const w = 4
 	s := New(w)
 	defer s.Shutdown()
+	j := s.NewJob(nil)
 	var barrier sync.WaitGroup
 	barrier.Add(w)
 	workers := make(chan int, w)
 	for i := 0; i < w; i++ {
 		i := i
-		s.Submit(Task{
+		j.Submit(Task{
 			Name: "par",
 			Deps: []Dep{W(100 + i)},
 			Run: func(worker int) {
@@ -88,7 +91,7 @@ func TestIndependentTasksParallel(t *testing.T) {
 		})
 	}
 	donech := make(chan struct{})
-	go func() { s.Wait(); close(donech) }()
+	go func() { j.Wait(); close(donech) }()
 	select {
 	case <-donech:
 	case <-time.After(10 * time.Second):
@@ -104,16 +107,18 @@ func TestIndependentTasksParallel(t *testing.T) {
 }
 
 func TestPriorityOrder(t *testing.T) {
-	// With a deferred scheduler and one worker, independent tasks must run
-	// in priority order.
-	s := New(1, Deferred())
+	// With the one worker held by a gate task, independent tasks submitted
+	// meanwhile must run in priority order once it is released.
+	s := New(1)
 	defer s.Shutdown()
+	release := hold(s)
+	j := s.NewJob(nil)
 	var order []int
 	var mu sync.Mutex
 	prios := []int{1, 5, 3, 9, 0}
 	for i, p := range prios {
 		i, p := i, p
-		s.Submit(Task{
+		j.Submit(Task{
 			Name:     "p",
 			Priority: p,
 			Deps:     []Dep{W(200 + i)},
@@ -124,8 +129,11 @@ func TestPriorityOrder(t *testing.T) {
 			},
 		})
 	}
-	s.Start()
-	s.Wait()
+	release()
+	j.Wait()
+	if len(order) != len(prios) {
+		t.Fatalf("ran %d of %d tasks", len(order), len(prios))
+	}
 	for i := 1; i < len(order); i++ {
 		if order[i-1] < order[i] {
 			t.Fatalf("priority order violated: %v", order)
@@ -133,12 +141,31 @@ func TestPriorityOrder(t *testing.T) {
 	}
 }
 
+// hold occupies every worker of s with a gate task on a job of its own and
+// returns once all of them run; the workers take other tasks only after
+// release is called.
+func hold(s *Scheduler) (release func()) {
+	gate := make(chan struct{})
+	var running sync.WaitGroup
+	running.Add(s.Workers())
+	j := s.NewJob(nil)
+	for w := 0; w < s.Workers(); w++ {
+		j.Submit(Task{Name: "HOLD", Run: func(int) {
+			running.Done()
+			<-gate
+		}})
+	}
+	running.Wait()
+	return func() { close(gate) }
+}
+
 func TestAffinityRestriction(t *testing.T) {
 	s := New(4)
 	defer s.Shutdown()
+	j := s.NewJob(nil)
 	const target = 2
 	for i := 0; i < 20; i++ {
-		s.Submit(Task{
+		j.Submit(Task{
 			Name:     "aff",
 			Affinity: 1 << target,
 			Deps:     []Dep{RW(1)},
@@ -149,18 +176,19 @@ func TestAffinityRestriction(t *testing.T) {
 			},
 		})
 	}
-	s.Wait()
+	j.Wait()
 }
 
 func TestAffinityZeroMeansAny(t *testing.T) {
 	s := New(3)
 	defer s.Shutdown()
+	j := s.NewJob(nil)
 	var ran int32
 	for i := 0; i < 30; i++ {
 		i := i
-		s.Submit(Task{Deps: []Dep{W(i)}, Run: func(int) { atomic.AddInt32(&ran, 1) }, Name: "any"})
+		j.Submit(Task{Deps: []Dep{W(i)}, Run: func(int) { atomic.AddInt32(&ran, 1) }, Name: "any"})
 	}
-	s.Wait()
+	j.Wait()
 	if ran != 30 {
 		t.Fatalf("ran %d/30", ran)
 	}
@@ -169,14 +197,15 @@ func TestAffinityZeroMeansAny(t *testing.T) {
 func TestWaitThenReuse(t *testing.T) {
 	s := New(2)
 	defer s.Shutdown()
+	j := s.NewJob(nil)
 	var a, b int32
-	s.Submit(Task{Name: "a", Deps: []Dep{W(1)}, Run: func(int) { atomic.AddInt32(&a, 1) }})
-	s.Wait()
+	j.Submit(Task{Name: "a", Deps: []Dep{W(1)}, Run: func(int) { atomic.AddInt32(&a, 1) }})
+	j.Wait()
 	if a != 1 {
 		t.Fatal("first batch incomplete")
 	}
-	s.Submit(Task{Name: "b", Deps: []Dep{R(1)}, Run: func(int) { atomic.AddInt32(&b, 1) }})
-	s.Wait()
+	j.Submit(Task{Name: "b", Deps: []Dep{R(1)}, Run: func(int) { atomic.AddInt32(&b, 1) }})
+	j.Wait()
 	if b != 1 {
 		t.Fatal("second batch incomplete")
 	}
@@ -184,10 +213,11 @@ func TestWaitThenReuse(t *testing.T) {
 
 func TestTraceRecordsAllTasks(t *testing.T) {
 	s := New(2, WithTrace())
+	j := s.NewJob(nil)
 	for i := 0; i < 10; i++ {
-		s.Submit(Task{Name: "tr", Deps: []Dep{RW(5)}, Run: func(int) {}})
+		j.Submit(Task{Name: "tr", Deps: []Dep{RW(5)}, Run: func(int) {}})
 	}
-	s.Wait()
+	j.Wait()
 	ev := s.Trace()
 	s.Shutdown()
 	if len(ev) != 10 {
@@ -221,6 +251,7 @@ func TestSerializabilityProperty(t *testing.T) {
 		writesSoFar := [nRes]int64{}
 
 		s := New(1 + rng.Intn(7))
+		j := s.NewJob(nil)
 		for i := 0; i < nTasks; i++ {
 			nDeps := 1 + rng.Intn(3)
 			var deps []Dep
@@ -246,7 +277,7 @@ func TestSerializabilityProperty(t *testing.T) {
 				res := res
 				got := e.got
 				deps := deps
-				s.Submit(Task{
+				j.Submit(Task{
 					Name: "reader",
 					Deps: deps,
 					Run: func(int) {
@@ -260,7 +291,7 @@ func TestSerializabilityProperty(t *testing.T) {
 			}
 			for _, res := range writes {
 				res := res
-				s.Submit(Task{
+				j.Submit(Task{
 					Name: "writer",
 					Deps: []Dep{RW(res)},
 					Run: func(int) {
@@ -270,7 +301,7 @@ func TestSerializabilityProperty(t *testing.T) {
 				writesSoFar[res]++
 			}
 		}
-		s.Wait()
+		j.Wait()
 		s.Shutdown()
 		for _, e := range expects {
 			if *e.got != e.want {
@@ -295,20 +326,21 @@ func TestDuplicateResourceInDeps(t *testing.T) {
 	// writer (strongest mode wins) and not deadlock on itself.
 	s := New(2)
 	defer s.Shutdown()
+	j := s.NewJob(nil)
 	var v int64
-	s.Submit(Task{Name: "w", Deps: []Dep{W(3)}, Run: func(int) { atomic.StoreInt64(&v, 1) }})
-	s.Submit(Task{Name: "rw", Deps: []Dep{R(3), W(3)}, Run: func(int) {
+	j.Submit(Task{Name: "w", Deps: []Dep{W(3)}, Run: func(int) { atomic.StoreInt64(&v, 1) }})
+	j.Submit(Task{Name: "rw", Deps: []Dep{R(3), W(3)}, Run: func(int) {
 		if atomic.LoadInt64(&v) != 1 {
 			t.Error("mixed-mode task ran before its writer dependence")
 		}
 		atomic.StoreInt64(&v, 2)
 	}})
-	s.Submit(Task{Name: "r", Deps: []Dep{R(3)}, Run: func(int) {
+	j.Submit(Task{Name: "r", Deps: []Dep{R(3)}, Run: func(int) {
 		if atomic.LoadInt64(&v) != 2 {
 			t.Error("reader did not see mixed-mode writer")
 		}
 	}})
-	s.Wait()
+	j.Wait()
 }
 
 func TestSchedulerStress(t *testing.T) {
@@ -316,6 +348,7 @@ func TestSchedulerStress(t *testing.T) {
 	// race detector.
 	s := New(8)
 	defer s.Shutdown()
+	j := s.NewJob(nil)
 	var total int64
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 2000; i++ {
@@ -324,26 +357,24 @@ func TestSchedulerStress(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			mode = R(res)
 		}
-		s.Submit(Task{
+		j.Submit(Task{
 			Name: "stress",
 			Deps: []Dep{mode, R(rng.Intn(32))},
 			Run:  func(int) { atomic.AddInt64(&total, 1) },
 		})
 	}
-	s.Wait()
+	j.Wait()
 	if total != 2000 {
 		t.Fatalf("ran %d/2000", total)
 	}
 }
 
-func TestWorkersAndString(t *testing.T) {
+func TestWorkersAndGuards(t *testing.T) {
 	s := New(3)
 	defer s.Shutdown()
+	j := s.NewJob(nil)
 	if s.Workers() != 3 {
 		t.Fatalf("Workers = %d", s.Workers())
-	}
-	if str := s.String(); str == "" {
-		t.Fatal("String empty")
 	}
 	// Constructor guards.
 	for _, bad := range []int{0, -1, 65} {
@@ -362,7 +393,7 @@ func TestWorkersAndString(t *testing.T) {
 			t.Fatal("Submit without Run should panic")
 		}
 	}()
-	s.Submit(Task{Name: "empty"})
+	j.Submit(Task{Name: "empty"})
 }
 
 func TestNewRejectsTooManyWorkers(t *testing.T) {

@@ -12,9 +12,9 @@ import (
 
 // DiskStore is the restart-surviving Store: an append-only journal of JSON
 // records, one per line, replayed into a map on open. Every Put appends a
-// whole-job snapshot and every Delete appends a tombstone, so the journal is
-// a pure log — no in-place rewrites, no index, crash-safe by construction (a
-// torn trailing record is detected on replay and truncated away).
+// whole-job snapshot, so the journal is a pure log — no in-place rewrites, no
+// index, crash-safe by construction (a torn trailing record is detected on
+// replay and truncated away).
 //
 // Two consequences worth knowing:
 //
@@ -33,10 +33,10 @@ type DiskStore struct {
 	closed bool
 }
 
-// diskRecord is one journal line: exactly one field is set.
+// diskRecord is one journal line. A line without a job (a tombstone an older
+// journal may hold, say) replays as nothing.
 type diskRecord struct {
-	Job    *Job   `json:"job,omitempty"`
-	Delete string `json:"delete,omitempty"`
+	Job *Job `json:"job,omitempty"`
 }
 
 // CodeInterrupted marks jobs found non-terminal during journal replay: the
@@ -74,11 +74,8 @@ func NewDiskStore(path string) (*DiskStore, error) {
 			break
 		}
 		good = dec.InputOffset()
-		switch {
-		case rec.Job != nil:
+		if rec.Job != nil {
 			d.jobs[rec.Job.ID] = rec.Job
-		case rec.Delete != "":
-			delete(d.jobs, rec.Delete)
 		}
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
@@ -127,23 +124,6 @@ func (d *DiskStore) Get(id string) (*Job, error) {
 		return nil, ErrNotFound
 	}
 	return j.Clone(), nil
-}
-
-// Delete implements Store: it appends a tombstone.
-func (d *DiskStore) Delete(id string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return errors.New("service: store is closed")
-	}
-	if _, ok := d.jobs[id]; !ok {
-		return ErrNotFound
-	}
-	if err := d.enc.Encode(diskRecord{Delete: id}); err != nil {
-		return fmt.Errorf("service: appending tombstone: %w", err)
-	}
-	delete(d.jobs, id)
-	return nil
 }
 
 // Close implements Store.

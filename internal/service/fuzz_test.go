@@ -1,9 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"math"
 	"math/bits"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -58,6 +62,46 @@ func FuzzSubmitDecode(f *testing.F) {
 		hi, lo := bits.Mul64(uint64(n), uint64(n))
 		if hi != 0 || lo != uint64(len(got)) {
 			t.Fatalf("accepted %d entries for n=%d", len(got), n)
+		}
+	})
+}
+
+// FuzzDiskStoreReplay opens arbitrary bytes as a DiskStore journal. Opening
+// must not panic; every job it replays must be terminal (a job the journal
+// leaves queued or running is marked interrupted); and opening the journal
+// again must replay the same records, interruption markings included.
+func FuzzDiskStoreReplay(f *testing.F) {
+	f.Add([]byte(`{"job":{"id":"ok","status":"done","n":2,"values":[1,2]}}` + "\n" + `{"job":{"id":"torn","stat`))
+	f.Add([]byte(`{"job":{"id":"mid","status":"running","n":8,"created":"2024-05-01T10:00:00+02:00"}}` + "\n"))
+	f.Add([]byte("\x00\xffnot a journal {{\n"))
+	f.Add([]byte(`{"job":null}` + "\n"))
+	f.Add([]byte(`{"job":{"id":"gone","status":"done","n":1}}` + "\n" + `{"delete":"gone"}` + "\n"))
+
+	f.Fuzz(func(t *testing.T, journal []byte) {
+		path := filepath.Join(t.TempDir(), "jobs.jsonl")
+		if err := os.WriteFile(path, journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		replay := func() []byte {
+			d, err := NewDiskStore(path)
+			if err != nil {
+				t.Fatalf("NewDiskStore: %v", err)
+			}
+			defer d.Close()
+			for id, j := range d.jobs {
+				if !j.Status.Terminal() {
+					t.Fatalf("job %q replayed with status %q", id, j.Status)
+				}
+			}
+			// Records compare as the journal writes them.
+			b, err := json.Marshal(d.jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		if first, again := replay(), replay(); !bytes.Equal(first, again) {
+			t.Fatalf("a second open replays other records:\n%s\n%s", first, again)
 		}
 	})
 }

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// ErrNotFound is returned by Store.Get/Delete for an unknown job ID —
-// including jobs that existed once but were deleted or TTL-evicted.
+// ErrNotFound is returned by Store.Get for an unknown job ID — including
+// jobs that existed once but were TTL-evicted.
 var ErrNotFound = errors.New("service: job not found")
 
 // Store persists job records. The server writes whole-job snapshots on every
@@ -24,8 +24,6 @@ type Store interface {
 	Put(j *Job) error
 	// Get returns a copy of the record, or ErrNotFound.
 	Get(id string) (*Job, error)
-	// Delete removes the record; deleting an unknown ID is ErrNotFound.
-	Delete(id string) error
 	// Close releases the store's resources. The store is unusable after.
 	Close() error
 }
@@ -120,18 +118,6 @@ func (m *MemStore) Get(id string) (*Job, error) {
 		return nil, ErrNotFound
 	}
 	return j.Clone(), nil
-}
-
-// Delete implements Store.
-func (m *MemStore) Delete(id string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.jobs[id]; !ok {
-		return ErrNotFound
-	}
-	delete(m.jobs, id)
-	delete(m.expiry, id)
-	return nil
 }
 
 // Close implements Store: it stops the janitor and drops every record.

@@ -17,8 +17,8 @@ func doneJob(id string) *Job {
 	}
 }
 
-// TestMemStoreBasics covers Put/Get/Delete round trips and the copy
-// semantics of Get (mutating a returned job must not change the store).
+// TestMemStoreBasics covers Put/Get round trips and the copy semantics of Get
+// (mutating a returned job must not change the store).
 func TestMemStoreBasics(t *testing.T) {
 	m := NewMemStore(0)
 	defer m.Close()
@@ -42,12 +42,6 @@ func TestMemStoreBasics(t *testing.T) {
 	}
 	if again.Values[0] != 1 || again.Status != StatusDone {
 		t.Fatal("mutating a Get result leaked into the store")
-	}
-	if err := m.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Delete("a"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("second Delete = %v, want ErrNotFound", err)
 	}
 }
 
@@ -84,10 +78,9 @@ func TestMemStoreTTL(t *testing.T) {
 	}
 }
 
-// TestDiskStoreRestart is the restart-survival contract: finished jobs (and
-// tombstones) survive close + reopen, and jobs caught mid-flight by the
-// restart come back terminal as failed/interrupted instead of being stuck
-// in "running" forever.
+// TestDiskStoreRestart is the restart-survival contract: finished jobs
+// survive close + reopen, and jobs caught mid-flight by the restart come back
+// terminal as failed/interrupted instead of being stuck in "running" forever.
 func TestDiskStoreRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
 	d, err := NewDiskStore(path)
@@ -97,13 +90,10 @@ func TestDiskStoreRestart(t *testing.T) {
 	fin := doneJob("fin")
 	fin.Vectors = []float64{1, 0, 0, 1}
 	fin.Rows, fin.Cols = 2, 2
-	for _, j := range []*Job{fin, {ID: "mid", Status: StatusRunning, N: 8}, doneJob("gone")} {
+	for _, j := range []*Job{fin, {ID: "mid", Status: StatusRunning, N: 8}} {
 		if err := d.Put(j); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := d.Delete("gone"); err != nil {
-		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -127,9 +117,6 @@ func TestDiskStoreRestart(t *testing.T) {
 	}
 	if mid.Status != StatusFailed || mid.ErrCode != CodeInterrupted {
 		t.Fatalf("mid-flight job after restart: status=%s code=%s, want failed/interrupted", mid.Status, mid.ErrCode)
-	}
-	if _, err := d2.Get("gone"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("tombstoned job resurrected: %v", err)
 	}
 
 	// The interrupted marking is durable: a third open still sees it.

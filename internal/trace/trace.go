@@ -7,8 +7,6 @@
 package trace
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -221,29 +219,6 @@ func (c *Collector) Phases() map[string]time.Duration {
 		out[k] = v
 	}
 	return out
-}
-
-// FlopReport formats the per-kernel flop counts, largest first.
-func (c *Collector) FlopReport() string {
-	if c == nil {
-		return ""
-	}
-	c.mu.Lock()
-	type kv struct {
-		k string
-		v int64
-	}
-	var rows []kv
-	for k, p := range c.flops {
-		rows = append(rows, kv{k, atomic.LoadInt64(p)})
-	}
-	c.mu.Unlock()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].v > rows[j].v })
-	s := ""
-	for _, r := range rows {
-		s += fmt.Sprintf("%-8s %14d flops\n", r.k, r.v)
-	}
-	return s
 }
 
 // Merge adds src's flop counters, attributed flops and phase durations into

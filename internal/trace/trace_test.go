@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -125,13 +124,6 @@ func TestReportAndReset(t *testing.T) {
 	c := New()
 	c.AddFlops(KGemm, 1000)
 	c.AddFlops(KSymv, 1)
-	rep := c.FlopReport()
-	if !strings.Contains(rep, "gemm") || !strings.Contains(rep, "symv") {
-		t.Fatalf("report missing kernels: %q", rep)
-	}
-	if strings.Index(rep, "gemm") > strings.Index(rep, "symv") {
-		t.Fatal("report not sorted by count")
-	}
 	c.Reset()
 	if c.TotalFlops() != 0 {
 		t.Fatal("reset did not clear flops")

@@ -3,9 +3,10 @@
 # AVX2/FMA GEMM and Level-1/2 kernels are part of the default amd64 build), and
 # pass the test suite under the race detector (the Solver is documented as safe
 # for concurrent use, so -race is part of the baseline, not an extra). There is
-# one build configuration: on an AVX2/FMA host the race pass runs the assembly
-# kernels and their memory-safety tests, and the tests that compare them with
-# the portable twins log blas.AsmActive() rather than skip.
+# one build configuration and one kernel switch, the CPU probe: on an AVX2/FMA
+# host the race pass runs the assembly kernels and their memory-safety tests,
+# and the tests that compare them with the portable twins (which they reach
+# with blas.UseAsm(false)) log blas.AsmActive() rather than skip.
 set -eu
 
 set -x
@@ -25,9 +26,10 @@ GOARCH=arm64 go vet ./internal/blas ./internal/householder ./internal/bulge
 # GOAMD64=v3, and as a call to Go's software FMA where the CPU has none
 # (GODEBUG=cpu.fma=off simulates that CPU; the probe of the assembly kernels
 # does not read GODEBUG, so the assembly still runs). All three must give the
-# assembly's bits.
+# assembly's bits — kernel by kernel, and for a whole solve (order 131, two-
+# stage, values only and one-stage) on the portable twins throughout.
 GOAMD64=v3 go test ./internal/blas ./internal/householder
-GODEBUG=cpu.fma=off go test -run 'AsmBitwisePortable|FusedRulePin|KernelAutoWithoutAVX2' ./internal/blas
+GODEBUG=cpu.fma=off go test -run 'AsmBitwisePortable|FusedRulePin|ProbeWithoutAVX2|TestSolveBitwiseAcrossKernels' ./internal/blas .
 
 # The service's payload decoding is where hostile input arrives: fuzz it past
 # its seed corpus (which plain `go test` already runs).
@@ -57,10 +59,10 @@ phase-plan           TestSolveState|TestBuildPlan  ./internal/core
 tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestSchedAffinity|TestParallelTridiag|TestSecularRoot|TestStedcHard|TestStedcScalingExact|TestSterfHard|TestWorkSetRetention|TestEstimateCoversArena  ./internal/tridiag ./internal/core
 stage1-lookahead     TestReduceLookahead|TestReduceMatchesMirrorReference|TestReduceTaskCount|TestLookaheadSolverBitwise|TestStage1  ./internal/band ./internal/core
 sched                TestSchedRandomDAGDrains  ./internal/sched
-packed-engine        TestBlock|TestGemmPackedA|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestKernelAutoWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestGemmAsmBitwisePortable|TestFusedRulePin|TestSolveBitwiseAcrossKernels  ./internal/householder ./internal/blas .
+packed-engine        TestBlock|TestGemmPackedA|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestProbeWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestGemmAsmBitwisePortable|TestFusedRulePin|TestSolveBitwiseAcrossKernels  ./internal/householder ./internal/blas .
 level-kernels        TestLevel1AsmBitwisePortable|TestLevel2AsmBitwisePortable|TestLevelCanaries|TestFusedRulePin  ./internal/blas
 bulge                TestChaseBanded|TestChaseAffinityRestriction|TestReflectorLattice|TestChaseScheduledMatchesSequential|TestChaseCancelDrains  ./internal/bulge
-service              TestServerAuth|TestServerSubmitValidation|FuzzSubmitDecode|TestServerJobEndpoints|TestServerNaNPayloadMapsTo400|TestErrorMapping|TestMemStore|TestDiskStore|TestRoundTripBitwise|TestCancelMidSolveFreesSlot|TestOverBudgetRefused|TestConcurrentClients  ./internal/service ./client
+service              TestServerAuth|TestServerSubmitValidation|FuzzSubmitDecode|TestServerJobEndpoints|TestServerNaNPayloadMapsTo400|TestErrorMapping|TestMemStore|TestDiskStore|FuzzDiskStoreReplay|TestRoundTripBitwise|TestCancelMidSolveFreesSlot|TestOverBudgetRefused|TestConcurrentClients  ./internal/service ./client
 EOF
 
 # The size figures ROADMAP.md tracks under "Size", printed for the next

@@ -345,17 +345,15 @@ func TestEigValuesRangeNonBI(t *testing.T) {
 }
 
 // TestSolveBitwiseAcrossKernels is the solver-level half of the kernel
-// contract: whichever micro-kernel KernelAuto resolves to on this host (the
+// contract: on whichever kernels the CPU probe selects on this host (the
 // AVX2/FMA assembly wherever blas.AsmActive), a whole solve — two-stage with
 // vectors, values only, and the one-stage reference, on the parallel path —
-// returns the bits of the portable 2×4 tile.
+// returns the bits of the portable twins, GEMM and Level-1/2 alike.
 func TestSolveBitwiseAcrossKernels(t *testing.T) {
 	t.Logf("blas.AsmActive() = %v", blas.AsmActive())
-	t.Cleanup(func() { blas.SetBlocking(blas.DefaultBlocking()) })
 	a := randSymMatrix(rand.New(rand.NewSource(23)), 131)
 	type outcome struct{ vals, vecs, valsOnly, oneVals, oneVecs []float64 }
-	solve := func(k blas.Kernel) outcome {
-		blas.SetBlocking(blas.Blocking{Kernel: k})
+	solve := func() outcome {
 		var o outcome
 		o.vals, o.vecs = solveOnce(t, a, &Options{Workers: 2})
 		var err error
@@ -365,7 +363,9 @@ func TestSolveBitwiseAcrossKernels(t *testing.T) {
 		o.oneVals, o.oneVecs = solveOnce(t, a, &Options{Workers: 2, Algorithm: OneStage})
 		return o
 	}
-	want, got := solve(blas.Kernel2x4), solve(blas.KernelAuto)
+	got := solve()
+	defer blas.UseAsm(blas.UseAsm(false))
+	want := solve()
 	for _, cmp := range []struct {
 		what      string
 		got, want []float64
@@ -375,7 +375,7 @@ func TestSolveBitwiseAcrossKernels(t *testing.T) {
 		{"OneStage values", got.oneVals, want.oneVals}, {"OneStage vectors", got.oneVecs, want.oneVecs},
 	} {
 		if !slices.Equal(cmp.got, cmp.want) {
-			t.Errorf("%s differ between Kernel2x4 and KernelAuto", cmp.what)
+			t.Errorf("%s differ between the probe's kernels and the portable ones", cmp.what)
 		}
 	}
 }
@@ -429,8 +429,8 @@ func solveOnce(t *testing.T, a *Matrix, opts *Options) ([]float64, []float64) {
 // TestNewSolverIgnoresTuneProfileEnv: construction reads no file. A
 // well-formed profile of the deleted autotuner's last schema (v3) at the path
 // $EIGEN_TUNE_PROFILE used to name, asking for nb = 16 and a different GEMM
-// blocking, changes nothing: the GEMM blocking stays the stock one, and the
-// solve returns the bits of the built-in tile size with the variable unset.
+// blocking, changes nothing: the solve returns the bits of the built-in tile
+// size with the variable unset.
 func TestNewSolverIgnoresTuneProfileEnv(t *testing.T) {
 	a := randSymMatrix(rand.New(rand.NewSource(31)), 200)
 	path := filepath.Join(t.TempDir(), "tune.json")
@@ -441,9 +441,6 @@ func TestNewSolverIgnoresTuneProfileEnv(t *testing.T) {
 	}
 	t.Setenv("EIGEN_TUNE_PROFILE", path)
 	gotVals, gotVecs := solveOnce(t, a, &Options{Workers: 2})
-	if b := blas.CurrentBlocking(); b != blas.DefaultBlocking() {
-		t.Errorf("GEMM blocking %+v after NewSolver, want the stock %+v", b, blas.DefaultBlocking())
-	}
 
 	os.Unsetenv("EIGEN_TUNE_PROFILE")
 	wantVals, wantVecs := solveOnce(t, a, &Options{Workers: 2, NB: band.DefaultNB})
