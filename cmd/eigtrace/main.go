@@ -41,7 +41,7 @@ func main() {
 
 	s := sched.New(*workers, sched.WithTrace())
 	start := time.Now()
-	f := band.Reduce(a, *nb, s.NewJob(nil), nil, nil)
+	f := band.Reduce(a, band.Config{NB: *nb}, s.NewJob(nil), nil, nil)
 	stage1 := time.Since(start)
 	bulge.Chase(f.Band, s.NewJob(nil), 0, true, nil, nil)
 	total := time.Since(start)

@@ -19,7 +19,7 @@ import (
 // the stage-1 factor and the Q₂ plan of its bulge chase.
 func fusedFixture(rng *rand.Rand, n, nb int, ws *work.Arena) (*band.Factor, *Plan) {
 	a := testmat.RandomSym(rng, n)
-	f := band.Reduce(a, nb, nil, ws, nil)
+	f := band.Reduce(a, band.Config{NB: nb}, nil, ws, nil)
 	res := bulge.Chase(f.Band, nil, 0, true, ws, nil)
 	return f, NewPlan(res, 0, ws)
 }

@@ -132,7 +132,7 @@ func TestReduceBandwidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, tc := range []struct{ n, nb int }{{12, 4}, {16, 4}, {20, 8}, {13, 4}, {30, 7}, {8, 8}, {5, 8}, {9, 1}} {
 		a := randSym(rng, tc.n)
-		f := Reduce(a.Clone(), tc.nb, nil, nil, nil)
+		f := Reduce(a.Clone(), Config{NB: tc.nb}, nil, nil, nil)
 		if f.Band.KD > tc.nb {
 			t.Fatalf("n=%d nb=%d: band KD %d > nb", tc.n, tc.nb, f.Band.KD)
 		}
@@ -163,10 +163,10 @@ func TestReduceScheduledMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n, nb := 24, 4
 	a := randSym(rng, n)
-	fseq := Reduce(a.Clone(), nb, nil, nil, nil)
+	fseq := Reduce(a.Clone(), Config{NB: nb}, nil, nil, nil)
 	for _, workers := range []int{1, 2, 4} {
 		s := sched.New(workers)
-		fpar := Reduce(a.Clone(), nb, s.NewJob(nil), nil, nil)
+		fpar := Reduce(a.Clone(), Config{NB: nb}, s.NewJob(nil), nil, nil)
 		s.Shutdown()
 		// Each tile sees an identical sequence of operations regardless of
 		// interleaving, so the results must match bit for bit.
@@ -189,7 +189,7 @@ func TestApplyQ1TransInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n, nb, m := 20, 4, 6
 	a := randSym(rng, n)
-	f := Reduce(a, nb, nil, nil, nil)
+	f := Reduce(a, Config{NB: nb}, nil, nil, nil)
 	c := matrix.NewDense(n, m)
 	for i := range c.Data {
 		c.Data[i] = rng.NormFloat64()
@@ -211,7 +211,7 @@ func TestApplyQ1ParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n, nb := 24, 6
 	a := randSym(rng, n)
-	f := Reduce(a, nb, nil, nil, nil)
+	f := Reduce(a, Config{NB: nb}, nil, nil, nil)
 	c := matrix.NewDense(n, n)
 	for i := range c.Data {
 		c.Data[i] = rng.NormFloat64()
@@ -235,7 +235,7 @@ func TestReduceSpectrumPreserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n, nb := 26, 5
 	a := randSym(rng, n)
-	f := Reduce(a.Clone(), nb, nil, nil, nil)
+	f := Reduce(a.Clone(), Config{NB: nb}, nil, nil, nil)
 	bd := f.Band.ToDense()
 	var trA, frA, trB, frB float64
 	for i := 0; i < n; i++ {
@@ -258,14 +258,14 @@ func TestReduceTinyAndDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	// n ≤ nb: nothing to do, B == A.
 	a := randSym(rng, 3)
-	f := Reduce(a.Clone(), 8, nil, nil, nil)
+	f := Reduce(a.Clone(), Config{NB: 8}, nil, nil, nil)
 	if !f.Band.ToDense().Equalish(a, 0) {
 		t.Fatal("n<nb should leave the matrix unchanged")
 	}
 	// n == 1.
 	one := matrix.NewDense(1, 1)
 	one.Set(0, 0, 42)
-	f1 := Reduce(one, 4, nil, nil, nil)
+	f1 := Reduce(one, Config{NB: 4}, nil, nil, nil)
 	if f1.Band.At(0, 0) != 42 {
 		t.Fatal("1x1 reduce broken")
 	}
@@ -282,7 +282,7 @@ func TestReduceNamesTasksOnlyWhenTraced(t *testing.T) {
 	if !job.Traced() || (*sched.Job)(nil).Traced() {
 		t.Fatal("Traced must be true on a tracing scheduler's job and false on a nil job")
 	}
-	Reduce(a.Clone(), 4, job, nil, nil)
+	Reduce(a.Clone(), Config{NB: 4}, job, nil, nil)
 	seen := false
 	for _, ev := range s.Trace() {
 		if ev.Name == "" {

@@ -56,10 +56,10 @@ func TestReduceLookaheadBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	n, nb := 30, 4
 	a := randSym(rng, n)
-	ref := ReduceWith(a.Clone(), Config{NB: nb}, nil, nil, nil)
+	ref := Reduce(a.Clone(), Config{NB: nb}, nil, nil, nil)
 	for workers := 1; workers <= 8; workers++ {
 		s := sched.New(workers)
-		got := ReduceWith(a.Clone(), Config{NB: nb}, s.NewJob(nil), nil, nil)
+		got := Reduce(a.Clone(), Config{NB: nb}, s.NewJob(nil), nil, nil)
 		s.Shutdown()
 		factorsIdentical(t, fmt.Sprintf("workers=%d", workers), ref, got)
 	}
@@ -93,7 +93,7 @@ func TestReduceLookaheadCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	n, nb := 60, 4
 	a := randSym(rng, n)
-	ref := ReduceWith(a.Clone(), Config{NB: nb}, nil, nil, nil)
+	ref := Reduce(a.Clone(), Config{NB: nb}, nil, nil, nil)
 	s := sched.New(4)
 	defer s.Shutdown()
 
@@ -103,7 +103,7 @@ func TestReduceLookaheadCancel(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 		cancel()
 	}()
-	ReduceWith(a.Clone(), Config{NB: nb}, job, nil, nil)
+	Reduce(a.Clone(), Config{NB: nb}, job, nil, nil)
 	// The race between cancel and completion is inherent; either outcome is
 	// fine as long as the job settled and the scheduler survived.
 	_ = job.Err()
@@ -113,19 +113,19 @@ func TestReduceLookaheadCancel(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
 	ij := sched.Inline(ctx2)
-	ReduceWith(a.Clone(), Config{NB: nb}, ij, nil, nil)
+	Reduce(a.Clone(), Config{NB: nb}, ij, nil, nil)
 	if ij.Err() == nil {
 		t.Fatal("pre-canceled inline reduce reported no error")
 	}
 
-	got := ReduceWith(a.Clone(), Config{NB: nb}, s.NewJob(nil), nil, nil)
+	got := Reduce(a.Clone(), Config{NB: nb}, s.NewJob(nil), nil, nil)
 	factorsIdentical(t, "post-cancel solve", ref, got)
 }
 
 // TestReduceLookaheadTraceAttribution checks the stage-1 sub-phase split: a
 // scheduled run with a collector attributes panel and update busy time, and
 // the recorded stall (idle worker-time) is the non-negative remainder the
-// ReduceWith accounting computes.
+// Reduce accounting computes.
 func TestReduceLookaheadTraceAttribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	n, nb := 40, 4
@@ -139,7 +139,7 @@ func TestReduceLookaheadTraceAttribution(t *testing.T) {
 	} {
 		tc := trace.New()
 		s, job := mk()
-		ReduceWith(a.Clone(), Config{NB: nb}, job, nil, tc)
+		Reduce(a.Clone(), Config{NB: nb}, job, nil, tc)
 		if s != nil {
 			s.Shutdown()
 		}

@@ -54,7 +54,7 @@ const (
 	prioDiag = prioPanel - prioFeedStep
 )
 
-// Config bundles the stage-1 settings of ReduceWith.
+// Config bundles the stage-1 settings of Reduce.
 type Config struct {
 	// NB is the tile size / bandwidth (≤ 0 → DefaultNB).
 	NB int
@@ -299,13 +299,7 @@ func (r *reducer) tsmqrC(k, i, row, w int) {
 }
 
 // Reduce runs the stage-1 reduction of the dense symmetric matrix a (both
-// triangles must be filled) to band form with bandwidth nb. See ReduceWith.
-func Reduce(a *matrix.Dense, nb int, job *sched.Job, ws *work.Arena, tc *trace.Collector) *Factor {
-	return ReduceWith(a, Config{NB: nb}, job, ws, tc)
-}
-
-// ReduceWith runs the stage-1 reduction of the dense symmetric matrix a
-// (both triangles must be filled) to band form under the given Config.
+// triangles must be filled) to band form under the given Config.
 //
 // job selects the execution mode: a nil job (or one created with
 // sched.Inline) runs the kernels sequentially in submission order — the
@@ -320,7 +314,7 @@ func Reduce(a *matrix.Dense, nb int, job *sched.Job, ws *work.Arena, tc *trace.C
 // when set, the stage's busy time is attributed to PhaseStage1Panel and
 // PhaseStage1Update and the scheduled run's idle worker-time to
 // PhaseStage1Stall.
-func ReduceWith(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc *trace.Collector) *Factor {
+func Reduce(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc *trace.Collector) *Factor {
 	r := newReducer(a, cfg, job, ws, tc)
 	workers := job.Workers()
 	var start time.Time

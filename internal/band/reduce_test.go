@@ -61,10 +61,10 @@ func TestReduceMatchesMirrorReference(t *testing.T) {
 		for _, n := range []int{nb, 2 * nb, 3 * nb, 7 * nb, 6*nb + 3} {
 			a := randSym(rng, n)
 			ref := mirrorReference(a.Clone(), nb)
-			got := ReduceWith(a.Clone(), Config{NB: nb}, nil, nil, nil)
+			got := Reduce(a.Clone(), Config{NB: nb}, nil, nil, nil)
 			factorsIdentical(t, fmt.Sprintf("nb=%d n=%d inline", nb, n), ref, got)
 			for x, s := range scheds {
-				got := ReduceWith(a.Clone(), Config{NB: nb}, s.NewJob(nil), nil, nil)
+				got := Reduce(a.Clone(), Config{NB: nb}, s.NewJob(nil), nil, nil)
 				factorsIdentical(t, fmt.Sprintf("nb=%d n=%d workers=%d", nb, n, widths[x]), ref, got)
 			}
 		}
@@ -79,7 +79,7 @@ func TestReduceTaskCount(t *testing.T) {
 	nb := 4
 	for _, nt := range []int{1, 2, 3, 7, 32} {
 		s := sched.New(2, sched.WithTrace())
-		Reduce(randSym(rng, nt*nb), nb, s.NewJob(nil), nil, nil)
+		Reduce(randSym(rng, nt*nb), Config{NB: nb}, s.NewJob(nil), nil, nil)
 		events := s.Trace()
 		s.Shutdown()
 		want := 0

@@ -6,6 +6,11 @@
 // matrix a lives at a[i+j*lda] with lda >= m. All routines are pure Go and
 // allocation-free on their hot paths.
 //
+// The signatures are the reference BLAS's, but outside Dgemm each routine
+// implements only the shapes its callers make — Lower, NoTrans, NonUnit,
+// unit strides and β ∈ {0, 1}, with the few exceptions each routine's doc
+// names. Any other shape panics with a "bad …" message, never a wrong result.
+//
 // The Level 3 kernels (Gemm, Syr2k) are cache-blocked. Gemm's packed
 // left-operand layout and micro-kernel grid are exported (Packing) for
 // callers that multiply by one matrix many times. Every routine is
@@ -49,15 +54,20 @@ const (
 // Diag indicates whether a triangular matrix has a unit diagonal.
 type Diag byte
 
-const (
-	// NonUnit means the diagonal entries are referenced.
-	NonUnit Diag = 'N'
-	// Unit means the diagonal entries are assumed to be 1 and not referenced.
-	Unit Diag = 'U'
-)
+// NonUnit means the diagonal entries are referenced (the only Diag Dtrmv
+// supports).
+const NonUnit Diag = 'N'
 
 func badParam(routine, what string) string {
 	return fmt.Sprintf("blas: %s: bad %s", routine, what)
+}
+
+// checkBeta panics unless beta is 0 or 1, the only output scalings the
+// Level-2 routines implement.
+func checkBeta(routine string, beta float64) {
+	if beta != 0 && beta != 1 {
+		panic(badParam(routine, "beta (only 0 and 1 supported)"))
+	}
 }
 
 // checkMatrix panics if the described column-major matrix does not fit in a.
@@ -73,24 +83,23 @@ func checkMatrix(routine string, m, n int, a []float64, lda int) {
 	}
 }
 
-// checkVector panics if the described strided vector does not fit in x.
+// checkVector panics if the described strided vector does not fit in x or
+// its increment is not positive.
 func checkVector(routine string, n int, x []float64, incX int) {
 	if n < 0 {
 		panic(badParam(routine, "vector length"))
 	}
-	if incX == 0 {
+	if incX < 1 {
 		panic(badParam(routine, "vector increment"))
 	}
-	if n == 0 {
-		return
-	}
-	var need int
-	if incX > 0 {
-		need = (n-1)*incX + 1
-	} else {
-		need = (n-1)*(-incX) + 1
-	}
-	if len(x) < need {
+	if n > 0 && len(x) < (n-1)*incX+1 {
 		panic(badParam(routine, "vector slice length"))
+	}
+}
+
+// checkUnit panics unless both increments are 1.
+func checkUnit(routine string, incX, incY int) {
+	if incX != 1 || incY != 1 {
+		panic(badParam(routine, "increment (only 1 supported)"))
 	}
 }

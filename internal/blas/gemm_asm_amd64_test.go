@@ -243,7 +243,7 @@ func TestProbeWithoutAVX2(t *testing.T) {
 		s := slices.Clone(a[:m*m])
 		Dgemv(NoTrans, m, n, 0.5, c, m, b, 1, 1, x, 1)
 		Dgemv(Trans, m, n, 0.5, c, m, x, 1, 1, y, 1)
-		Dsymv(Lower, m, -1.5, s, m, x, 1, 0.25, y, 1)
+		Dsymv(Lower, m, -1.5, s, m, x, 1, 1, y, 1)
 		Dger(m, m, 0.125, x, 1, y, 1, s, m)
 		Dsyr2(Lower, m, 2, x, 1, y, 1, s, m)
 		Daxpy(m, Ddot(m, x, 1, y, 1), s, 1, s[m:], 1)

@@ -386,38 +386,15 @@ func TestLevelCanaries(t *testing.T) {
 	}()
 }
 
-// TestLevel2AgainstNaive checks the public Level-2 routines — kernel routes,
-// Dgemv's staged strided-x route and the loops that remain — against triple
-// loops within c·n·ε.
+// TestLevel2AgainstNaive checks the public Level-2 routines — kernel routes
+// and Dgemv's staged strided-x route — against triple loops within c·n·ε.
 func TestLevel2AgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	const eps = 0x1p-52
 	strided := func(v []float64, inc int) []float64 { // v laid out with the given stride
-		if inc == 1 {
-			return v
-		}
-		k := inc
-		if k < 0 {
-			k = -k
-		}
-		out := make([]float64, (len(v)-1)*k+1)
+		out := make([]float64, (len(v)-1)*inc+1)
 		for i, x := range v {
-			if inc > 0 {
-				out[i*k] = x
-			} else {
-				out[(len(v)-1-i)*k] = x
-			}
-		}
-		return out
-	}
-	unstrided := func(s []float64, n, inc int) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			if inc > 0 {
-				out[i] = s[i*inc]
-			} else {
-				out[i] = s[(n-1-i)*(-inc)]
-			}
+			out[i*inc] = x
 		}
 		return out
 	}
@@ -426,42 +403,43 @@ func TestLevel2AgainstNaive(t *testing.T) {
 		lda := m + 2
 		a := randMat(rng, m, n, lda)
 		bound := 8 * float64(max(m, n)) * eps * float64(max(m, n))
-		for _, inc := range [][2]int{{1, 1}, {2, 1}, {1, 3}, {-2, 1}, {1, -1}, {2, 2}} {
-			for _, tr := range []Transpose{NoTrans, Trans} {
-				lenX, lenY := n, m
-				if tr == Trans {
-					lenX, lenY = m, n
-				}
-				x, y := randVec(rng, lenX), randVec(rng, lenY)
-				want := make([]float64, lenY)
-				for i := range want {
-					var sum float64
-					for l := 0; l < lenX; l++ {
-						if tr == NoTrans {
-							sum += a[i+l*lda] * x[l]
-						} else {
-							sum += a[l+i*lda] * x[l]
-						}
+		for _, c := range []struct {
+			tr   Transpose
+			incX int
+			beta float64
+		}{{NoTrans, 1, 1}, {NoTrans, 1, 0}, {NoTrans, 2, 1}, {NoTrans, 3, 0}, {Trans, 1, 1}, {Trans, 1, 0}} {
+			lenX, lenY := n, m
+			if c.tr == Trans {
+				lenX, lenY = m, n
+			}
+			x, y := randVec(rng, lenX), randVec(rng, lenY)
+			want := make([]float64, lenY)
+			for i := range want {
+				var sum float64
+				for l := 0; l < lenX; l++ {
+					if c.tr == NoTrans {
+						sum += a[i+l*lda] * x[l]
+					} else {
+						sum += a[l+i*lda] * x[l]
 					}
-					want[i] = 1.5*sum + 0.5*y[i]
 				}
-				ys := strided(y, inc[1])
-				Dgemv(tr, m, n, 1.5, a, lda, strided(x, inc[0]), inc[0], 0.5, ys, inc[1])
-				if d := maxDiff(unstrided(ys, lenY, inc[1]), want); d > bound {
-					t.Fatalf("Dgemv trans=%c %d×%d inc=%v: max diff %g > %g", tr, m, n, inc, d, bound)
-				}
+				want[i] = 1.5*sum + c.beta*y[i]
 			}
-			x, y := randVec(rng, m), randVec(rng, n)
-			got, want := slices.Clone(a), slices.Clone(a)
-			for j := 0; j < n; j++ {
-				for i := 0; i < m; i++ {
-					want[i+j*lda] += 1.25 * x[i] * y[j]
-				}
+			Dgemv(c.tr, m, n, 1.5, a, lda, strided(x, c.incX), c.incX, c.beta, y, 1)
+			if d := maxDiff(y, want); d > bound {
+				t.Fatalf("Dgemv trans=%c %d×%d incX=%d beta=%g: max diff %g > %g", c.tr, m, n, c.incX, c.beta, d, bound)
 			}
-			Dger(m, n, 1.25, strided(x, inc[0]), inc[0], strided(y, inc[1]), inc[1], got, lda)
-			if d := maxDiff(got, want); d > bound {
-				t.Fatalf("Dger %d×%d inc=%v: max diff %g", m, n, inc, d)
+		}
+		x, y := randVec(rng, m), randVec(rng, n)
+		got, want := slices.Clone(a), slices.Clone(a)
+		for j := 0; j < n; j++ {
+			for i := 0; i < m; i++ {
+				want[i+j*lda] += 1.25 * x[i] * y[j]
 			}
+		}
+		Dger(m, n, 1.25, x, 1, y, 1, got, lda)
+		if d := maxDiff(got, want); d > bound {
+			t.Fatalf("Dger %d×%d: max diff %g", m, n, d)
 		}
 
 		// The symmetric pair on the order-m leading block.
@@ -471,23 +449,23 @@ func TestLevel2AgainstNaive(t *testing.T) {
 				s[i+j*lda] = s[j+i*lda]
 			}
 		}
-		x, y := randVec(rng, m), randVec(rng, m)
-		want := make([]float64, m)
-		for i := range want {
-			var sum float64
-			for l := 0; l < m; l++ {
-				sum += s[i+l*lda] * x[l]
+		x, y = randVec(rng, m), randVec(rng, m)
+		for _, beta := range []float64{0, 1} {
+			want := make([]float64, m)
+			for i := range want {
+				var sum float64
+				for l := 0; l < m; l++ {
+					sum += s[i+l*lda] * x[l]
+				}
+				want[i] = -0.75*sum + beta*y[i]
 			}
-			want[i] = -0.75*sum + 2*y[i]
-		}
-		for _, ul := range []Uplo{Lower, Upper} {
 			got := slices.Clone(y)
-			Dsymv(ul, m, -0.75, s, lda, x, 1, 2, got, 1)
+			Dsymv(Lower, m, -0.75, s, lda, x, 1, beta, got, 1)
 			if d := maxDiff(got, want); d > bound {
-				t.Fatalf("Dsymv uplo=%c n=%d: max diff %g", ul, m, d)
+				t.Fatalf("Dsymv n=%d beta=%g: max diff %g", m, beta, d)
 			}
 		}
-		got := slices.Clone(s)
+		got = slices.Clone(s)
 		Dsyr2(Lower, m, 0.5, x, 1, y, 1, got, lda)
 		for j := 0; j < m; j++ {
 			for i := 0; i < m; i++ {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -398,6 +399,67 @@ func TestScalingRobustness(t *testing.T) {
 		}
 		if r := testmat.Residual(a, res.Values, res.Vectors); r > residualBudget {
 			t.Fatalf("scale %g: residual %.1f nε", s, r)
+		}
+	}
+}
+
+// TestScaledInputsAllMethodsAgree solves s·A for a GOE matrix A at scales
+// whose tridiagonal entries, or their squares, leave the floating-point
+// range, through both pipelines and every method at W = 2: powers of two,
+// and two scales that are not (at 1e307 differences of eigenvalues overflow
+// in the QR sweep). Every value and vector must be finite. Divided by s, the
+// values must lie within 50·n·ε·‖A‖ of A's D&C spectrum, and the pairs must
+// pass checkEigen's residual and orthogonality budgets against A: at s ≈ 1e307
+// the budgets' product ‖s·A‖·n·ε would itself overflow.
+func TestScaledInputsAllMethodsAgree(t *testing.T) {
+	const n = 60
+	base := testmat.RandomSym(rand.New(rand.NewSource(31)), n)
+	o := Options{NB: 16, Workers: 2, Vectors: true}
+	ref, err := SyevTwoStage(context.Background(), base, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipelines := []struct {
+		name  string
+		solve func(context.Context, *matrix.Dense, Options) (*Result, error)
+	}{{"two-stage", SyevTwoStage}, {"one-stage", SyevOneStage}}
+	type scale struct {
+		name string
+		s    float64
+	}
+	scales := []scale{{"1e-305", 1e-305}, {"1e307", 1e307}}
+	for _, k := range []int{-1000, -500, 500, 1000, 1018} {
+		scales = append(scales, scale{fmt.Sprintf("2^%d", k), math.Ldexp(1, k)})
+	}
+	for _, sc := range scales {
+		a := base.Clone()
+		for i := range a.Data {
+			a.Data[i] *= sc.s
+		}
+		for _, p := range pipelines {
+			for _, m := range []Method{MethodDC, MethodBI, MethodQR} {
+				t.Run(fmt.Sprintf("%s/%s/%v", sc.name, p.name, m), func(t *testing.T) {
+					o := o
+					o.Method = m
+					res, err := p.solve(context.Background(), a, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, v := range slices.Concat(res.Values, res.Vectors.Data) {
+						if math.IsNaN(v) || math.IsInf(v, 0) {
+							t.Fatalf("non-finite result %g", v)
+						}
+					}
+					unscaled := &Result{Values: make([]float64, n), Vectors: res.Vectors}
+					for i, v := range res.Values {
+						unscaled.Values[i] = v / sc.s
+					}
+					if e := testmat.SpectrumError(unscaled.Values, ref.Values); e > 50 {
+						t.Fatalf("values / s off by %.3g nε‖A‖ from A's spectrum", e)
+					}
+					checkEigen(t, "scaled", base, unscaled, nil)
+				})
+			}
 		}
 	}
 }

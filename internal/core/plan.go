@@ -191,7 +191,7 @@ func (Stage1) Run(ctx context.Context, st *SolveState) error {
 	job := st.phaseJob(ctx)
 	cfg := band.Config{NB: st.nb, ValuesOnly: !st.o.Vectors}
 	st.tc.Phase(trace.PhaseStage1, func() {
-		st.f1 = band.ReduceWith(aw, cfg, job, st.ws, st.tc)
+		st.f1 = band.Reduce(aw, cfg, job, st.ws, st.tc)
 	})
 	return job.Err()
 }

@@ -6,9 +6,14 @@ import (
 	"encoding/json"
 	"math"
 	"math/bits"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	eigen "repro"
 )
 
 // FuzzSubmitDecode drives the submit handler's payload decoding —
@@ -62,6 +67,62 @@ func FuzzSubmitDecode(f *testing.F) {
 		hi, lo := bits.Mul64(uint64(n), uint64(n))
 		if hi != 0 || lo != uint64(len(got)) {
 			t.Fatalf("accepted %d entries for n=%d", len(got), n)
+		}
+	})
+}
+
+// FuzzSubmitHandler drives arbitrary bodies through POST /v1/jobs, the
+// whole submit handler: JSON decoding, trailing-data refusal, payload
+// decoding, range and budget checks. It must never panic; every response
+// other than 202 must be an ErrorBody whose code maps to the response's
+// status, and every 202 a queued Job answering a body that is exactly one
+// JSON value.
+func FuzzSubmitHandler(f *testing.F) {
+	valid := `{"n": 2, "data": [4, 1, 1, 3]}`
+	for i := 0; i <= len(valid); i++ {
+		f.Add(valid[:i])
+	}
+	for _, body := range []string{
+		`{"n":1,"data":[1]}xyz`,
+		`{"n":1,"data":[1]}{"n":2}`,
+		`{"n":1,"data":[1]}` + " \n\t",
+		`{"n":1e400}`,
+		`{"n":"2"}`,
+		`{"n": 2, "data": [1, 2, 3]}`,
+		`{"n": 1, "data_b64": "!!!"}`,
+		`{"n": 1, "data_b64": "` + EncodeFloats([]float64{math.NaN()}) + `"}`,
+	} {
+		f.Add(body)
+	}
+	solver := eigen.NewSolver(nil)
+	f.Cleanup(func() { solver.Close() })
+	store := NewMemStore(0)
+	f.Cleanup(func() { store.Close() })
+	srv, err := New(Config{Solver: solver, Store: store, MaxBodyBytes: 512})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { srv.Close() })
+
+	f.Fuzz(func(t *testing.T, body string) {
+		rr := httptest.NewRecorder()
+		srv.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(body)))
+		if rr.Code == http.StatusAccepted {
+			var j Job
+			if err := json.Unmarshal(rr.Body.Bytes(), &j); err != nil || j.ID == "" || j.Status != StatusQueued {
+				t.Fatalf("202 for %q is not a queued job: %v (body %s)", body, err, rr.Body)
+			}
+			if !json.Valid([]byte(body)) {
+				t.Fatalf("202 for %q, which is not one JSON value", body)
+			}
+			return
+		}
+		var eb ErrorBody
+		if err := json.Unmarshal(rr.Body.Bytes(), &eb); err != nil || eb.Error.Code == "" {
+			t.Fatalf("status %d for %q without an error body: %v (body %s)", rr.Code, body, err, rr.Body)
+		}
+		if st := HTTPStatus(eb.Error.Code); st != rr.Code {
+			t.Fatalf("status %d for %q, but code %q maps to %d", rr.Code, body, eb.Error.Code, st)
 		}
 	})
 }

@@ -63,8 +63,8 @@ type Job struct {
 
 	// Lifecycle timestamps (UTC; zero until the transition happens).
 	Created  time.Time `json:"created"`
-	Started  time.Time `json:"started,omitempty"`
-	Finished time.Time `json:"finished,omitempty"`
+	Started  time.Time `json:"started,omitzero"`
+	Finished time.Time `json:"finished,omitzero"`
 
 	// ErrCode/ErrMsg describe the failure of a failed or canceled job.
 	// ErrCode is one of the stable Code* constants (see errmap.go) and is

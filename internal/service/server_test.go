@@ -112,6 +112,8 @@ func TestServerSubmitValidation(t *testing.T) {
 		{"n² wraps to zero", `{"n": 4294967296, "data": []}`, CodeBadRequest},
 		{"n² wraps negative", `{"n": 3037000500, "data": []}`, CodeBadRequest},
 		{"n too large for the body limit", `{"n": 46, "data": []}`, CodeBadRequest},
+		{"trailing bytes", `{"n": 1, "data": [1]}xyz`, CodeBadRequest},
+		{"second JSON value", `{"n": 1, "data": [1]}{"n": 2}`, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,8 +130,9 @@ func TestServerSubmitValidation(t *testing.T) {
 }
 
 // TestServerJobEndpoints covers the non-solve paths of the job endpoints:
-// unknown IDs are 404, a result requested too early is 409/pending, a bad
-// wait duration is 400, and cancel of an unknown job is 404.
+// unknown IDs are 404, a queued job's record carries no timestamp it has not
+// reached, a result requested too early is 409/pending, a bad wait duration
+// is 400, and cancel of an unknown job is 404.
 func TestServerJobEndpoints(t *testing.T) {
 	srv := testServer(t, nil, Config{})
 
@@ -154,6 +157,15 @@ func TestServerJobEndpoints(t *testing.T) {
 	srv.ServeHTTP(rr, r)
 	if rr.Code != http.StatusAccepted {
 		t.Fatalf("submit: %d (%s)", rr.Code, rr.Body)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(rr.Body.Bytes(), &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"started", "finished"} {
+		if v, ok := keys[k]; ok {
+			t.Fatalf("queued job carries %q: %s", k, v)
+		}
 	}
 	var j Job
 	if err := json.NewDecoder(rr.Body).Decode(&j); err != nil {

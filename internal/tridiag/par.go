@@ -385,7 +385,10 @@ const stebzChunkSize = 32
 // stebzInto. Since every eigenvalue's refinement path is independent of the
 // chunking, the result is bitwise identical to the sequential Stebz at any
 // worker count. The returned slice is freshly allocated (caller-owned). On
-// cancellation the unprocessed entries are zero — check job.Err().
+// cancellation the unprocessed entries are zero — check job.Err(). A matrix
+// whose largest entry lies outside [ssfmin, ssfmax], where the Sturm count's
+// e² would overflow or underflow, is bisected scaled by a power of two, as
+// Sterf does; inputs inside that range are bisected as given.
 func StebzSched(d, e []float64, il, iu int, ws *WorkSet, job *sched.Job, aff uint64, tc *trace.Collector) []float64 {
 	n := len(d)
 	checkTE(d, e)
@@ -396,6 +399,17 @@ func StebzSched(d, e []float64, il, iu int, ws *WorkSet, job *sched.Job, aff uin
 		panic("tridiag: Stebz index range out of bounds")
 	}
 	ws.Grow(job.Workers())
+	if exp := sterfScale(d, e[:n-1]); exp != 0 {
+		seq := ws.Seq()
+		ds, es := seq.buf(n), seq.buf(n-1)
+		ldexpInto(ds, d, -exp)
+		ldexpInto(es, e[:n-1], -exp)
+		out := StebzSched(ds, es, il, iu, ws, job, aff, tc)
+		seq.putVec(ds)
+		seq.putVec(es)
+		ldexpInto(out, out, exp)
+		return out
+	}
 	out := make([]float64, iu-il+1)
 	attr := func(sturmCalls int) {
 		tc.AttributeFlops(trace.PhaseEigTBisect, int64(sturmCalls)*4*int64(n))
@@ -429,7 +443,10 @@ func StebzSched(d, e []float64, il, iu int, ws *WorkSet, job *sched.Job, aff uin
 // disjoint output columns, cluster-local MGS and PRNG stream), bitwise
 // identical to the sequential loop at any worker count. The returned matrix
 // is pool-owned (hand back via ws.PutMat). A cluster that fails to converge
-// latches ErrNoConvergence; remaining clusters still complete.
+// latches ErrNoConvergence; remaining clusters still complete. Like
+// StebzSched it iterates on (d, e) and w scaled by a power of two when the
+// largest entry of the matrix lies outside [ssfmin, ssfmax]; the eigenvectors
+// are the same.
 func SteinSched(d, e []float64, w []float64, ws *WorkSet, job *sched.Job, aff uint64, tc *trace.Collector) (*matrix.Dense, error) {
 	n := len(d)
 	checkTE(d, e)
@@ -438,6 +455,18 @@ func SteinSched(d, e []float64, w []float64, ws *WorkSet, job *sched.Job, aff ui
 	}
 	ws.Grow(job.Workers())
 	k := len(w)
+	if exp := sterfScale(d, e[:max(n-1, 0)]); exp != 0 {
+		seq := ws.Seq()
+		ds, es, wsc := seq.buf(n), seq.buf(n-1), seq.buf(k)
+		ldexpInto(ds, d, -exp)
+		ldexpInto(es, e[:n-1], -exp)
+		ldexpInto(wsc, w, -exp)
+		z, err := SteinSched(ds, es, wsc, ws, job, aff, tc)
+		seq.putVec(ds)
+		seq.putVec(es)
+		seq.putVec(wsc)
+		return z, err
+	}
 	z := ws.Seq().mat(n, k)
 	if n == 0 || k == 0 {
 		return z, nil

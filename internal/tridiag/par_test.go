@@ -311,15 +311,16 @@ func TestStedcSchedNoConvergence(t *testing.T) {
 	set.PutMat(q)
 }
 
-// TestSteinSchedNoConvergence: the cluster error latch. A shift of
-// −MaxFloat64 against d = +MaxFloat64 makes the factorization pivots +Inf,
-// so every solve returns an exactly-zero iterate and the restart budget
-// runs out deterministically; the healthy second cluster must still
-// complete while the latch is set.
+// TestSteinSchedNoConvergence: the cluster error latch. A shift of −Inf
+// makes the factorization pivots +Inf, so every solve returns an
+// exactly-zero iterate and the restart budget runs out deterministically;
+// the healthy second cluster must still complete while the latch is set.
+// (A finite shift no longer does it: d = w = ±MaxFloat64, which once
+// overflowed the pivots, is now solved scaled by a power of two.)
 func TestSteinSchedNoConvergence(t *testing.T) {
-	d := []float64{math.MaxFloat64, math.MaxFloat64}
+	d := []float64{1, 1}
 	e := []float64{0}
-	w := []float64{-math.MaxFloat64, 0}
+	w := []float64{math.Inf(-1), 0}
 	s := sched.New(3)
 	defer s.Shutdown()
 	set := NewWorkSet(3)

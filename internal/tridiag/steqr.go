@@ -42,6 +42,14 @@ func steqrWork(d, e []float64, z *matrix.Dense, w *Work) error {
 	copy(ework, e[:n-1])
 	e = ework
 	defer w.putVec(ework)
+	// Sterf's rule: a matrix whose largest entry lies outside
+	// [ssfmin, ssfmax] is iterated on scaled by a power of two, where the
+	// shift's differences and the rotations cannot overflow or underflow.
+	exp := sterfScale(d, e[:n-1])
+	if exp != 0 {
+		ldexpInto(d, d, -exp)
+		ldexpInto(e, e, -exp)
+	}
 	maxIter := MaxIterQL
 
 	for l := 0; l < n; l++ {
@@ -105,6 +113,9 @@ func steqrWork(d, e []float64, z *matrix.Dense, w *Work) error {
 			e[l] = g
 			e[m] = 0
 		}
+	}
+	if exp != 0 {
+		ldexpInto(d, d, exp)
 	}
 	sortEigen(d, z, w)
 	return nil

@@ -52,15 +52,10 @@ func Sterf(d, e []float64) error {
 			continue
 		}
 		db, eb := d[l:lend+1], e[l:lend]
-		exp := 0
-		if anorm := maxAbs(db, eb); anorm > ssfmax || (anorm < ssfmin && anorm > 0) {
-			_, exp = math.Frexp(anorm)
-			for i := range db {
-				db[i] = math.Ldexp(db[i], -exp)
-			}
-			for i := range eb {
-				eb[i] = math.Ldexp(eb[i], -exp)
-			}
+		exp := sterfScale(db, eb)
+		if exp != 0 {
+			ldexpInto(db, db, -exp)
+			ldexpInto(eb, eb, -exp)
 		}
 		for i, v := range eb {
 			eb[i] = v * v
@@ -75,9 +70,7 @@ func Sterf(d, e []float64) error {
 		var ok bool
 		budget, ok = sterfQL(db, eb, budget)
 		if exp != 0 {
-			for i := range db {
-				db[i] = math.Ldexp(db[i], exp)
-			}
+			ldexpInto(db, db, exp)
 		}
 		if !ok {
 			return ErrNoConvergence
@@ -97,6 +90,24 @@ func maxAbs(d, e []float64) float64 {
 		m = math.Max(m, math.Abs(v))
 	}
 	return m
+}
+
+// sterfScale returns the exponent of the power of two that Sterf, Steqr,
+// bisection and inverse iteration divide a matrix by: that of max|T| when it
+// lies outside [ssfmin, ssfmax], and 0 (no scaling, every bit kept) inside.
+func sterfScale(d, e []float64) int {
+	if anorm := maxAbs(d, e); anorm > ssfmax || (anorm < ssfmin && anorm > 0) {
+		_, exp := math.Frexp(anorm)
+		return exp
+	}
+	return 0
+}
+
+// ldexpInto sets dst[i] = src[i]·2^exp.
+func ldexpInto(dst, src []float64, exp int) {
+	for i, v := range src {
+		dst[i] = math.Ldexp(v, exp)
+	}
 }
 
 // sterfShift returns the Wilkinson shift for the end of a block whose last

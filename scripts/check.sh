@@ -6,7 +6,9 @@
 # one build configuration and one kernel switch, the CPU probe: on an AVX2/FMA
 # host the race pass runs the assembly kernels and their memory-safety tests,
 # and the tests that compare them with the portable twins (which they reach
-# with blas.UseAsm(false)) log blas.AsmActive() rather than skip.
+# with blas.UseAsm(false)) log blas.AsmActive() rather than skip. Below them,
+# internal/blas implements only the call shapes the solver makes; the
+# level-kernels gate keeps the test that every other shape panics.
 set -eu
 
 set -x
@@ -31,9 +33,11 @@ GOARCH=arm64 go vet ./internal/blas ./internal/householder ./internal/bulge
 GOAMD64=v3 go test ./internal/blas ./internal/householder
 GODEBUG=cpu.fma=off go test -run 'AsmBitwisePortable|FusedRulePin|ProbeWithoutAVX2|TestSolveBitwiseAcrossKernels' ./internal/blas .
 
-# The service's payload decoding is where hostile input arrives: fuzz it past
-# its seed corpus (which plain `go test` already runs).
+# The submit handler is where hostile input arrives: fuzz its payload decoding
+# and the whole handler (body decoding, trailing data, status mapping) past
+# their seed corpora (which plain `go test` already runs).
 go test -run '^$' -fuzz FuzzSubmitDecode -fuzztime 10s ./internal/service
+go test -run '^$' -fuzz FuzzSubmitHandler -fuzztime 10s ./internal/service
 set +x
 
 # Named gates. The race pass above already ran every test; what a later
@@ -60,9 +64,10 @@ tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestSchedAffin
 stage1-lookahead     TestReduceLookahead|TestReduceMatchesMirrorReference|TestReduceTaskCount|TestLookaheadSolverBitwise|TestStage1  ./internal/band ./internal/core
 sched                TestSchedRandomDAGDrains  ./internal/sched
 packed-engine        TestBlock|TestGemmPackedA|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestProbeWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestGemmAsmBitwisePortable|TestFusedRulePin|TestSolveBitwiseAcrossKernels  ./internal/householder ./internal/blas .
-level-kernels        TestLevel1AsmBitwisePortable|TestLevel2AsmBitwisePortable|TestLevelCanaries|TestFusedRulePin  ./internal/blas
+level-kernels        TestLevel1AsmBitwisePortable|TestLevel2AsmBitwisePortable|TestLevelCanaries|TestFusedRulePin|TestUnsupportedShapesPanic  ./internal/blas
+hard-inputs          TestScaledInputsAllMethodsAgree  ./internal/core
 bulge                TestChaseBanded|TestChaseAffinityRestriction|TestReflectorLattice|TestChaseScheduledMatchesSequential|TestChaseCancelDrains  ./internal/bulge
-service              TestServerAuth|TestServerSubmitValidation|FuzzSubmitDecode|TestServerJobEndpoints|TestServerNaNPayloadMapsTo400|TestErrorMapping|TestMemStore|TestDiskStore|FuzzDiskStoreReplay|TestRoundTripBitwise|TestCancelMidSolveFreesSlot|TestOverBudgetRefused|TestConcurrentClients  ./internal/service ./client
+service              TestServerAuth|TestServerSubmitValidation|FuzzSubmitDecode|FuzzSubmitHandler|TestServerJobEndpoints|TestServerNaNPayloadMapsTo400|TestErrorMapping|TestMemStore|TestDiskStore|FuzzDiskStoreReplay|TestRoundTripBitwise|TestCancelMidSolveFreesSlot|TestOverBudgetRefused|TestConcurrentClients  ./internal/service ./client
 EOF
 
 # The size figures ROADMAP.md tracks under "Size", printed for the next
