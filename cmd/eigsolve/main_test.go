@@ -67,6 +67,9 @@ func TestReadMatrixErrors(t *testing.T) {
 		"truncated.txt": "3\n1 2 3 4",
 		"badsize.txt":   "x\n",
 		"badval.txt":    "2\n1 2 3 zz",
+		"negsize.txt":   "-2\n1 2 3 4",
+		"hugesize.txt":  "100000000\n1 2 3 4",
+		"overflow.txt":  "3037000500\n1 2 3 4",
 	} {
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {

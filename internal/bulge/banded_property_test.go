@@ -23,7 +23,7 @@ func eigBand(t *testing.T, b *matrix.SymBand) ([]float64, *matrix.Dense) {
 	res := bulge.Chase(b, nil, 0, true, nil, nil)
 	d := append([]float64(nil), res.T.D...)
 	e := append([]float64(nil), res.T.E...)
-	vals, z, err := tridiag.Stedc(d, e)
+	vals, z, err := tridiag.StedcSched(d, e, tridiag.NewWorkSet(1), nil, 0, nil)
 	if err != nil {
 		t.Fatalf("Stedc: %v", err)
 	}

@@ -260,11 +260,11 @@ func SyevOneStage(ctx context.Context, a *matrix.Dense, o Options) (*Result, err
 
 // tridiagWorks returns the arena's retained tridiag.WorkSet (one scratch
 // pool per scheduler worker plus the sequential one), creating it on first
-// use and growing it to the current pool width. Nil arena → nil set (plain
-// allocation inside the solvers).
+// use and growing it to the current pool width. A nil arena gets a set of
+// its own, dropped with the solve.
 func tridiagWorks(ws *work.Arena, workers int) *tridiag.WorkSet {
 	if ws == nil {
-		return nil
+		return tridiag.NewWorkSet(workers)
 	}
 	if v := ws.Value(work.TridiagWork); v != nil {
 		set := v.(*tridiag.WorkSet)
@@ -361,7 +361,7 @@ func solveTridiagonal(t *matrix.Tridiagonal, o *Options, il, iu int, ws *work.Ar
 			}
 			// QR accumulates rotations through one matrix: inherently
 			// sequential, so it ignores the scheduler.
-			if err = tridiag.SteqrWork(d, e, q, set.Seq()); err != nil {
+			if err = tridiag.Steqr(d, e, q, set.Seq()); err != nil {
 				return
 			}
 			tc.AttributeFlops(trace.PhaseEigTRecurse, 6*int64(n)*int64(n)*int64(n))

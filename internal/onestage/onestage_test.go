@@ -97,7 +97,7 @@ func TestSytrdEigenvaluesPreserved(t *testing.T) {
 	// tested against reconstruction) is circular; instead compare Sytrd+
 	// Steqr spectrum against the trace/Frobenius invariants of A.
 	d, e, _ := Sytrd(a, 8, nil, nil)
-	if err := tridiag.Steqr(d, e, nil); err != nil {
+	if err := tridiag.Steqr(d, e, nil, tridiag.NewWorkSet(1).Seq()); err != nil {
 		t.Fatal(err)
 	}
 	var tr, fr float64
@@ -183,7 +183,7 @@ func TestFullEigendecompositionResidual(t *testing.T) {
 	a := orig.Clone()
 	d, e, tau := Sytrd(a, 8, nil, nil)
 	z := matrix.Eye(n)
-	if err := tridiag.Steqr(d, e, z); err != nil {
+	if err := tridiag.Steqr(d, e, z, tridiag.NewWorkSet(1).Seq()); err != nil {
 		t.Fatal(err)
 	}
 	// Z = Q·E.

@@ -111,26 +111,3 @@ func (w *Work) stebzInto(d, e []float64, a, b int, out []float64, off int) int {
 	w.putStebzStack(stack)
 	return counts
 }
-
-// Stebz computes eigenvalues il..iu (1-based, inclusive, ascending order) of
-// the symmetric tridiagonal matrix (d, e) by bisection on the Sturm count.
-// Pass il=1, iu=n for the full spectrum. The returned slice has length
-// iu−il+1. Each eigenvalue is refined until the bracket width is below
-// 2·Eps·(|lo|+|hi|) + underflow guard, matching the DSTEBZ tolerance.
-// Brackets are shared: one Sturm count at each bisection level serves every
-// eigenvalue whose bracket still contains the midpoint, which cuts the
-// count of O(n) Sturm evaluations by roughly the average bracket occupancy
-// while producing bitwise identical eigenvalues (see stebzInto).
-func Stebz(d, e []float64, il, iu int) []float64 {
-	n := len(d)
-	checkTE(d, e)
-	if n == 0 {
-		return nil
-	}
-	if il < 1 || iu > n || il > iu {
-		panic("tridiag: Stebz index range out of bounds")
-	}
-	out := make([]float64, iu-il+1)
-	(*Work)(nil).stebzInto(d, e, il, iu, out, il)
-	return out
-}

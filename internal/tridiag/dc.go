@@ -19,40 +19,6 @@ const dcBaseSize = 32
 // its block, so the partition never shows in the results.
 const dcTileCols = 64
 
-// Stedc computes all eigenvalues and eigenvectors of the symmetric
-// tridiagonal matrix (d, e) by Cuppen's divide-and-conquer method with
-// deflation and Gu–Eisenstat stabilized eigenvector construction (the
-// "EVD/D&C" method of the paper's Table 1). Inputs are not modified.
-//
-// It returns the eigenvalues in ascending order and an orthogonal matrix Q
-// with T = Q·diag(vals)·Qᵀ.
-func Stedc(d, e []float64) (vals []float64, q *matrix.Dense, err error) {
-	return StedcWork(d, e, nil)
-}
-
-// StedcWork is Stedc drawing every internal buffer from w (nil w → plain
-// allocation). The returned slice and matrix are pool-owned: once the
-// caller has copied what it needs it should hand them back via w.PutVec and
-// w.PutMat so repeated solves reach an allocation-free steady state.
-func StedcWork(d, e []float64, w *Work) ([]float64, *matrix.Dense, error) {
-	checkTE(d, e)
-	n := len(d)
-	dd := w.buf(n)
-	ee := w.buf(max(n-1, 0))
-	exp := scaleT(dd, ee, d, e)
-	vals, q, err := dcRecurse(dd, ee, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The recursion may return dd itself (base case) or a pool buffer;
-	// dcSorted hands the caller a buffer distinct from dd either way.
-	out, q := dcSorted(vals, q, exp, w)
-	recycleHalf(vals, dd, w)
-	w.putVec(dd)
-	w.putVec(ee)
-	return out, q, nil
-}
-
 // scaleT copies the tridiagonal (d, e) into (dd, ee) times the power of two
 // that brings its largest entry into [1, 2), and returns the exponent that
 // undoes it: the eigenvalues of T are math.Ldexp(λ, exp) for the eigenvalues
@@ -120,7 +86,7 @@ func dcRecurse(d, e []float64, w *Work) ([]float64, *matrix.Dense, error) {
 	}
 	if n <= dcBaseSize {
 		z := w.eye(n)
-		if err := steqrWork(d, e, z, w); err != nil {
+		if err := Steqr(d, e, z, w); err != nil {
 			return nil, nil, err
 		}
 		return d, z, nil

@@ -1,6 +1,7 @@
 // Scheduler-parallel entry points of the tridiagonal eigensolvers. Each
-// *Sched function runs the same kernel bodies as its sequential counterpart
-// and is bitwise identical to it at any worker count:
+// *Sched function is bitwise identical at every worker count to the same
+// function on an inline (or nil) job, which runs its bodies on the calling
+// goroutine:
 //
 //   - StedcSched executes Cuppen's recursion as a flat task DAG: subtrees
 //     below a cutoff are one sequential task each, and every rank-one merge
@@ -13,7 +14,8 @@
 //     grouping of the survivors; tile widths depend on nothing; distinct
 //     tasks write disjoint outputs; and every column of the update is
 //     computed independently of its tile, so any column partition is bitwise
-//     neutral (pinned by tests against the plain recursive StedcWork).
+//     neutral (pinned by tests against the whole problem solved as one leaf,
+//     which is the plain recursion dcRecurse).
 //
 //   - StebzSched partitions the index range into fixed-width chunks; each
 //     chunk refines its eigenvalues with the shared-Sturm-count bracket
@@ -25,9 +27,9 @@
 //     local MGS and PRNG seed) and the within-cluster iteration stays
 //     sequential.
 //
-// Task bodies draw scratch from per-worker Work pools (WorkSet), so the
-// parallel paths preserve the allocation-free steady state of the pooled
-// sequential solvers.
+// Task bodies draw scratch from per-worker Work pools (WorkSet), so repeat
+// solves on one WorkSet reach an allocation-free steady state on the inline
+// path.
 package tridiag
 
 import (
@@ -40,12 +42,12 @@ import (
 	"repro/internal/trace"
 )
 
-// DCParCutoff is the subtree size at or below which the parallel D&C runs
-// the whole subtree as one sequential task (values below dcBaseSize are
-// treated as dcBaseSize). It tunes task granularity only: the recursion
-// tree — and therefore every floating-point operation — is unchanged, so
+// dcParCutoff is the subtree size at or below which the D&C runs the whole
+// subtree as one sequential leaf task (values below dcBaseSize are treated
+// as dcBaseSize). A variable for tests: it tunes task granularity only, the
+// recursion tree — and so every floating-point operation — is unchanged, and
 // any cutoff produces bitwise identical results.
-var DCParCutoff = 64
+var dcParCutoff = 64
 
 // errLatch is the shared failure flag of a task DAG: the first error wins,
 // later tasks observe failed() and skip their bodies.
@@ -311,48 +313,44 @@ func dcSecularFlops(k, evals int) int64 {
 	return 8*int64(evals)*kk + 11*kk*kk
 }
 
-// StedcSched is StedcWork executing over a scheduler job: the recursion's
-// independent halves run as concurrent tasks down to DCParCutoff and every
-// larger rank-one merge tiles its eigenvector-update GEMM into per-column-
-// block tasks (see the package comment of this file for the determinism
-// argument). With an inline (or nil) job the same bodies run sequentially
-// on the calling goroutine, so there is exactly one code path to trust.
+// StedcSched computes all eigenvalues and eigenvectors of the symmetric
+// tridiagonal matrix (d, e) by Cuppen's divide-and-conquer method with
+// deflation and Gu–Eisenstat stabilized eigenvector construction (the
+// "EVD/D&C" method of the paper's Table 1), over a scheduler job: the
+// recursion's independent halves run as concurrent tasks down to
+// dcParCutoff and every larger rank-one merge tiles its eigenvector-update
+// GEMM into per-column-block tasks (see the package comment of this file for
+// the determinism argument). With an inline (or nil) job the same bodies run
+// sequentially on the calling goroutine, so there is exactly one code path to
+// trust. Inputs are not modified.
 //
-// Results are bitwise identical to StedcWork at any worker count. The
-// returned slice and matrix are pool-owned (hand back via ws.PutVec /
-// ws.PutMat); on error — including cancellation of the job — buffers held
-// by unfinished nodes are abandoned to the garbage collector, which keeps
-// the pools consistent. aff restricts the tasks' workers (0 = all); tc
-// receives eig_t sub-phase flop attribution and may be nil.
+// It returns the eigenvalues in ascending order and an orthogonal matrix Q
+// with T = Q·diag(vals)·Qᵀ, bitwise the same at any worker count. Both are
+// pool-owned (hand back via ws.PutVec / ws.PutMat); on error — including
+// cancellation of the job — buffers held by unfinished nodes are abandoned to
+// the garbage collector, which keeps the pools consistent. aff restricts the
+// tasks' workers (0 = all); tc receives eig_t sub-phase flop attribution and
+// may be nil.
 func StedcSched(d, e []float64, ws *WorkSet, job *sched.Job, aff uint64, tc *trace.Collector) ([]float64, *matrix.Dense, error) {
 	checkTE(d, e)
-	if ws == nil {
-		ws = NewWorkSet(job.Workers())
-	}
 	ws.Grow(job.Workers())
 	n := len(d)
-	cutoff := max(DCParCutoff, dcBaseSize)
-	if n <= cutoff {
-		// The whole problem is one leaf: identical to the sequential solver.
-		if job.Canceled() {
-			return nil, nil, job.Err()
-		}
-		vals, q, err := StedcWork(d, e, ws.Seq())
-		if err == nil {
-			tc.AttributeFlops(trace.PhaseEigTRecurse, dcRecurseFlops(n))
-		}
-		return vals, q, err
-	}
 	seq := ws.Seq()
+	if n == 0 {
+		return seq.buf(0), seq.mat(0, 0), job.Err()
+	}
 	r := &ws.run
 	r.reset(ws, job, aff, tc)
 	r.dd = seq.buf(n)
 	r.ee = seq.buf(n - 1)
 	exp := scaleT(r.dd, r.ee, d, e)
+	cutoff := max(dcParCutoff, dcBaseSize)
 	root := r.build(0, n, 0, cutoff)
 
 	var err error
-	if job.Parallel() {
+	// A problem of one leaf runs on the calling goroutine even over a
+	// scheduler: as a task it would only add the task's overhead.
+	if job.Parallel() && n > cutoff {
 		r.submitNode(root)
 		err = job.Wait()
 	} else {
@@ -362,29 +360,36 @@ func StedcSched(d, e []float64, ws *WorkSet, job *sched.Job, aff uint64, tc *tra
 	if err == nil {
 		err = r.latch.get()
 	}
+	var out []float64
+	var q *matrix.Dense
+	if err == nil {
+		// A leaf of order ≤ dcBaseSize returns its values in dd itself, so dd
+		// goes back to the pool only after dcSorted has read them.
+		rn := &r.nodes[root]
+		out, q = dcSorted(rn.vals, rn.q, exp, seq)
+		recycleHalf(rn.vals, r.dd, seq)
+		rn.vals, rn.q = nil, nil
+	}
 	seq.putVec(r.dd)
 	seq.putVec(r.ee)
 	r.dd, r.ee = nil, nil
-	if err != nil {
-		return nil, nil, err
-	}
-	rn := &r.nodes[root]
-	out, q := dcSorted(rn.vals, rn.q, exp, seq)
-	seq.putVec(rn.vals)
-	rn.vals, rn.q = nil, nil
-	return out, q, nil
+	return out, q, err
 }
 
 // stebzChunkSize is the fixed index-chunk width of the parallel bisection;
 // like dcTileCols it depends only on the problem, never on the workers.
 const stebzChunkSize = 32
 
-// StebzSched is Stebz over a scheduler job: the index range il..iu is
-// partitioned into fixed contiguous chunks solved concurrently, each chunk
-// sharing Sturm counts across its eigenvalues via the bracket-splitting
-// stebzInto. Since every eigenvalue's refinement path is independent of the
-// chunking, the result is bitwise identical to the sequential Stebz at any
-// worker count. The returned slice is freshly allocated (caller-owned). On
+// StebzSched computes eigenvalues il..iu (1-based, inclusive, ascending
+// order) of the symmetric tridiagonal matrix (d, e) by bisection on the Sturm
+// count; pass il=1, iu=n for the full spectrum. Each eigenvalue is refined
+// until its bracket is below 2·Eps·(|lo|+|hi|) plus an underflow guard, the
+// DSTEBZ tolerance. Over a scheduler job the index range is partitioned into
+// fixed contiguous chunks solved concurrently, each chunk sharing Sturm
+// counts across its eigenvalues via the bracket-splitting stebzInto. Since
+// every eigenvalue's refinement path is independent of the chunking, the
+// result is bitwise the same at any worker count, inline included. The
+// returned slice has length iu−il+1 and is freshly allocated (caller-owned). On
 // cancellation the unprocessed entries are zero — check job.Err(). A matrix
 // whose largest entry lies outside [ssfmin, ssfmax], where the Sturm count's
 // e² would overflow or underflow, is bisected scaled by a power of two, as
@@ -396,7 +401,7 @@ func StebzSched(d, e []float64, il, iu int, ws *WorkSet, job *sched.Job, aff uin
 		return nil
 	}
 	if il < 1 || iu > n || il > iu {
-		panic("tridiag: Stebz index range out of bounds")
+		panic("tridiag: StebzSched index range out of bounds")
 	}
 	ws.Grow(job.Workers())
 	if exp := sterfScale(d, e[:n-1]); exp != 0 {
@@ -438,11 +443,16 @@ func StebzSched(d, e []float64, il, iu int, ws *WorkSet, job *sched.Job, aff uin
 	return out
 }
 
-// SteinSched is SteinWork over a scheduler job: one task per
-// reorthogonalization cluster (the independent unit of inverse iteration —
-// disjoint output columns, cluster-local MGS and PRNG stream), bitwise
-// identical to the sequential loop at any worker count. The returned matrix
-// is pool-owned (hand back via ws.PutMat). A cluster that fails to converge
+// SteinSched computes eigenvectors of the symmetric tridiagonal matrix (d, e)
+// for the given eigenvalues w (ascending, e.g. from StebzSched) by inverse
+// iteration, reorthogonalizing vectors whose eigenvalues fall in the same
+// cluster (separation below 10⁻³·‖T‖₁, as in LAPACK's DSTEIN). It returns an
+// n×len(w) matrix whose columns are the eigenvectors in the order of w. Over
+// a scheduler job it runs one task per reorthogonalization cluster (the
+// independent unit of inverse iteration — disjoint output columns,
+// cluster-local MGS and PRNG stream), bitwise identical to the inline loop at
+// any worker count. The returned matrix is pool-owned (hand back via
+// ws.PutMat). A cluster that fails to converge
 // latches ErrNoConvergence; remaining clusters still complete. Like
 // StebzSched it iterates on (d, e) and w scaled by a power of two when the
 // largest entry of the matrix lies outside [ssfmin, ssfmax]; the eigenvectors
@@ -450,9 +460,6 @@ func StebzSched(d, e []float64, il, iu int, ws *WorkSet, job *sched.Job, aff uin
 func SteinSched(d, e []float64, w []float64, ws *WorkSet, job *sched.Job, aff uint64, tc *trace.Collector) (*matrix.Dense, error) {
 	n := len(d)
 	checkTE(d, e)
-	if ws == nil {
-		ws = NewWorkSet(job.Workers())
-	}
 	ws.Grow(job.Workers())
 	k := len(w)
 	if exp := sterfScale(d, e[:max(n-1, 0)]); exp != 0 {

@@ -3,6 +3,7 @@ package tridiag
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -46,7 +47,32 @@ func parShapes(t *testing.T) map[string]struct{ d, e []float64 } {
 	d, e = randTridiag(rng, 190)
 	e[50], e[95], e[140] = 0, 0, 0
 	shapes["decoupled190"] = struct{ d, e []float64 }{d, e}
+	// A GOE tridiagonal times 2^±1000: its largest entry lies outside
+	// [ssfmin, ssfmax], so StebzSched and SteinSched solve a copy scaled by
+	// a power of two (see scaledPath).
+	for _, s := range []int{1000, -1000} {
+		d, e = goeTridiag(rng, 150)
+		for i := range d {
+			d[i] = math.Ldexp(d[i], s)
+		}
+		for i := range e {
+			e[i] = math.Ldexp(e[i], s)
+		}
+		shapes[fmt.Sprintf("goe150*2^%d", s)] = struct{ d, e []float64 }{d, e}
+	}
 	return shapes
+}
+
+// scaledPath reports whether StebzSched and SteinSched solve (d, e) scaled
+// by a power of two rather than as given.
+func scaledPath(d, e []float64) bool { return sterfScale(d, e) != 0 }
+
+// stedcOneLeaf is the reference of the D&C bitwise tests: StedcSched inline
+// with the whole problem as one leaf, which is the plain recursion dcRecurse.
+func stedcOneLeaf(d, e []float64) ([]float64, *matrix.Dense, error) {
+	defer func(c int) { dcParCutoff = c }(dcParCutoff)
+	dcParCutoff = len(d)
+	return stedc(d, e)
 }
 
 func sameMat(a, b *matrix.Dense) bool {
@@ -78,13 +104,13 @@ func sameVec(a, b []float64) bool {
 
 // TestStedcSchedBitwiseIdentity pins the tentpole determinism claim: the
 // task-DAG D&C produces bitwise identical eigenvalues AND eigenvectors to
-// the plain recursive StedcWork, at every worker count, on every shape —
+// the plain recursion (stedcOneLeaf), at every worker count, on every shape —
 // including the inline (nil-job) path, which must also match.
 func TestStedcSchedBitwiseIdentity(t *testing.T) {
 	for name, sh := range parShapes(t) {
-		refVals, refQ, err := StedcWork(sh.d, sh.e, nil)
+		refVals, refQ, err := stedcOneLeaf(sh.d, sh.e)
 		if err != nil {
-			t.Fatalf("%s: sequential Stedc failed: %v", name, err)
+			t.Fatalf("%s: one-leaf StedcSched failed: %v", name, err)
 		}
 		// Inline path (no scheduler).
 		ws := NewWorkSet(1)
@@ -93,7 +119,7 @@ func TestStedcSchedBitwiseIdentity(t *testing.T) {
 			t.Fatalf("%s: inline StedcSched failed: %v", name, err)
 		}
 		if !sameVec(vals, refVals) || !sameMat(q, refQ) {
-			t.Errorf("%s: inline StedcSched differs from StedcWork", name)
+			t.Errorf("%s: inline StedcSched differs from the one-leaf solve", name)
 		}
 		ws.PutVec(vals)
 		ws.PutMat(q)
@@ -123,26 +149,26 @@ func TestStedcSchedBitwiseIdentity(t *testing.T) {
 }
 
 // TestStedcSchedCutoffNeutral verifies the granularity tunable never leaks
-// into the numbers: any DCParCutoff yields bitwise identical results.
+// into the numbers: any dcParCutoff yields bitwise identical results.
 func TestStedcSchedCutoffNeutral(t *testing.T) {
-	defer func(c int) { DCParCutoff = c }(DCParCutoff)
+	defer func(c int) { dcParCutoff = c }(dcParCutoff)
 	rng := rand.New(rand.NewSource(7))
 	d, e := randTridiag(rng, 310)
-	refVals, refQ, err := StedcWork(d, e, nil)
+	refVals, refQ, err := stedcOneLeaf(d, e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := sched.New(3)
 	defer s.Shutdown()
 	for _, cutoff := range []int{8, 33, 64, 150, 1000} {
-		DCParCutoff = cutoff
+		dcParCutoff = cutoff
 		set := NewWorkSet(3)
 		vals, q, err := StedcSched(d, e, set, s.NewJob(nil), 0, nil)
 		if err != nil {
 			t.Fatalf("cutoff=%d: %v", cutoff, err)
 		}
 		if !sameVec(vals, refVals) || !sameMat(q, refQ) {
-			t.Errorf("cutoff=%d: results differ from sequential", cutoff)
+			t.Errorf("cutoff=%d: results differ from the one-leaf solve", cutoff)
 		}
 	}
 }
@@ -179,16 +205,20 @@ func stebzNaive(d, e []float64, il, iu int) (out []float64, counts int) {
 // TestStebzSharedCountsBitwise pins that bracket sharing is a pure work
 // optimization: eigenvalues are bitwise identical to the naive
 // one-at-a-time bisection, while the Sturm-count total drops by a large
-// factor (each count near the root serves many eigenvalues).
+// factor (each count near the root serves many eigenvalues). The naive
+// reference bisects T as given, so the shapes StebzSched scales are left out.
 func TestStebzSharedCountsBitwise(t *testing.T) {
 	for name, sh := range parShapes(t) {
+		if scaledPath(sh.d, sh.e) {
+			continue
+		}
 		n := len(sh.d)
 		want, naive := stebzNaive(sh.d, sh.e, 1, n)
-		got := Stebz(sh.d, sh.e, 1, n)
+		got := stebz(sh.d, sh.e, 1, n)
 		if !sameVec(got, want) {
-			t.Errorf("%s: shared-count Stebz differs from naive bisection", name)
+			t.Errorf("%s: shared-count StebzSched differs from naive bisection", name)
 		}
-		wk := NewWork()
+		wk := NewWorkSet(1).Seq()
 		out := make([]float64, n)
 		shared := wk.stebzInto(sh.d, sh.e, 1, n, out, 1)
 		if !sameVec(out, want) {
@@ -204,25 +234,30 @@ func TestStebzSharedCountsBitwise(t *testing.T) {
 		}
 		// Subset solves must agree with the corresponding full-solve slice.
 		il, iu := n/3+1, 2*n/3
-		sub := Stebz(sh.d, sh.e, il, iu)
+		sub := stebz(sh.d, sh.e, il, iu)
 		if !sameVec(sub, want[il-1:iu]) {
-			t.Errorf("%s: subset Stebz differs from full-spectrum slice", name)
+			t.Errorf("%s: subset StebzSched differs from full-spectrum slice", name)
 		}
 	}
 }
 
-// TestStebzSchedBitwiseIdentity: chunk-parallel bisection ≡ sequential
-// Stebz at every worker count, full spectrum and subsets.
+// TestStebzSchedBitwiseIdentity: chunk-parallel bisection ≡ one unchunked
+// stebzInto over the whole range on one Work, inline and at every worker
+// count, full spectrum and subsets. stebzInto bisects T as given, so on the
+// shapes StebzSched scales the reference is the inline StebzSched.
 func TestStebzSchedBitwiseIdentity(t *testing.T) {
 	for name, sh := range parShapes(t) {
 		n := len(sh.d)
 		ranges := [][2]int{{1, n}, {1, 1}, {n/2 - 5, n/2 + 5}, {2, n - 1}}
 		for _, r := range ranges {
-			want := Stebz(sh.d, sh.e, r[0], r[1])
-			set := NewWorkSet(1)
-			got := StebzSched(sh.d, sh.e, r[0], r[1], set, nil, 0, nil)
-			if !sameVec(got, want) {
-				t.Errorf("%s [%d,%d]: inline StebzSched differs", name, r[0], r[1])
+			got := stebz(sh.d, sh.e, r[0], r[1])
+			want := got
+			if !scaledPath(sh.d, sh.e) {
+				want = make([]float64, r[1]-r[0]+1)
+				NewWorkSet(1).Seq().stebzInto(sh.d, sh.e, r[0], r[1], want, r[0])
+				if !sameVec(got, want) {
+					t.Errorf("%s [%d,%d]: inline StebzSched differs", name, r[0], r[1])
+				}
 			}
 			for _, workers := range parTestWorkers {
 				s := sched.New(workers)
@@ -238,26 +273,17 @@ func TestStebzSchedBitwiseIdentity(t *testing.T) {
 }
 
 // TestSteinSchedBitwiseIdentity: cluster-parallel inverse iteration ≡ the
-// sequential cluster loop at every worker count. Wilkinson matrices supply
+// inline cluster loop at every worker count. Wilkinson matrices supply
 // tight pairs (multi-eigenvalue clusters); the random shapes mostly
 // singleton clusters.
 func TestSteinSchedBitwiseIdentity(t *testing.T) {
 	for name, sh := range parShapes(t) {
 		n := len(sh.d)
-		w := Stebz(sh.d, sh.e, 1, n)
-		refZ, err := SteinWork(sh.d, sh.e, w, nil)
-		if err != nil {
-			t.Fatalf("%s: sequential Stein failed: %v", name, err)
-		}
-		set := NewWorkSet(1)
-		z, err := SteinSched(sh.d, sh.e, w, set, nil, 0, nil)
+		w := stebz(sh.d, sh.e, 1, n)
+		refZ, err := stein(sh.d, sh.e, w)
 		if err != nil {
 			t.Fatalf("%s: inline SteinSched failed: %v", name, err)
 		}
-		if !sameMat(z, refZ) {
-			t.Errorf("%s: inline SteinSched differs from SteinWork", name)
-		}
-		set.PutMat(z)
 		for _, workers := range parTestWorkers {
 			s := sched.New(workers)
 			set := NewWorkSet(workers)
@@ -283,7 +309,7 @@ func TestSteinSchedBitwiseIdentity(t *testing.T) {
 func TestStedcSchedNoConvergence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	d, e := randTridiag(rng, 280)
-	refVals, refQ, err := StedcWork(d, e, nil)
+	refVals, refQ, err := stedcOneLeaf(d, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +331,7 @@ func TestStedcSchedNoConvergence(t *testing.T) {
 		t.Fatalf("solve after forced failure: %v", err)
 	}
 	if !sameVec(vals, refVals) || !sameMat(q, refQ) {
-		t.Error("solve after forced failure differs from sequential reference")
+		t.Error("solve after forced failure differs from the one-leaf solve")
 	}
 	set.PutVec(vals)
 	set.PutMat(q)
@@ -337,7 +363,7 @@ func TestSteinSchedNoConvergence(t *testing.T) {
 func TestStedcSchedCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d, e := randTridiag(rng, 350)
-	refVals, refQ, err := StedcWork(d, e, nil)
+	refVals, refQ, err := stedcOneLeaf(d, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +420,7 @@ func TestStedcSchedCancellation(t *testing.T) {
 func TestSchedAffinityRestriction(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	d, e := randTridiag(rng, 260)
-	refVals, refQ, err := StedcWork(d, e, nil)
+	refVals, refQ, err := stedcOneLeaf(d, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +436,7 @@ func TestSchedAffinityRestriction(t *testing.T) {
 		if !sameVec(vals, refVals) || !sameMat(q, refQ) {
 			t.Errorf("affinity %d: results differ", tw)
 		}
-		w := Stebz(d, e, 1, len(d))
+		w := stebz(d, e, 1, len(d))
 		z, err := SteinSched(d, e, w, set, s.NewJob(nil), aff, nil)
 		if err != nil {
 			t.Fatalf("affinity %d stein: %v", tw, err)
@@ -427,8 +453,8 @@ func TestSchedAffinityRestriction(t *testing.T) {
 // factor leaves the kernels — n·k² per merge where the halves survive evenly,
 // not the 2·n·k² of a dense product.
 func TestSchedFlopAttribution(t *testing.T) {
-	defer func(c int) { DCParCutoff = c }(DCParCutoff)
-	DCParCutoff = dcBaseSize // every merge is attributed as a merge
+	defer func(c int) { dcParCutoff = c }(dcParCutoff)
+	dcParCutoff = dcBaseSize // every merge is attributed as a merge
 	rng := rand.New(rand.NewSource(31))
 	d, e := goeTridiag(rng, 512)
 	s := sched.New(2)
@@ -487,7 +513,7 @@ func TestSchedFlopAttribution(t *testing.T) {
 
 func BenchmarkStebzShared(b *testing.B) {
 	d, e := laplacian121(1000)
-	wk := NewWork()
+	wk := NewWorkSet(1).Seq()
 	out := make([]float64, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

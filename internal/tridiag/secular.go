@@ -41,7 +41,7 @@ import "math"
 // pole — what the Gu–Eisenstat construction needs.
 //
 // The quotients z²/(d − λ) are formed without any scaling, so the caller
-// keeps them in range: Stedc scales T to max|T| ∈ [1, 2) first.
+// keeps them in range: StedcSched scales T to max|T| ∈ [1, 2) first.
 func SecularRoot(d, z []float64, rho float64, k int) (base int, mu float64) {
 	base, mu, _ = secularRoot(d, z, rho, k)
 	return base, mu

@@ -7,44 +7,6 @@ import (
 	"repro/internal/matrix"
 )
 
-// Stein computes eigenvectors of the symmetric tridiagonal matrix (d, e)
-// corresponding to the given eigenvalues (ascending order, e.g. from Stebz)
-// by inverse iteration, reorthogonalizing vectors whose eigenvalues fall in
-// the same cluster (separation below 10⁻³·‖T‖₁, as in LAPACK's DSTEIN).
-// It returns an n×k matrix whose columns are the eigenvectors in the order
-// of w.
-func Stein(d, e []float64, w []float64) (*matrix.Dense, error) {
-	return SteinWork(d, e, w, nil)
-}
-
-// SteinWork is Stein drawing every internal buffer — the LU factors, the
-// pivot flags, the iterate, and the result matrix — from wk (nil wk → plain
-// allocation). The returned matrix is pool-owned: hand it back via
-// wk.PutMat once copied, so repeated MethodBI solves reach the same
-// allocation-free steady state as the D&C path.
-func SteinWork(d, e []float64, w []float64, wk *Work) (*matrix.Dense, error) {
-	n := len(d)
-	checkTE(d, e)
-	k := len(w)
-	z := wk.mat(n, k)
-	if n == 0 || k == 0 {
-		return z, nil
-	}
-	if n == 1 {
-		z.Set(0, 0, 1)
-		return z, nil
-	}
-	ortol, eps3 := steinScales(d, e)
-	for cs := 0; cs < k; {
-		ce := steinClusterEnd(w, cs, ortol)
-		if err := steinCluster(d, e, w, z, cs, ce, eps3, wk); err != nil {
-			return z, err
-		}
-		cs = ce
-	}
-	return z, nil
-}
-
 // steinScales computes the cluster separation threshold (10⁻³·‖T‖₁) and the
 // perturbation scale eps3 used for repeated eigenvalues and zero pivots.
 func steinScales(d, e []float64) (ortol, eps3 float64) {
@@ -136,7 +98,7 @@ func steinCluster(d, e, w []float64, z *matrix.Dense, cs, ce int, eps3 float64, 
 			if nrm == 0 {
 				// Orthogonalization annihilated the iterate; restart with a
 				// fresh random vector.
-				if restarts++; restarts > MaxSteinRestarts {
+				if restarts++; restarts > maxSteinRestarts {
 					put()
 					return ErrNoConvergence
 				}
@@ -224,7 +186,7 @@ func solveLU(n int, sub, diag, sup, sup2 []float64, swapped []bool, b []float64)
 	}
 }
 
-// xorshift is a tiny deterministic PRNG so Stein does not depend on
+// xorshift is a tiny deterministic PRNG so SteinSched does not depend on
 // math/rand ordering; inverse iteration only needs a start vector that is
 // not orthogonal to the target eigenvector.
 type xorshift struct{ s uint64 }

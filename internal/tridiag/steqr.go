@@ -9,7 +9,7 @@ import (
 // Steqr computes all eigenvalues, and optionally eigenvectors, of the
 // symmetric tridiagonal matrix (d, e) by the implicit QL method with
 // Wilkinson shifts (the classic imtql2 algorithm, the same family as
-// LAPACK's DSTEQR).
+// LAPACK's DSTEQR), drawing its scratch from w.
 //
 // On return d holds the eigenvalues in ascending order and e is destroyed.
 // If z is non-nil it must be an n×m matrix (m ≥ 1); the Givens rotations are
@@ -17,16 +17,7 @@ import (
 // in its columns, while passing an existing basis Q yields Q·E (the combined
 // back-transformation). Columns of z are permuted together with d during the
 // final sort.
-func Steqr(d, e []float64, z *matrix.Dense) error {
-	return steqrWork(d, e, z, nil)
-}
-
-// SteqrWork is Steqr drawing its scratch from w (nil w → plain allocation).
-func SteqrWork(d, e []float64, z *matrix.Dense, w *Work) error {
-	return steqrWork(d, e, z, w)
-}
-
-func steqrWork(d, e []float64, z *matrix.Dense, w *Work) error {
+func Steqr(d, e []float64, z *matrix.Dense, w *Work) error {
 	n := len(d)
 	checkTE(d, e)
 	if z != nil && z.Rows != n {

@@ -1,19 +1,22 @@
 // Package tridiag implements the symmetric tridiagonal eigensolvers that
-// form phase 2 ("Eig of T") of the full eigensolver:
+// form phase 2 ("Eig of T") of the full eigensolver, one entry point per
+// method:
 //
 //   - Sterf: eigenvalues only, implicit QL/QR iteration.
 //   - Steqr: eigenvalues and eigenvectors by implicit QL/QR iteration with
 //     accumulated Givens rotations (the "EV/QR" method of the paper's
 //     Table 1, ≈6n³ when vectors are accumulated).
-//   - Stedc: Cuppen's divide & conquer with Gu–Eisenstat deflation and a
-//     secular-equation solver (the "EVD/D&C" method, 4/3…8/3·n³).
-//   - Stebz/Stein: bisection eigenvalues plus inverse-iteration vectors with
-//     cluster reorthogonalization; supports computing only a subset (the
-//     fraction f of Eqs. 4–5). This is our stand-in for MRRR ("EVR"); see
-//     DESIGN.md for the substitution rationale — both are O(n²) with subset
-//     capability, which is the property the paper's analysis uses.
+//   - StedcSched: Cuppen's divide & conquer with Gu–Eisenstat deflation and
+//     a secular-equation solver (the "EVD/D&C" method, 4/3…8/3·n³).
+//   - StebzSched/SteinSched: bisection eigenvalues plus inverse-iteration
+//     vectors with cluster reorthogonalization; supports computing only a
+//     subset (the fraction f of Eqs. 4–5), our stand-in for MRRR ("EVR"):
+//     both are O(n²) with subset capability, the property the paper's
+//     analysis uses (DESIGN.md has the substitution rationale).
 //
-// All solvers return eigenvalues in ascending order.
+// The *Sched solvers run over a scheduler job, or inline on a nil one
+// (par.go); all but Sterf draw scratch from a WorkSet. All solvers return
+// eigenvalues in ascending order.
 package tridiag
 
 import (
@@ -38,11 +41,10 @@ var ErrNoConvergence = errors.New("tridiag: eigenvalue iteration did not converg
 // package-global).
 var MaxIterQL = 80
 
-// MaxSteinRestarts bounds how many times one inverse-iteration vector may be
+// maxSteinRestarts bounds how many times one inverse-iteration vector may be
 // restarted with a fresh random start after cluster reorthogonalization
-// annihilates it (Stein's ErrNoConvergence trigger). A variable for the same
-// test-seam reason as MaxIterQL.
-var MaxSteinRestarts = 8
+// annihilates it (SteinSched's ErrNoConvergence trigger).
+const maxSteinRestarts = 8
 
 // maxAbsBound returns a Gershgorin-style bound on the spectral radius of the
 // tridiagonal matrix (d, e): every eigenvalue lies in [-b, b].

@@ -106,6 +106,20 @@ func orthoError(z *matrix.Dense) float64 {
 	return worst
 }
 
+// stedc, stebz and stein run the tridiagonal solvers inline on a fresh
+// WorkSet, the way a sequential solve does.
+func stedc(d, e []float64) ([]float64, *matrix.Dense, error) {
+	return StedcSched(d, e, NewWorkSet(1), nil, 0, nil)
+}
+
+func stebz(d, e []float64, il, iu int) []float64 {
+	return StebzSched(d, e, il, iu, NewWorkSet(1), nil, 0, nil)
+}
+
+func stein(d, e, w []float64) (*matrix.Dense, error) {
+	return SteinSched(d, e, w, NewWorkSet(1), nil, 0, nil)
+}
+
 func scaleOf(d, e []float64) float64 {
 	s := maxAbsBound(d, e)
 	if s == 0 {
@@ -118,7 +132,7 @@ func TestSteqr121Analytic(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 10, 50, 121} {
 		d, e := laplacian121(n)
 		z := matrix.Eye(n)
-		if err := Steqr(d, e, z); err != nil {
+		if err := Steqr(d, e, z, NewWorkSet(1).Seq()); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		want := analytic121(n)
@@ -144,7 +158,7 @@ func TestSteqrRandom(t *testing.T) {
 		d0 := append([]float64(nil), d...)
 		e0 := append([]float64(nil), e...)
 		z := matrix.Eye(n)
-		if err := Steqr(d, e, z); err != nil {
+		if err := Steqr(d, e, z, NewWorkSet(1).Seq()); err != nil {
 			t.Fatal(err)
 		}
 		scale := scaleOf(d0, e0)
@@ -172,7 +186,7 @@ func TestSteqrTransformsExistingBasis(t *testing.T) {
 	dA := append([]float64(nil), d...)
 	eA := append([]float64(nil), e...)
 	zI := matrix.Eye(n)
-	if err := Steqr(dA, eA, zI); err != nil {
+	if err := Steqr(dA, eA, zI, NewWorkSet(1).Seq()); err != nil {
 		t.Fatal(err)
 	}
 	b := matrix.NewDense(n, n)
@@ -182,7 +196,7 @@ func TestSteqrTransformsExistingBasis(t *testing.T) {
 	dB := append([]float64(nil), d...)
 	eB := append([]float64(nil), e...)
 	zB := b.Clone()
-	if err := Steqr(dB, eB, zB); err != nil {
+	if err := Steqr(dB, eB, zB, NewWorkSet(1).Seq()); err != nil {
 		t.Fatal(err)
 	}
 	want := matrix.NewDense(n, n)
@@ -206,7 +220,7 @@ func TestSterfMatchesSteqr(t *testing.T) {
 		if err := Sterf(d1, e1); err != nil {
 			t.Fatal(err)
 		}
-		if err := Steqr(d2, e2, nil); err != nil {
+		if err := Steqr(d2, e2, nil, NewWorkSet(1).Seq()); err != nil {
 			t.Fatal(err)
 		}
 		scale := scaleOf(d, e)
@@ -232,9 +246,9 @@ func TestSterfHard(t *testing.T) {
 			t.Fatalf("%s: %v", r.name, err)
 		}
 		sd, se := r.unscaled()
-		bis := Stebz(sd, se, 1, n)
+		bis := stebz(sd, se, 1, n)
 		qr, qe := append([]float64(nil), sd...), append([]float64(nil), se...)
-		if err := Steqr(qr, qe, nil); err != nil {
+		if err := Steqr(qr, qe, nil, NewWorkSet(1).Seq()); err != nil {
 			t.Fatalf("%s: Steqr: %v", r.name, err)
 		}
 		budget := 1e-12 * scaleOf(sd, se) * float64(n)
@@ -298,10 +312,10 @@ func TestStebzMatchesSteqr(t *testing.T) {
 		d, e := randTridiag(rng, n)
 		dq := append([]float64(nil), d...)
 		eq := append([]float64(nil), e...)
-		if err := Steqr(dq, eq, nil); err != nil {
+		if err := Steqr(dq, eq, nil, NewWorkSet(1).Seq()); err != nil {
 			t.Fatal(err)
 		}
-		w := Stebz(d, e, 1, n)
+		w := stebz(d, e, 1, n)
 		scale := scaleOf(d, e)
 		for i := 0; i < n; i++ {
 			if math.Abs(w[i]-dq[i]) > 1e-11*scale {
@@ -315,8 +329,8 @@ func TestStebzSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	n := 50
 	d, e := randTridiag(rng, n)
-	all := Stebz(d, e, 1, n)
-	sub := Stebz(d, e, 11, 20)
+	all := stebz(d, e, 1, n)
+	sub := stebz(d, e, 11, 20)
 	for i := 0; i < 10; i++ {
 		if math.Abs(sub[i]-all[10+i]) > 1e-12*scaleOf(d, e) {
 			t.Fatalf("subset eigenvalue %d mismatch", i)
@@ -328,8 +342,8 @@ func TestSteinResidualAndOrtho(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, n := range []int{2, 10, 60} {
 		d, e := randTridiag(rng, n)
-		w := Stebz(d, e, 1, n)
-		z, err := Stein(d, e, w)
+		w := stebz(d, e, 1, n)
+		z, err := stein(d, e, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,8 +362,8 @@ func TestSteinWilkinsonClusters(t *testing.T) {
 	// without reorthogonalization would return parallel vectors.
 	n := 21
 	d, e := wilkinson(n)
-	w := Stebz(d, e, 1, n)
-	z, err := Stein(d, e, w)
+	w := stebz(d, e, 1, n)
+	z, err := stein(d, e, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,8 +379,8 @@ func TestSteinSubsetVectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	n := 40
 	d, e := randTridiag(rng, n)
-	w := Stebz(d, e, 5, 14) // 10 eigenpairs from the interior
-	z, err := Stein(d, e, w)
+	w := stebz(d, e, 5, 14) // 10 eigenpairs from the interior
+	z, err := stein(d, e, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,15 +394,15 @@ func TestSteinSubsetVectors(t *testing.T) {
 
 func TestStedcMatchesSteqr(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	for _, n := range []int{1, 2, 16, 33, 64, 100, 150} {
+	for _, n := range []int{0, 1, 2, 16, 33, 64, 100, 150} {
 		d, e := randTridiag(rng, n)
-		vals, q, err := Stedc(d, e)
+		vals, q, err := stedc(d, e)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		dq := append([]float64(nil), d...)
 		eq := append([]float64(nil), e...)
-		if err := Steqr(dq, eq, nil); err != nil {
+		if err := Steqr(dq, eq, nil, NewWorkSet(1).Seq()); err != nil {
 			t.Fatal(err)
 		}
 		scale := scaleOf(d, e)
@@ -410,7 +424,7 @@ func TestStedc121AndWilkinson(t *testing.T) {
 	// 1-2-1: massive deflation candidates (uniform structure).
 	n := 121
 	d, e := laplacian121(n)
-	vals, q, err := Stedc(d, e)
+	vals, q, err := stedc(d, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +439,7 @@ func TestStedc121AndWilkinson(t *testing.T) {
 	}
 	// Wilkinson: clustered pairs stress the deflation logic.
 	wd, we := wilkinson(101)
-	vals, q, err = Stedc(wd, we)
+	vals, q, err = stedc(wd, we)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +458,7 @@ func TestStedcDecoupled(t *testing.T) {
 	d, e := randTridiag(rng, n)
 	e[n/2-1] = 0
 	e[10] = 0
-	vals, q, err := Stedc(d, e)
+	vals, q, err := stedc(d, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +482,7 @@ func TestStedcIdenticalDiagonal(t *testing.T) {
 	for i := range e {
 		e[i] = 1e-3
 	}
-	vals, q, err := Stedc(d, e)
+	vals, q, err := stedc(d, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +508,7 @@ func TestEigenSumInvariantsProperty(t *testing.T) {
 		for _, v := range e {
 			frob += 2 * v * v
 		}
-		vals, _, err := Stedc(d, e)
+		vals, _, err := stedc(d, e)
 		if err != nil {
 			return false
 		}
@@ -516,7 +530,7 @@ func TestZeroMatrix(t *testing.T) {
 	n := 10
 	d := make([]float64, n)
 	e := make([]float64, n-1)
-	vals, q, err := Stedc(d, e)
+	vals, q, err := stedc(d, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,13 +556,13 @@ func TestGradedMatrix(t *testing.T) {
 	for i := range e {
 		e[i] = 1e-4 * d[i]
 	}
-	vals, q, err := Stedc(d, e)
+	vals, q, err := stedc(d, e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dq := append([]float64(nil), d...)
 	eq := append([]float64(nil), e...)
-	if err := Steqr(dq, eq, nil); err != nil {
+	if err := Steqr(dq, eq, nil, NewWorkSet(1).Seq()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -566,7 +580,7 @@ func TestReversedAndNegativeSpectra(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	n := 40
 	d, e := randTridiag(rng, n)
-	v1, _, err := Stedc(d, e)
+	v1, _, err := stedc(d, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +592,7 @@ func TestReversedAndNegativeSpectra(t *testing.T) {
 	for i := range e {
 		eneg[i] = -e[i]
 	}
-	v2, _, err := Stedc(dneg, eneg)
+	v2, _, err := stedc(dneg, eneg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,7 +618,7 @@ func TestSteinDuplicateEigenvalueInputs(t *testing.T) {
 		e[i] = 1e-14
 	}
 	w := []float64{2, 2, 2} // three numerically identical eigenvalues
-	z, err := Stein(d, e, w)
+	z, err := stein(d, e, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,12 +628,12 @@ func TestSteinDuplicateEigenvalueInputs(t *testing.T) {
 }
 
 func TestStebzDegenerate(t *testing.T) {
-	if got := Stebz(nil, nil, 1, 0); got != nil {
+	if got := stebz(nil, nil, 1, 0); got != nil {
 		// n = 0 returns nil regardless of indices.
 		t.Fatalf("empty Stebz returned %v", got)
 	}
 	d := []float64{5}
-	if got := Stebz(d, nil, 1, 1); len(got) != 1 || math.Abs(got[0]-5) > 1e-12 {
+	if got := stebz(d, nil, 1, 1); len(got) != 1 || math.Abs(got[0]-5) > 1e-12 {
 		t.Fatalf("1x1 Stebz = %v", got)
 	}
 	defer func() {
@@ -627,5 +641,5 @@ func TestStebzDegenerate(t *testing.T) {
 			t.Fatal("bad range should panic")
 		}
 	}()
-	Stebz([]float64{1, 2}, []float64{0}, 2, 1)
+	stebz([]float64{1, 2}, []float64{0}, 2, 1)
 }

@@ -21,9 +21,7 @@ import (
 // flight at once, the worker count) alone, however many different matrices
 // it serves.
 //
-// A Work serves one task body at a time. A nil *Work is valid everywhere and
-// falls back to plain allocation, so the public one-shot entry points need no
-// conditionals.
+// A Work serves one task body at a time; every Work is a member of a WorkSet.
 type Work struct {
 	free *freeLists
 
@@ -97,9 +95,6 @@ func push[T any](mu *sync.Mutex, lists map[int][]T, key int, v T) {
 	mu.Unlock()
 }
 
-// NewWork returns an empty pool.
-func NewWork() *Work { return &Work{free: newFreeLists()} }
-
 // vec returns a zeroed float buffer of exactly length n.
 func (w *Work) vec(n int) []float64 {
 	b := w.buf(n)
@@ -110,10 +105,8 @@ func (w *Work) vec(n int) []float64 {
 // buf is vec without the clearing, for a buffer its caller overwrites in
 // full: a pooled buffer comes back with whatever its last user left in it.
 func (w *Work) buf(n int) []float64 {
-	if w != nil {
-		if b, ok := pop(&w.free.mu, w.free.vecs, n); ok {
-			return b
-		}
+	if b, ok := pop(&w.free.mu, w.free.vecs, n); ok {
+		return b
 	}
 	return make([]float64, n)
 }
@@ -122,7 +115,7 @@ func (w *Work) buf(n int) []float64 {
 // length even when the caller holds a shorter reslice of it. Never put a
 // slice that aliases live data (e.g. a sub-slice of a caller's array).
 func (w *Work) putVec(b []float64) {
-	if w == nil || cap(b) == 0 {
+	if cap(b) == 0 {
 		return
 	}
 	b = b[:cap(b)]
@@ -139,7 +132,7 @@ func (w *Work) mat(r, c int) *matrix.Dense {
 
 // matBuf is mat without the clearing (see buf).
 func (w *Work) matBuf(r, c int) *matrix.Dense {
-	if w != nil && r*c != 0 {
+	if r*c != 0 {
 		if m, ok := pop(&w.free.mu, w.free.mats, r*c); ok {
 			m.Rows, m.Cols, m.Stride = r, c, r
 			return m
@@ -150,7 +143,7 @@ func (w *Work) matBuf(r, c int) *matrix.Dense {
 
 // putMat returns a matrix obtained from mat to the pool.
 func (w *Work) putMat(m *matrix.Dense) {
-	if w == nil || m == nil || len(m.Data) == 0 {
+	if m == nil || len(m.Data) == 0 {
 		return
 	}
 	push(&w.free.mu, w.free.mats, len(m.Data), m)
@@ -161,10 +154,8 @@ func (w *Work) putMat(m *matrix.Dense) {
 // boundaries (a merge's root origins and group permutation live from its
 // first task to its last), so they are pooled like vec/mat.
 func (w *Work) intVec(n int) []int {
-	if w != nil {
-		if b, ok := pop(&w.free.mu, w.free.ints, n); ok {
-			return b
-		}
+	if b, ok := pop(&w.free.mu, w.free.ints, n); ok {
+		return b
 	}
 	return make([]int, n)
 }
@@ -172,7 +163,7 @@ func (w *Work) intVec(n int) []int {
 // putIntVec returns a buffer obtained from intVec to the pool, at its full
 // length like putVec.
 func (w *Work) putIntVec(b []int) {
-	if w == nil || cap(b) == 0 {
+	if cap(b) == 0 {
 		return
 	}
 	b = b[:cap(b)]
@@ -182,28 +173,13 @@ func (w *Work) putIntVec(b []int) {
 // stebzStackBuf returns the (empty) bisection work-stack; putStebzStack
 // hands it back so its grown capacity is retained across solves.
 func (w *Work) stebzStackBuf() []stebzIval {
-	if w == nil {
-		return make([]stebzIval, 0, 64)
-	}
 	if w.stebz == nil {
 		w.stebz = make([]stebzIval, 0, 64)
 	}
 	return w.stebz[:0]
 }
 
-func (w *Work) putStebzStack(s []stebzIval) {
-	if w != nil {
-		w.stebz = s
-	}
-}
-
-// PutVec hands a vector returned by a solver (e.g. StedcWork's eigenvalues)
-// back to the pool once the caller has copied what it needs.
-func (w *Work) PutVec(b []float64) { w.putVec(b) }
-
-// PutMat hands a matrix returned by a solver (e.g. StedcWork's eigenvector
-// basis) back to the pool once the caller has copied what it needs.
-func (w *Work) PutMat(m *matrix.Dense) { w.putMat(m) }
+func (w *Work) putStebzStack(s []stebzIval) { w.stebz = s }
 
 // eye returns the n×n identity from the pool.
 func (w *Work) eye(n int) *matrix.Dense {
@@ -227,44 +203,22 @@ func grown[T any](buf *[]T, n int) []T {
 // each of length n with unspecified contents; they are distinct because they
 // are live simultaneously.
 
-func (w *Work) permBuf(n int) []int {
-	if w == nil {
-		return make([]int, n)
-	}
-	return grown(&w.perm, n)
-}
+func (w *Work) permBuf(n int) []int { return grown(&w.perm, n) }
 
-func (w *Work) partnerBuf(n int) []int {
-	if w == nil {
-		return make([]int, n)
-	}
-	return grown(&w.partner, n)
-}
+func (w *Work) partnerBuf(n int) []int { return grown(&w.partner, n) }
 
-func (w *Work) kindBuf(n int) []uint8 {
-	if w == nil {
-		return make([]uint8, n)
-	}
-	return grown(&w.kind, n)
-}
+func (w *Work) kindBuf(n int) []uint8 { return grown(&w.kind, n) }
 
 // swappedBuf returns steinCluster's zeroed pivot flags.
 func (w *Work) swappedBuf(n int) []bool {
-	if w == nil {
-		return make([]bool, n)
-	}
 	b := grown(&w.swapped, n)
 	clear(b)
 	return b
 }
 
-// sortPerm sorts perm so that key[perm[i]] ascends. With a pool the sorter
-// lives in the Work, so sort.Sort sees a pointer and nothing escapes.
+// sortPerm sorts perm so that key[perm[i]] ascends. The sorter lives in the
+// Work, so sort.Sort sees a pointer and nothing escapes.
 func (w *Work) sortPerm(perm []int, key []float64) {
-	if w == nil {
-		sort.Slice(perm, func(a, b int) bool { return key[perm[a]] < key[perm[b]] })
-		return
-	}
 	w.permSort.perm, w.permSort.key = perm, key
 	sort.Sort(&w.permSort)
 	w.permSort.perm, w.permSort.key = nil, nil
@@ -279,9 +233,6 @@ func (w *Work) sortPerm(perm []int, key []float64) {
 // freeLists), so a buffer may be taken through one member and put back
 // through another; the scheduler's lock orders a buffer's last write before
 // its next reuse.
-//
-// A nil *WorkSet is valid and falls back to plain allocation, like a nil
-// *Work.
 type WorkSet struct {
 	free  *freeLists
 	works []*Work // [0, workers) per scheduler worker; last entry = Seq
@@ -298,7 +249,7 @@ func NewWorkSet(workers int) *WorkSet {
 // Grow ensures the set serves at least the given scheduler width. Retained
 // buffers are kept; the Seq member stays last.
 func (s *WorkSet) Grow(workers int) {
-	if s == nil || workers < 1 {
+	if workers < 1 {
 		return
 	}
 	for len(s.works) < workers+1 {
@@ -307,36 +258,23 @@ func (s *WorkSet) Grow(workers int) {
 }
 
 // Worker returns the member owned by the given scheduler worker.
-func (s *WorkSet) Worker(i int) *Work {
-	if s == nil {
-		return nil
-	}
-	return s.works[i]
-}
+func (s *WorkSet) Worker(i int) *Work { return s.works[i] }
 
 // Seq returns the submitting goroutine's member; it also serves the whole
 // solve on the inline (sequential) path.
-func (s *WorkSet) Seq() *Work {
-	if s == nil {
-		return nil
-	}
-	return s.works[len(s.works)-1]
-}
+func (s *WorkSet) Seq() *Work { return s.works[len(s.works)-1] }
 
-// PutVec hands a solver-returned vector back to the set.
-func (s *WorkSet) PutVec(b []float64) { s.Seq().PutVec(b) }
+// PutVec hands a vector returned by a solver (e.g. StedcSched's eigenvalues)
+// back to the set once the caller has copied what it needs.
+func (s *WorkSet) PutVec(b []float64) { s.Seq().putVec(b) }
 
-// PutMat hands a solver-returned matrix back to the set.
-func (s *WorkSet) PutMat(m *matrix.Dense) { s.Seq().PutMat(m) }
+// PutMat hands a matrix returned by a solver (e.g. StedcSched's eigenvector
+// basis) back to the set once the caller has copied what it needs.
+func (s *WorkSet) PutMat(m *matrix.Dense) { s.Seq().putMat(m) }
 
 // WorkspaceBytes reports the set's retained float storage (see
 // work.WorkspaceSized).
-func (s *WorkSet) WorkspaceBytes() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.free.bytes()
-}
+func (s *WorkSet) WorkspaceBytes() int64 { return s.free.bytes() }
 
 type permSorter struct {
 	perm []int
