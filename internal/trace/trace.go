@@ -73,7 +73,7 @@ const (
 	// even when the stage executes as one task DAG.
 	PhaseEigTRecurse = "eig_t_recurse" // QR base cases / sequential subtrees
 	PhaseEigTMerge   = "eig_t_merge"   // secular solves + rank-one update GEMM
-	PhaseEigTBisect  = "eig_t_bisect"  // Sturm-count bisection (Stebz)
+	PhaseEigTBisect  = "eig_t_bisect"  // Sturm-count bisection (StebzSched)
 	PhaseEigTStein   = "eig_t_stein"   // inverse iteration + cluster MGS
 )
 
