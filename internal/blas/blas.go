@@ -16,6 +16,16 @@
 // callers that multiply by one matrix many times. Every routine is
 // sequential: the eigensolver extracts its parallelism one level up, from the
 // task scheduler in internal/sched.
+//
+// On amd64 a CPU probe taken at start-up picks the GEMM micro-kernel: a 16×4
+// AVX-512F tile with opmask-masked ragged edges where the CPU and OS have
+// AVX-512F (CPUID leaf 7 EBX bit 16, XCR0 bits 1–2 and 5–7), else a 12×4
+// AVX2/FMA tile where they have AVX2 and FMA, else — and off amd64 — the
+// portable 2×4 tile. Under either assembly GEMM kernel the unit-stride
+// Level-1/2 routines run seven AVX2/FMA kernels. Every kernel accumulates
+// each result element as the same chain of fused multiply-adds its portable
+// twin computes with math.FMA, so all three families give bitwise identical
+// results; UseAsm(false), for tests, turns the assembly off.
 package blas
 
 import "fmt"

@@ -8,32 +8,56 @@ import "sync"
 // KC is the one value that is *not* numerically neutral: C is accumulated in
 // KC-sized partial sums, so a different KC would change the rounding of every
 // result. MC and NC only choose which elements are computed together and
-// never reorder a chain. MC is a whole number of 12-row assembly panels (a
-// 264 KiB A-block), NC a B panel wide enough to amortize packing across all
-// MC strips.
+// never reorder a chain. MC is a whole number of panels of every kernel (20
+// of 12 rows, 15 of 16: a 240 KiB A-block), NC a B panel wide enough to
+// amortize packing across all MC strips.
 const (
-	DefaultMC = 264
+	DefaultMC = 240
 	DefaultKC = 128
 	DefaultNC = 512
 )
 
-// probedAsm is the CPU probe's answer, taken once at package init (always
-// false off amd64).
-var probedAsm = probeAsm()
+// kernelFamily is a GEMM micro-kernel and, with it, its packed-A layout.
+type kernelFamily uint8
 
-// asmKernels reports whether this process runs the assembly kernels — the
-// GEMM micro-kernel and the seven Level-1/2 kernels. It is the probe's answer
-// unless UseAsm turned it off.
-var asmKernels = probedAsm
+const (
+	// famPortable is the 2×4 scalar tile of gemm_kernels.go on row-stream
+	// panels of exact height.
+	famPortable kernelFamily = iota
+	// famAVX2 is the 12×4 AVX2/FMA tile: 12 rows are three YMM loads per k
+	// step, whose 12 accumulator chains cover the FMA latency on two ports.
+	famAVX2
+	// famAVX512 is the 16×4 AVX-512F tile: two ZMM loads per k step and 8
+	// accumulator chains, with opmask-masked ragged edges.
+	famAVX512
+)
+
+// mr is the family's packed-A panel height.
+func (f kernelFamily) mr() int { return [...]int{2, 12, 16}[f] }
+
+func (f kernelFamily) String() string { return [...]string{"portable", "avx2", "avx512"}[f] }
+
+// probedKernel is the CPU probe's answer, taken once at package init (always
+// famPortable off amd64).
+var probedKernel = probeKernel()
+
+// kernel is the GEMM micro-kernel family this process runs: the probe's
+// answer unless UseAsm turned the assembly off. Every family other than
+// famPortable also runs the seven AVX2/FMA Level-1/2 kernels.
+var kernel = probedKernel
 
 // UseAsm turns the assembly kernels on or off and returns the previous
-// setting. It can turn them off, but never on where the CPU probe failed.
-// Both paths give bitwise identical results; tests use it to run the portable
-// twins on a machine that has the assembly. No solver path calls it, and it
-// must not be called while a BLAS routine runs.
+// setting. It can turn them off, but never on where the CPU probe failed,
+// and on selects the probe's GEMM kernel. Every kernel gives bitwise
+// identical results; tests use it to run the portable twins on a machine that
+// has the assembly. No solver path calls it, and it must not be called while
+// a BLAS routine runs.
 func UseAsm(on bool) (prev bool) {
-	prev = asmKernels
-	asmKernels = on && probedAsm
+	prev = kernel != famPortable
+	kernel = famPortable
+	if on {
+		kernel = probedKernel
+	}
 	return prev
 }
 
@@ -41,29 +65,15 @@ func UseAsm(on bool) (prev bool) {
 // binary on a CPU and OS that pass the AVX2/FMA probe, with UseAsm not
 // having turned them off. Exposed for tests, which log it so a run that only
 // exercised the portable path says so.
-func AsmActive() bool { return asmKernels }
+func AsmActive() bool { return kernel != famPortable }
+
+// GemmKernel names the GEMM micro-kernel in use — "avx512", "avx2" or
+// "portable" — for tests and scripts to log.
+func GemmKernel() string { return kernel.String() }
 
 // microNR is the fixed accumulator-tile width: every micro-kernel consumes
 // packed B in 4-column panels.
 const microNR = 4
-
-// asmMR is the assembly kernel's tile height: 12 rows are three YMM loads per
-// k step, whose 12 accumulator chains cover the FMA latency on two ports.
-const asmMR = 12
-
-// resolveMR reports the packed-A panel height of the GEMM micro-kernel in
-// use and whether it is the assembly kernel (and with it the k-interleaved,
-// padded A layout). Otherwise it is the portable 2×4 accumulator tile (8
-// chains, which fit the 16-register scalar FPU file of amd64 without
-// spilling). Every element of C is accumulated as one fused chain over k in
-// ascending order, split at KC boundaries, by either kernel, so the choice
-// never perturbs results.
-func resolveMR() (mr int, useAsm bool) {
-	if asmKernels {
-		return asmMR, true
-	}
-	return 2, false
-}
 
 // packBuf carries the packed-A and packed-B panels of one blocked GEMM
 // invocation. The buffers are threaded through the whole driver (one Get

@@ -6,9 +6,9 @@ package blas
 // The blocked driver packs op(A) into MC×KC row-panels and op(B) into
 // KC×NC column-panels (once per block — the packed B panel is reused across
 // every MC strip), then runs the register-blocked micro-kernel the CPU probe
-// selected (resolveMR) over the packed panels. Every C element is one fused
+// selected (kernel) over the packed panels. Every C element is one fused
 // accumulation chain over k in ascending order, split only at KC
-// boundaries, so the portable and the assembly kernel produce bitwise
+// boundaries, so the portable and the assembly kernels produce bitwise
 // identical results.
 func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
 	rowA, colA := m, k
@@ -43,22 +43,22 @@ func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, ld
 		return
 	}
 
-	mr, useAsm := resolveMR()
+	kern := kernel
 	// Pack storage sized to the actual problem, not the blocking maxima (a
 	// 24-wide tile-kernel gemm should not pin a megabyte of buffers).
 	kcEff := min(DefaultKC, k)
-	packNA := roundUp(min(DefaultMC, m), mr) * kcEff
+	packNA := roundUp(min(DefaultMC, m), kern.mr()) * kcEff
 	packNB := min(DefaultNC, roundUp(n, microNR)) * kcEff
 
 	buf := getPackBuf(packNA, packNB)
-	gemmBlocked(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc, mr, useAsm, buf)
+	gemmBlocked(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc, kern, buf)
 	putPackBuf(buf)
 }
 
 // gemmBlocked computes C += alpha*op(A)*op(B) (beta already applied) with
 // the three-level cache blocking. buf supplies the pack storage for the
 // whole call; nothing below this level allocates.
-func gemmBlocked(transA, transB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, mr int, useAsm bool, buf *packBuf) {
+func gemmBlocked(transA, transB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, kern kernelFamily, buf *packBuf) {
 	for jj := 0; jj < n; jj += DefaultNC {
 		nc := min(DefaultNC, n-jj)
 		for kk := 0; kk < k; kk += DefaultKC {
@@ -68,8 +68,8 @@ func gemmBlocked(transA, transB Transpose, m, n, k int, alpha float64, a []float
 			packB(buf.b, transB, b, ldb, kk, jj, kc, nc, alpha)
 			for ii := 0; ii < m; ii += DefaultMC {
 				mc := min(DefaultMC, m-ii)
-				packA(buf.a, transA, a, lda, ii, kk, mc, kc, mr, useAsm)
-				gemmMacro(buf.a, buf.b, kc, mc, nc, kc, mr, useAsm, c[ii+jj*ldc:], ldc, nil)
+				packA(buf.a, transA, a, lda, ii, kk, mc, kc, kern)
+				gemmMacro(buf.a, buf.b, kc, mc, nc, kc, kern, c[ii+jj*ldc:], ldc, nil)
 			}
 		}
 	}
@@ -104,15 +104,16 @@ func packB(dst []float64, transB Transpose, b []float64, ldb, kk, jj, kc, nc int
 	}
 }
 
-// packA packs op(A)[ii:ii+mc, kk:kk+kc] into row-panels of mr rows, in one
-// of two layouts. For the portable kernels a panel is its rows as contiguous
-// length-kc streams (panel[r*kc+l]), and the final ragged panel (h < mr rows)
-// is packed at its exact height for the generic fringe kernel. For the
-// assembly kernel (interleave) a panel is k-interleaved (panel[l*mr+r], so
-// one VMOVUPD reads half a column of the tile) and always mr rows high: a
-// ragged last panel is padded with zero rows, which the kernel computes and
-// nobody stores, so dst must hold roundUp(mc, mr)·kc values.
-func packA(dst []float64, transA Transpose, a []float64, lda, ii, kk, mc, kc, mr int, interleave bool) {
+// packA packs op(A)[ii:ii+mc, kk:kk+kc] into row-panels of kern.mr() rows,
+// in one of two layouts. For the portable kernels a panel is its rows as
+// contiguous length-kc streams (panel[r*kc+l]), and the final ragged panel
+// (h < mr rows) is packed at its exact height for the generic fringe kernel.
+// For the assembly kernels a panel is k-interleaved (panel[l*mr+r], so one
+// vector load reads a quarter or half of a column of the tile) and always mr
+// rows high: a ragged last panel is padded with zero rows, which the kernel
+// computes and nobody stores, so dst must hold roundUp(mc, mr)·kc values.
+func packA(dst []float64, transA Transpose, a []float64, lda, ii, kk, mc, kc int, kern kernelFamily) {
+	mr, interleave := kern.mr(), kern != famPortable
 	off := 0
 	for p := 0; p < mc; p += mr {
 		h := min(mr, mc-p)
@@ -176,7 +177,8 @@ func packA(dst []float64, transA Transpose, a []float64, lda, ii, kk, mc, kc, mr
 // for finite operands the result is bitwise the one the full range gives —
 // unless a step's exact value underflows to −0, whose sign a skipped trailing
 // term would have turned to +0.
-func gemmMacro(apack, bpack []float64, ldb, mc, nc, kc, mr int, useAsm bool, c []float64, ldc int, sky []float64) {
+func gemmMacro(apack, bpack []float64, ldb, mc, nc, kc int, kern kernelFamily, c []float64, ldc int, sky []float64) {
+	mr := kern.mr()
 	np := (nc + microNR - 1) / microNR
 	for q := 0; q < np; q++ {
 		bq := bpack[q*microNR*ldb:]
@@ -185,8 +187,8 @@ func gemmMacro(apack, bpack []float64, ldb, mc, nc, kc, mr int, useAsm bool, c [
 		off := 0
 		for p, pi := 0, 0; p < mc; p, pi = p+mr, pi+1 {
 			h := min(mr, mc-p)
-			ph := h // packed panel height: the assembly layout pads to mr
-			if useAsm {
+			ph := h // packed panel height: the assembly layouts pad to mr
+			if kern != famPortable {
 				ph = mr
 			}
 			ap := apack[off : off+ph*kc]
@@ -201,7 +203,9 @@ func gemmMacro(apack, bpack []float64, ldb, mc, nc, kc, mr int, useAsm bool, c [
 			}
 			ct := cq[p:]
 			switch {
-			case useAsm:
+			case kern == famAVX512:
+				kern16x4asm(kn, ap[lo*mr:], bq[lo:], ldb, ct, ldc, h, nr)
+			case kern == famAVX2:
 				kern12x4asm(kn, ap[lo*mr:], bq[lo:], ldb, ct, ldc, h, nr)
 			case h < mr:
 				kernMx4(kn, h, ap[lo:], kc, bq[lo:], ldb, ct, ldc, nr)

@@ -118,6 +118,118 @@ loop:
 done:
 	RET
 
+// func gemm16x4zmm(kc int, ap, bp *float64, ldb int, c *float64, ldc int, rows uint64, nr int)
+//
+// 16×4 AVX-512F micro-kernel: C[16×4] += Ap·Bp on the rows set in rows and
+// the first nr columns. Z0..Z7 hold the 64 accumulator chains (Z(2j+q) =
+// rows 8q..8q+7 of column j). Per k step it loads 16 packed A values (two
+// ZMM, ap advances 128 bytes) and broadcasts one value from each of the four
+// B streams ldb apart (bp advances 8 bytes), issuing 8 VFMADD231PD: each
+// chain takes s ← fma(a, b, s), one rounding per step, exactly what the
+// portable kernels' math.FMA computes. The sums are then added to the C
+// columns ldc apart, one VADDPD per element with C as the first source, the
+// portable kernels' single `c += s`. K1 and K2 mask rows 0..7 and 8..15 of
+// every C load and store; masked-off lanes are neither read nor written
+// (nor can they fault), and columns from nr on are skipped.
+//
+// Reads ap[0 : 16kc], bp[j·ldb : j·ldb+kc] for j < 4; reads and writes
+// c[j·ldc+i] for j < nr and i with bit i set in rows. The Go caller asserts
+// those bounds.
+TEXT ·gemm16x4zmm(SB), NOSPLIT, $0-64
+	MOVQ kc+0(FP), CX
+	MOVQ ap+8(FP), SI
+	MOVQ bp+16(FP), DI
+	MOVQ ldb+24(FP), R8
+	MOVQ c+32(FP), DX
+	MOVQ ldc+40(FP), R10
+	MOVQ rows+48(FP), AX
+	MOVQ nr+56(FP), R12
+
+	TESTQ CX, CX
+	JLE   zdone
+
+	SHLQ $3, R8            // ldb in bytes
+	LEAQ (R8)(R8*2), R9    // 3·ldb
+	SHLQ $3, R10           // ldc in bytes
+	LEAQ (R10)(R10*2), R11 // 3·ldc
+	KMOVW AX, K1           // rows 0..7
+	SHRQ  $8, AX
+	KMOVW AX, K2           // rows 8..15
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+
+zloop:
+	VMOVUPD (SI), Z8    // a[0:8]
+	VMOVUPD 64(SI), Z9  // a[8:16]
+
+	VBROADCASTSD (DI), Z10
+	VFMADD231PD  Z10, Z8, Z0
+	VFMADD231PD  Z10, Z9, Z1
+
+	VBROADCASTSD (DI)(R8*1), Z11
+	VFMADD231PD  Z11, Z8, Z2
+	VFMADD231PD  Z11, Z9, Z3
+
+	VBROADCASTSD (DI)(R8*2), Z12
+	VFMADD231PD  Z12, Z8, Z4
+	VFMADD231PD  Z12, Z9, Z5
+
+	VBROADCASTSD (DI)(R9*1), Z13
+	VFMADD231PD  Z13, Z8, Z6
+	VFMADD231PD  Z13, Z9, Z7
+
+	ADDQ $128, SI
+	ADDQ $8, DI
+	DECQ CX
+	JNZ  zloop
+
+	VMOVUPD.Z  (DX), K1, Z8
+	VMOVUPD.Z  64(DX), K2, Z9
+	VADDPD     Z0, Z8, Z8
+	VADDPD     Z1, Z9, Z9
+	VMOVUPD    Z8, K1, (DX)
+	VMOVUPD    Z9, K2, 64(DX)
+	CMPQ       R12, $2
+	JLT        zstored
+
+	VMOVUPD.Z  (DX)(R10*1), K1, Z8
+	VMOVUPD.Z  64(DX)(R10*1), K2, Z9
+	VADDPD     Z2, Z8, Z8
+	VADDPD     Z3, Z9, Z9
+	VMOVUPD    Z8, K1, (DX)(R10*1)
+	VMOVUPD    Z9, K2, 64(DX)(R10*1)
+	CMPQ       R12, $3
+	JLT        zstored
+
+	VMOVUPD.Z  (DX)(R10*2), K1, Z8
+	VMOVUPD.Z  64(DX)(R10*2), K2, Z9
+	VADDPD     Z4, Z8, Z8
+	VADDPD     Z5, Z9, Z9
+	VMOVUPD    Z8, K1, (DX)(R10*2)
+	VMOVUPD    Z9, K2, 64(DX)(R10*2)
+	CMPQ       R12, $4
+	JLT        zstored
+
+	VMOVUPD.Z  (DX)(R11*1), K1, Z8
+	VMOVUPD.Z  64(DX)(R11*1), K2, Z9
+	VADDPD     Z6, Z8, Z8
+	VADDPD     Z7, Z9, Z9
+	VMOVUPD    Z8, K1, (DX)(R11*1)
+	VMOVUPD    Z9, K2, 64(DX)(R11*1)
+
+zstored:
+	VZEROUPPER
+
+zdone:
+	RET
+
 // func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX

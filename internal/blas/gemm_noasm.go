@@ -2,13 +2,17 @@
 
 package blas
 
-// There is no assembly micro-kernel off amd64: the probe fails, UseAsm cannot
-// turn it on, and resolveMR always selects the portable 2×4 tile.
+// There are no assembly micro-kernels off amd64: the probe chooses the
+// portable 2×4 tile, and UseAsm cannot turn anything else on.
 
-func probeAsm() bool { return false }
+func probeKernel() kernelFamily { return famPortable }
 
-// kern12x4asm is unreachable here (gemmMacro calls it only when resolveMR
-// reported the assembly layout); it exists so the driver compiles.
+// kern12x4asm and kern16x4asm are unreachable here (gemmMacro calls them only
+// for their kernel families); they exist so the driver compiles.
 func kern12x4asm(kc int, ap, bp []float64, ldb int, c []float64, ldc, h, nr int) {
+	panic("blas: assembly kernel called on a build without one")
+}
+
+func kern16x4asm(kc int, ap, bp []float64, ldb int, c []float64, ldc, h, nr int) {
 	panic("blas: assembly kernel called on a build without one")
 }

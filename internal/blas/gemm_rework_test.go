@@ -74,12 +74,12 @@ func TestDgemmFringeAgainstNaive(t *testing.T) {
 }
 
 // TestDgemmKernelsBitwiseIdentical checks the central determinism contract:
-// the kernels the CPU probe selects — on an AVX2/FMA host the assembly one —
-// produce output bitwise identical to the portable 2×4 tile, on block-sized
-// shapes and on the fringe shapes that hit the assembly layout's padded last
-// panel and ragged tiles.
+// every kernel family this CPU runs — the probe's and each older one —
+// produces output bitwise identical to the portable 2×4 tile, on block-sized
+// shapes and on the fringe shapes that hit the assembly layouts' padded last
+// panels and ragged tiles.
 func TestDgemmKernelsBitwiseIdentical(t *testing.T) {
-	t.Logf("AsmActive() = %v", AsmActive())
+	t.Logf("GemmKernel() = %s", GemmKernel())
 	rng := rand.New(rand.NewSource(11))
 	type shape struct{ m, n, k int }
 	shapes := []shape{
@@ -88,7 +88,7 @@ func TestDgemmKernelsBitwiseIdentical(t *testing.T) {
 		{7, 513, 128},
 		{256, 4, 256},
 	}
-	for _, m := range []int{1, 7, 9, 12, 13, 59} {
+	for _, m := range []int{1, 7, 9, 12, 13, 16, 17, 59} {
 		for _, n := range []int{1, 3, 5, 16, 37} {
 			shapes = append(shapes, shape{m, n, 12}, shape{m, n, 131})
 		}
@@ -101,13 +101,15 @@ func TestDgemmKernelsBitwiseIdentical(t *testing.T) {
 		portable(func() {
 			ref = gemmOnce(NoTrans, NoTrans, s.m, s.n, s.k, 1.25, a, s.m, b, s.k, 0.5, c, s.m)
 		})
-		got := gemmOnce(NoTrans, NoTrans, s.m, s.n, s.k, 1.25, a, s.m, b, s.k, 0.5, c, s.m)
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Fatalf("shape %v: element %d = %x, portable 2×4 = %x (not bitwise identical)",
-					s, i, got[i], ref[i])
+		forEachPath(func(path string) {
+			got := gemmOnce(NoTrans, NoTrans, s.m, s.n, s.k, 1.25, a, s.m, b, s.k, 0.5, c, s.m)
+			for i := range got {
+				if got[i] != ref[i] {
+					t.Fatalf("%s kernel, shape %v: element %d = %x, portable 2×4 = %x (not bitwise identical)",
+						path, s, i, got[i], ref[i])
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -3,7 +3,8 @@
 package blas
 
 // The AVX2/FMA forms of the Level-1/2 kernels of level_kernels.go, under the
-// same run-time probe as the GEMM micro-kernel (asmKernels). The assembly
+// same run-time probe as the GEMM micro-kernel: they run under either
+// assembly GEMM family, AVX2 or AVX-512 (kernel != famPortable). The assembly
 // checks nothing: each wrapper below is its kernel's only caller and its
 // memory-safety boundary — it indexes the last element the kernel will touch
 // of every operand, so a short slice panics here, in Go, and the kernel never
@@ -34,7 +35,7 @@ func dot(n int, x, y []float64) float64 {
 	if n <= 0 {
 		return 0
 	}
-	if !asmKernels {
+	if kernel == famPortable {
 		return dotGo(n, x, y)
 	}
 	_, _ = x[n-1], y[n-1]
@@ -45,7 +46,7 @@ func axpy(n int, alpha float64, x, y []float64) {
 	if n <= 0 {
 		return
 	}
-	if !asmKernels {
+	if kernel == famPortable {
 		axpyGo(n, alpha, x, y)
 		return
 	}
@@ -67,7 +68,7 @@ func gemvN(m, n int, alpha float64, a []float64, lda int, x, y []float64) {
 	if m <= 0 || n <= 0 {
 		return
 	}
-	if !asmKernels {
+	if kernel == famPortable {
 		gemvNGo(m, n, alpha, a, lda, x, y)
 		return
 	}
@@ -79,7 +80,7 @@ func gemvT(m, n int, alpha float64, a []float64, lda int, x, y []float64) {
 	if m <= 0 || n <= 0 {
 		return
 	}
-	if !asmKernels {
+	if kernel == famPortable {
 		gemvTGo(m, n, alpha, a, lda, x, y)
 		return
 	}
@@ -91,7 +92,7 @@ func ger(m, n int, alpha float64, x, y, a []float64, lda int) {
 	if m <= 0 || n <= 0 {
 		return
 	}
-	if !asmKernels {
+	if kernel == famPortable {
 		gerGo(m, n, alpha, x, y, a, lda)
 		return
 	}
@@ -103,7 +104,7 @@ func symvL(n int, alpha float64, a []float64, lda int, x, y []float64) {
 	if n <= 0 {
 		return
 	}
-	if !asmKernels {
+	if kernel == famPortable {
 		symvLGo(n, alpha, a, lda, x, y)
 		return
 	}
@@ -115,7 +116,7 @@ func syr2L(n int, alpha float64, x, y, a []float64, lda int) {
 	if n <= 0 {
 		return
 	}
-	if !asmKernels {
+	if kernel == famPortable {
 		syr2LGo(n, alpha, x, y, a, lda)
 		return
 	}

@@ -95,7 +95,7 @@ func levelData(rng *rand.Rand, n int, kind fillKind) []float64 {
 }
 
 func TestLevel1AsmBitwisePortable(t *testing.T) {
-	t.Logf("AsmActive() = %v", AsmActive())
+	t.Logf("GemmKernel() = %s", GemmKernel())
 	rng := rand.New(rand.NewSource(51))
 	for n := 0; n <= 130; n++ {
 		for off := 0; off <= 3; off++ {
@@ -158,7 +158,7 @@ func level2Case(t *testing.T, rng *rand.Rand, m, n, lda int, kind fillKind) {
 }
 
 func TestLevel2AsmBitwisePortable(t *testing.T) {
-	t.Logf("AsmActive() = %v", AsmActive())
+	t.Logf("GemmKernel() = %s", GemmKernel())
 	rng := rand.New(rand.NewSource(52))
 	dims := []int{0, 1, 3, 4, 5, 47, 48, 49, 95}
 	for _, m := range dims {
@@ -218,7 +218,7 @@ func TestLevel2AsmBitwisePortable(t *testing.T) {
 // the result still equals the twin's, and an operand one element short must
 // panic in the Go wrapper with nothing written.
 func TestLevelCanaries(t *testing.T) {
-	t.Logf("AsmActive() = %v", AsmActive())
+	t.Logf("GemmKernel() = %s", GemmKernel())
 	rng := rand.New(rand.NewSource(53))
 	for _, m := range []int{1, 3, 4, 5, 8, 47, 48, 49} {
 		for _, n := range []int{1, 3, 4, 5, 48, 49} {

@@ -1,38 +1,34 @@
 package blas
 
 // Packing is a snapshot of the packed left-operand layout Dgemm's blocked
-// driver uses with the kernels now in use: the micro-kernel's A-panel height
-// and whether panels are k-interleaved and padded to whole tiles (assembly
-// kernel) or plain row streams of exact height (portable kernels). Every
-// operand is cut into DefaultKC chunks of k, as Dgemm cuts its chains. It
-// lets a caller that multiplies by the same matrix many times — the prepared
-// block reflectors of internal/householder — pack it once with PackA and then
-// run the micro-kernel grid on it directly with GemmPackedA, skipping Dgemm's
-// per-call packing.
+// driver uses with the kernels now in use: the micro-kernel family, which
+// fixes the A-panel height and whether panels are k-interleaved and padded to
+// whole tiles (assembly kernels) or plain row streams of exact height
+// (portable kernels). Every operand is cut into DefaultKC chunks of k, as
+// Dgemm cuts its chains. It lets a caller that multiplies by the same matrix
+// many times — the prepared block reflectors of internal/householder — pack
+// it once with PackA and then run the micro-kernel grid on it directly with
+// GemmPackedA, skipping Dgemm's per-call packing.
 //
 // An operand packed under one Packing must be multiplied under the same
 // value: UseAsm may change the layout, so owners of long-lived packed
 // operands keep the Packing they were built with. Results do not depend on
 // the layout (kernel family), exactly as for Dgemm.
 type Packing struct {
-	mr  int
-	asm bool
+	kern kernelFamily
 }
 
 // CurrentPacking returns the layout of the kernels now in use.
-func CurrentPacking() Packing {
-	mr, asm := resolveMR()
-	return Packing{mr: mr, asm: asm}
-}
+func CurrentPacking() Packing { return Packing{kern: kernel} }
 
 // roundUp rounds n up to a multiple of to.
 func roundUp(n, to int) int { return (n + to - 1) / to * to }
 
 // packedRows is the number of rows an m-row left operand occupies once
-// packed: the assembly layout pads the last panel to a whole tile.
+// packed: the assembly layouts pad the last panel to a whole tile.
 func (p Packing) packedRows(m int) int {
-	if p.asm {
-		return roundUp(m, p.mr)
+	if p.kern != famPortable {
+		return roundUp(m, p.kern.mr())
 	}
 	return m
 }
@@ -40,7 +36,7 @@ func (p Packing) packedRows(m int) int {
 // aChunk locates KC chunk kk of a packed m×k left operand: its skyline header
 // (two values per row-panel) and its block of panels.
 func (p Packing) aChunk(ap []float64, m, kk, kc int) (sky, panels []float64) {
-	hdr := 2 * ((m + p.mr - 1) / p.mr)
+	hdr := 2 * ((m + p.kern.mr() - 1) / p.kern.mr())
 	rows := p.packedRows(m)
 	off := rows*kk + hdr*(kk/DefaultKC)
 	return ap[off : off+hdr], ap[off+hdr : off+hdr+rows*kc]
@@ -48,7 +44,8 @@ func (p Packing) aChunk(ap []float64, m, kk, kc int) (sky, panels []float64) {
 
 // ALen is the packed length of an m×k left operand.
 func (p Packing) ALen(m, k int) int {
-	return p.packedRows(m)*k + 2*((m+p.mr-1)/p.mr)*((k+DefaultKC-1)/DefaultKC)
+	mr := p.kern.mr()
+	return p.packedRows(m)*k + 2*((m+mr-1)/mr)*((k+DefaultKC-1)/DefaultKC)
 }
 
 // BScratch is the scratch GemmPackedA needs for a k×n right operand: room
@@ -67,13 +64,14 @@ func (p Packing) BScratch(k, n int) int {
 // triangular factor, a trapezoidal or banded V) on its nonzero range only,
 // without the caller describing the structure.
 func (p Packing) PackA(dst []float64, trans Transpose, a []float64, lda, m, k int) {
+	mr := p.kern.mr()
 	for kk := 0; kk < k; kk += DefaultKC {
 		kc := min(DefaultKC, k-kk)
 		sky, panels := p.aChunk(dst, m, kk, kc)
-		packA(panels, trans, a, lda, 0, kk, m, kc, p.mr, p.asm)
-		for r0, pi := 0, 0; r0 < m; r0, pi = r0+p.mr, pi+1 {
+		packA(panels, trans, a, lda, 0, kk, m, kc, p.kern)
+		for r0, pi := 0, 0; r0 < m; r0, pi = r0+mr, pi+1 {
 			lo, hi := kc, 0
-			for r := r0; r < min(r0+p.mr, m); r++ {
+			for r := r0; r < min(r0+mr, m); r++ {
 				// Row r of op(A) within the chunk: stride lda (NoTrans) or
 				// contiguous (Trans).
 				base, inc := r+kk*lda, lda
@@ -117,12 +115,12 @@ func (p Packing) GemmPackedA(m, n, k int, ap, b []float64, ldb int, c []float64,
 		kc := min(DefaultKC, k-kk)
 		sky, panels := p.aChunk(ap, m, kk, kc)
 		if direct > 0 {
-			gemmMacro(panels, b[kk:], ldb, m, direct, kc, p.mr, p.asm, c, ldc, sky)
+			gemmMacro(panels, b[kk:], ldb, m, direct, kc, p.kern, c, ldc, sky)
 		}
 		if rest > 0 {
 			bp := scratch[:microNR*kc]
 			packB(bp, NoTrans, b[direct*ldb:], ldb, kk, 0, kc, rest, 1)
-			gemmMacro(panels, bp, kc, m, rest, kc, p.mr, p.asm, c[direct*ldc:], ldc, sky)
+			gemmMacro(panels, bp, kc, m, rest, kc, p.kern, c[direct*ldc:], ldc, sky)
 		}
 	}
 }

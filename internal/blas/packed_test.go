@@ -14,7 +14,7 @@ import (
 // changes a finite chain). Dgemm runs on the same kernels, so the
 // cross-kernel half of the contract is TestDgemmKernelsBitwiseIdentical's.
 func TestGemmPackedABitwiseDgemm(t *testing.T) {
-	t.Logf("AsmActive() = %v", AsmActive())
+	t.Logf("GemmKernel() = %s", GemmKernel())
 	type zeros int
 	const (
 		dense zeros = iota
@@ -71,22 +71,25 @@ func TestGemmPackedABitwiseDgemm(t *testing.T) {
 	})
 }
 
-// TestGemmPackedAAllocs: the engine's inner product must not allocate — in
-// particular the assembly path's staging tile must stay on the stack.
+// TestGemmPackedAAllocs: the engine's inner product must not allocate, on
+// any kernel family — in particular the AVX2 path's staging tile must stay on
+// the stack.
 func TestGemmPackedAAllocs(t *testing.T) {
-	t.Logf("AsmActive() = %v", AsmActive())
+	t.Logf("GemmKernel() = %s", GemmKernel())
 	rng := rand.New(rand.NewSource(37))
 	const m, n, k = 59, 37, 12 // padded last panel, ragged tiles both ways
-	pk := CurrentPacking()
 	a := randMat(rng, m, k, m)
 	b := randMat(rng, k, n, k)
 	c := randMat(rng, m, n, m)
-	ap := make([]float64, pk.ALen(m, k))
-	pk.PackA(ap, NoTrans, a, m, m, k)
-	scratch := make([]float64, pk.BScratch(k, n))
-	if allocs := testing.AllocsPerRun(20, func() {
-		pk.GemmPackedA(m, n, k, ap, b, k, c, m, scratch)
-	}); allocs != 0 {
-		t.Fatalf("%v allocations per GemmPackedA, want 0", allocs)
-	}
+	forEachPath(func(path string) {
+		pk := CurrentPacking()
+		ap := make([]float64, pk.ALen(m, k))
+		pk.PackA(ap, NoTrans, a, m, m, k)
+		scratch := make([]float64, pk.BScratch(k, n))
+		if allocs := testing.AllocsPerRun(20, func() {
+			pk.GemmPackedA(m, n, k, ap, b, k, c, m, scratch)
+		}); allocs != 0 {
+			t.Fatalf("%s: %v allocations per GemmPackedA, want 0", path, allocs)
+		}
+	})
 }

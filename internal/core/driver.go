@@ -99,14 +99,15 @@ type Options struct {
 
 // EstimateWorkspaceBytes is the admission-control model of one solve's peak
 // internal workspace: the dense working copy, the stage-1 tile storage, the
-// stage-1 block reflectors in both their stored (T factors, n²/2) and
-// prepared form (3n²/2 for the reduction's own updates, n² more for Q₁'s
-// when vectors are computed), the band/workband/reflector structures
-// (O(n·nb)), and — when vectors are computed — the prepared Q₂ diamonds
-// (≈3n²/2: a 59×12 diamond's two packed operands occupy 60×12 and 12×59 in
-// the assembly kernel's layout, which pads the last row-panel to a whole
-// 12-row tile), the eigenvector staging matrix, and the D&C's pool. The last is
-// what tridiag.WorkSet retains: a rank-one merge of order m holds three m×m
+// stage-1 block reflectors in both their stored (T factors, n²/2) and prepared
+// form (3n²/2 for the reduction's own updates, n² more for Q₁'s when vectors
+// are computed), the band/workband/reflector structures (O(n·nb)), and — when
+// vectors are computed — the prepared Q₂ diamonds (≤ 3n²/2: Q₂ holds ≈ n²/2
+// reflector entries, 576 per 59-row diamond of 12 reflectors, whose two packed
+// operands occupy 64×12 and 16×59 = 1712 values in the widest layout, the
+// AVX-512 kernel's, which pads the last row-panel of each to a whole 16-row
+// tile: 1.49n²), the eigenvector staging matrix, and the D&C's pool. The last
+// is what tridiag.WorkSet retains: a rank-one merge of order m holds three m×m
 // buffers (the left factor of its eigenvector update, that factor packed for
 // the micro-kernel, and its result), the pool keeps them by size, and with
 // every node of every level of the tree in flight at once — the most any

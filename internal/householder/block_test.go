@@ -165,12 +165,12 @@ func maxAbsDiff(a, b *matrix.Dense) float64 {
 	return d
 }
 
-// forEachKernel runs f on the kernels the CPU probe selected (the assembly
-// layout wherever blas.AsmActive, which the tests log) and then on the
+// forEachKernel runs f on the kernels the CPU probe selected (an assembly
+// layout wherever blas.AsmActive; the tests log which) and then on the
 // portable ones, so that the stream layout stays tested on an AVX2/FMA host.
 func forEachKernel(f func(kernel string)) {
 	if blas.AsmActive() {
-		f("assembly")
+		f(blas.GemmKernel())
 	}
 	defer blas.UseAsm(blas.UseAsm(false))
 	f("portable")
@@ -183,7 +183,7 @@ func forEachKernel(f func(kernel string)) {
 // shapes must match the explicitly formed H to a c·rows·ε budget, on every
 // kernel.
 func TestBlockAgainstExplicitH(t *testing.T) {
-	t.Logf("blas.AsmActive() = %v", blas.AsmActive())
+	t.Logf("blas.GemmKernel() = %s", blas.GemmKernel())
 	type shape struct {
 		ts      bool
 		rows, k int
@@ -229,7 +229,7 @@ func TestBlockAgainstExplicitH(t *testing.T) {
 // blocks C is cut into, and whichever kernel runs — also with rows and k
 // above KC, where the operands are chunked and W is repacked.
 func TestBlockColumnSplitBitwise(t *testing.T) {
-	t.Logf("blas.AsmActive() = %v", blas.AsmActive())
+	t.Logf("blas.GemmKernel() = %s", blas.GemmKernel())
 	const n = 67
 	for _, sh := range []struct {
 		ts      bool
@@ -299,7 +299,7 @@ func TestBlockDegenerate(t *testing.T) {
 }
 
 func TestBlockApplyAllocs(t *testing.T) {
-	t.Logf("blas.AsmActive() = %v", blas.AsmActive())
+	t.Logf("blas.GemmKernel() = %s", blas.GemmKernel())
 	rng := rand.New(rand.NewSource(3))
 	for _, ts := range []bool{false, true} {
 		tb := newTestBlock(rng, ts, 59, 12, FormH|FormHT)

@@ -1,12 +1,14 @@
 #!/bin/sh
 # Pre-merge gate: everything must build, vet clean (asmdecl included: the
-# AVX2/FMA GEMM and Level-1/2 kernels are part of the default amd64 build), and
-# pass the test suite under the race detector (the Solver is documented as safe
-# for concurrent use, so -race is part of the baseline, not an extra). There is
-# one build configuration and one kernel switch, the CPU probe: on an AVX2/FMA
-# host the race pass runs the assembly kernels and their memory-safety tests,
-# and the tests that compare them with the portable twins (which they reach
-# with blas.UseAsm(false)) log blas.AsmActive() rather than skip. Below them,
+# AVX-512 and AVX2/FMA GEMM kernels and the AVX2/FMA Level-1/2 kernels are part
+# of the default amd64 build), and pass the test suite under the race detector
+# (the Solver is documented as safe for concurrent use, so -race is part of the
+# baseline, not an extra). There is one build configuration and one kernel
+# switch, the CPU probe: the race pass runs the assembly kernels the host has
+# and their memory-safety tests — internal/blas's tests on every GEMM family
+# the CPU runs, older ones pinned through an unexported hook — and the tests
+# that compare them with the portable twins (which they reach with
+# blas.UseAsm(false)) log the kernel in use rather than skip. Below them,
 # internal/blas implements only the call shapes the solver makes; the
 # level-kernels gate keeps the test that every other shape panics. The named
 # gates at the end keep the tests each surface depends on, the eigsolve input
@@ -19,7 +21,10 @@ go build ./...
 go vet ./...
 go test -race ./...
 
-# The files that replace the assembly off amd64 — the GEMM stub and the
+# Which GEMM micro-kernel the CPU probe chose here: avx512, avx2 or portable.
+go test -count=1 -v -run '^TestProbeWithoutAVX2$' ./internal/blas | grep 'GemmKernel() ='
+
+# The files that replace the assembly off amd64 — the GEMM stubs and the
 # portable twins of the Level-1/2 kernels — are compiled by nothing above:
 # cross-compile them and their nearest callers (pure Go, needs no network or C
 # toolchain).
@@ -66,7 +71,7 @@ phase-plan           TestSolveState|TestBuildPlan  ./internal/core
 tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestSchedAffinity|TestParallelTridiag|TestSecularRoot|TestStedcHard|TestStedcScalingExact|TestSterfHard|TestWorkSetRetention|TestEstimateCoversArena  ./internal/tridiag ./internal/core
 stage1-lookahead     TestReduceLookahead|TestReduceMatchesMirrorReference|TestReduceTaskCount|TestLookaheadSolverBitwise|TestStage1  ./internal/band ./internal/core
 sched                TestSchedRandomDAGDrains  ./internal/sched
-packed-engine        TestBlock|TestGemmPackedA|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestProbeWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestGemmAsmBitwisePortable|TestFusedRulePin|TestSolveBitwiseAcrossKernels  ./internal/householder ./internal/blas .
+packed-engine        TestBlock|TestGemmPackedA|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestProbeWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestGemmAsmBitwisePortable|TestFusedRulePin|TestSolveBitwiseAcrossKernels|BenchmarkGemmKernels  ./internal/householder ./internal/blas .
 level-kernels        TestLevel1AsmBitwisePortable|TestLevel2AsmBitwisePortable|TestLevelCanaries|TestFusedRulePin|TestUnsupportedShapesPanic  ./internal/blas
 hard-inputs          TestScaledInputsAllMethodsAgree  ./internal/core
 cli                  TestReadMatrixErrors  ./cmd/eigsolve

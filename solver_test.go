@@ -346,14 +346,49 @@ func TestEigValuesRangeNonBI(t *testing.T) {
 
 // TestSolveBitwiseAcrossKernels is the solver-level half of the kernel
 // contract: on whichever kernels the CPU probe selects on this host (the
-// AVX2/FMA assembly wherever blas.AsmActive), a whole solve — two-stage with
-// vectors, values only, and the one-stage reference, on the parallel path —
-// returns the bits of the portable twins, GEMM and Level-1/2 alike.
+// AVX-512 or AVX2/FMA assembly wherever blas.AsmActive), a whole solve —
+// two-stage with vectors, values only, and the one-stage reference, on the
+// parallel path — returns the bits of the portable twins, GEMM and Level-1/2
+// alike. Besides a GOE matrix the inputs include a block-diagonal one (whose
+// zero blocks the GEMM skyline skips), a GOE scaled by 2¹⁰⁰⁰ and by 2⁻¹⁰⁰⁰, and
+// one with subnormal entries.
 func TestSolveBitwiseAcrossKernels(t *testing.T) {
-	t.Logf("blas.AsmActive() = %v", blas.AsmActive())
-	a := randSymMatrix(rand.New(rand.NewSource(23)), 131)
+	t.Logf("blas.GemmKernel() = %s", blas.GemmKernel())
+	const n = 131
+	goe := func() *Matrix { return randSymMatrix(rand.New(rand.NewSource(23)), n) }
+	scaled := func(e int) *Matrix {
+		a := goe()
+		for i := range a.data {
+			a.data[i] = math.Ldexp(a.data[i], e)
+		}
+		return a
+	}
+	blockDiag := goe()
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			if i/44 != j/44 { // diagonal blocks of order 44, 44 and 43
+				blockDiag.Set(i, j, 0)
+			}
+		}
+	}
+	subnormal := goe()
+	for j := 0; j < n; j++ {
+		for i := j; i < n; i++ {
+			if (i+3*j)%5 == 0 {
+				subnormal.SetSym(i, j, math.Ldexp(subnormal.At(i, j), -1060))
+			}
+		}
+	}
+	inputs := []struct {
+		name string
+		a    *Matrix
+	}{
+		{"GOE", goe()}, {"block-diagonal", blockDiag},
+		{"GOE·2^1000", scaled(1000)}, {"GOE·2^-1000", scaled(-1000)},
+		{"subnormal entries", subnormal},
+	}
 	type outcome struct{ vals, vecs, valsOnly, oneVals, oneVecs []float64 }
-	solve := func() outcome {
+	solve := func(a *Matrix) outcome {
 		var o outcome
 		o.vals, o.vecs = solveOnce(t, a, &Options{Workers: 2})
 		var err error
@@ -363,19 +398,24 @@ func TestSolveBitwiseAcrossKernels(t *testing.T) {
 		o.oneVals, o.oneVecs = solveOnce(t, a, &Options{Workers: 2, Algorithm: OneStage})
 		return o
 	}
-	got := solve()
+	got := make([]outcome, len(inputs))
+	for i, in := range inputs {
+		got[i] = solve(in.a)
+	}
 	defer blas.UseAsm(blas.UseAsm(false))
-	want := solve()
-	for _, cmp := range []struct {
-		what      string
-		got, want []float64
-	}{
-		{"Eig values", got.vals, want.vals}, {"Eig vectors", got.vecs, want.vecs},
-		{"EigValues", got.valsOnly, want.valsOnly},
-		{"OneStage values", got.oneVals, want.oneVals}, {"OneStage vectors", got.oneVecs, want.oneVecs},
-	} {
-		if !slices.Equal(cmp.got, cmp.want) {
-			t.Errorf("%s differ between the probe's kernels and the portable ones", cmp.what)
+	for i, in := range inputs {
+		want := solve(in.a)
+		for _, cmp := range []struct {
+			what      string
+			got, want []float64
+		}{
+			{"Eig values", got[i].vals, want.vals}, {"Eig vectors", got[i].vecs, want.vecs},
+			{"EigValues", got[i].valsOnly, want.valsOnly},
+			{"OneStage values", got[i].oneVals, want.oneVals}, {"OneStage vectors", got[i].oneVecs, want.oneVecs},
+		} {
+			if !slices.Equal(cmp.got, cmp.want) {
+				t.Errorf("%s: %s differ between the probe's kernels and the portable ones", in.name, cmp.what)
+			}
 		}
 	}
 }
