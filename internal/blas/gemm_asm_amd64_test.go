@@ -266,7 +266,7 @@ func TestProbeWithoutAVX2(t *testing.T) {
 		{"AVX-512F and FMA", ecx1 &^ cpuidFMA, ebx7 &^ cpuidAVX512F, xcr0, famPortable},
 	} {
 		if got := cpuKernel(c.ecx1, c.ebx7, c.xcr0); got != c.want {
-			t.Errorf("with the %s bit cleared the probe chooses %v, want %v", c.what, got, c.want)
+			t.Errorf("cleared %s: the probe chooses %v, want %v", c.what, got, c.want)
 		}
 	}
 	for p := famPortable; p <= famAVX512; p++ {
@@ -284,10 +284,6 @@ func TestProbeWithoutAVX2(t *testing.T) {
 			}
 		}()
 	}
-	if CurrentPacking().kern.mr() != probedKernel.mr() {
-		t.Fatalf("GEMM resolves to %d-row panels, the probe's %v kernel has %d", CurrentPacking().kern.mr(), probedKernel, probedKernel.mr())
-	}
-
 	rng := rand.New(rand.NewSource(43))
 	const m, n, k = 59, 37, 141
 	a := randMat(rng, m, k, m)
