@@ -61,12 +61,6 @@ func UseAsm(on bool) (prev bool) {
 	return prev
 }
 
-// AsmActive reports whether this process runs the assembly kernels: an amd64
-// binary on a CPU and OS that pass the AVX2/FMA probe, with UseAsm not
-// having turned them off. Exposed for tests, which log it so a run that only
-// exercised the portable path says so.
-func AsmActive() bool { return kernel != famPortable }
-
 // GemmKernel names the GEMM micro-kernel in use — "avx512", "avx2" or
 // "portable" — for tests and scripts to log.
 func GemmKernel() string { return kernel.String() }

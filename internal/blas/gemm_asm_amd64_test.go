@@ -272,12 +272,17 @@ func TestProbeWithoutAVX2(t *testing.T) {
 	for p := famPortable; p <= famAVX512; p++ {
 		func() {
 			defer func(probed, in kernelFamily) { probedKernel, kernel = probed, in }(probedKernel, kernel)
-			probedKernel = p
-			if UseAsm(true); kernel != p || AsmActive() != (p != famPortable) {
-				t.Errorf("probe %v: UseAsm(true) selects %v", p, kernel)
+			probedKernel, kernel = p, famPortable
+			// UseAsm returns whether the assembly was on before the call:
+			// `defer UseAsm(UseAsm(false))` restores the probe's kernels by it.
+			if prev := UseAsm(true); prev || kernel != p {
+				t.Errorf("probe %v: UseAsm(true) from portable returns %v and selects %v", p, prev, kernel)
 			}
-			if UseAsm(false); kernel != famPortable || AsmActive() {
-				t.Errorf("probe %v: UseAsm(false) selects %v", p, kernel)
+			if prev := UseAsm(false); prev != (p != famPortable) || kernel != famPortable {
+				t.Errorf("probe %v: UseAsm(false) returns %v, want %v, and selects %v", p, prev, p != famPortable, kernel)
+			}
+			if prev := UseAsm(false); prev || kernel != famPortable {
+				t.Errorf("probe %v: a second UseAsm(false) returns %v and selects %v", p, prev, kernel)
 			}
 			if pk, want := CurrentPacking(), (Packing{kern: famPortable}); pk != want {
 				t.Errorf("probe %v: after UseAsm(false) CurrentPacking() = %+v, want the stream layout %+v", p, pk, want)

@@ -166,11 +166,12 @@ func maxAbsDiff(a, b *matrix.Dense) float64 {
 }
 
 // forEachKernel runs f on the kernels the CPU probe selected (an assembly
-// layout wherever blas.AsmActive; the tests log which) and then on the
-// portable ones, so that the stream layout stays tested on an AVX2/FMA host.
+// layout unless blas.GemmKernel() is "portable"; the tests log which) and
+// then on the portable ones, so that the stream layout stays tested on an
+// assembly host.
 func forEachKernel(f func(kernel string)) {
-	if blas.AsmActive() {
-		f(blas.GemmKernel())
+	if k := blas.GemmKernel(); k != "portable" {
+		f(k)
 	}
 	defer blas.UseAsm(blas.UseAsm(false))
 	f("portable")

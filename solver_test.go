@@ -346,12 +346,12 @@ func TestEigValuesRangeNonBI(t *testing.T) {
 
 // TestSolveBitwiseAcrossKernels is the solver-level half of the kernel
 // contract: on whichever kernels the CPU probe selects on this host (the
-// AVX-512 or AVX2/FMA assembly wherever blas.AsmActive), a whole solve —
-// two-stage with vectors, values only, and the one-stage reference, on the
-// parallel path — returns the bits of the portable twins, GEMM and Level-1/2
-// alike. Besides a GOE matrix the inputs include a block-diagonal one (whose
-// zero blocks the GEMM skyline skips), a GOE scaled by 2¹⁰⁰⁰ and by 2⁻¹⁰⁰⁰, and
-// one with subnormal entries.
+// AVX-512 or AVX2/FMA assembly wherever blas.GemmKernel() names one), a whole
+// solve — two-stage with vectors, values only, and the one-stage reference,
+// on the parallel path — returns the bits of the portable twins, GEMM and
+// Level-1/2 alike. Besides a GOE matrix the inputs include a block-diagonal
+// one (whose zero blocks the GEMM skyline skips), a GOE scaled by 2¹⁰⁰⁰ and
+// by 2⁻¹⁰⁰⁰, and one with subnormal entries.
 func TestSolveBitwiseAcrossKernels(t *testing.T) {
 	t.Logf("blas.GemmKernel() = %s", blas.GemmKernel())
 	const n = 131
