@@ -181,9 +181,9 @@ func TestSolveBatchFanout(t *testing.T) {
 	}
 }
 
-// TestSolveBatchStage2Options checks the batch composes with the within-solve
-// knobs (the stage-2 and eig_t core restrictions, another tridiagonal method)
-// on both admission shapes without perturbing results.
+// TestSolveBatchStage2Options checks the batch composes with a parallel
+// within-solve pool and another tridiagonal method on both admission shapes
+// without perturbing results.
 func TestSolveBatchStage2Options(t *testing.T) {
 	defer func(f int) { batchFanout = f }(batchFanout)
 	rng := rand.New(rand.NewSource(24))
@@ -193,8 +193,8 @@ func TestSolveBatchStage2Options(t *testing.T) {
 		opts   Options
 		fanout int
 	}{
-		{Options{Workers: 4, Stage2Workers: 2}, batchFanout},
-		{Options{Workers: 4, Stage2Workers: 2, TridiagWorkers: 1}, 1},
+		{Options{Workers: 4}, batchFanout},
+		{Options{Workers: 4}, 1},
 		{Options{Workers: 4, Method: BisectionInverseIteration}, batchFanout},
 	} {
 		opts := tc.opts
@@ -399,7 +399,6 @@ func TestOptionsClamp(t *testing.T) {
 		{Workers: 1000},
 		{Workers: -5},
 		{NB: -3},
-		{Workers: 2, Stage2Workers: 1 << 20},
 		{MemoryBudget: -1, BatchConcurrency: -4},
 	} {
 		res, err := Eig(a, opts)

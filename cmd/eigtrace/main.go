@@ -43,7 +43,7 @@ func main() {
 	start := time.Now()
 	f := band.Reduce(a, band.Config{NB: *nb}, s.NewJob(nil), nil, nil)
 	stage1 := time.Since(start)
-	bulge.Chase(f.Band, s.NewJob(nil), 0, true, nil, nil)
+	bulge.Chase(f.Band, s.NewJob(nil), true, nil, nil)
 	total := time.Since(start)
 	events := s.Trace()
 	s.Shutdown()

@@ -75,19 +75,9 @@ type Options struct {
 	// changes the computed eigenvector basis in the last bits.
 	NB int
 	// Workers sets the task-scheduler width; 0 or 1 runs sequentially.
-	// Values above sched.MaxWorkers (64, the width of the scheduler's
-	// affinity masks) are clamped to 64; negative values run sequentially.
+	// Values above sched.MaxWorkers (64) are clamped to 64; negative values
+	// run sequentially. Every stage's tasks may run on any worker.
 	Workers int
-	// Stage2Workers restricts the memory-bound bulge-chasing stage to fewer
-	// cores for locality (the paper's core restriction); 0 = no limit.
-	Stage2Workers int
-	// TridiagWorkers restricts the tridiagonal eigensolver stage (eig_t) to
-	// this many workers; 0 inherits the full scheduler width. The stage is
-	// mixed compute/memory-bound — for small matrices the task overhead can
-	// outweigh the parallelism, and a narrower allotment keeps the remaining
-	// cores free for co-scheduled solves. Results are identical at any
-	// setting.
-	TridiagWorkers int
 	// Collector, when non-nil, receives per-phase timings and per-kernel
 	// flop counts. Batch solves attribute work per item into child
 	// collectors and merge them here (see BatchResult.Trace).
@@ -103,7 +93,7 @@ type Options struct {
 
 // normalize clamps out-of-range option values in place so that invalid
 // settings degrade to the nearest sane configuration instead of panicking in
-// internal layers (the scheduler's affinity masks hard-cap worker counts at
+// internal layers (the scheduler hard-caps worker counts at
 // sched.MaxWorkers).
 func (o *Options) normalize() {
 	if o.Workers < 0 {
@@ -114,15 +104,6 @@ func (o *Options) normalize() {
 	}
 	if o.NB < 0 {
 		o.NB = 0
-	}
-	if o.Stage2Workers < 0 {
-		o.Stage2Workers = 0
-	}
-	if o.TridiagWorkers < 0 {
-		o.TridiagWorkers = 0
-	}
-	if o.TridiagWorkers > sched.MaxWorkers {
-		o.TridiagWorkers = sched.MaxWorkers
 	}
 	if o.MemoryBudget < 0 {
 		o.MemoryBudget = 0
@@ -137,8 +118,6 @@ func (o *Options) toCore(vectors bool, il, iu int) core.Options {
 	if o != nil {
 		c.NB = o.NB
 		c.Workers = o.Workers
-		c.Stage2Workers = o.Stage2Workers
-		c.TridiagWorkers = o.TridiagWorkers
 		c.Collector = o.Collector
 		switch o.Method {
 		case BisectionInverseIteration:

@@ -138,7 +138,7 @@ func TestEigParallelOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Eig(a, &Options{NB: 8, Workers: 3, Stage2Workers: 1})
+	par, err := Eig(a, &Options{NB: 8, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

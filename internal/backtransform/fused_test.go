@@ -20,7 +20,7 @@ import (
 func fusedFixture(rng *rand.Rand, n, nb int, ws *work.Arena) (*band.Factor, *Plan) {
 	a := testmat.RandomSym(rng, n)
 	f := band.Reduce(a, band.Config{NB: nb}, nil, ws, nil)
-	res := bulge.Chase(f.Band, nil, 0, true, ws, nil)
+	res := bulge.Chase(f.Band, nil, true, ws, nil)
 	return f, NewPlan(res, 0, ws)
 }
 

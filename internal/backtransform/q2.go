@@ -15,8 +15,6 @@
 package backtransform
 
 import (
-	"sort"
-
 	"repro/internal/blas"
 	"repro/internal/bulge"
 	"repro/internal/householder"
@@ -88,9 +86,6 @@ type planCache struct {
 func NewPlan(res *bulge.Result, group int, ws *work.Arena) *Plan {
 	if group <= 0 {
 		group = defaultGroup(res.B)
-	}
-	if group < 1 {
-		group = 1
 	}
 	cache, _ := ws.Value(work.BacktransPlan).(*planCache)
 	if cache == nil {
@@ -244,46 +239,6 @@ func (p *Plan) FlopsPerCol() int64 {
 		f += 4 * int64(d.rows) * int64(d.k)
 	}
 	return f
-}
-
-// OverlapEdges counts unordered pairs of diamonds whose row ranges overlap —
-// the dependence edges of the paper's Figure 3d DAG that the plan's
-// linearization satisfies. It runs in O(m log m) by counting the complement:
-// a pair is disjoint iff one interval ends at or before the other starts, so
-// edges = C(m,2) − Σᵢ |{j : endⱼ ≤ startᵢ}| (intervals are non-empty, so a
-// disjoint pair is counted exactly once, by its later member).
-func (p *Plan) OverlapEdges() int {
-	m := len(p.blocks)
-	if m < 2 {
-		return 0
-	}
-	starts := make([]int, m)
-	ends := make([]int, m)
-	for i := range p.blocks {
-		starts[i] = p.blocks[i].rowStart
-		ends[i] = p.blocks[i].rowStart + p.blocks[i].rows
-	}
-	sort.Ints(ends)
-	disjoint := 0
-	for _, s := range starts {
-		disjoint += sort.SearchInts(ends, s+1) // ends ≤ s
-	}
-	return m*(m-1)/2 - disjoint
-}
-
-// overlapEdgesQuad is the quadratic reference implementation of
-// OverlapEdges, kept for the equality test that pins the sweep against it.
-func (p *Plan) overlapEdgesQuad() int {
-	edges := 0
-	for i := 0; i < len(p.blocks); i++ {
-		for j := i + 1; j < len(p.blocks); j++ {
-			a, b := &p.blocks[i], &p.blocks[j]
-			if a.rowStart < b.rowStart+b.rows && b.rowStart < a.rowStart+a.rows {
-				edges++
-			}
-		}
-	}
-	return edges
 }
 
 // ApplyBlock computes E := Q₂·E using the diamond blocks, where e is E or

@@ -47,7 +47,7 @@ func TestApplyNaiveMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n, kd, m := 20, 4, 7
 	b := randBand(rng, n, kd)
-	res := bulge.Chase(b, nil, 0, true, nil, nil)
+	res := bulge.Chase(b, nil, true, nil, nil)
 	q2 := denseQ2(res)
 	e := matrix.NewDense(n, m)
 	for i := range e.Data {
@@ -71,7 +71,7 @@ func TestDiamondMatchesNaive(t *testing.T) {
 		{9, 2, 3},
 	} {
 		b := randBand(rng, tc.n, tc.kd)
-		res := bulge.Chase(b, nil, 0, true, nil, nil)
+		res := bulge.Chase(b, nil, true, nil, nil)
 		m := 6
 		e := matrix.NewDense(tc.n, m)
 		for i := range e.Data {
@@ -95,7 +95,7 @@ func TestApplyParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n, kd := 30, 4
 	b := randBand(rng, n, kd)
-	res := bulge.Chase(b, nil, 0, true, nil, nil)
+	res := bulge.Chase(b, nil, true, nil, nil)
 	p := NewPlan(res, 0, nil)
 	e := matrix.NewDense(n, n)
 	for i := range e.Data {
@@ -120,7 +120,7 @@ func TestPlanReusable(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n, kd := 18, 3
 	b := randBand(rng, n, kd)
-	res := bulge.Chase(b, nil, 0, true, nil, nil)
+	res := bulge.Chase(b, nil, true, nil, nil)
 	p := NewPlan(res, 0, nil)
 	e1 := matrix.NewDense(n, 4)
 	e2 := matrix.NewDense(n, 4)
@@ -145,7 +145,7 @@ func TestEmptyQ2(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		b.Set(i, i, float64(i))
 	}
-	res := bulge.Chase(b, nil, 0, true, nil, nil)
+	res := bulge.Chase(b, nil, true, nil, nil)
 	e := matrix.Eye(8)
 	applyQ2(NewPlan(res, 0, nil), e)
 	if !e.Equalish(matrix.Eye(8), 0) {
@@ -163,7 +163,7 @@ func TestApplySubsetColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n, kd := 24, 4
 	b := randBand(rng, n, kd)
-	res := bulge.Chase(b, nil, 0, true, nil, nil)
+	res := bulge.Chase(b, nil, true, nil, nil)
 	p := NewPlan(res, 0, nil)
 	full := matrix.NewDense(n, n)
 	for i := range full.Data {
@@ -178,43 +178,17 @@ func TestApplySubsetColumns(t *testing.T) {
 	}
 }
 
-func TestOverlapEdgesMatchesQuadratic(t *testing.T) {
-	// The sort-and-sweep OverlapEdges must agree with the O(m²) reference
-	// on a spread of plan shapes (including degenerate ones).
-	rng := rand.New(rand.NewSource(9))
-	for _, tc := range []struct{ n, kd, group int }{
-		{20, 4, 1}, {30, 4, 4}, {40, 6, 2}, {25, 3, 8}, {60, 5, 5},
-		{12, 11, 4}, {9, 2, 3}, {50, 7, 16},
-	} {
-		b := randBand(rng, tc.n, tc.kd)
-		res := bulge.Chase(b, nil, 0, true, nil, nil)
-		p := NewPlan(res, tc.group, nil)
-		if got, want := p.OverlapEdges(), p.overlapEdgesQuad(); got != want {
-			t.Fatalf("n=%d kd=%d group=%d: sweep OverlapEdges=%d, quadratic=%d", tc.n, tc.kd, tc.group, got, want)
-		}
-	}
-	empty := &Plan{}
-	if empty.OverlapEdges() != 0 {
-		t.Fatal("empty plan has edges")
-	}
-}
-
 func TestPlanStatistics(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	b := randBand(rng, 30, 4)
-	res := bulge.Chase(b, nil, 0, true, nil, nil)
+	res := bulge.Chase(b, nil, true, nil, nil)
 	p := NewPlan(res, 4, nil)
 	if p.NumBlocks() == 0 {
 		t.Fatal("no diamond blocks")
 	}
-	// Every reflector is in some block: total columns ≥ reflectors with
-	// nonzero tau.
-	if p.OverlapEdges() <= 0 {
-		t.Fatal("expected overlapping diamonds for n >> kd")
-	}
 	// An empty plan reports zeros and applies as identity.
 	empty := NewPlan(&bulge.Result{N: 5, B: 1}, 0, nil)
-	if empty.NumBlocks() != 0 || empty.OverlapEdges() != 0 {
+	if empty.NumBlocks() != 0 {
 		t.Fatal("empty plan has blocks")
 	}
 }

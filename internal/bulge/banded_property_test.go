@@ -20,7 +20,7 @@ import (
 // and returns the eigenvalues and the eigenvector matrix Z = Q₂·E.
 func eigBand(t *testing.T, b *matrix.SymBand) ([]float64, *matrix.Dense) {
 	t.Helper()
-	res := bulge.Chase(b, nil, 0, true, nil, nil)
+	res := bulge.Chase(b, nil, true, nil, nil)
 	d := append([]float64(nil), res.T.D...)
 	e := append([]float64(nil), res.T.E...)
 	vals, z, err := tridiag.StedcSched(d, e, tridiag.NewWorkSet(1), nil, 0, nil)

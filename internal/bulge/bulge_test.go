@@ -50,7 +50,7 @@ func TestChaseTridiagonalizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range []struct{ n, kd int }{{6, 2}, {10, 3}, {16, 4}, {17, 5}, {24, 4}, {30, 8}, {12, 11}, {9, 2}} {
 		b := randBand(rng, tc.n, tc.kd)
-		res := Chase(b, nil, 0, true, nil, nil)
+		res := Chase(b, nil, true, nil, nil)
 		n := tc.n
 		// 1. The result must be tridiagonal: reconstruct and compare.
 		q2 := buildQ2(res)
@@ -78,7 +78,7 @@ func TestChaseEigenvaluesPreserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, tc := range []struct{ n, kd int }{{20, 4}, {40, 6}, {33, 5}} {
 		b := randBand(rng, tc.n, tc.kd)
-		res := Chase(b, nil, 0, true, nil, nil)
+		res := Chase(b, nil, true, nil, nil)
 		// Eigenvalues of T.
 		dT := append([]float64(nil), res.T.D...)
 		eT := append([]float64(nil), res.T.E...)
@@ -115,7 +115,7 @@ func TestChaseEigenvaluesPreserved(t *testing.T) {
 func TestChaseAlreadyTridiagonal(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	b := randBand(rng, 12, 1)
-	res := Chase(b, nil, 0, true, nil, nil)
+	res := Chase(b, nil, true, nil, nil)
 	if len(res.Refs) != 0 {
 		t.Fatalf("kd=1 input should produce no reflectors, got %d", len(res.Refs))
 	}
@@ -130,7 +130,7 @@ func TestChaseSmallAndDegenerate(t *testing.T) {
 	// n ≤ 2 and zero matrices must not crash.
 	for _, n := range []int{0, 1, 2, 3} {
 		b := matrix.NewSymBand(n, min(2, max(0, n-1)))
-		res := Chase(b, nil, 0, true, nil, nil)
+		res := Chase(b, nil, true, nil, nil)
 		if res.T.N() != n {
 			t.Fatalf("n=%d: bad T size", n)
 		}
@@ -140,7 +140,7 @@ func TestChaseSmallAndDegenerate(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		b.Set(i, i, float64(i))
 	}
-	res := Chase(b, nil, 0, true, nil, nil)
+	res := Chase(b, nil, true, nil, nil)
 	for i := 0; i < 8; i++ {
 		if res.T.D[i] != float64(i) {
 			t.Fatal("diagonal matrix altered")
@@ -171,10 +171,10 @@ func TestChaseScheduledMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: first sweep has %d kernels, want %d", tc.name, got, want)
 		}
 		b := randBand(rng, tc.n, tc.kd)
-		ref := Chase(b, nil, 0, true, nil, nil)
+		ref := Chase(b, nil, true, nil, nil)
 		for _, workers := range []int{1, 2, 4, 7} {
 			s := sched.New(workers)
-			got := Chase(b, s.NewJob(nil), 0, true, nil, nil)
+			got := Chase(b, s.NewJob(nil), true, nil, nil)
 			s.Shutdown()
 			if !slices.Equal(ref.T.D, got.T.D) || !slices.Equal(ref.T.E, got.T.E) {
 				t.Fatalf("%s workers=%d: T differs from the sequential chase", tc.name, workers)
@@ -205,7 +205,7 @@ func TestChaseCancelDrains(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const n, kd = 400, 5
 	b := randBand(rng, n, kd)
-	ref := Chase(b, nil, 0, true, nil, nil)
+	ref := Chase(b, nil, true, nil, nil)
 	all := 0
 	forEachStep(n, kd, func(int, int) bool { all++; return true })
 	for _, workers := range []int{1, 2, 4, 7} {
@@ -224,7 +224,7 @@ func TestChaseCancelDrains(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		job := s.NewJob(ctx)
 		c := newChaser(b, workers, nil, nil)
-		c.schedule(job, 0)
+		c.schedule(job)
 		job.Submit(sched.Task{Priority: 1 << 20, Deps: []sched.Dep{sched.RW(0)}, Run: func(int) { cancel() }})
 		close(gate)
 		if err := job.Wait(); !errors.Is(err, context.Canceled) {
@@ -239,29 +239,10 @@ func TestChaseCancelDrains(t *testing.T) {
 		if ran == 0 || ran >= all {
 			t.Fatalf("workers=%d: %d of %d kernels ran, want some but not all", workers, ran, all)
 		}
-		got := Chase(b, s.NewJob(nil), 0, true, nil, nil)
+		got := Chase(b, s.NewJob(nil), true, nil, nil)
 		s.Shutdown()
 		if !slices.Equal(ref.T.D, got.T.D) || !slices.Equal(ref.T.E, got.T.E) {
 			t.Fatalf("workers=%d: the chase after a canceled one differs from the sequential chase", workers)
-		}
-	}
-}
-
-func TestChaseAffinityRestriction(t *testing.T) {
-	// With affinity set, chase tasks must stay on the designated workers
-	// (the paper's core-restriction technique for the memory-bound stage).
-	rng := rand.New(rand.NewSource(5))
-	b := randBand(rng, 24, 4)
-	s := sched.New(4, sched.WithTrace())
-	Chase(b, s.NewJob(nil), 0b0011, true, nil, nil) // workers 0 and 1 only
-	events := s.Trace()
-	s.Shutdown()
-	if len(events) == 0 {
-		t.Fatal("no trace events")
-	}
-	for _, ev := range events {
-		if ev.Worker > 1 {
-			t.Fatalf("task %q ran on worker %d despite affinity", ev.Name, ev.Worker)
 		}
 	}
 }
@@ -272,7 +253,7 @@ func TestReflectorLattice(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n, kd := 30, 4
 	b := randBand(rng, n, kd)
-	res := Chase(b, nil, 0, true, nil, nil)
+	res := Chase(b, nil, true, nil, nil)
 	for _, r := range res.Refs {
 		wantRow := r.Sweep + r.Level*kd + 1
 		if r.Row != wantRow {
@@ -294,8 +275,8 @@ func TestChaseValuesOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range []struct{ n, kd int }{{17, 3}, {32, 4}, {40, 6}} {
 		b := randBand(rng, tc.n, tc.kd)
-		full := Chase(b, nil, 0, true, nil, nil)
-		vo := Chase(b, nil, 0, false, nil, nil)
+		full := Chase(b, nil, true, nil, nil)
+		vo := Chase(b, nil, false, nil, nil)
 		if vo.Refs != nil {
 			t.Fatalf("n=%d kd=%d: values-only chase recorded %d reflectors", tc.n, tc.kd, len(vo.Refs))
 		}

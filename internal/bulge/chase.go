@@ -251,7 +251,7 @@ func (c *chaser) blockSpan(sw, lvl int) (lo, hi int) {
 // two kernels can touch the same entries. (Tasks of several consecutive levels
 // of a sweep were measured and tied with this on solve time: EXPERIMENTS.md,
 // "Level-1/2 at vector speed".)
-func (c *chaser) schedule(job *sched.Job, affinity uint64) {
+func (c *chaser) schedule(job *sched.Job) {
 	n, bw := c.w.n, c.w.bw
 	traced := job.Traced()
 	// All access lists are carved from one slice: a kernel covers at most 2·bw
@@ -269,7 +269,6 @@ func (c *chaser) schedule(job *sched.Job, affinity uint64) {
 		}
 		task := sched.Task{
 			Priority: 10,
-			Affinity: affinity,
 			Deps:     deps[first:len(deps):len(deps)],
 			Run:      func(w int) { c.step(sw, lvl, w) },
 		}
@@ -315,16 +314,14 @@ func (c *chaser) finish(res *Result, t *matrix.Tridiagonal, wantQ bool) {
 // form. A nil (or inline) job runs the kernels sequentially — the reference
 // execution the scheduled one must match bit-for-bit — while a
 // scheduler-backed job runs them as tasks whose dependences reproduce the
-// sequential order exactly (the paper's fine-grained stage-2 scheduling);
-// affinity restricts those tasks to a subset of workers (0 = all),
-// implementing the paper's core restriction for this memory-bound stage.
+// sequential order exactly (the paper's fine-grained stage-2 scheduling).
 //
 // wantQ selects whether the Q₂ reflector sequence is accumulated into
 // Result.Refs; values-only solves pass false and skip that work. If the job
 // is canceled the Result's contents are unspecified and the caller must
 // check job.Err. ws may be nil; when non-nil the Result borrows arena
 // storage and is only valid until the arena is recycled. tc may be nil.
-func Chase(b2 *matrix.SymBand, job *sched.Job, affinity uint64, wantQ bool, ws *work.Arena, tc *trace.Collector) *Result {
+func Chase(b2 *matrix.SymBand, job *sched.Job, wantQ bool, ws *work.Arena, tc *trace.Collector) *Result {
 	n := b2.N
 	bw := b2.KD
 	oc := outFor(ws)
@@ -342,7 +339,7 @@ func Chase(b2 *matrix.SymBand, job *sched.Job, affinity uint64, wantQ bool, ws *
 
 	c := newChaser(b2, job.Workers(), ws, tc)
 	if job.Parallel() {
-		c.schedule(job, affinity)
+		c.schedule(job)
 		job.Wait() // error, if any, surfaces through job.Err at the caller
 	} else {
 		c.runSeq(job)

@@ -34,7 +34,7 @@ func BenchmarkChase(b *testing.B) {
 					if s != nil {
 						job = s.NewJob(nil)
 					}
-					Chase(band, job, 0, false, ws, nil)
+					Chase(band, job, false, ws, nil)
 				}
 			})
 		}

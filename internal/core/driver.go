@@ -62,14 +62,6 @@ type Options struct {
 	// Workers is the task-scheduler width; ≤ 1 runs sequentially. Ignored
 	// when Sched is set.
 	Workers int
-	// Stage2Workers restricts the bulge-chasing tasks to this many workers
-	// (the paper's core-restriction: the stage is memory-bound, and using
-	// fewer cores improves locality). 0 means no restriction.
-	Stage2Workers int
-	// TridiagWorkers restricts the tridiagonal-eigensolver tasks (D&C
-	// subtrees and merge tiles, bisection chunks, inverse-iteration
-	// clusters) to this many workers. 0 inherits the full scheduler width.
-	TridiagWorkers int
 	// Method selects the tridiagonal eigensolver.
 	Method Method
 	// Vectors requests eigenvectors.
@@ -296,17 +288,11 @@ func intoVectors(dst *matrix.Dense, src *matrix.Dense) *matrix.Dense {
 // its parallel entry points — concurrent D&C subtrees and tiled merges,
 // chunked bisection, cluster-parallel inverse iteration; results are bitwise
 // identical to the sequential path (an inline or nil job) at any worker
-// count. Options.TridiagWorkers restricts the stage's tasks to a prefix of
-// the pool, like Stage2Workers does for the bulge chasing.
+// count.
 func solveTridiagonal(t *matrix.Tridiagonal, o *Options, il, iu int, ws *work.Arena, tc *trace.Collector, job *sched.Job) (vals []float64, evecs *matrix.Dense, err error) {
 	n := t.N()
 	k := iu - il + 1
-	var aff uint64
-	poolW := job.Workers()
-	if o.TridiagWorkers > 0 && o.TridiagWorkers < poolW {
-		aff = sched.AffinityMask(o.TridiagWorkers)
-	}
-	set := tridiagWorks(ws, poolW)
+	set := tridiagWorks(ws, job.Workers())
 	tc.Phase(trace.PhaseEigT, func() {
 		// Scratch copies of (d, e): the solvers destroy their inputs.
 		scratch := func() (d, e []float64) {
@@ -320,7 +306,7 @@ func solveTridiagonal(t *matrix.Tridiagonal, o *Options, il, iu int, ws *work.Ar
 			switch o.Method {
 			case MethodBI:
 				d, e := scratch()
-				vals = tridiag.StebzSched(d, e, il, iu, set, job, aff, tc)
+				vals = tridiag.StebzSched(d, e, il, iu, set, job, tc)
 				err = job.Err()
 			default:
 				d, e := scratch()
@@ -334,7 +320,7 @@ func solveTridiagonal(t *matrix.Tridiagonal, o *Options, il, iu int, ws *work.Ar
 		case MethodDC:
 			var dv []float64
 			var q *matrix.Dense
-			dv, q, err = tridiag.StedcSched(t.D, t.E, set, job, aff, tc)
+			dv, q, err = tridiag.StedcSched(t.D, t.E, set, job, 0, tc)
 			if err != nil {
 				return
 			}
@@ -344,12 +330,12 @@ func solveTridiagonal(t *matrix.Tridiagonal, o *Options, il, iu int, ws *work.Ar
 			set.PutMat(q)
 		case MethodBI:
 			d, e := scratch()
-			vals = tridiag.StebzSched(d, e, il, iu, set, job, aff, tc)
+			vals = tridiag.StebzSched(d, e, il, iu, set, job, tc)
 			if err = job.Err(); err != nil {
 				return
 			}
 			var z *matrix.Dense
-			z, err = tridiag.SteinSched(t.D, t.E, vals, set, job, aff, tc)
+			z, err = tridiag.SteinSched(t.D, t.E, vals, set, job, tc)
 			if err == nil {
 				evecs = intoVectors(o.Dst, z)
 			}

@@ -141,7 +141,7 @@ func TestTwoStageParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SyevTwoStage(context.Background(), a, Options{Method: MethodDC, Vectors: true, NB: 8, Workers: 4, Stage2Workers: 2})
+	par, err := SyevTwoStage(context.Background(), a, Options{Method: MethodDC, Vectors: true, NB: 8, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,9 +528,8 @@ func TestRankDeficientAndSpecialMatrices(t *testing.T) {
 // TestParallelTridiagBitwiseIdentity pins the eig_t tentpole invariant: the
 // scheduler-parallel tridiagonal stage (D&C task DAG, chunked bisection,
 // cluster-parallel inverse iteration) produces exactly the results of the
-// sequential stage — for every method, at several worker counts, with and
-// without a TridiagWorkers restriction. n exceeds the D&C parallel cutoff
-// so the task DAG genuinely engages.
+// sequential stage — for every method, at several worker counts. n exceeds
+// the D&C parallel cutoff so the task DAG genuinely engages.
 func TestParallelTridiagBitwiseIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	n := 150
@@ -542,20 +541,18 @@ func TestParallelTridiagBitwiseIdentity(t *testing.T) {
 			t.Fatalf("%v sequential: %v", m, err)
 		}
 		for _, workers := range []int{2, 4} {
-			for _, tw := range []int{0, 1, 3} {
-				par := Options{Method: m, Vectors: true, NB: 8, Workers: workers, TridiagWorkers: tw}
-				got, err := SyevTwoStage(context.Background(), a, par)
-				if err != nil {
-					t.Fatalf("%v workers=%d tridiagWorkers=%d: %v", m, workers, tw, err)
+			par := Options{Method: m, Vectors: true, NB: 8, Workers: workers}
+			got, err := SyevTwoStage(context.Background(), a, par)
+			if err != nil {
+				t.Fatalf("%v workers=%d: %v", m, workers, err)
+			}
+			for i := range want.Values {
+				if want.Values[i] != got.Values[i] {
+					t.Fatalf("%v workers=%d: eigenvalue %d differs", m, workers, i)
 				}
-				for i := range want.Values {
-					if want.Values[i] != got.Values[i] {
-						t.Fatalf("%v workers=%d tridiagWorkers=%d: eigenvalue %d differs", m, workers, tw, i)
-					}
-				}
-				if !got.Vectors.Equalish(want.Vectors, 0) {
-					t.Fatalf("%v workers=%d tridiagWorkers=%d: vectors differ bitwise from sequential eig_t", m, workers, tw)
-				}
+			}
+			if !got.Vectors.Equalish(want.Vectors, 0) {
+				t.Fatalf("%v workers=%d: vectors differ bitwise from sequential eig_t", m, workers)
 			}
 		}
 		checkEigen(t, "parallel eig_t "+m.String(), a, want, nil)

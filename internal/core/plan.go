@@ -64,10 +64,9 @@ type SolveState struct {
 
 	n, il, iu, nb int
 
-	s         *sched.Scheduler
-	ownSched  bool // transient scheduler created for this solve; Close shuts it down
-	workers   int
-	stage2Aff uint64
+	s        *sched.Scheduler
+	ownSched bool // transient scheduler created for this solve; Close shuts it down
+	workers  int
 
 	ws *work.Arena
 	tc *trace.Collector
@@ -126,9 +125,6 @@ func NewSolveState(ctx context.Context, a *matrix.Dense, o Options) (*SolveState
 	st.workers = 1
 	if st.s != nil {
 		st.workers = st.s.Workers()
-	}
-	if st.s != nil && o.Stage2Workers > 0 && o.Stage2Workers < st.workers {
-		st.stage2Aff = sched.AffinityMask(o.Stage2Workers)
 	}
 	st.nb = o.NB
 	if st.nb <= 0 {
@@ -197,8 +193,9 @@ func (Stage1) Run(ctx context.Context, st *SolveState) error {
 }
 
 // Stage2 chases the band down to tridiagonal form (bulge chasing).
-// Memory-bound: the kernels stream the band with Level-2-like intensity,
-// which is why the paper restricts this stage to fewer cores.
+// Memory-bound: the kernels stream the band with Level-2-like intensity
+// (the paper restricts this stage to fewer cores; here that was measured and
+// removed, EXPERIMENTS.md "One ready heap").
 type Stage2 struct{}
 
 func (Stage2) Name() string { return trace.PhaseStage2 }
@@ -206,7 +203,7 @@ func (Stage2) Name() string { return trace.PhaseStage2 }
 func (Stage2) Run(ctx context.Context, st *SolveState) error {
 	job := st.phaseJob(ctx)
 	st.tc.Phase(trace.PhaseStage2, func() {
-		st.chase = bulge.Chase(st.f1.Band, job, st.stage2Aff, st.o.Vectors, st.ws, st.tc)
+		st.chase = bulge.Chase(st.f1.Band, job, st.o.Vectors, st.ws, st.tc)
 	})
 	return job.Err()
 }

@@ -55,7 +55,7 @@ func TestBuildPlan(t *testing.T) {
 	wantNames := []string{"stage1", "stage2", "eig_t", "back_trans"}
 	for _, o := range []Options{
 		{},
-		{Workers: 4, Stage2Workers: 2, TridiagWorkers: 1},
+		{Workers: 4},
 		{Method: MethodBI, IL: 2, IU: 5},
 		{Method: MethodQR},
 	} {

@@ -16,10 +16,11 @@ var ErrStopped = errors.New("sched: scheduler is shut down")
 // solves and safe to share between concurrent solves — two jobs never
 // interfere through resource IDs, and each Wait drains only its own tasks.
 //
-// A Job also abstracts sequential execution: a job created with Inline (or
-// a nil *Job) runs every task synchronously at Submit, so stage code is
-// written once against the Job API and works in all three modes
-// (sequential, scheduled, canceled).
+// A job created with Inline (or a nil *Job) has no scheduler: Submit runs
+// the task at once on the calling goroutine. The solver's sequential solves
+// carry their cancellation context on such a job, but every stage tests
+// Parallel and takes a sequential path of its own rather than submitting to
+// it.
 type Job struct {
 	s   *Scheduler // nil → inline execution
 	ctx context.Context

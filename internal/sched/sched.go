@@ -3,14 +3,15 @@
 // submitted with their read/write sets over abstract resources (tile
 // handles); the runtime infers RAW/WAR/WAW dependences from the submission
 // order, builds the DAG implicitly, and executes ready tasks on a worker
-// pool. Tasks carry priorities (to push the critical path) and an optional
-// worker-affinity mask, which implements the paper's core restriction for
-// the memory-bound bulge-chasing stage. The paper's second strategy, a
-// static runtime replaying a precomputed per-worker order, was measured
-// against this one and removed (EXPERIMENTS.md, "One phase plan").
+// pool. Ready tasks wait in one heap ordered by priority (to push the
+// critical path), then submission order; any idle worker takes the top one.
+// The paper's second strategy, a static runtime replaying a precomputed
+// per-worker order, and its core restriction (per-worker affinity masks for
+// the memory-bound bulge chase) were measured against this and removed
+// (EXPERIMENTS.md, "One phase plan" and "One ready heap").
 //
 // The execution is equivalent to executing the tasks sequentially in
-// submission order: priorities and affinity only choose among ready tasks.
+// submission order: priorities only choose among ready tasks.
 package sched
 
 import (
@@ -61,10 +62,6 @@ type Task struct {
 	// Priority orders the ready queue: higher runs first. Use it to push
 	// critical-path tasks (panel factorizations) ahead of trailing updates.
 	Priority int
-	// Affinity restricts execution to the workers whose bit is set. Zero
-	// means any worker. This implements the paper's core restriction for
-	// memory-bound stages.
-	Affinity uint64
 }
 
 // TraceEvent records one executed task for post-mortem analysis (Gantt
@@ -106,8 +103,8 @@ type Scheduler struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	ready     readyQueues
-	pending   int // submitted but not finished, across all jobs
+	ready     taskHeap // ready tasks, best first (see less)
+	pending   int      // submitted but not finished, across all jobs
 	stopped   bool
 	seq       int
 	startTime time.Time
@@ -121,25 +118,12 @@ type Option func(*Scheduler)
 // WithTrace enables recording of TraceEvents for every executed task.
 func WithTrace() Option { return func(s *Scheduler) { s.trace = true } }
 
-// MaxWorkers is the widest pool New accepts: affinity masks are 64-bit, one
-// bit per worker. Public entry points must clamp (or reject) user-supplied
-// widths against this bound before reaching New — New itself panics, which is
-// acceptable only for internal callers that pass validated values.
+// MaxWorkers is the widest pool New accepts: it bounds how many goroutines a
+// caller's worker count starts. Public entry points must clamp (or reject)
+// user-supplied widths against this bound before reaching New — New itself
+// panics, which is acceptable only for internal callers that pass validated
+// values.
 const MaxWorkers = 64
-
-// AffinityMask returns the Task.Affinity mask selecting the first w workers
-// (the paper's core-restriction shape, shared by the bulge-chasing and
-// tridiagonal stages). w is clamped to [1, MaxWorkers]; w = MaxWorkers
-// selects every worker explicitly.
-func AffinityMask(w int) uint64 {
-	if w < 1 {
-		w = 1
-	}
-	if w >= MaxWorkers {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(w)) - 1
-}
 
 // New creates a dynamic scheduler with the given number of workers. Workers
 // are goroutines; on a machine with fewer cores they time-share, which
@@ -150,7 +134,7 @@ func New(workers int, opts ...Option) *Scheduler {
 		panic("sched: need at least one worker")
 	}
 	if workers > MaxWorkers {
-		panic("sched: at most 64 workers (affinity masks are 64-bit)")
+		panic("sched: at most MaxWorkers (64) workers")
 	}
 	s := &Scheduler{workers: workers}
 	s.cond = sync.NewCond(&s.mu)
@@ -234,7 +218,7 @@ func (s *Scheduler) submit(j *Job, t Task) {
 		st.readers = st.readers[:0]
 	}
 	if n.waitCount == 0 {
-		s.ready.push(n)
+		heap.Push(&s.ready, n)
 		s.cond.Broadcast()
 	}
 }
@@ -270,20 +254,16 @@ func (s *Scheduler) Trace() []TraceEvent {
 
 func (s *Scheduler) worker(id int) {
 	defer s.wg.Done()
-	mask := uint64(1) << uint(id)
 	for {
 		s.mu.Lock()
-		var n *node
-		for {
-			if n = s.ready.popFor(mask); n != nil {
-				break
-			}
+		for s.ready.Len() == 0 {
 			if s.stopped {
 				s.mu.Unlock()
 				return
 			}
 			s.cond.Wait()
 		}
+		n := heap.Pop(&s.ready).(*node)
 		// Latch cancellation while still holding the lock; a canceled
 		// job's tasks drain through the DAG without running their bodies.
 		j := n.job
@@ -307,7 +287,7 @@ func (s *Scheduler) worker(id int) {
 		for _, c := range n.children {
 			c.waitCount--
 			if c.waitCount == 0 {
-				s.ready.push(c)
+				heap.Push(&s.ready, c)
 			}
 		}
 		n.children = nil
@@ -316,48 +296,6 @@ func (s *Scheduler) worker(id int) {
 		s.mu.Unlock()
 		s.cond.Broadcast()
 	}
-}
-
-// readyQueues holds one priority heap per distinct affinity mask. The number
-// of distinct masks in practice is tiny (everything, plus the restricted set
-// used by the bulge-chasing stage), so a worker checks each heap whose mask
-// includes it and takes the globally best candidate.
-type readyQueues struct {
-	heaps map[uint64]*taskHeap
-}
-
-func (q *readyQueues) push(n *node) {
-	if q.heaps == nil {
-		q.heaps = make(map[uint64]*taskHeap)
-	}
-	m := n.task.Affinity
-	h := q.heaps[m]
-	if h == nil {
-		h = &taskHeap{}
-		q.heaps[m] = h
-	}
-	heap.Push(h, n)
-}
-
-// popFor removes and returns the best ready task runnable by a worker with
-// the given mask, or nil.
-func (q *readyQueues) popFor(workerMask uint64) *node {
-	var best *taskHeap
-	for m, h := range q.heaps {
-		if h.Len() == 0 {
-			continue
-		}
-		if m != 0 && m&workerMask == 0 {
-			continue
-		}
-		if best == nil || less((*h)[0], (*best)[0]) {
-			best = h
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	return heap.Pop(best).(*node)
 }
 
 // less orders the ready queue: higher priority first, then submission order

@@ -108,14 +108,15 @@ func TestIndependentTasksParallel(t *testing.T) {
 
 func TestPriorityOrder(t *testing.T) {
 	// With the one worker held by a gate task, independent tasks submitted
-	// meanwhile must run in priority order once it is released.
+	// meanwhile must run in priority order once it is released, and tasks
+	// of equal priority in submission order.
 	s := New(1)
 	defer s.Shutdown()
 	release := hold(s)
 	j := s.NewJob(nil)
-	var order []int
+	var order []int // submission indices, in execution order
 	var mu sync.Mutex
-	prios := []int{1, 5, 3, 9, 0}
+	prios := []int{1, 5, 3, 5, 9, 0, 3, 5, 1}
 	for i, p := range prios {
 		i, p := i, p
 		j.Submit(Task{
@@ -124,7 +125,7 @@ func TestPriorityOrder(t *testing.T) {
 			Deps:     []Dep{W(200 + i)},
 			Run: func(int) {
 				mu.Lock()
-				order = append(order, p)
+				order = append(order, i)
 				mu.Unlock()
 			},
 		})
@@ -134,9 +135,13 @@ func TestPriorityOrder(t *testing.T) {
 	if len(order) != len(prios) {
 		t.Fatalf("ran %d of %d tasks", len(order), len(prios))
 	}
-	for i := 1; i < len(order); i++ {
-		if order[i-1] < order[i] {
-			t.Fatalf("priority order violated: %v", order)
+	for k := 1; k < len(order); k++ {
+		a, b := order[k-1], order[k]
+		if prios[a] < prios[b] {
+			t.Fatalf("priority order violated: ran tasks %v", order)
+		}
+		if prios[a] == prios[b] && a > b {
+			t.Fatalf("equal priorities out of submission order: ran tasks %v", order)
 		}
 	}
 }
@@ -157,41 +162,6 @@ func hold(s *Scheduler) (release func()) {
 	}
 	running.Wait()
 	return func() { close(gate) }
-}
-
-func TestAffinityRestriction(t *testing.T) {
-	s := New(4)
-	defer s.Shutdown()
-	j := s.NewJob(nil)
-	const target = 2
-	for i := 0; i < 20; i++ {
-		j.Submit(Task{
-			Name:     "aff",
-			Affinity: 1 << target,
-			Deps:     []Dep{RW(1)},
-			Run: func(worker int) {
-				if worker != target {
-					t.Errorf("affinity task ran on worker %d, want %d", worker, target)
-				}
-			},
-		})
-	}
-	j.Wait()
-}
-
-func TestAffinityZeroMeansAny(t *testing.T) {
-	s := New(3)
-	defer s.Shutdown()
-	j := s.NewJob(nil)
-	var ran int32
-	for i := 0; i < 30; i++ {
-		i := i
-		j.Submit(Task{Deps: []Dep{W(i)}, Run: func(int) { atomic.AddInt32(&ran, 1) }, Name: "any"})
-	}
-	j.Wait()
-	if ran != 30 {
-		t.Fatalf("ran %d/30", ran)
-	}
 }
 
 func TestWaitThenReuse(t *testing.T) {

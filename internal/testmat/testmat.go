@@ -225,7 +225,9 @@ func OrthoError(z *matrix.Dense) float64 {
 }
 
 // SpectrumError returns max_i |got_i − want_i| / (‖want‖·n·ε) for two
-// ascending spectra of equal length.
+// ascending spectra of equal length. It divides by ‖want‖ first, so spectra
+// near the overflow or underflow threshold score like their unit-scale
+// copies.
 func SpectrumError(got, want []float64) float64 {
 	eps := 0x1p-52
 	var norm, worst float64
@@ -242,5 +244,5 @@ func SpectrumError(got, want []float64) float64 {
 			worst = d
 		}
 	}
-	return worst / (norm * float64(len(want)) * eps)
+	return worst / norm / (float64(len(want)) * eps)
 }

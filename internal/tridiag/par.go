@@ -102,14 +102,13 @@ type dcRun struct {
 	ws     *WorkSet
 	job    *sched.Job
 	tc     *trace.Collector
-	aff    uint64
 	dd, ee []float64 // the tridiagonal, scaled (see scaleT)
 	nodes  []dcNode
 	latch  errLatch
 }
 
-func (r *dcRun) reset(ws *WorkSet, job *sched.Job, aff uint64, tc *trace.Collector) {
-	r.ws, r.job, r.tc, r.aff = ws, job, tc, aff
+func (r *dcRun) reset(ws *WorkSet, job *sched.Job, tc *trace.Collector) {
+	r.ws, r.job, r.tc = ws, job, tc
 	r.dd, r.ee = nil, nil
 	r.nodes = r.nodes[:0]
 	r.latch.reset()
@@ -237,7 +236,7 @@ func tileCount(n int) int { return (n + dcTileCols - 1) / dcTileCols }
 func (r *dcRun) submitNode(i int) {
 	nd := &r.nodes[i]
 	submit := func(name string, run func(worker int), deps ...sched.Dep) {
-		r.job.Submit(sched.Task{Name: name, Priority: nd.depth, Affinity: r.aff, Deps: deps, Run: run})
+		r.job.Submit(sched.Task{Name: name, Priority: nd.depth, Deps: deps, Run: run})
 	}
 	if nd.left < 0 {
 		submit("dc.leaf", func(worker int) { r.leafBody(i, r.ws.Worker(worker)) }, sched.W(r.resNode(i)))
@@ -328,10 +327,11 @@ func dcSecularFlops(k, evals int) int64 {
 // with T = Q·diag(vals)·Qᵀ, bitwise the same at any worker count. Both are
 // pool-owned (hand back via ws.PutVec / ws.PutMat); on error — including
 // cancellation of the job — buffers held by unfinished nodes are abandoned to
-// the garbage collector, which keeps the pools consistent. aff restricts the
-// tasks' workers (0 = all); tc receives eig_t sub-phase flop attribution and
-// may be nil.
-func StedcSched(d, e []float64, ws *WorkSet, job *sched.Job, aff uint64, tc *trace.Collector) ([]float64, *matrix.Dense, error) {
+// the garbage collector, which keeps the pools consistent. tc receives eig_t
+// sub-phase flop attribution and may be nil. The fifth parameter is
+// ignored; ROADMAP item 1 removes it together with the benchmark's call that
+// passes it.
+func StedcSched(d, e []float64, ws *WorkSet, job *sched.Job, _ uint64, tc *trace.Collector) ([]float64, *matrix.Dense, error) {
 	checkTE(d, e)
 	ws.Grow(job.Workers())
 	n := len(d)
@@ -340,7 +340,7 @@ func StedcSched(d, e []float64, ws *WorkSet, job *sched.Job, aff uint64, tc *tra
 		return seq.buf(0), seq.mat(0, 0), job.Err()
 	}
 	r := &ws.run
-	r.reset(ws, job, aff, tc)
+	r.reset(ws, job, tc)
 	r.dd = seq.buf(n)
 	r.ee = seq.buf(n - 1)
 	exp := scaleT(r.dd, r.ee, d, e)
@@ -394,7 +394,7 @@ const stebzChunkSize = 32
 // whose largest entry lies outside [ssfmin, ssfmax], where the Sturm count's
 // e² would overflow or underflow, is bisected scaled by a power of two, as
 // Sterf does; inputs inside that range are bisected as given.
-func StebzSched(d, e []float64, il, iu int, ws *WorkSet, job *sched.Job, aff uint64, tc *trace.Collector) []float64 {
+func StebzSched(d, e []float64, il, iu int, ws *WorkSet, job *sched.Job, tc *trace.Collector) []float64 {
 	n := len(d)
 	checkTE(d, e)
 	if n == 0 {
@@ -409,7 +409,7 @@ func StebzSched(d, e []float64, il, iu int, ws *WorkSet, job *sched.Job, aff uin
 		ds, es := seq.buf(n), seq.buf(n-1)
 		ldexpInto(ds, d, -exp)
 		ldexpInto(es, e[:n-1], -exp)
-		out := StebzSched(ds, es, il, iu, ws, job, aff, tc)
+		out := StebzSched(ds, es, il, iu, ws, job, tc)
 		seq.putVec(ds)
 		seq.putVec(es)
 		ldexpInto(out, out, exp)
@@ -432,8 +432,7 @@ func StebzSched(d, e []float64, il, iu int, ws *WorkSet, job *sched.Job, aff uin
 	for a := il; a <= iu; a += stebzChunkSize {
 		a, b := a, min(a+stebzChunkSize-1, iu)
 		job.Submit(sched.Task{
-			Name:     "stebz.chunk",
-			Affinity: aff,
+			Name: "stebz.chunk",
 			Run: func(worker int) {
 				attr(ws.Worker(worker).stebzInto(d, e, a, b, out, il))
 			},
@@ -457,7 +456,7 @@ func StebzSched(d, e []float64, il, iu int, ws *WorkSet, job *sched.Job, aff uin
 // StebzSched it iterates on (d, e) and w scaled by a power of two when the
 // largest entry of the matrix lies outside [ssfmin, ssfmax]; the eigenvectors
 // are the same.
-func SteinSched(d, e []float64, w []float64, ws *WorkSet, job *sched.Job, aff uint64, tc *trace.Collector) (*matrix.Dense, error) {
+func SteinSched(d, e []float64, w []float64, ws *WorkSet, job *sched.Job, tc *trace.Collector) (*matrix.Dense, error) {
 	n := len(d)
 	checkTE(d, e)
 	ws.Grow(job.Workers())
@@ -468,7 +467,7 @@ func SteinSched(d, e []float64, w []float64, ws *WorkSet, job *sched.Job, aff ui
 		ldexpInto(ds, d, -exp)
 		ldexpInto(es, e[:n-1], -exp)
 		ldexpInto(wsc, w, -exp)
-		z, err := SteinSched(ds, es, wsc, ws, job, aff, tc)
+		z, err := SteinSched(ds, es, wsc, ws, job, tc)
 		seq.putVec(ds)
 		seq.putVec(es)
 		seq.putVec(wsc)
@@ -508,9 +507,8 @@ func SteinSched(d, e []float64, w []float64, ws *WorkSet, job *sched.Job, aff ui
 			ce := steinClusterEnd(w, cs, ortol)
 			cs0, ce0 := cs, ce
 			job.Submit(sched.Task{
-				Name:     "stein.cluster",
-				Affinity: aff,
-				Run:      func(worker int) { cluster(cs0, ce0, ws.Worker(worker)) },
+				Name: "stein.cluster",
+				Run:  func(worker int) { cluster(cs0, ce0, ws.Worker(worker)) },
 			})
 			cs = ce
 		}

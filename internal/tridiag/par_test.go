@@ -262,7 +262,7 @@ func TestStebzSchedBitwiseIdentity(t *testing.T) {
 			for _, workers := range parTestWorkers {
 				s := sched.New(workers)
 				set := NewWorkSet(workers)
-				got := StebzSched(sh.d, sh.e, r[0], r[1], set, s.NewJob(nil), 0, nil)
+				got := StebzSched(sh.d, sh.e, r[0], r[1], set, s.NewJob(nil), nil)
 				s.Shutdown()
 				if !sameVec(got, want) {
 					t.Errorf("%s [%d,%d] workers=%d: parallel Stebz differs", name, r[0], r[1], workers)
@@ -288,7 +288,7 @@ func TestSteinSchedBitwiseIdentity(t *testing.T) {
 			s := sched.New(workers)
 			set := NewWorkSet(workers)
 			for pass := 0; pass < 2; pass++ {
-				z, err := SteinSched(sh.d, sh.e, w, set, s.NewJob(nil), 0, nil)
+				z, err := SteinSched(sh.d, sh.e, w, set, s.NewJob(nil), nil)
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", name, workers, err)
 				}
@@ -350,7 +350,7 @@ func TestSteinSchedNoConvergence(t *testing.T) {
 	s := sched.New(3)
 	defer s.Shutdown()
 	set := NewWorkSet(3)
-	z, err := SteinSched(d, e, w, set, s.NewJob(nil), 0, nil)
+	z, err := SteinSched(d, e, w, set, s.NewJob(nil), nil)
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("got %v, want ErrNoConvergence", err)
 	}
@@ -415,36 +415,6 @@ func TestStedcSchedCancellation(t *testing.T) {
 	set.PutMat(q)
 }
 
-// TestSchedAffinityRestriction: restricting eig_t tasks to a worker prefix
-// (the TridiagWorkers plumbing) must not change results.
-func TestSchedAffinityRestriction(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	d, e := randTridiag(rng, 260)
-	refVals, refQ, err := stedcOneLeaf(d, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sched.New(4)
-	defer s.Shutdown()
-	for _, tw := range []int{1, 2, 3} {
-		set := NewWorkSet(4)
-		aff := sched.AffinityMask(tw)
-		vals, q, err := StedcSched(d, e, set, s.NewJob(nil), aff, nil)
-		if err != nil {
-			t.Fatalf("affinity %d: %v", tw, err)
-		}
-		if !sameVec(vals, refVals) || !sameMat(q, refQ) {
-			t.Errorf("affinity %d: results differ", tw)
-		}
-		w := stebz(d, e, 1, len(d))
-		z, err := SteinSched(d, e, w, set, s.NewJob(nil), aff, nil)
-		if err != nil {
-			t.Fatalf("affinity %d stein: %v", tw, err)
-		}
-		set.PutMat(z)
-	}
-}
-
 // TestSchedFlopAttribution: the eig_t sub-phases must be attributed (side
 // channel only — AttributedFlops never contributes to TotalFlops), and the
 // merge's attribution must say what ran: the same flops from the inline path
@@ -497,11 +467,11 @@ func TestSchedFlopAttribution(t *testing.T) {
 		}
 	}
 
-	w := StebzSched(d, e, 1, len(d), set, s.NewJob(nil), 0, tc)
+	w := StebzSched(d, e, 1, len(d), set, s.NewJob(nil), tc)
 	if tc.AttributedFlops(trace.PhaseEigTBisect) <= 0 {
 		t.Error("no bisect flops attributed")
 	}
-	z, err := SteinSched(d, e, w, set, s.NewJob(nil), 0, tc)
+	z, err := SteinSched(d, e, w, set, s.NewJob(nil), tc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,11 +113,11 @@ func stedc(d, e []float64) ([]float64, *matrix.Dense, error) {
 }
 
 func stebz(d, e []float64, il, iu int) []float64 {
-	return StebzSched(d, e, il, iu, NewWorkSet(1), nil, 0, nil)
+	return StebzSched(d, e, il, iu, NewWorkSet(1), nil, nil)
 }
 
 func stein(d, e, w []float64) (*matrix.Dense, error) {
-	return SteinSched(d, e, w, NewWorkSet(1), nil, 0, nil)
+	return SteinSched(d, e, w, NewWorkSet(1), nil, nil)
 }
 
 func scaleOf(d, e []float64) float64 {

@@ -68,14 +68,14 @@ done <<'EOF'
 fused-backtransform  TestApplyFused|TestFusedBacktrans|TestSolverCancelDuringBacktrans  ./internal/backtransform ./internal/core .
 batch                TestSolveBatch|TestSolveBatchMatchesSolo|TestSolveBatchFanout|TestSolveBatchCancel|TestSolveBatchCloseMidFlight|TestSolveBatchSmallItemsNeedNoWorker|TestSolveBatchConcurrentCalls|TestSolveBatchTraceAttribution|TestBatchIsolationMixed|TestNotFiniteError|TestNoConvergencePropagation|TestOptionsClamp|TestDegenerateShapes|TestBatchRangeValidatedWithoutDst|TestBatchGateOverBudgetClamp|TestSolveBatchOversizedItemsRunAlone|TestSolverGateSharedAcrossBatchCalls|TestNewSolverIgnoresTuneProfileEnv  .
 phase-plan           TestSolveState|TestBuildPlan  ./internal/core
-tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestSchedAffinity|TestParallelTridiag|TestSecularRoot|TestStedcHard|TestStedcScalingExact|TestSterfHard|TestWorkSetRetention|TestEstimateCoversArena  ./internal/tridiag ./internal/core
+tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestParallelTridiag|TestSecularRoot|TestStedcHard|TestStedcScalingExact|TestSterfHard|TestWorkSetRetention|TestEstimateCoversArena  ./internal/tridiag ./internal/core
 stage1-lookahead     TestReduceLookahead|TestReduceMatchesMirrorReference|TestReduceTaskCount|TestLookaheadSolverBitwise|TestStage1  ./internal/band ./internal/core
 sched                TestSchedRandomDAGDrains  ./internal/sched
 packed-engine        TestBlock|TestGemmPackedA|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestProbeWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestGemmAsmBitwisePortable|TestFusedRulePin|TestSolveBitwiseAcrossKernels|BenchmarkGemmKernels  ./internal/householder ./internal/blas .
 level-kernels        TestLevel1AsmBitwisePortable|TestLevel2AsmBitwisePortable|TestLevelCanaries|TestFusedRulePin|TestUnsupportedShapesPanic  ./internal/blas
-hard-inputs          TestScaledInputsAllMethodsAgree  ./internal/core
+hard-inputs          TestScaledInputsAllMethodsAgree|TestSpectrumErrorScaled  ./internal/core ./internal/testmat
 cli                  TestReadMatrixErrors  ./cmd/eigsolve
-bulge                TestChaseBanded|TestChaseAffinityRestriction|TestReflectorLattice|TestChaseScheduledMatchesSequential|TestChaseCancelDrains  ./internal/bulge
+bulge                TestChaseBanded|TestReflectorLattice|TestChaseScheduledMatchesSequential|TestChaseCancelDrains  ./internal/bulge
 service              TestServerAuth|TestServerSubmitValidation|FuzzSubmitDecode|FuzzSubmitHandler|TestServerJobEndpoints|TestServerNaNPayloadMapsTo400|TestErrorMapping|TestMemStore|TestDiskStore|FuzzDiskStoreReplay|TestRoundTripBitwise|TestCancelMidSolveFreesSlot|TestOverBudgetRefused|TestConcurrentClients  ./internal/service ./client
 EOF
 
