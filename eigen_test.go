@@ -4,6 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/matrix"
+	"repro/internal/testmat"
 )
 
 func randSymMatrix(rng *rand.Rand, n int) *Matrix {
@@ -43,30 +46,23 @@ func TestEigResidualAllOptions(t *testing.T) {
 			if err != nil {
 				t.Fatalf("alg=%d method=%d: %v", alg, m, err)
 			}
-			checkResidual(t, a, res)
+			if _, err := testmat.Check(asDense(a), res.Values, asDense(res.Vectors), checkTol); err != nil {
+				t.Fatalf("alg=%d method=%d: %v", alg, m, err)
+			}
 		}
 	}
 }
 
-func checkResidual(t *testing.T, a *Matrix, res *Result) {
-	t.Helper()
-	n, _ := a.Dims()
-	for k := 0; k < len(res.Values); k++ {
-		v := res.Vectors.Col(k)
-		var worst float64
-		for i := 0; i < n; i++ {
-			var sum float64
-			for j := 0; j < n; j++ {
-				sum += a.At(i, j) * v[j]
-			}
-			if d := math.Abs(sum - res.Values[k]*v[i]); d > worst {
-				worst = d
-			}
-		}
-		if worst > 1e-10*float64(n) {
-			t.Fatalf("eigenpair %d residual %g", k, worst)
-		}
+// checkTol bounds every testmat.Check score in this package's tests, in
+// units of n·ε·‖A‖.
+const checkTol = 50
+
+// asDense is m as the matrix.Dense that testmat.Check reads (nil for nil).
+func asDense(m *Matrix) *matrix.Dense {
+	if m == nil {
+		return nil
 	}
+	return &matrix.Dense{Rows: m.r, Cols: m.c, Stride: max(1, m.r), Data: m.data}
 }
 
 func TestEigValuesMatchesEig(t *testing.T) {
@@ -107,7 +103,9 @@ func TestEigRange(t *testing.T) {
 			t.Fatalf("range value %d: %g vs %g", i, sub.Values[i], full.Values[5+i])
 		}
 	}
-	checkResidual(t, a, sub)
+	if _, err := testmat.Check(asDense(a), sub.Values, asDense(sub.Vectors), checkTol); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := EigRange(a, 0, 5, nil); err == nil {
 		t.Fatal("invalid range accepted")
 	}

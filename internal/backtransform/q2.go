@@ -221,9 +221,6 @@ func NewPlan(res *bulge.Result, group int, ws *work.Arena) *Plan {
 	return p
 }
 
-// NumBlocks reports how many diamond blocks the plan holds.
-func (p *Plan) NumBlocks() int { return len(p.blocks) }
-
 // Work is the scratch ApplyBlock needs, whatever the block's width.
 func (p *Plan) Work() int {
 	return householder.ApplyWork(blas.Left, p.maxRows, p.maxK, 0)

@@ -183,12 +183,12 @@ func TestPlanStatistics(t *testing.T) {
 	b := randBand(rng, 30, 4)
 	res := bulge.Chase(b, nil, true, nil, nil)
 	p := NewPlan(res, 4, nil)
-	if p.NumBlocks() == 0 {
+	if len(p.blocks) == 0 {
 		t.Fatal("no diamond blocks")
 	}
 	// An empty plan reports zeros and applies as identity.
 	empty := NewPlan(&bulge.Result{N: 5, B: 1}, 0, nil)
-	if empty.NumBlocks() != 0 {
+	if len(empty.blocks) != 0 {
 		t.Fatal("empty plan has blocks")
 	}
 }

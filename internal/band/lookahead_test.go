@@ -3,12 +3,12 @@ package band
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
-	"math/rand"
-
 	"repro/internal/sched"
+	"repro/internal/testmat"
 	"repro/internal/trace"
 )
 
@@ -55,7 +55,7 @@ func factorsIdentical(t *testing.T, label string, ref, got *Factor) {
 func TestReduceLookaheadBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	n, nb := 30, 4
-	a := randSym(rng, n)
+	a := testmat.RandomSym(rng, n)
 	ref := Reduce(a.Clone(), Config{NB: nb}, nil, nil, nil)
 	for workers := 1; workers <= 8; workers++ {
 		s := sched.New(workers)
@@ -92,7 +92,7 @@ func TestReduceLookaheadPriorityBounds(t *testing.T) {
 func TestReduceLookaheadCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	n, nb := 60, 4
-	a := randSym(rng, n)
+	a := testmat.RandomSym(rng, n)
 	ref := Reduce(a.Clone(), Config{NB: nb}, nil, nil, nil)
 	s := sched.New(4)
 	defer s.Shutdown()
@@ -129,7 +129,7 @@ func TestReduceLookaheadCancel(t *testing.T) {
 func TestReduceLookaheadTraceAttribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	n, nb := 40, 4
-	a := randSym(rng, n)
+	a := testmat.RandomSym(rng, n)
 	for name, mk := range map[string]func() (*sched.Scheduler, *sched.Job){
 		"sequential": func() (*sched.Scheduler, *sched.Job) { return nil, nil },
 		"scheduled": func() (*sched.Scheduler, *sched.Job) {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/matrix"
 	"repro/internal/sched"
+	"repro/internal/testmat"
 )
 
 // mirrorReference runs the tile reduction with symmetry restored the plain
@@ -59,7 +60,7 @@ func TestReduceMatchesMirrorReference(t *testing.T) {
 	}
 	for _, nb := range []int{4, 5, 8} {
 		for _, n := range []int{nb, 2 * nb, 3 * nb, 7 * nb, 6*nb + 3} {
-			a := randSym(rng, n)
+			a := testmat.RandomSym(rng, n)
 			ref := mirrorReference(a.Clone(), nb)
 			got := Reduce(a.Clone(), Config{NB: nb}, nil, nil, nil)
 			factorsIdentical(t, fmt.Sprintf("nb=%d n=%d inline", nb, n), ref, got)
@@ -79,7 +80,7 @@ func TestReduceTaskCount(t *testing.T) {
 	nb := 4
 	for _, nt := range []int{1, 2, 3, 7, 32} {
 		s := sched.New(2, sched.WithTrace())
-		Reduce(randSym(rng, nt*nb), Config{NB: nb}, s.NewJob(nil), nil, nil)
+		Reduce(testmat.RandomSym(rng, nt*nb), Config{NB: nb}, s.NewJob(nil), nil, nil)
 		events := s.Trace()
 		s.Shutdown()
 		want := 0

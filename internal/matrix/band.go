@@ -25,16 +25,6 @@ func NewSymBand(n, kd int) *SymBand {
 	return &SymBand{N: n, KD: kd, LDA: kd + 1, Data: make([]float64, (kd+1)*n)}
 }
 
-// InBand reports whether (i, j) lies within the stored band (including the
-// symmetric upper part).
-func (b *SymBand) InBand(i, j int) bool {
-	d := i - j
-	if d < 0 {
-		d = -d
-	}
-	return d <= b.KD
-}
-
 // At returns element (i, j), using symmetry for the upper triangle and zero
 // outside the band.
 func (b *SymBand) At(i, j int) float64 {
@@ -95,23 +85,6 @@ func SymBandFromDense(d *Dense, kd int) *SymBand {
 		}
 	}
 	return b
-}
-
-// BandwidthOf returns the smallest kd such that all elements of symmetric
-// dense matrix d with |i−j| > kd have magnitude at most tol.
-func BandwidthOf(d *Dense, tol float64) int {
-	kd := 0
-	for j := 0; j < d.Cols; j++ {
-		for i := j + 1; i < d.Rows; i++ {
-			v := d.Data[i+j*d.Stride]
-			if v > tol || v < -tol {
-				if i-j > kd {
-					kd = i - j
-				}
-			}
-		}
-	}
-	return kd
 }
 
 // Tridiagonal holds the diagonal and subdiagonal of a symmetric tridiagonal

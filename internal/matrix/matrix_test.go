@@ -135,18 +135,6 @@ func TestSymBandAtSymmetry(t *testing.T) {
 	b.Set(5, 0, 1)
 }
 
-func TestBandwidthOf(t *testing.T) {
-	d := NewDense(6, 6)
-	d.Set(4, 1, 1e-3)
-	d.Set(1, 4, 1e-3)
-	if got := BandwidthOf(d, 0); got != 3 {
-		t.Fatalf("BandwidthOf = %d, want 3", got)
-	}
-	if got := BandwidthOf(d, 1e-2); got != 0 {
-		t.Fatalf("BandwidthOf with tol = %d, want 0", got)
-	}
-}
-
 func TestTridiagonalRoundTrip(t *testing.T) {
 	tr := NewTridiagonal(5)
 	for i := range tr.D {
@@ -221,27 +209,6 @@ func TestTileEdgeSizes(t *testing.T) {
 	}
 }
 
-func TestSymmetrizeFromLower(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	n, nb := 11, 4
-	d := randDense(rng, n, n)
-	tm := NewTileMatrix(n, nb)
-	tm.FromLapack(d)
-	tm.SymmetrizeFromLower()
-	back := tm.ToLapack()
-	if !back.IsSymmetric(0) {
-		t.Fatal("SymmetrizeFromLower did not produce symmetric matrix")
-	}
-	// Lower triangle must be unchanged.
-	for j := 0; j < n; j++ {
-		for i := j; i < n; i++ {
-			if back.At(i, j) != d.At(i, j) {
-				t.Fatalf("lower triangle changed at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestTileIDUnique(t *testing.T) {
 	tm := NewTileMatrix(12, 4)
 	seen := map[int]bool{}
@@ -307,9 +274,6 @@ func mustPanic(t *testing.T, fn func()) {
 
 func TestBandAuxiliaries(t *testing.T) {
 	b := NewSymBand(6, 2)
-	if !b.InBand(3, 1) || b.InBand(4, 1) {
-		t.Fatal("InBand wrong")
-	}
 	b.Set(2, 1, 7)
 	c := b.Clone()
 	c.Set(2, 1, 8)

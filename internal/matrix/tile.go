@@ -117,29 +117,3 @@ func (t *TileMatrix) ToLapack() *Dense {
 // TileID returns a stable integer identifier for tile (i, j), used as the
 // resource key for dependence tracking in the task scheduler.
 func (t *TileMatrix) TileID(i, j int) int { return i + j*t.NT }
-
-// SymmetrizeFromLower mirrors tile (i,j), i>j, into (j,i) and the lower
-// triangle of each diagonal tile into its upper triangle, producing an
-// exactly symmetric tile matrix from lower-triangle data.
-func (t *TileMatrix) SymmetrizeFromLower() {
-	for tj := 0; tj < t.NT; tj++ {
-		// Diagonal tile.
-		d := t.Tile(tj, tj)
-		nd := t.TileRows(tj)
-		for j := 0; j < nd; j++ {
-			for i := j + 1; i < nd; i++ {
-				d[j+i*nd] = d[i+j*nd]
-			}
-		}
-		for ti := tj + 1; ti < t.NT; ti++ {
-			lo := t.Tile(ti, tj)
-			up := t.Tile(tj, ti)
-			r, c := t.TileRows(ti), t.TileCols(tj)
-			for j := 0; j < c; j++ {
-				for i := 0; i < r; i++ {
-					up[j+i*c] = lo[i+j*r]
-				}
-			}
-		}
-	}
-}

@@ -1,10 +1,16 @@
 // Package testmat generates the symmetric test matrices used by the test
 // suite, the examples and the benchmark harness, and provides the
-// first-principles verification metrics (residuals, orthogonality,
-// planted-spectrum error) the reproduction is validated against.
+// first-principles verification the reproduction is validated against.
+// Check is the one eigen-checker: ascending values, then the residual and
+// orthogonality of the vectors, or the trace and Frobenius invariants of a
+// full values-only spectrum, each scored in units of n·ε·‖A‖_F (n·ε for
+// orthogonality) on A and λ pre-scaled by the power of two that brings
+// max|aᵢⱼ| into [1, 2), so that no score overflows or underflows with A.
+// SpectrumError scores two spectra against each other the same way.
 package testmat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -181,33 +187,66 @@ func GraphLaplacian(rng *rand.Rand, n int, deg float64) *matrix.Dense {
 	return a
 }
 
-// Residual returns max_k ‖A·z_k − λ_k·z_k‖₂ / (‖A‖_F·n·ε) — the normalized
-// eigenpair residual; values of order 1–100 indicate full backward
-// stability.
-func Residual(a *matrix.Dense, vals []float64, z *matrix.Dense) float64 {
-	n := a.Rows
-	norm := a.FrobeniusNorm()
-	if norm == 0 {
-		norm = 1
-	}
-	eps := 0x1p-52
-	var worst float64
-	r := make([]float64, n)
-	for k := 0; k < z.Cols; k++ {
-		zk := z.Data[k*z.Stride : k*z.Stride+n]
-		blas.Dgemv(blas.NoTrans, n, n, 1, a.Data, a.Stride, zk, 1, 0, r, 1)
-		blas.Daxpy(n, -vals[k], zk, 1, r, 1)
-		if res := blas.Dnrm2(n, r, 1); res > worst {
-			worst = res
+// eps is the ε of every score: the spacing of the float64s at 1.
+const eps = 0x1p-52
+
+// scaled returns 2^k·A and k, for the k that brings max|aᵢⱼ| into [1, 2).
+// Multiplying by a power of two is exact (short of the subnormal range), so a
+// score computed on the copy is A's, without ‖A‖_F overflowing near 1e307 or
+// the squares it sums underflowing near 1e-305.
+func scaled(a *matrix.Dense) (*matrix.Dense, int) {
+	_, exp := math.Frexp(a.MaxAbs())
+	as := matrix.NewDense(a.Rows, a.Cols)
+	for j := 0; j < a.Cols; j++ {
+		for i := 0; i < a.Rows; i++ {
+			as.Data[i+j*as.Stride] = math.Ldexp(a.Data[i+j*a.Stride], 1-exp)
 		}
 	}
-	return worst / (norm * float64(n) * eps)
+	return as, 1 - exp
+}
+
+// normF is ‖A‖_F, or 1 for a zero matrix, so that it can divide.
+func normF(a *matrix.Dense) float64 {
+	if f := a.FrobeniusNorm(); f != 0 {
+		return f
+	}
+	return 1
+}
+
+// worse is max, except that a NaN (a failed computation) sticks.
+func worse(w, v float64) float64 {
+	if math.IsNaN(w) || v <= w {
+		return w
+	}
+	return v
+}
+
+// Residual returns max_k ‖A·z_k − λ_k·z_k‖₂ / (‖A‖_F·n·ε) — the normalized
+// eigenpair residual; values of order 1–100 indicate full backward
+// stability. It is computed on A and λ pre-scaled by a power of two, so it
+// does not depend on the scale of A.
+func Residual(a *matrix.Dense, vals []float64, z *matrix.Dense) float64 {
+	as, k := scaled(a)
+	return residual(as, k, vals, z)
+}
+
+// residual is Residual for A already scaled by 2^k.
+func residual(a *matrix.Dense, k int, vals []float64, z *matrix.Dense) float64 {
+	n := a.Rows
+	var worst float64
+	r := make([]float64, n)
+	for j := 0; j < z.Cols; j++ {
+		zj := z.Data[j*z.Stride : j*z.Stride+n]
+		blas.Dgemv(blas.NoTrans, n, n, 1, a.Data, a.Stride, zj, 1, 0, r, 1)
+		blas.Daxpy(n, -math.Ldexp(vals[j], k), zj, 1, r, 1)
+		worst = worse(worst, blas.Dnrm2(n, r, 1))
+	}
+	return worst / (normF(a) * float64(n) * eps)
 }
 
 // OrthoError returns ‖ZᵀZ − I‖_max / (n·ε), normalized like Residual.
 func OrthoError(z *matrix.Dense) float64 {
 	n, k := z.Rows, z.Cols
-	eps := 0x1p-52
 	var worst float64
 	for a := 0; a < k; a++ {
 		for b := a; b < k; b++ {
@@ -216,20 +255,94 @@ func OrthoError(z *matrix.Dense) float64 {
 			if a == b {
 				want = 1
 			}
-			if d := math.Abs(dot - want); d > worst {
-				worst = d
-			}
+			worst = worse(worst, math.Abs(dot-want))
 		}
 	}
 	return worst / (float64(n) * eps)
 }
 
+// Scores are the errors Check measured, each of order one for a backward
+// stable result: the residual and the invariants in units of n·ε·‖A‖_F,
+// orthogonality in units of n·ε. A check that did not run scores 0.
+type Scores struct {
+	Residual, Ortho, Invariant float64
+}
+
+// CheckError is a failed Check: the property that failed, its score and the
+// bound the score had to meet.
+type CheckError struct {
+	Kind         string // "order", "residual", "orthogonality" or "invariant"
+	Score, Bound float64
+}
+
+func (e *CheckError) Error() string {
+	return fmt.Sprintf("testmat: %s score %.3g exceeds %.3g", e.Kind, e.Score, e.Bound)
+}
+
+// judge returns a *CheckError unless score ≤ bound, so a NaN score fails.
+func judge(kind string, score, bound float64) error {
+	if score <= bound {
+		return nil
+	}
+	return &CheckError{Kind: kind, Score: score, Bound: bound}
+}
+
+// Check verifies the eigenvalues vals of the symmetric matrix a, with their
+// eigenvectors in the columns of z when z is not nil, from first principles.
+// The values must ascend (an "order" score is the descent, against a bound
+// of 0). With vectors, Residual and OrthoError must each be at most tol.
+// Without, a full spectrum must keep the trace to tol·n·ε·‖A‖_F and ‖A‖_F²
+// to tol·n·ε·‖A‖_F²; a sub-range has no invariant to check. A and the values
+// are pre-scaled by the power of two that brings max|aᵢⱼ| into [1, 2), so no
+// score depends on the scale of A. The first failure is a *CheckError.
+func Check(a *matrix.Dense, vals []float64, z *matrix.Dense, tol float64) (Scores, error) {
+	var sc Scores
+	n := a.Rows
+	if z != nil && (z.Rows != n || z.Cols != len(vals)) {
+		return sc, fmt.Errorf("testmat: %d×%d vectors for n = %d and %d values", z.Rows, z.Cols, n, len(vals))
+	}
+	if n == 0 {
+		return sc, nil
+	}
+	as, k := scaled(a)
+	unit := normF(as) * float64(n) * eps
+	for i := 1; i < len(vals); i++ {
+		if !(vals[i-1] <= vals[i]) {
+			return sc, &CheckError{Kind: "order", Score: (math.Ldexp(vals[i-1], k) - math.Ldexp(vals[i], k)) / unit}
+		}
+	}
+	if z != nil {
+		sc.Residual, sc.Ortho = residual(as, k, vals, z), OrthoError(z)
+		if err := judge("residual", sc.Residual, tol); err != nil {
+			return sc, err
+		}
+		return sc, judge("orthogonality", sc.Ortho, tol)
+	}
+	if len(vals) != n {
+		return sc, nil
+	}
+	var tr, sum, sumSq float64
+	for i := 0; i < n; i++ {
+		tr += as.At(i, i)
+	}
+	for _, v := range vals {
+		v = math.Ldexp(v, k)
+		sum += v
+		sumSq += v * v
+	}
+	fro := as.FrobeniusNorm()
+	sc.Invariant = math.Max(math.Abs(sum-tr)/unit, math.Abs(sumSq-fro*fro)/(unit*normF(as)))
+	return sc, judge("invariant", sc.Invariant, tol)
+}
+
 // SpectrumError returns max_i |got_i − want_i| / (‖want‖·n·ε) for two
 // ascending spectra of equal length. It divides by ‖want‖ first, so spectra
 // near the overflow or underflow threshold score like their unit-scale
-// copies.
+// copies. Two empty spectra score 0.
 func SpectrumError(got, want []float64) float64 {
-	eps := 0x1p-52
+	if len(want) == 0 {
+		return 0
+	}
 	var norm, worst float64
 	for i := range want {
 		if a := math.Abs(want[i]); a > norm {
@@ -240,9 +353,7 @@ func SpectrumError(got, want []float64) float64 {
 		norm = 1
 	}
 	for i := range want {
-		if d := math.Abs(got[i] - want[i]); d > worst {
-			worst = d
-		}
+		worst = worse(worst, math.Abs(got[i]-want[i]))
 	}
 	return worst / norm / (float64(len(want)) * eps)
 }

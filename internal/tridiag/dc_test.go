@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/matrix"
 	"repro/internal/sched"
+	"repro/internal/testmat"
 )
 
 // goeTridiag returns the tridiagonal a Householder reduction leaves of an
@@ -166,23 +168,8 @@ func TestStedcHard(t *testing.T) {
 		if !sameVec(vals, pvals) || !sameMat(q, pq) {
 			t.Errorf("%s: StedcSched on two workers differs from the one-leaf solve", r.name)
 		}
-		// The budgets, on T brought to order one.
-		sd, se := r.unscaled()
-		sv := make([]float64, n)
-		for i := range sv {
-			sv[i] = math.Ldexp(vals[i], -r.unexp)
-		}
-		scale := scaleOf(sd, se)
-		for i := 1; i < n; i++ {
-			if !(sv[i-1] <= sv[i]) {
-				t.Fatalf("%s: eigenvalues %d, %d out of order: %g, %g", r.name, i-1, i, sv[i-1], sv[i])
-			}
-		}
-		if res := residualT(sd, se, sv, q); !(res <= 1e-12*scale*float64(n)) {
-			t.Errorf("%s: residual %g (%.3g n·ε·‖T‖)", r.name, res, res/(scale*float64(n)*Eps))
-		}
-		if o := orthoError(q); !(o <= 1e-12*float64(n)) {
-			t.Errorf("%s: orthogonality %g (%.3g n·ε)", r.name, o, o/(float64(n)*Eps))
+		if _, err := testmat.Check((&matrix.Tridiagonal{D: r.d, E: r.e}).ToDense(), vals, q, checkTol); err != nil {
+			t.Errorf("%s: %v", r.name, err)
 		}
 		c := countMerges(ws)
 		if c.roots > 0 {

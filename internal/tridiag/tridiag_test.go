@@ -4,11 +4,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/blas"
 	"repro/internal/matrix"
+	"repro/internal/testmat"
 )
 
 // laplacian121 returns the 1-2-1 tridiagonal matrix whose eigenvalues are
@@ -62,49 +64,9 @@ func randTridiag(rng *rand.Rand, n int) (d, e []float64) {
 	return
 }
 
-// residualT computes max_k ‖T v_k − λ_k v_k‖₂ for the tridiagonal T.
-func residualT(d, e, vals []float64, z *matrix.Dense) float64 {
-	n := len(d)
-	var worst float64
-	for k := 0; k < z.Cols; k++ {
-		col := z.Data[k*z.Stride : k*z.Stride+n]
-		var ss float64
-		for i := 0; i < n; i++ {
-			r := d[i] * col[i]
-			if i > 0 {
-				r += e[i-1] * col[i-1]
-			}
-			if i < n-1 {
-				r += e[i] * col[i+1]
-			}
-			r -= vals[k] * col[i]
-			ss += r * r
-		}
-		if s := math.Sqrt(ss); s > worst {
-			worst = s
-		}
-	}
-	return worst
-}
-
-// orthoError returns ‖ZᵀZ − I‖_max.
-func orthoError(z *matrix.Dense) float64 {
-	n, k := z.Rows, z.Cols
-	var worst float64
-	for a := 0; a < k; a++ {
-		for b := a; b < k; b++ {
-			dot := blas.Ddot(n, z.Data[a*z.Stride:], 1, z.Data[b*z.Stride:], 1)
-			want := 0.0
-			if a == b {
-				want = 1
-			}
-			if d := math.Abs(dot - want); d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
-}
+// checkTol bounds every testmat.Check and SpectrumError score in this
+// package's tests, in units of n·ε·‖T‖.
+const checkTol = 50
 
 // stedc, stebz and stein run the tridiagonal solvers inline on a fresh
 // WorkSet, the way a sequential solve does.
@@ -120,14 +82,6 @@ func stein(d, e, w []float64) (*matrix.Dense, error) {
 	return SteinSched(d, e, w, NewWorkSet(1), nil, nil)
 }
 
-func scaleOf(d, e []float64) float64 {
-	s := maxAbsBound(d, e)
-	if s == 0 {
-		return 1
-	}
-	return s
-}
-
 func TestSteqr121Analytic(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 10, 50, 121} {
 		d, e := laplacian121(n)
@@ -141,12 +95,9 @@ func TestSteqr121Analytic(t *testing.T) {
 				t.Fatalf("n=%d: eigenvalue %d = %.15g, want %.15g", n, i, d[i], want[i])
 			}
 		}
-		d2, e2 := laplacian121(n)
-		if r := residualT(d2, e2, d, z); r > 1e-12*float64(n) {
-			t.Fatalf("n=%d: residual %g", n, r)
-		}
-		if o := orthoError(z); o > 1e-13*float64(n) {
-			t.Fatalf("n=%d: orthogonality error %g", n, o)
+		d0, e0 := laplacian121(n)
+		if _, err := testmat.Check((&matrix.Tridiagonal{D: d0, E: e0}).ToDense(), d, z, checkTol); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
 }
@@ -161,18 +112,8 @@ func TestSteqrRandom(t *testing.T) {
 		if err := Steqr(d, e, z, NewWorkSet(1).Seq()); err != nil {
 			t.Fatal(err)
 		}
-		scale := scaleOf(d0, e0)
-		if r := residualT(d0, e0, d, z); r > 1e-13*scale*float64(n) {
-			t.Fatalf("n=%d: residual %g", n, r)
-		}
-		if o := orthoError(z); o > 1e-13*float64(n) {
-			t.Fatalf("n=%d: ortho %g", n, o)
-		}
-		// Ascending order.
-		for i := 1; i < n; i++ {
-			if d[i] < d[i-1] {
-				t.Fatalf("n=%d: eigenvalues not sorted", n)
-			}
+		if _, err := testmat.Check((&matrix.Tridiagonal{D: d0, E: e0}).ToDense(), d, z, checkTol); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
 }
@@ -223,11 +164,8 @@ func TestSterfMatchesSteqr(t *testing.T) {
 		if err := Steqr(d2, e2, nil, NewWorkSet(1).Seq()); err != nil {
 			t.Fatal(err)
 		}
-		scale := scaleOf(d, e)
-		for i := 0; i < n; i++ {
-			if math.Abs(d1[i]-d2[i]) > 1e-12*scale*float64(n) {
-				t.Fatalf("n=%d: Sterf[%d]=%g vs Steqr %g", n, i, d1[i], d2[i])
-			}
+		if e := testmat.SpectrumError(d1, d2); !(e <= checkTol) {
+			t.Fatalf("n=%d: Sterf off Steqr by %.3g n·ε·‖T‖", n, e)
 		}
 	}
 }
@@ -251,19 +189,16 @@ func TestSterfHard(t *testing.T) {
 		if err := Steqr(qr, qe, nil, NewWorkSet(1).Seq()); err != nil {
 			t.Fatalf("%s: Steqr: %v", r.name, err)
 		}
-		budget := 1e-12 * scaleOf(sd, se) * float64(n)
-		var worstB, worstQ float64
-		for i, v := range got {
-			v = math.Ldexp(v, -r.unexp)
-			if i > 0 && !(got[i-1] <= got[i]) {
-				t.Fatalf("%s: eigenvalues %d, %d out of order: %g, %g", r.name, i-1, i, got[i-1], got[i])
-			}
-			worstB = math.Max(worstB, math.Abs(v-bis[i]))
-			worstQ = math.Max(worstQ, math.Abs(v-qr[i]))
+		if _, err := testmat.Check((&matrix.Tridiagonal{D: r.d, E: r.e}).ToDense(), got, nil, checkTol); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
 		}
-		t.Logf("%-16s n = %4d: off bisection by %.3g, off Steqr by %.3g (budget %.3g)", r.name, n, worstB, worstQ, budget)
-		if !(worstB <= budget) || !(worstQ <= budget) {
-			t.Errorf("%s: eigenvalues off bisection by %g and off Steqr by %g, want ≤ %g", r.name, worstB, worstQ, budget)
+		for i := range got {
+			got[i] = math.Ldexp(got[i], -r.unexp)
+		}
+		eB, eQ := testmat.SpectrumError(got, bis), testmat.SpectrumError(got, qr)
+		t.Logf("%-16s n = %4d: off bisection by %.3g, off Steqr by %.3g n·ε·‖T‖", r.name, n, eB, eQ)
+		if !(eB <= checkTol) || !(eQ <= checkTol) {
+			t.Errorf("%s: eigenvalues off bisection by %.3g and off Steqr by %.3g n·ε·‖T‖, want ≤ %d", r.name, eB, eQ, checkTol)
 		}
 	}
 
@@ -316,11 +251,8 @@ func TestStebzMatchesSteqr(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := stebz(d, e, 1, n)
-		scale := scaleOf(d, e)
-		for i := 0; i < n; i++ {
-			if math.Abs(w[i]-dq[i]) > 1e-11*scale {
-				t.Fatalf("n=%d: Stebz[%d]=%.15g vs Steqr %.15g", n, i, w[i], dq[i])
-			}
+		if e := testmat.SpectrumError(w, dq); !(e <= checkTol) {
+			t.Fatalf("n=%d: Stebz off Steqr by %.3g n·ε·‖T‖", n, e)
 		}
 	}
 }
@@ -331,10 +263,8 @@ func TestStebzSubset(t *testing.T) {
 	d, e := randTridiag(rng, n)
 	all := stebz(d, e, 1, n)
 	sub := stebz(d, e, 11, 20)
-	for i := 0; i < 10; i++ {
-		if math.Abs(sub[i]-all[10+i]) > 1e-12*scaleOf(d, e) {
-			t.Fatalf("subset eigenvalue %d mismatch", i)
-		}
+	if e := testmat.SpectrumError(sub, all[10:20]); !(e <= checkTol) {
+		t.Fatalf("subset off the full spectrum's slice by %.3g", e)
 	}
 }
 
@@ -347,12 +277,8 @@ func TestSteinResidualAndOrtho(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scale := scaleOf(d, e)
-		if r := residualT(d, e, w, z); r > 1e-10*scale*float64(n) {
-			t.Fatalf("n=%d: Stein residual %g", n, r)
-		}
-		if o := orthoError(z); o > 1e-10*float64(n) {
-			t.Fatalf("n=%d: Stein ortho %g", n, o)
+		if _, err := testmat.Check((&matrix.Tridiagonal{D: d, E: e}).ToDense(), w, z, checkTol); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
 }
@@ -367,11 +293,8 @@ func TestSteinWilkinsonClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o := orthoError(z); o > 1e-8 {
-		t.Fatalf("Wilkinson ortho error %g: cluster reorthogonalization failed", o)
-	}
-	if r := residualT(d, e, w, z); r > 1e-10*float64(n) {
-		t.Fatalf("Wilkinson residual %g", r)
+	if _, err := testmat.Check((&matrix.Tridiagonal{D: d, E: e}).ToDense(), w, z, checkTol); err != nil {
+		t.Fatalf("Wilkinson: %v", err)
 	}
 }
 
@@ -387,8 +310,8 @@ func TestSteinSubsetVectors(t *testing.T) {
 	if z.Cols != 10 {
 		t.Fatalf("expected 10 vectors, got %d", z.Cols)
 	}
-	if r := residualT(d, e, w, z); r > 1e-10*scaleOf(d, e)*float64(n) {
-		t.Fatalf("subset residual %g", r)
+	if _, err := testmat.Check((&matrix.Tridiagonal{D: d, E: e}).ToDense(), w, z, checkTol); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -405,17 +328,11 @@ func TestStedcMatchesSteqr(t *testing.T) {
 		if err := Steqr(dq, eq, nil, NewWorkSet(1).Seq()); err != nil {
 			t.Fatal(err)
 		}
-		scale := scaleOf(d, e)
-		for i := 0; i < n; i++ {
-			if math.Abs(vals[i]-dq[i]) > 1e-12*scale*float64(n) {
-				t.Fatalf("n=%d: Stedc val[%d]=%.15g vs Steqr %.15g", n, i, vals[i], dq[i])
-			}
+		if e := testmat.SpectrumError(vals, dq); !(e <= checkTol) {
+			t.Fatalf("n=%d: Stedc off Steqr by %.3g n·ε·‖T‖", n, e)
 		}
-		if r := residualT(d, e, vals, q); r > 1e-12*scale*float64(n) {
-			t.Fatalf("n=%d: Stedc residual %g", n, r)
-		}
-		if o := orthoError(q); o > 1e-12*float64(n) {
-			t.Fatalf("n=%d: Stedc ortho %g", n, o)
+		if _, err := testmat.Check((&matrix.Tridiagonal{D: d, E: e}).ToDense(), vals, q, checkTol); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
 }
@@ -434,8 +351,8 @@ func TestStedc121AndWilkinson(t *testing.T) {
 			t.Fatalf("121 eigenvalue %d: %.15g want %.15g", i, vals[i], want[i])
 		}
 	}
-	if o := orthoError(q); o > 1e-11 {
-		t.Fatalf("121 ortho %g", o)
+	if _, err := testmat.Check((&matrix.Tridiagonal{D: d, E: e}).ToDense(), vals, q, checkTol); err != nil {
+		t.Fatalf("1-2-1: %v", err)
 	}
 	// Wilkinson: clustered pairs stress the deflation logic.
 	wd, we := wilkinson(101)
@@ -443,11 +360,8 @@ func TestStedc121AndWilkinson(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := residualT(wd, we, vals, q); r > 1e-11*101 {
-		t.Fatalf("Wilkinson residual %g", r)
-	}
-	if o := orthoError(q); o > 1e-11 {
-		t.Fatalf("Wilkinson ortho %g", o)
+	if _, err := testmat.Check((&matrix.Tridiagonal{D: wd, E: we}).ToDense(), vals, q, checkTol); err != nil {
+		t.Fatalf("Wilkinson: %v", err)
 	}
 }
 
@@ -462,12 +376,8 @@ func TestStedcDecoupled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scale := scaleOf(d, e)
-	if r := residualT(d, e, vals, q); r > 1e-12*scale*float64(n) {
-		t.Fatalf("decoupled residual %g", r)
-	}
-	if o := orthoError(q); o > 1e-12*float64(n) {
-		t.Fatalf("decoupled ortho %g", o)
+	if _, err := testmat.Check((&matrix.Tridiagonal{D: d, E: e}).ToDense(), vals, q, checkTol); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -486,11 +396,8 @@ func TestStedcIdenticalDiagonal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := residualT(d, e, vals, q); r > 1e-12*float64(n)*5 {
-		t.Fatalf("residual %g", r)
-	}
-	if o := orthoError(q); o > 1e-12*float64(n) {
-		t.Fatalf("ortho %g", o)
+	if _, err := testmat.Check((&matrix.Tridiagonal{D: d, E: e}).ToDense(), vals, q, checkTol); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -500,26 +407,12 @@ func TestEigenSumInvariantsProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(60)
 		d, e := randTridiag(rng, n)
-		var trace, frob float64
-		for _, v := range d {
-			trace += v
-			frob += v * v
-		}
-		for _, v := range e {
-			frob += 2 * v * v
-		}
 		vals, _, err := stedc(d, e)
 		if err != nil {
 			return false
 		}
-		var tr2, fr2 float64
-		for _, v := range vals {
-			tr2 += v
-			fr2 += v * v
-		}
-		scale := scaleOf(d, e)
-		return math.Abs(trace-tr2) <= 1e-11*scale*float64(n) &&
-			math.Abs(frob-fr2) <= 1e-10*scale*scale*float64(n)
+		_, err = testmat.Check((&matrix.Tridiagonal{D: d, E: e}).ToDense(), vals, nil, checkTol)
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -539,8 +432,8 @@ func TestZeroMatrix(t *testing.T) {
 			t.Fatalf("zero matrix eigenvalue %g", v)
 		}
 	}
-	if o := orthoError(q); o > 1e-14 {
-		t.Fatalf("zero matrix ortho %g", o)
+	if _, err := testmat.Check((&matrix.Tridiagonal{D: d, E: e}).ToDense(), vals, q, 0); err != nil {
+		t.Fatalf("zero matrix: %v", err)
 	}
 }
 
@@ -570,8 +463,8 @@ func TestGradedMatrix(t *testing.T) {
 			t.Fatalf("graded eigenvalue %d: D&C %g vs QR %g", i, vals[i], dq[i])
 		}
 	}
-	if o := orthoError(q); o > 1e-12*float64(n) {
-		t.Fatalf("graded ortho %g", o)
+	if _, err := testmat.Check((&matrix.Tridiagonal{D: d, E: e}).ToDense(), vals, q, checkTol); err != nil {
+		t.Fatalf("graded: %v", err)
 	}
 }
 
@@ -596,11 +489,12 @@ func TestReversedAndNegativeSpectra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scale := scaleOf(d, e)
-	for i := 0; i < n; i++ {
-		if math.Abs(v2[i]+v1[n-1-i]) > 1e-12*scale*float64(n) {
-			t.Fatalf("negated spectrum mismatch at %d: %g vs %g", i, v2[i], -v1[n-1-i])
-		}
+	for i := range v1 {
+		v1[i] = -v1[i]
+	}
+	slices.Reverse(v1)
+	if e := testmat.SpectrumError(v2, v1); !(e <= checkTol) {
+		t.Fatalf("spectrum of −T off −λ(T) by %.3g n·ε·‖T‖", e)
 	}
 }
 
@@ -622,8 +516,8 @@ func TestSteinDuplicateEigenvalueInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o := orthoError(z); o > 1e-8 {
-		t.Fatalf("duplicate-eigenvalue ortho %g", o)
+	if _, err := testmat.Check((&matrix.Tridiagonal{D: d, E: e}).ToDense(), w, z, checkTol); err != nil {
+		t.Fatalf("duplicate eigenvalues: %v", err)
 	}
 }
 

@@ -73,7 +73,7 @@ stage1-lookahead     TestReduceLookahead|TestReduceMatchesMirrorReference|TestRe
 sched                TestSchedRandomDAGDrains  ./internal/sched
 packed-engine        TestBlock|TestGemmPackedA|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestProbeWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestGemmAsmBitwisePortable|TestFusedRulePin|TestSolveBitwiseAcrossKernels|BenchmarkGemmKernels  ./internal/householder ./internal/blas .
 level-kernels        TestLevel1AsmBitwisePortable|TestLevel2AsmBitwisePortable|TestLevelCanaries|TestFusedRulePin|TestUnsupportedShapesPanic  ./internal/blas
-hard-inputs          TestScaledInputsAllMethodsAgree|TestSpectrumErrorScaled  ./internal/core ./internal/testmat
+hard-inputs          TestScaledInputsAllMethodsAgree|TestSpectrumErrorScaled|TestResidualScaled  ./internal/core ./internal/testmat
 cli                  TestReadMatrixErrors  ./cmd/eigsolve
 bulge                TestChaseBanded|TestReflectorLattice|TestChaseScheduledMatchesSequential|TestChaseCancelDrains  ./internal/bulge
 service              TestServerAuth|TestServerSubmitValidation|FuzzSubmitDecode|FuzzSubmitHandler|TestServerJobEndpoints|TestServerNaNPayloadMapsTo400|TestErrorMapping|TestMemStore|TestDiskStore|FuzzDiskStoreReplay|TestRoundTripBitwise|TestCancelMidSolveFreesSlot|TestOverBudgetRefused|TestConcurrentClients  ./internal/service ./client
