@@ -84,7 +84,9 @@ func TestReadMatrixErrors(t *testing.T) {
 	}
 }
 
-func TestMaxResidualSmall(t *testing.T) {
+// TestCheckScoresSmall: the scores eigsolve -vectors prints are those of a
+// backward stable solve, and a wrong eigenvalue shows in the residual.
+func TestCheckScoresSmall(t *testing.T) {
 	a, err := loadMatrix("laplacian", "", 16, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +95,12 @@ func TestMaxResidualSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := maxResidual(a, res); r > 1e-12 {
-		t.Fatalf("residual %g", r)
+	sc, err := check(a, res)
+	if err != nil || !(sc.Residual <= 50) || !(sc.Ortho <= 50) {
+		t.Fatalf("scores %+v, error %v", sc, err)
+	}
+	res.Values[3] += 1e-6
+	if sc, _ := check(a, res); !(sc.Residual > 1e6) {
+		t.Fatalf("a perturbed eigenvalue scores residual %g", sc.Residual)
 	}
 }

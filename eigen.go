@@ -67,10 +67,10 @@ type Options struct {
 	// Method selects the tridiagonal eigensolver (default DivideAndConquer).
 	Method Method
 	// NB is the tile size/bandwidth (two-stage) or panel width (one-stage);
-	// 0 picks the built-in default, 48. It is the one block size a caller
-	// sets: the back-transformation's column blocks and diamond groups are
-	// derived from it and the worker count, and stage 1 looks two panels
-	// ahead.
+	// 0 picks the built-in default, 48 for the two-stage pipeline and 32 for
+	// the one-stage one. It is the one block size a caller sets: the
+	// back-transformation's column blocks and diamond groups are derived
+	// from it and the worker count, and stage 1 looks two panels ahead.
 	// NB selects a different (equally valid) factorization, so changing it
 	// changes the computed eigenvector basis in the last bits.
 	NB int

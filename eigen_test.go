@@ -1,6 +1,8 @@
 package eigen
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -112,6 +114,50 @@ func TestEigRange(t *testing.T) {
 	if vals, err := EigValuesRange(a, 1, 5, nil); err != nil || len(vals) != 5 {
 		t.Fatalf("EigValuesRange: %v, %d values", err, len(vals))
 	}
+}
+
+// TestInputsUntouched: every public solve leaves the caller's matrix bit for
+// bit as it was — both pipelines, every method, full, values-only and range
+// solves, sequential and scheduled, and a SolveBatch item. Stage 1 reads the
+// caller's storage in place, so this is what keeps that read-only.
+func TestInputsUntouched(t *testing.T) {
+	n := 110 // three tiles at the default NB, a ragged last one
+	a := randSymMatrix(rand.New(rand.NewSource(11)), n)
+	orig := append([]float64(nil), a.data...)
+	untouched := func(label string) {
+		t.Helper()
+		for i, v := range a.data {
+			if math.Float64bits(v) != math.Float64bits(orig[i]) {
+				t.Fatalf("%s: input changed at %d", label, i)
+			}
+		}
+	}
+	for _, alg := range []Algorithm{TwoStage, OneStage} {
+		for _, m := range []Method{DivideAndConquer, BisectionInverseIteration, QRIteration} {
+			for _, w := range []int{1, 2} {
+				o := &Options{Algorithm: alg, Method: m, Workers: w}
+				label := fmt.Sprintf("algorithm=%d method=%d workers=%d", alg, m, w)
+				if _, err := Eig(a, o); err != nil {
+					t.Fatal(err)
+				}
+				untouched(label + " Eig")
+				if _, err := EigValues(a, o); err != nil {
+					t.Fatal(err)
+				}
+				untouched(label + " EigValues")
+				if _, err := EigRange(a, 10, 40, o); err != nil {
+					t.Fatal(err)
+				}
+				untouched(label + " EigRange")
+			}
+		}
+	}
+	s := NewSolver(&Options{Workers: 2})
+	defer s.Close()
+	if res := s.SolveBatch(context.Background(), []BatchItem{{A: a}}); res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	untouched("SolveBatch")
 }
 
 func TestEigRejectsNonSymmetric(t *testing.T) {

@@ -70,10 +70,3 @@ func (f *Factor) ApplyQ1Block(trans blas.Transpose, c *matrix.Dense, work []floa
 		}
 	}
 }
-
-// BuildQ1 forms Q₁ explicitly (for tests and small problems).
-func (f *Factor) BuildQ1(tc *trace.Collector) *matrix.Dense {
-	q := matrix.Eye(f.N)
-	f.ApplyQ1Block(blas.NoTrans, q, make([]float64, f.Q1Work()), tc)
-	return q
-}

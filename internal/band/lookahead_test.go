@@ -3,18 +3,23 @@ package band
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/blas"
+	"repro/internal/householder"
 	"repro/internal/sched"
 	"repro/internal/testmat"
 	"repro/internal/trace"
 )
 
 // factorsIdentical fails the test unless the two factors agree bit for bit
-// over everything stage 1 produces: the band, all tiles (reflector storage
-// included), and both T-factor families.
+// over everything stage 1 leaves for a later step: the band, all tiles
+// (reflector storage included), and every prepared reflector, compared by
+// what its readers get from it (probeApplied). Both factors must have been
+// prepared in both forms (Config.ValuesOnly unset).
 func factorsIdentical(t *testing.T, label string, ref, got *Factor) {
 	t.Helper()
 	for i := range ref.Band.Data {
@@ -32,20 +37,54 @@ func factorsIdentical(t *testing.T, label string, ref, got *Factor) {
 			}
 		}
 	}
-	for k := range ref.Tge {
-		for i := range ref.Tge[k] {
-			if ref.Tge[k][i] != got.Tge[k][i] {
-				t.Fatalf("%s: Tge[%d] differs at %d", label, k, i)
-			}
+	same := func(name string, ts bool, rh, gh *householder.Block) {
+		t.Helper()
+		rp, gp := probeApplied(ts, rh), probeApplied(ts, gh)
+		if len(rp) != len(gp) {
+			t.Fatalf("%s: %s has shape %d, want %d", label, name, len(gp), len(rp))
 		}
-		for x := range ref.Tts[k] {
-			for i := range ref.Tts[k][x] {
-				if ref.Tts[k][x][i] != got.Tts[k][x][i] {
-					t.Fatalf("%s: Tts[%d][%d] differs at %d", label, k, x, i)
-				}
+		for i := range rp {
+			if rp[i] != gp[i] {
+				t.Fatalf("%s: %s applied to the probe differs at %d", label, name, i)
 			}
 		}
 	}
+	for k := range ref.Hge {
+		same(fmt.Sprintf("Hge[%d]", k), false, &ref.Hge[k], &got.Hge[k])
+		for x := range ref.Hts[k] {
+			same(fmt.Sprintf("Hts[%d][%d]", k, x), true, &ref.Hts[k][x], &got.Hts[k][x])
+		}
+	}
+}
+
+// probeApplied returns a prepared reflector block applied from the left, in
+// each form, to one fixed probe: a block of probeCols columns (for a TS block
+// the pair of its identity and stored rows). Two blocks that give the same
+// bits here give the same bits to every reader, which applies them the same
+// way to other operands.
+func probeApplied(ts bool, h *householder.Block) []float64 {
+	const probeCols = 3
+	rows, k := h.Shape()
+	probe := func(m int) []float64 {
+		c := make([]float64, m*probeCols)
+		for i := range c {
+			c[i] = math.Sin(float64(i) + 0.5)
+		}
+		return c
+	}
+	work := make([]float64, householder.ApplyWork(blas.Left, rows, k, probeCols))
+	var out []float64
+	for _, trans := range []blas.Transpose{blas.NoTrans, blas.Trans} {
+		c1, c2 := probe(k), probe(rows)
+		if ts {
+			h.ApplyTS(blas.Left, trans, probeCols, c1, max(1, k), c2, max(1, rows), work)
+			out = append(out, c1...)
+		} else {
+			h.Apply(blas.Left, trans, probeCols, c2, max(1, rows), work)
+		}
+		out = append(out, c2...)
+	}
+	return out
 }
 
 // TestReduceLookaheadBitwise pins the core invariant of the look-ahead

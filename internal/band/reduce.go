@@ -87,13 +87,14 @@ func feedBoost(dist int) int {
 //
 // Each reflector block is also held prepared for application
 // (householder.Block: Vᵀ and −V·op(T) packed for the micro-kernel). The task
-// that factors a panel tile prepares its Block right after forming T, under
-// the same Tge/Tts write dependence; the stage-1 update tasks and ApplyQ1Block
-// only ever read the prepared form, never the tile.
+// that factors a panel tile forms T in its worker's scratch and prepares the
+// Block from it at once, under the Block's write dependence; T is not kept.
+// The stage-1 update tasks and ApplyQ1Block only ever read the prepared form,
+// never the tile.
 //
 // When Reduce is given a workspace arena, every buffer reachable from the
-// Factor (tiles, T factors, packed reflectors, band) is arena-backed: the
-// Factor is only valid until the arena is recycled.
+// Factor (tiles, packed reflectors, band) is arena-backed: the Factor is only
+// valid until the arena is recycled.
 type Factor struct {
 	N  int // matrix order
 	NB int // tile size == bandwidth
@@ -101,14 +102,10 @@ type Factor struct {
 
 	// A is the tile matrix after reduction (V storage).
 	A *matrix.TileMatrix
-	// Tge[k] is the triangular block factor of the GEQRT reflector of panel
-	// k (dimension kr×kr, kr = reflector count of the panel).
-	Tge [][]float64
-	// Tts[k][i-(k+2)] is the factor for the TS reflector of tile (i, k).
-	Tts [][][]float64
-	// Hge[k] and Hts[k][i-(k+2)] are the same reflectors prepared for
-	// application: the Hᵀ form the reduction applies and, unless the
-	// reduction was configured ValuesOnly, the H form of Q₁·C.
+	// Hge[k] is the GEQRT reflector of panel k and Hts[k][i-(k+2)] the TS
+	// reflector of tile (i, k), prepared for application: the Hᵀ form the
+	// reduction applies and, unless the reduction was configured ValuesOnly,
+	// the H form of Q₁·C.
 	Hge []householder.Block
 	Hts [][]householder.Block
 	// Band is the resulting symmetric band matrix (bandwidth NB).
@@ -116,7 +113,7 @@ type Factor struct {
 }
 
 // stage1Cache bundles the Factor and reducer headers so a recycled arena
-// reuses them (and the T-factor list spines) across solves.
+// reuses them (and the reflector list spines) across solves.
 type stage1Cache struct {
 	f Factor
 	r reducer
@@ -141,8 +138,8 @@ func (f *Factor) PanelReflectors(k int) int {
 // between readers of the V part and writers of the R part of a panel tile.
 func (f *Factor) resV(k int) int   { return f.NT*f.NT + k }   // V of tile (k+1,k)
 func (f *Factor) resR(k int) int   { return 2*f.NT*f.NT + k } // R of tile (k+1,k)
-func (f *Factor) resTge(k int) int { return 3*f.NT*f.NT + k } // Tge[k]
-func (f *Factor) resTts(k, i int) int {
+func (f *Factor) resHge(k int) int { return 3*f.NT*f.NT + k } // Hge[k]
+func (f *Factor) resHts(k, i int) int {
 	return 4*f.NT*f.NT + k*f.NT + i
 }
 
@@ -167,9 +164,18 @@ type reducer struct {
 
 // scratchLen is the per-worker kernel workspace for tile size nb: the larger
 // of what preparing a full-tile reflector and applying one from the right
-// need (Geqrt/Tsqrt's own 2nb is below both).
+// need (Geqrt/Tsqrt's own 2nb is below both), then room for the T factor a
+// panel task forms (panelWork).
 func scratchLen(nb int) int {
-	return max(householder.PrepareWork(nb, nb), householder.ApplyWork(blas.Right, nb, nb, nb), 2*nb)
+	return max(householder.PrepareWork(nb, nb), householder.ApplyWork(blas.Right, nb, nb, nb), 2*nb) + nb*nb
+}
+
+// panelWork splits worker w's scratch for a panel task: the kernels'
+// workspace, and the T factor the task forms and consumes in Prepare.
+func (r *reducer) panelWork(w int) (scratch, t []float64) {
+	buf := r.scratch.For(w)
+	n := len(buf) - r.f.NB*r.f.NB
+	return buf[:n], buf[n:]
 }
 
 // t0 samples the clock for busy-time attribution; zero (free) when no
@@ -204,9 +210,10 @@ func (r *reducer) geqrt(k, w int) {
 	t := r.t0()
 	m1, kw, kr := r.panelGeom(k)
 	panel := r.tm.Tile(k+1, k)
-	Geqrt(m1, kw, panel, m1, r.f.Tge[k], kr, r.scratch.For(w)[:kr+kw], r.tc)
-	r.f.Hge[k].Prepare(false, m1, kr, panel, m1, r.f.Tge[k], kr, r.forms,
-		r.packed.Take(householder.PackedLen(false, m1, kr, r.forms)), r.scratch.For(w))
+	scratch, tge := r.panelWork(w)
+	Geqrt(m1, kw, panel, m1, tge, kr, scratch[:kr+kw], r.tc)
+	r.f.Hge[k].Prepare(false, m1, kr, panel, m1, tge, kr, r.forms,
+		r.packed.Take(householder.PackedLen(false, m1, kr, r.forms)), scratch)
 	r.acc(&r.panelNs, t)
 }
 
@@ -259,10 +266,11 @@ func (r *reducer) tsqrt(k, i, w int) {
 	t := r.t0()
 	m1, kw, _ := r.panelGeom(k)
 	m2 := r.tm.TileRows(i)
-	v2, tts := r.tm.Tile(i, k), r.f.Tts[k][i-(k+2)]
-	Tsqrt(kw, m2, r.tm.Tile(k+1, k), m1, v2, m2, tts, kw, r.scratch.For(w), r.tc)
+	v2 := r.tm.Tile(i, k)
+	scratch, tts := r.panelWork(w)
+	Tsqrt(kw, m2, r.tm.Tile(k+1, k), m1, v2, m2, tts, kw, scratch, r.tc)
 	r.f.Hts[k][i-(k+2)].Prepare(true, m2, kw, v2, m2, tts, kw, r.forms,
-		r.packed.Take(householder.PackedLen(true, m2, kw, r.forms)), r.scratch.For(w))
+		r.packed.Take(householder.PackedLen(true, m2, kw, r.forms)), scratch)
 	r.acc(&r.panelNs, t)
 }
 
@@ -299,7 +307,8 @@ func (r *reducer) tsmqrC(k, i, row, w int) {
 }
 
 // Reduce runs the stage-1 reduction of the dense symmetric matrix a (both
-// triangles must be filled) to band form under the given Config.
+// triangles must be filled) to band form under the given Config. a is only
+// read, once, into the tile storage.
 //
 // job selects the execution mode: a nil job (or one created with
 // sched.Inline) runs the kernels sequentially in submission order — the
@@ -344,8 +353,8 @@ func Reduce(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc *tra
 	return r.f
 }
 
-// newReducer tiles a and carves the T-factor and prepared-reflector storage
-// of its Factor, and returns the reducer whose kernels run on them.
+// newReducer tiles a and sizes the prepared-reflector storage of its Factor,
+// and returns the reducer whose kernels run on them. a is only read.
 func newReducer(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc *trace.Collector) *reducer {
 	n := a.Rows
 	if a.Cols != n {
@@ -359,7 +368,7 @@ func newReducer(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc 
 	tm.FromLapack(a)
 	sc := stage1For(ws)
 	f := &sc.f
-	tge, tts, hge, hts := f.Tge, f.Tts, f.Hge, f.Hts
+	hge, hts := f.Hge, f.Hts
 	*f = Factor{N: n, NB: nb, NT: tm.NT, A: tm}
 	nt := f.NT
 	forms := householder.FormH | householder.FormHT
@@ -367,43 +376,27 @@ func newReducer(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc 
 		forms = householder.FormHT
 	}
 
-	// Carve every T factor out of one slab and size a second one for the
-	// prepared reflectors: the per-panel counts are known up front, so both
-	// are exact. The list spines (Tge, Tts, Hge, Hts and their per-panel
-	// rows) are retained across solves.
-	capT, capP := 0, 0
-	for k := 0; k < nt-1; k++ {
-		m1 := tm.TileRows(k + 1)
-		kw := tm.TileCols(k)
-		kr := min(m1, kw)
-		capT += kr*kr + max(0, nt-k-2)*kw*kw
-		capP += householder.PackedLen(false, m1, kr, forms)
-		for i := k + 2; i < nt; i++ {
-			capP += householder.PackedLen(true, tm.TileRows(i), kw, forms)
-		}
-	}
-	slab := ws.SlabOf(work.Stage1Slab, capT)
+	// Size one slab for the prepared reflectors: the per-panel counts are
+	// known up front, so it is exact. The list spines (Hge, Hts and its
+	// per-panel rows) are retained across solves.
 	np := max(0, nt-1)
-	if cap(tge) < np {
-		tge = make([][]float64, np)
-		tts = make([][][]float64, np)
+	if cap(hge) < np {
 		hge = make([]householder.Block, np)
 		hts = make([][]householder.Block, np)
 	}
-	f.Tge, f.Tts, f.Hge, f.Hts = tge[:np], tts[:np], hge[:np], hts[:np]
+	f.Hge, f.Hts = hge[:np], hts[:np]
+	capP := 0
 	for k := 0; k < nt-1; k++ {
 		m1 := tm.TileRows(k + 1)
 		kw := tm.TileCols(k)
-		kr := min(m1, kw)
-		f.Tge[k] = slab.Take(kr * kr)
+		capP += householder.PackedLen(false, m1, min(m1, kw), forms)
 		nts := max(0, nt-k-2)
-		if cap(f.Tts[k]) < nts {
-			f.Tts[k] = make([][]float64, nts)
+		if cap(f.Hts[k]) < nts {
 			f.Hts[k] = make([]householder.Block, nts)
 		}
-		f.Tts[k], f.Hts[k] = f.Tts[k][:nts], f.Hts[k][:nts]
+		f.Hts[k] = f.Hts[k][:nts]
 		for i := k + 2; i < nt; i++ {
-			f.Tts[k][i-(k+2)] = slab.Take(kw * kw)
+			capP += householder.PackedLen(true, tm.TileRows(i), kw, forms)
 		}
 	}
 
@@ -466,7 +459,7 @@ func (r *reducer) scheduleLookahead(job *sched.Job) {
 			Name:     r.name("GEQRT", k+1, k),
 			Priority: prioPanel,
 			Deps: []sched.Dep{
-				sched.RW(tm.TileID(k+1, k)), sched.W(f.resV(k)), sched.W(f.resR(k)), sched.W(f.resTge(k)),
+				sched.RW(tm.TileID(k+1, k)), sched.W(f.resV(k)), sched.W(f.resR(k)), sched.W(f.resHge(k)),
 			},
 			Run: func(w int) { r.geqrt(k, w) },
 		})
@@ -477,14 +470,14 @@ func (r *reducer) scheduleLookahead(job *sched.Job) {
 			Name:     r.name("SYRFB", k+1, k+1),
 			Priority: prioDiag,
 			Deps: []sched.Dep{
-				sched.RW(tm.TileID(k+1, k+1)), sched.R(f.resV(k)), sched.R(f.resTge(k)),
+				sched.RW(tm.TileID(k+1, k+1)), sched.R(f.resV(k)), sched.R(f.resHge(k)),
 			},
 			Run: func(w int) { r.syrfb(k, w) },
 		})
 		for j := k + 2; j < nt; j++ {
 			j := j
 			deps := make([]sched.Dep, 0, 4)
-			deps = append(deps, sched.RW(tm.TileID(k+1, j)), sched.R(f.resV(k)), sched.R(f.resTge(k)))
+			deps = append(deps, sched.RW(tm.TileID(k+1, j)), sched.R(f.resV(k)), sched.R(f.resHge(k)))
 			dist := j - k
 			if r.keepColumnCopy(k+1, j) {
 				deps = append(deps, sched.W(tm.TileID(j, k+1)))
@@ -504,7 +497,7 @@ func (r *reducer) scheduleLookahead(job *sched.Job) {
 				Name:     r.name("TSQRT", i, k),
 				Priority: prioPanel,
 				Deps: []sched.Dep{
-					sched.RW(f.resR(k)), sched.RW(tm.TileID(i, k)), sched.W(f.resTts(k, i)),
+					sched.RW(f.resR(k)), sched.RW(tm.TileID(i, k)), sched.W(f.resHts(k, i)),
 				},
 				Run: func(w int) { r.tsqrt(k, i, w) },
 			})
@@ -513,7 +506,7 @@ func (r *reducer) scheduleLookahead(job *sched.Job) {
 				deps := make([]sched.Dep, 0, 6)
 				deps = append(deps,
 					sched.RW(tm.TileID(k+1, j)), sched.RW(tm.TileID(i, j)),
-					sched.R(tm.TileID(i, k)), sched.R(f.resTts(k, i)))
+					sched.R(tm.TileID(i, k)), sched.R(f.resHts(k, i)))
 				// Writes column j and, through its transposes, columns i
 				// and k+1.
 				dist := min(i, j) - k
@@ -539,7 +532,7 @@ func (r *reducer) scheduleLookahead(job *sched.Job) {
 					Priority: feedBoost(1),
 					Deps: []sched.Dep{
 						sched.RW(tm.TileID(row, k+1)), sched.RW(tm.TileID(row, i)),
-						sched.R(tm.TileID(i, k)), sched.R(f.resTts(k, i)),
+						sched.R(tm.TileID(i, k)), sched.R(f.resHts(k, i)),
 					},
 					Run: func(w int) { r.tsmqrC(k, i, row, w) },
 				})

@@ -49,7 +49,7 @@ func mirrorReference(a *matrix.Dense, nb int) *Factor {
 // TestReduceMatchesMirrorReference pins the dead-store analysis behind the
 // fused transposes: the reduction, inline and scheduled at every width, is
 // bitwise the reference that writes every mirror tile, over every tile of A,
-// both T-factor families and the band — square grids and a ragged last tile.
+// every prepared reflector and the band — square grids and a ragged last tile.
 func TestReduceMatchesMirrorReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	widths := []int{1, 2, 4, 7}

@@ -90,16 +90,18 @@ type Options struct {
 }
 
 // EstimateWorkspaceBytes is the admission-control model of one solve's peak
-// internal workspace: the dense working copy, the stage-1 tile storage, the
-// stage-1 block reflectors in both their stored (T factors, n²/2) and prepared
-// form (3n²/2 for the reduction's own updates, n² more for Q₁'s when vectors
-// are computed), the band/workband/reflector structures (O(n·nb)), and — when
-// vectors are computed — the prepared Q₂ diamonds (≤ 3n²/2: Q₂ holds ≈ n²/2
-// reflector entries, 576 per 59-row diamond of 12 reflectors, whose two packed
-// operands occupy 64×12 and 16×59 = 1712 values in the widest layout, the
-// AVX-512 kernel's, which pads the last row-panel of each to a whole 16-row
-// tile: 1.49n²), the eigenvector staging matrix, and the D&C's pool. The last
-// is what tridiag.WorkSet retains: a rank-one merge of order m holds three m×m
+// internal workspace. Every solve holds the stage-1 tile storage (n²; the
+// one-stage pipeline's working copy takes its place), the stage-1 block
+// reflectors prepared for the reduction's own updates (3n²/2), the Q₂
+// reflector essentials (n²/2: about n²/(2·nb) chase reflectors of nb entries
+// each) and the band/workband/scratch structures (O(n·nb)). When vectors are
+// computed it adds the eigenvector staging matrix (n²), the stage-1
+// reflectors prepared for Q₁ (n²), the prepared Q₂ diamonds (≤ 3n²/2: Q₂
+// holds ≈ n²/2 reflector entries, 576 per 59-row diamond of 12 reflectors,
+// whose two packed operands occupy 64×12 and 16×59 = 1712 values in the
+// widest layout, the AVX-512 kernel's, which pads the last row-panel of each
+// to a whole 16-row tile: 1.49n²), and the D&C's pool. The last is what
+// tridiag.WorkSet retains: a rank-one merge of order m holds three m×m
 // buffers (the left factor of its eigenvector update, that factor packed for
 // the micro-kernel, and its result), the pool keeps them by size, and with
 // every node of every level of the tree in flight at once — the most any
@@ -117,14 +119,15 @@ func EstimateWorkspaceBytes(n, nb int, vectors bool) int64 {
 		nb = band.DefaultNB
 	}
 	nn := int64(n) * int64(n)
-	bytes := 2 * nn // dense working copy + tile storage
-	bytes += 2 * nn // stage-1 T factors + reflectors prepared for the reduction
+	bytes := nn         // tile storage (or the one-stage working copy)
+	bytes += 3 * nn / 2 // stage-1 reflectors prepared for the reduction
+	bytes += nn / 2     // Q₂ reflector essentials
 	if vectors {
 		bytes += nn         // vector staging
 		bytes += 6 * nn     // D&C pool
 		bytes += 5 * nn / 2 // reflectors prepared for Q₁ and the Q₂ diamonds
 	}
-	bytes += 8 * int64(n) * int64(nb+2) // band, workband, reflector slabs, scratch
+	bytes += 8 * int64(n) * int64(nb+2) // band, workband, reflector lattice, scratch
 	return 8 * bytes
 }
 

@@ -130,23 +130,28 @@ var pipelines = []struct {
 	solve func(context.Context, *matrix.Dense, Options) (*Result, error)
 }{{"two-stage", SyevTwoStage}, {"one-stage", SyevOneStage}}
 
-// TestEstimateCoversArena: the admission-control estimate prices what a
-// vectors solve leaves in its arena — the D&C's pool included, which it
-// undercounted by half before that pool was bounded.
+// TestEstimateCoversArena: the admission-control estimate prices what a solve
+// leaves in its arena, on both pipelines, with and without vectors — the
+// D&C's pool and the Q₂ reflector slab included.
 func TestEstimateCoversArena(t *testing.T) {
 	for _, n := range []int{256, 1024} {
 		a := testmat.RandomSym(rand.New(rand.NewSource(int64(n))), n)
-		for _, workers := range []int{1, 2} {
-			arena := work.NewArena()
-			o := Options{Method: MethodDC, Vectors: true, Workers: workers, Arena: arena}
-			if _, err := SyevTwoStage(context.Background(), a, o); err != nil {
-				t.Fatal(err)
-			}
-			got, est := arena.Bytes(), EstimateWorkspaceBytes(n, o.NB, true)
-			nn := float64(8 * n * n)
-			t.Logf("n=%d workers=%d: arena %.2f n², estimate %.2f n²", n, workers, float64(got)/nn, float64(est)/nn)
-			if est < got {
-				t.Errorf("n=%d workers=%d: estimate %d bytes < arena %d bytes", n, workers, est, got)
+		for _, p := range pipelines {
+			for _, vectors := range []bool{true, false} {
+				for _, workers := range []int{1, 2} {
+					arena := work.NewArena()
+					o := Options{Method: MethodDC, Vectors: vectors, Workers: workers, Arena: arena}
+					if _, err := p.solve(context.Background(), a, o); err != nil {
+						t.Fatal(err)
+					}
+					got, est := arena.Bytes(), EstimateWorkspaceBytes(n, o.NB, vectors)
+					nn := float64(8 * n * n)
+					label := fmt.Sprintf("%s n=%d vectors=%v workers=%d", p.name, n, vectors, workers)
+					t.Logf("%s: arena %.2f n², estimate %.2f n²", label, float64(got)/nn, float64(est)/nn)
+					if est < got {
+						t.Errorf("%s: estimate %d bytes < arena %d bytes", label, est, got)
+					}
+				}
 			}
 		}
 	}

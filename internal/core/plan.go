@@ -175,19 +175,18 @@ func (st *SolveState) phaseJob(ctx context.Context) *sched.Job {
 	return st.inline // may be nil (no ctx): a nil *Job is valid everywhere
 }
 
-// Stage1 reduces the dense working copy of A to band form (the tile DAG of
-// the paper's first stage). Compute-bound: ~(4/3)n³ Level-3 flops.
+// Stage1 reduces A to band form (the tile DAG of the paper's first stage).
+// It reads A once, into the tile storage, and never writes it.
+// Compute-bound: ~(4/3)n³ Level-3 flops.
 type Stage1 struct{}
 
 func (Stage1) Name() string { return trace.PhaseStage1 }
 
 func (Stage1) Run(ctx context.Context, st *SolveState) error {
-	aw := st.ws.Dense(work.Stage1Dense, st.n, st.n, false)
-	aw.CopyFrom(st.a)
 	job := st.phaseJob(ctx)
 	cfg := band.Config{NB: st.nb, ValuesOnly: !st.o.Vectors}
 	st.tc.Phase(trace.PhaseStage1, func() {
-		st.f1 = band.Reduce(aw, cfg, job, st.ws, st.tc)
+		st.f1 = band.Reduce(st.a, cfg, job, st.ws, st.tc)
 	})
 	return job.Err()
 }

@@ -102,7 +102,8 @@ func TestBuildQOrthogonal(t *testing.T) {
 	for _, n := range []int{2, 9, 31} {
 		a := testmat.RandomSym(rng, n)
 		_, _, tau := Sytrd(a, 8, nil, nil)
-		q := BuildQ(a, tau, 8, nil)
+		q := matrix.Eye(n)
+		ApplyQ(a, tau, blas.NoTrans, q, 8, nil, nil)
 		if o := testmat.OrthoError(q); !(o <= checkTol) {
 			t.Fatalf("n=%d: ‖QᵀQ − I‖ is %.3g n·ε", n, o)
 		}

@@ -100,11 +100,3 @@ func ApplyQ(a *matrix.Dense, tau []float64, trans blas.Transpose, c *matrix.Dens
 		tc.AddFlops(trace.KLarfb, 4*int64(rows)*int64(m)*int64(p.pb))
 	}
 }
-
-// BuildQ forms the orthogonal matrix Q from Sytrd explicitly (the
-// equivalent of DORGTR): it applies Q to the identity.
-func BuildQ(a *matrix.Dense, tau []float64, nb int, tc *trace.Collector) *matrix.Dense {
-	q := matrix.Eye(a.Rows)
-	ApplyQ(a, tau, blas.NoTrans, q, nb, nil, tc)
-	return q
-}

@@ -2,7 +2,12 @@ package tridiag
 
 import "math"
 
-// SecularRoot solves the secular equation arising in the divide-and-conquer
+// secularMaxRational is the number of evaluations after which secularRoot
+// stops trusting the rational step and bisects its bracket. Quadratic
+// convergence needs 2–15; no matrix in the test suite gets near the cap.
+const secularMaxRational = 30
+
+// secularRoot solves the secular equation arising in the divide-and-conquer
 // merge step,
 //
 //	f(λ) = 1/rho + Σ_i z[i]² / (d[i] − λ) = 0,
@@ -42,25 +47,16 @@ import "math"
 //
 // The quotients z²/(d − λ) are formed without any scaling, so the caller
 // keeps them in range: StedcSched scales T to max|T| ∈ [1, 2) first.
-func SecularRoot(d, z []float64, rho float64, k int) (base int, mu float64) {
-	base, mu, _ = secularRoot(d, z, rho, k)
-	return base, mu
-}
-
-// secularMaxRational is the number of evaluations after which secularRoot
-// stops trusting the rational step and bisects its bracket. Quadratic
-// convergence needs 2–15; no matrix in the test suite gets near the cap.
-const secularMaxRational = 30
-
-// secularRoot is SecularRoot, also reporting how many times it evaluated f
-// (the merge's flop attribution is that count times len(d)).
+//
+// evals is how many times it evaluated f (the merge's flop attribution is
+// that count times len(d)).
 func secularRoot(d, z []float64, rho float64, k int) (base int, mu float64, evals int) {
 	n := len(d)
 	if rho <= 0 {
-		panic("tridiag: SecularRoot requires rho > 0")
+		panic("tridiag: secularRoot requires rho > 0")
 	}
 	if k < 0 || k >= n {
-		panic("tridiag: SecularRoot index out of range")
+		panic("tridiag: secularRoot index out of range")
 	}
 	if n == 1 {
 		// One pole: f is linear in 1/(d − λ).

@@ -1,9 +1,9 @@
 // Package work provides the size-keyed workspace arena that makes the
-// solve path reusable: every scratch buffer the pipeline needs — the dense
-// working copy of A, the stage-1 tile storage and kernel scratch, the
-// extended workband of the bulge chase, the Q₂ reflector and diamond
-// slabs, the tridiagonal d/e/work arrays and the eigenvector staging
-// matrix — is obtained from an Arena instead of the garbage collector.
+// solve path reusable: every scratch buffer the pipeline needs — the
+// stage-1 tile storage and kernel scratch, the extended workband of the
+// bulge chase, the Q₂ reflector and diamond slabs, the tridiagonal d/e/work
+// arrays, the eigenvector staging matrix and the one-stage working copy of
+// A — is obtained from an Arena instead of the garbage collector.
 //
 // An Arena serves exactly one solve at a time; a Pool hands out Arenas to
 // concurrent solves and recycles them, so a long-lived Solver reaches a
@@ -31,10 +31,9 @@ type Key string
 
 // The workspace slots used by the solve pipeline.
 const (
-	Stage1Dense   Key = "stage1.dense"    // dense working copy of A
+	Stage1Dense   Key = "stage1.dense"    // one-stage working copy of A
 	Stage1Tiles   Key = "stage1.tiles"    // V₁ tile storage (the reduced A)
 	Stage1Scratch Key = "stage1.scratch"  // per-worker tile-kernel scratch
-	Stage1Slab    Key = "stage1.slab"     // Tge/Tts block-reflector factors
 	Stage1Packed  Key = "stage1.packed"   // prepared (packed) panel reflectors
 	Stage2Band    Key = "stage2.band"     // extracted symmetric band matrix
 	Stage2Work    Key = "stage2.workband" // extended band (bulge) storage
@@ -45,7 +44,7 @@ const (
 	Stage2OutD    Key = "stage2.out.d"    // tridiagonal output diagonal
 	Stage2OutE    Key = "stage2.out.e"    // tridiagonal output off-diagonal
 	Stage2Chaser  Key = "stage2.chaser"   // chaser state (refs output list)
-	Stage1Factor  Key = "stage1.factor"   // band factorization header + T lists
+	Stage1Factor  Key = "stage1.factor"   // band factorization header + reflector lists
 	TridiagD      Key = "tridiag.d"       // diagonal scratch copy
 	TridiagE      Key = "tridiag.e"       // off-diagonal scratch copy
 	BacktransSlab Key = "backtrans.slab"  // diamond V/T aggregate storage
