@@ -1,7 +1,9 @@
 // Command eigtrace runs the two-stage reduction under the tracing scheduler
 // and prints an execution profile: per-kernel task counts and times, plus an
 // ASCII Gantt chart of the workers — a terminal rendition of the DAG
-// execution the paper's runtime produces.
+// execution the paper's runtime produces. The tasks are stage 1's: stage 2,
+// the bulge chase, runs as one sequential stream on the calling goroutine,
+// submits no task, and shows only in the stage1+2 time.
 //
 //	eigtrace -n 256 -nb 32 -workers 4
 package main
@@ -128,10 +130,9 @@ func main() {
 	}
 }
 
-// className strips the task-instance suffix: "TSMQR-L(3,2)" → "TSMQR-L",
-// "HBCEU#4.0" → "HBCEU".
+// className strips the task-instance suffix: "TSMQR-L(3,2)" → "TSMQR-L".
 func className(name string) string {
-	if i := strings.IndexAny(name, "(#"); i >= 0 {
+	if i := strings.IndexByte(name, '('); i >= 0 {
 		return name[:i]
 	}
 	return name

@@ -2,7 +2,6 @@ package backtransform
 
 import (
 	"repro/internal/band"
-	"repro/internal/blas"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -43,7 +42,7 @@ func (p *Plan) ApplyFused(f *band.Factor, e *matrix.Dense, job *sched.Job, colBl
 	q2PerCol, q1PerCol := p.FlopsPerCol(), f.Q1FlopsPerCol()
 	runBlock := func(view *matrix.Dense, wk []float64) {
 		p.ApplyBlock(view, wk, tc)
-		f.ApplyQ1Block(blas.NoTrans, view, wk, tc)
+		f.ApplyQ1Block(view, wk, tc)
 		tc.AttributeFlops(trace.PhaseUpdateQ2, q2PerCol*int64(view.Cols))
 		tc.AttributeFlops(trace.PhaseUpdateQ1, q1PerCol*int64(view.Cols))
 	}

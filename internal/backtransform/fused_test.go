@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/band"
-	"repro/internal/blas"
 	"repro/internal/bulge"
 	"repro/internal/matrix"
 	"repro/internal/sched"
@@ -29,7 +28,7 @@ func fusedFixture(rng *rand.Rand, n, nb int, ws *work.Arena) (*band.Factor, *Pla
 // of E.
 func twoPhase(f *band.Factor, p *Plan, e *matrix.Dense) {
 	applyQ2(p, e)
-	f.ApplyQ1Block(blas.NoTrans, e, make([]float64, f.Q1Work()), nil)
+	f.ApplyQ1Block(e, make([]float64, f.Q1Work()), nil)
 }
 
 // TestApplyFusedMatchesTwoPhase: the fused single pass — inline and on

@@ -31,42 +31,25 @@ func (f *Factor) Q1FlopsPerCol() int64 {
 	return flops
 }
 
-// ApplyQ1Block computes C := Q₁·C (trans == NoTrans) or C := Q₁ᵀ·C (trans ==
-// Trans) where Q₁ is the orthogonal factor of the stage-1 reduction held in
-// f and c is C or any column block of it: the columns never interact (the
-// paper's Figure 3c), so the fused back-transformation gives each of its
-// tasks one block and the result does not depend on the partition. c must
-// have f.N rows; work must hold at least Q1Work() floats.
-func (f *Factor) ApplyQ1Block(trans blas.Transpose, c *matrix.Dense, work []float64, tc *trace.Collector) {
+// ApplyQ1Block computes C := Q₁·C, where Q₁ is the orthogonal factor of the
+// stage-1 reduction held in f and c is C or any column block of it: the
+// columns never interact (the paper's Figure 3c), so the fused
+// back-transformation gives each of its tasks one block and the result does
+// not depend on the partition. c must have f.N rows; work must hold at least
+// Q1Work() floats.
+func (f *Factor) ApplyQ1Block(c *matrix.Dense, work []float64, tc *trace.Collector) {
 	nt, nb := f.NT, f.NB
 	m := c.Cols
 
-	// Q₁ = Q_0·Q_1⋯Q_{nt-2}, and within a panel Q_k = G_k·S_{k+2}⋯S_{nt-1}.
-	// For Q₁·C operators apply right-to-left (k descending, i descending,
-	// G last); for Q₁ᵀ·C everything reverses and transposes.
-	apG := func(k int) {
-		row := c.View((k+1)*nb, 0, f.A.TileRows(k+1), m)
-		Ormqr(blas.Left, trans, m, &f.Hge[k], row.Data, row.Stride, work, tc)
-	}
-	apS := func(k, i int) {
-		m2 := f.A.TileRows(i)
-		a1 := c.View((k+1)*nb, 0, nb, m)
-		a2 := c.View(i*nb, 0, m2, m)
-		Tsmqr(blas.Left, trans, m, &f.Hts[k][i-(k+2)], a1.Data, a1.Stride, a2.Data, a2.Stride, work, tc)
-	}
-	if trans == blas.NoTrans {
-		for k := nt - 2; k >= 0; k-- {
-			for i := nt - 1; i >= k+2; i-- {
-				apS(k, i)
-			}
-			apG(k)
+	// Q₁ = Q_0·Q_1⋯Q_{nt-2}, and within a panel Q_k = G_k·S_{k+2}⋯S_{nt-1},
+	// so the operators apply right-to-left: k descending, i descending, G
+	// last.
+	for k := nt - 2; k >= 0; k-- {
+		a1 := c.View((k+1)*nb, 0, f.A.TileRows(k+1), m)
+		for i := nt - 1; i >= k+2; i-- {
+			a2 := c.View(i*nb, 0, f.A.TileRows(i), m)
+			Tsmqr(blas.Left, blas.NoTrans, m, &f.Hts[k][i-(k+2)], a1.Data, a1.Stride, a2.Data, a2.Stride, work, tc)
 		}
-	} else {
-		for k := 0; k <= nt-2; k++ {
-			apG(k)
-			for i := k + 2; i <= nt-1; i++ {
-				apS(k, i)
-			}
-		}
+		Ormqr(blas.Left, blas.NoTrans, m, &f.Hge[k], a1.Data, a1.Stride, work, tc)
 	}
 }

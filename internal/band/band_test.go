@@ -130,7 +130,7 @@ func TestReduceBandwidth(t *testing.T) {
 		// subdiagonal tiles: verified implicitly by reconstruction below.
 		n := tc.n
 		q := matrix.Eye(n)
-		f.ApplyQ1Block(blas.NoTrans, q, make([]float64, f.Q1Work()), nil)
+		f.ApplyQ1Block(q, make([]float64, f.Q1Work()), nil)
 		if o := testmat.OrthoError(q); !(o <= 50) {
 			t.Fatalf("n=%d nb=%d: ‖Q1ᵀQ1 − I‖ is %.3g n·ε", tc.n, tc.nb, o)
 		}
@@ -162,24 +162,6 @@ func TestReduceScheduledMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestApplyQ1TransInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n, nb, m := 20, 4, 6
-	a := testmat.RandomSym(rng, n)
-	f := Reduce(a, Config{NB: nb}, nil, nil, nil)
-	c := matrix.NewDense(n, m)
-	for i := range c.Data {
-		c.Data[i] = rng.NormFloat64()
-	}
-	got := c.Clone()
-	wk := make([]float64, f.Q1Work())
-	f.ApplyQ1Block(blas.NoTrans, got, wk, nil)
-	f.ApplyQ1Block(blas.Trans, got, wk, nil)
-	if !got.Equalish(c, 1e-12) {
-		t.Fatal("Q1ᵀ·Q1·C != C")
-	}
-}
-
 // TestApplyQ1ParallelMatchesSequential pins what lets the fused
 // back-transformation hand each of its parallel tasks one column block: Q₁
 // applied block by block is bitwise the sequential application to the whole
@@ -195,11 +177,11 @@ func TestApplyQ1ParallelMatchesSequential(t *testing.T) {
 	}
 	wk := make([]float64, f.Q1Work())
 	want := c.Clone()
-	f.ApplyQ1Block(blas.NoTrans, want, wk, nil)
+	f.ApplyQ1Block(want, wk, nil)
 	for _, colBlock := range []int{1, 5, 16} {
 		got := c.Clone()
 		for j0 := 0; j0 < n; j0 += colBlock {
-			f.ApplyQ1Block(blas.NoTrans, got.View(0, j0, n, min(colBlock, n-j0)), wk, nil)
+			f.ApplyQ1Block(got.View(0, j0, n, min(colBlock, n-j0)), wk, nil)
 		}
 		if !got.Equalish(want, 0) {
 			t.Fatalf("colBlock=%d: blocked ApplyQ1Block differs from the whole-matrix application", colBlock)

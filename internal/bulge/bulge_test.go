@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/blas"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/testmat"
 	"repro/internal/tridiag"
+	"repro/internal/work"
 )
 
 func randBand(rng *rand.Rand, n, kd int) *matrix.SymBand {
@@ -150,12 +150,76 @@ func TestChaseSmallAndDegenerate(t *testing.T) {
 	}
 }
 
-// TestChaseScheduledMatchesSequential: the task graph must reproduce the
-// sequential chase bit for bit — T and every reflector — at every worker
-// count, on shapes whose first sweep has four, five and fifteen kernels, is a
-// single kernel, and on a matrix narrower than two bandwidths.
-func TestChaseScheduledMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
+func sameReflector(a, b Reflector) bool {
+	return a.Sweep == b.Sweep && a.Level == b.Level && a.Row == b.Row && a.Tau == b.Tau && slices.Equal(a.V, b.V)
+}
+
+// countdownCtx is a context whose Err turns to context.Canceled on its
+// (k+1)-th call, so a chase that checks once per sweep stops after exactly
+// k sweeps.
+type countdownCtx struct {
+	context.Context
+	left int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left == 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// TestChaseCancel cancels a chase after k of its sweeps, on an inline job and
+// on a scheduler's: the job must report context.Canceled, the reflectors kept
+// must be exactly those of the first k sweeps, and the next chase on the same
+// arena must equal a fresh one bit for bit.
+func TestChaseCancel(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n, kd, k = 400, 5, 37
+	b := randBand(rng, n, kd)
+	ref := Chase(b, nil, true, nil, nil)
+	var firstK []Reflector
+	for _, r := range ref.Refs {
+		if r.Sweep < k {
+			firstK = append(firstK, r)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		ctx := &countdownCtx{Context: context.Background(), left: k}
+		job := sched.Inline(ctx)
+		if workers > 1 {
+			s := sched.New(workers)
+			defer s.Shutdown()
+			job = s.NewJob(ctx)
+		}
+		ws := work.NewArena()
+		Chase(b, job, true, ws, nil)
+		if err := job.Err(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: job error %v, want context.Canceled", workers, err)
+		}
+		got := chaserFor(ws).refs
+		if len(got) == 0 || len(got) >= len(ref.Refs) {
+			t.Fatalf("workers=%d: %d of %d reflectors kept, want some but not all", workers, len(got), len(ref.Refs))
+		}
+		if !slices.EqualFunc(got, firstK, sameReflector) {
+			t.Fatalf("workers=%d: the %d reflectors kept are not those of the first %d sweeps", workers, len(got), k)
+		}
+		again := Chase(b, nil, true, ws, nil)
+		if !slices.Equal(ref.T.D, again.T.D) || !slices.Equal(ref.T.E, again.T.E) || !slices.EqualFunc(ref.Refs, again.Refs, sameReflector) {
+			t.Fatalf("workers=%d: the chase after a canceled one on its arena differs from a fresh chase", workers)
+		}
+	}
+}
+
+// TestReflectorLattice checks the reflectors Chase keeps, on shapes whose
+// first sweep has four, five and fifteen kernels, is a single kernel, and on a
+// matrix narrower than two bandwidths: one reflector per kernel, in
+// generation order (sweep-major, level-minor); reflector (s, ℓ) starts at row
+// s + ℓ·bw + 1 and stays within the matrix; essential lengths never exceed
+// bw−1.
+func TestReflectorLattice(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
 	for _, tc := range []struct {
 		name  string
 		n, kd int
@@ -165,104 +229,36 @@ func TestChaseScheduledMatchesSequential(t *testing.T) {
 		{"15-kernel sweep", 60, 4},
 		{"one-kernel sweep", 6, 5},
 		{"n < 2b", 8, 5},
+		{"8-kernel sweep", 30, 4},
 	} {
-		if got, want := sweepSteps(tc.n, tc.kd, 0), 1+(tc.n-2)/tc.kd; got != want {
+		n, kd := tc.n, tc.kd
+		if got, want := sweepSteps(n, kd, 0), 1+(n-2)/kd; got != want {
 			t.Fatalf("%s: first sweep has %d kernels, want %d", tc.name, got, want)
 		}
-		b := randBand(rng, tc.n, tc.kd)
-		ref := Chase(b, nil, true, nil, nil)
-		for _, workers := range []int{1, 2, 4, 7} {
-			s := sched.New(workers)
-			got := Chase(b, s.NewJob(nil), true, nil, nil)
-			s.Shutdown()
-			if !slices.Equal(ref.T.D, got.T.D) || !slices.Equal(ref.T.E, got.T.E) {
-				t.Fatalf("%s workers=%d: T differs from the sequential chase", tc.name, workers)
+		res := Chase(randBand(rng, n, kd), nil, true, nil, nil)
+		i := 0
+		forEachStep(n, kd, func(sw, lvl int) bool {
+			if i >= len(res.Refs) {
+				t.Fatalf("%s: only %d reflectors", tc.name, len(res.Refs))
 			}
-			if len(ref.Refs) != len(got.Refs) {
-				t.Fatalf("%s workers=%d: %d reflectors, want %d", tc.name, workers, len(got.Refs), len(ref.Refs))
+			r := res.Refs[i]
+			if r.Sweep != sw || r.Level != lvl {
+				t.Fatalf("%s: reflector %d is (%d,%d), want (%d,%d)", tc.name, i, r.Sweep, r.Level, sw, lvl)
 			}
-			for i, r := range ref.Refs {
-				g := got.Refs[i]
-				if g.Sweep != r.Sweep || g.Level != r.Level || g.Row != r.Row || g.Tau != r.Tau || !slices.Equal(g.V, r.V) {
-					t.Fatalf("%s workers=%d: reflector %d (sweep %d level %d) differs", tc.name, workers, i, r.Sweep, r.Level)
-				}
+			if wantRow := sw + lvl*kd + 1; r.Row != wantRow {
+				t.Fatalf("%s: reflector (%d,%d) at row %d, want %d", tc.name, sw, lvl, r.Row, wantRow)
 			}
-		}
-	}
-}
-
-// TestChaseCancelDrains cancels a scheduled chase part-way: a task that
-// cancels the job's context is made to depend on row block 0, which the first
-// kernel of every early sweep writes, so it runs after some kernels and — the
-// rest of the chase being one long dependence chain behind those sweeps —
-// before most. Gate tasks on a job of their own hold every worker until the
-// whole chase and the canceling task are submitted. Whatever the worker count,
-// some kernels must have run, the others must have drained without running,
-// Wait must return the context's error, and the scheduler must serve a
-// healthy chase afterwards.
-func TestChaseCancelDrains(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	const n, kd = 400, 5
-	b := randBand(rng, n, kd)
-	ref := Chase(b, nil, true, nil, nil)
-	all := 0
-	forEachStep(n, kd, func(int, int) bool { all++; return true })
-	for _, workers := range []int{1, 2, 4, 7} {
-		s := sched.New(workers)
-		gate := make(chan struct{})
-		var held sync.WaitGroup
-		held.Add(workers)
-		hold := s.NewJob(nil)
-		for w := 0; w < workers; w++ {
-			hold.Submit(sched.Task{Run: func(int) {
-				held.Done()
-				<-gate
-			}})
-		}
-		held.Wait()
-		ctx, cancel := context.WithCancel(context.Background())
-		job := s.NewJob(ctx)
-		c := newChaser(b, workers, nil, nil)
-		c.schedule(job)
-		job.Submit(sched.Task{Priority: 1 << 20, Deps: []sched.Dep{sched.RW(0)}, Run: func(int) { cancel() }})
-		close(gate)
-		if err := job.Wait(); !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: Wait returned %v, want context.Canceled", workers, err)
-		}
-		ran := 0
-		for i := range c.refs {
-			if c.refs[i].V != nil {
-				ran++
+			if len(r.V) > kd-1 {
+				t.Fatalf("%s: reflector (%d,%d) essential length %d > kd-1", tc.name, sw, lvl, len(r.V))
 			}
-		}
-		if ran == 0 || ran >= all {
-			t.Fatalf("workers=%d: %d of %d kernels ran, want some but not all", workers, ran, all)
-		}
-		got := Chase(b, s.NewJob(nil), true, nil, nil)
-		s.Shutdown()
-		if !slices.Equal(ref.T.D, got.T.D) || !slices.Equal(ref.T.E, got.T.E) {
-			t.Fatalf("workers=%d: the chase after a canceled one differs from the sequential chase", workers)
-		}
-	}
-}
-
-func TestReflectorLattice(t *testing.T) {
-	// Reflector (s, ℓ) must start at row s + ℓ·bw + 1 and stay within the
-	// matrix; essential lengths never exceed bw−1.
-	rng := rand.New(rand.NewSource(6))
-	n, kd := 30, 4
-	b := randBand(rng, n, kd)
-	res := Chase(b, nil, true, nil, nil)
-	for _, r := range res.Refs {
-		wantRow := r.Sweep + r.Level*kd + 1
-		if r.Row != wantRow {
-			t.Fatalf("reflector (%d,%d) at row %d, want %d", r.Sweep, r.Level, r.Row, wantRow)
-		}
-		if len(r.V) > kd-1 {
-			t.Fatalf("reflector (%d,%d) essential length %d > kd-1", r.Sweep, r.Level, len(r.V))
-		}
-		if r.Row+len(r.V) > n-1 {
-			t.Fatalf("reflector (%d,%d) exceeds matrix", r.Sweep, r.Level)
+			if r.Row+len(r.V) > n-1 {
+				t.Fatalf("%s: reflector (%d,%d) exceeds matrix", tc.name, sw, lvl)
+			}
+			i++
+			return true
+		})
+		if i != len(res.Refs) {
+			t.Fatalf("%s: %d reflectors, want one per kernel (%d)", tc.name, len(res.Refs), i)
 		}
 	}
 }

@@ -73,19 +73,17 @@ func (w *workBand) block(r0, rlen, c0, clen int) ([]float64, int) {
 
 // larfgColumn generates the reflector annihilating all but the first entry
 // of B[r0 : r0+length, c], writes the annihilated column back (beta then
-// zeros), and returns the essential part (carved from slab) and tau. u
-// receives the full vector [1; v] the update kernels multiply by.
-func (w *workBand) larfgColumn(c, r0, length int, slab *work.Slab, u []float64, tc *trace.Collector) ([]float64, float64) {
+// zeros), and returns tau. u receives the full vector [1; v] the update
+// kernels multiply by.
+func (w *workBand) larfgColumn(c, r0, length int, u []float64, tc *trace.Collector) float64 {
 	x := w.col(c, r0, length)
 	beta, tau := householder.Larfg(length, x[0], x[1:], 1)
-	v := slab.Take(length - 1)
-	copy(v, x[1:])
 	u[0] = 1
-	copy(u[1:], v)
+	copy(u[1:], x[1:])
 	x[0] = beta
 	clear(x[1:])
 	tc.AddFlops(trace.KOther, 3*int64(length))
-	return v, tau
+	return tau
 }
 
 // symTwoSided applies H = I − τ·u·uᵀ two-sidedly to the symmetric block of

@@ -92,15 +92,16 @@ type Options struct {
 // EstimateWorkspaceBytes is the admission-control model of one solve's peak
 // internal workspace. Every solve holds the stage-1 tile storage (n²; the
 // one-stage pipeline's working copy takes its place), the stage-1 block
-// reflectors prepared for the reduction's own updates (3n²/2), the Q₂
-// reflector essentials (n²/2: about n²/(2·nb) chase reflectors of nb entries
-// each) and the band/workband/scratch structures (O(n·nb)). When vectors are
-// computed it adds the eigenvector staging matrix (n²), the stage-1
-// reflectors prepared for Q₁ (n²), the prepared Q₂ diamonds (≤ 3n²/2: Q₂
-// holds ≈ n²/2 reflector entries, 576 per 59-row diamond of 12 reflectors,
-// whose two packed operands occupy 64×12 and 16×59 = 1712 values in the
-// widest layout, the AVX-512 kernel's, which pads the last row-panel of each
-// to a whole 16-row tile: 1.49n²), and the D&C's pool. The last is what
+// reflectors prepared for the reduction's own updates (3n²/2) and the
+// band/workband/scratch structures (O(n·nb)). When vectors are computed it
+// adds the eigenvector staging matrix (n²), the Q₂ reflector essentials
+// (n²/2: about n²/(2·nb) chase reflectors of nb entries each; a values-only
+// chase keeps none), the stage-1 reflectors prepared for Q₁ (n²), the
+// prepared Q₂ diamonds (≤ 3n²/2: Q₂ holds ≈ n²/2 reflector entries, 576 per
+// 59-row diamond of 12 reflectors, whose two packed operands occupy 64×12
+// and 16×59 = 1712 values in the widest layout, the AVX-512 kernel's, which
+// pads the last row-panel of each to a whole 16-row tile: 1.49n²), and the
+// D&C's pool. The last is what
 // tridiag.WorkSet retains: a rank-one merge of order m holds three m×m
 // buffers (the left factor of its eigenvector update, that factor packed for
 // the micro-kernel, and its result), the pool keeps them by size, and with
@@ -121,13 +122,13 @@ func EstimateWorkspaceBytes(n, nb int, vectors bool) int64 {
 	nn := int64(n) * int64(n)
 	bytes := nn         // tile storage (or the one-stage working copy)
 	bytes += 3 * nn / 2 // stage-1 reflectors prepared for the reduction
-	bytes += nn / 2     // Q₂ reflector essentials
 	if vectors {
 		bytes += nn         // vector staging
+		bytes += nn / 2     // Q₂ reflector essentials
 		bytes += 6 * nn     // D&C pool
 		bytes += 5 * nn / 2 // reflectors prepared for Q₁ and the Q₂ diamonds
 	}
-	bytes += 8 * int64(n) * int64(nb+2) // band, workband, reflector lattice, scratch
+	bytes += 8 * int64(n) * int64(nb+2) // band, workband, scratch
 	return 8 * bytes
 }
 

@@ -278,7 +278,7 @@ func TestPhaseTimings(t *testing.T) {
 	if _, err := SyevTwoStage(context.Background(), a, Options{Method: MethodDC, Vectors: true, NB: 8, Collector: tc}); err != nil {
 		t.Fatal(err)
 	}
-	for _, ph := range []string{trace.PhaseStage1, trace.PhaseStage2, trace.PhaseEigT, trace.PhaseBacktransFused} {
+	for _, ph := range []string{trace.PhaseStage1, trace.PhaseStage2, trace.PhaseEigT, trace.PhaseBacktrans} {
 		if tc.PhaseTime(ph) <= 0 {
 			t.Fatalf("phase %s not timed", ph)
 		}

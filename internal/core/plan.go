@@ -192,9 +192,11 @@ func (Stage1) Run(ctx context.Context, st *SolveState) error {
 }
 
 // Stage2 chases the band down to tridiagonal form (bulge chasing).
-// Memory-bound: the kernels stream the band with Level-2-like intensity
-// (the paper restricts this stage to fewer cores; here that was measured and
-// removed, EXPERIMENTS.md "One ready heap").
+// Memory-bound: the kernels stream the band with Level-2-like intensity. The
+// paper restricts this stage to a subset of the cores; here it runs as one
+// sequential stream on the calling goroutine at every worker count, the
+// job carrying only cancellation (EXPERIMENTS.md, "The bulge chase as one
+// stream").
 type Stage2 struct{}
 
 func (Stage2) Name() string { return trace.PhaseStage2 }
@@ -236,7 +238,7 @@ func (Backtrans) Run(ctx context.Context, st *SolveState) error {
 		return err
 	}
 	job := st.phaseJob(ctx)
-	st.tc.Phase(trace.PhaseBacktransFused, func() {
+	st.tc.Phase(trace.PhaseBacktrans, func() {
 		plan := backtransform.NewPlan(st.chase, 0, st.ws)
 		plan.ApplyFused(st.f1, st.evecs, job, 0, st.tc)
 	})

@@ -8,6 +8,7 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/testmat"
+	"repro/internal/trace"
 	"repro/internal/work"
 )
 
@@ -73,6 +74,25 @@ func TestBuildPlan(t *testing.T) {
 				if ph.Name() != wantNames[i] {
 					t.Fatalf("%+v: phase %d is %q, want %q", o, i, ph.Name(), wantNames[i])
 				}
+			}
+		}
+	}
+}
+
+// TestPhaseNamesTimed holds the Phase contract that Name doubles as the trace
+// phase a step's wall time is attributed to: after a vectors solve, the
+// Collector has timed every phase of the plan under its name.
+func TestPhaseNamesTimed(t *testing.T) {
+	a := testmat.RandomSym(rand.New(rand.NewSource(33)), 64)
+	for _, workers := range []int{1, 2} {
+		tc := trace.New()
+		o := Options{Vectors: true, NB: 8, Workers: workers, Collector: tc}
+		if _, err := SyevTwoStage(context.Background(), a, o); err != nil {
+			t.Fatal(err)
+		}
+		for _, ph := range BuildPlan(&o) {
+			if tc.PhaseTime(ph.Name()) <= 0 {
+				t.Errorf("workers=%d: phase %q was not timed under its name (timed: %v)", workers, ph.Name(), tc.Phases())
 			}
 		}
 	}

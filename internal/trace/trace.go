@@ -34,14 +34,7 @@ const (
 	PhaseEigT      = "eig_t"      // tridiagonal eigensolver
 	PhaseUpdateQ2  = "update_q2"  // Q2 flop share of back_trans (attribution only)
 	PhaseUpdateQ1  = "update_q1"  // Q1 flop share of back_trans (attribution only)
-	PhaseBacktrans = "back_trans" // total back-transformation
-
-	// PhaseBacktransFused is the fused single-pass back-transformation:
-	// Q₂ and Q₁ applied per column block of E with no inter-phase barrier.
-	// The Q₂/Q₁ split inside it is recorded via AttributeFlops under
-	// PhaseUpdateQ2/PhaseUpdateQ1, so the Figure 1 breakdown stays
-	// reconstructible.
-	PhaseBacktransFused = "backtrans_fused"
+	PhaseBacktrans = "back_trans" // total back-transformation (both pipelines)
 
 	// PhaseBatchWait is the time a batch item spent blocked in SolveBatch's
 	// admission gate (concurrency slots + memory-budget reservation) before

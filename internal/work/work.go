@@ -37,13 +37,11 @@ const (
 	Stage1Packed  Key = "stage1.packed"   // prepared (packed) panel reflectors
 	Stage2Band    Key = "stage2.band"     // extracted symmetric band matrix
 	Stage2Work    Key = "stage2.workband" // extended band (bulge) storage
-	Stage2Slab    Key = "stage2.slab"     // Q₂ reflector essentials
-	Stage2Scratch Key = "stage2.scratch"  // per-worker bulge-kernel scratch
-	Stage2Refs    Key = "stage2.refs"     // reflector lattice slots
-	Stage2Out     Key = "stage2.out"      // chase output (Result + Tridiagonal)
+	Stage2Slab    Key = "stage2.slab"     // Q₂ reflector essentials (vectors only)
+	Stage2Scratch Key = "stage2.scratch"  // bulge-kernel scratch: u = [1; v] and a product
+	Stage2Out     Key = "stage2.out"      // chaser state with its outputs (Result + Tridiagonal)
 	Stage2OutD    Key = "stage2.out.d"    // tridiagonal output diagonal
 	Stage2OutE    Key = "stage2.out.e"    // tridiagonal output off-diagonal
-	Stage2Chaser  Key = "stage2.chaser"   // chaser state (refs output list)
 	Stage1Factor  Key = "stage1.factor"   // band factorization header + reflector lists
 	TridiagD      Key = "tridiag.d"       // diagonal scratch copy
 	TridiagE      Key = "tridiag.e"       // off-diagonal scratch copy
@@ -217,7 +215,7 @@ func (a *Arena) Tiles(k Key, n, nb int) *matrix.TileMatrix {
 }
 
 // Value returns the opaque cached value for a slot (nil if absent). Stage
-// packages use it to retain typed caches (e.g. the reflector lattice)
+// packages use it to retain typed caches (e.g. the chaser and its outputs)
 // without this package importing them.
 func (a *Arena) Value(k Key) any {
 	if a == nil {

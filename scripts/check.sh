@@ -67,7 +67,7 @@ while read -r name regex pkgs; do
 done <<'EOF'
 fused-backtransform  TestApplyFused|TestFusedBacktrans|TestSolverCancelDuringBacktrans  ./internal/backtransform ./internal/core .
 batch                TestSolveBatch|TestSolveBatchMatchesSolo|TestSolveBatchFanout|TestSolveBatchCancel|TestSolveBatchCloseMidFlight|TestSolveBatchSmallItemsNeedNoWorker|TestSolveBatchConcurrentCalls|TestSolveBatchTraceAttribution|TestBatchIsolationMixed|TestNotFiniteError|TestNoConvergencePropagation|TestOptionsClamp|TestDegenerateShapes|TestBatchRangeValidatedWithoutDst|TestBatchGateOverBudgetClamp|TestSolveBatchOversizedItemsRunAlone|TestSolverGateSharedAcrossBatchCalls|TestNewSolverIgnoresTuneProfileEnv  .
-phase-plan           TestSolveState|TestBuildPlan  ./internal/core
+phase-plan           TestSolveState|TestBuildPlan|TestPhaseNamesTimed  ./internal/core
 tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestParallelTridiag|TestSecularRoot|TestStedcHard|TestStedcScalingExact|TestSterfHard|TestWorkSetRetention|TestEstimateCoversArena  ./internal/tridiag ./internal/core
 stage1-lookahead     TestReduceLookahead|TestReduceMatchesMirrorReference|TestReduceTaskCount|TestLookaheadSolverBitwise|TestStage1  ./internal/band ./internal/core
 sched                TestSchedRandomDAGDrains  ./internal/sched
@@ -76,7 +76,7 @@ level-kernels        TestLevel1AsmBitwisePortable|TestLevel2AsmBitwisePortable|T
 hard-inputs          TestScaledInputsAllMethodsAgree|TestSpectrumErrorScaled|TestResidualScaled  ./internal/core ./internal/testmat
 cli                  TestReadMatrixErrors  ./cmd/eigsolve
 inputs-untouched     TestInputsUntouched  .
-bulge                TestChaseBanded|TestReflectorLattice|TestChaseScheduledMatchesSequential|TestChaseCancelDrains  ./internal/bulge
+bulge                TestChaseBanded|TestReflectorLattice|TestChaseCancel  ./internal/bulge
 service              TestServerAuth|TestServerSubmitValidation|FuzzSubmitDecode|FuzzSubmitHandler|TestServerJobEndpoints|TestServerNaNPayloadMapsTo400|TestErrorMapping|TestMemStore|TestDiskStore|FuzzDiskStoreReplay|TestRoundTripBitwise|TestCancelMidSolveFreesSlot|TestOverBudgetRefused|TestConcurrentClients  ./internal/service ./client
 EOF
 

@@ -321,7 +321,7 @@ func TestEigValuesSkipsBacktransform(t *testing.T) {
 	if vo, full := tc.Flops(trace.KLarfb), tcFull.Flops(trace.KLarfb); vo >= full {
 		t.Fatalf("values-only solve performed %d Larfb flops, vectors solve %d", vo, full)
 	}
-	if _, ok := tc.Phases()[trace.PhaseBacktransFused]; ok {
+	if _, ok := tc.Phases()[trace.PhaseBacktrans]; ok {
 		t.Fatal("values-only solve ran the back-transformation")
 	}
 }
@@ -353,7 +353,7 @@ func TestEigValuesRangeNonBI(t *testing.T) {
 			}
 		}
 		// No eigenvector work: the back-transformation phase may not appear.
-		if _, ok := tc.Phases()[trace.PhaseBacktransFused]; ok {
+		if _, ok := tc.Phases()[trace.PhaseBacktrans]; ok {
 			t.Fatalf("method %d: values-only range ran the back-transformation", m)
 		}
 	}
