@@ -382,6 +382,43 @@ func TestNotFiniteError(t *testing.T) {
 		}
 	}
 
+	// Larger orders, where the input scan runs in blocks and, with two
+	// workers, in two shares: the reported entry is still the first
+	// non-finite one in column-major order.
+	for _, n := range scanSizes {
+		for _, w := range []int{1, 2} {
+			for _, tc := range []struct {
+				name string
+				set  [][2]int // (row, col) positions set to a non-finite value, one-sided
+				asym bool     // also break symmetry elsewhere
+			}{
+				{"upper-only", [][2]int{{n / 3, n - 1}}, false},
+				{"upper-only-corner", [][2]int{{0, n - 1}}, false},
+				{"several", [][2]int{{n - 1, n - 1}, {n - 2, n / 2}, {n / 2, n - 2}, {n - 1, 1}}, false},
+				{"NaN-and-asymmetry", [][2]int{{n - 1, n - 1}}, true},
+			} {
+				a := randSymMatrix(rng, n)
+				first := [2]int{n, n}
+				for k, p := range tc.set {
+					a.Set(p[0], p[1], []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[k%3])
+					if p[1] < first[1] || p[1] == first[1] && p[0] < first[0] {
+						first = p
+					}
+				}
+				if tc.asym {
+					a.Set(0, n-1, a.At(n-1, 0)+1)
+				}
+				_, err := Eig(a, &Options{Workers: w})
+				var nfe *NotFiniteError
+				if !errors.As(err, &nfe) {
+					t.Fatalf("n=%d W=%d %s: err=%v, want *NotFiniteError", n, w, tc.name, err)
+				}
+				if nfe.Row != first[0] || nfe.Col != first[1] {
+					t.Fatalf("n=%d W=%d %s: reported (%d,%d), want the first in column-major order (%d,%d)", n, w, tc.name, nfe.Row, nfe.Col, first[0], first[1])
+				}
+			}
+		}
+	}
 }
 
 // TestOptionsClamp feeds out-of-range option values into every knob that

@@ -1,9 +1,12 @@
 // Command eigtrace runs the two-stage reduction under the tracing scheduler
 // and prints an execution profile: per-kernel task counts and times, plus an
 // ASCII Gantt chart of the workers — a terminal rendition of the DAG
-// execution the paper's runtime produces. The tasks are stage 1's: stage 2,
-// the bulge chase, runs as one sequential stream on the calling goroutine,
-// submits no task, and shows only in the stage1+2 time.
+// execution the paper's runtime produces. The tasks are stage 1's, and from
+// n = bulge.TwoStreamOrder on with two or more workers one more: the bulge
+// chase's second stream (CHASE), the lower half of every sweep, while the
+// upper halves run on the calling goroutine. Below that order the chase is
+// one stream on the calling goroutine, submits no task, and shows only in
+// the stage1+2 time.
 //
 //	eigtrace -n 256 -nb 32 -workers 4
 package main

@@ -2,6 +2,7 @@ package eigen
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -167,6 +168,50 @@ func TestEigRejectsNonSymmetric(t *testing.T) {
 	if _, err := Eig(a, nil); err == nil {
 		t.Fatal("non-symmetric matrix accepted")
 	}
+
+	// The tolerance's edge, in blocks on and off the diagonal and in either
+	// worker's share of the input scan: |a_ij − a_ji| equal to symTol·max|a|
+	// is accepted, the next float above it is not.
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range scanSizes {
+		for _, w := range []int{1, 2} {
+			pairs := [][2]int{{n - 1, 0}, {n - 1, n - 2}, {n/2 + 1, n / 2}}
+			a := unitSymMatrix(rng, n)
+			for _, p := range pairs {
+				a.Set(p[0], p[1], 0)
+				a.Set(p[1], p[0], symTol)
+			}
+			if _, err := EigValues(a, &Options{Workers: w}); err != nil {
+				t.Fatalf("n=%d W=%d: asymmetry of exactly symTol·max|a| rejected: %v", n, w, err)
+			}
+			for _, p := range pairs {
+				a.Set(p[1], p[0], math.Nextafter(symTol, 1))
+				_, err := Eig(a, &Options{Workers: w})
+				if err == nil || errors.Is(err, ErrNotFinite) {
+					t.Fatalf("n=%d W=%d pair %v: asymmetry one float above the tolerance: err=%v", n, w, p, err)
+				}
+				a.Set(p[1], p[0], symTol)
+			}
+		}
+	}
+}
+
+// scanSizes are the orders the input-validation tests run at: one scan
+// block, just under and over it, several blocks with a ragged edge, and a
+// batch item's order large enough to be split across workers.
+var scanSizes = []int{31, 32, 33, 97, 600}
+
+// unitSymMatrix returns a symmetric matrix with max|a_ij| exactly 1, at
+// (0, 0), and every other entry in (−1, 1).
+func unitSymMatrix(rng *rand.Rand, n int) *Matrix {
+	m := NewMatrix(n)
+	for j := 0; j < n; j++ {
+		for i := j; i < n; i++ {
+			m.SetSym(i, j, 2*rng.Float64()-1)
+		}
+	}
+	m.Set(0, 0, 1)
+	return m
 }
 
 func TestEigRejectsBadInput(t *testing.T) {

@@ -569,12 +569,13 @@ func extractBand(tm *matrix.TileMatrix, nb int, ws *work.Arena) *matrix.SymBand 
 }
 
 // transposeTile writes dst := srcᵀ, where src is an r×c compact column-major
-// tile and dst is c×r.
+// tile and dst is c×r. It writes dst in memory order, each column gathering
+// one row of src: the caller has src hot in cache, and dst is cold.
 func transposeTile(src []float64, r, c int, dst []float64) {
-	for j := 0; j < c; j++ {
-		col := src[j*r : j*r+r]
-		for i, v := range col {
-			dst[j+i*c] = v
+	for i := 0; i < r; i++ {
+		col := dst[i*c : i*c+c]
+		for j := range col {
+			col[j] = src[i+j*r]
 		}
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/blas"
 	"repro/internal/householder"
@@ -150,6 +152,18 @@ func TestChaseSmallAndDegenerate(t *testing.T) {
 	}
 }
 
+// forEachStep walks the kernel lattice of the chase in sequential order,
+// sweep-major and level-minor. fn returning false stops the walk.
+func forEachStep(n, bw int, fn func(sw, lvl int) bool) {
+	for sw := 0; sw <= n-3; sw++ {
+		for lvl, steps := 0, sweepSteps(n, bw, sw); lvl < steps; lvl++ {
+			if !fn(sw, lvl) {
+				return
+			}
+		}
+	}
+}
+
 func sameReflector(a, b Reflector) bool {
 	return a.Sweep == b.Sweep && a.Level == b.Level && a.Row == b.Row && a.Tau == b.Tau && slices.Equal(a.V, b.V)
 }
@@ -170,44 +184,54 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// TestChaseCancel cancels a chase after k of its sweeps, on an inline job and
-// on a scheduler's: the job must report context.Canceled, the reflectors kept
-// must be exactly those of the first k sweeps, and the next chase on the same
-// arena must equal a fresh one bit for bit.
+// TestChaseCancel cancels a chase after about k of its sweeps, on an inline
+// job, on a scheduler's below N₂ (one stream) and at N₂ (two streams): the
+// job must report context.Canceled, the reflectors kept must be a prefix of
+// the full sequence (with one stream exactly those of the first k sweeps), no
+// task may still be writing the band once Chase has returned, and the next
+// chase on the same arena must equal a fresh one bit for bit.
 func TestChaseCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	const n, kd, k = 400, 5, 37
-	b := randBand(rng, n, kd)
-	ref := Chase(b, nil, true, nil, nil)
-	var firstK []Reflector
-	for _, r := range ref.Refs {
-		if r.Sweep < k {
-			firstK = append(firstK, r)
+	const kd, k = 5, 37
+	for _, tc := range []struct{ n, workers int }{{400, 1}, {400, 2}, {TwoStreamOrder, 2}} {
+		b := randBand(rng, tc.n, kd)
+		ref := Chase(b, nil, true, nil, nil)
+		var firstK []Reflector
+		for _, r := range ref.Refs {
+			if r.Sweep < k {
+				firstK = append(firstK, r)
+			}
 		}
-	}
-	for _, workers := range []int{1, 2} {
+		two := tc.n >= TwoStreamOrder
 		ctx := &countdownCtx{Context: context.Background(), left: k}
 		job := sched.Inline(ctx)
-		if workers > 1 {
-			s := sched.New(workers)
+		if tc.workers > 1 {
+			s := sched.New(tc.workers)
 			defer s.Shutdown()
 			job = s.NewJob(ctx)
 		}
 		ws := work.NewArena()
 		Chase(b, job, true, ws, nil)
-		if err := job.Err(); !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: job error %v, want context.Canceled", workers, err)
+		band := slices.Clone(chaserFor(ws).w.data)
+		if err := job.Wait(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("n=%d workers=%d: job error %v, want context.Canceled", tc.n, tc.workers, err)
+		}
+		if !slices.Equal(band, chaserFor(ws).w.data) {
+			t.Fatalf("n=%d workers=%d: the band changed after Chase returned", tc.n, tc.workers)
 		}
 		got := chaserFor(ws).refs
 		if len(got) == 0 || len(got) >= len(ref.Refs) {
-			t.Fatalf("workers=%d: %d of %d reflectors kept, want some but not all", workers, len(got), len(ref.Refs))
+			t.Fatalf("n=%d workers=%d: %d of %d reflectors kept, want some but not all", tc.n, tc.workers, len(got), len(ref.Refs))
 		}
-		if !slices.EqualFunc(got, firstK, sameReflector) {
-			t.Fatalf("workers=%d: the %d reflectors kept are not those of the first %d sweeps", workers, len(got), k)
+		if !slices.EqualFunc(got, ref.Refs[:len(got)], sameReflector) {
+			t.Fatalf("n=%d workers=%d: the %d reflectors kept are not a prefix of the sequence", tc.n, tc.workers, len(got))
+		}
+		if !two && len(got) != len(firstK) {
+			t.Fatalf("n=%d workers=%d: %d reflectors kept, want the first %d sweeps' %d", tc.n, tc.workers, len(got), k, len(firstK))
 		}
 		again := Chase(b, nil, true, ws, nil)
-		if !slices.Equal(ref.T.D, again.T.D) || !slices.Equal(ref.T.E, again.T.E) || !slices.EqualFunc(ref.Refs, again.Refs, sameReflector) {
-			t.Fatalf("workers=%d: the chase after a canceled one on its arena differs from a fresh chase", workers)
+		if !sameChase(ref, again) {
+			t.Fatalf("n=%d workers=%d: the chase after a canceled one on its arena differs from a fresh chase", tc.n, tc.workers)
 		}
 	}
 }
@@ -289,4 +313,73 @@ func TestChaseValuesOnly(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameChase reports whether two chases produced the same bits: T, and every
+// reflector's position, V and tau, in order.
+func sameChase(a, b *Result) bool {
+	return slices.Equal(a.T.D, b.T.D) && slices.Equal(a.T.E, b.T.E) && len(a.Refs) == len(b.Refs) &&
+		slices.EqualFunc(a.Refs, b.Refs, sameReflector)
+}
+
+// TestChaseTwoStreams runs the chase as two streams on a W = 2 scheduler and
+// compares it bit for bit with the one stream: on TestReflectorLattice's
+// shapes (forced to two streams below N₂), at N₂ and N₂+1 and at the
+// benchmark's n = 1536, values only and keeping Q₂, on a recycled arena; and
+// once with the workers held so that the second stream starts late.
+func TestChaseTwoStreams(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	s := sched.New(2)
+	defer s.Shutdown()
+	ws := work.NewArena()
+	for _, tc := range []struct{ n, kd int }{
+		{20, 5}, {26, 5}, {60, 4}, {6, 5}, {8, 5}, {30, 4},
+		{TwoStreamOrder, 48}, {TwoStreamOrder + 1, 48}, {1536, 48},
+	} {
+		b := randBand(rng, tc.n, tc.kd)
+		for _, wantQ := range []bool{false, true} {
+			one := chase(b, nil, wantQ, nil, nil, false)
+			job := s.NewJob(nil)
+			two := chase(b, job, wantQ, ws, nil, true)
+			if err := job.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if !sameChase(one, two) {
+				t.Fatalf("n=%d kd=%d wantQ=%v: two streams differ from one", tc.n, tc.kd, wantQ)
+			}
+		}
+	}
+
+	b := randBand(rng, TwoStreamOrder, 16)
+	one := chase(b, nil, true, nil, nil, false)
+	release := holdWorkers(s)
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		release()
+	}()
+	job := s.NewJob(nil)
+	if two := Chase(b, job, true, ws, nil); !sameChase(one, two) {
+		t.Fatal("late second stream: two streams differ from one")
+	}
+	if err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// holdWorkers occupies every worker of s with a gate task on a job of its
+// own and returns once all of them run; the workers take other tasks only
+// after release is called.
+func holdWorkers(s *sched.Scheduler) (release func()) {
+	gate := make(chan struct{})
+	var running sync.WaitGroup
+	running.Add(s.Workers())
+	j := s.NewJob(nil)
+	for w := 0; w < s.Workers(); w++ {
+		j.Submit(sched.Task{Run: func(int) {
+			running.Done()
+			<-gate
+		}})
+	}
+	running.Wait()
+	return func() { close(gate) }
 }

@@ -23,6 +23,10 @@
 package bulge
 
 import (
+	"math"
+	"runtime"
+	"sync/atomic"
+
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -54,6 +58,11 @@ type Result struct {
 	Refs []Reflector
 }
 
+// TwoStreamOrder is N₂, the order from which a chase on a job of two or more
+// workers runs every sweep as two streams. Below it the one stream is faster
+// (EXPERIMENTS.md, "Both workers in a solve's serial sections").
+const TwoStreamOrder = 1024
+
 // sweepSteps is the one definition of the kernel lattice: the number of
 // kernels of sweep sw. Level 0 is the sweep-starting xHBCEU kernel, which
 // exists when column sw has at least two entries below the diagonal to work
@@ -67,33 +76,39 @@ func sweepSteps(n, bw, sw int) int {
 	return 1 + (n-2-sw)/bw
 }
 
-// forEachStep walks the kernel lattice of the chase in sequential order,
-// sweep-major and level-minor. fn returning false stops the walk.
-func forEachStep(n, bw int, fn func(sw, lvl int) bool) {
-	for sw := 0; sw <= n-3; sw++ {
-		for lvl, steps := 0, sweepSteps(n, bw, sw); lvl < steps; lvl++ {
-			if !fn(sw, lvl) {
-				return
-			}
-		}
-	}
+// upperHalf is the number of leading kernels of a sweep of the given length
+// that the first stream runs: ⌈steps/2⌉.
+func upperHalf(steps int) int { return (steps + 1) / 2 }
+
+// stream is the kernel state of one stream of the chase: the reflector its
+// last kernel generated, u = [1; v] and tau, which its next kernel of the same
+// sweep starts from, and a product buffer p.
+type stream struct {
+	u, p []float64
+	tau  float64
 }
 
-// chaser carries the stage-2 kernel state: the extended working band and the
-// reflector the last kernel generated, u = [1; v] and tau, which the next
-// kernel of the same sweep starts from. With Q₂ wanted, every reflector is
-// also appended to refs, its essential part copied into slab. The chaser and
-// the outputs that outlive the kernels (the Result and its tridiagonal
-// matrix) are one arena value, so a recycled arena reuses all their headers.
+// chaser carries the stage-2 state: the extended working band, one stream
+// per goroutine, the ring through which the first stream hands each sweep to
+// the second, and the kernel offsets. Kernel (s, ℓ) is the off[s]+ℓ-th in
+// sequential order; with Q₂ wanted its reflector goes into that slot of refs,
+// its essential part at voff[s] + ℓ·(bw−1) in the essentials buffer. The
+// chaser and the outputs that outlive the kernels (the Result and its
+// tridiagonal matrix) are one arena value, so a recycled arena reuses all
+// their headers.
 type chaser struct {
-	w    workBand
-	tc   *trace.Collector
-	u, p []float64 // bw floats each: the current reflector and a product
-	tau  float64
-	slab *work.Slab  // Q₂ reflector essentials; nil for a values-only chase
-	refs []Reflector // retained Result.Refs storage
-	res  Result
-	t    matrix.Tridiagonal
+	w     workBand
+	tc    *trace.Collector
+	st    [2]stream
+	ring  [2]stream // u and tau of the handed-off reflectors; p unused
+	off   []int     // off[s]: sequential index of kernel (s, 0); one past the last sweep, the kernel count
+	voff  []int     // with Q₂: offset of reflector (s, 0)'s essentials
+	nB    int       // sweeps with a lower half; they come first
+	wantQ bool
+	vs    []float64   // with Q₂: every reflector's essentials
+	refs  []Reflector // retained Result.Refs storage
+	res   Result
+	t     matrix.Tridiagonal
 }
 
 func chaserFor(ws *work.Arena) *chaser {
@@ -105,56 +120,83 @@ func chaserFor(ws *work.Arena) *chaser {
 	return c
 }
 
-// init readies c to chase b2. Only a chase that keeps Q₂ sizes the reflector
-// list and the slab of essentials, both exactly.
+// init readies c to chase b2: it lays out the kernel offsets and the stream
+// buffers and, only for a chase that keeps Q₂, sizes the reflector slots and
+// the essentials buffer, both exactly.
 func (c *chaser) init(b2 *matrix.SymBand, wantQ bool, ws *work.Arena, tc *trace.Collector) {
 	n, bw := b2.N, b2.KD
 	c.w.init(b2, ws)
-	c.tc = tc
-	sc := ws.Floats(work.Stage2Scratch, 2*bw, false)
-	c.u, c.p = sc[:bw], sc[bw:]
-	c.slab, c.refs = nil, c.refs[:0]
+	c.tc, c.wantQ = tc, wantQ
+	sc := ws.WorkerSlabs(work.Stage2Scratch, 3, 2*bw)
+	for k := range c.st {
+		buf := sc.For(k)
+		c.st[k] = stream{u: buf[:bw], p: buf[bw:]}
+		c.ring[k] = stream{u: sc.For(2)[k*bw : (k+1)*bw]}
+	}
+	// Sweeps 0 … n−3 have kernels; sweepSteps is 0 from n−2 on.
+	nsw := max(0, n-2)
+	c.off, c.voff = c.off[:0], c.voff[:0]
+	c.nB = 0
+	nref, capV := 0, 0
+	for sw := 0; sw < nsw; sw++ {
+		c.off = append(c.off, nref)
+		c.voff = append(c.voff, capV)
+		steps := sweepSteps(n, bw, sw)
+		if upperHalf(steps) < steps {
+			c.nB++
+		}
+		nref += steps
+		// Reflector (s, ℓ) starts at row s + ℓ·bw + 1 and spans at most bw
+		// rows; only the last of a sweep is shorter.
+		capV += (steps-1)*(bw-1) + min(bw, n-(sw+(steps-1)*bw+1)) - 1
+	}
+	c.off = append(c.off, nref)
+	c.vs, c.refs = nil, c.refs[:0]
 	if !wantQ {
 		return
 	}
-	// Reflector (s, ℓ) starts at row s + ℓ·bw + 1 and spans at most bw rows.
-	nref, capV := 0, 0
-	forEachStep(n, bw, func(sw, lvl int) bool {
-		nref++
-		capV += min(bw, n-(sw+lvl*bw+1)) - 1
-		return true
-	})
 	if cap(c.refs) < nref {
-		c.refs = make([]Reflector, 0, nref)
+		c.refs = make([]Reflector, nref)
 	}
-	c.slab = ws.SlabOf(work.Stage2Slab, capV)
+	c.refs = c.refs[:nref]
+	c.vs = ws.Floats(work.Stage2Slab, capV, false)
 }
 
-// record appends the reflector the current kernel generated, of the given
-// length, to the Q₂ output when the chase keeps it.
-func (c *chaser) record(sw, lvl, row, length int) {
-	if c.slab == nil {
+// record stores the reflector stream st's current kernel (sw, lvl)
+// generated, of the given length, in its Q₂ slot when the chase keeps Q₂.
+func (c *chaser) record(st *stream, sw, lvl, row, length int) {
+	if !c.wantQ {
 		return
 	}
-	v := c.slab.Take(length - 1)
-	copy(v, c.u[1:])
-	c.refs = append(c.refs, Reflector{Sweep: sw, Level: lvl, Row: row, V: v, Tau: c.tau})
+	at := c.voff[sw] + lvl*(c.w.bw-1)
+	v := c.vs[at : at+length-1 : at+length-1]
+	copy(v, st.u[1:])
+	c.refs[c.off[sw]+lvl] = Reflector{Sweep: sw, Level: lvl, Row: row, V: v, Tau: st.tau}
+}
+
+// kernel runs kernel (sw, lvl) on stream st.
+func (c *chaser) kernel(st *stream, sw, lvl int) {
+	if lvl == 0 {
+		c.startSweep(st, sw)
+	} else {
+		c.chaseStep(st, sw, lvl)
+	}
 }
 
 // startSweep is the xHBCEU kernel: annihilate column sw below the
 // subdiagonal, update the leading triangle two-sidedly.
-func (c *chaser) startSweep(sw int) {
+func (c *chaser) startSweep(st *stream, sw int) {
 	n, bw := c.w.n, c.w.bw
 	len0 := min(bw, n-1-sw)
 	r0 := sw + 1
-	c.tau = c.w.larfgColumn(sw, r0, len0, c.u, c.tc)
-	c.record(sw, 0, r0, len0)
-	c.w.symTwoSided(r0, len0, c.u, c.tau, c.p, c.tc)
+	st.tau = c.w.larfgColumn(sw, r0, len0, st.u, c.tc)
+	c.record(st, sw, 0, r0, len0)
+	c.w.symTwoSided(r0, len0, st.u, st.tau, st.p, c.tc)
 }
 
 // chaseStep is the combined xHBREL+xHBLRU kernel at chase depth lvl ≥ 1. It
-// starts from the reflector kernel (sw, lvl−1) left in c.u and c.tau.
-func (c *chaser) chaseStep(sw, lvl int) {
+// starts from the reflector kernel (sw, lvl−1) left in st.
+func (c *chaser) chaseStep(st *stream, sw, lvl int) {
 	n, bw := c.w.n, c.w.bw
 	prevStart := sw + (lvl-1)*bw + 1
 	prevLen := min(bw, n-1-sw-(lvl-1)*bw)
@@ -163,29 +205,182 @@ func (c *chaser) chaseStep(sw, lvl int) {
 
 	// xHBREL: right update of the off-diagonal block by the previous
 	// reflector (creates the bulge)…
-	c.w.rightUpdate(nextStart, nextLen, prevStart, prevLen, c.u, c.tau, c.p, c.tc)
+	c.w.rightUpdate(nextStart, nextLen, prevStart, prevLen, st.u, st.tau, st.p, c.tc)
 	// …then annihilate only the bulge's first column and apply the new
 	// reflector from the left to the rest of the block while it is hot in
 	// cache.
 	if nextLen >= 2 {
-		c.tau = c.w.larfgColumn(prevStart, nextStart, nextLen, c.u, c.tc)
+		st.tau = c.w.larfgColumn(prevStart, nextStart, nextLen, st.u, c.tc)
 	} else {
-		c.tau = 0
+		st.tau = 0
 	}
-	c.record(sw, lvl, nextStart, nextLen)
-	if c.tau != 0 {
-		c.w.leftUpdate(nextStart, nextLen, prevStart+1, prevLen-1, c.u, c.tau, c.p, c.tc)
+	c.record(st, sw, lvl, nextStart, nextLen)
+	if st.tau != 0 {
+		c.w.leftUpdate(nextStart, nextLen, prevStart+1, prevLen-1, st.u, st.tau, st.p, c.tc)
 		// xHBLRU: two-sided update of the next symmetric triangle.
-		c.w.symTwoSided(nextStart, nextLen, c.u, c.tau, c.p, c.tc)
+		c.w.symTwoSided(nextStart, nextLen, st.u, st.tau, st.p, c.tc)
+	}
+}
+
+// The states of the second stream's task.
+const (
+	lowerIdle     = iota // submitted, not started
+	lowerRunning         // started; the chase waits for lowerFinished
+	lowerFinished        // returned
+	lowerClaimed         // never to start: the chase ended without it
+)
+
+// split is the shared state of a two-stream chase, fresh for every chase: a
+// second-stream task that starts after its chase has returned (which happens
+// only when the chase was canceled before the task ran) finds its split
+// claimed and touches nothing else.
+type split struct {
+	state  atomic.Int32
+	stop   atomic.Bool
+	handed atomic.Int64 // sweeps the first stream has handed to the second
+	taken  atomic.Int64 // sweeps whose reflector the second stream has read from the ring
+	done   atomic.Int64 // every kernel below this sequential index has run
+}
+
+// ready reports whether the first stream may run kernel (sw, lvl) once every
+// kernel below the sequential index done has run: whether no kernel of an
+// earlier sweep's lower half that it overlaps is still to come. Kernel
+// (s, ℓ) writes rows s+ℓb+1 … s+(ℓ+1)b, and a kernel (s−k, ℓ′) rows from
+// s−k+ℓ′b+1 on, so they overlap only when ℓ′ ≤ ℓ+1+⌊(k−1)/b⌋. Only the
+// sweeps the second stream has not finished are looked at, latest first.
+func (c *chaser) ready(sw, lvl int, done int64) bool {
+	for p := sw - 1; p >= 0 && int64(c.off[p+1]) > done; p-- {
+		if p >= c.nB {
+			continue // no lower half
+		}
+		steps := c.off[p+1] - c.off[p]
+		top := min(lvl+1+(sw-p-1)/c.w.bw, steps-1)
+		if top >= upperHalf(steps) && int64(c.off[p]+top) >= done {
+			return false
+		}
+	}
+	return true
+}
+
+// wait yields until ok holds. It reports false when the job is canceled
+// before the second stream has started, whose task the scheduler may then
+// have dropped; a started second stream always catches up.
+func (sp *split) wait(job *sched.Job, ok func() bool) bool {
+	for i := 1; !ok(); i++ {
+		if i%1024 == 0 && sp.state.Load() == lowerIdle && job.Canceled() {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
+}
+
+// end stops the second stream after a cancellation and waits until it has
+// returned, or claims it if it never started.
+func (sp *split) end() {
+	sp.stop.Store(true)
+	if sp.state.CompareAndSwap(lowerIdle, lowerClaimed) {
+		return
+	}
+	for sp.state.Load() != lowerFinished {
+		runtime.Gosched()
+	}
+}
+
+// upper is the first stream, on the calling goroutine: every sweep's upper
+// half, or every whole sweep when sp is nil. After the upper half of a sweep
+// it hands the reflector of its last kernel to the second stream through the
+// two-slot ring. It checks cancellation once per sweep.
+func (c *chaser) upper(job *sched.Job, sp *split) {
+	st := &c.st[0]
+	nsw := len(c.off) - 1
+	for sw := 0; sw < nsw; sw++ {
+		if job.Canceled() {
+			c.cut(sw, sp)
+			return
+		}
+		steps := c.off[sw+1] - c.off[sw]
+		for lvl := 0; lvl < steps; lvl++ {
+			if sp == nil {
+				c.kernel(st, sw, lvl)
+				continue
+			}
+			if lvl == upperHalf(steps) {
+				// Slot sw%2 last held sweep sw−2's reflector.
+				if !sp.wait(job, func() bool { return sp.taken.Load() >= int64(sw-1) }) {
+					c.cut(sw, sp)
+					return
+				}
+				h := &c.ring[sw%2]
+				copy(h.u, st.u)
+				h.tau = st.tau
+				sp.handed.Store(int64(sw + 1))
+				break
+			}
+			if !sp.wait(job, func() bool { return c.ready(sw, lvl, sp.done.Load()) }) {
+				c.cut(sw, sp)
+				return
+			}
+			c.kernel(st, sw, lvl)
+		}
+	}
+	if sp != nil && !sp.wait(job, func() bool { return sp.done.Load() >= int64(c.off[c.nB]) }) {
+		c.cut(nsw, sp)
+	}
+}
+
+// lower is the second stream, one task on the job: the lower half of every
+// sweep that has one, each started from the reflector the first stream
+// handed over.
+func (c *chaser) lower(sp *split) {
+	if !sp.state.CompareAndSwap(lowerIdle, lowerRunning) {
+		return
+	}
+	defer sp.state.Store(lowerFinished)
+	st := &c.st[1]
+	for sw := 0; sw < c.nB; sw++ {
+		for sp.handed.Load() <= int64(sw) {
+			if sp.stop.Load() {
+				return
+			}
+			runtime.Gosched()
+		}
+		h := &c.ring[sw%2]
+		copy(st.u, h.u)
+		st.tau = h.tau
+		sp.taken.Store(int64(sw + 1))
+		steps := c.off[sw+1] - c.off[sw]
+		for lvl := upperHalf(steps); lvl < steps; lvl++ {
+			c.chaseStep(st, sw, lvl)
+			sp.done.Store(int64(c.off[sw] + lvl + 1))
+		}
+	}
+}
+
+// cut ends a canceled chase at sweep sw: it stops the second stream and keeps
+// only the reflectors of the kernels that all ran, a prefix of the sequence.
+func (c *chaser) cut(sw int, sp *split) {
+	keep := c.off[sw]
+	if sp != nil {
+		sp.end()
+		keep = min(keep, int(sp.done.Load()))
+	}
+	if c.wantQ {
+		c.refs = c.refs[:keep]
 	}
 }
 
 // Chase reduces the symmetric band matrix b2 (not modified) to tridiagonal
-// form. The kernels run in sequential order on the calling goroutine
-// whatever the job's width: the chase is memory-bound, and the paper's
-// restriction of it to a subset of cores is taken here to one stream. The
-// job only carries cancellation, checked once per sweep (a nil job never
-// cancels).
+// form. On a job of two or more workers, from order TwoStreamOrder on, every
+// sweep runs as two streams: its upper ⌈steps/2⌉ kernels on the calling
+// goroutine and the rest in one task on the job, each upper kernel waiting
+// only for the lower kernels of earlier sweeps that it overlaps (see ready).
+// The paper restricts the memory-bound chase to a subset of the cores; here
+// that is two streams, or one on a narrower job or a smaller band. Either
+// way every kernel sees the operands of the sequential order, so the result
+// is the same bits. The job carries cancellation, checked once per sweep (a
+// nil job never cancels); a canceled chase returns only after its second
+// stream has.
 //
 // wantQ selects whether the Q₂ reflector sequence is accumulated into
 // Result.Refs; values-only solves pass false and keep no reflector. If the
@@ -193,6 +388,12 @@ func (c *chaser) chaseStep(sw, lvl int) {
 // check job.Err. ws may be nil; when non-nil the Result borrows arena
 // storage and is only valid until the arena is recycled. tc may be nil.
 func Chase(b2 *matrix.SymBand, job *sched.Job, wantQ bool, ws *work.Arena, tc *trace.Collector) *Result {
+	return chase(b2, job, wantQ, ws, tc, job.Workers() >= 2 && b2.N >= TwoStreamOrder)
+}
+
+// chase is Chase with the number of streams chosen by the caller: two needs
+// a job with a scheduler.
+func chase(b2 *matrix.SymBand, job *sched.Job, wantQ bool, ws *work.Arena, tc *trace.Collector, two bool) *Result {
 	n := b2.N
 	bw := b2.KD
 	c := chaserFor(ws)
@@ -209,17 +410,12 @@ func Chase(b2 *matrix.SymBand, job *sched.Job, wantQ bool, ws *work.Arena, tc *t
 	}
 
 	c.init(b2, wantQ, ws, tc)
-	forEachStep(n, bw, func(sw, lvl int) bool {
-		if lvl > 0 {
-			c.chaseStep(sw, lvl)
-			return true
-		}
-		if job.Canceled() {
-			return false
-		}
-		c.startSweep(sw)
-		return true
-	})
+	var sp *split
+	if two && c.nB > 0 {
+		sp = &split{}
+		job.Submit(sched.Task{Name: "CHASE", Priority: math.MaxInt, Run: func(int) { c.lower(sp) }})
+	}
+	c.upper(job, sp)
 	c.w.extractTridiagonal(ws, &c.t)
 	res.T = &c.t
 	if wantQ {

@@ -193,10 +193,12 @@ func (Stage1) Run(ctx context.Context, st *SolveState) error {
 
 // Stage2 chases the band down to tridiagonal form (bulge chasing).
 // Memory-bound: the kernels stream the band with Level-2-like intensity. The
-// paper restricts this stage to a subset of the cores; here it runs as one
-// sequential stream on the calling goroutine at every worker count, the
-// job carrying only cancellation (EXPERIMENTS.md, "The bulge chase as one
-// stream").
+// paper restricts this stage to a subset of the cores. Here it runs on the
+// calling goroutine as one stream, or, on two or more workers from order
+// bulge.TwoStreamOrder on, as two: the upper half of each sweep there and
+// the lower half in one task on the phase's job (EXPERIMENTS.md, "Both
+// workers in a solve's serial sections"). The job also carries
+// cancellation.
 type Stage2 struct{}
 
 func (Stage2) Name() string { return trace.PhaseStage2 }

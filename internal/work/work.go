@@ -38,7 +38,7 @@ const (
 	Stage2Band    Key = "stage2.band"     // extracted symmetric band matrix
 	Stage2Work    Key = "stage2.workband" // extended band (bulge) storage
 	Stage2Slab    Key = "stage2.slab"     // Q₂ reflector essentials (vectors only)
-	Stage2Scratch Key = "stage2.scratch"  // bulge-kernel scratch: u = [1; v] and a product
+	Stage2Scratch Key = "stage2.scratch"  // bulge-kernel scratch: each stream's u = [1; v] and product, the handoff ring
 	Stage2Out     Key = "stage2.out"      // chaser state with its outputs (Result + Tridiagonal)
 	Stage2OutD    Key = "stage2.out.d"    // tridiagonal output diagonal
 	Stage2OutE    Key = "stage2.out.e"    // tridiagonal output off-diagonal

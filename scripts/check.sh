@@ -76,7 +76,8 @@ level-kernels        TestLevel1AsmBitwisePortable|TestLevel2AsmBitwisePortable|T
 hard-inputs          TestScaledInputsAllMethodsAgree|TestSpectrumErrorScaled|TestResidualScaled  ./internal/core ./internal/testmat
 cli                  TestReadMatrixErrors  ./cmd/eigsolve
 inputs-untouched     TestInputsUntouched  .
-bulge                TestChaseBanded|TestReflectorLattice|TestChaseCancel  ./internal/bulge
+bulge                TestChaseBanded|TestReflectorLattice|TestChaseCancel|TestChaseTwoStreams|TestSolveBitwiseAcrossWorkers|TestSolverMoreLargeSolvesThanWorkers  ./internal/bulge .
+input-scan           TestNotFiniteError|TestEigRejectsNonSymmetric  .
 service              TestServerAuth|TestServerSubmitValidation|FuzzSubmitDecode|FuzzSubmitHandler|TestServerJobEndpoints|TestServerNaNPayloadMapsTo400|TestErrorMapping|TestMemStore|TestDiskStore|FuzzDiskStoreReplay|TestRoundTripBitwise|TestCancelMidSolveFreesSlot|TestOverBudgetRefused|TestConcurrentClients  ./internal/service ./client
 EOF
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/core"
@@ -236,8 +237,12 @@ func (s *Solver) runSolve(ctx context.Context, scheduler *sched.Scheduler, tc *t
 			return nil, &RangeError{IL: il, IU: iu, N: n}
 		}
 	}
-	if err := checkFinite(a.data, max(1, n)); err != nil {
-		return nil, err
+	maxAbs, maxAsym := scanInput(a.data, n, scheduler)
+	if !(maxAbs <= math.MaxFloat64) {
+		return nil, checkFinite(a.data, max(1, n))
+	}
+	if maxAsym > symTol*maxAbs {
+		return nil, fmt.Errorf("eigen: matrix is not symmetric (tolerance %g·max|a|)", symTol)
 	}
 
 	ws := s.pool.Get(n)
@@ -254,10 +259,6 @@ func (s *Solver) runSolve(ctx context.Context, scheduler *sched.Scheduler, tc *t
 	}
 	ad := &hs.a
 	*ad = matrix.Dense{Rows: a.r, Cols: a.c, Stride: max(1, a.r), Data: a.data}
-
-	if !ad.IsSymmetric(symTol * ad.MaxAbs()) {
-		return nil, fmt.Errorf("eigen: matrix is not symmetric (tolerance %g·max|a|)", symTol)
-	}
 
 	co := s.opts.toCore(vectors, il, iu)
 	co.Workers = 0 // the persistent scheduler replaces per-solve workers
@@ -294,4 +295,79 @@ func (s *Solver) runSolve(ctx context.Context, scheduler *sched.Scheduler, tc *t
 		}
 	}
 	return res, nil
+}
+
+// scanBlock is the order of the blocks the input scan pairs with their
+// mirrors: a block and its mirror stay in cache while both are read.
+const scanBlock = 32
+
+// scanInput reads the order-n column-major a once, in scanBlock×scanBlock
+// blocks of the lower triangle and their mirrors, and returns max|a_ij| and
+// max|a_ij − a_ji|. A non-finite entry makes maxAbs NaN or +Inf, because max
+// keeps NaN. With a scheduler the block columns are split between its
+// workers by block count (the lower triangle's block columns shrink
+// linearly), the calling goroutine taking the first share; without one the
+// scan runs inline.
+func scanInput(a []float64, n int, s *sched.Scheduler) (maxAbs, maxAsym float64) {
+	nb := (n + scanBlock - 1) / scanBlock
+	w := 1
+	if s != nil {
+		w = min(s.Workers(), nb)
+	}
+	if w < 2 {
+		return scanColumns(a, n, 0, nb)
+	}
+	// Share k ends at the first block column by which at least (k+1)/w of
+	// the nb(nb+1)/2 blocks are covered.
+	ends := make([]int, w)
+	for k, b1, seen := 0, 0, 0; k < w; k++ {
+		for b1 < nb && (k == w-1 || seen*w < (k+1)*nb*(nb+1)/2) {
+			seen += nb - b1
+			b1++
+		}
+		ends[k] = b1
+	}
+	maxes := make([][2]float64, w)
+	job := s.NewJob(nil)
+	for k := 1; k < w; k++ {
+		m, lo, hi := &maxes[k], ends[k-1], ends[k]
+		job.Submit(sched.Task{Run: func(int) { m[0], m[1] = scanColumns(a, n, lo, hi) }})
+	}
+	maxAbs, maxAsym = scanColumns(a, n, 0, ends[0])
+	if job.Wait() != nil {
+		// The scheduler shut down under the solve, dropping the tasks.
+		return scanColumns(a, n, 0, nb)
+	}
+	for _, m := range maxes[1:] {
+		maxAbs, maxAsym = max(maxAbs, m[0]), max(maxAsym, m[1])
+	}
+	return maxAbs, maxAsym
+}
+
+// scanColumns is scanInput's pass over block columns [b0, b1).
+func scanColumns(a []float64, n, b0, b1 int) (maxAbs, maxAsym float64) {
+	for jb := b0; jb < b1; jb++ {
+		j0, j1 := jb*scanBlock, min(n, (jb+1)*scanBlock)
+		for i0 := j0; i0 < n; i0 += scanBlock {
+			i1 := min(n, i0+scanBlock)
+			for j := j0; j < j1; j++ {
+				col := a[j*n : (j+1)*n]
+				for i, ji := max(i0, j), j+max(i0, j)*n; i < i1; i, ji = i+1, ji+n {
+					// One comparison each on the common path; the rare one
+					// takes max, which keeps a NaN once it is in.
+					x, y := col[i], a[ji]
+					if v := math.Abs(x); !(v <= maxAbs) {
+						maxAbs = max(maxAbs, v)
+					}
+					if v := math.Abs(y); !(v <= maxAbs) {
+						maxAbs = max(maxAbs, v)
+					}
+					if v := math.Abs(x - y); !(v <= maxAsym) {
+						maxAsym = max(maxAsym, v)
+					}
+				}
+			}
+		}
+	}
+	return maxAbs, maxAsym
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/band"
 	"repro/internal/blas"
+	"repro/internal/bulge"
 	"repro/internal/testmat"
 	"repro/internal/trace"
 )
@@ -436,37 +437,77 @@ func TestSolveBitwiseAcrossKernels(t *testing.T) {
 }
 
 // TestSolveBitwiseAcrossWorkers: at a size whose band is the default 48 wide
-// (so the chase runs whole Level-2 kernels on full blocks), a full solve and
-// a values-only solve return the same bits sequentially and on 2 and 4
+// (so the chase runs whole Level-2 kernels on full blocks), and at N₂, where
+// a solve on two or more workers runs the chase as two streams, a full solve
+// and a values-only solve return the same bits sequentially and on 2 and 4
 // workers, and again when repeated on the same Solver — the order of
 // operations inside a Level-1/2 kernel is fixed, and nothing else about the
 // arithmetic depends on the schedule.
 func TestSolveBitwiseAcrossWorkers(t *testing.T) {
-	a := randSymMatrix(rand.New(rand.NewSource(29)), 256)
-	var refVals, refVecs, refOnly []float64
-	for _, w := range []int{1, 2, 4} {
-		s := NewSolver(&Options{Workers: w})
-		for rep := 0; rep < 2; rep++ {
-			res, err := s.Eig(a)
-			if err != nil {
-				t.Fatalf("workers=%d: Eig: %v", w, err)
-			}
-			only, err := s.EigValues(a)
-			if err != nil {
-				t.Fatalf("workers=%d: EigValues: %v", w, err)
-			}
-			if refVals == nil {
-				refVals, refVecs, refOnly = res.Values, res.Vectors.data, only
-				continue
-			}
-			if !slices.Equal(res.Values, refVals) || !slices.Equal(res.Vectors.data, refVecs) {
-				t.Errorf("workers=%d repetition %d: Eig differs from the first sequential solve", w, rep)
-			}
-			if !slices.Equal(only, refOnly) {
-				t.Errorf("workers=%d repetition %d: EigValues differs from the first sequential solve", w, rep)
-			}
+	for _, n := range []int{256, bulge.TwoStreamOrder} {
+		a := randSymMatrix(rand.New(rand.NewSource(29)), n)
+		reps := 2
+		if n > 256 {
+			reps = 1
 		}
-		s.Close()
+		var refVals, refVecs, refOnly []float64
+		for _, w := range []int{1, 2, 4} {
+			s := NewSolver(&Options{Workers: w})
+			for rep := 0; rep < reps; rep++ {
+				res, err := s.Eig(a)
+				if err != nil {
+					t.Fatalf("n=%d workers=%d: Eig: %v", n, w, err)
+				}
+				only, err := s.EigValues(a)
+				if err != nil {
+					t.Fatalf("n=%d workers=%d: EigValues: %v", n, w, err)
+				}
+				if refVals == nil {
+					refVals, refVecs, refOnly = res.Values, res.Vectors.data, only
+					continue
+				}
+				if !slices.Equal(res.Values, refVals) || !slices.Equal(res.Vectors.data, refVecs) {
+					t.Errorf("n=%d workers=%d repetition %d: Eig differs from the first sequential solve", n, w, rep)
+				}
+				if !slices.Equal(only, refOnly) {
+					t.Errorf("n=%d workers=%d repetition %d: EigValues differs from the first sequential solve", n, w, rep)
+				}
+			}
+			s.Close()
+		}
+	}
+}
+
+// TestSolverMoreLargeSolvesThanWorkers runs three Eig calls at N₂ at once on
+// one two-worker Solver, so that a two-stream chase can find both workers
+// busy, its second stream queued behind another solve's: every call must
+// finish, with the bits of a sequential solve.
+func TestSolverMoreLargeSolvesThanWorkers(t *testing.T) {
+	a := randSymMatrix(rand.New(rand.NewSource(30)), bulge.TwoStreamOrder)
+	want, err := Eig(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSolver(&Options{Workers: 2})
+	defer s.Close()
+	var wg sync.WaitGroup
+	errs := make([]error, 3)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := s.Eig(a)
+			if err == nil && (!slices.Equal(res.Values, want.Values) || !slices.Equal(res.Vectors.data, want.Vectors.data)) {
+				err = errors.New("differs from the sequential solve")
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("call %d: %v", i, err)
+		}
 	}
 }
 
