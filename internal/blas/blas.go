@@ -22,7 +22,7 @@
 // AVX-512F (CPUID leaf 7 EBX bit 16, XCR0 bits 1–2 and 5–7), else a 12×4
 // AVX2/FMA tile where they have AVX2 and FMA, else — and off amd64 — the
 // portable 2×4 tile. Under either assembly GEMM kernel the unit-stride
-// Level-1/2 routines run seven AVX2/FMA kernels. Every kernel accumulates
+// Level-1/2 routines run eight AVX2/FMA kernels. Every kernel accumulates
 // each result element as the same chain of fused multiply-adds its portable
 // twin computes with math.FMA, so all three families give bitwise identical
 // results; UseAsm(false), for tests, turns the assembly off.

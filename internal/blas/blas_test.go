@@ -1,8 +1,10 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -281,6 +283,28 @@ func TestGemmPropertyLinearity(t *testing.T) {
 	}
 }
 
+// TestDtrmvMatchesRowLoop: Dtrmv's column order gives the bits of the row
+// loop it replaced, each x[i] the sum of its row in ascending column order.
+func TestDtrmvMatchesRowLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, n := range []int{0, 1, 2, 5, 31, 48, 97} {
+		for _, kind := range fillKinds {
+			lda := n + 1
+			a, x := levelData(rng, lda*n, kind), levelData(rng, n, kind)
+			want := slices.Clone(x)
+			for i := 0; i < n; i++ {
+				sum := a[i+i*lda] * want[i]
+				for j := i + 1; j < n; j++ {
+					sum += a[i+j*lda] * want[j]
+				}
+				want[i] = sum
+			}
+			Dtrmv(Upper, NoTrans, NonUnit, n, a, max(lda, 1), x, 1)
+			sameFloats(t, fmt.Sprintf("Dtrmv n=%d", n), x, want)
+		}
+	}
+}
+
 func TestParamPanics(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		defer func() {
@@ -329,6 +353,9 @@ func TestUnsupportedShapesPanic(t *testing.T) {
 		{"dsymv_strided_x", "dsymv", func() { Dsymv(Lower, n, 1, m(), n, v(), 2, 0, v(), 1) }},
 		{"dsymv_strided_y", "dsymv", func() { Dsymv(Lower, n, 1, m(), n, v(), 1, 0, v(), 2) }},
 		{"dsymv_beta", "dsymv", func() { Dsymv(Lower, n, 1, m(), n, v(), 1, 2, v(), 1) }},
+		{"dsymvrows_middle", "dsymv", func() { DsymvRows(Lower, 3*n, n, 2*n, 1, make([]float64, 9*n*n), 3*n, v(), 1, 0, v(), 1) }},
+		{"dsymvrows_split", "dsymv", func() { DsymvRows(Lower, n, 0, 2, 1, m(), n, v(), 1, 0, v(), 1) }},
+		{"dsyr2kcols_split", "dsyr2k", func() { Dsyr2kCols(Lower, NoTrans, n, n, 0, 2, 1, m(), n, m(), n, 1, m(), n) }},
 		{"dger_strided_x", "dger", func() { Dger(n, n, 1, v(), 2, v(), 1, m(), n) }},
 		{"dger_strided_y", "dger", func() { Dger(n, n, 1, v(), 1, v(), 2, m(), n) }},
 		{"dtrmv_upper_trans", "dtrmv", func() { Dtrmv(Upper, Trans, NonUnit, n, m(), n, v(), 1) }},

@@ -43,7 +43,7 @@ var probedKernel = probeKernel()
 
 // kernel is the GEMM micro-kernel family this process runs: the probe's
 // answer unless UseAsm turned the assembly off. Every family other than
-// famPortable also runs the seven AVX2/FMA Level-1/2 kernels.
+// famPortable also runs the eight AVX2/FMA Level-1/2 kernels.
 var kernel = probedKernel
 
 // UseAsm turns the assembly kernels on or off and returns the previous

@@ -65,6 +65,17 @@ func gemvNStaged(m, n int, alpha float64, a []float64, lda int, x []float64, inc
 // what the solvers call is implemented: uplo must be Lower, both strides 1 and
 // beta 0 or 1.
 func Dsymv(uplo Uplo, n int, alpha float64, a []float64, lda int, x []float64, incX int, beta float64, y []float64, incY int) {
+	DsymvRows(uplo, n, 0, n, alpha, a, lda, x, incX, beta, y, incY)
+}
+
+// DsymvRows computes the rows [lo, hi) of Dsymv's y := alpha*A*x + beta*y,
+// with the bits Dsymv gives them, so that the rows of one product can be
+// split between goroutines. Only the two halves of such a split are
+// implemented: the leading rows (lo = 0), on the symvLHead kernel, or the
+// trailing rows (hi = n), a gemvN over the columns before lo and then symvL on
+// the trailing block. The split row must be a multiple of 4, which keeps every
+// row where Dsymv's row quads put it; uplo, strides and beta are as for Dsymv.
+func DsymvRows(uplo Uplo, n, lo, hi int, alpha float64, a []float64, lda int, x []float64, incX int, beta float64, y []float64, incY int) {
 	checkMatrix("dsymv", n, n, a, lda)
 	checkVector("dsymv", n, x, incX)
 	checkVector("dsymv", n, y, incY)
@@ -73,16 +84,31 @@ func Dsymv(uplo Uplo, n int, alpha float64, a []float64, lda int, x []float64, i
 	}
 	checkUnit("dsymv", incX, incY)
 	checkBeta("dsymv", beta)
-	if n == 0 {
+	split := lo
+	if lo == 0 {
+		split = hi
+	}
+	if lo < 0 || lo > hi || hi > n || (lo != 0 && hi != n) || (split%4 != 0 && split != n) {
+		panic(badParam("dsymv", "rows (a leading or trailing range split at a multiple of 4)"))
+	}
+	if lo == hi {
 		return
 	}
 	if beta == 0 {
-		clear(y[:n])
+		clear(y[lo:hi])
 	}
 	if alpha == 0 {
 		return
 	}
-	symvL(n, alpha, a, lda, x, y)
+	switch {
+	case lo == 0 && hi == n:
+		symvL(n, alpha, a, lda, x, y)
+	case lo == 0:
+		symvLHead(n, hi, alpha, a, lda, x, y)
+	default:
+		gemvN(n-lo, lo, alpha, a[lo:], lda, x, y[lo:])
+		symvL(n-lo, alpha, a[lo+lo*lda:], lda, x[lo:], y[lo:])
+	}
 }
 
 // Dger computes the rank-1 update A := alpha*x*yᵀ + A for an m×n matrix A and
@@ -124,11 +150,14 @@ func Dtrmv(uplo Uplo, trans Transpose, diag Diag, n int, a []float64, lda int, x
 	if uplo != Upper || trans != NoTrans || diag != NonUnit || incX != 1 {
 		panic(badParam("dtrmv", "shape (only Upper, NoTrans, NonUnit, unit stride supported)"))
 	}
-	for i := 0; i < n; i++ {
-		sum := a[i+i*lda] * x[i]
-		for j := i + 1; j < n; j++ {
-			sum += a[i+j*lda] * x[j]
+	// Column order, each x[i] the running sum of its row from column i on:
+	// row i takes a[i,i]·x[i] and then a[i,j]·x[j] for j = i+1… ascending,
+	// and the sums of different rows do not wait for each other.
+	for j := 0; j < n; j++ {
+		col, xj := a[j*lda:j*lda+j+1], x[j]
+		for i, aij := range col[:j] {
+			x[i] += aij * xj
 		}
-		x[i] = sum
+		x[j] = col[j] * xj
 	}
 }

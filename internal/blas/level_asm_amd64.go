@@ -29,6 +29,9 @@ func gerFMA(m, n int, alpha float64, x, y, a *float64, lda int)
 func symvLFMA(n int, alpha float64, a *float64, lda int, x, y *float64)
 
 //go:noescape
+func symvLHeadFMA(n, r int, alpha float64, a *float64, lda int, x, y *float64)
+
+//go:noescape
 func syr2LFMA(n int, alpha float64, x, y, a *float64, lda int)
 
 func dot(n int, x, y []float64) float64 {
@@ -110,6 +113,23 @@ func symvL(n int, alpha float64, a []float64, lda int, x, y []float64) {
 	}
 	_, _, _ = a[lastOf(n, n, lda)], x[n-1], y[n-1]
 	symvLFMA(n, alpha, &a[0], lda, &x[0], &y[0])
+}
+
+// symvLHead also refuses an r its group loop would run past: one that is not
+// a multiple of 4 or exceeds n.
+func symvLHead(n, r int, alpha float64, a []float64, lda int, x, y []float64) {
+	if r%4 != 0 || r > n {
+		panic("blas: symvLHead: split row not a multiple of 4 within the order")
+	}
+	if r <= 0 {
+		return
+	}
+	if kernel == famPortable {
+		symvLHeadGo(n, r, alpha, a, lda, x, y)
+		return
+	}
+	_, _, _ = a[lastOf(n, r, lda)], x[n-1], y[r-1]
+	symvLHeadFMA(n, r, alpha, &a[0], lda, &x[0], &y[0])
 }
 
 func syr2L(n int, alpha float64, x, y, a []float64, lda int) {

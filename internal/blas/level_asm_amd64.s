@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// AVX2/FMA forms of the seven Level-1/2 kernels. level_kernels.go states the
+// AVX2/FMA forms of the eight Level-1/2 kernels. level_kernels.go states the
 // operation order each one follows; level_asm_amd64.go holds the Go wrappers
 // that are their only callers and assert every bound. Conventions shared by
 // all of them: lengths are ≥ 1, lda ≥ rows and arrives in elements (converted
@@ -628,6 +628,128 @@ lastfin:
 	ADDQ   $8, DX
 	DECQ   R9
 	JNZ    lastcol
+
+done:
+	VZEROUPPER
+	RET
+
+// func symvLHeadFMA(n, r int, alpha float64, a *float64, lda int, x, y *float64)
+//
+// y[0:r] += (alpha·A·x)[0:r], r a multiple of 4: symvLFMA's groups of four
+// columns for the columns below r, R12 counting the rows left to r. Each
+// group's rectangle runs in row quads, with y's quad updated down to row r
+// (quads) and only the mirrored-row sums after it (dquads); the last rows go
+// to the sums alone.
+TEXT ·symvLHeadFMA(SB), NOSPLIT, $0-56
+	MOVQ n+0(FP), R9
+	MOVQ r+8(FP), R12
+	MOVQ a+24(FP), SI
+	MOVQ lda+32(FP), R10
+	MOVQ x+40(FP), DI
+	MOVQ y+48(FP), DX
+	SHLQ $3, R10
+	LEAQ (R10)(R10*2), R11
+
+group:
+	TESTQ        R12, R12
+	JZ           done
+	VBROADCASTSD alpha+16(FP), Y15
+	VBROADCASTSD (DI), Y8
+	VBROADCASTSD 8(DI), Y9
+	VBROADCASTSD 16(DI), Y10
+	VBROADCASTSD 24(DI), Y11
+	VMULPD       Y15, Y8, Y8
+	VMULPD       Y15, Y9, Y9
+	VMULPD       Y15, Y10, Y10
+	VMULPD       Y15, Y11, Y11
+	VXORPD       Y0, Y0, Y0
+	VXORPD       Y1, Y1, Y1
+	VXORPD       Y2, Y2, Y2
+	VXORPD       Y3, Y3, Y3
+	VMOVSD       (DX), X4
+	VMOVSD       8(DX), X5
+	VMOVSD       16(DX), X6
+	VMOVSD       24(DX), X7
+	SYMV_DIAG((SI), X8, X4)
+	SYMV_OFF(8(SI), X8, X5, 8(DI), X0)
+	SYMV_OFF(16(SI), X8, X6, 16(DI), X0)
+	SYMV_OFF(24(SI), X8, X7, 24(DI), X0)
+	SYMV_DIAG(8(SI)(R10*1), X9, X5)
+	SYMV_OFF(16(SI)(R10*1), X9, X6, 16(DI), X1)
+	SYMV_OFF(24(SI)(R10*1), X9, X7, 24(DI), X1)
+	SYMV_DIAG(16(SI)(R10*2), X10, X6)
+	SYMV_OFF(24(SI)(R10*2), X10, X7, 24(DI), X2)
+	SYMV_DIAG(24(SI)(R11*1), X11, X7)
+
+	LEAQ  32(SI), AX
+	LEAQ  32(DI), BX
+	LEAQ  32(DX), R13
+	MOVQ  R12, CX
+	SUBQ  $4, CX
+	SHRQ  $2, CX
+	TESTQ CX, CX
+	JZ    dots
+
+quads:
+	VMOVUPD (BX), Y12
+	VMOVUPD (R13), Y13
+	SYMV_COL((AX), Y8, Y0)
+	SYMV_COL((AX)(R10*1), Y9, Y1)
+	SYMV_COL((AX)(R10*2), Y10, Y2)
+	SYMV_COL((AX)(R11*1), Y11, Y3)
+	VMOVUPD Y13, (R13)
+	ADDQ    $32, AX
+	ADDQ    $32, BX
+	ADDQ    $32, R13
+	DECQ    CX
+	JNZ     quads
+
+dots:
+	MOVQ  R9, CX
+	SUBQ  R12, CX
+	SHRQ  $2, CX
+	TESTQ CX, CX
+	JZ    reduce
+
+dquads:
+	VMOVUPD     (BX), Y12
+	VFMADD231PD (AX), Y12, Y0
+	VFMADD231PD (AX)(R10*1), Y12, Y1
+	VFMADD231PD (AX)(R10*2), Y12, Y2
+	VFMADD231PD (AX)(R11*1), Y12, Y3
+	ADDQ        $32, AX
+	ADDQ        $32, BX
+	DECQ        CX
+	JNZ         dquads
+
+reduce:
+	REDUCE4(Y12, Y13)
+	MOVQ R9, CX
+	ANDQ $3, CX
+	JZ   store
+
+rows:
+	ROWOF4(Y12, X12, X13)
+	VBROADCASTSD (BX), Y13
+	VFMADD231PD  Y13, Y12, Y0
+	ADDQ         $8, AX
+	ADDQ         $8, BX
+	DECQ         CX
+	JNZ          rows
+
+store:
+	VUNPCKLPD    X5, X4, X4
+	VUNPCKLPD    X7, X6, X6
+	VINSERTF128  $1, X6, Y4, Y4
+	VBROADCASTSD alpha+16(FP), Y15
+	VFMADD231PD  Y15, Y0, Y4
+	VMOVUPD      Y4, (DX)
+	LEAQ         32(SI)(R10*4), SI
+	ADDQ         $32, DI
+	ADDQ         $32, DX
+	SUBQ         $4, R9
+	SUBQ         $4, R12
+	JMP          group
 
 done:
 	VZEROUPPER

@@ -2,11 +2,11 @@ package blas
 
 import "math"
 
-// The seven unit-stride Level-1/2 kernels under Ddot, Daxpy, Dgemv, Dger,
-// Dsymv(Lower) and Dsyr2(Lower). On amd64 with AVX2 and FMA each runs as
-// assembly (level_asm_amd64.{go,s}); the functions in this file are their
-// portable twins — what every other machine runs, and the definition of the
-// result: assembly and twin agree bit for bit, so a kernel's result never
+// The eight unit-stride Level-1/2 kernels under Ddot, Daxpy, Dgemv, Dger,
+// Dsymv(Lower), DsymvRows and Dsyr2(Lower). On amd64 with AVX2 and FMA each
+// runs as assembly (level_asm_amd64.{go,s}); the functions in this file are
+// their portable twins — what every other machine runs, and the definition of
+// the result: assembly and twin agree bit for bit, so a kernel's result never
 // depends on which of the two ran. Three rules make that possible.
 //
 //   - Every a·b + c is one fused multiply-add, rounded once: VFMADD231PD/SD in
@@ -124,6 +124,48 @@ func symvLGo(n int, alpha float64, a []float64, lda int, x, y []float64) {
 			r = fma(col[i], x[i], r)
 		}
 		y[c] = fma(alpha, r, y[c])
+	}
+}
+
+// symvLHeadGo computes y[:r] += alpha·(A·x)[:r], the leading r rows of
+// symvLGo's product, with the bits symvLGo gives them; r is a multiple of 4
+// and at most n. It makes symvLGo's passes over the stored columns c < r with
+// the axpy stopped at row r, while the mirrored-row dot products still run to
+// row n in symvLGo's lanes: r is a multiple of 4, so the rows from r on fall
+// in the same whole quads.
+func symvLHeadGo(n, r int, alpha float64, a []float64, lda int, x, y []float64) {
+	x, y = x[:n], y[:r]
+	for c := 0; c < r; c++ {
+		col := a[c*lda : c*lda+n]
+		t := alpha * x[c]
+		y[c] = fma(t, col[c], y[c])
+		var s0, s1, s2, s3 float64
+		i := c + 1
+		for top := c&^3 + 4; i < top; i++ {
+			y[i] = fma(t, col[i], y[i])
+			s0 = fma(col[i], x[i], s0)
+		}
+		for ; i < r; i += 4 {
+			y[i] = fma(t, col[i], y[i])
+			y[i+1] = fma(t, col[i+1], y[i+1])
+			y[i+2] = fma(t, col[i+2], y[i+2])
+			y[i+3] = fma(t, col[i+3], y[i+3])
+			s0 = fma(col[i], x[i], s0)
+			s1 = fma(col[i+1], x[i+1], s1)
+			s2 = fma(col[i+2], x[i+2], s2)
+			s3 = fma(col[i+3], x[i+3], s3)
+		}
+		for ; i+3 < n; i += 4 {
+			s0 = fma(col[i], x[i], s0)
+			s1 = fma(col[i+1], x[i+1], s1)
+			s2 = fma(col[i+2], x[i+2], s2)
+			s3 = fma(col[i+3], x[i+3], s3)
+		}
+		sum := (s0 + s1) + (s2 + s3)
+		for ; i < n; i++ {
+			sum = fma(col[i], x[i], sum)
+		}
+		y[c] = fma(alpha, sum, y[c])
 	}
 }
 

@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -62,7 +63,7 @@ func sameFloats(t *testing.T, what string, got, want []float64) {
 	}
 	for i, g := range got {
 		if w := want[i]; math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
-			t.Fatalf("%s: value %d = %x (%g), portable twin gives %x (%g)", what, i, math.Float64bits(g), g, math.Float64bits(w), w)
+			t.Fatalf("%s: value %d = %x (%g), want %x (%g)", what, i, math.Float64bits(g), g, math.Float64bits(w), w)
 		}
 	}
 }
@@ -152,6 +153,11 @@ func level2Case(t *testing.T, rng *rand.Rand, m, n, lda int, kind fillKind) {
 	run("symvL", ym,
 		func(y []float64) { symvL(m, alpha, a, lda, xm, y) },
 		func(y []float64) { symvLGo(m, alpha, a, lda, xm, y) })
+	for r := 0; r <= m; r += 4 {
+		run(fmt.Sprintf("symvLHead r=%d", r), ym[:r],
+			func(y []float64) { symvLHead(m, r, alpha, a, lda, xm, y) },
+			func(y []float64) { symvLHeadGo(m, r, alpha, a, lda, xm, y) })
+	}
 	run("syr2L", a,
 		func(a []float64) { syr2L(m, alpha, xm, ym, a, lda) },
 		func(a []float64) { syr2LGo(m, alpha, xm, ym, a, lda) })
@@ -305,6 +311,13 @@ func TestLevelCanaries(t *testing.T) {
 			symvL(m, alpha, s, lda, xm, ym)
 			check("symvL", 4, ym, want, m, 1, m)
 
+			if r := m &^ 3; r > 0 {
+				want = slices.Clone(ym)
+				symvLHeadGo(m, r, alpha, lower(), lda, xm, want)
+				symvLHead(m, r, alpha, s, lda, xm, ym)
+				check("symvLHead", 4, ym, want, m, 1, m)
+			}
+
 			wantS := lower()
 			syr2LGo(m, alpha, xm, ym, wantS, lda)
 			syr2L(m, alpha, xm, ym, s, lda)
@@ -346,6 +359,7 @@ func TestLevelCanaries(t *testing.T) {
 		{"symvL a", func(a, xm, xn, ym, yn []float64) { symvL(n, 2, a, lda, xn, yn) }, 0},
 		{"symvL x", func(a, xm, xn, ym, yn []float64) { symvL(n, 2, a, lda, xn, yn) }, 2},
 		{"symvL y", func(a, xm, xn, ym, yn []float64) { symvL(n, 2, a, lda, xn, yn) }, 4},
+		{"symvLHead x", func(a, xm, xn, ym, yn []float64) { symvLHead(n, 4, 2, a, lda, xn, yn) }, 2},
 		{"syr2L a", func(a, xm, xn, ym, yn []float64) { syr2L(n, 2, xn, yn, a, lda) }, 0},
 		{"syr2L x", func(a, xm, xn, ym, yn []float64) { syr2L(n, 2, xn, yn, a, lda) }, 2},
 		{"syr2L y", func(a, xm, xn, ym, yn []float64) { syr2L(n, 2, xn, yn, a, lda) }, 4},
@@ -384,6 +398,46 @@ func TestLevelCanaries(t *testing.T) {
 		}()
 		gemvN(m, n, 1, full(m*n), m-1, full(n), full(m))
 	}()
+}
+
+// TestDsymvRowsSplitBitwise: the two halves of a split Dsymv, run one after
+// the other in either order, give Dsymv's bits at every order up to 70 (every
+// n mod 4 against every group of four columns), every split row and both
+// betas, on every kernel path; so does Dsyr2kCols split at Dsyr2kHalf or at
+// any block boundary.
+func TestDsymvRowsSplitBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	forEachPath(func(path string) {
+		for n := 1; n <= 70; n++ {
+			lda := n + n%3
+			a := levelData(rng, lda*n, fillSigned)
+			x, y0 := levelData(rng, n, fillSigned), levelData(rng, n, fillSigned)
+			alpha := rng.NormFloat64()
+			for _, beta := range []float64{0, 1} {
+				want := slices.Clone(y0)
+				Dsymv(Lower, n, alpha, a, lda, x, 1, beta, want, 1)
+				for r := 0; r <= n; r += 4 {
+					got := slices.Clone(y0)
+					DsymvRows(Lower, n, r, n, alpha, a, lda, x, 1, beta, got, 1)
+					DsymvRows(Lower, n, 0, r, alpha, a, lda, x, 1, beta, got, 1)
+					sameFloats(t, fmt.Sprintf("%s: DsymvRows n=%d split %d beta %g", path, n, r, beta), got, want)
+				}
+			}
+		}
+		for _, n := range []int{1, 63, 64, 65, 200, 333} {
+			const k = 7
+			a, b := randMat(rng, n, k, n), randMat(rng, n, k, n)
+			c := randMat(rng, n, n, n)
+			want := slices.Clone(c)
+			Dsyr2k(Lower, NoTrans, n, k, -1, a, n, b, n, 1, want, n)
+			for _, s := range []int{Dsyr2kHalf(n), 0, min(routeBlock, n), n} {
+				got := slices.Clone(c)
+				Dsyr2kCols(Lower, NoTrans, n, k, s, n, -1, a, n, b, n, 1, got, n)
+				Dsyr2kCols(Lower, NoTrans, n, k, 0, s, -1, a, n, b, n, 1, got, n)
+				sameFloats(t, fmt.Sprintf("%s: Dsyr2kCols n=%d split %d", path, n, s), got, want)
+			}
+		}
+	})
 }
 
 // TestLevel2AgainstNaive checks the public Level-2 routines — kernel routes

@@ -21,4 +21,8 @@ func symvL(n int, alpha float64, a []float64, lda int, x, y []float64) {
 	symvLGo(n, alpha, a, lda, x, y)
 }
 
+func symvLHead(n, r int, alpha float64, a []float64, lda int, x, y []float64) {
+	symvLHeadGo(n, r, alpha, a, lda, x, y)
+}
+
 func syr2L(n int, alpha float64, x, y, a []float64, lda int) { syr2LGo(n, alpha, x, y, a, lda) }

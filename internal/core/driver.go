@@ -218,9 +218,10 @@ func SyevOneStage(ctx context.Context, a *matrix.Dense, o Options) (*Result, err
 	tc := o.Collector
 	ws := o.Arena
 
-	// The one-stage reduction itself is sequential, but the tridiagonal
-	// stage still runs over a scheduler when one is available (or Workers
-	// asks for one), matching the two-stage driver.
+	// The reduction and the tridiagonal stage run over a scheduler when one
+	// is available (or Workers asks for one), matching the two-stage driver:
+	// on two or more workers the reduction's large symv and rank-2k calls
+	// run as two halves, with the sequential bits (onestage.SytrdJob).
 	s := o.Sched
 	if s == nil && o.Workers > 1 {
 		s = sched.New(o.Workers)
@@ -230,10 +231,11 @@ func SyevOneStage(ctx context.Context, a *matrix.Dense, o Options) (*Result, err
 	aw := ws.Dense(work.Stage1Dense, n, n, false)
 	aw.CopyFrom(a)
 	var d, e, tau []float64
+	job := phaseJob(s, ctx)
 	tc.Phase(trace.PhaseReduction, func() {
-		d, e, tau = onestage.Sytrd(aw, o.NB, ws, tc)
+		d, e, tau = onestage.SytrdJob(aw, o.NB, job, ws, tc)
 	})
-	if err := ctxErr(ctx); err != nil {
+	if err := job.Err(); err != nil {
 		return nil, err
 	}
 	t := &matrix.Tridiagonal{D: d, E: e}

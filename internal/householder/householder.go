@@ -97,11 +97,31 @@ func Larft(m, k int, v []float64, ldv int, tau []float64, t []float64, ldt int) 
 		}
 		// T[0:i, i] = -tau[i] · V[:, 0:i]ᵀ · v_i, using the implicit
 		// unit-diagonal structure: v_i is zero above row i and 1 at row i.
-		for j := 0; j < i; j++ {
-			// Row i contribution: V[i, j] * 1.
-			sum := v[i+j*ldv]
+		// Each entry starts from row i's contribution V[i, j]·1 and adds
+		// rows i+1… in ascending order; four columns j run side by side,
+		// as independent sums.
+		vi := v[i*ldv : i*ldv+m]
+		j := 0
+		for ; j+3 < i; j += 4 {
+			c0, c1, c2, c3 := v[j*ldv:j*ldv+m], v[(j+1)*ldv:(j+1)*ldv+m], v[(j+2)*ldv:(j+2)*ldv+m], v[(j+3)*ldv:(j+3)*ldv+m]
+			s0, s1, s2, s3 := c0[i], c1[i], c2[i], c3[i]
 			for r := i + 1; r < m; r++ {
-				sum += v[r+j*ldv] * v[r+i*ldv]
+				x := vi[r]
+				s0 += c0[r] * x
+				s1 += c1[r] * x
+				s2 += c2[r] * x
+				s3 += c3[r] * x
+			}
+			t[j+i*ldt] = -tau[i] * s0
+			t[j+1+i*ldt] = -tau[i] * s1
+			t[j+2+i*ldt] = -tau[i] * s2
+			t[j+3+i*ldt] = -tau[i] * s3
+		}
+		for ; j < i; j++ {
+			cj := v[j*ldv : j*ldv+m]
+			sum := cj[i]
+			for r := i + 1; r < m; r++ {
+				sum += cj[r] * vi[r]
 			}
 			t[j+i*ldt] = -tau[i] * sum
 		}

@@ -156,3 +156,60 @@ func buildVT(rng *rand.Rand, m, k int) (v []float64, tau []float64) {
 	}
 	return v, tau
 }
+
+// larftRowLoop is Larft as it was written before its four-column dots: each
+// entry of T[0:i, i] one sum at a time. It pins Larft's bits.
+func larftRowLoop(m, k int, v []float64, ldv int, tau []float64, t []float64, ldt int) {
+	for i := 0; i < k; i++ {
+		if tau[i] == 0 {
+			for j := 0; j <= i; j++ {
+				t[j+i*ldt] = 0
+			}
+			continue
+		}
+		for j := 0; j < i; j++ {
+			sum := v[i+j*ldv]
+			for r := i + 1; r < m; r++ {
+				sum += v[r+j*ldv] * v[r+i*ldv]
+			}
+			t[j+i*ldt] = -tau[i] * sum
+		}
+		if i > 0 {
+			for r := 0; r < i; r++ { // Dtrmv in row order
+				sum := t[r+r*ldt] * t[r+i*ldt]
+				for c := r + 1; c < i; c++ {
+					sum += t[r+c*ldt] * t[c+i*ldt]
+				}
+				t[r+i*ldt] = sum
+			}
+		}
+		t[i+i*ldt] = tau[i]
+	}
+}
+
+// TestLarftMatchesRowLoop: Larft gives the row loop's bits, at every k mod 4,
+// with zero scales among the reflectors.
+func TestLarftMatchesRowLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	for _, sh := range []struct{ m, k int }{{1, 1}, {5, 3}, {9, 4}, {17, 5}, {40, 6}, {64, 7}, {100, 32}, {333, 48}} {
+		ldv, ldt := sh.m+2, sh.k+1
+		v := make([]float64, ldv*sh.k)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		tau := make([]float64, sh.k)
+		for i := range tau {
+			if rng.Intn(5) > 0 {
+				tau[i] = 1 + rng.Float64()
+			}
+		}
+		got, want := make([]float64, ldt*sh.k), make([]float64, ldt*sh.k)
+		Larft(sh.m, sh.k, v, ldv, tau, got, ldt)
+		larftRowLoop(sh.m, sh.k, v, ldv, tau, want, ldt)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("m=%d k=%d: T value %d is %g, the row loop gives %g", sh.m, sh.k, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -8,15 +8,26 @@
 package onestage
 
 import (
+	"math"
+	"runtime"
+	"sync/atomic"
+
 	"repro/internal/blas"
 	"repro/internal/householder"
 	"repro/internal/matrix"
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/work"
 )
 
 // DefaultNB is the default panel width for the blocked reduction.
 const DefaultNB = 32
+
+// SplitOrder is N₁, the trailing order from which a reduction on a job of two
+// or more workers runs each symv and each rank-2k update as two halves. Below
+// it the one call is faster (EXPERIMENTS.md, "The one-stage reduction on both
+// workers").
+const SplitOrder = 384
 
 // Sytrd reduces the symmetric matrix held in the lower triangle of a to
 // tridiagonal form: A = Q·T·Qᵀ. On return:
@@ -30,8 +41,27 @@ const DefaultNB = 32
 //
 // nb is the panel width (DefaultNB if ≤ 0). ws, which may be nil, supplies
 // the DLATRD panel workspace. tc, which may be nil, receives flop
-// accounting.
+// accounting. Sytrd runs on the calling goroutine alone: it is SytrdJob on a
+// nil job.
 func Sytrd(a *matrix.Dense, nb int, ws *work.Arena, tc *trace.Collector) (d, e, tau []float64) {
+	return SytrdJob(a, nb, nil, ws, tc)
+}
+
+// SytrdJob is Sytrd on a job. On a job of two or more workers, from the
+// trailing order SplitOrder on, latrd's symv and each panel's rank-2k update
+// run as two halves: one on the calling goroutine, the other in one task on
+// the job, submitted once. Each element of the product and of the trailing
+// matrix still takes its fused multiply-adds in the sequential order
+// (blas.DsymvRows, blas.Dsyr2kCols), so the result is Sytrd's bits. The job
+// carries cancellation, checked once per panel; if it is canceled the
+// contents of a, d, e and tau are unspecified and the caller must check
+// job.Err. SytrdJob returns only after its task has.
+func SytrdJob(a *matrix.Dense, nb int, job *sched.Job, ws *work.Arena, tc *trace.Collector) (d, e, tau []float64) {
+	return sytrd(a, nb, job, ws, tc, SplitOrder)
+}
+
+// sytrd is SytrdJob with the split order chosen by the caller.
+func sytrd(a *matrix.Dense, nb int, job *sched.Job, ws *work.Arena, tc *trace.Collector, from int) (d, e, tau []float64) {
 	n := a.Rows
 	if a.Cols != n {
 		panic("onestage: Sytrd requires a square matrix")
@@ -50,22 +80,43 @@ func Sytrd(a *matrix.Dense, nb int, ws *work.Arena, tc *trace.Collector) (d, e, 
 		return
 	}
 
+	var p *pair // nil once no later call splits
+	if job.Workers() >= 2 && n-1 >= from {
+		task := &pair{}
+		job.Submit(sched.Task{Name: "SYTRD", Priority: math.MaxInt, Run: func(int) { task.serve() }})
+		p = task
+		defer func() { p.end() }()
+	}
 	lda := a.Stride
 	w := ws.Dense(work.OneStagePanel, n, nb, false)
 	scratch := ws.Floats(work.OneStageWork, nb, false)
 	for i0 := 0; i0 < n-1; i0 += nb {
+		if job.Canceled() {
+			return
+		}
 		pb := min(nb, n-1-i0) // reflectors in this panel
 		remain := n - i0      // rows of the trailing part incl. panel
-		latrd(a.View(i0, i0, remain, remain), pb, d[i0:], e[i0:], tau[i0:], w, scratch, tc)
+		if p != nil && remain-1 < from {
+			p.end() // no later call splits: free the worker
+			p = nil
+		}
+		latrd(a.View(i0, i0, remain, remain), pb, d[i0:], e[i0:], tau[i0:], w, scratch, tc, p, from)
 		// Rank-2pb update of the trailing submatrix:
 		// A[i0+pb:, i0+pb:] -= V·Wᵀ + W·Vᵀ where V is the panel's
 		// reflectors and W the latrd workspace.
 		t0 := i0 + pb
 		nt := n - t0
 		if nt > 0 {
-			vsub := a.Data[t0+i0*lda:]
-			wsub := w.Data[pb:]
-			blas.Dsyr2k(blas.Lower, blas.NoTrans, nt, pb, -1, vsub, lda, wsub, w.Stride, 1, a.Data[t0+t0*lda:], lda)
+			upd := half{syr2k: true, n: nt, k: pb, hi: nt, alpha: -1,
+				a: a.Data[t0+i0*lda:], lda: lda, b: w.Data[pb:], ldb: w.Stride, c: a.Data[t0+t0*lda:], ldc: lda}
+			if p != nil && nt >= from {
+				right := upd
+				upd.hi = blas.Dsyr2kHalf(nt)
+				right.lo = upd.hi
+				p.split(upd, right)
+			} else {
+				upd.run()
+			}
 			tc.AddFlops(trace.KSyrk, 2*int64(nt)*int64(nt+1)*int64(pb))
 		}
 	}
@@ -79,8 +130,9 @@ func Sytrd(a *matrix.Dense, nb int, ws *work.Arena, tc *trace.Collector) (d, e, 
 // latrd reduces the first pb columns of the symmetric sub (order m, lower)
 // to tridiagonal form, accumulating the update factors into w so the caller
 // can apply a single rank-2pb update to the trailing submatrix. It mirrors
-// LAPACK's DLATRD (uplo = 'L'). scratch must hold ≥ pb floats.
-func latrd(sub *matrix.Dense, pb int, d, e, tau []float64, w *matrix.Dense, scratch []float64, tc *trace.Collector) {
+// LAPACK's DLATRD (uplo = 'L'). scratch must hold ≥ pb floats. With a pair,
+// each symv of order from or more runs as two halves.
+func latrd(sub *matrix.Dense, pb int, d, e, tau []float64, w *matrix.Dense, scratch []float64, tc *trace.Collector, p *pair, from int) {
 	m := sub.Rows
 	lda := sub.Stride
 	ldw := w.Stride
@@ -107,7 +159,15 @@ func latrd(sub *matrix.Dense, pb int, d, e, tau []float64, w *matrix.Dense, scra
 		vlen := m - i - 1
 		v := sub.Data[i+1+i*lda:]
 		wi := w.Data[i+1+i*ldw:]
-		blas.Dsymv(blas.Lower, vlen, t, sub.Data[(i+1)+(i+1)*lda:], lda, v, 1, 0, wi, 1)
+		mv := half{n: vlen, hi: vlen, alpha: t, a: sub.Data[(i+1)+(i+1)*lda:], lda: lda, b: v, c: wi}
+		if p != nil && vlen >= from {
+			tail := mv
+			mv.hi = vlen / 2 &^ 3
+			tail.lo = mv.hi
+			p.split(mv, tail)
+		} else {
+			mv.run()
+		}
 		tc.AddFlops(trace.KSymv, 2*int64(vlen)*int64(vlen))
 		if i > 0 {
 			// w_i -= tau·(V·(Wᵀv) + W·(Vᵀv)) restricted to rows i+1:.
@@ -122,5 +182,104 @@ func latrd(sub *matrix.Dense, pb int, d, e, tau []float64, w *matrix.Dense, scra
 		dot := blas.Ddot(vlen, wi, 1, v, 1)
 		blas.Daxpy(vlen, -0.5*t*dot, v, 1, wi, 1)
 		tc.AddFlops(trace.KOther, 4*int64(vlen))
+	}
+}
+
+// half is one half of a split call, or a whole call: the rows [lo, hi) of
+// the product w = alpha·A·b (A of order n in a, lower, w in c), or with syr2k
+// the columns [lo, hi) of the update C += alpha·(A·Bᵀ + B·Aᵀ), A and B n×k.
+type half struct {
+	syr2k         bool
+	n, k, lo, hi  int
+	alpha         float64
+	a, b, c       []float64
+	lda, ldb, ldc int
+}
+
+func (h *half) run() {
+	if h.syr2k {
+		blas.Dsyr2kCols(blas.Lower, blas.NoTrans, h.n, h.k, h.lo, h.hi, h.alpha, h.a, h.lda, h.b, h.ldb, 1, h.c, h.ldc)
+		return
+	}
+	blas.DsymvRows(blas.Lower, h.n, h.lo, h.hi, h.alpha, h.a, h.lda, h.b, 1, 0, h.c, 1)
+}
+
+// The states of a pair's task.
+const (
+	taskIdle     = iota // submitted, not started
+	taskRunning         // started; end waits for taskFinished
+	taskFinished        // returned
+	taskClaimed         // never to start: the reduction ended without it
+)
+
+// pair is the shared state of a split reduction, fresh for every one: the
+// calling goroutine posts the second half of each split call, and the pair's
+// task on the job or the caller itself, whichever claims it first, runs it.
+// So a task still queued behind another solve's work costs only its
+// parallelism, and a task that starts after its reduction has ended finds
+// itself claimed and touches nothing else.
+type pair struct {
+	state  atomic.Int32
+	stop   atomic.Bool
+	posted atomic.Int64 // halves posted
+	taken  atomic.Int64 // halves claimed, by the task or by the caller
+	done   atomic.Int64 // halves the task has run
+	h      half         // the half numbered posted
+}
+
+// split runs mine on the calling goroutine and theirs on the pair's task,
+// unless the caller finishes first and claims theirs too; it returns when
+// both have run.
+func (p *pair) split(mine, theirs half) {
+	k := p.posted.Load() + 1
+	p.h = theirs
+	p.posted.Store(k)
+	mine.run()
+	if p.taken.CompareAndSwap(k-1, k) {
+		theirs.run()
+		return
+	}
+	for p.done.Load() < k {
+		runtime.Gosched()
+	}
+}
+
+// serve is the pair's task: it runs each posted half it claims until end
+// stops it.
+func (p *pair) serve() {
+	if !p.state.CompareAndSwap(taskIdle, taskRunning) {
+		return
+	}
+	defer p.state.Store(taskFinished)
+	var seen int64
+	for {
+		k := p.posted.Load()
+		if k == seen {
+			if p.stop.Load() {
+				return
+			}
+			runtime.Gosched()
+			continue
+		}
+		seen = k
+		if p.taken.CompareAndSwap(k-1, k) {
+			p.h.run()
+			p.done.Store(k)
+		}
+	}
+}
+
+// end stops the pair's task and waits until it has returned, or claims it if
+// it never started. A nil pair has nothing to end.
+func (p *pair) end() {
+	if p == nil {
+		return
+	}
+	p.stop.Store(true)
+	if p.state.CompareAndSwap(taskIdle, taskClaimed) {
+		return
+	}
+	for p.state.Load() != taskFinished {
+		runtime.Gosched()
 	}
 }

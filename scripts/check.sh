@@ -72,7 +72,8 @@ tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestParallelTr
 stage1-lookahead     TestReduceLookahead|TestReduceMatchesMirrorReference|TestReduceTaskCount|TestLookaheadSolverBitwise|TestStage1  ./internal/band ./internal/core
 sched                TestSchedRandomDAGDrains  ./internal/sched
 packed-engine        TestBlock|TestGemmPackedA|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestProbeWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestGemmAsmBitwisePortable|TestFusedRulePin|TestSolveBitwiseAcrossKernels|BenchmarkGemmKernels  ./internal/householder ./internal/blas .
-level-kernels        TestLevel1AsmBitwisePortable|TestLevel2AsmBitwisePortable|TestLevelCanaries|TestFusedRulePin|TestUnsupportedShapesPanic  ./internal/blas
+level-kernels        TestLevel1AsmBitwisePortable|TestLevel2AsmBitwisePortable|TestLevelCanaries|TestFusedRulePin|TestUnsupportedShapesPanic|TestDsymvRowsSplitBitwise|TestDtrmvMatchesRowLoop  ./internal/blas
+one-stage            TestSytrd|TestApplyQ|TestParallelTridiagOneStage|TestSytrdJobBitwise|TestSytrdJobCancel|TestSytrdJobTaskQueued|TestSolverCancelDuringSytrd|TestLarftMatchesRowLoop  ./internal/onestage ./internal/householder ./internal/core .
 hard-inputs          TestScaledInputsAllMethodsAgree|TestSpectrumErrorScaled|TestResidualScaled  ./internal/core ./internal/testmat
 cli                  TestReadMatrixErrors  ./cmd/eigsolve
 inputs-untouched     TestInputsUntouched  .

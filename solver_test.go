@@ -11,11 +11,13 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/band"
 	"repro/internal/blas"
 	"repro/internal/bulge"
+	"repro/internal/onestage"
 	"repro/internal/testmat"
 	"repro/internal/trace"
 )
@@ -437,14 +439,19 @@ func TestSolveBitwiseAcrossKernels(t *testing.T) {
 }
 
 // TestSolveBitwiseAcrossWorkers: at a size whose band is the default 48 wide
-// (so the chase runs whole Level-2 kernels on full blocks), and at N₂, where
-// a solve on two or more workers runs the chase as two streams, a full solve
-// and a values-only solve return the same bits sequentially and on 2 and 4
-// workers, and again when repeated on the same Solver — the order of
-// operations inside a Level-1/2 kernel is fixed, and nothing else about the
-// arithmetic depends on the schedule.
+// (so the chase runs whole Level-2 kernels on full blocks), at N₂, where a
+// solve on two or more workers runs the chase as two streams, and for the
+// one-stage reduction above N₁, where such a solve splits its symv and
+// rank-2k calls in two, a full solve and a values-only solve return the same
+// bits sequentially and on 2 and 4 workers, and again when repeated on the
+// same Solver — the order of operations inside a Level-1/2 kernel is fixed,
+// and nothing else about the arithmetic depends on the schedule.
 func TestSolveBitwiseAcrossWorkers(t *testing.T) {
-	for _, n := range []int{256, bulge.TwoStreamOrder} {
+	for _, tc := range []struct {
+		n   int
+		alg Algorithm
+	}{{256, TwoStage}, {bulge.TwoStreamOrder, TwoStage}, {2*onestage.SplitOrder + 3, OneStage}} {
+		n := tc.n
 		a := randSymMatrix(rand.New(rand.NewSource(29)), n)
 		reps := 2
 		if n > 256 {
@@ -452,25 +459,25 @@ func TestSolveBitwiseAcrossWorkers(t *testing.T) {
 		}
 		var refVals, refVecs, refOnly []float64
 		for _, w := range []int{1, 2, 4} {
-			s := NewSolver(&Options{Workers: w})
+			s := NewSolver(&Options{Workers: w, Algorithm: tc.alg})
 			for rep := 0; rep < reps; rep++ {
 				res, err := s.Eig(a)
 				if err != nil {
-					t.Fatalf("n=%d workers=%d: Eig: %v", n, w, err)
+					t.Fatalf("n=%d %v workers=%d: Eig: %v", n, tc.alg, w, err)
 				}
 				only, err := s.EigValues(a)
 				if err != nil {
-					t.Fatalf("n=%d workers=%d: EigValues: %v", n, w, err)
+					t.Fatalf("n=%d %v workers=%d: EigValues: %v", n, tc.alg, w, err)
 				}
 				if refVals == nil {
 					refVals, refVecs, refOnly = res.Values, res.Vectors.data, only
 					continue
 				}
 				if !slices.Equal(res.Values, refVals) || !slices.Equal(res.Vectors.data, refVecs) {
-					t.Errorf("n=%d workers=%d repetition %d: Eig differs from the first sequential solve", n, w, rep)
+					t.Errorf("n=%d %v workers=%d repetition %d: Eig differs from the first sequential solve", n, tc.alg, w, rep)
 				}
 				if !slices.Equal(only, refOnly) {
-					t.Errorf("n=%d workers=%d repetition %d: EigValues differs from the first sequential solve", n, w, rep)
+					t.Errorf("n=%d %v workers=%d repetition %d: EigValues differs from the first sequential solve", n, tc.alg, w, rep)
 				}
 			}
 			s.Close()
@@ -480,34 +487,86 @@ func TestSolveBitwiseAcrossWorkers(t *testing.T) {
 
 // TestSolverMoreLargeSolvesThanWorkers runs three Eig calls at N₂ at once on
 // one two-worker Solver, so that a two-stream chase can find both workers
-// busy, its second stream queued behind another solve's: every call must
-// finish, with the bits of a sequential solve.
+// busy, its second stream queued behind another solve's; and the same for
+// three one-stage calls above N₁, whose split reductions' tasks can queue the
+// same way. Every call must finish, with the bits of a sequential solve.
 func TestSolverMoreLargeSolvesThanWorkers(t *testing.T) {
-	a := randSymMatrix(rand.New(rand.NewSource(30)), bulge.TwoStreamOrder)
-	want, err := Eig(a, nil)
+	for _, tc := range []struct {
+		n   int
+		alg Algorithm
+	}{{bulge.TwoStreamOrder, TwoStage}, {2 * onestage.SplitOrder, OneStage}} {
+		a := randSymMatrix(rand.New(rand.NewSource(30)), tc.n)
+		want, err := Eig(a, &Options{Algorithm: tc.alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSolver(&Options{Workers: 2, Algorithm: tc.alg})
+		var wg sync.WaitGroup
+		errs := make([]error, 3)
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := s.Eig(a)
+				if err == nil && (!slices.Equal(res.Values, want.Values) || !slices.Equal(res.Vectors.data, want.Vectors.data)) {
+					err = errors.New("differs from the sequential solve")
+				}
+				errs[i] = err
+			}()
+		}
+		wg.Wait()
+		s.Close()
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("%v call %d: %v", tc.alg, i, err)
+			}
+		}
+	}
+}
+
+// cancelAfter is a context whose Err reports cancellation from its calls-th
+// call on: the one-stage reduction checks its job once per panel, so a solve
+// on it is canceled a few panels into the reduction.
+type cancelAfter struct {
+	context.Context
+	calls atomic.Int32
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSolverCancelDuringSytrd cancels a one-stage solve on two workers while
+// its split reduction runs, the reduction's task in flight: the solve
+// returns the cancellation, and the Solver then solves the same matrix with
+// the bits of a sequential solve.
+func TestSolverCancelDuringSytrd(t *testing.T) {
+	a := randSymMatrix(rand.New(rand.NewSource(31)), 2*onestage.SplitOrder)
+	want, err := Eig(a, &Options{Algorithm: OneStage})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSolver(&Options{Workers: 2})
+	s := NewSolver(&Options{Workers: 2, Algorithm: OneStage})
 	defer s.Close()
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	for i := range errs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := s.Eig(a)
-			if err == nil && (!slices.Equal(res.Values, want.Values) || !slices.Equal(res.Vectors.data, want.Vectors.data)) {
-				err = errors.New("differs from the sequential solve")
-			}
-			errs[i] = err
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("call %d: %v", i, err)
+	for _, calls := range []int32{4, 8} {
+		ctx := &cancelAfter{Context: context.Background()}
+		ctx.calls.Store(calls)
+		if _, err := s.EigCtx(ctx, a); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled after %d checks: error %v", calls, err)
 		}
+	}
+	res, err := s.Eig(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Values, want.Values) || !slices.Equal(res.Vectors.data, want.Vectors.data) {
+		t.Fatal("solve after the cancellation differs from the sequential solve")
+	}
+	if _, err := testmat.Check(asDense(a), res.Values, asDense(res.Vectors), checkTol); err != nil {
+		t.Fatal(err)
 	}
 }
 
