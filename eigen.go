@@ -117,7 +117,6 @@ func (o *Options) toCore(vectors bool, il, iu int) core.Options {
 	var c core.Options
 	if o != nil {
 		c.NB = o.NB
-		c.Workers = o.Workers
 		c.Collector = o.Collector
 		switch o.Method {
 		case BisectionInverseIteration:

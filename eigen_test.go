@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/matrix"
+	"repro/internal/sched"
 	"repro/internal/testmat"
 )
 
@@ -193,6 +196,50 @@ func TestEigRejectsNonSymmetric(t *testing.T) {
 				a.Set(p[1], p[0], symTol)
 			}
 		}
+	}
+}
+
+// TestScanInputWorkersHeld: with both workers of a two-worker scheduler held
+// by another job's gate tasks, the input scan's helper task cannot start, and
+// scanInput must return on the caller alone, with the maxima of an inline
+// scan, before the gate opens.
+func TestScanInputWorkersHeld(t *testing.T) {
+	n := 600
+	a := unitSymMatrix(rand.New(rand.NewSource(15)), n)
+	a.Set(n-1, n/2, a.At(n-1, n/2)+0.25) // an asymmetry in the helper's share
+	wantAbs, wantAsym := scanInput(a.data, n, nil)
+	s := sched.New(2)
+	defer s.Shutdown()
+	gate := make(chan struct{})
+	var running sync.WaitGroup
+	running.Add(2)
+	hold := s.NewJob(nil)
+	for range 2 {
+		hold.Submit(sched.Task{Run: func(int) {
+			running.Done()
+			<-gate
+		}})
+	}
+	running.Wait()
+	got := make(chan [2]float64, 1)
+	go func() {
+		maxAbs, maxAsym := scanInput(a.data, n, s.NewJob(nil))
+		got <- [2]float64{maxAbs, maxAsym}
+	}()
+	var m [2]float64
+	select {
+	case m = <-got:
+	case <-time.After(5 * time.Second):
+		close(gate)
+		<-got
+		t.Fatal("scanInput waited for a worker held by another job")
+	}
+	close(gate)
+	if err := hold.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if m[0] != wantAbs || m[1] != wantAsym {
+		t.Fatalf("scan with the workers held: max|a| %g, max asymmetry %g; inline scan %g, %g", m[0], m[1], wantAbs, wantAsym)
 	}
 }
 

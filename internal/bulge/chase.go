@@ -23,7 +23,6 @@
 package bulge
 
 import (
-	"math"
 	"runtime"
 	"sync/atomic"
 
@@ -222,24 +221,14 @@ func (c *chaser) chaseStep(st *stream, sw, lvl int) {
 	}
 }
 
-// The states of the second stream's task.
-const (
-	lowerIdle     = iota // submitted, not started
-	lowerRunning         // started; the chase waits for lowerFinished
-	lowerFinished        // returned
-	lowerClaimed         // never to start: the chase ended without it
-)
-
-// split is the shared state of a two-stream chase, fresh for every chase: a
-// second-stream task that starts after its chase has returned (which happens
-// only when the chase was canceled before the task ran) finds its split
-// claimed and touches nothing else.
-type split struct {
-	state  atomic.Int32
-	stop   atomic.Bool
-	handed atomic.Int64 // sweeps the first stream has handed to the second
-	taken  atomic.Int64 // sweeps whose reflector the second stream has read from the ring
-	done   atomic.Int64 // every kernel below this sequential index has run
+// pipe is the handoff of a two-stream chase, fresh for every chase: the
+// first stream hands each sweep's reflector to the second through the ring,
+// and each stream waits on the other's counters.
+type pipe struct {
+	h      *sched.Helper // runs the second stream
+	handed atomic.Int64  // sweeps the first stream has handed to the second
+	taken  atomic.Int64  // sweeps whose reflector the second stream has read from the ring
+	done   atomic.Int64  // every kernel below this sequential index has run
 }
 
 // ready reports whether the first stream may run kernel (sw, lvl) once every
@@ -263,11 +252,11 @@ func (c *chaser) ready(sw, lvl int, done int64) bool {
 }
 
 // wait yields until ok holds. It reports false when the job is canceled
-// before the second stream has started, whose task the scheduler may then
+// before the second stream's task has started, which the scheduler may then
 // have dropped; a started second stream always catches up.
-func (sp *split) wait(job *sched.Job, ok func() bool) bool {
+func (sp *pipe) wait(job *sched.Job, ok func() bool) bool {
 	for i := 1; !ok(); i++ {
-		if i%1024 == 0 && sp.state.Load() == lowerIdle && job.Canceled() {
+		if i%1024 == 0 && !sp.h.Started() && job.Canceled() {
 			return false
 		}
 		runtime.Gosched()
@@ -275,23 +264,11 @@ func (sp *split) wait(job *sched.Job, ok func() bool) bool {
 	return true
 }
 
-// end stops the second stream after a cancellation and waits until it has
-// returned, or claims it if it never started.
-func (sp *split) end() {
-	sp.stop.Store(true)
-	if sp.state.CompareAndSwap(lowerIdle, lowerClaimed) {
-		return
-	}
-	for sp.state.Load() != lowerFinished {
-		runtime.Gosched()
-	}
-}
-
 // upper is the first stream, on the calling goroutine: every sweep's upper
 // half, or every whole sweep when sp is nil. After the upper half of a sweep
 // it hands the reflector of its last kernel to the second stream through the
 // two-slot ring. It checks cancellation once per sweep.
-func (c *chaser) upper(job *sched.Job, sp *split) {
+func (c *chaser) upper(job *sched.Job, sp *pipe) {
 	st := &c.st[0]
 	nsw := len(c.off) - 1
 	for sw := 0; sw < nsw; sw++ {
@@ -329,21 +306,19 @@ func (c *chaser) upper(job *sched.Job, sp *split) {
 	}
 }
 
-// lower is the second stream, one task on the job: the lower half of every
+// lower is the second stream, on the helper's task: the lower half of every
 // sweep that has one, each started from the reflector the first stream
-// handed over.
-func (c *chaser) lower(sp *split) {
-	if !sp.state.CompareAndSwap(lowerIdle, lowerRunning) {
-		return
-	}
-	defer sp.state.Store(lowerFinished)
+// handed over. Once the helper is stopped it returns at the next sweep, so
+// that after a cut it touches nothing more, whether the task runs it or the
+// caller, which runs it if the task never claimed it.
+func (c *chaser) lower(sp *pipe) {
 	st := &c.st[1]
 	for sw := 0; sw < c.nB; sw++ {
-		for sp.handed.Load() <= int64(sw) {
-			if sp.stop.Load() {
-				return
-			}
+		for !sp.h.Stopped() && sp.handed.Load() <= int64(sw) {
 			runtime.Gosched()
+		}
+		if sp.h.Stopped() {
+			return
 		}
 		h := &c.ring[sw%2]
 		copy(st.u, h.u)
@@ -359,10 +334,10 @@ func (c *chaser) lower(sp *split) {
 
 // cut ends a canceled chase at sweep sw: it stops the second stream and keeps
 // only the reflectors of the kernels that all ran, a prefix of the sequence.
-func (c *chaser) cut(sw int, sp *split) {
+func (c *chaser) cut(sw int, sp *pipe) {
 	keep := c.off[sw]
 	if sp != nil {
-		sp.end()
+		sp.h.End()
 		keep = min(keep, int(sp.done.Load()))
 	}
 	if c.wantQ {
@@ -392,7 +367,7 @@ func Chase(b2 *matrix.SymBand, job *sched.Job, wantQ bool, ws *work.Arena, tc *t
 }
 
 // chase is Chase with the number of streams chosen by the caller: two needs
-// a job with a scheduler.
+// a job of two or more workers.
 func chase(b2 *matrix.SymBand, job *sched.Job, wantQ bool, ws *work.Arena, tc *trace.Collector, two bool) *Result {
 	n := b2.N
 	bw := b2.KD
@@ -410,12 +385,13 @@ func chase(b2 *matrix.SymBand, job *sched.Job, wantQ bool, ws *work.Arena, tc *t
 	}
 
 	c.init(b2, wantQ, ws, tc)
-	var sp *split
 	if two && c.nB > 0 {
-		sp = &split{}
-		job.Submit(sched.Task{Name: "CHASE", Priority: math.MaxInt, Run: func(int) { c.lower(sp) }})
+		sp := &pipe{h: job.Helper("CHASE")}
+		sp.h.Split(func() { c.upper(job, sp) }, func() { c.lower(sp) })
+		sp.h.End()
+	} else {
+		c.upper(job, nil)
 	}
-	c.upper(job, sp)
 	c.w.extractTridiagonal(ws, &c.t)
 	res.T = &c.t
 	if wantQ {

@@ -218,10 +218,11 @@ func SyevOneStage(ctx context.Context, a *matrix.Dense, o Options) (*Result, err
 	tc := o.Collector
 	ws := o.Arena
 
-	// The reduction and the tridiagonal stage run over a scheduler when one
-	// is available (or Workers asks for one), matching the two-stage driver:
-	// on two or more workers the reduction's large symv and rank-2k calls
-	// run as two halves, with the sequential bits (onestage.SytrdJob).
+	// Every step runs over a scheduler when one is available (or Workers
+	// asks for one), matching the two-stage driver: on two or more workers
+	// the reduction's large symv and rank-2k calls and a wide C's
+	// back-transformation run as two halves, with the sequential bits
+	// (onestage.SytrdJob, onestage.ApplyQJob).
 	s := o.Sched
 	if s == nil && o.Workers > 1 {
 		s = sched.New(o.Workers)
@@ -251,7 +252,7 @@ func SyevOneStage(ctx context.Context, a *matrix.Dense, o Options) (*Result, err
 		return nil, err
 	}
 	tc.Phase(trace.PhaseBacktrans, func() {
-		onestage.ApplyQ(aw, tau, blas.NoTrans, evecs, o.NB, ws, tc)
+		onestage.ApplyQJob(aw, tau, blas.NoTrans, evecs, o.NB, phaseJob(s, ctx), ws, tc)
 	})
 	res.Vectors = evecs
 	return res, nil

@@ -71,11 +71,9 @@ type SolveState struct {
 	ws *work.Arena
 	tc *trace.Collector
 
-	// inline is the shared schedulerless job: created lazily on the first
-	// sequential phase and reused by every later one, so cancellation state
-	// stays sticky across phases exactly as in the straight-line driver.
-	inline    *sched.Job
-	inlineSet bool
+	// inline is the storage of a sequential solve's schedulerless job,
+	// remade in place on each phase's ctx.
+	inline *sched.Job
 
 	// Cross-phase artifacts, owned by the state (arena-backed except for
 	// vals/evecs, which are caller-owned copies).
@@ -159,20 +157,21 @@ func (st *SolveState) Result() *Result {
 }
 
 // phaseJob returns the task stream a phase runs on: a fresh job per phase on
-// the solve's scheduler, or — for a sequential solve — the state's single
-// inline job, which carries cancellation across phases exactly like the
-// straight-line driver did.
+// the solve's scheduler, or — for a sequential solve — an inline job on the
+// phase's own ctx (nil for a nil ctx), made in storage the state keeps so
+// that a solve allocates it once.
 func (st *SolveState) phaseJob(ctx context.Context) *sched.Job {
 	if st.s != nil {
 		return st.s.NewJob(ctx)
 	}
-	if !st.inlineSet {
-		st.inlineSet = true
-		if ctx != nil {
-			st.inline = sched.Inline(ctx)
-		}
+	if ctx == nil {
+		return nil // a nil *Job is valid everywhere and never cancels
 	}
-	return st.inline // may be nil (no ctx): a nil *Job is valid everywhere
+	if st.inline == nil {
+		st.inline = new(sched.Job)
+	}
+	*st.inline = *sched.Inline(ctx)
+	return st.inline
 }
 
 // Stage1 reduces A to band form (the tile DAG of the paper's first stage).

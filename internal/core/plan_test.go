@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -138,6 +139,32 @@ func TestSolveStateSuspendResume(t *testing.T) {
 				}
 			}
 			requireSameResult(t, "suspend point", st.Result(), want)
+			st.Close()
+		}
+	}
+}
+
+// TestSolveStatePhaseContext: every phase honours the ctx it is run with,
+// whatever ctx an earlier phase had. Stage1 runs with no ctx or a live one,
+// then Stage2 with a canceled one, which it must report, sequentially and on
+// a scheduler.
+func TestSolveStatePhaseContext(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	a := testmat.WithSpectrum(rng, testmat.UniformSpectrum(48, -4, 6))
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2} {
+		for _, first := range []context.Context{nil, context.Background()} {
+			st, plan, err := NewSolveState(context.Background(), a, Options{Vectors: true, NB: 8, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := plan[0].Run(first, st); err != nil {
+				t.Fatalf("workers=%d first ctx %v: %s: %v", workers, first, plan[0].Name(), err)
+			}
+			if err := plan[1].Run(canceled, st); !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d first ctx %v: %s with a canceled ctx returned %v", workers, first, plan[1].Name(), err)
+			}
 			st.Close()
 		}
 	}

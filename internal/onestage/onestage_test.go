@@ -1,13 +1,15 @@
 package onestage
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/blas"
 	"repro/internal/matrix"
+	"repro/internal/sched"
 	"repro/internal/testmat"
 	"repro/internal/trace"
 	"repro/internal/tridiag"
@@ -127,26 +129,53 @@ func TestApplyQTransIsInverse(t *testing.T) {
 	}
 }
 
-// TestApplyQWideMatchesSequential covers the column fan-out of a wide C: the
-// goroutines own disjoint column ranges and the result is bitwise the
-// single-goroutine one.
+// TestApplyQWideMatchesSequential covers the column halves of a wide C:
+// ApplyQJob on jobs of 1, 2 and 4 workers, just below, at and above the
+// 2·NC columns from which it splits, and once on a two-worker job whose
+// workers another job holds (so the caller runs both halves), gives the bits
+// of the nil-job ApplyQ.
 func TestApplyQWideMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	n, m := 19, 2*blas.DefaultNC+5
+	n := 19
 	a := testmat.RandomSym(rng, n)
 	_, _, tau := Sytrd(a, 4, nil, nil)
-	c := matrix.NewDense(n, m)
-	for i := range c.Data {
-		c.Data[i] = rng.NormFloat64()
+	check := func(what string, m int, trans blas.Transpose, job *sched.Job) {
+		t.Helper()
+		c := matrix.NewDense(n, m)
+		for i := range c.Data {
+			c.Data[i] = rng.NormFloat64()
+		}
+		want := c.Clone()
+		ApplyQ(a, tau, trans, want, 4, nil, nil)
+		ApplyQJob(a, tau, trans, c, 4, job, nil, nil)
+		if err := job.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(c.Data, want.Data) {
+			t.Fatalf("%s m=%d trans=%v: ApplyQJob differs from ApplyQ", what, m, trans)
+		}
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	want := c.Clone()
-	ApplyQ(a, tau, blas.NoTrans, want, 4, nil, nil)
-	runtime.GOMAXPROCS(3)
-	got := c.Clone()
-	ApplyQ(a, tau, blas.NoTrans, got, 4, nil, nil)
-	if !got.Equalish(want, 0) {
-		t.Fatal("fanned-out ApplyQ differs from the sequential one")
+	for _, w := range []int{1, 2, 4} {
+		s := sched.New(w)
+		for _, m := range []int{2*blas.DefaultNC - 1, 2 * blas.DefaultNC, 2*blas.DefaultNC + 5} {
+			for _, trans := range []blas.Transpose{blas.NoTrans, blas.Trans} {
+				check(fmt.Sprintf("W=%d", w), m, trans, s.NewJob(nil))
+			}
+		}
+		s.Shutdown()
+	}
+
+	s := sched.New(2)
+	defer s.Shutdown()
+	gate := make(chan struct{})
+	hold := s.NewJob(nil)
+	for range 2 {
+		hold.Submit(sched.Task{Priority: math.MaxInt, Run: func(int) { <-gate }})
+	}
+	check("workers held", 2*blas.DefaultNC, blas.NoTrans, s.NewJob(nil))
+	close(gate)
+	if err := hold.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,12 +1,10 @@
 package onestage
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/blas"
 	"repro/internal/householder"
 	"repro/internal/matrix"
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/work"
 )
@@ -22,8 +20,18 @@ import (
 // reflector is formed (Larft), prepared once (householder.Block) and applied
 // to all of C — which is what makes the one-stage back-transformation run at
 // Level-3 speed (the "Update Z = 2n³·f" term in the paper's Eq. 4). This is
-// the equivalent of LAPACK's DORMTR(side='L', uplo='L').
+// the equivalent of LAPACK's DORMTR(side='L', uplo='L'). ApplyQ runs on the
+// calling goroutine alone: it is ApplyQJob on a nil job.
 func ApplyQ(a *matrix.Dense, tau []float64, trans blas.Transpose, c *matrix.Dense, nb int, ws *work.Arena, tc *trace.Collector) {
+	ApplyQJob(a, tau, trans, c, nb, nil, ws, tc)
+}
+
+// ApplyQJob is ApplyQ on a job. On a job of two or more workers a C of at
+// least 2·blas.DefaultNC columns is applied as two column halves, one on the
+// calling goroutine and the other on the job's helper task (sched.Helper).
+// Column ranges of C are independent under a Left application and the result
+// does not depend on how they are cut, so it is ApplyQ's bits.
+func ApplyQJob(a *matrix.Dense, tau []float64, trans blas.Transpose, c *matrix.Dense, nb int, job *sched.Job, ws *work.Arena, tc *trace.Collector) {
 	n := a.Rows
 	if a.Cols != n {
 		panic("onestage: ApplyQ requires square a")
@@ -45,13 +53,12 @@ func ApplyQ(a *matrix.Dense, tau []float64, trans blas.Transpose, c *matrix.Dens
 	if trans == blas.Trans {
 		form = householder.FormHT
 	}
-	// Column ranges of C are independent under a Left application and the
-	// result does not depend on how they are cut, so a wide C is split into
-	// NC-wide ranges across up to GOMAXPROCS goroutines (this routine has no
-	// scheduler job).
+	// A wide C is applied as two column halves when the job lends a helper.
+	var help *sched.Helper
 	parts := 1
-	if m >= 2*blas.DefaultNC {
-		parts = min(runtime.GOMAXPROCS(0), (m+blas.DefaultNC-1)/blas.DefaultNC)
+	if job.Workers() >= 2 && m >= 2*blas.DefaultNC {
+		help, parts = job.Helper("APPLYQ"), 2
+		defer help.End()
 	}
 	cols := (m + parts - 1) / parts
 	rmax := n - 1
@@ -87,16 +94,11 @@ func ApplyQ(a *matrix.Dense, tau []float64, trans blas.Transpose, c *matrix.Dens
 			h.Apply(blas.Left, trans, min(cols, m-j0), csub.Data[j0*csub.Stride:], csub.Stride,
 				wk[part*nApply:(part+1)*nApply])
 		}
-		var wg sync.WaitGroup
-		for part := 1; part < parts; part++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				apply(part)
-			}()
+		if help != nil {
+			help.Split(func() { apply(0) }, func() { apply(1) })
+		} else {
+			apply(0)
 		}
-		apply(0)
-		wg.Wait()
 		tc.AddFlops(trace.KLarfb, 4*int64(rows)*int64(m)*int64(p.pb))
 	}
 }

@@ -8,10 +8,6 @@
 package onestage
 
 import (
-	"math"
-	"runtime"
-	"sync/atomic"
-
 	"repro/internal/blas"
 	"repro/internal/householder"
 	"repro/internal/matrix"
@@ -49,8 +45,8 @@ func Sytrd(a *matrix.Dense, nb int, ws *work.Arena, tc *trace.Collector) (d, e, 
 
 // SytrdJob is Sytrd on a job. On a job of two or more workers, from the
 // trailing order SplitOrder on, latrd's symv and each panel's rank-2k update
-// run as two halves: one on the calling goroutine, the other in one task on
-// the job, submitted once. Each element of the product and of the trailing
+// run as two halves: one on the calling goroutine, the other on the job's
+// helper task (sched.Helper). Each element of the product and of the trailing
 // matrix still takes its fused multiply-adds in the sequential order
 // (blas.DsymvRows, blas.Dsyr2kCols), so the result is Sytrd's bits. The job
 // carries cancellation, checked once per panel; if it is canceled the
@@ -80,12 +76,10 @@ func sytrd(a *matrix.Dense, nb int, job *sched.Job, ws *work.Arena, tc *trace.Co
 		return
 	}
 
-	var p *pair // nil once no later call splits
+	var h *sched.Helper // nil once no later call splits
 	if job.Workers() >= 2 && n-1 >= from {
-		task := &pair{}
-		job.Submit(sched.Task{Name: "SYTRD", Priority: math.MaxInt, Run: func(int) { task.serve() }})
-		p = task
-		defer func() { p.end() }()
+		h = job.Helper("SYTRD")
+		defer h.End()
 	}
 	lda := a.Stride
 	w := ws.Dense(work.OneStagePanel, n, nb, false)
@@ -96,11 +90,11 @@ func sytrd(a *matrix.Dense, nb int, job *sched.Job, ws *work.Arena, tc *trace.Co
 		}
 		pb := min(nb, n-1-i0) // reflectors in this panel
 		remain := n - i0      // rows of the trailing part incl. panel
-		if p != nil && remain-1 < from {
-			p.end() // no later call splits: free the worker
-			p = nil
+		if h != nil && remain-1 < from {
+			h.End() // no later call splits: free the worker
+			h = nil
 		}
-		latrd(a.View(i0, i0, remain, remain), pb, d[i0:], e[i0:], tau[i0:], w, scratch, tc, p, from)
+		latrd(a.View(i0, i0, remain, remain), pb, d[i0:], e[i0:], tau[i0:], w, scratch, tc, h, from)
 		// Rank-2pb update of the trailing submatrix:
 		// A[i0+pb:, i0+pb:] -= V·Wᵀ + W·Vᵀ where V is the panel's
 		// reflectors and W the latrd workspace.
@@ -109,11 +103,11 @@ func sytrd(a *matrix.Dense, nb int, job *sched.Job, ws *work.Arena, tc *trace.Co
 		if nt > 0 {
 			upd := half{syr2k: true, n: nt, k: pb, hi: nt, alpha: -1,
 				a: a.Data[t0+i0*lda:], lda: lda, b: w.Data[pb:], ldb: w.Stride, c: a.Data[t0+t0*lda:], ldc: lda}
-			if p != nil && nt >= from {
+			if h != nil && nt >= from {
 				right := upd
 				upd.hi = blas.Dsyr2kHalf(nt)
 				right.lo = upd.hi
-				p.split(upd, right)
+				split(h, upd, right)
 			} else {
 				upd.run()
 			}
@@ -130,9 +124,9 @@ func sytrd(a *matrix.Dense, nb int, job *sched.Job, ws *work.Arena, tc *trace.Co
 // latrd reduces the first pb columns of the symmetric sub (order m, lower)
 // to tridiagonal form, accumulating the update factors into w so the caller
 // can apply a single rank-2pb update to the trailing submatrix. It mirrors
-// LAPACK's DLATRD (uplo = 'L'). scratch must hold ≥ pb floats. With a pair,
-// each symv of order from or more runs as two halves.
-func latrd(sub *matrix.Dense, pb int, d, e, tau []float64, w *matrix.Dense, scratch []float64, tc *trace.Collector, p *pair, from int) {
+// LAPACK's DLATRD (uplo = 'L'). scratch must hold ≥ pb floats. With a
+// helper, each symv of order from or more runs as two halves.
+func latrd(sub *matrix.Dense, pb int, d, e, tau []float64, w *matrix.Dense, scratch []float64, tc *trace.Collector, h *sched.Helper, from int) {
 	m := sub.Rows
 	lda := sub.Stride
 	ldw := w.Stride
@@ -160,11 +154,11 @@ func latrd(sub *matrix.Dense, pb int, d, e, tau []float64, w *matrix.Dense, scra
 		v := sub.Data[i+1+i*lda:]
 		wi := w.Data[i+1+i*ldw:]
 		mv := half{n: vlen, hi: vlen, alpha: t, a: sub.Data[(i+1)+(i+1)*lda:], lda: lda, b: v, c: wi}
-		if p != nil && vlen >= from {
+		if h != nil && vlen >= from {
 			tail := mv
 			mv.hi = vlen / 2 &^ 3
 			tail.lo = mv.hi
-			p.split(mv, tail)
+			split(h, mv, tail)
 		} else {
 			mv.run()
 		}
@@ -204,82 +198,7 @@ func (h *half) run() {
 	blas.DsymvRows(blas.Lower, h.n, h.lo, h.hi, h.alpha, h.a, h.lda, h.b, 1, 0, h.c, 1)
 }
 
-// The states of a pair's task.
-const (
-	taskIdle     = iota // submitted, not started
-	taskRunning         // started; end waits for taskFinished
-	taskFinished        // returned
-	taskClaimed         // never to start: the reduction ended without it
-)
-
-// pair is the shared state of a split reduction, fresh for every one: the
-// calling goroutine posts the second half of each split call, and the pair's
-// task on the job or the caller itself, whichever claims it first, runs it.
-// So a task still queued behind another solve's work costs only its
-// parallelism, and a task that starts after its reduction has ended finds
-// itself claimed and touches nothing else.
-type pair struct {
-	state  atomic.Int32
-	stop   atomic.Bool
-	posted atomic.Int64 // halves posted
-	taken  atomic.Int64 // halves claimed, by the task or by the caller
-	done   atomic.Int64 // halves the task has run
-	h      half         // the half numbered posted
-}
-
-// split runs mine on the calling goroutine and theirs on the pair's task,
-// unless the caller finishes first and claims theirs too; it returns when
-// both have run.
-func (p *pair) split(mine, theirs half) {
-	k := p.posted.Load() + 1
-	p.h = theirs
-	p.posted.Store(k)
-	mine.run()
-	if p.taken.CompareAndSwap(k-1, k) {
-		theirs.run()
-		return
-	}
-	for p.done.Load() < k {
-		runtime.Gosched()
-	}
-}
-
-// serve is the pair's task: it runs each posted half it claims until end
-// stops it.
-func (p *pair) serve() {
-	if !p.state.CompareAndSwap(taskIdle, taskRunning) {
-		return
-	}
-	defer p.state.Store(taskFinished)
-	var seen int64
-	for {
-		k := p.posted.Load()
-		if k == seen {
-			if p.stop.Load() {
-				return
-			}
-			runtime.Gosched()
-			continue
-		}
-		seen = k
-		if p.taken.CompareAndSwap(k-1, k) {
-			p.h.run()
-			p.done.Store(k)
-		}
-	}
-}
-
-// end stops the pair's task and waits until it has returned, or claims it if
-// it never started. A nil pair has nothing to end.
-func (p *pair) end() {
-	if p == nil {
-		return
-	}
-	p.stop.Store(true)
-	if p.state.CompareAndSwap(taskIdle, taskClaimed) {
-		return
-	}
-	for p.state.Load() != taskFinished {
-		runtime.Gosched()
-	}
-}
+// split runs mine on the calling goroutine and theirs on h's task (see
+// sched.Helper.Split). It is a function of its own so that only the split
+// calls move their halves to the heap.
+func split(h *sched.Helper, mine, theirs half) { h.Split(mine.run, theirs.run) }

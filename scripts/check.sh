@@ -70,7 +70,7 @@ batch                TestSolveBatch|TestSolveBatchMatchesSolo|TestSolveBatchFano
 phase-plan           TestSolveState|TestBuildPlan|TestPhaseNamesTimed  ./internal/core
 tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestParallelTridiag|TestSecularRoot|TestStedcHard|TestStedcScalingExact|TestSterfHard|TestWorkSetRetention|TestEstimateCoversArena  ./internal/tridiag ./internal/core
 stage1-lookahead     TestReduceLookahead|TestReduceMatchesMirrorReference|TestReduceTaskCount|TestLookaheadSolverBitwise|TestStage1  ./internal/band ./internal/core
-sched                TestSchedRandomDAGDrains  ./internal/sched
+sched                TestSchedRandomDAGDrains|TestHelper  ./internal/sched
 packed-engine        TestBlock|TestGemmPackedA|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestProbeWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestGemmAsmBitwisePortable|TestFusedRulePin|TestSolveBitwiseAcrossKernels|BenchmarkGemmKernels  ./internal/householder ./internal/blas .
 level-kernels        TestLevel1AsmBitwisePortable|TestLevel2AsmBitwisePortable|TestLevelCanaries|TestFusedRulePin|TestUnsupportedShapesPanic|TestDsymvRowsSplitBitwise|TestDtrmvMatchesRowLoop  ./internal/blas
 one-stage            TestSytrd|TestApplyQ|TestParallelTridiagOneStage|TestSytrdJobBitwise|TestSytrdJobCancel|TestSytrdJobTaskQueued|TestSolverCancelDuringSytrd|TestLarftMatchesRowLoop  ./internal/onestage ./internal/householder ./internal/core .
@@ -78,7 +78,7 @@ hard-inputs          TestScaledInputsAllMethodsAgree|TestSpectrumErrorScaled|Tes
 cli                  TestReadMatrixErrors  ./cmd/eigsolve
 inputs-untouched     TestInputsUntouched  .
 bulge                TestChaseBanded|TestReflectorLattice|TestChaseCancel|TestChaseTwoStreams|TestSolveBitwiseAcrossWorkers|TestSolverMoreLargeSolvesThanWorkers  ./internal/bulge .
-input-scan           TestNotFiniteError|TestEigRejectsNonSymmetric  .
+input-scan           TestNotFiniteError|TestEigRejectsNonSymmetric|TestScanInputWorkersHeld  .
 service              TestServerAuth|TestServerSubmitValidation|FuzzSubmitDecode|FuzzSubmitHandler|TestServerJobEndpoints|TestServerNaNPayloadMapsTo400|TestErrorMapping|TestMemStore|TestDiskStore|FuzzDiskStoreReplay|TestRoundTripBitwise|TestCancelMidSolveFreesSlot|TestOverBudgetRefused|TestConcurrentClients  ./internal/service ./client
 EOF
 

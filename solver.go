@@ -237,7 +237,11 @@ func (s *Solver) runSolve(ctx context.Context, scheduler *sched.Scheduler, tc *t
 			return nil, &RangeError{IL: il, IU: iu, N: n}
 		}
 	}
-	maxAbs, maxAsym := scanInput(a.data, n, scheduler)
+	var job *sched.Job
+	if scheduler != nil {
+		job = scheduler.NewJob(ctx)
+	}
+	maxAbs, maxAsym := scanInput(a.data, n, job)
 	if !(maxAbs <= math.MaxFloat64) {
 		return nil, checkFinite(a.data, max(1, n))
 	}
@@ -261,7 +265,6 @@ func (s *Solver) runSolve(ctx context.Context, scheduler *sched.Scheduler, tc *t
 	*ad = matrix.Dense{Rows: a.r, Cols: a.c, Stride: max(1, a.r), Data: a.data}
 
 	co := s.opts.toCore(vectors, il, iu)
-	co.Workers = 0 // the persistent scheduler replaces per-solve workers
 	co.Sched = scheduler
 	co.Arena = ws
 	co.Collector = tc
@@ -304,44 +307,27 @@ const scanBlock = 32
 // scanInput reads the order-n column-major a once, in scanBlock×scanBlock
 // blocks of the lower triangle and their mirrors, and returns max|a_ij| and
 // max|a_ij − a_ji|. A non-finite entry makes maxAbs NaN or +Inf, because max
-// keeps NaN. With a scheduler the block columns are split between its
-// workers by block count (the lower triangle's block columns shrink
-// linearly), the calling goroutine taking the first share; without one the
-// scan runs inline.
-func scanInput(a []float64, n int, s *sched.Scheduler) (maxAbs, maxAsym float64) {
+// keeps NaN. On a job of two or more workers the block columns are split in
+// two by block count (the lower triangle's block columns shrink linearly),
+// the calling goroutine taking the first share and the job's helper task
+// (sched.Helper) the second; otherwise the scan runs inline.
+func scanInput(a []float64, n int, job *sched.Job) (maxAbs, maxAsym float64) {
 	nb := (n + scanBlock - 1) / scanBlock
-	w := 1
-	if s != nil {
-		w = min(s.Workers(), nb)
-	}
-	if w < 2 {
+	if job.Workers() < 2 || nb < 2 {
 		return scanColumns(a, n, 0, nb)
 	}
-	// Share k ends at the first block column by which at least (k+1)/w of
-	// the nb(nb+1)/2 blocks are covered.
-	ends := make([]int, w)
-	for k, b1, seen := 0, 0, 0; k < w; k++ {
-		for b1 < nb && (k == w-1 || seen*w < (k+1)*nb*(nb+1)/2) {
-			seen += nb - b1
-			b1++
-		}
-		ends[k] = b1
+	// The first share ends at the first block column by which half of the
+	// nb(nb+1)/2 blocks are covered.
+	mid := 0
+	for seen := 0; 2*seen < nb*(nb+1)/2; mid++ {
+		seen += nb - mid
 	}
-	maxes := make([][2]float64, w)
-	job := s.NewJob(nil)
-	for k := 1; k < w; k++ {
-		m, lo, hi := &maxes[k], ends[k-1], ends[k]
-		job.Submit(sched.Task{Run: func(int) { m[0], m[1] = scanColumns(a, n, lo, hi) }})
-	}
-	maxAbs, maxAsym = scanColumns(a, n, 0, ends[0])
-	if job.Wait() != nil {
-		// The scheduler shut down under the solve, dropping the tasks.
-		return scanColumns(a, n, 0, nb)
-	}
-	for _, m := range maxes[1:] {
-		maxAbs, maxAsym = max(maxAbs, m[0]), max(maxAsym, m[1])
-	}
-	return maxAbs, maxAsym
+	var theirs [2]float64
+	h := job.Helper("SCAN")
+	h.Split(func() { maxAbs, maxAsym = scanColumns(a, n, 0, mid) },
+		func() { theirs[0], theirs[1] = scanColumns(a, n, mid, nb) })
+	h.End()
+	return max(maxAbs, theirs[0]), max(maxAsym, theirs[1])
 }
 
 // scanColumns is scanInput's pass over block columns [b0, b1).

@@ -488,13 +488,14 @@ func TestSolveBitwiseAcrossWorkers(t *testing.T) {
 // TestSolverMoreLargeSolvesThanWorkers runs three Eig calls at N₂ at once on
 // one two-worker Solver, so that a two-stream chase can find both workers
 // busy, its second stream queued behind another solve's; and the same for
-// three one-stage calls above N₁, whose split reductions' tasks can queue the
-// same way. Every call must finish, with the bits of a sequential solve.
+// three one-stage calls at 2·NC, above N₁, whose split reductions' and
+// back-transformations' helper tasks can queue the same way. Every call must
+// finish, with the bits of a sequential solve.
 func TestSolverMoreLargeSolvesThanWorkers(t *testing.T) {
 	for _, tc := range []struct {
 		n   int
 		alg Algorithm
-	}{{bulge.TwoStreamOrder, TwoStage}, {2 * onestage.SplitOrder, OneStage}} {
+	}{{bulge.TwoStreamOrder, TwoStage}, {2 * blas.DefaultNC, OneStage}} {
 		a := randSymMatrix(rand.New(rand.NewSource(30)), tc.n)
 		want, err := Eig(a, &Options{Algorithm: tc.alg})
 		if err != nil {
