@@ -101,17 +101,14 @@ type Options struct {
 // 59-row diamond of 12 reflectors, whose two packed operands occupy 64×12
 // and 16×59 = 1712 values in the widest layout, the AVX-512 kernel's, which
 // pads the last row-panel of each to a whole 16-row tile: 1.49n²), and the
-// D&C's pool. The last is what
-// tridiag.WorkSet retains: a rank-one merge of order m holds three m×m
-// buffers (the left factor of its eigenvector update, that factor packed for
-// the micro-kernel, and its result), the pool keeps them by size, and with
-// every node of every level of the tree in flight at once — the most any
-// worker count can ask for — that is 3n²·(1 + ½ + ¼ + …) = 6n² (a sequential
-// solve keeps ≈ 4.5n², two workers ≈ 5.5n²). The estimate deliberately
-// overestimates slightly: the batch layer uses it to bound how many solves may
-// hold workspace concurrently under a memory budget, where admitting late is
-// recoverable and admitting past physical memory is not. nb ≤ 0 means the
-// default tile size.
+// D&C's planes. The last is what tridiag.WorkSet retains at any worker
+// count: three n² planes laid out by the recursion tree (the bases, the
+// merges' gather scratch, their packed left factors), the packed one padded
+// to whole 16-row panels (≤ 16n more), and seven n-vectors. The estimate
+// deliberately overestimates slightly: the batch layer uses it to bound how
+// many solves may hold workspace concurrently under a memory budget, where
+// admitting late is recoverable and admitting past physical memory is not.
+// nb ≤ 0 means the default tile size.
 func EstimateWorkspaceBytes(n, nb int, vectors bool) int64 {
 	if n <= 0 {
 		return 0
@@ -123,10 +120,10 @@ func EstimateWorkspaceBytes(n, nb int, vectors bool) int64 {
 	bytes := nn         // tile storage (or the one-stage working copy)
 	bytes += 3 * nn / 2 // stage-1 reflectors prepared for the reduction
 	if vectors {
-		bytes += nn         // vector staging
-		bytes += nn / 2     // Q₂ reflector essentials
-		bytes += 6 * nn     // D&C pool
-		bytes += 5 * nn / 2 // reflectors prepared for Q₁ and the Q₂ diamonds
+		bytes += nn                 // vector staging
+		bytes += nn / 2             // Q₂ reflector essentials
+		bytes += 3*nn + 24*int64(n) // D&C planes and vectors
+		bytes += 5 * nn / 2         // reflectors prepared for Q₁ and the Q₂ diamonds
 	}
 	bytes += 8 * int64(n) * int64(nb+2) // band, workband, scratch
 	return 8 * bytes
@@ -258,10 +255,10 @@ func SyevOneStage(ctx context.Context, a *matrix.Dense, o Options) (*Result, err
 	return res, nil
 }
 
-// tridiagWorks returns the arena's retained tridiag.WorkSet (one scratch
-// pool per scheduler worker plus the sequential one), creating it on first
-// use and growing it to the current pool width. A nil arena gets a set of
-// its own, dropped with the solve.
+// tridiagWorks returns the arena's retained tridiag.WorkSet (the D&C's
+// planes, and scratch per scheduler worker plus the sequential one), creating
+// it on first use and growing it to the current pool width. A nil arena gets
+// a set of its own, dropped with the solve.
 func tridiagWorks(ws *work.Arena, workers int) *tridiag.WorkSet {
 	if ws == nil {
 		return tridiag.NewWorkSet(workers)
@@ -278,7 +275,7 @@ func tridiagWorks(ws *work.Arena, workers int) *tridiag.WorkSet {
 
 // intoVectors materializes the n×k eigenvector block src into dst when dst
 // has the right shape, else into a fresh matrix. The result never aliases
-// arena- or pool-owned storage.
+// arena- or WorkSet-owned storage.
 func intoVectors(dst *matrix.Dense, src *matrix.Dense) *matrix.Dense {
 	if dst != nil && dst.Rows == src.Rows && dst.Cols == src.Cols {
 		dst.CopyFrom(src)
@@ -333,8 +330,6 @@ func solveTridiagonal(t *matrix.Tridiagonal, o *Options, il, iu int, ws *work.Ar
 			}
 			vals = append([]float64(nil), dv[il-1:iu]...)
 			evecs = intoVectors(o.Dst, q.View(0, il-1, n, k))
-			set.PutVec(dv)
-			set.PutMat(q)
 		case MethodBI:
 			d, e := scratch()
 			vals = tridiag.StebzSched(d, e, il, iu, set, job, tc)
@@ -346,7 +341,6 @@ func solveTridiagonal(t *matrix.Tridiagonal, o *Options, il, iu int, ws *work.Ar
 			if err == nil {
 				evecs = intoVectors(o.Dst, z)
 			}
-			set.PutMat(z)
 		case MethodQR:
 			d, e := scratch()
 			q := ws.Dense(work.VectorStage, n, n, true)

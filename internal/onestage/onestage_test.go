@@ -13,6 +13,7 @@ import (
 	"repro/internal/testmat"
 	"repro/internal/trace"
 	"repro/internal/tridiag"
+	"repro/internal/work"
 )
 
 // checkTol bounds every testmat score in this file, in units of n·ε·‖A‖.
@@ -176,6 +177,43 @@ func TestApplyQWideMatchesSequential(t *testing.T) {
 	close(gate)
 	if err := hold.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestApplyQJobAllocs: the back-transformation allocates nothing on a nil
+// job once the arena is warm, and on two workers a fixed number of times per
+// call, however many panels it applies: the panels are walked by index and
+// the halves' closures are made once per call.
+func TestApplyQJobAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	rng := rand.New(rand.NewSource(7))
+	s := sched.New(2)
+	defer s.Shutdown()
+	ws := work.NewArena()
+	allocs := func(n int, parallel bool) int64 {
+		a := testmat.RandomSym(rng, n)
+		_, _, tau := Sytrd(a, 0, ws, nil)
+		c := matrix.NewDense(n, 2*blas.DefaultNC) // wide enough to split
+		return mallocsPerRun(func() {
+			var job *sched.Job
+			if parallel {
+				job = s.NewJob(nil)
+			}
+			ApplyQJob(a, tau, blas.NoTrans, c, 0, job, ws, nil)
+			if err := job.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if got := allocs(256, false); got != 0 {
+		t.Errorf("nil job: %d allocations per call, want 0", got)
+	}
+	small, large := allocs(512, true), allocs(1024, true)
+	t.Logf("W = 2: %d allocations at n = 512, %d at n = 1024", small, large)
+	if large > small {
+		t.Errorf("W = 2: %d allocations at n = 1024, more than the %d at n = 512", large, small)
 	}
 }
 

@@ -53,52 +53,70 @@ func ApplyQJob(a *matrix.Dense, tau []float64, trans blas.Transpose, c *matrix.D
 	if trans == blas.Trans {
 		form = householder.FormHT
 	}
-	// A wide C is applied as two column halves when the job lends a helper.
-	var help *sched.Helper
+	// A wide C is applied as two column halves when the job lends a helper;
+	// on a nil job q stays on the stack and nothing is allocated.
+	var one colHalves
+	q := &one
 	parts := 1
 	if job.Workers() >= 2 && m >= 2*blas.DefaultNC {
-		help, parts = job.Helper("APPLYQ"), 2
-		defer help.End()
+		q, parts = newColHalves(job.Helper("APPLYQ")), 2
+		defer q.help.End()
 	}
-	cols := (m + parts - 1) / parts
+	q.trans, q.m, q.cols, q.ldc = trans, m, (m+parts-1)/parts, c.Stride
 	rmax := n - 1
 	nT, nStore := nb*nb, householder.PackedLen(false, rmax, nb, form)
-	nApply := householder.ApplyWork(blas.Left, rmax, nb, cols)
-	nWork := max(householder.PrepareWork(rmax, nb), parts*nApply)
+	q.nApply = householder.ApplyWork(blas.Left, rmax, nb, q.cols)
+	nWork := max(householder.PrepareWork(rmax, nb), parts*q.nApply)
 	buf := ws.Floats(work.OneStageWork, nT+nStore+nWork, false)
-	tmat, store, wk := buf[:nT], buf[nT:nT+nStore], buf[nT+nStore:]
-	var h householder.Block
+	tmat, store := buf[:nT], buf[nT:nT+nStore]
+	q.wk = buf[nT+nStore:]
 
 	// Panels of reflectors [i0, i0+pb). For Q·C apply the last panel first;
 	// for Qᵀ·C apply in forward order.
-	type panel struct{ i0, pb int }
-	var panels []panel
-	for i0 := 0; i0 < nr; i0 += nb {
-		panels = append(panels, panel{i0, min(nb, nr-i0)})
-	}
-	if trans == blas.NoTrans {
-		for i := 0; i < len(panels)/2; i++ {
-			panels[i], panels[len(panels)-1-i] = panels[len(panels)-1-i], panels[i]
+	panels := (nr + nb - 1) / nb
+	for p := 0; p < panels; p++ {
+		i0 := p * nb
+		if trans == blas.NoTrans {
+			i0 = (panels - 1 - p) * nb
 		}
-	}
-	for _, p := range panels {
+		pb := min(nb, nr-i0)
 		// Reflector i0+j has its implicit unit at row i0+j+1, so the V
 		// submatrix for the panel is a[i0+1: , i0 : i0+pb].
-		rows := n - p.i0 - 1
-		v := a.Data[(p.i0+1)+p.i0*a.Stride:]
-		householder.Larft(rows, p.pb, v, a.Stride, tau[p.i0:p.i0+p.pb], tmat, p.pb)
-		csub := c.View(p.i0+1, 0, rows, m)
-		h.Prepare(false, rows, p.pb, v, a.Stride, tmat, p.pb, form, store, wk)
-		apply := func(part int) {
-			j0 := part * cols
-			h.Apply(blas.Left, trans, min(cols, m-j0), csub.Data[j0*csub.Stride:], csub.Stride,
-				wk[part*nApply:(part+1)*nApply])
-		}
-		if help != nil {
-			help.Split(func() { apply(0) }, func() { apply(1) })
+		rows := n - i0 - 1
+		v := a.Data[(i0+1)+i0*a.Stride:]
+		householder.Larft(rows, pb, v, a.Stride, tau[i0:i0+pb], tmat, pb)
+		q.blk.Prepare(false, rows, pb, v, a.Stride, tmat, pb, form, store, q.wk)
+		q.c = c.Data[i0+1:]
+		if q.help != nil {
+			q.help.Split(q.left, q.right)
 		} else {
-			apply(0)
+			q.apply(0)
 		}
-		tc.AddFlops(trace.KLarfb, 4*int64(rows)*int64(m)*int64(p.pb))
+		tc.AddFlops(trace.KLarfb, 4*int64(rows)*int64(m)*int64(pb))
 	}
+}
+
+// colHalves applies a prepared panel to the rows of C below the panel's
+// first row, in column parts of cols columns each.
+type colHalves struct {
+	blk             householder.Block
+	trans           blas.Transpose
+	m, cols, nApply int
+	c               []float64 // C's rows from the panel's on, stride ldc
+	ldc             int
+	wk              []float64 // nApply values of scratch per part
+
+	help        *sched.Helper // with two parts: the helper, and the parts'
+	left, right func()        // closures, made once per call
+}
+
+func newColHalves(help *sched.Helper) *colHalves {
+	q := &colHalves{help: help}
+	q.left, q.right = func() { q.apply(0) }, func() { q.apply(1) }
+	return q
+}
+
+func (q *colHalves) apply(part int) {
+	j0 := part * q.cols
+	q.blk.Apply(blas.Left, q.trans, min(q.cols, q.m-j0), q.c[j0*q.ldc:], q.ldc, q.wk[part*q.nApply:(part+1)*q.nApply])
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -135,6 +137,60 @@ func TestSytrdJobTaskQueued(t *testing.T) {
 	if !slices.Equal(a.Data, want.Data) {
 		t.Fatal("reduction with its task queued differs from Sytrd")
 	}
+}
+
+// TestSytrdJobAllocs: a split reduction allocates a fixed number of times,
+// whatever its order. The halves of a split call and their method values
+// are bound once per reduction, so the hundreds of split calls of the larger
+// order add nothing.
+func TestSytrdJobAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	rng := rand.New(rand.NewSource(43))
+	s := sched.New(2)
+	defer s.Shutdown()
+	ws := work.NewArena()
+	allocs := func(n int) int64 {
+		orig := testmat.RandomSym(rng, n)
+		a := orig.Clone()
+		return mallocsPerRun(func() {
+			a.CopyFrom(orig)
+			job := s.NewJob(nil)
+			SytrdJob(a, 0, job, ws, nil)
+			if err := job.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(512), allocs(1024)
+	t.Logf("W = 2: %d allocations at n = 512, %d at n = 1024", small, large)
+	if large > small {
+		t.Errorf("W = 2: %d allocations at n = 1024, more than the %d at n = 512", large, small)
+	}
+}
+
+// mallocsPerRun is the heap allocations of f per run after a warm-up: the
+// least of three averages over three runs each, because what the runtime
+// allocates on its own (a sync.Pool's chain on a P it had not used, a
+// goroutine's wait record) only ever adds to a count. Unlike
+// testing.AllocsPerRun it leaves GOMAXPROCS alone, whose change makes every
+// sync.Pool allocate anew, and it holds the collector off.
+func mallocsPerRun(f func()) int64 {
+	const runs = 3
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	least := int64(math.MaxInt64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, int64(after.Mallocs-before.Mallocs)/runs)
+	}
+	return least
 }
 
 // BenchmarkSytrd times the reduction on one worker (Sytrd) and on a

@@ -76,10 +76,10 @@ func sytrd(a *matrix.Dense, nb int, job *sched.Job, ws *work.Arena, tc *trace.Co
 		return
 	}
 
-	var h *sched.Helper // nil once no later call splits
+	var h *halves // nil once no later call splits
 	if job.Workers() >= 2 && n-1 >= from {
-		h = job.Helper("SYTRD")
-		defer h.End()
+		h = newHalves(job.Helper("SYTRD"))
+		defer h.help.End()
 	}
 	lda := a.Stride
 	w := ws.Dense(work.OneStagePanel, n, nb, false)
@@ -91,7 +91,7 @@ func sytrd(a *matrix.Dense, nb int, job *sched.Job, ws *work.Arena, tc *trace.Co
 		pb := min(nb, n-1-i0) // reflectors in this panel
 		remain := n - i0      // rows of the trailing part incl. panel
 		if h != nil && remain-1 < from {
-			h.End() // no later call splits: free the worker
+			h.help.End() // no later call splits: free the worker
 			h = nil
 		}
 		latrd(a.View(i0, i0, remain, remain), pb, d[i0:], e[i0:], tau[i0:], w, scratch, tc, h, from)
@@ -107,7 +107,7 @@ func sytrd(a *matrix.Dense, nb int, job *sched.Job, ws *work.Arena, tc *trace.Co
 				right := upd
 				upd.hi = blas.Dsyr2kHalf(nt)
 				right.lo = upd.hi
-				split(h, upd, right)
+				h.split(upd, right)
 			} else {
 				upd.run()
 			}
@@ -126,7 +126,7 @@ func sytrd(a *matrix.Dense, nb int, job *sched.Job, ws *work.Arena, tc *trace.Co
 // can apply a single rank-2pb update to the trailing submatrix. It mirrors
 // LAPACK's DLATRD (uplo = 'L'). scratch must hold ≥ pb floats. With a
 // helper, each symv of order from or more runs as two halves.
-func latrd(sub *matrix.Dense, pb int, d, e, tau []float64, w *matrix.Dense, scratch []float64, tc *trace.Collector, h *sched.Helper, from int) {
+func latrd(sub *matrix.Dense, pb int, d, e, tau []float64, w *matrix.Dense, scratch []float64, tc *trace.Collector, h *halves, from int) {
 	m := sub.Rows
 	lda := sub.Stride
 	ldw := w.Stride
@@ -158,7 +158,7 @@ func latrd(sub *matrix.Dense, pb int, d, e, tau []float64, w *matrix.Dense, scra
 			tail := mv
 			mv.hi = vlen / 2 &^ 3
 			tail.lo = mv.hi
-			split(h, mv, tail)
+			h.split(mv, tail)
 		} else {
 			mv.run()
 		}
@@ -198,7 +198,24 @@ func (h *half) run() {
 	blas.DsymvRows(blas.Lower, h.n, h.lo, h.hi, h.alpha, h.a, h.lda, h.b, 1, 0, h.c, 1)
 }
 
-// split runs mine on the calling goroutine and theirs on h's task (see
-// sched.Helper.Split). It is a function of its own so that only the split
-// calls move their halves to the heap.
-func split(h *sched.Helper, mine, theirs half) { h.Split(mine.run, theirs.run) }
+// halves is the storage of a reduction's split calls: the two halves of the
+// call in progress and their run method values, bound once per reduction so
+// that a split allocates nothing.
+type halves struct {
+	help               *sched.Helper
+	mine, theirs       half
+	runMine, runTheirs func()
+}
+
+func newHalves(h *sched.Helper) *halves {
+	s := &halves{help: h}
+	s.runMine, s.runTheirs = s.mine.run, s.theirs.run
+	return s
+}
+
+// split runs mine on the calling goroutine and theirs on the helper's task
+// (see sched.Helper.Split).
+func (s *halves) split(mine, theirs half) {
+	s.mine, s.theirs = mine, theirs
+	s.help.Split(s.runMine, s.runTheirs)
+}

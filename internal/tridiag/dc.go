@@ -48,115 +48,108 @@ func scaleT(dd, ee, d, e []float64) (exp int) {
 	return exp
 }
 
-// dcSorted finishes a solve: the recursion returns its eigenpairs in merge
-// order (each merge leaves its secular roots ahead of its deflated values and
-// sorts nothing, because the merge above it sorts anyway), so they are
-// sorted here, once, and the values scaled back by 2^exp. It consumes q and
-// returns pool-owned results; vals is left to the caller.
-func dcSorted(vals []float64, q *matrix.Dense, exp int, w *Work) ([]float64, *matrix.Dense) {
-	n := len(vals)
-	out := w.buf(n)
+// Regions of the node over [lo, hi) in the planes (see WorkSet): its basis,
+// its gather and tile scratch, and room for its packed left factor.
+
+func (r *dcRun) basis(lo, hi int) []float64  { return r.ws.z[lo*r.n:][:(hi-lo)*(hi-lo)] }
+func (r *dcRun) gather(lo, hi int) []float64 { return r.ws.g[lo*r.n:][:(hi-lo)*(hi-lo)] }
+func (r *dcRun) packed(lo, hi int) []float64 { return r.ws.p[lo*r.ps : hi*r.ps] }
+
+// sorted finishes a solve: the recursion leaves the root's eigenpairs in
+// merge order (each merge leaves its secular roots ahead of its deflated
+// values and sorts nothing, because the merge above it sorts anyway), so they
+// are sorted here, once, and the values scaled back by 2^exp. The values go to
+// the set's sorted vector; the basis stays in z when the values came out
+// sorted, and is permuted into g otherwise.
+func (r *dcRun) sorted(exp int, w *Work) ([]float64, *matrix.Dense) {
+	n := r.n
+	vals, q := r.dd[:n], r.basis(0, n)
+	out := r.ws.sorted[:n]
 	if sort.Float64sAreSorted(vals) {
 		for j, v := range vals {
 			out[j] = math.Ldexp(v, exp)
 		}
-		return out, q
+		return out, r.ws.result(n, n, q)
 	}
 	perm := w.permBuf(n)
 	for i := range perm {
 		perm[i] = i
 	}
 	w.sortPerm(perm, vals)
-	qs := w.matBuf(n, n)
+	qs := r.gather(0, n)
 	for j, p := range perm {
 		out[j] = math.Ldexp(vals[p], exp)
-		copy(qs.Data[j*n:j*n+n], q.Data[p*q.Stride:p*q.Stride+n])
+		copy(qs[j*n:j*n+n], q[p*n:p*n+n])
 	}
-	w.putMat(q)
-	return out, qs
+	return out, r.ws.result(n, n, qs)
 }
 
-// dcRecurse solves the subproblem (d, e) destructively. The eigenvalues come
-// back in no particular order (see dcSorted), in d itself or in a pool
-// buffer; the returned matrix is always pool-owned.
-func dcRecurse(d, e []float64, w *Work) ([]float64, *matrix.Dense, error) {
-	n := len(d)
-	if n == 0 {
-		return nil, w.mat(0, 0), nil
-	}
+// recurse solves the node over [lo, hi) by the plain recursion, in place: its
+// eigenvalues land in dd[lo:hi], in no particular order (see sorted), and its
+// basis in its region of z.
+func (r *dcRun) recurse(lo, hi int, w *Work) error {
+	n := hi - lo
 	if n <= dcBaseSize {
-		z := w.eye(n)
-		if err := Steqr(d, e, z, w); err != nil {
-			return nil, nil, err
+		z := r.basis(lo, hi)
+		clear(z)
+		for i := 0; i < n; i++ {
+			z[i+i*n] = 1
 		}
-		return d, z, nil
+		return Steqr(r.dd[lo:hi], r.ee[lo:hi-1], &matrix.Dense{Rows: n, Cols: n, Stride: n, Data: z}, w)
 	}
-	m := n / 2
-	rho := e[m-1]
+	mid := lo + n/2
+	rho := r.ee[mid-1]
 	if rho != 0 {
-		// Rank-one tear: T = diag(T1', T2') + |rho|·u·uᵀ with u[m−1] = 1,
-		// u[m] = sign(rho).
-		d[m-1] -= math.Abs(rho)
-		d[m] -= math.Abs(rho)
+		// Rank-one tear: T = diag(T1', T2') + |rho|·u·uᵀ with u[mid−1] = 1,
+		// u[mid] = sign(rho).
+		r.dd[mid-1] -= math.Abs(rho)
+		r.dd[mid] -= math.Abs(rho)
 	}
-	l1, q1, err := dcRecurse(d[:m], e[:m-1], w)
-	if err != nil {
-		return nil, nil, err
+	if err := r.recurse(lo, mid, w); err != nil {
+		return err
 	}
-	l2, q2, err := dcRecurse(d[m:], e[m:], w)
-	if err != nil {
-		return nil, nil, err
+	if err := r.recurse(mid, hi, w); err != nil {
+		return err
 	}
-	var vals []float64
-	var q *matrix.Dense
 	if rho == 0 {
 		// The matrix is block diagonal.
-		vals, q = dcDecoupled(l1, q1, l2, q2, w)
-	} else {
-		vals, q = dcMerge(l1, q1, l2, q2, rho, w)
+		r.decoupled(lo, mid, hi)
+		return nil
 	}
-	recycleHalf(l1, d, w)
-	recycleHalf(l2, d[m:], w)
-	w.putMat(q1)
-	w.putMat(q2)
-	return vals, q, nil
+	var st dcMergeState
+	st.pre(r, lo, mid, hi, rho, w)
+	for j0 := 0; j0 < st.k; j0 += dcTileCols {
+		st.tile(j0, w)
+	}
+	return nil
 }
 
-// recycleHalf returns a child's value buffer to the pool unless it aliases
-// the parent's d storage (the base case returns its input slice).
-func recycleHalf(l, half []float64, w *Work) {
-	if len(l) > 0 && &l[0] != &half[0] {
-		w.putVec(l)
-	}
-}
-
-// dcDecoupled builds the combined decomposition of a block-diagonal matrix
-// (exact-zero coupling between the halves): the eigenvalues side by side, the
-// bases on the diagonal.
-func dcDecoupled(l1 []float64, q1 *matrix.Dense, l2 []float64, q2 *matrix.Dense, w *Work) ([]float64, *matrix.Dense) {
-	m, n2 := len(l1), len(l2)
-	n := m + n2
-	vals := w.buf(n)
-	copy(vals, l1)
-	copy(vals[m:], l2)
-	q := w.matBuf(n, n)
+// decoupled combines the solved halves [lo, mid) and [mid, hi) of a
+// block-diagonal matrix (exact-zero coupling between them): the eigenvalues
+// are already side by side in dd, and the basis is diag(Q1, Q2), assembled in
+// g because it overwrites the children's bases in z.
+func (r *dcRun) decoupled(lo, mid, hi int) {
+	n, m := hi-lo, mid-lo
+	q1, q2, g := r.basis(lo, mid), r.basis(mid, hi), r.gather(lo, hi)
 	for j := 0; j < n; j++ {
-		gatherCol(q.Data[j*n:j*n+n], j, m, q1, q2)
+		gatherCol(g[j*n:j*n+n], j, m, q1, q2)
 	}
-	return vals, q
+	copy(r.basis(lo, hi), g)
 }
 
 // gatherCol writes column p of the block-diagonal basis diag(q1, q2) into
-// col: the child's column in its half, exact zeros in the other.
-func gatherCol(col []float64, p, m int, q1, q2 *matrix.Dense) {
+// col: the child's column in its half, exact zeros in the other. q1 has
+// order m, q2 order len(col) − m, each of stride its order.
+func gatherCol(col []float64, p, m int, q1, q2 []float64) {
 	if p < m {
-		copy(col[:m], q1.Data[p*q1.Stride:p*q1.Stride+m])
+		copy(col[:m], q1[p*m:p*m+m])
 		clear(col[m:])
 		return
 	}
+	m2 := len(col) - m
 	p -= m
 	clear(col[:m])
-	copy(col[m:], q2.Data[p*q2.Stride:p*q2.Stride+len(col)-m])
+	copy(col[m:], q2[p*m2:p*m2+m2])
 }
 
 // Column kinds of a merge, in dlaed2's sense: where a column of the
@@ -175,15 +168,15 @@ const (
 //
 // through its steps, in the shape of LAPACK's dlaed2/dlaed3. pre does what
 // comes before the eigenvector update: deflate sorts the poles, deflates, and
-// gathers the surviving columns of diag(Q1, Q2) into the left factor of the
-// update; secular solves the secular equation and rebuilds the weights its
-// computed roots are exact for; and the left factor is packed for the
-// micro-kernel, once for all tiles. tile then builds a block of columns of the
-// secular eigenvector matrix S and multiplies it, and finish releases the
-// scratch. The sequential dcMerge runs the steps back to back, the parallel
-// D&C runs pre, the tiles and finish as tasks, and since every output column
-// is computed by one tile, in an order no partition changes, both give the
-// same bits.
+// gathers the columns of diag(Q1, Q2) into the node's g region, the surviving
+// ones first as the left factor of the update; secular solves the secular
+// equation and rebuilds the weights its computed roots are exact for; the
+// left factor is packed for the micro-kernel, once for all tiles; and the
+// deflated columns go to the node's basis. tile then builds a block of
+// columns of the secular eigenvector matrix S and multiplies it. The
+// sequential recursion runs the steps back to back, the parallel D&C runs pre
+// and the tiles as tasks, and since every output column is computed by one
+// tile, in an order no partition changes, both give the same bits.
 //
 // The k survivors are kept in two orders. The secular problem (dsec, zsec,
 // the roots, zhat) is in ascending order of the poles. The columns of the left
@@ -194,20 +187,17 @@ const (
 // bottom rows in the top group's, the packed operand's skyline skips both, and
 // the product costs ≈ n·k² flops instead of 2·n·k². The groups depend on the
 // problem only.
-//
-// All scratch is sized by the node (n, n×n) and resliced to k, so a pool
-// serves any number of different matrices with the same buffers.
 type dcMergeState struct {
 	n, m   int // node order, rows of the first child
 	k      int // survivors
 	k1, kd int // survivors of kind top and dense; k − k1 − kd are bottom
 	rho    float64
 
-	dsec, zsec []float64     // survivors' poles and weights
-	slot       []int         // column of survivor i in qp
-	qp         *matrix.Dense // columns [0, k): the left factor
+	dsec, zsec []float64 // survivors' poles and weights
+	slot       []int     // column of survivor i in g
+	g          []float64 // the node's g region: the gathered columns, then S
 	pk         blas.Packing
-	pack       []float64 // qp[:, :k] packed under pk
+	pack       []float64 // g[:, :k] packed under pk
 
 	base  []int     // root j is dsec[base[j]] + mu[j]
 	mu    []float64 //
@@ -215,41 +205,33 @@ type dcMergeState struct {
 	evals int       // evaluations of the secular function the k roots took,
 	worst int       // and the most any one of them took
 
-	vals []float64     // result: k roots, then the n−k deflated values
-	q    *matrix.Dense // result basis, columns as vals
+	vals []float64 // dd[lo:hi]: k roots, then the n−k deflated values
+	q    []float64 // the node's basis, columns as vals
 }
 
-// dcMerge is the rank-one merge of two solved halves: it returns the
-// eigenvalues (roots first, then deflated values — see dcSorted) and the basis
-// of the merged problem. The children's buffers stay the caller's.
-func dcMerge(l1 []float64, q1 *matrix.Dense, l2 []float64, q2 *matrix.Dense, rho float64, w *Work) ([]float64, *matrix.Dense) {
-	var st dcMergeState
-	st.pre(l1, q1, l2, q2, rho, w)
-	for j0 := 0; j0 < st.k; j0 += dcTileCols {
-		st.tile(j0, w)
-	}
-	return st.finish(w)
-}
-
-// pre runs the merge up to its eigenvector update.
-func (st *dcMergeState) pre(l1 []float64, q1 *matrix.Dense, l2 []float64, q2 *matrix.Dense, rho float64, w *Work) {
-	st.deflate(l1, q1, l2, q2, rho, w)
-	if st.k > 0 {
+// pre runs the merge of the solved halves [lo, mid) and [mid, hi), coupled by
+// rho ≠ 0, up to its eigenvector update.
+func (st *dcMergeState) pre(r *dcRun, lo, mid, hi int, rho float64, w *Work) {
+	st.deflate(r, lo, mid, hi, rho, w)
+	n, k := st.n, st.k
+	if k > 0 {
 		st.secular()
 		// PackA records, per row panel, the column range outside which the
 		// panel is zero — here the other half's group — and the kernels skip
 		// it.
-		st.pk.PackA(st.pack, blas.NoTrans, st.qp.Data, st.n, st.n, st.k)
+		st.pk.PackA(st.pack, blas.NoTrans, st.g, n, n, k)
 	}
+	copy(st.q[k*n:], st.g[k*n:])
 }
 
-// deflate starts the merge of (l1, q1) and (l2, q2) coupled by rho ≠ 0. It
-// sorts the poles, applies the two deflation rules of dlaed2, and gathers the
-// columns of diag(q1, q2) straight to where they are used: a survivor into its
-// group's next column of the left factor, a deflated column into the result,
-// behind the k columns the update will write. The children are only read.
-func (st *dcMergeState) deflate(l1 []float64, q1 *matrix.Dense, l2 []float64, q2 *matrix.Dense, rho float64, w *Work) {
-	m, n := len(l1), len(l1)+len(l2)
+// deflate sorts the poles, applies the two deflation rules of dlaed2, and
+// gathers the columns of diag(Q1, Q2) into g, a survivor into its group's
+// next column of the left factor and a deflated column behind the k
+// survivors. The children's bases are only read; their values are read from a
+// copy, because the node's values take their place in dd.
+func (st *dcMergeState) deflate(r *dcRun, lo, mid, hi int, rho float64, w *Work) {
+	m, n := mid-lo, hi-lo
+	q1, q2 := r.basis(lo, mid), r.basis(mid, hi)
 	theta := 1.0
 	if rho < 0 {
 		theta, rho = -1, -rho
@@ -257,28 +239,26 @@ func (st *dcMergeState) deflate(l1 []float64, q1 *matrix.Dense, l2 []float64, q2
 
 	// Sort the poles; z follows them: z = [last row of q1 ; theta·first row
 	// of q2].
-	dv := w.buf(n)
-	copy(dv, l1)
-	copy(dv[m:], l2)
+	dv := grown(&w.sortKey, n)
+	copy(dv, r.dd[lo:hi])
 	perm := w.permBuf(n)
 	for i := range perm {
 		perm[i] = i
 	}
 	w.sortPerm(perm, dv)
-	ds, zs := w.buf(n), w.buf(n)
+	ds, zs := r.ws.dsec[lo:hi], r.ws.zsec[lo:hi]
 	kind := w.kindBuf(n)
 	var dmax, zmax float64
 	for j, p := range perm {
 		ds[j] = dv[p]
 		if p < m {
-			zs[j], kind[j] = q1.Data[m-1+p*q1.Stride], dcTop
+			zs[j], kind[j] = q1[m-1+p*m], dcTop
 		} else {
-			zs[j], kind[j] = theta*q2.Data[(p-m)*q2.Stride], dcBottom
+			zs[j], kind[j] = theta*q2[(p-m)*(n-m)], dcBottom
 		}
 		dmax = math.Max(dmax, math.Abs(ds[j]))
 		zmax = math.Max(zmax, math.Abs(zs[j]))
 	}
-	w.putVec(dv)
 
 	// Deflation, in the spirit of dlaed2. Rule 1: a negligible weight. Rule
 	// 2: two poles closer than the tolerance — a rotation moves the weight of
@@ -287,7 +267,7 @@ func (st *dcMergeState) deflate(l1 []float64, q1 *matrix.Dense, l2 []float64, q2
 	// from the partner and (c, s) recorded here.
 	tol := 8 * Eps * math.Max(dmax, rho*zmax)
 	partner := w.partnerBuf(n)
-	cs := w.buf(2 * n)
+	cs := grown(&w.rot, 2*n)
 	var cnt [dcDeflated + 1]int
 	last := -1
 	for i := 0; i < n; i++ {
@@ -297,9 +277,9 @@ func (st *dcMergeState) deflate(l1 []float64, q1 *matrix.Dense, l2 []float64, q2
 			kind[i] = dcDeflated
 		case last >= 0 && ds[i]-ds[last] <= tol:
 			zl, zi := zs[last], zs[i]
-			r := math.Hypot(zl, zi)
-			c, s := zl/r, zi/r
-			zs[last], zs[i] = r, 0
+			h := math.Hypot(zl, zi)
+			c, s := zl/h, zi/h
+			zs[last], zs[i] = h, 0
 			// Diagonal drift stays inside [ds[last], ds[i]].
 			dl, di := ds[last], ds[i]
 			ds[last] = c*c*dl + s*s*di
@@ -319,31 +299,22 @@ func (st *dcMergeState) deflate(l1 []float64, q1 *matrix.Dense, l2 []float64, q2
 	k := n - cnt[dcDeflated]
 	*st = dcMergeState{n: n, m: m, k: k, k1: cnt[dcTop], kd: cnt[dcDense], rho: rho}
 
-	// Destination of every sorted column: survivors by group in [0, k) of
-	// qp, deflated ones in [k, n) of the result.
+	// Column of every sorted column in g: survivors by group in [0, k),
+	// deflated ones in [k, n).
 	next := [dcDeflated + 1]int{dcTop: 0, dcDense: st.k1, dcBottom: st.k1 + st.kd, dcDeflated: k}
-	st.slot = w.intVec(n)
+	st.slot = r.ws.slot[lo:hi]
 	for j, kn := range kind {
 		st.slot[j] = next[kn]
 		next[kn]++
 	}
-	st.qp = w.matBuf(n, n)
-	st.q = w.matBuf(n, n)
-	st.vals = w.buf(n)
-	colOf := func(j int) []float64 {
-		c, dst := st.slot[j], st.qp
-		if c >= k {
-			dst = st.q
-		}
-		return dst.Data[c*n : c*n+n]
-	}
+	st.g = r.gather(lo, hi)
 	for j, p := range perm {
-		col := colOf(j)
+		col := st.g[st.slot[j]*n:][:n]
 		gatherCol(col, p, m, q1, q2)
 		if pj := partner[j]; pj >= 0 {
 			// Q ← Q·Gᵀ on the pair rule 2 rotated.
 			c, s := cs[2*j], cs[2*j+1]
-			colL := colOf(pj)
+			colL := st.g[st.slot[pj]*n:][:n]
 			for i, l := range colL {
 				v := col[i]
 				colL[i] = c*l + s*v
@@ -351,10 +322,10 @@ func (st *dcMergeState) deflate(l1 []float64, q1 *matrix.Dense, l2 []float64, q2
 			}
 		}
 	}
-	w.putVec(cs)
 
 	// Compact the survivors' poles, weights and slots to the front (in
 	// ascending order of the poles); a deflated pole is an eigenvalue.
+	st.vals = r.dd[lo:hi]
 	i := 0
 	for j, kn := range kind {
 		if kn == dcDeflated {
@@ -365,10 +336,11 @@ func (st *dcMergeState) deflate(l1 []float64, q1 *matrix.Dense, l2 []float64, q2
 		i++
 	}
 	st.dsec, st.zsec = ds, zs
-	st.base = w.intVec(n)
-	st.mu, st.zhat = w.buf(n), w.buf(n)
-	st.pk = blas.CurrentPacking()
-	st.pack = w.buf(st.pk.ALen(n, n))
+	st.base = r.ws.base[lo:hi]
+	st.mu, st.zhat = r.ws.mu[lo:hi], r.ws.zhat[lo:hi]
+	st.pk = r.pk
+	st.pack = r.packed(lo, hi)[:st.pk.ALen(n, n)]
+	st.q = r.basis(lo, hi)
 }
 
 // secular solves the secular equation for its k roots and rebuilds the
@@ -402,10 +374,11 @@ func (st *dcMergeState) secular() {
 }
 
 // tile computes columns [j0, j0+dcTileCols) ∩ [0, k) of the update
-// Q[:, :k] = qp[:, :k] · S. Column j of S is the eigenvector of the secular
+// Q[:, :k] = G[:, :k] · S. Column j of S is the eigenvector of the secular
 // problem for root j, ẑ_i/(d_i − λ_j) normalised, with its rows in slot
-// order; the block is built in scratch from w and multiplied by the packed
-// left factor straight into the result.
+// order; the block is built in g, whose columns pre has packed or moved, at
+// the tile's own offset, and multiplied by the packed left factor straight
+// into the basis.
 func (st *dcMergeState) tile(j0 int, w *Work) {
 	n, k := st.n, st.k
 	j1 := min(j0+dcTileCols, k)
@@ -414,10 +387,7 @@ func (st *dcMergeState) tile(j0 int, w *Work) {
 	}
 	cols := j1 - j0
 	dsec, zhat, slot := st.dsec[:k], st.zhat[:k], st.slot[:k]
-	// Sized by the node, ragged-panel scratch included, so that the pool
-	// sees one size per node whatever k is.
-	scratch := w.buf(n*dcTileCols + st.pk.BScratch(n, 1))
-	s := scratch[:k*cols]
+	s := st.g[j0*k : j1*k]
 	for j := j0; j < j1; j++ {
 		col := s[(j-j0)*k : (j-j0+1)*k]
 		db, mu := dsec[st.base[j]], st.mu[j]
@@ -426,10 +396,11 @@ func (st *dcMergeState) tile(j0 int, w *Work) {
 		}
 		blas.Dscal(k, 1/blas.Dnrm2(k, col, 1), col, 1)
 	}
-	c := st.q.Data[j0*n : j1*n]
+	c := st.q[j0*n : j1*n]
 	clear(c)
-	st.pk.GemmPackedA(n, cols, k, st.pack, s, k, c, n, scratch[n*dcTileCols:])
-	w.putVec(scratch)
+	// The ragged-panel scratch is sized by the node, not by k, so that a
+	// Work's scratch depends on the tree alone.
+	st.pk.GemmPackedA(n, cols, k, st.pack, s, k, c, n, grown(&w.bpanel, st.pk.BScratch(n, 1)))
 }
 
 // gemmFlops is the flops tile spends multiplying cols columns: the top rows
@@ -438,20 +409,4 @@ func (st *dcMergeState) gemmFlops(cols int) int64 {
 	top := int64(st.m) * int64(st.k1+st.kd)
 	bottom := int64(st.n-st.m) * int64(st.k-st.k1)
 	return 2 * int64(cols) * (top + bottom)
-}
-
-// finish releases the merge's scratch and returns its result. The counts (n,
-// m, k, k1, kd, evals, worst) stay in st for whoever reports on the merge.
-func (st *dcMergeState) finish(w *Work) ([]float64, *matrix.Dense) {
-	w.putVec(st.dsec)
-	w.putVec(st.zsec)
-	w.putVec(st.mu)
-	w.putVec(st.zhat)
-	w.putVec(st.pack)
-	w.putIntVec(st.slot)
-	w.putIntVec(st.base)
-	w.putMat(st.qp)
-	vals, q := st.vals, st.q
-	*st = dcMergeState{n: st.n, m: st.m, k: st.k, k1: st.k1, kd: st.kd, evals: st.evals, worst: st.worst}
-	return vals, q
 }

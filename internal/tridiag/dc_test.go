@@ -1,10 +1,16 @@
 package tridiag
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/blas"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/testmat"
@@ -220,34 +226,29 @@ func TestStedcScalingExact(t *testing.T) {
 	}
 }
 
-// TestStedcWorkAllocs: a pooled repeat solve allocates nothing — the left
-// factor's packed form, the group permutation, the column kinds and the
-// ragged-panel scratch of the update all come from the WorkSet, and so does
-// the DAG state of an inline StedcSched.
+// TestStedcWorkAllocs: a repeat solve on one WorkSet allocates nothing — the
+// planes, the group permutation, the column kinds and the ragged-panel
+// scratch of the update all come from the WorkSet, and so does the DAG state
+// of an inline StedcSched.
 func TestStedcWorkAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	d, e := randTridiag(rng, 301)
 	ws := NewWorkSet(1)
 	solve := func() {
-		vals, q, err := StedcSched(d, e, ws, nil, 0, nil)
-		if err != nil {
+		if _, _, err := StedcSched(d, e, ws, nil, 0, nil); err != nil {
 			t.Fatal(err)
 		}
-		ws.PutVec(vals)
-		ws.PutMat(q)
 	}
 	solve()
 	if a := testing.AllocsPerRun(3, solve); a != 0 {
-		t.Errorf("pooled inline StedcSched allocates %v times per solve, want 0", a)
+		t.Errorf("repeat inline StedcSched allocates %v times per solve, want 0", a)
 	}
 }
 
 // TestWorkSetRetention: what a WorkSet retains is a function of the problem
-// order, not of how many different matrices it has solved. Merge scratch is
-// sized by the node and resliced to the survivor count, and the members of a
-// set share their free lists, so forty different matrices leave behind what
-// two do — exactly on the inline path, and within the bound of a full tree
-// in flight (3n² per level, 6n² in all, plus vectors) on two workers.
+// order, not of how many different matrices it has solved or of the worker
+// count. The D&C works in three n² planes laid out by its recursion tree, so
+// forty different matrices leave behind what two do, and that is about 3 n².
 func TestWorkSetRetention(t *testing.T) {
 	const n, solves = 512, 40
 	for _, workers := range []int{1, 2} {
@@ -265,12 +266,9 @@ func TestWorkSetRetention(t *testing.T) {
 			if s != nil {
 				job = s.NewJob(nil)
 			}
-			vals, q, err := StedcSched(d, e, ws, job, 0, nil)
-			if err != nil {
+			if _, _, err := StedcSched(d, e, ws, job, 0, nil); err != nil {
 				t.Fatal(err)
 			}
-			ws.PutVec(vals)
-			ws.PutMat(q)
 			if it == 2 {
 				after2 = ws.WorkspaceBytes()
 			}
@@ -278,11 +276,121 @@ func TestWorkSetRetention(t *testing.T) {
 		got := ws.WorkspaceBytes()
 		nn := float64(8 * n * n)
 		t.Logf("workers=%d: %.2f n² after 2 solves, %.2f n² after %d", workers, float64(after2)/nn, float64(got)/nn, solves)
-		if workers == 1 && got != after2 {
-			t.Errorf("inline: %d bytes retained after %d solves, %d after 2", got, solves, after2)
+		if got != after2 {
+			t.Errorf("workers=%d: %d bytes retained after %d solves, %d after 2", workers, got, solves, after2)
 		}
-		if float64(got) > 7*nn {
-			t.Errorf("workers=%d: %.2f n² retained after %d solves, want ≤ 7 n²", workers, float64(got)/nn, solves)
+		if float64(got) > 3.5*nn {
+			t.Errorf("workers=%d: %.2f n² retained after %d solves, want ≤ 3.5 n²", workers, float64(got)/nn, solves)
 		}
 	}
+}
+
+// cancelAfter is a context whose Err turns to context.Canceled at its k-th
+// call: a cancellation at a fixed point of a solve's checks, with no timer.
+type cancelAfter struct {
+	context.Context
+	k     int64
+	calls atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestStedcSchedCancelThenReuse: a solve canceled half way leaves its
+// WorkSet as it found it. The next solve on the set gives a fresh set's bits,
+// and inline it makes no allocation and grows nothing: there is no buffer for
+// the canceled solve to have taken away.
+func TestStedcSchedCancelThenReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	d, e := goeTridiag(rng, 600)
+	want, wantQ, err := stedc(d, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		var s *sched.Scheduler
+		job := func(ctx context.Context) *sched.Job {
+			if s == nil {
+				return sched.Inline(ctx)
+			}
+			return s.NewJob(ctx)
+		}
+		if workers > 1 {
+			s = sched.New(workers)
+		}
+		ws := NewWorkSet(workers)
+		// A full solve counts the checks it makes, and warms the set.
+		count := &cancelAfter{Context: context.Background(), k: math.MaxInt64}
+		if _, _, err := StedcSched(d, e, ws, job(count), 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		bytes := ws.WorkspaceBytes()
+		cut := &cancelAfter{Context: context.Background(), k: count.calls.Load() / 2}
+		if _, _, err := StedcSched(d, e, ws, job(cut), 0, nil); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: canceled solve returned %v, want context.Canceled", workers, err)
+		}
+		// No collection may start inside the count: the runtime's own
+		// allocations for one would be counted as the solve's.
+		runtime.GC()
+		gc := debug.SetGCPercent(-1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var vals []float64
+		var q *matrix.Dense
+		if s == nil {
+			vals, q, err = StedcSched(d, e, ws, nil, 0, nil)
+		} else {
+			vals, q, err = StedcSched(d, e, ws, s.NewJob(nil), 0, nil)
+		}
+		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(gc)
+		if err != nil {
+			t.Fatalf("workers=%d: solve after the cancellation: %v", workers, err)
+		}
+		if !sameVec(vals, want) || !sameMat(q, wantQ) {
+			t.Errorf("workers=%d: solve after the cancellation differs from a fresh set's", workers)
+		}
+		if got := ws.WorkspaceBytes(); got != bytes {
+			t.Errorf("workers=%d: %d bytes retained after the cancellation, %d before", workers, got, bytes)
+		}
+		if a := after.Mallocs - before.Mallocs; s == nil && a != 0 {
+			t.Errorf("inline solve after the cancellation made %d allocations, want 0", a)
+		}
+		if s != nil {
+			s.Shutdown()
+		}
+	}
+}
+
+// TestDCRegionsFit: every merge of the recursion tree packs its left factor,
+// of ALen(m, m) values, into its region of the p plane, m·s values with
+// s = packedStride(n). The packed row padding differs by kernel family, so
+// the probe's family and the portable one are both checked.
+func TestDCRegionsFit(t *testing.T) {
+	check := func(family string) {
+		pk := blas.CurrentPacking()
+		var walk func(n, m int) bool
+		walk = func(n, m int) bool {
+			if m <= dcBaseSize {
+				return true
+			}
+			if need, have := pk.ALen(m, m), m*packedStride(pk, n); need > have {
+				t.Errorf("%s: n = %d, node of order %d packs %d values into a region of %d", family, n, m, need, have)
+				return false
+			}
+			return walk(n, m/2) && walk(n, m-m/2)
+		}
+		for n := 1; n <= 2100; n++ {
+			if !walk(n, n) {
+				return
+			}
+		}
+	}
+	check(blas.GemmKernel())
+	defer blas.UseAsm(blas.UseAsm(false))
+	check("portable")
 }

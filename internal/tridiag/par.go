@@ -9,13 +9,13 @@
 //     eigenvector update gathered by group and packed, the secular roots, the
 //     Löwner rebuild), one GEMM tile task per dcTileCols columns (each builds
 //     its columns of the secular eigenvector matrix and multiplies them), and
-//     a task that releases the scratch. Determinism: the tree shape and the
-//     rank-one tears depend only on the problem; so do deflation and the
-//     grouping of the survivors; tile widths depend on nothing; distinct
-//     tasks write disjoint outputs; and every column of the update is
-//     computed independently of its tile, so any column partition is bitwise
-//     neutral (pinned by tests against the whole problem solved as one leaf,
-//     which is the plain recursion dcRecurse).
+//     a finish task that orders the parent after the tiles. Determinism: the
+//     tree shape and the rank-one tears depend only on the problem; so do
+//     deflation and the grouping of the survivors; tile widths depend on
+//     nothing; distinct tasks write disjoint outputs; and every column of the
+//     update is computed independently of its tile, so any column partition
+//     is bitwise neutral (pinned by tests against the whole problem solved as
+//     one leaf, which is the plain recursion).
 //
 //   - StebzSched partitions the index range into fixed-width chunks; each
 //     chunk refines its eigenvalues with the shared-Sturm-count bracket
@@ -27,9 +27,9 @@
 //     local MGS and PRNG seed) and the within-cluster iteration stays
 //     sequential.
 //
-// Task bodies draw scratch from per-worker Work pools (WorkSet), so repeat
-// solves on one WorkSet reach an allocation-free steady state on the inline
-// path.
+// Task bodies draw scratch from per-worker Work members of a WorkSet, and the
+// D&C works in the set's planes, so repeat solves on one WorkSet reach an
+// allocation-free steady state on the inline path.
 package tridiag
 
 import (
@@ -37,6 +37,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/blas"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -82,34 +83,39 @@ func (l *errLatch) reset() {
 }
 
 // dcNode is one node of the explicit recursion tree built above the cutoff.
-// Leaves (left < 0) cover a whole subtree and run dcRecurse sequentially;
-// internal nodes are decoupled (rho == 0) or rank-one merges.
+// Leaves (left < 0) cover a whole subtree and run the plain recursion
+// sequentially; internal nodes are decoupled (rho == 0) or rank-one merges.
+// A node's results are in its regions of the set's planes (see WorkSet).
 type dcNode struct {
 	lo, hi      int // half-open index range in (dd, ee)
 	left, right int // child node indices; -1 at leaves
 	depth       int
 	rho         float64 // e[mid-1]: the coupling of a rank-one tear, 0 if decoupled
 
-	vals []float64     // result eigenvalues (pool-owned), in merge order
-	q    *matrix.Dense // result basis (pool-owned)
-	st   dcMergeState  // rank-one merge state; its counts outlive the merge
+	st dcMergeState // rank-one merge state; its counts outlive the merge
 }
 
-// dcRun is the per-solve state of the D&C DAG; it is retained inside the
-// WorkSet so steady-state solves build the tree with zero allocations on
-// the inline path.
+// dcRun is the per-solve state of the D&C, DAG or plain recursion; it is
+// retained inside the WorkSet so steady-state solves build the tree with zero
+// allocations on the inline path.
 type dcRun struct {
 	ws     *WorkSet
 	job    *sched.Job
 	tc     *trace.Collector
-	dd, ee []float64 // the tridiagonal, scaled (see scaleT)
+	n, ps  int          // root order and the p plane's stride (see WorkSet)
+	pk     blas.Packing // the layout the merges pack under
+	dd, ee []float64    // the tridiagonal, scaled (see scaleT); dd ends as the values
 	nodes  []dcNode
 	latch  errLatch
 }
 
-func (r *dcRun) reset(ws *WorkSet, job *sched.Job, tc *trace.Collector) {
+// reset starts a solve of order n ≥ 1, growing the set's planes to it.
+func (r *dcRun) reset(ws *WorkSet, job *sched.Job, tc *trace.Collector, n int) {
+	r.pk = blas.CurrentPacking()
+	ws.growDC(n, r.pk)
 	r.ws, r.job, r.tc = ws, job, tc
-	r.dd, r.ee = nil, nil
+	r.n, r.ps = n, packedStride(r.pk, n)
+	r.dd, r.ee = ws.copySlots(n)
 	r.nodes = r.nodes[:0]
 	r.latch.reset()
 }
@@ -127,7 +133,7 @@ func (r *dcRun) build(lo, hi, depth, cutoff int) int {
 	}
 	m := lo + (hi-lo)/2
 	if rho := r.ee[m-1]; rho != 0 {
-		// Rank-one tear (see dcRecurse): T = diag(T1', T2') + |rho|·u·uᵀ.
+		// Rank-one tear (see recurse): T = diag(T1', T2') + |rho|·u·uᵀ.
 		r.dd[m-1] -= math.Abs(rho)
 		r.dd[m] -= math.Abs(rho)
 		r.nodes[i].rho = rho
@@ -140,7 +146,8 @@ func (r *dcRun) build(lo, hi, depth, cutoff int) int {
 
 // Resource IDs: node i's result is resource i; a rank-one node's merge
 // state is resource len(nodes)+i. Tile tasks read the merge state; the finish
-// task read-writes it, which orders it after every tile (write-after-read).
+// task read-writes it, which orders it after every tile (write-after-read),
+// and writes the node's result, which orders the parent after it.
 func (r *dcRun) resNode(i int) int  { return i }
 func (r *dcRun) resMerge(i int) int { return len(r.nodes) + i }
 
@@ -150,57 +157,32 @@ func (r *dcRun) leafBody(i int, wk *Work) {
 		return
 	}
 	nd := &r.nodes[i]
-	d := r.dd[nd.lo:nd.hi]
-	e := r.ee[nd.lo : nd.hi-1]
-	vals, q, err := dcRecurse(d, e, wk)
-	if err != nil {
+	if err := r.recurse(nd.lo, nd.hi, wk); err != nil {
 		r.latch.fail(err)
 		return
 	}
-	nd.vals, nd.q = vals, q
 	r.tc.AttributeFlops(trace.PhaseEigTRecurse, dcRecurseFlops(nd.hi-nd.lo))
 }
 
-// children returns the two solved halves of node i.
-func (r *dcRun) children(i int) (l, rt *dcNode) {
-	nd := &r.nodes[i]
-	return &r.nodes[nd.left], &r.nodes[nd.right]
-}
-
-// releaseChildren recycles the children's results once node i has read them.
-func (r *dcRun) releaseChildren(i int, wk *Work) {
-	l, rt := r.children(i)
-	recycleHalf(l.vals, r.dd[l.lo:], wk)
-	recycleHalf(rt.vals, r.dd[rt.lo:], wk)
-	wk.putMat(l.q)
-	wk.putMat(rt.q)
-	l.vals, l.q, rt.vals, rt.q = nil, nil, nil, nil
-}
-
 // decoupledBody combines two children across an exact-zero coupling.
-func (r *dcRun) decoupledBody(i int, wk *Work) {
+func (r *dcRun) decoupledBody(i int) {
 	if r.latch.failed() {
 		return
 	}
 	nd := &r.nodes[i]
-	l, rt := r.children(i)
-	nd.vals, nd.q = dcDecoupled(l.vals, l.q, rt.vals, rt.q, wk)
-	r.releaseChildren(i, wk)
+	r.decoupled(nd.lo, r.nodes[nd.left].hi, nd.hi)
 }
 
-// preBody, tileBody and finishBody are the steps of dcMerge for a rank-one
-// node (see dcMergeState). Tiles beyond the (deflation-dependent) k are
-// no-ops, so the task count can be fixed at submission time from the node
-// size alone.
+// preBody and tileBody are the steps of a rank-one node's merge (see
+// dcMergeState). Tiles beyond the (deflation-dependent) k are no-ops, so the
+// task count can be fixed at submission time from the node size alone.
 
 func (r *dcRun) preBody(i int, wk *Work) {
 	if r.latch.failed() {
 		return
 	}
 	nd := &r.nodes[i]
-	l, rt := r.children(i)
-	nd.st.pre(l.vals, l.q, rt.vals, rt.q, nd.rho, wk)
-	r.releaseChildren(i, wk)
+	nd.st.pre(r, nd.lo, r.nodes[nd.left].hi, nd.hi, nd.rho, wk)
 	r.tc.AttributeFlops(trace.PhaseEigTMerge, dcSecularFlops(nd.st.k, nd.st.evals))
 }
 
@@ -215,14 +197,6 @@ func (r *dcRun) tileBody(i, t int, wk *Work) {
 	}
 	st.tile(j0, wk)
 	r.tc.AttributeFlops(trace.PhaseEigTMerge, st.gemmFlops(min(dcTileCols, st.k-j0)))
-}
-
-func (r *dcRun) finishBody(i int, wk *Work) {
-	if r.latch.failed() {
-		return
-	}
-	nd := &r.nodes[i]
-	nd.vals, nd.q = nd.st.finish(wk)
 }
 
 // tileCount is the fixed number of GEMM tile tasks of a node of size n
@@ -247,7 +221,7 @@ func (r *dcRun) submitNode(i int) {
 	ldep := sched.R(r.resNode(nd.left))
 	rdep := sched.R(r.resNode(nd.right))
 	if nd.rho == 0 {
-		submit("dc.decoupled", func(worker int) { r.decoupledBody(i, r.ws.Worker(worker)) },
+		submit("dc.decoupled", func(int) { r.decoupledBody(i) },
 			ldep, rdep, sched.W(r.resNode(i)))
 		return
 	}
@@ -257,8 +231,8 @@ func (r *dcRun) submitNode(i int) {
 		submit("dc.merge.gemm", func(worker int) { r.tileBody(i, t, r.ws.Worker(worker)) },
 			sched.R(r.resMerge(i)))
 	}
-	submit("dc.merge.finish", func(worker int) { r.finishBody(i, r.ws.Worker(worker)) },
-		sched.RW(r.resMerge(i)), sched.W(r.resNode(i)))
+	// The finish task has no body: it only orders the parent after the tiles.
+	submit("dc.merge.finish", func(int) {}, sched.RW(r.resMerge(i)), sched.W(r.resNode(i)))
 }
 
 // runInline executes the same bodies in dependence order on the calling
@@ -280,11 +254,11 @@ func (r *dcRun) runInline(i int) {
 	if r.job.Canceled() || r.latch.failed() {
 		return
 	}
-	wk := r.ws.Seq()
 	if nd.rho == 0 {
-		r.decoupledBody(i, wk)
+		r.decoupledBody(i)
 		return
 	}
+	wk := r.ws.Seq()
 	r.preBody(i, wk)
 	for t := 0; t < tileCount(nd.hi-nd.lo); t++ {
 		if r.job.Canceled() {
@@ -292,7 +266,6 @@ func (r *dcRun) runInline(i int) {
 		}
 		r.tileBody(i, t, wk)
 	}
-	r.finishBody(i, wk)
 }
 
 // dcRecurseFlops and dcSecularFlops are the attribution models of the eig_t
@@ -324,25 +297,22 @@ func dcSecularFlops(k, evals int) int64 {
 // trust. Inputs are not modified.
 //
 // It returns the eigenvalues in ascending order and an orthogonal matrix Q
-// with T = Q·diag(vals)·Qᵀ, bitwise the same at any worker count. Both are
-// pool-owned (hand back via ws.PutVec / ws.PutMat); on error — including
-// cancellation of the job — buffers held by unfinished nodes are abandoned to
-// the garbage collector, which keeps the pools consistent. tc receives eig_t
-// sub-phase flop attribution and may be nil. The fifth parameter is
-// ignored; ROADMAP item 1 removes it together with the benchmark's call that
-// passes it.
+// with T = Q·diag(vals)·Qᵀ, bitwise the same at any worker count. Both alias
+// ws and stay valid until the next call on it: a caller that keeps them
+// copies them. On error, including cancellation of the job, nothing is
+// returned and ws stays as it was grown, ready for the next solve. tc
+// receives eig_t sub-phase flop attribution and may be nil. The fifth
+// parameter is ignored; ROADMAP item 1 removes it together with the
+// benchmark's call that passes it.
 func StedcSched(d, e []float64, ws *WorkSet, job *sched.Job, _ uint64, tc *trace.Collector) ([]float64, *matrix.Dense, error) {
 	checkTE(d, e)
 	ws.Grow(job.Workers())
 	n := len(d)
-	seq := ws.Seq()
 	if n == 0 {
-		return seq.buf(0), seq.mat(0, 0), job.Err()
+		return nil, ws.result(0, 0, nil), job.Err()
 	}
 	r := &ws.run
-	r.reset(ws, job, tc)
-	r.dd = seq.buf(n)
-	r.ee = seq.buf(n - 1)
+	r.reset(ws, job, tc, n)
 	exp := scaleT(r.dd, r.ee, d, e)
 	cutoff := max(dcParCutoff, dcBaseSize)
 	root := r.build(0, n, 0, cutoff)
@@ -360,20 +330,11 @@ func StedcSched(d, e []float64, ws *WorkSet, job *sched.Job, _ uint64, tc *trace
 	if err == nil {
 		err = r.latch.get()
 	}
-	var out []float64
-	var q *matrix.Dense
-	if err == nil {
-		// A leaf of order ≤ dcBaseSize returns its values in dd itself, so dd
-		// goes back to the pool only after dcSorted has read them.
-		rn := &r.nodes[root]
-		out, q = dcSorted(rn.vals, rn.q, exp, seq)
-		recycleHalf(rn.vals, r.dd, seq)
-		rn.vals, rn.q = nil, nil
+	if err != nil {
+		return nil, nil, err
 	}
-	seq.putVec(r.dd)
-	seq.putVec(r.ee)
-	r.dd, r.ee = nil, nil
-	return out, q, err
+	vals, q := r.sorted(exp, ws.Seq())
+	return vals, q, nil
 }
 
 // stebzChunkSize is the fixed index-chunk width of the parallel bisection;
@@ -405,13 +366,10 @@ func StebzSched(d, e []float64, il, iu int, ws *WorkSet, job *sched.Job, tc *tra
 	}
 	ws.Grow(job.Workers())
 	if exp := sterfScale(d, e[:n-1]); exp != 0 {
-		seq := ws.Seq()
-		ds, es := seq.buf(n), seq.buf(n-1)
+		ds, es := ws.copySlots(n)
 		ldexpInto(ds, d, -exp)
 		ldexpInto(es, e[:n-1], -exp)
 		out := StebzSched(ds, es, il, iu, ws, job, tc)
-		seq.putVec(ds)
-		seq.putVec(es)
 		ldexpInto(out, out, exp)
 		return out
 	}
@@ -450,8 +408,8 @@ func StebzSched(d, e []float64, il, iu int, ws *WorkSet, job *sched.Job, tc *tra
 // a scheduler job it runs one task per reorthogonalization cluster (the
 // independent unit of inverse iteration — disjoint output columns,
 // cluster-local MGS and PRNG stream), bitwise identical to the inline loop at
-// any worker count. The returned matrix is pool-owned (hand back via
-// ws.PutMat). A cluster that fails to converge
+// any worker count. The returned matrix aliases ws, as StedcSched's results
+// do, and stays valid until the next call on it. A cluster that fails to converge
 // latches ErrNoConvergence; remaining clusters still complete. Like
 // StebzSched it iterates on (d, e) and w scaled by a power of two when the
 // largest entry of the matrix lies outside [ssfmin, ssfmax]; the eigenvectors
@@ -462,18 +420,15 @@ func SteinSched(d, e []float64, w []float64, ws *WorkSet, job *sched.Job, tc *tr
 	ws.Grow(job.Workers())
 	k := len(w)
 	if exp := sterfScale(d, e[:max(n-1, 0)]); exp != 0 {
-		seq := ws.Seq()
-		ds, es, wsc := seq.buf(n), seq.buf(n-1), seq.buf(k)
+		ds, es := ws.copySlots(n)
+		wsc := grown(&ws.zsec, k)
 		ldexpInto(ds, d, -exp)
 		ldexpInto(es, e[:n-1], -exp)
 		ldexpInto(wsc, w, -exp)
-		z, err := SteinSched(ds, es, wsc, ws, job, tc)
-		seq.putVec(ds)
-		seq.putVec(es)
-		seq.putVec(wsc)
-		return z, err
+		return SteinSched(ds, es, wsc, ws, job, tc)
 	}
-	z := ws.Seq().mat(n, k)
+	z := ws.result(n, k, grown(&ws.z, n*k))
+	clear(z.Data)
 	if n == 0 || k == 0 {
 		return z, nil
 	}

@@ -68,7 +68,7 @@ func parShapes(t *testing.T) map[string]struct{ d, e []float64 } {
 func scaledPath(d, e []float64) bool { return sterfScale(d, e) != 0 }
 
 // stedcOneLeaf is the reference of the D&C bitwise tests: StedcSched inline
-// with the whole problem as one leaf, which is the plain recursion dcRecurse.
+// with the whole problem as one leaf, which is the plain recursion.
 func stedcOneLeaf(d, e []float64) ([]float64, *matrix.Dense, error) {
 	defer func(c int) { dcParCutoff = c }(dcParCutoff)
 	dcParCutoff = len(d)
@@ -121,12 +121,10 @@ func TestStedcSchedBitwiseIdentity(t *testing.T) {
 		if !sameVec(vals, refVals) || !sameMat(q, refQ) {
 			t.Errorf("%s: inline StedcSched differs from the one-leaf solve", name)
 		}
-		ws.PutVec(vals)
-		ws.PutMat(q)
 		for _, workers := range parTestWorkers {
 			s := sched.New(workers)
 			set := NewWorkSet(workers)
-			// Two solves per pool: the second runs with warm (reused) pools,
+			// Two solves per set: the second runs in warm (reused) planes,
 			// catching stale-buffer contamination.
 			for pass := 0; pass < 2; pass++ {
 				job := s.NewJob(nil)
@@ -140,8 +138,6 @@ func TestStedcSchedBitwiseIdentity(t *testing.T) {
 				if !sameMat(q, refQ) {
 					t.Errorf("%s workers=%d pass=%d: eigenvectors differ", name, workers, pass)
 				}
-				set.PutVec(vals)
-				set.PutMat(q)
 			}
 			s.Shutdown()
 		}
@@ -295,7 +291,6 @@ func TestSteinSchedBitwiseIdentity(t *testing.T) {
 				if !sameMat(z, refZ) {
 					t.Errorf("%s workers=%d pass=%d: parallel Stein differs", name, workers, pass)
 				}
-				set.PutMat(z)
 			}
 			s.Shutdown()
 		}
@@ -304,7 +299,7 @@ func TestSteinSchedBitwiseIdentity(t *testing.T) {
 
 // TestStedcSchedNoConvergence forces the QL leaf iteration to fail inside a
 // parallel solve: the error latch must surface ErrNoConvergence once, every
-// sibling task must drain without deadlock, and the scheduler and pool must
+// sibling task must drain without deadlock, and the scheduler and set must
 // stay usable for a subsequent healthy solve.
 func TestStedcSchedNoConvergence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -333,8 +328,6 @@ func TestStedcSchedNoConvergence(t *testing.T) {
 	if !sameVec(vals, refVals) || !sameMat(q, refQ) {
 		t.Error("solve after forced failure differs from the one-leaf solve")
 	}
-	set.PutVec(vals)
-	set.PutMat(q)
 }
 
 // TestSteinSchedNoConvergence: the cluster error latch. A shift of −Inf
@@ -350,11 +343,9 @@ func TestSteinSchedNoConvergence(t *testing.T) {
 	s := sched.New(3)
 	defer s.Shutdown()
 	set := NewWorkSet(3)
-	z, err := SteinSched(d, e, w, set, s.NewJob(nil), nil)
-	if !errors.Is(err, ErrNoConvergence) {
+	if _, err := SteinSched(d, e, w, set, s.NewJob(nil), nil); !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("got %v, want ErrNoConvergence", err)
 	}
-	set.PutMat(z)
 }
 
 // TestStedcSchedCancellation: canceling mid-solve must unwind cleanly (no
@@ -393,17 +384,15 @@ func TestStedcSchedCancellation(t *testing.T) {
 			if !sameVec(vals, refVals) || !sameMat(q, refQ) {
 				t.Errorf("delay=%v: completed solve differs from reference", delay)
 			}
-			set.PutVec(vals)
-			set.PutMat(q)
 		case errors.Is(err, context.Canceled):
-			// Expected loss; pools may have leaked buffers to GC, which is fine.
+			// Expected loss (TestStedcSchedCancelThenReuse checks the set after one).
 		default:
 			t.Errorf("delay=%v: unexpected error %v", delay, err)
 		}
 		cancel()
 	}
 
-	// The same pool and scheduler still solve correctly afterwards.
+	// The same set and scheduler still solve correctly afterwards.
 	vals, q, err := StedcSched(d, e, set, s.NewJob(nil), 0, nil)
 	if err != nil {
 		t.Fatalf("solve after cancellations: %v", err)
@@ -411,8 +400,6 @@ func TestStedcSchedCancellation(t *testing.T) {
 	if !sameVec(vals, refVals) || !sameMat(q, refQ) {
 		t.Error("solve after cancellations differs from reference")
 	}
-	set.PutVec(vals)
-	set.PutMat(q)
 }
 
 // TestSchedFlopAttribution: the eig_t sub-phases must be attributed (side
@@ -431,12 +418,9 @@ func TestSchedFlopAttribution(t *testing.T) {
 	defer s.Shutdown()
 	set := NewWorkSet(2)
 	tc := trace.New()
-	vals, q, err := StedcSched(d, e, set, s.NewJob(nil), 0, tc)
-	if err != nil {
+	if _, _, err := StedcSched(d, e, set, s.NewJob(nil), 0, tc); err != nil {
 		t.Fatal(err)
 	}
-	set.PutVec(vals)
-	set.PutMat(q)
 	if tc.AttributedFlops(trace.PhaseEigTRecurse) <= 0 {
 		t.Error("no recurse flops attributed")
 	}
@@ -455,12 +439,9 @@ func TestSchedFlopAttribution(t *testing.T) {
 	}
 	seqTC := trace.New()
 	seqSet := NewWorkSet(1)
-	vals, q, err = StedcSched(d, e, seqSet, nil, 0, seqTC)
-	if err != nil {
+	if _, _, err := StedcSched(d, e, seqSet, nil, 0, seqTC); err != nil {
 		t.Fatal(err)
 	}
-	seqSet.PutVec(vals)
-	seqSet.PutMat(q)
 	for _, ph := range []string{trace.PhaseEigTRecurse, trace.PhaseEigTMerge} {
 		if a, b := seqTC.AttributedFlops(ph), tc.AttributedFlops(ph); a != b {
 			t.Errorf("%s: inline attributes %d flops, two workers %d", ph, a, b)
@@ -471,11 +452,9 @@ func TestSchedFlopAttribution(t *testing.T) {
 	if tc.AttributedFlops(trace.PhaseEigTBisect) <= 0 {
 		t.Error("no bisect flops attributed")
 	}
-	z, err := SteinSched(d, e, w, set, s.NewJob(nil), tc)
-	if err != nil {
+	if _, err := SteinSched(d, e, w, set, s.NewJob(nil), tc); err != nil {
 		t.Fatal(err)
 	}
-	set.PutMat(z)
 	if tc.AttributedFlops(trace.PhaseEigTStein) <= 0 {
 		t.Error("no stein flops attributed")
 	}

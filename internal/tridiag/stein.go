@@ -49,27 +49,16 @@ func steinSeed(cs int) uint64 {
 // steinCluster runs inverse iteration for eigenvalues [cs, ce), writing
 // columns cs..ce-1 of z. Clusters touch disjoint columns, read only (d, e,
 // w) and their own columns during MGS, and use a cluster-local PRNG, so
-// distinct clusters are fully independent. Scratch is drawn from wk and
-// returned before exit, so a cluster task leaves its worker's pool
-// balanced. Returns ErrNoConvergence if reorthogonalization repeatedly
-// annihilates an iterate.
+// distinct clusters are fully independent. Scratch is wk's. Returns
+// ErrNoConvergence if reorthogonalization repeatedly annihilates an iterate.
 func steinCluster(d, e, w []float64, z *matrix.Dense, cs, ce int, eps3 float64, wk *Work) error {
 	n := len(d)
 	// LU workspace for (T − λI) with partial pivoting: sub, diag, super,
 	// super2 (fill-in), pivot flags, and the iterate.
-	sub := wk.vec(n)
-	diag := wk.vec(n)
-	sup := wk.vec(n)
-	sup2 := wk.vec(n)
-	x := wk.vec(n)
+	lu := grown(&wk.lu, 5*n)
+	clear(lu)
+	sub, diag, sup, sup2, x := lu[:n], lu[n:2*n], lu[2*n:3*n], lu[3*n:4*n], lu[4*n:]
 	swapped := wk.swappedBuf(n)
-	put := func() {
-		wk.putVec(sub)
-		wk.putVec(diag)
-		wk.putVec(sup)
-		wk.putVec(sup2)
-		wk.putVec(x)
-	}
 
 	rng := xorshift{s: steinSeed(cs) | 1}
 	for j := cs; j < ce; j++ {
@@ -99,7 +88,6 @@ func steinCluster(d, e, w []float64, z *matrix.Dense, cs, ce int, eps3 float64, 
 				// Orthogonalization annihilated the iterate; restart with a
 				// fresh random vector.
 				if restarts++; restarts > maxSteinRestarts {
-					put()
 					return ErrNoConvergence
 				}
 				for i := 0; i < n; i++ {
@@ -112,7 +100,6 @@ func steinCluster(d, e, w []float64, z *matrix.Dense, cs, ce int, eps3 float64, 
 		}
 		copy(z.Data[j*z.Stride:j*z.Stride+n], x)
 	}
-	put()
 	return nil
 }
 

@@ -29,10 +29,10 @@ func Steqr(d, e []float64, z *matrix.Dense, w *Work) error {
 	// The sweep uses e[m] with m up to n−1 as scratch, so work on an
 	// n-length copy (the classic imtql2 convention); the caller's e is
 	// still clobbered per the contract, but never read past n−2.
-	ework := w.vec(n)
+	ework := grown(&w.ework, n)
 	copy(ework, e[:n-1])
+	ework[n-1] = 0
 	e = ework
-	defer w.putVec(ework)
 	// Sterf's rule: a matrix whose largest entry lies outside
 	// [ssfmin, ssfmax] is iterated on scaled by a power of two, where the
 	// shift's differences and the rotations cannot overflow or underflow.
@@ -117,7 +117,6 @@ func Steqr(d, e []float64, z *matrix.Dense, w *Work) error {
 // already nearly sorted.
 func sortEigen(d []float64, z *matrix.Dense, w *Work) {
 	n := len(d)
-	var tmp []float64
 	for i := 1; i < n; i++ {
 		dv := d[i]
 		j := i - 1
@@ -134,13 +133,9 @@ func sortEigen(d []float64, z *matrix.Dense, w *Work) {
 		}
 		d[j] = dv
 		if z != nil {
-			if tmp == nil {
-				tmp = w.vec(z.Rows)
-			}
-			swapColRotate(z, j, i, tmp)
+			swapColRotate(z, j, i, grown(&w.col, z.Rows))
 		}
 	}
-	w.putVec(tmp)
 }
 
 // swapColRotate rotates columns j..i of z right by one (column i moves to
