@@ -5,13 +5,14 @@
 //	Z = Q₁ · (Q₂ · E)
 //
 // where Q₂ is the awkward one: its reflectors are length-b slivers arranged
-// on a shifted lattice (Figure 3b). Applying them one by one is Level-2
-// BLAS and memory-bound, so consecutive sweeps at the same chase level are
-// aggregated into diamond-shaped blocks and applied with the compact WY
-// representation (Level 3), in an order that linearizes the bulge-chasing
-// dependence DAG (Figure 3d). Parallelism comes from partitioning E into
-// column blocks that never interact (Figure 3c), so each core applies every
-// diamond to its own block with no communication.
+// on a shifted lattice (Figure 3b), which the chase keeps at fixed offsets
+// (bulge.Result.Steps, Reflector) and NewPlan reads in closed form.
+// Applying them one by one is Level-2 BLAS and memory-bound, so consecutive
+// sweeps at the same chase level are aggregated into diamond-shaped blocks
+// and applied with the compact WY representation (Level 3), in an order that
+// linearizes the bulge-chasing dependence DAG (Figure 3d). Parallelism comes
+// from partitioning E into column blocks that never interact (Figure 3c), so
+// each core applies every diamond to its own block with no communication.
 package backtransform
 
 import (
@@ -59,7 +60,7 @@ type diamond struct {
 // NewPlan is the one place a diamond is prepared (householder.Block, H form
 // only — Q₂ is never applied transposed); every column block of every
 // application then consumes the same packed operands. A Plan built with a
-// workspace arena borrows arena storage (the packed-reflector slab, the block
+// workspace arena borrows arena storage (the packed reflectors, the block
 // list) and is only valid until the arena is recycled.
 type Plan struct {
 	n       int
@@ -72,17 +73,23 @@ type Plan struct {
 }
 
 // planCache is the retained per-arena aggregation scratch: the Plan header,
-// the (sweep, level) lattice index, the block list backing array and the
-// staging area one diamond's V, T and tau are aggregated in before packing.
+// the block list backing array and the staging area one diamond's V, T and
+// tau are aggregated in before packing.
 type planCache struct {
 	plan    Plan
-	idx     []int32
 	blocks  []diamond
 	staging []float64
 }
 
 // NewPlan builds the diamond decomposition of Q₂ with the given group size
 // (≤ 0 picks a bandwidth-dependent default). ws may be nil.
+//
+// Diamond (j, ℓ) holds level ℓ of the sweeps [j·g, (j+1)·g). The sweeps that
+// have level ℓ are a prefix of the group, because Steps does not increase
+// with the sweep: k of them. Reflector (s, ℓ) starts at row s + ℓ·b + 1, one
+// row below that of sweep s−1, so the diamond starts at row j·g + ℓ·b + 1 and
+// its last reflector, which reaches furthest, ends it after k − 1 + b rows or
+// at row n.
 func NewPlan(res *bulge.Result, group int, ws *work.Arena) *Plan {
 	if group <= 0 {
 		group = defaultGroup(res.B)
@@ -94,84 +101,37 @@ func NewPlan(res *bulge.Result, group int, ws *work.Arena) *Plan {
 	}
 	p := &cache.plan
 	*p = Plan{n: res.N, ws: ws}
-	if len(res.Refs) == 0 {
+	if len(res.Tau) == 0 {
 		return p
 	}
-
-	// Index reflectors on the (sweep, level) lattice.
-	maxSweep, maxLevel := 0, 0
-	for i := range res.Refs {
-		r := &res.Refs[i]
-		if r.Sweep > maxSweep {
-			maxSweep = r.Sweep
+	n, b := res.N, res.B
+	// Sweeps 0 … n−3 have kernels, sweep 0 the most.
+	nsw, nl := n-2, res.Steps(0)
+	ng := (nsw + group - 1) / group
+	shape := func(j, l int) (rowStart, rows, k int) {
+		lo := j * group
+		for k < min(group, nsw-lo) && res.Steps(lo+k) > l {
+			k++
 		}
-		if r.Level > maxLevel {
-			maxLevel = r.Level
-		}
-	}
-	nl := maxLevel + 1
-	idxLen := (maxSweep + 1) * nl
-	if cap(cache.idx) < idxLen {
-		cache.idx = make([]int32, idxLen)
-	}
-	idx := cache.idx[:idxLen]
-	for i := range idx {
-		idx[i] = -1
-	}
-	for i := range res.Refs {
-		r := &res.Refs[i]
-		idx[r.Sweep*nl+r.Level] = int32(i)
-	}
-	at := func(s, l int) *bulge.Reflector {
-		if i := idx[s*nl+l]; i >= 0 {
-			return &res.Refs[i]
-		}
-		return nil
+		rowStart = lo + l*b + 1
+		return rowStart, min(k-1+b, n-rowStart), k
 	}
 
-	// diamondShape measures group j, level l without building it: the row
-	// span and reflector count of the aggregated block.
-	ng := maxSweep/group + 1
-	diamondShape := func(j, l int) (lo, rowStart, rows, k int) {
-		lo = j * group
-		hi := min(lo+group, maxSweep+1)
-		rowStart, rowEnd := -1, 0
-		for s2 := lo; s2 < hi; s2++ {
-			r := at(s2, l)
-			if r == nil {
-				continue
-			}
-			if rowStart < 0 {
-				rowStart = r.Row - (r.Sweep - lo)
-			}
-			if c := r.Sweep - lo; c+1 > k {
-				k = c + 1
-			}
-			if end := r.Row + len(r.V); end+1 > rowEnd {
-				rowEnd = end + 1
-			}
-		}
-		if k > 0 {
-			rows = rowEnd - rowStart
-		}
-		return
-	}
-
-	// First pass: count blocks and size the packed-reflector slab exactly.
-	nBlocks, slabCap := 0, 0
+	// First pass: count blocks and size the packed-reflector storage exactly.
+	nBlocks, packed := 0, 0
 	for j := ng - 1; j >= 0; j-- {
 		for l := 0; l < nl; l++ {
-			_, _, rows, k := diamondShape(j, l)
+			_, rows, k := shape(j, l)
 			if k == 0 {
 				continue
 			}
 			nBlocks++
-			slabCap += householder.PackedLen(false, rows, k, householder.FormH)
+			packed += householder.PackedLen(false, rows, k, householder.FormH)
 			p.maxK = max(p.maxK, k)
 			p.maxRows = max(p.maxRows, rows)
 		}
 	}
-	slab := ws.SlabOf(work.BacktransSlab, slabCap)
+	store := ws.Floats(work.BacktransSlab, packed, false)
 	if cap(cache.blocks) < nBlocks {
 		cache.blocks = make([]diamond, 0, nBlocks)
 	}
@@ -183,37 +143,29 @@ func NewPlan(res *bulge.Result, group int, ws *work.Arena) *Plan {
 	prepWork := cache.staging[nv+nt+p.maxK:]
 
 	// Second pass: build the diamonds in application order for Q₂·E
-	// (group index j descending, level ascending).
+	// (group index j descending, level ascending), each packed at the next
+	// offset of the storage.
 	blocks := cache.blocks[:0]
+	at := 0
 	for j := ng - 1; j >= 0; j-- {
 		for l := 0; l < nl; l++ {
-			lo, rowStart, rows, k := diamondShape(j, l)
+			rowStart, rows, k := shape(j, l)
 			if k == 0 {
 				continue
 			}
 			v, t, tau := vbuf[:rows*k], tbuf[:k*k], taubuf[:k]
 			clear(v)
-			clear(tau)
-			hi := min(lo+group, maxSweep+1)
-			for s2 := lo; s2 < hi; s2++ {
-				r := at(s2, l)
-				if r == nil {
-					continue
-				}
-				c := r.Sweep - lo
-				local := r.Row - rowStart
-				if local != c {
-					// The lattice guarantees a one-row shift per sweep;
-					// anything else is a logic error upstream.
-					panic("backtransform: reflector off the diamond lattice")
-				}
-				tau[c] = r.Tau
-				copy(v[local+1+c*rows:], r.V)
+			for c := range k {
+				var vc []float64
+				_, vc, tau[c] = res.Reflector(j*group+c, l)
+				copy(v[c+1+c*rows:], vc)
 			}
 			householder.Larft(rows, k, v, rows, tau, t, k)
+			size := householder.PackedLen(false, rows, k, householder.FormH)
 			blocks = append(blocks, diamond{rowStart: rowStart, rows: rows, k: k})
 			blocks[len(blocks)-1].h.Prepare(false, rows, k, v, rows, t, k, householder.FormH,
-				slab.Take(householder.PackedLen(false, rows, k, householder.FormH)), prepWork)
+				store[at:at+size:at+size], prepWork)
+			at += size
 		}
 	}
 	cache.blocks = blocks
@@ -255,22 +207,22 @@ func (p *Plan) ApplyBlock(e *matrix.Dense, work []float64, tc *trace.Collector) 
 // ApplyNaive computes E := Q₂·E one reflector at a time in reverse
 // generation order — the memory-bound Level-2 reference implementation the
 // paper's blocked scheme replaces. It is used to validate the diamond
-// decomposition and as the ablation baseline.
+// decomposition.
 func ApplyNaive(res *bulge.Result, e *matrix.Dense, tc *trace.Collector) {
 	if e.Rows != res.N {
 		panic("backtransform: E row count mismatch")
 	}
 	work := make([]float64, e.Cols)
-	for i := len(res.Refs) - 1; i >= 0; i-- {
-		r := &res.Refs[i]
-		if r.Tau == 0 {
-			continue
+	for s := res.N - 3; s >= 0; s-- {
+		for l := res.Steps(s) - 1; l >= 0; l-- {
+			row, vs, tau := res.Reflector(s, l)
+			if tau == 0 {
+				continue
+			}
+			v := append([]float64{1}, vs...)
+			sub := e.View(row, 0, len(v), e.Cols)
+			householder.Larf(blas.Left, len(v), e.Cols, v, 1, tau, sub.Data, sub.Stride, work)
+			tc.AddFlops(trace.KLarf, 4*int64(len(v))*int64(e.Cols))
 		}
-		v := make([]float64, len(r.V)+1)
-		v[0] = 1
-		copy(v[1:], r.V)
-		sub := e.View(r.Row, 0, len(v), e.Cols)
-		householder.Larf(blas.Left, len(v), e.Cols, v, 1, r.Tau, sub.Data, sub.Stride, work)
-		tc.AddFlops(trace.KLarf, 4*int64(len(v))*int64(e.Cols))
 	}
 }

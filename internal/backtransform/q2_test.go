@@ -31,14 +31,17 @@ func denseQ2(res *bulge.Result) *matrix.Dense {
 	n := res.N
 	q := matrix.Eye(n)
 	work := make([]float64, n)
-	for _, r := range res.Refs {
-		if r.Tau == 0 {
-			continue
+	for s := 0; s < n-2; s++ {
+		for l := 0; l < res.Steps(s); l++ {
+			row, vs, tau := res.Reflector(s, l)
+			if tau == 0 {
+				continue
+			}
+			v := make([]float64, n)
+			v[row] = 1
+			copy(v[row+1:], vs)
+			householder.Larf(blas.Right, n, n, v, 1, tau, q.Data, q.Stride, work)
 		}
-		v := make([]float64, n)
-		v[r.Row] = 1
-		copy(v[r.Row+1:], r.V)
-		householder.Larf(blas.Right, n, n, v, 1, r.Tau, q.Data, q.Stride, work)
 	}
 	return q
 }
@@ -110,6 +113,59 @@ func TestApplyParallelMatchesSequential(t *testing.T) {
 		}
 		if !got.Equalish(want, 0) {
 			t.Fatalf("colBlock=%d: blocked ApplyBlock differs from the whole-matrix application", colBlock)
+		}
+	}
+}
+
+// TestPlanClosedForm checks NewPlan's closed-form diamonds against a scan of
+// the reflector lattice, at n from 3 to 131, b from 2 to 16 and five group
+// widths: for every group j (descending) and level ℓ
+// (ascending), the reflectors (s, ℓ) of the group's sweeps, read through
+// bulge.Result.Reflector, must sit one row apart from the diamond's first row
+// (each in its own column), and the diamond's first row, row span and width
+// must be the ones the scan finds, in the same order.
+func TestPlanClosedForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for n := 3; n <= 131; n += 1 + n/16 {
+		for kd := 2; kd <= min(16, n-1); kd++ {
+			res := bulge.Chase(randBand(rng, n, kd), nil, true, nil, nil)
+			for _, g := range []int{1, 2, 3, 4, 12} {
+				var want []diamond
+				for j := (n - 3) / g; j >= 0; j-- {
+					for l := 0; l < res.Steps(0); l++ {
+						d := diamond{rowStart: -1}
+						end := 0
+						for s := j * g; s < min((j+1)*g, n-2); s++ {
+							if l >= res.Steps(s) {
+								continue
+							}
+							row, v, _ := res.Reflector(s, l)
+							if d.rowStart < 0 {
+								d.rowStart = row - (s - j*g)
+							}
+							if row-d.rowStart != s-j*g {
+								t.Fatalf("n=%d kd=%d g=%d: reflector (%d,%d) at row %d, off the diamond starting at %d", n, kd, g, s, l, row, d.rowStart)
+							}
+							d.k = s - j*g + 1
+							end = max(end, row+len(v)+1)
+						}
+						if d.k > 0 {
+							d.rows = end - d.rowStart
+							want = append(want, d)
+						}
+					}
+				}
+				p := NewPlan(res, g, nil)
+				if len(p.blocks) != len(want) {
+					t.Fatalf("n=%d kd=%d g=%d: %d diamonds, want %d", n, kd, g, len(p.blocks), len(want))
+				}
+				for i, d := range p.blocks {
+					if w := want[i]; d.rowStart != w.rowStart || d.rows != w.rows || d.k != w.k {
+						t.Fatalf("n=%d kd=%d g=%d: diamond %d is (row %d, rows %d, k %d), want (%d, %d, %d)",
+							n, kd, g, i, d.rowStart, d.rows, d.k, w.rowStart, w.rows, w.k)
+					}
+				}
+			}
 		}
 	}
 }

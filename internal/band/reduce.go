@@ -159,7 +159,10 @@ type reducer struct {
 	scratch work.WorkerSlabs // per-worker kernel workspace, scratchLen(nb) each
 	named   bool             // the scheduler records traces, so tasks carry names
 	forms   householder.Form // op(H) forms every panel reflector is prepared for
-	packed  *work.Slab       // storage of the prepared reflectors
+	// packed is the storage of the prepared reflectors, panel by panel from
+	// panelOff[k] (see store); each task writes its own fixed range.
+	packed   []float64
+	panelOff []int
 }
 
 // scratchLen is the per-worker kernel workspace for tile size nb: the larger
@@ -196,6 +199,21 @@ func (r *reducer) acc(dst *int64, start time.Time) {
 	atomic.AddInt64(dst, int64(time.Since(start)))
 }
 
+// store returns the packed storage of panel k's reflector of tile (i, k):
+// the GEQRT one for i = k+1, else the TS one. A panel's range starts with
+// Hge[k]'s operands, then holds Hts[k]'s in tile order; only the last tile
+// row can be short, so each starts at a fixed offset.
+func (r *reducer) store(k, i int) []float64 {
+	m1, kw, kr := r.panelGeom(k)
+	at := r.panelOff[k]
+	n := householder.PackedLen(false, m1, kr, r.forms)
+	if i > k+1 {
+		at += n + (i-k-2)*householder.PackedLen(true, r.f.NB, kw, r.forms)
+		n = householder.PackedLen(true, r.tm.TileRows(i), kw, r.forms)
+	}
+	return r.packed[at : at+n : at+n]
+}
+
 // panelGeom returns the dimensions of panel k: rows of the panel tile,
 // panel width, and reflector count.
 func (r *reducer) panelGeom(k int) (m1, kw, kr int) {
@@ -212,8 +230,7 @@ func (r *reducer) geqrt(k, w int) {
 	panel := r.tm.Tile(k+1, k)
 	scratch, tge := r.panelWork(w)
 	Geqrt(m1, kw, panel, m1, tge, kr, scratch[:kr+kw], r.tc)
-	r.f.Hge[k].Prepare(false, m1, kr, panel, m1, tge, kr, r.forms,
-		r.packed.Take(householder.PackedLen(false, m1, kr, r.forms)), scratch)
+	r.f.Hge[k].Prepare(false, m1, kr, panel, m1, tge, kr, r.forms, r.store(k, k+1), scratch)
 	r.acc(&r.panelNs, t)
 }
 
@@ -269,8 +286,7 @@ func (r *reducer) tsqrt(k, i, w int) {
 	v2 := r.tm.Tile(i, k)
 	scratch, tts := r.panelWork(w)
 	Tsqrt(kw, m2, r.tm.Tile(k+1, k), m1, v2, m2, tts, kw, scratch, r.tc)
-	r.f.Hts[k][i-(k+2)].Prepare(true, m2, kw, v2, m2, tts, kw, r.forms,
-		r.packed.Take(householder.PackedLen(true, m2, kw, r.forms)), scratch)
+	r.f.Hts[k][i-(k+2)].Prepare(true, m2, kw, v2, m2, tts, kw, r.forms, r.store(k, i), scratch)
 	r.acc(&r.panelNs, t)
 }
 
@@ -376,17 +392,20 @@ func newReducer(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc 
 		forms = householder.FormHT
 	}
 
-	// Size one slab for the prepared reflectors: the per-panel counts are
+	// Lay out one buffer for the prepared reflectors: the per-panel sizes are
 	// known up front, so it is exact. The list spines (Hge, Hts and its
-	// per-panel rows) are retained across solves.
+	// per-panel rows) and the panel offsets are retained across solves.
 	np := max(0, nt-1)
 	if cap(hge) < np {
 		hge = make([]householder.Block, np)
 		hts = make([][]householder.Block, np)
 	}
 	f.Hge, f.Hts = hge[:np], hts[:np]
+	r := &sc.r
+	panelOff := r.panelOff[:0]
 	capP := 0
 	for k := 0; k < nt-1; k++ {
+		panelOff = append(panelOff, capP)
 		m1 := tm.TileRows(k + 1)
 		kw := tm.TileCols(k)
 		capP += householder.PackedLen(false, m1, min(m1, kw), forms)
@@ -400,13 +419,13 @@ func newReducer(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc 
 		}
 	}
 
-	r := &sc.r
 	*r = reducer{
 		f: f, tm: tm, tc: tc,
-		scratch: ws.WorkerSlabs(work.Stage1Scratch, job.Workers(), scratchLen(nb)),
-		named:   job.Traced(),
-		forms:   forms,
-		packed:  ws.SlabOf(work.Stage1Packed, capP),
+		scratch:  ws.WorkerSlabs(work.Stage1Scratch, job.Workers(), scratchLen(nb)),
+		named:    job.Traced(),
+		forms:    forms,
+		packed:   ws.Floats(work.Stage1Packed, capP, false),
+		panelOff: panelOff,
 	}
 	return r
 }
@@ -459,7 +478,7 @@ func (r *reducer) scheduleLookahead(job *sched.Job) {
 			Name:     r.name("GEQRT", k+1, k),
 			Priority: prioPanel,
 			Deps: []sched.Dep{
-				sched.RW(tm.TileID(k+1, k)), sched.W(f.resV(k)), sched.W(f.resR(k)), sched.W(f.resHge(k)),
+				sched.RW(tm.TileID(k+1, k)), sched.RW(f.resV(k)), sched.RW(f.resR(k)), sched.RW(f.resHge(k)),
 			},
 			Run: func(w int) { r.geqrt(k, w) },
 		})
@@ -480,7 +499,7 @@ func (r *reducer) scheduleLookahead(job *sched.Job) {
 			deps = append(deps, sched.RW(tm.TileID(k+1, j)), sched.R(f.resV(k)), sched.R(f.resHge(k)))
 			dist := j - k
 			if r.keepColumnCopy(k+1, j) {
-				deps = append(deps, sched.W(tm.TileID(j, k+1)))
+				deps = append(deps, sched.RW(tm.TileID(j, k+1)))
 				dist = 1
 			}
 			job.Submit(sched.Task{
@@ -497,7 +516,7 @@ func (r *reducer) scheduleLookahead(job *sched.Job) {
 				Name:     r.name("TSQRT", i, k),
 				Priority: prioPanel,
 				Deps: []sched.Dep{
-					sched.RW(f.resR(k)), sched.RW(tm.TileID(i, k)), sched.W(f.resHts(k, i)),
+					sched.RW(f.resR(k)), sched.RW(tm.TileID(i, k)), sched.RW(f.resHts(k, i)),
 				},
 				Run: func(w int) { r.tsqrt(k, i, w) },
 			})
@@ -511,9 +530,9 @@ func (r *reducer) scheduleLookahead(job *sched.Job) {
 				// and k+1.
 				dist := min(i, j) - k
 				if j != k+1 && j != i {
-					deps = append(deps, sched.W(tm.TileID(j, i)))
+					deps = append(deps, sched.RW(tm.TileID(j, i)))
 					if r.keepColumnCopy(i, j) {
-						deps = append(deps, sched.W(tm.TileID(j, k+1)))
+						deps = append(deps, sched.RW(tm.TileID(j, k+1)))
 						dist = 1
 					}
 				}

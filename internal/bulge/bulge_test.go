@@ -29,23 +29,36 @@ func randBand(rng *rand.Rand, n, kd int) *matrix.SymBand {
 	return b
 }
 
+// forEachKept calls fn on every reflector res keeps, in generation order
+// (sweep-major, level-minor).
+func forEachKept(res *Result, fn func(sw, lvl, row int, v []float64, tau float64)) {
+	i := 0
+	for sw := 0; sw < res.N && i < len(res.Tau); sw++ {
+		for lvl := 0; lvl < res.Steps(sw) && i < len(res.Tau); lvl++ {
+			row, v, tau := res.Reflector(sw, lvl)
+			fn(sw, lvl, row, v, tau)
+			i++
+		}
+	}
+}
+
 // buildQ2 accumulates the dense Q₂ = H(0,0)·H(0,1)⋯ from the recorded
 // reflectors in generation order.
 func buildQ2(res *Result) *matrix.Dense {
 	n := res.N
 	q := matrix.Eye(n)
 	work := make([]float64, n)
-	for _, r := range res.Refs {
-		if r.Tau == 0 {
-			continue
+	forEachKept(res, func(_, _, row int, vs []float64, tau float64) {
+		if tau == 0 {
+			return
 		}
 		v := make([]float64, n)
-		v[r.Row] = 1
-		copy(v[r.Row+1:], r.V)
+		v[row] = 1
+		copy(v[row+1:], vs)
 		// q := q·H (right multiplication accumulates the product in
 		// generation order).
-		householder.Larf(blas.Right, n, n, v, 1, r.Tau, q.Data, q.Stride, work)
-	}
+		householder.Larf(blas.Right, n, n, v, 1, tau, q.Data, q.Stride, work)
+	})
 	return q
 }
 
@@ -117,8 +130,8 @@ func TestChaseAlreadyTridiagonal(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	b := randBand(rng, 12, 1)
 	res := Chase(b, nil, true, nil, nil)
-	if len(res.Refs) != 0 {
-		t.Fatalf("kd=1 input should produce no reflectors, got %d", len(res.Refs))
+	if len(res.Tau) != 0 {
+		t.Fatalf("kd=1 input should produce no reflectors, got %d", len(res.Tau))
 	}
 	for i := 0; i < 12; i++ {
 		if res.T.D[i] != b.At(i, i) {
@@ -164,8 +177,21 @@ func forEachStep(n, bw int, fn func(sw, lvl int) bool) {
 	}
 }
 
-func sameReflector(a, b Reflector) bool {
-	return a.Sweep == b.Sweep && a.Level == b.Level && a.Row == b.Row && a.Tau == b.Tau && slices.Equal(a.V, b.V)
+// sameKernels reports whether the first m reflectors of a and b have the
+// same τ and essentials, bit for bit.
+func sameKernels(a, b *Result, m int) bool {
+	if len(a.Tau) < m || len(b.Tau) < m || !slices.Equal(a.Tau[:m], b.Tau[:m]) {
+		return false
+	}
+	same, i := true, 0
+	forEachKept(a, func(sw, lvl, _ int, v []float64, _ float64) {
+		if i < m {
+			_, w, _ := b.Reflector(sw, lvl)
+			same = same && slices.Equal(v, w)
+		}
+		i++
+	})
+	return same
 }
 
 // countdownCtx is a context whose Err turns to context.Canceled on its
@@ -196,11 +222,9 @@ func TestChaseCancel(t *testing.T) {
 	for _, tc := range []struct{ n, workers int }{{400, 1}, {400, 2}, {TwoStreamOrder, 2}} {
 		b := randBand(rng, tc.n, kd)
 		ref := Chase(b, nil, true, nil, nil)
-		var firstK []Reflector
-		for _, r := range ref.Refs {
-			if r.Sweep < k {
-				firstK = append(firstK, r)
-			}
+		firstK := 0
+		for sw := 0; sw < k; sw++ {
+			firstK += ref.Steps(sw)
 		}
 		two := tc.n >= TwoStreamOrder
 		ctx := &countdownCtx{Context: context.Background(), left: k}
@@ -211,7 +235,7 @@ func TestChaseCancel(t *testing.T) {
 			job = s.NewJob(ctx)
 		}
 		ws := work.NewArena()
-		Chase(b, job, true, ws, nil)
+		cut := Chase(b, job, true, ws, nil)
 		band := slices.Clone(chaserFor(ws).w.data)
 		if err := job.Wait(); !errors.Is(err, context.Canceled) {
 			t.Fatalf("n=%d workers=%d: job error %v, want context.Canceled", tc.n, tc.workers, err)
@@ -219,15 +243,15 @@ func TestChaseCancel(t *testing.T) {
 		if !slices.Equal(band, chaserFor(ws).w.data) {
 			t.Fatalf("n=%d workers=%d: the band changed after Chase returned", tc.n, tc.workers)
 		}
-		got := chaserFor(ws).refs
-		if len(got) == 0 || len(got) >= len(ref.Refs) {
-			t.Fatalf("n=%d workers=%d: %d of %d reflectors kept, want some but not all", tc.n, tc.workers, len(got), len(ref.Refs))
+		got := len(cut.Tau)
+		if got == 0 || got >= len(ref.Tau) {
+			t.Fatalf("n=%d workers=%d: %d of %d reflectors kept, want some but not all", tc.n, tc.workers, got, len(ref.Tau))
 		}
-		if !slices.EqualFunc(got, ref.Refs[:len(got)], sameReflector) {
-			t.Fatalf("n=%d workers=%d: the %d reflectors kept are not a prefix of the sequence", tc.n, tc.workers, len(got))
+		if !sameKernels(cut, ref, got) {
+			t.Fatalf("n=%d workers=%d: the %d reflectors kept are not a prefix of the sequence", tc.n, tc.workers, got)
 		}
-		if !two && len(got) != len(firstK) {
-			t.Fatalf("n=%d workers=%d: %d reflectors kept, want the first %d sweeps' %d", tc.n, tc.workers, len(got), k, len(firstK))
+		if !two && got != firstK {
+			t.Fatalf("n=%d workers=%d: %d reflectors kept, want the first %d sweeps' %d", tc.n, tc.workers, got, k, firstK)
 		}
 		again := Chase(b, nil, true, ws, nil)
 		if !sameChase(ref, again) {
@@ -238,10 +262,12 @@ func TestChaseCancel(t *testing.T) {
 
 // TestReflectorLattice checks the reflectors Chase keeps, on shapes whose
 // first sweep has four, five and fifteen kernels, is a single kernel, and on a
-// matrix narrower than two bandwidths: one reflector per kernel, in
-// generation order (sweep-major, level-minor); reflector (s, ℓ) starts at row
-// s + ℓ·bw + 1 and stays within the matrix; essential lengths never exceed
-// bw−1.
+// matrix narrower than two bandwidths: Steps(s) is the kernel lattice's count,
+// does not increase with s and is 0 from sweep n−2 on (what the diamonds'
+// closed form relies on); Tau holds one τ per kernel; and through Reflector,
+// reflector (s, ℓ) starts at row s + ℓ·bw + 1, has min(bw, n − row) − 1
+// essentials, never more than bw−1, and stays within the matrix, for every
+// (s, ℓ).
 func TestReflectorLattice(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, tc := range []struct {
@@ -260,29 +286,44 @@ func TestReflectorLattice(t *testing.T) {
 			t.Fatalf("%s: first sweep has %d kernels, want %d", tc.name, got, want)
 		}
 		res := Chase(randBand(rng, n, kd), nil, true, nil, nil)
+		for sw := 0; sw < n+kd; sw++ {
+			steps := res.Steps(sw)
+			if steps != sweepSteps(n, kd, sw) {
+				t.Fatalf("%s: Steps(%d) = %d, want %d", tc.name, sw, steps, sweepSteps(n, kd, sw))
+			}
+			if sw > 0 && steps > res.Steps(sw-1) {
+				t.Fatalf("%s: Steps(%d) = %d > Steps(%d)", tc.name, sw, steps, sw-1)
+			}
+			if (steps == 0) != (sw >= n-2) {
+				t.Fatalf("%s: Steps(%d) = %d", tc.name, sw, steps)
+			}
+		}
 		i := 0
 		forEachStep(n, kd, func(sw, lvl int) bool {
-			if i >= len(res.Refs) {
-				t.Fatalf("%s: only %d reflectors", tc.name, len(res.Refs))
+			if i >= len(res.Tau) {
+				t.Fatalf("%s: only %d reflectors", tc.name, len(res.Tau))
 			}
-			r := res.Refs[i]
-			if r.Sweep != sw || r.Level != lvl {
-				t.Fatalf("%s: reflector %d is (%d,%d), want (%d,%d)", tc.name, i, r.Sweep, r.Level, sw, lvl)
+			row, v, tau := res.Reflector(sw, lvl)
+			if tau != res.Tau[i] {
+				t.Fatalf("%s: reflector (%d,%d) has τ %g, want Tau[%d] = %g", tc.name, sw, lvl, tau, i, res.Tau[i])
 			}
-			if wantRow := sw + lvl*kd + 1; r.Row != wantRow {
-				t.Fatalf("%s: reflector (%d,%d) at row %d, want %d", tc.name, sw, lvl, r.Row, wantRow)
+			if wantRow := sw + lvl*kd + 1; row != wantRow {
+				t.Fatalf("%s: reflector (%d,%d) at row %d, want %d", tc.name, sw, lvl, row, wantRow)
 			}
-			if len(r.V) > kd-1 {
-				t.Fatalf("%s: reflector (%d,%d) essential length %d > kd-1", tc.name, sw, lvl, len(r.V))
+			if want := min(kd, n-row) - 1; len(v) != want {
+				t.Fatalf("%s: reflector (%d,%d) essential length %d, want %d", tc.name, sw, lvl, len(v), want)
 			}
-			if r.Row+len(r.V) > n-1 {
+			if len(v) > kd-1 {
+				t.Fatalf("%s: reflector (%d,%d) essential length %d > kd-1", tc.name, sw, lvl, len(v))
+			}
+			if row+len(v) > n-1 {
 				t.Fatalf("%s: reflector (%d,%d) exceeds matrix", tc.name, sw, lvl)
 			}
 			i++
 			return true
 		})
-		if i != len(res.Refs) {
-			t.Fatalf("%s: %d reflectors, want one per kernel (%d)", tc.name, len(res.Refs), i)
+		if i != len(res.Tau) {
+			t.Fatalf("%s: %d reflectors, want one per kernel (%d)", tc.name, len(res.Tau), i)
 		}
 	}
 }
@@ -296,10 +337,10 @@ func TestChaseValuesOnly(t *testing.T) {
 		b := randBand(rng, tc.n, tc.kd)
 		full := Chase(b, nil, true, nil, nil)
 		vo := Chase(b, nil, false, nil, nil)
-		if vo.Refs != nil {
-			t.Fatalf("n=%d kd=%d: values-only chase recorded %d reflectors", tc.n, tc.kd, len(vo.Refs))
+		if vo.Tau != nil {
+			t.Fatalf("n=%d kd=%d: values-only chase recorded %d reflectors", tc.n, tc.kd, len(vo.Tau))
 		}
-		if len(full.Refs) == 0 {
+		if len(full.Tau) == 0 {
 			t.Fatalf("n=%d kd=%d: full chase recorded no reflectors", tc.n, tc.kd)
 		}
 		for i := range full.T.D {
@@ -316,10 +357,10 @@ func TestChaseValuesOnly(t *testing.T) {
 }
 
 // sameChase reports whether two chases produced the same bits: T, and every
-// reflector's position, V and tau, in order.
+// reflector's τ and essentials, in order.
 func sameChase(a, b *Result) bool {
-	return slices.Equal(a.T.D, b.T.D) && slices.Equal(a.T.E, b.T.E) && len(a.Refs) == len(b.Refs) &&
-		slices.EqualFunc(a.Refs, b.Refs, sameReflector)
+	return slices.Equal(a.T.D, b.T.D) && slices.Equal(a.T.E, b.T.E) && len(a.Tau) == len(b.Tau) &&
+		sameKernels(a, b, len(a.Tau))
 }
 
 // TestChaseTwoStreams runs the chase as two streams on a W = 2 scheduler and

@@ -20,6 +20,11 @@
 //
 // The matrix is kept in an extended band (2b−1 subdiagonals) because the
 // transient bulges live just below the original band.
+//
+// Q₂ is kept on the kernels' own lattice: sweep s has Steps(s) reflectors,
+// reflector (s, ℓ) starts at row s + ℓ·b + 1, and Result.Reflector reads its
+// τ and essentials from fixed offsets. The back-transformation computes its
+// diamonds from that lattice.
 package bulge
 
 import (
@@ -32,29 +37,40 @@ import (
 	"repro/internal/work"
 )
 
-// Reflector is one elementary Householder transformation of Q₂. The full
-// vector is [1; V] acting on rows Row..Row+len(V) of the matrix, and
-// Q₂ = H(0,0)·H(0,1)⋯H(s,ℓ)⋯ in generation order (sweep-major, level-minor).
-type Reflector struct {
-	Sweep int       // sweep (column) index that generated it
-	Level int       // chase depth: 0 for the xHBCEU reflector
-	Row   int       // global row of the implicit leading 1
-	V     []float64 // essential part (length = block length − 1)
-	Tau   float64
-}
-
 // Result is the output of Chase.
 type Result struct {
 	N int // matrix order
 	B int // bandwidth of the input band matrix
 	// T is the resulting tridiagonal matrix.
 	T *matrix.Tridiagonal
-	// Refs holds the Q₂ reflectors in generation order, one per kernel.
-	// Identity reflectors (tau = 0) are included so the diamond grouping in
-	// backtransform can rely on the regular (sweep, level) lattice. Nil when
-	// the chase was run with wantQ == false. The V slices may be
-	// arena-backed: the Result is only valid until the arena is recycled.
-	Refs []Reflector
+	// Tau holds, when the chase kept Q₂, the τ of every kernel's reflector in
+	// sequential order (sweep-major, level-minor), identity reflectors
+	// (τ = 0) included, so that Q₂ = H(0,0)·H(0,1)⋯H(s,ℓ)⋯ over the regular
+	// lattice of Steps and Reflector. It is nil for a values-only chase, and
+	// a canceled chase keeps only the prefix of the kernels that all ran.
+	Tau []float64
+	// off[s] is the sequential index of kernel (s, 0) and voff[s] the offset
+	// of its essentials in vs, which holds reflector (s, ℓ)'s at
+	// voff[s] + ℓ·(B−1). All three may be arena-backed: the Result is only
+	// valid until the arena is recycled.
+	off, voff []int
+	vs        []float64
+}
+
+// Steps is the number of kernels, and so of reflectors, of sweep s: level 0
+// and the chase levels 1 … Steps(s)−1. It does not increase with s and is 0
+// from sweep N−2 on.
+func (r *Result) Steps(s int) int { return sweepSteps(r.N, r.B, s) }
+
+// Reflector returns the reflector kernel (s, ℓ) generated: the full vector
+// [1; v] acts on rows row … row+len(v) with row = s + ℓ·B + 1 and
+// len(v) = min(B, N − row) − 1. v aliases the Result's storage. The kernel
+// must be among those Tau holds.
+func (r *Result) Reflector(s, l int) (row int, v []float64, tau float64) {
+	row = s + l*r.B + 1
+	at := r.voff[s] + l*(r.B-1)
+	end := at + min(r.B, r.N-row) - 1
+	return row, r.vs[at:end:end], r.Tau[r.off[s]+l]
 }
 
 // TwoStreamOrder is N₂, the order from which a chase on a job of two or more
@@ -90,8 +106,8 @@ type stream struct {
 // chaser carries the stage-2 state: the extended working band, one stream
 // per goroutine, the ring through which the first stream hands each sweep to
 // the second, and the kernel offsets. Kernel (s, ℓ) is the off[s]+ℓ-th in
-// sequential order; with Q₂ wanted its reflector goes into that slot of refs,
-// its essential part at voff[s] + ℓ·(bw−1) in the essentials buffer. The
+// sequential order; with Q₂ wanted its τ goes into that slot of tau, its
+// essential part at voff[s] + ℓ·(bw−1) in the essentials buffer. The
 // chaser and the outputs that outlive the kernels (the Result and its
 // tridiagonal matrix) are one arena value, so a recycled arena reuses all
 // their headers.
@@ -104,8 +120,8 @@ type chaser struct {
 	voff  []int     // with Q₂: offset of reflector (s, 0)'s essentials
 	nB    int       // sweeps with a lower half; they come first
 	wantQ bool
-	vs    []float64   // with Q₂: every reflector's essentials
-	refs  []Reflector // retained Result.Refs storage
+	vs    []float64 // with Q₂: every reflector's essentials
+	tau   []float64 // with Q₂: every reflector's τ, retained across chases
 	res   Result
 	t     matrix.Tridiagonal
 }
@@ -120,8 +136,8 @@ func chaserFor(ws *work.Arena) *chaser {
 }
 
 // init readies c to chase b2: it lays out the kernel offsets and the stream
-// buffers and, only for a chase that keeps Q₂, sizes the reflector slots and
-// the essentials buffer, both exactly.
+// buffers and, only for a chase that keeps Q₂, sizes the τ slots and the
+// essentials buffer, both exactly.
 func (c *chaser) init(b2 *matrix.SymBand, wantQ bool, ws *work.Arena, tc *trace.Collector) {
 	n, bw := b2.N, b2.KD
 	c.w.init(b2, ws)
@@ -150,27 +166,26 @@ func (c *chaser) init(b2 *matrix.SymBand, wantQ bool, ws *work.Arena, tc *trace.
 		capV += (steps-1)*(bw-1) + min(bw, n-(sw+(steps-1)*bw+1)) - 1
 	}
 	c.off = append(c.off, nref)
-	c.vs, c.refs = nil, c.refs[:0]
+	c.vs, c.tau = nil, c.tau[:0]
 	if !wantQ {
 		return
 	}
-	if cap(c.refs) < nref {
-		c.refs = make([]Reflector, nref)
+	if cap(c.tau) < nref {
+		c.tau = make([]float64, nref)
 	}
-	c.refs = c.refs[:nref]
+	c.tau = c.tau[:nref]
 	c.vs = ws.Floats(work.Stage2Slab, capV, false)
 }
 
 // record stores the reflector stream st's current kernel (sw, lvl)
-// generated, of the given length, in its Q₂ slot when the chase keeps Q₂.
-func (c *chaser) record(st *stream, sw, lvl, row, length int) {
+// generated, of the given length, in its Q₂ slots when the chase keeps Q₂.
+func (c *chaser) record(st *stream, sw, lvl, length int) {
 	if !c.wantQ {
 		return
 	}
 	at := c.voff[sw] + lvl*(c.w.bw-1)
-	v := c.vs[at : at+length-1 : at+length-1]
-	copy(v, st.u[1:])
-	c.refs[c.off[sw]+lvl] = Reflector{Sweep: sw, Level: lvl, Row: row, V: v, Tau: st.tau}
+	copy(c.vs[at:at+length-1], st.u[1:])
+	c.tau[c.off[sw]+lvl] = st.tau
 }
 
 // kernel runs kernel (sw, lvl) on stream st.
@@ -189,7 +204,7 @@ func (c *chaser) startSweep(st *stream, sw int) {
 	len0 := min(bw, n-1-sw)
 	r0 := sw + 1
 	st.tau = c.w.larfgColumn(sw, r0, len0, st.u, c.tc)
-	c.record(st, sw, 0, r0, len0)
+	c.record(st, sw, 0, len0)
 	c.w.symTwoSided(r0, len0, st.u, st.tau, st.p, c.tc)
 }
 
@@ -213,7 +228,7 @@ func (c *chaser) chaseStep(st *stream, sw, lvl int) {
 	} else {
 		st.tau = 0
 	}
-	c.record(st, sw, lvl, nextStart, nextLen)
+	c.record(st, sw, lvl, nextLen)
 	if st.tau != 0 {
 		c.w.leftUpdate(nextStart, nextLen, prevStart+1, prevLen-1, st.u, st.tau, st.p, c.tc)
 		// xHBLRU: two-sided update of the next symmetric triangle.
@@ -333,7 +348,7 @@ func (c *chaser) lower(sp *pipe) {
 }
 
 // cut ends a canceled chase at sweep sw: it stops the second stream and keeps
-// only the reflectors of the kernels that all ran, a prefix of the sequence.
+// only the τ of the kernels that all ran, a prefix of the sequence.
 func (c *chaser) cut(sw int, sp *pipe) {
 	keep := c.off[sw]
 	if sp != nil {
@@ -341,7 +356,7 @@ func (c *chaser) cut(sw int, sp *pipe) {
 		keep = min(keep, int(sp.done.Load()))
 	}
 	if c.wantQ {
-		c.refs = c.refs[:keep]
+		c.tau = c.tau[:keep]
 	}
 }
 
@@ -357,11 +372,11 @@ func (c *chaser) cut(sw int, sp *pipe) {
 // nil job never cancels); a canceled chase returns only after its second
 // stream has.
 //
-// wantQ selects whether the Q₂ reflector sequence is accumulated into
-// Result.Refs; values-only solves pass false and keep no reflector. If the
-// job is canceled the Result's contents are unspecified and the caller must
-// check job.Err. ws may be nil; when non-nil the Result borrows arena
-// storage and is only valid until the arena is recycled. tc may be nil.
+// wantQ selects whether the Q₂ reflectors are kept (Result.Tau and
+// Reflector); values-only solves pass false and keep none. If the job is
+// canceled T is unspecified, Tau holds a prefix of the kernels, and the
+// caller must check job.Err. ws may be nil; when non-nil the Result borrows
+// arena storage and is only valid until the arena is recycled. tc may be nil.
 func Chase(b2 *matrix.SymBand, job *sched.Job, wantQ bool, ws *work.Arena, tc *trace.Collector) *Result {
 	return chase(b2, job, wantQ, ws, tc, job.Workers() >= 2 && b2.N >= TwoStreamOrder)
 }
@@ -395,7 +410,7 @@ func chase(b2 *matrix.SymBand, job *sched.Job, wantQ bool, ws *work.Arena, tc *t
 	c.w.extractTridiagonal(ws, &c.t)
 	res.T = &c.t
 	if wantQ {
-		res.Refs = c.refs
+		res.Tau, res.off, res.voff, res.vs = c.tau, c.off, c.voff, c.vs
 	}
 	return res
 }

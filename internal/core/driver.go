@@ -151,18 +151,6 @@ func (o *Options) indexRange(n int) (il, iu int, err error) {
 	return il, iu, nil
 }
 
-// phaseJob makes the per-phase task stream: scheduler-backed when a pool is
-// available, else an inline job that still honors ctx between kernels.
-func phaseJob(s *sched.Scheduler, ctx context.Context) *sched.Job {
-	if s != nil {
-		return s.NewJob(ctx)
-	}
-	if ctx != nil {
-		return sched.Inline(ctx)
-	}
-	return nil
-}
-
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
@@ -220,16 +208,16 @@ func SyevOneStage(ctx context.Context, a *matrix.Dense, o Options) (*Result, err
 	// the reduction's large symv and rank-2k calls and a wide C's
 	// back-transformation run as two halves, with the sequential bits
 	// (onestage.SytrdJob, onestage.ApplyQJob).
-	s := o.Sched
-	if s == nil && o.Workers > 1 {
-		s = sched.New(o.Workers)
-		defer s.Shutdown()
+	jobs := phaseJobs{s: o.Sched}
+	if jobs.s == nil && o.Workers > 1 {
+		jobs.s = sched.New(o.Workers)
+		defer jobs.s.Shutdown()
 	}
 
 	aw := ws.Dense(work.Stage1Dense, n, n, false)
 	aw.CopyFrom(a)
 	var d, e, tau []float64
-	job := phaseJob(s, ctx)
+	job := jobs.phaseJob(ctx)
 	tc.Phase(trace.PhaseReduction, func() {
 		d, e, tau = onestage.SytrdJob(aw, o.NB, job, ws, tc)
 	})
@@ -237,7 +225,7 @@ func SyevOneStage(ctx context.Context, a *matrix.Dense, o Options) (*Result, err
 		return nil, err
 	}
 	t := &matrix.Tridiagonal{D: d, E: e}
-	vals, evecs, err := solveTridiagonal(t, &o, il, iu, ws, tc, phaseJob(s, ctx))
+	vals, evecs, err := solveTridiagonal(t, &o, il, iu, ws, tc, jobs.phaseJob(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +237,7 @@ func SyevOneStage(ctx context.Context, a *matrix.Dense, o Options) (*Result, err
 		return nil, err
 	}
 	tc.Phase(trace.PhaseBacktrans, func() {
-		onestage.ApplyQJob(aw, tau, blas.NoTrans, evecs, o.NB, phaseJob(s, ctx), ws, tc)
+		onestage.ApplyQJob(aw, tau, blas.NoTrans, evecs, o.NB, jobs.phaseJob(ctx), ws, tc)
 	})
 	res.Vectors = evecs
 	return res, nil

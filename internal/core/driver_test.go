@@ -157,6 +157,48 @@ func TestEstimateCoversArena(t *testing.T) {
 	}
 }
 
+// TestPreparedReflectorsNaNFilled fills the slots the prepared reflectors
+// are packed into, stage1.packed and backtrans.slab, with NaN before one
+// solve and with the ramp 0, 1, 2, … before a second on the same arena, at
+// W ∈ {1, 2}, with vectors and values only: the eigenpairs must be bitwise
+// those of a fresh arena. Every prepared block writes the whole of its fixed
+// range, so no reader may see storage left from before. (A packed skyline
+// header read from NaN, like one read from zeros, is an empty range; read
+// from the ramp it is not.)
+func TestPreparedReflectorsNaNFilled(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, tc := range []struct{ n, nb int }{{200, 0}, {131, 16}} {
+		a := testmat.RandomSym(rng, tc.n)
+		for _, workers := range []int{1, 2} {
+			for _, vectors := range []bool{true, false} {
+				o := Options{Method: MethodDC, NB: tc.nb, Vectors: vectors, Workers: workers}
+				want, err := SyevTwoStage(context.Background(), a, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o.Arena = work.NewArena()
+				for rep, fill := range []func(i int) float64{
+					func(int) float64 { return math.NaN() },
+					func(i int) float64 { return float64(i) },
+				} {
+					for _, k := range []work.Key{work.Stage1Packed, work.BacktransSlab} {
+						buf := o.Arena.Floats(k, 3*tc.n*tc.n, false)
+						buf = buf[:cap(buf)]
+						for i := range buf {
+							buf[i] = fill(i)
+						}
+					}
+					got, err := SyevTwoStage(context.Background(), a, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameResult(t, fmt.Sprintf("n=%d nb=%d W=%d vectors=%v solve %d", tc.n, tc.nb, workers, vectors, rep), got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestTwoStageParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := testmat.RandomSym(rng, 48)

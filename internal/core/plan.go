@@ -64,16 +64,12 @@ type SolveState struct {
 
 	n, il, iu, nb int
 
-	s        *sched.Scheduler
+	phaseJobs
 	ownSched bool // transient scheduler created for this solve; Close shuts it down
 	workers  int
 
 	ws *work.Arena
 	tc *trace.Collector
-
-	// inline is the storage of a sequential solve's schedulerless job,
-	// remade in place on each phase's ctx.
-	inline *sched.Job
 
 	// Cross-phase artifacts, owned by the state (arena-backed except for
 	// vals/evecs, which are caller-owned copies).
@@ -114,7 +110,8 @@ func NewSolveState(ctx context.Context, a *matrix.Dense, o Options) (*SolveState
 		iu: iu,
 		ws: o.Arena,
 		tc: o.Collector,
-		s:  o.Sched,
+
+		phaseJobs: phaseJobs{s: o.Sched},
 	}
 	if st.s == nil && o.Workers > 1 {
 		st.s = sched.New(o.Workers)
@@ -156,22 +153,31 @@ func (st *SolveState) Result() *Result {
 	return res
 }
 
+// phaseJobs makes the task streams of one solve's phases, on its scheduler s
+// or, for a sequential solve, inline.
+type phaseJobs struct {
+	s *sched.Scheduler
+	// inline is the storage of a sequential solve's schedulerless job,
+	// remade in place on each phase's ctx.
+	inline *sched.Job
+}
+
 // phaseJob returns the task stream a phase runs on: a fresh job per phase on
 // the solve's scheduler, or — for a sequential solve — an inline job on the
-// phase's own ctx (nil for a nil ctx), made in storage the state keeps so
+// phase's own ctx (nil for a nil ctx), made in storage kept across phases so
 // that a solve allocates it once.
-func (st *SolveState) phaseJob(ctx context.Context) *sched.Job {
-	if st.s != nil {
-		return st.s.NewJob(ctx)
+func (p *phaseJobs) phaseJob(ctx context.Context) *sched.Job {
+	if p.s != nil {
+		return p.s.NewJob(ctx)
 	}
 	if ctx == nil {
 		return nil // a nil *Job is valid everywhere and never cancels
 	}
-	if st.inline == nil {
-		st.inline = new(sched.Job)
+	if p.inline == nil {
+		p.inline = new(sched.Job)
 	}
-	*st.inline = *sched.Inline(ctx)
-	return st.inline
+	*p.inline = *sched.Inline(ctx)
+	return p.inline
 }
 
 // Stage1 reduces A to band form (the tile DAG of the paper's first stage).

@@ -117,45 +117,3 @@ func Table1() []Table1Row {
 		{Routine: "EV", Method: "QR", TRD: 4.0 / 3, GenQ: 8.0 / 3, EigT: 6, UpdateZ: 0},
 	}
 }
-
-// TwoStageFlops returns the leading-order flop model of the two-stage
-// pipeline exactly as §4.1's Eq. 7 writes it:
-// 4/3·n³ (stage 1) + O(n²) (stage 2) + 2n³ + 2n³ (the Q₂ and Q₁
-// back-transformations of the eigenvectors, scaled by the fraction f).
-// The tridiagonal eigensolver is not part of Eq. 7's accounting.
-func TwoStageFlops(n int, f float64) (stage1, stage2, updQ2, updQ1 float64) {
-	fn := float64(n)
-	stage1 = 4.0 / 3 * fn * fn * fn
-	stage2 = fn * fn // ×(1 + ib/nb) low-order
-	updQ2 = 2 * fn * fn * fn * f
-	updQ1 = 2 * fn * fn * fn * f
-	return
-}
-
-// SVDFlops returns the corresponding model for the two-stage SVD of the
-// authors' earlier work (§4.1, Eq. 8): 8/3·n³ + O(n²) + 4n³ + 4n³ — every
-// cubic term doubles because the SVD lacks symmetry.
-func SVDFlops(n int) (stage1, stage2, svdB, update float64) {
-	fn := float64(n)
-	stage1 = 8.0 / 3 * fn * fn * fn
-	stage2 = fn * fn
-	svdB = 4 * fn * fn * fn
-	update = 4 * fn * fn * fn
-	return
-}
-
-// AmdahlFractions compares the two pipelines of §4.1: the share of total
-// work that is the memory-bound O(n²) bulge chasing (the "Amdahl fraction")
-// for the symmetric eigenproblem (Eq. 7) versus the SVD (Eq. 8), with the
-// bulge term scaled by stage2Factor (≈ 6·n_b in time units relative to the
-// compute-bound terms). The eigenproblem's parallelizable workload is about
-// half the SVD's, so its Amdahl fraction is roughly twice as large — the
-// paper's argument for why the EVD is the more scheduling-sensitive of the
-// two problems.
-func AmdahlFractions(n int, stage2Factor float64) (evd, svd float64) {
-	s1, s2, u2, u1 := TwoStageFlops(n, 1)
-	evd = s2 * stage2Factor / (s1 + s2*stage2Factor + u2 + u1)
-	g1, g2, sb, gu := SVDFlops(n)
-	svd = g2 * stage2Factor / (g1 + g2*stage2Factor + sb + gu)
-	return
-}

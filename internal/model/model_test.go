@@ -129,25 +129,3 @@ func TestTable1Shape(t *testing.T) {
 		t.Fatal("QR row malformed")
 	}
 }
-
-func TestEq7Eq8SVDComparison(t *testing.T) {
-	// §4.1: the SVD pipeline has exactly twice the cubic flops of the EVD
-	// pipeline, so the EVD's Amdahl (memory-bound) fraction is ~2x larger.
-	s1, _, u2, u1 := TwoStageFlops(1000, 1)
-	g1, _, sb, gu := SVDFlops(1000)
-	if g1 != 2*s1 || sb+gu != 2*(u2+u1) {
-		t.Fatalf("Eq 8 is not the doubled Eq 7: %v %v | %v %v", g1, s1, sb+gu, u2+u1)
-	}
-	evd, svd := AmdahlFractions(1000, 6*64)
-	if evd <= svd {
-		t.Fatalf("EVD Amdahl fraction %.5f should exceed SVD's %.5f", evd, svd)
-	}
-	if r := evd / svd; r < 1.5 || r > 2.5 {
-		t.Fatalf("EVD/SVD Amdahl ratio %.2f, expected ≈2", r)
-	}
-	// The fraction vanishes as n grows (it is O(1/n)).
-	evdBig, _ := AmdahlFractions(100000, 6*64)
-	if evdBig >= evd {
-		t.Fatal("Amdahl fraction should shrink with n")
-	}
-}

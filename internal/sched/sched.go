@@ -26,10 +26,8 @@ type AccessMode uint8
 const (
 	// Read declares a read-only access.
 	Read AccessMode = iota
-	// Write declares a write-only access (the previous contents are not
-	// read). Dependence-wise it behaves like ReadWrite.
-	Write
-	// ReadWrite declares an in-place update.
+	// ReadWrite declares a write, in place or not: every access that is not
+	// a read orders the same way.
 	ReadWrite
 )
 
@@ -43,9 +41,6 @@ type Dep struct {
 
 // R is shorthand for a read dependence.
 func R(res int) Dep { return Dep{Resource: res, Mode: Read} }
-
-// W is shorthand for a write dependence.
-func W(res int) Dep { return Dep{Resource: res, Mode: Write} }
 
 // RW is shorthand for a read-write dependence.
 func RW(res int) Dep { return Dep{Resource: res, Mode: ReadWrite} }
@@ -188,8 +183,8 @@ func (s *Scheduler) submit(j *Job, t Task) {
 				seen = true
 				break
 			}
-			if modeRank(o.Mode) > modeRank(mode) {
-				mode = o.Mode
+			if o.Mode == ReadWrite {
+				mode = ReadWrite
 			}
 		}
 		if seen {
@@ -221,13 +216,6 @@ func (s *Scheduler) submit(j *Job, t Task) {
 		heap.Push(&s.ready, n)
 		s.cond.Broadcast()
 	}
-}
-
-func modeRank(m AccessMode) int {
-	if m == Read {
-		return 0
-	}
-	return 1
 }
 
 // Shutdown drains remaining work, across all jobs, and stops the workers.

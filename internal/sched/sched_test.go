@@ -46,7 +46,7 @@ func TestReadersRunConcurrentlyBetweenWriters(t *testing.T) {
 	j := s.NewJob(nil)
 	var stage int32 // 0 before w1, 1 after w1, 2 after w2
 	var readersDone int32
-	j.Submit(Task{Name: "w1", Deps: []Dep{W(7)}, Run: func(int) { atomic.StoreInt32(&stage, 1) }})
+	j.Submit(Task{Name: "w1", Deps: []Dep{RW(7)}, Run: func(int) { atomic.StoreInt32(&stage, 1) }})
 	const nr = 16
 	for i := 0; i < nr; i++ {
 		j.Submit(Task{Name: "r", Deps: []Dep{R(7)}, Run: func(int) {
@@ -56,7 +56,7 @@ func TestReadersRunConcurrentlyBetweenWriters(t *testing.T) {
 			atomic.AddInt32(&readersDone, 1)
 		}})
 	}
-	j.Submit(Task{Name: "w2", Deps: []Dep{W(7)}, Run: func(int) {
+	j.Submit(Task{Name: "w2", Deps: []Dep{RW(7)}, Run: func(int) {
 		if atomic.LoadInt32(&readersDone) != nr {
 			t.Errorf("second writer ran with %d/%d readers done", readersDone, nr)
 		}
@@ -82,7 +82,7 @@ func TestIndependentTasksParallel(t *testing.T) {
 		i := i
 		j.Submit(Task{
 			Name: "par",
-			Deps: []Dep{W(100 + i)},
+			Deps: []Dep{RW(100 + i)},
 			Run: func(worker int) {
 				barrier.Done()
 				barrier.Wait() // deadlocks unless all w run simultaneously
@@ -122,7 +122,7 @@ func TestPriorityOrder(t *testing.T) {
 		j.Submit(Task{
 			Name:     "p",
 			Priority: p,
-			Deps:     []Dep{W(200 + i)},
+			Deps:     []Dep{RW(200 + i)},
 			Run: func(int) {
 				mu.Lock()
 				order = append(order, i)
@@ -169,7 +169,7 @@ func TestWaitThenReuse(t *testing.T) {
 	defer s.Shutdown()
 	j := s.NewJob(nil)
 	var a, b int32
-	j.Submit(Task{Name: "a", Deps: []Dep{W(1)}, Run: func(int) { atomic.AddInt32(&a, 1) }})
+	j.Submit(Task{Name: "a", Deps: []Dep{RW(1)}, Run: func(int) { atomic.AddInt32(&a, 1) }})
 	j.Wait()
 	if a != 1 {
 		t.Fatal("first batch incomplete")
@@ -292,14 +292,14 @@ func TestSerializabilityProperty(t *testing.T) {
 }
 
 func TestDuplicateResourceInDeps(t *testing.T) {
-	// A task listing the same resource as Read and Write must behave as a
+	// A task listing the same resource as Read and ReadWrite must behave as a
 	// writer (strongest mode wins) and not deadlock on itself.
 	s := New(2)
 	defer s.Shutdown()
 	j := s.NewJob(nil)
 	var v int64
-	j.Submit(Task{Name: "w", Deps: []Dep{W(3)}, Run: func(int) { atomic.StoreInt64(&v, 1) }})
-	j.Submit(Task{Name: "rw", Deps: []Dep{R(3), W(3)}, Run: func(int) {
+	j.Submit(Task{Name: "w", Deps: []Dep{RW(3)}, Run: func(int) { atomic.StoreInt64(&v, 1) }})
+	j.Submit(Task{Name: "rw", Deps: []Dep{R(3), RW(3)}, Run: func(int) {
 		if atomic.LoadInt64(&v) != 1 {
 			t.Error("mixed-mode task ran before its writer dependence")
 		}
@@ -391,8 +391,8 @@ func TestSubmitAfterShutdown(t *testing.T) {
 	}
 }
 
-// TestSchedRandomDAGDrains drives random access lists — reads, writes and
-// in-place updates over 16 resources, repeats included — with random
+// TestSchedRandomDAGDrains drives random access lists — reads and writes
+// over 16 resources, repeats included — with random
 // priorities at several widths, and cancels the job from inside a random task
 // (or not at all). Wait must return; every task runs at most once, and the
 // tasks that ran are exactly the ones the trace records (the others were
@@ -416,7 +416,11 @@ func TestSchedRandomDAGDrains(t *testing.T) {
 			for i := 0; i < nTasks; i++ {
 				var deps []Dep
 				for d := 1 + rng.Intn(4); d > 0; d-- {
-					deps = append(deps, Dep{Resource: rng.Intn(nRes), Mode: AccessMode(rng.Intn(3))})
+					res, mode := rng.Intn(nRes), ReadWrite
+					if rng.Intn(3) == 0 {
+						mode = Read
+					}
+					deps = append(deps, Dep{Resource: res, Mode: mode})
 				}
 				want := map[int]int64{}
 				var writes []int

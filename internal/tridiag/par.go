@@ -213,7 +213,7 @@ func (r *dcRun) submitNode(i int) {
 		r.job.Submit(sched.Task{Name: name, Priority: nd.depth, Deps: deps, Run: run})
 	}
 	if nd.left < 0 {
-		submit("dc.leaf", func(worker int) { r.leafBody(i, r.ws.Worker(worker)) }, sched.W(r.resNode(i)))
+		submit("dc.leaf", func(worker int) { r.leafBody(i, r.ws.Worker(worker)) }, sched.RW(r.resNode(i)))
 		return
 	}
 	r.submitNode(nd.left)
@@ -222,17 +222,17 @@ func (r *dcRun) submitNode(i int) {
 	rdep := sched.R(r.resNode(nd.right))
 	if nd.rho == 0 {
 		submit("dc.decoupled", func(int) { r.decoupledBody(i) },
-			ldep, rdep, sched.W(r.resNode(i)))
+			ldep, rdep, sched.RW(r.resNode(i)))
 		return
 	}
 	submit("dc.merge.pre", func(worker int) { r.preBody(i, r.ws.Worker(worker)) },
-		ldep, rdep, sched.W(r.resMerge(i)))
+		ldep, rdep, sched.RW(r.resMerge(i)))
 	for t := 0; t < tileCount(nd.hi-nd.lo); t++ {
 		submit("dc.merge.gemm", func(worker int) { r.tileBody(i, t, r.ws.Worker(worker)) },
 			sched.R(r.resMerge(i)))
 	}
 	// The finish task has no body: it only orders the parent after the tiles.
-	submit("dc.merge.finish", func(int) {}, sched.RW(r.resMerge(i)), sched.W(r.resNode(i)))
+	submit("dc.merge.finish", func(int) {}, sched.RW(r.resMerge(i)), sched.RW(r.resNode(i)))
 }
 
 // runInline executes the same bodies in dependence order on the calling

@@ -1,7 +1,7 @@
 // Package work provides the size-keyed workspace arena that makes the
 // solve path reusable: every scratch buffer the pipeline needs — the
 // stage-1 tile storage and kernel scratch, the extended workband of the
-// bulge chase, the Q₂ reflector and diamond slabs, the tridiagonal d/e/work
+// bulge chase, the Q₂ reflectors and diamonds, the tridiagonal d/e/work
 // arrays, the eigenvector staging matrix and the one-stage working copy of
 // A — is obtained from an Arena instead of the garbage collector.
 //
@@ -19,7 +19,6 @@ package work
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/matrix"
 )
@@ -45,8 +44,8 @@ const (
 	Stage1Factor  Key = "stage1.factor"   // band factorization header + reflector lists
 	TridiagD      Key = "tridiag.d"       // diagonal scratch copy
 	TridiagE      Key = "tridiag.e"       // off-diagonal scratch copy
-	BacktransSlab Key = "backtrans.slab"  // diamond V/T aggregate storage
-	BacktransPlan Key = "backtrans.plan"  // diamond lattice index + block list
+	BacktransSlab Key = "backtrans.slab"  // prepared (packed) Q₂ diamonds
+	BacktransPlan Key = "backtrans.plan"  // Q₂ plan: block list + diamond staging
 	FusedApply    Key = "backtrans.fused" // fused Q₂+Q₁ column-block scratch
 	TridiagWork   Key = "tridiag.work"    // tridiag.WorkSet: per-worker solver scratch pools
 	VectorStage   Key = "vectors.stage"   // eigenvector staging matrix
@@ -56,8 +55,9 @@ const (
 
 // Arena is a per-solve workspace. It is NOT safe for concurrent use by
 // multiple solves; the only concurrency it supports is multiple scheduler
-// workers of one solve calling Slab.Take and using their own WorkerSlabs
-// slices. A nil *Arena is valid everywhere and simply allocates fresh
+// workers of one solve writing disjoint ranges of buffers taken beforehand
+// (their own WorkerSlabs slices, the fixed offsets of a prepared-reflector
+// slot). A nil *Arena is valid everywhere and simply allocates fresh
 // buffers, so one-shot code paths need no conditionals.
 //
 // With the phase-plan driver a "solve" may span dormant time: a
@@ -68,7 +68,6 @@ const (
 // the arena with it.
 type Arena struct {
 	floats map[Key][]float64
-	slabs  map[Key]*Slab
 	values map[Key]any
 	denses map[Key]*matrix.Dense
 	bands  map[Key]*matrix.SymBand
@@ -83,7 +82,6 @@ type Arena struct {
 func NewArena() *Arena {
 	return &Arena{
 		floats: make(map[Key][]float64),
-		slabs:  make(map[Key]*Slab),
 		values: make(map[Key]any),
 		denses: make(map[Key]*matrix.Dense),
 		bands:  make(map[Key]*matrix.SymBand),
@@ -178,27 +176,6 @@ func (a *Arena) WorkerSlabs(k Key, workers, size int) WorkerSlabs {
 	return WorkerSlabs{buf: a.Floats(k, workers*stride, false), stride: stride, size: size}
 }
 
-// SlabOf resets and returns the slot's slab with at least the given
-// capacity. The slab hands out zeroed sub-slices via Take and may be used
-// concurrently by scheduler workers.
-func (a *Arena) SlabOf(k Key, capacity int) *Slab {
-	if a == nil {
-		return &Slab{buf: make([]float64, capacity)}
-	}
-	s := a.slabs[k]
-	if s == nil {
-		s = &Slab{}
-		a.slabs[k] = s
-	}
-	if cap(s.buf) < capacity {
-		s.buf = make([]float64, capacity)
-	} else {
-		s.buf = s.buf[:cap(s.buf)]
-	}
-	s.off.Store(0)
-	return s
-}
-
 // Tiles returns a retained n×n tile matrix with tile size nb. Contents are
 // unspecified; the caller is expected to overwrite every tile (the DTL's
 // FromLapack does). A dimension change reallocates.
@@ -231,28 +208,6 @@ func (a *Arena) SetValue(k Key, v any) {
 	}
 }
 
-// Slab is a bump allocator over one retained buffer. Take is safe for
-// concurrent use; everything else follows Arena's single-solve rule.
-type Slab struct {
-	buf []float64
-	off atomic.Int64
-}
-
-// Take returns a zeroed slice of length n carved from the slab, falling
-// back to the heap when the slab is exhausted (correct, just not pooled).
-func (s *Slab) Take(n int) []float64 {
-	if n == 0 {
-		return nil
-	}
-	end := s.off.Add(int64(n))
-	if end > int64(len(s.buf)) {
-		return make([]float64, n)
-	}
-	out := s.buf[end-int64(n) : end : end]
-	clear(out)
-	return out
-}
-
 // WorkspaceSized is implemented by opaque values cached on an Arena (via
 // SetValue) that want their retained storage counted by Arena.Bytes. Values
 // that do not implement it are counted as zero — the budget is a bound on
@@ -262,7 +217,7 @@ type WorkspaceSized interface {
 }
 
 // Bytes reports the arena's retained workspace footprint: the capacity of
-// every float slot (worker slabs included) and slab, plus whatever cached opaque
+// every float slot (worker slabs included), plus whatever cached opaque
 // values report through WorkspaceSized. Dense/band headers alias the float
 // slots and are not double-counted.
 func (a *Arena) Bytes() int64 {
@@ -272,9 +227,6 @@ func (a *Arena) Bytes() int64 {
 	var b int64
 	for _, v := range a.floats {
 		b += int64(cap(v)) * 8
-	}
-	for _, s := range a.slabs {
-		b += int64(cap(s.buf)) * 8
 	}
 	for _, v := range a.values {
 		if sz, ok := v.(WorkspaceSized); ok {

@@ -42,9 +42,6 @@ func TestNilArena(t *testing.T) {
 	if b := a.Band("k", 6, 2); b.N != 6 || b.KD != 2 || b.LDA != 3 {
 		t.Fatal("nil arena Band")
 	}
-	if s := a.SlabOf("k", 10); len(s.Take(4)) != 4 {
-		t.Fatal("nil arena Slab")
-	}
 	if v := a.Value("k"); v != nil {
 		t.Fatal("nil arena Value")
 	}
@@ -84,37 +81,6 @@ func TestBandHeaderReuse(t *testing.T) {
 	}
 	if b3 := a.Band("k", 4, 9); b3.KD != 3 {
 		t.Fatal("bandwidth not clamped to n-1")
-	}
-}
-
-func TestSlab(t *testing.T) {
-	a := NewArena()
-	s := a.SlabOf("k", 8)
-	x := s.Take(5)
-	x[0] = 3
-	y := s.Take(3)
-	if &y[0] != &s.buf[5] {
-		t.Fatal("slab did not bump sequentially")
-	}
-	// Exhausted: heap fallback, still usable.
-	z := s.Take(4)
-	if len(z) != 4 {
-		t.Fatal("heap fallback failed")
-	}
-	if s.Take(0) != nil {
-		t.Fatal("Take(0) must return nil")
-	}
-	// Reset via SlabOf: same backing, zeroed handouts.
-	s2 := a.SlabOf("k", 8)
-	if s2 != s {
-		t.Fatal("slab not retained")
-	}
-	w := s2.Take(5)
-	if &w[0] != &x[0] {
-		t.Fatal("reset slab did not restart at the base")
-	}
-	if w[0] != 0 {
-		t.Fatal("Take did not zero")
 	}
 }
 
@@ -243,8 +209,7 @@ func TestArenaBytes(t *testing.T) {
 	}
 	a.Floats("f", 100, false)
 	a.WorkerSlabs("w", 2, 50) // two 50-float slabs at a 56-float (cache-line) stride
-	a.SlabOf("s", 30)
-	want := int64(100+2*56+30) * 8
+	want := int64(100+2*56) * 8
 	if got := a.Bytes(); got != want {
 		t.Fatalf("Bytes = %d, want %d", got, want)
 	}

@@ -78,6 +78,7 @@ hard-inputs          TestScaledInputsAllMethodsAgree|TestSpectrumErrorScaled|Tes
 cli                  TestReadMatrixErrors  ./cmd/eigsolve
 inputs-untouched     TestInputsUntouched  .
 bulge                TestChaseBanded|TestReflectorLattice|TestChaseCancel|TestChaseTwoStreams|TestSolveBitwiseAcrossWorkers|TestSolverMoreLargeSolvesThanWorkers  ./internal/bulge .
+q2-diamonds          TestDiamondMatchesNaive|TestApplyNaiveMatchesDense|TestPlan  ./internal/backtransform
 input-scan           TestNotFiniteError|TestEigRejectsNonSymmetric|TestScanInputWorkersHeld  .
 service              TestServerAuth|TestServerSubmitValidation|FuzzSubmitDecode|FuzzSubmitHandler|TestServerJobEndpoints|TestServerNaNPayloadMapsTo400|TestErrorMapping|TestMemStore|TestDiskStore|FuzzDiskStoreReplay|TestRoundTripBitwise|TestCancelMidSolveFreesSlot|TestOverBudgetRefused|TestConcurrentClients  ./internal/service ./client
 EOF
