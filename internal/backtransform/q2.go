@@ -24,24 +24,19 @@ import (
 	"repro/internal/work"
 )
 
-// defaultGroup picks the diamond width for a chase bandwidth b: b/4, kept in
-// [4, 16]. Wider diamonds give the second kernel pass a longer k and cut the
-// number of blocks, but the aggregated V spans b+g−1 rows; the prepared
-// reflector skips the zeros of that band (blas.Packing's skyline), so the
-// executed flops no longer grow by the paper's (b+g−1)/b, only the storage
-// does — 2·(b+g−1)·g values per diamond. The sweep recorded in EXPERIMENTS.md
-// ("Packed compact-WY engine") is flat within 3 % from g = 12 to 32 at
-// b = 48, so the narrowest width on the plateau stays the default; the traced
-// flop count (4·rows·k·n, zeros included) is also unchanged that way.
+// defaultGroup picks the diamond width for a chase bandwidth b: 16, the
+// AVX-512 tile's height, capped at b (and at least 4). A g-reflector
+// diamond's Vᵀ is the left operand of its first product, packed in row
+// panels of the tile's height, so g = 16 fills one panel where a narrower
+// diamond pads the rest with zeros; the aggregated V spans b+g−1 rows, whose
+// band of zeros the prepared reflector skips (blas.Packing's skyline), so
+// the executed flops do not grow by the paper's (b+g−1)/b. On the 16×8 tile
+// g = 16 ran the back-transformation fastest and packed the diamonds in the
+// least storage at b = 16, 24, 32 and 48 (EXPERIMENTS.md, "A 16×8 AVX-512
+// tile"); other bandwidths were not swept. One width serves every kernel
+// family, or results would depend on the probe.
 func defaultGroup(b int) int {
-	g := b / 4
-	if g < 4 {
-		g = 4
-	}
-	if g > 16 {
-		g = 16
-	}
-	return g
+	return min(max(b, 4), 16)
 }
 
 // diamond is one aggregated block of reflectors: group j covers sweeps

@@ -17,7 +17,7 @@
 // sequential: the eigensolver extracts its parallelism one level up, from the
 // task scheduler in internal/sched.
 //
-// On amd64 a CPU probe taken at start-up picks the GEMM micro-kernel: a 16×4
+// On amd64 a CPU probe taken at start-up picks the GEMM micro-kernel: a 16×8
 // AVX-512F tile with opmask-masked ragged edges where the CPU and OS have
 // AVX-512F (CPUID leaf 7 EBX bit 16, XCR0 bits 1–2 and 5–7), else a 12×4
 // AVX2/FMA tile where they have AVX2 and FMA, else — and off amd64 — the

@@ -27,13 +27,20 @@ const (
 	// famAVX2 is the 12×4 AVX2/FMA tile: 12 rows are three YMM loads per k
 	// step, whose 12 accumulator chains cover the FMA latency on two ports.
 	famAVX2
-	// famAVX512 is the 16×4 AVX-512F tile: two ZMM loads per k step and 8
-	// accumulator chains, with opmask-masked ragged edges.
+	// famAVX512 is the 16×8 AVX-512F tile: two ZMM loads and eight
+	// broadcasts per k step feed 16 accumulator chains, which cover the FMA
+	// latency on two ports twice over; ragged edges are opmask-masked.
 	famAVX512
 )
 
 // mr is the family's packed-A panel height.
 func (f kernelFamily) mr() int { return [...]int{2, 12, 16}[f] }
+
+// nr is the family's tile width: the number of B streams, length-kc columns
+// ldb apart, its kernel reads at once. A packed B panel is nr such streams,
+// so the 8-stream panel of the AVX-512 tile is exactly two of the 4-stream
+// panels the others read.
+func (f kernelFamily) nr() int { return [...]int{4, 4, 8}[f] }
 
 func (f kernelFamily) String() string { return [...]string{"portable", "avx2", "avx512"}[f] }
 
@@ -64,10 +71,6 @@ func UseAsm(on bool) (prev bool) {
 // GemmKernel names the GEMM micro-kernel in use — "avx512", "avx2" or
 // "portable" — for tests and scripts to log.
 func GemmKernel() string { return kernel.String() }
-
-// microNR is the fixed accumulator-tile width: every micro-kernel consumes
-// packed B in 4-column panels.
-const microNR = 4
 
 // packBuf carries the packed-A and packed-B panels of one blocked GEMM
 // invocation. The buffers are threaded through the whole driver (one Get

@@ -30,29 +30,37 @@ func withKernel(k kernelFamily, f func()) {
 // portable runs f on the portable kernels.
 func portable(f func()) { withKernel(famPortable, f) }
 
-// maxMR is the tallest panel of any kernel family, the 16-row AVX-512 tile.
-var maxMR = famAVX512.mr()
+// maxMR and maxNR are the tallest panel and the widest tile of any kernel
+// family, both the AVX-512 tile's.
+var maxMR, maxNR = famAVX512.mr(), famAVX512.nr()
+
+// tileKCs are the chain lengths the tile tests run: one step; two, whose
+// skyline offset {1, 0} leaves a one-step chain that starts past k = 0; 7
+// and 47, odd lengths below a diamond's and a panel's; a g = 12 and a g = 16
+// diamond's; 48, the stage-1 tile's (Q₁ and the TS panels); a 63-row
+// diamond's Vᵀ product; and either side of the KC split.
+var tileKCs = []int{1, 2, 7, 12, 16, 47, 48, 63, DefaultKC, DefaultKC + 1}
 
 // TestGemmAsmBitwisePortable compares every assembly GEMM tile this CPU runs
 // with the portable twin at the micro-kernel level, on every ragged height
-// h ∈ 1…16 and width nr ∈ 1…4 (each alone and behind a full 16-row panel),
-// chains of kc ∈ {1, 47, 48, 128} steps, whole and skyline k ranges, and
-// operands sprinkled with ±0, subnormals, ±Inf and NaN: they must agree bit
-// for bit (two NaNs count as equal). Dgemm over the same operands must then
-// give the same bits on every kernel family.
+// h ∈ 1…16 and width nr ∈ 1…8 (each alone and behind a full 16×8 tile),
+// chains of tileKCs steps, whole and skyline k ranges, and operands
+// sprinkled with ±0, subnormals, ±Inf and NaN: they must agree bit for bit
+// (two NaNs count as equal). Dgemm over the same operands must then give the
+// same bits on every kernel family.
 func TestGemmAsmBitwisePortable(t *testing.T) {
 	t.Logf("GemmKernel() = %s", GemmKernel())
 	rng := rand.New(rand.NewSource(61))
-	for _, kc := range []int{1, 47, 48, 128} {
+	for _, kc := range tileKCs {
 		for h := 1; h <= maxMR; h++ {
-			for nr := 1; nr <= microNR; nr++ {
+			for nr := 1; nr <= maxNR; nr++ {
 				for _, sk := range [][2]int{{0, 0}, {1, 0}, {3, 2}} {
 					if sk[0]+sk[1] >= kc {
 						continue
 					}
 					for _, kind := range fillKinds {
 						gemmTileCase(t, rng, h, nr, kc, sk[0], kc-sk[1], kind)
-						gemmTileCase(t, rng, maxMR+h, microNR+nr, kc, sk[0], kc-sk[1], kind)
+						gemmTileCase(t, rng, maxMR+h, maxNR+nr, kc, sk[0], kc-sk[1], kind)
 					}
 				}
 			}
@@ -72,11 +80,11 @@ func gemmTileCase(t *testing.T, rng *rand.Rand, m, n, kc, lo, hi int, kind fillK
 		mr := kern.mr()
 		ap := make([]float64, roundUp(m, mr)*kc)
 		packA(ap, NoTrans, a, m, 0, 0, m, kc, kern)
-		bp := make([]float64, roundUp(n, microNR)*kc)
-		packB(bp, NoTrans, b, kc, 0, 0, kc, n, 1)
+		bp := make([]float64, roundUp(n, kern.nr())*kc)
+		packB(bp, NoTrans, b, kc, 0, 0, kc, n, 1, kern)
 		sky := make([]float64, 2*((m+mr-1)/mr))
 		for i := 0; i < len(sky); i += 2 {
-			sky[i], sky[i+1] = float64(lo), float64(hi)
+			sky[i], sky[i+1] = float64(lo+1), float64(hi+1)
 		}
 		out := slices.Clone(c)
 		gemmMacro(ap, bp, kc, m, n, kc, kern, out, m, sky)
@@ -193,8 +201,8 @@ func TestFusedRulePin(t *testing.T) {
 		check(t, "Dsyr2(Lower)", a[1:n]...)
 
 		// Dgemm: each element's chain is fma(p, p, fma(1, q, 0)), on a
-		// full 12×4 or 16×4 tile and ragged ones.
-		const m, k, nc = 17, 2, 5
+		// full 12×4 or 16×8 tile and ragged ones.
+		const m, k, nc = 17, 2, 9
 		a, b := make([]float64, m*k), make([]float64, k*nc)
 		for i := 0; i < m; i++ {
 			a[i], a[i+m] = 1, p

@@ -48,7 +48,7 @@ func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, ld
 	// 24-wide tile-kernel gemm should not pin a megabyte of buffers).
 	kcEff := min(DefaultKC, k)
 	packNA := roundUp(min(DefaultMC, m), kern.mr()) * kcEff
-	packNB := min(DefaultNC, roundUp(n, microNR)) * kcEff
+	packNB := min(DefaultNC, roundUp(n, kern.nr())) * kcEff
 
 	buf := getPackBuf(packNA, packNB)
 	gemmBlocked(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc, kern, buf)
@@ -65,7 +65,7 @@ func gemmBlocked(transA, transB Transpose, m, n, k int, alpha float64, a []float
 			kc := min(DefaultKC, k-kk)
 			// Pack alpha·op(B)[kk:kk+kc, jj:jj+nc] once; it is reused by
 			// every MC strip of A below.
-			packB(buf.b, transB, b, ldb, kk, jj, kc, nc, alpha)
+			packB(buf.b, transB, b, ldb, kk, jj, kc, nc, alpha, kern)
 			for ii := 0; ii < m; ii += DefaultMC {
 				mc := min(DefaultMC, m-ii)
 				packA(buf.a, transA, a, lda, ii, kk, mc, kc, kern)
@@ -75,28 +75,29 @@ func gemmBlocked(transA, transB Transpose, m, n, k int, alpha float64, a []float
 	}
 }
 
-// packB packs alpha·op(B)[kk:kk+kc, jj:jj+nc] into 4-column panels of
-// kc·4 values each: four contiguous length-kc column streams,
-// panel[t*kc+l] — the layout of four columns of a column-major matrix with
+// packB packs alpha·op(B)[kk:kk+kc, jj:jj+nc] into panels of kern.nr()
+// columns, kc·nr values each: nr contiguous length-kc column streams,
+// panel[t*kc+l] — the layout of nr columns of a column-major matrix with
 // leading dimension kc, which is what lets every kernel also read an unpacked
 // right operand in place (GemmPackedA). Ragged panels are zero-padded to the
 // full tile width; the padded columns are computed by the micro-kernel but
 // never stored.
-func packB(dst []float64, transB Transpose, b []float64, ldb, kk, jj, kc, nc int, alpha float64) {
-	np := (nc + microNR - 1) / microNR
+func packB(dst []float64, transB Transpose, b []float64, ldb, kk, jj, kc, nc int, alpha float64, kern kernelFamily) {
+	nr := kern.nr()
+	np := (nc + nr - 1) / nr
 	for q := 0; q < np; q++ {
-		panel := dst[q*microNR*kc : (q+1)*microNR*kc]
-		w := min(microNR, nc-q*microNR)
+		panel := dst[q*nr*kc : (q+1)*nr*kc]
+		w := min(nr, nc-q*nr)
 		for t := 0; t < w; t++ {
 			col := panel[t*kc : t*kc+kc]
 			if transB == NoTrans {
-				src := b[kk+(jj+q*microNR+t)*ldb:]
+				src := b[kk+(jj+q*nr+t)*ldb:]
 				for l := 0; l < kc; l++ {
 					col[l] = alpha * src[l]
 				}
 			} else {
 				for l := 0; l < kc; l++ {
-					col[l] = alpha * b[(jj+q*microNR+t)+(kk+l)*ldb]
+					col[l] = alpha * b[(jj+q*nr+t)+(kk+l)*ldb]
 				}
 			}
 		}
@@ -164,26 +165,27 @@ func packA(dst []float64, transA Transpose, a []float64, lda, ii, kk, mc, kc int
 }
 
 // gemmMacro runs the micro-kernel grid over one packed (mc×kc)·(kc×nc)
-// block. The loop order keeps each 4-column B panel L1-resident while the
-// packed A block streams through it. ldb is the distance between the column
-// streams of B: kc for a panel packed by packB, or the leading dimension of a
-// plain column-major matrix, whose columns 4q..4q+3 already are panel q.
+// block. The loop order keeps each B panel of kern.nr() columns L1-resident
+// while the packed A block streams through it. ldb is the distance between
+// the column streams of B: kc for a panel packed by packB, or the leading
+// dimension of a plain column-major matrix, whose columns q·nr … q·nr+nr−1
+// already are panel q.
 //
-// sky, when non-nil, is the left operand's skyline (see Packing.PackA): two
-// values per A row-panel giving the k range [lo, hi) outside which the
-// panel is exactly zero. The kernels then run on that sub-range only. Every
+// sky, when non-nil, is the left operand's skyline (see Packing.PackA): one
+// header per A row-panel giving the k range [lo, hi) outside which the panel
+// is exactly zero. The kernels then run on that sub-range only. Every
 // skipped term is a ±0 product, and fma(±0, b, s) is s for every finite b and
 // every partial sum s but −0 (a leading run of them keeps the chain at +0), so
 // for finite operands the result is bitwise the one the full range gives —
 // unless a step's exact value underflows to −0, whose sign a skipped trailing
 // term would have turned to +0.
 func gemmMacro(apack, bpack []float64, ldb, mc, nc, kc int, kern kernelFamily, c []float64, ldc int, sky []float64) {
-	mr := kern.mr()
-	np := (nc + microNR - 1) / microNR
+	mr, w := kern.mr(), kern.nr()
+	np := (nc + w - 1) / w
 	for q := 0; q < np; q++ {
-		bq := bpack[q*microNR*ldb:]
-		nr := min(microNR, nc-q*microNR)
-		cq := c[q*microNR*ldc:]
+		bq := bpack[q*w*ldb:]
+		nr := min(w, nc-q*w)
+		cq := c[q*w*ldc:]
 		off := 0
 		for p, pi := 0, 0; p < mc; p, pi = p+mr, pi+1 {
 			h := min(mr, mc-p)
@@ -195,16 +197,15 @@ func gemmMacro(apack, bpack []float64, ldb, mc, nc, kc int, kern kernelFamily, c
 			off += ph * kc
 			lo, kn := 0, kc
 			if sky != nil {
-				lo = int(sky[2*pi])
-				kn = int(sky[2*pi+1]) - lo
-				if kn <= 0 {
+				lo, kn = skyRange(sky[2*pi], sky[2*pi+1], kc)
+				if kn == 0 {
 					continue
 				}
 			}
 			ct := cq[p:]
 			switch {
 			case kern == famAVX512:
-				kern16x4asm(kn, ap[lo*mr:], bq[lo:], ldb, ct, ldc, h, nr)
+				kern16x8asm(kn, ap[lo*mr:], bq[lo:], ldb, ct, ldc, h, nr)
 			case kern == famAVX2:
 				kern12x4asm(kn, ap[lo*mr:], bq[lo:], ldb, ct, ldc, h, nr)
 			case h < mr:

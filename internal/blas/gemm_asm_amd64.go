@@ -6,7 +6,7 @@ import "math"
 
 // The assembly micro-kernels, built into every amd64 binary and selected at
 // run time: gemmMacro runs the family in kernel, i.e. the one the CPU probe
-// chose unless UseAsm turned the assembly off. The 16×4 AVX-512F tile runs
+// chose unless UseAsm turned the assembly off. The 16×8 AVX-512F tile runs
 // where the CPU and OS have AVX-512F, the 12×4 AVX2/FMA tile where they have
 // only AVX2 and FMA. Every chain is fused — s ← fma(a, b, s), one rounding
 // per step — which is also what the portable kernels compute with math.FMA,
@@ -21,15 +21,15 @@ import "math"
 //go:noescape
 func gemm12x4fma(kc int, ap, bp *float64, ldb int, c *float64, ldc int)
 
-// gemm16x4zmm computes C[16×4] += Ap·Bp over kc ≥ 1 steps on the rows set
-// in the 16-bit mask rows and the first nr ≤ 4 columns: ap is a 16-row
-// k-interleaved panel (16·kc values), bp the first of four length-kc B
-// streams ldb apart, c the first of nr C columns ldc apart. C rows outside
-// rows and columns from nr on are neither read nor written. It checks
-// nothing; kern16x4asm is its only caller.
+// gemm16x8zmm computes C[16×8] += Ap·Bp over kc ≥ 1 steps on the rows set
+// in the 16-bit mask rows and the first nr ≤ 8 columns: ap is a 16-row
+// k-interleaved panel (16·kc values), bp the first of eight length-kc B
+// streams ldb apart, c the first of nr C columns ldc
+// apart. C rows outside rows and columns from nr on are neither read nor
+// written. It checks nothing; kern16x8asm is its only caller.
 //
 //go:noescape
-func gemm16x4zmm(kc int, ap, bp *float64, ldb int, c *float64, ldc int, rows uint64, nr int)
+func gemm16x8zmm(kc int, ap, bp *float64, ldb int, c *float64, ldc int, rows uint64, nr int)
 
 // cpuidAsm executes CPUID with the given eax/ecx inputs.
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -82,7 +82,7 @@ func cpuKernel(ecx1, ebx7, xcr0 uint32) kernelFamily {
 // negZeroTile is the staging tile's starting value: −0 is the additive
 // identity of IEEE arithmetic (−0 + s is s for every s, −0 included), so the
 // kernel's `tile + s` leaves each chain's sum unchanged bit for bit.
-var negZeroTile = func() (t [12 * microNR]float64) {
+var negZeroTile = func() (t [12 * 4]float64) {
 	for i := range t {
 		t[i] = math.Copysign(0, -1)
 	}
@@ -106,7 +106,7 @@ func kern12x4asm(kc int, ap, bp []float64, ldb int, c []float64, ldc, h, nr int)
 	}
 	_ = ap[mr*kc-1]
 	_ = bp[3*ldb+kc-1]
-	if h == mr && nr == microNR {
+	if h == mr && nr == 4 {
 		_ = c[3*ldc+mr-1]
 		gemm12x4fma(kc, &ap[0], &bp[0], ldb, &c[0], ldc)
 		return
@@ -121,23 +121,25 @@ func kern12x4asm(kc int, ap, bp []float64, ldb int, c []float64, ldc, h, nr int)
 	}
 }
 
-// kern16x4asm adds the h×nr valid part of one 16×4 tile into C. ap is a full
+// kern16x8asm adds the h×nr valid part of one 16×8 tile into C. ap is a full
 // 16-row k-interleaved panel (rows h..15 of a ragged one are packed as
-// zeros), bp four B streams ldb apart. The kernel accumulates every tile into
-// C itself, a ragged one through opmask-masked loads and stores that leave
-// the rows from h and the columns from nr alone, so C receives one add per
-// element and nothing else.
+// zeros), bp eight B streams ldb apart (a ragged one's columns from nr on
+// are zero-padded, as packB and GemmPackedA's scratch pad them). The kernel
+// accumulates every tile into C itself, a
+// ragged one through opmask-masked loads and stores that leave the rows from
+// h and the columns from nr alone, so C receives one add per element and
+// nothing else.
 //
 // This function is the assembly's memory-safety boundary: the checks below
 // panic unless every address the kernel touches lies inside the slices it was
 // given — C's last touched element, (h−1, nr−1), being its highest.
-func kern16x4asm(kc int, ap, bp []float64, ldb int, c []float64, ldc, h, nr int) {
-	const mr = 16
-	if kc < 1 || ldb < 0 || ldc < 0 || h < 1 || h > mr || nr < 1 || nr > microNR {
-		panic("blas: kern16x4asm: bad dimensions")
+func kern16x8asm(kc int, ap, bp []float64, ldb int, c []float64, ldc, h, nr int) {
+	const mr, w = 16, 8
+	if kc < 1 || ldb < 0 || ldc < 0 || h < 1 || h > mr || nr < 1 || nr > w {
+		panic("blas: kern16x8asm: bad dimensions")
 	}
 	_ = ap[mr*kc-1]
-	_ = bp[3*ldb+kc-1]
+	_ = bp[(w-1)*ldb+kc-1]
 	_ = c[(nr-1)*ldc+h-1]
-	gemm16x4zmm(kc, &ap[0], &bp[0], ldb, &c[0], ldc, 1<<h-1, nr)
+	gemm16x8zmm(kc, &ap[0], &bp[0], ldb, &c[0], ldc, 1<<h-1, nr)
 }

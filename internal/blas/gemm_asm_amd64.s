@@ -118,24 +118,25 @@ loop:
 done:
 	RET
 
-// func gemm16x4zmm(kc int, ap, bp *float64, ldb int, c *float64, ldc int, rows uint64, nr int)
+// func gemm16x8zmm(kc int, ap, bp *float64, ldb int, c *float64, ldc int, rows uint64, nr int)
 //
-// 16×4 AVX-512F micro-kernel: C[16×4] += Ap·Bp on the rows set in rows and
-// the first nr columns. Z0..Z7 hold the 64 accumulator chains (Z(2j+q) =
+// 16×8 AVX-512F micro-kernel: C[16×8] += Ap·Bp on the rows set in rows and
+// the first nr columns. Z0..Z15 hold the 128 accumulator chains (Z(2j+q) =
 // rows 8q..8q+7 of column j). Per k step it loads 16 packed A values (two
-// ZMM, ap advances 128 bytes) and broadcasts one value from each of the four
-// B streams ldb apart (bp advances 8 bytes), issuing 8 VFMADD231PD: each
+// ZMM, ap advances 128 bytes) and broadcasts one value from each of the eight
+// B streams ldb apart (bp advances 8 bytes), issuing 16 VFMADD231PD: each
 // chain takes s ← fma(a, b, s), one rounding per step, exactly what the
 // portable kernels' math.FMA computes. The sums are then added to the C
 // columns ldc apart, one VADDPD per element with C as the first source, the
 // portable kernels' single `c += s`. K1 and K2 mask rows 0..7 and 8..15 of
-// every C load and store; masked-off lanes are neither read nor written
-// (nor can they fault), and columns from nr on are skipped.
+// every C load and store; masked-off lanes are neither read nor written (nor
+// can they fault), and columns from nr on are skipped.
 //
-// Reads ap[0 : 16kc], bp[j·ldb : j·ldb+kc] for j < 4; reads and writes
+// Reads ap[0 : 16kc] and bp[j·ldb : j·ldb+kc] for j < 8 whatever nr is (a
+// ragged panel's B is zero-padded to eight streams); reads and writes
 // c[j·ldc+i] for j < nr and i with bit i set in rows. The Go caller asserts
 // those bounds.
-TEXT ·gemm16x4zmm(SB), NOSPLIT, $0-64
+TEXT ·gemm16x8zmm(SB), NOSPLIT, $0-64
 	MOVQ kc+0(FP), CX
 	MOVQ ap+8(FP), SI
 	MOVQ bp+16(FP), DI
@@ -150,8 +151,10 @@ TEXT ·gemm16x4zmm(SB), NOSPLIT, $0-64
 
 	SHLQ $3, R8            // ldb in bytes
 	LEAQ (R8)(R8*2), R9    // 3·ldb
+	LEAQ (DI)(R8*4), R13   // B stream 4
 	SHLQ $3, R10           // ldc in bytes
 	LEAQ (R10)(R10*2), R11 // 3·ldc
+	LEAQ (DX)(R10*4), BX   // C column 4
 	KMOVW AX, K1           // rows 0..7
 	SHRQ  $8, AX
 	KMOVW AX, K2           // rows 8..15
@@ -164,65 +167,126 @@ TEXT ·gemm16x4zmm(SB), NOSPLIT, $0-64
 	VPXORQ Z5, Z5, Z5
 	VPXORQ Z6, Z6, Z6
 	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
 
 zloop:
-	VMOVUPD (SI), Z8    // a[0:8]
-	VMOVUPD 64(SI), Z9  // a[8:16]
-
-	VBROADCASTSD (DI), Z10
-	VFMADD231PD  Z10, Z8, Z0
-	VFMADD231PD  Z10, Z9, Z1
-
-	VBROADCASTSD (DI)(R8*1), Z11
-	VFMADD231PD  Z11, Z8, Z2
-	VFMADD231PD  Z11, Z9, Z3
-
-	VBROADCASTSD (DI)(R8*2), Z12
-	VFMADD231PD  Z12, Z8, Z4
-	VFMADD231PD  Z12, Z9, Z5
-
-	VBROADCASTSD (DI)(R9*1), Z13
-	VFMADD231PD  Z13, Z8, Z6
-	VFMADD231PD  Z13, Z9, Z7
+	VMOVUPD      (SI), Z16   // a[0:8]
+	VMOVUPD      64(SI), Z17 // a[8:16]
+	VBROADCASTSD (DI), Z18
+	VBROADCASTSD (DI)(R8*1), Z19
+	VBROADCASTSD (DI)(R8*2), Z20
+	VBROADCASTSD (DI)(R9*1), Z21
+	VBROADCASTSD (R13), Z22
+	VBROADCASTSD (R13)(R8*1), Z23
+	VBROADCASTSD (R13)(R8*2), Z24
+	VBROADCASTSD (R13)(R9*1), Z25
+	VFMADD231PD  Z18, Z16, Z0
+	VFMADD231PD  Z18, Z17, Z1
+	VFMADD231PD  Z19, Z16, Z2
+	VFMADD231PD  Z19, Z17, Z3
+	VFMADD231PD  Z20, Z16, Z4
+	VFMADD231PD  Z20, Z17, Z5
+	VFMADD231PD  Z21, Z16, Z6
+	VFMADD231PD  Z21, Z17, Z7
+	VFMADD231PD  Z22, Z16, Z8
+	VFMADD231PD  Z22, Z17, Z9
+	VFMADD231PD  Z23, Z16, Z10
+	VFMADD231PD  Z23, Z17, Z11
+	VFMADD231PD  Z24, Z16, Z12
+	VFMADD231PD  Z24, Z17, Z13
+	VFMADD231PD  Z25, Z16, Z14
+	VFMADD231PD  Z25, Z17, Z15
 
 	ADDQ $128, SI
 	ADDQ $8, DI
+	ADDQ $8, R13
 	DECQ CX
 	JNZ  zloop
 
-	VMOVUPD.Z  (DX), K1, Z8
-	VMOVUPD.Z  64(DX), K2, Z9
-	VADDPD     Z0, Z8, Z8
-	VADDPD     Z1, Z9, Z9
-	VMOVUPD    Z8, K1, (DX)
-	VMOVUPD    Z9, K2, 64(DX)
+zstore:
+	VMOVUPD.Z  (DX), K1, Z16
+	VMOVUPD.Z  64(DX), K2, Z17
+	VADDPD     Z0, Z16, Z16
+	VADDPD     Z1, Z17, Z17
+	VMOVUPD    Z16, K1, (DX)
+	VMOVUPD    Z17, K2, 64(DX)
+
 	CMPQ       R12, $2
 	JLT        zstored
 
-	VMOVUPD.Z  (DX)(R10*1), K1, Z8
-	VMOVUPD.Z  64(DX)(R10*1), K2, Z9
-	VADDPD     Z2, Z8, Z8
-	VADDPD     Z3, Z9, Z9
-	VMOVUPD    Z8, K1, (DX)(R10*1)
-	VMOVUPD    Z9, K2, 64(DX)(R10*1)
+	VMOVUPD.Z  (DX)(R10*1), K1, Z16
+	VMOVUPD.Z  64(DX)(R10*1), K2, Z17
+	VADDPD     Z2, Z16, Z16
+	VADDPD     Z3, Z17, Z17
+	VMOVUPD    Z16, K1, (DX)(R10*1)
+	VMOVUPD    Z17, K2, 64(DX)(R10*1)
+
 	CMPQ       R12, $3
 	JLT        zstored
 
-	VMOVUPD.Z  (DX)(R10*2), K1, Z8
-	VMOVUPD.Z  64(DX)(R10*2), K2, Z9
-	VADDPD     Z4, Z8, Z8
-	VADDPD     Z5, Z9, Z9
-	VMOVUPD    Z8, K1, (DX)(R10*2)
-	VMOVUPD    Z9, K2, 64(DX)(R10*2)
+	VMOVUPD.Z  (DX)(R10*2), K1, Z16
+	VMOVUPD.Z  64(DX)(R10*2), K2, Z17
+	VADDPD     Z4, Z16, Z16
+	VADDPD     Z5, Z17, Z17
+	VMOVUPD    Z16, K1, (DX)(R10*2)
+	VMOVUPD    Z17, K2, 64(DX)(R10*2)
+
 	CMPQ       R12, $4
 	JLT        zstored
 
-	VMOVUPD.Z  (DX)(R11*1), K1, Z8
-	VMOVUPD.Z  64(DX)(R11*1), K2, Z9
-	VADDPD     Z6, Z8, Z8
-	VADDPD     Z7, Z9, Z9
-	VMOVUPD    Z8, K1, (DX)(R11*1)
-	VMOVUPD    Z9, K2, 64(DX)(R11*1)
+	VMOVUPD.Z  (DX)(R11*1), K1, Z16
+	VMOVUPD.Z  64(DX)(R11*1), K2, Z17
+	VADDPD     Z6, Z16, Z16
+	VADDPD     Z7, Z17, Z17
+	VMOVUPD    Z16, K1, (DX)(R11*1)
+	VMOVUPD    Z17, K2, 64(DX)(R11*1)
+
+	CMPQ       R12, $5
+	JLT        zstored
+
+	VMOVUPD.Z  (BX), K1, Z16
+	VMOVUPD.Z  64(BX), K2, Z17
+	VADDPD     Z8, Z16, Z16
+	VADDPD     Z9, Z17, Z17
+	VMOVUPD    Z16, K1, (BX)
+	VMOVUPD    Z17, K2, 64(BX)
+
+	CMPQ       R12, $6
+	JLT        zstored
+
+	VMOVUPD.Z  (BX)(R10*1), K1, Z16
+	VMOVUPD.Z  64(BX)(R10*1), K2, Z17
+	VADDPD     Z10, Z16, Z16
+	VADDPD     Z11, Z17, Z17
+	VMOVUPD    Z16, K1, (BX)(R10*1)
+	VMOVUPD    Z17, K2, 64(BX)(R10*1)
+
+	CMPQ       R12, $7
+	JLT        zstored
+
+	VMOVUPD.Z  (BX)(R10*2), K1, Z16
+	VMOVUPD.Z  64(BX)(R10*2), K2, Z17
+	VADDPD     Z12, Z16, Z16
+	VADDPD     Z13, Z17, Z17
+	VMOVUPD    Z16, K1, (BX)(R10*2)
+	VMOVUPD    Z17, K2, 64(BX)(R10*2)
+
+	CMPQ       R12, $8
+	JLT        zstored
+
+	VMOVUPD.Z  (BX)(R11*1), K1, Z16
+	VMOVUPD.Z  64(BX)(R11*1), K2, Z17
+	VADDPD     Z14, Z16, Z16
+	VADDPD     Z15, Z17, Z17
+	VMOVUPD    Z16, K1, (BX)(R11*1)
+	VMOVUPD    Z17, K2, 64(BX)(R11*1)
 
 zstored:
 	VZEROUPPER

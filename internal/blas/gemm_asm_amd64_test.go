@@ -104,8 +104,9 @@ func canaryCase(t *testing.T, rng *rand.Rand, trans Transpose, m, n, k, lead, tr
 	// may be touched.
 	reset()
 	sky, panels := pk.aChunk(ap, m, 0, k)
-	bpbuf, bp := poisoned(rng, roundUp(n, microNR)*k, 1, roundUp(n, microNR)*k)
-	packB(bp, NoTrans, b, ldb, 0, 0, k, n, 1)
+	nb := roundUp(n, pk.kern.nr()) * k
+	bpbuf, bp := poisoned(rng, nb, 1, nb)
+	packB(bp, NoTrans, b, ldb, 0, 0, k, n, 1, pk.kern)
 	bpbuf0 := slices.Clone(bpbuf)
 	gemmMacro(panels, bp, k, m, n, k, pk.kern, c, ldc, sky)
 	check("gemmMacro", want)
@@ -118,10 +119,11 @@ func canaryCase(t *testing.T, rng *rand.Rand, trans Transpose, m, n, k, lead, tr
 var signalingPoison = math.Float64frombits(0x7ff0_dead_beef_cafe)
 
 // TestAsmKernelCanaries drives every tile shape the assembly paths have — h
-// valid rows of the last (padded) A panel, nr valid columns of the last B
-// panel, alone and behind a full 16-row panel — at chain lengths from one step
-// to past the KC split, with and without a skyline offset, on every kernel
-// family this CPU runs.
+// valid rows of the last (padded) A panel, nr ∈ 1…8 valid columns of the
+// last B panel (so n mod 8 takes every value and GemmPackedA packs every
+// ragged tail), alone and behind a full 16×8 tile — at chain lengths from one
+// step to past the KC split (tileKCs), with and without a skyline offset, on
+// every kernel family this CPU runs.
 func TestAsmKernelCanaries(t *testing.T) {
 	t.Logf("GemmKernel() = %s", GemmKernel())
 	if math.Float64bits(signalingPoison+1) == math.Float64bits(signalingPoison) {
@@ -129,16 +131,16 @@ func TestAsmKernelCanaries(t *testing.T) {
 	}
 	forEachPath(func(path string) {
 		rng := rand.New(rand.NewSource(41))
-		for _, k := range []int{1, 2, 7, 12, 48, 128, 129} {
+		for _, k := range tileKCs {
 			for h := 1; h <= maxMR; h++ {
-				for nr := 1; nr <= microNR; nr++ {
+				for nr := 1; nr <= maxNR; nr++ {
 					for _, sk := range [][2]int{{0, 0}, {1, 0}, {3, 2}} {
 						if sk[0]+sk[1] >= k {
 							continue
 						}
 						canaryCase(t, rng, NoTrans, h, nr, k, sk[0], sk[1])
-						canaryCase(t, rng, NoTrans, maxMR+h, microNR+nr, k, sk[0], sk[1])
-						canaryCase(t, rng, Trans, maxMR+h, microNR+nr, k, sk[0], sk[1])
+						canaryCase(t, rng, NoTrans, maxMR+h, maxNR+nr, k, sk[0], sk[1])
+						canaryCase(t, rng, Trans, maxMR+h, maxNR+nr, k, sk[0], sk[1])
 					}
 				}
 			}
@@ -150,7 +152,7 @@ func TestAsmKernelCanaries(t *testing.T) {
 // kernel family.
 var asmKernel = map[kernelFamily]func(kc int, ap, bp []float64, ldb int, c []float64, ldc, h, nr int){
 	famAVX2:   kern12x4asm,
-	famAVX512: kern16x4asm,
+	famAVX512: kern16x8asm,
 }
 
 // TestAsmKernelBoundsAssertions checks that each assembly kernel's wrapper
@@ -179,27 +181,27 @@ func TestAsmKernelBoundsAssertions(t *testing.T) {
 		wantPanic, touches bool
 	}
 	// cases lists the argument sets for one kernel; every kernel has the same
-	// names in the same order, and the masked kernel four more at the end.
+	// names in the same order, and the masked kernel more at the end.
 	cases := func(kern kernelFamily) []boundsCase {
-		mr := kern.mr()
-		apLen, bpLen, cLen := mr*kc, 3*ldb+kc, 3*ldc+mr
+		mr, w := kern.mr(), kern.nr()
+		apLen, bpLen, cLen := mr*kc, (w-1)*ldb+kc, (w-1)*ldc+mr
 		cs := []boundsCase{
-			{name: "exact fit, full tile", kc: kc, ap: apLen, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: mr, nr: 4, touches: true},
+			{name: "exact fit, full tile", kc: kc, ap: apLen, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: mr, nr: w, touches: true},
 			{name: "exact fit, ragged tile", kc: kc, ap: apLen, bp: bpLen, c: 2*ldc + 3, ldb: ldb, ldc: ldc, h: 3, nr: 3, touches: true},
-			{name: "short A panel", kc: kc, ap: apLen - 1, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: mr, nr: 4, wantPanic: true},
-			{name: "short B streams", kc: kc, ap: apLen, bp: bpLen - 1, c: cLen, ldb: ldb, ldc: ldc, h: mr, nr: 4, wantPanic: true},
-			{name: "short C, full tile", kc: kc, ap: apLen, bp: bpLen, c: cLen - 1, ldb: ldb, ldc: ldc, h: mr, nr: 4, wantPanic: true},
+			{name: "short A panel", kc: kc, ap: apLen - 1, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: mr, nr: w, wantPanic: true},
+			{name: "short B streams", kc: kc, ap: apLen, bp: bpLen - 1, c: cLen, ldb: ldb, ldc: ldc, h: mr, nr: w, wantPanic: true},
+			{name: "short C, full tile", kc: kc, ap: apLen, bp: bpLen, c: cLen - 1, ldb: ldb, ldc: ldc, h: mr, nr: w, wantPanic: true},
 			{name: "short C, ragged tile", kc: kc, ap: apLen, bp: bpLen, c: 2*ldc + 2, ldb: ldb, ldc: ldc, h: 3, nr: 3, wantPanic: true, touches: kern == famAVX2},
-			{name: "kc = 0", kc: 0, ap: apLen, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: mr, nr: 4, wantPanic: true},
-			{name: "negative ldb", kc: kc, ap: apLen, bp: bpLen + 100, c: cLen, ldb: -1, ldc: ldc, h: mr, nr: 4, wantPanic: true},
-			{name: "negative ldc", kc: kc, ap: apLen, bp: bpLen, c: cLen + 100, ldb: ldb, ldc: -1, h: mr, nr: 4, wantPanic: true},
+			{name: "kc = 0", kc: 0, ap: apLen, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: mr, nr: w, wantPanic: true},
+			{name: "negative ldb", kc: kc, ap: apLen, bp: bpLen + 100, c: cLen, ldb: -1, ldc: ldc, h: mr, nr: w, wantPanic: true},
+			{name: "negative ldc", kc: kc, ap: apLen, bp: bpLen, c: cLen + 100, ldb: ldb, ldc: -1, h: mr, nr: w, wantPanic: true},
 		}
 		if kern == famAVX512 { // the masked kernel's wrapper also range-checks h and nr
 			cs = append(cs,
-				boundsCase{name: "h = 0", kc: kc, ap: apLen, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: 0, nr: 4, wantPanic: true},
-				boundsCase{name: "h past the tile", kc: kc, ap: apLen, bp: bpLen, c: cLen + 100, ldb: ldb, ldc: ldc, h: mr + 1, nr: 4, wantPanic: true},
+				boundsCase{name: "h = 0", kc: kc, ap: apLen, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: 0, nr: w, wantPanic: true},
+				boundsCase{name: "h past the tile", kc: kc, ap: apLen, bp: bpLen, c: cLen + 100, ldb: ldb, ldc: ldc, h: mr + 1, nr: w, wantPanic: true},
 				boundsCase{name: "nr = 0", kc: kc, ap: apLen, bp: bpLen, c: cLen, ldb: ldb, ldc: ldc, h: mr, nr: 0, wantPanic: true},
-				boundsCase{name: "nr past the tile", kc: kc, ap: apLen, bp: bpLen, c: cLen + 100, ldb: ldb, ldc: ldc, h: mr, nr: 5, wantPanic: true},
+				boundsCase{name: "nr past the tile", kc: kc, ap: apLen, bp: bpLen + 100, c: cLen + 100, ldb: ldb, ldc: ldc, h: mr, nr: w + 1, wantPanic: true},
 			)
 		}
 		return cs

@@ -34,17 +34,20 @@ func BenchmarkDgemm(b *testing.B) {
 
 // BenchmarkGemmKernels reports each kernel family's Gflop/s on the products
 // the solver runs through GemmPackedA: a 48×48·48 TSMQR tile of stage 1 and
-// Q₁, the two products of a 59-row, 12-reflector Q₂ diamond (Vᵀ·C, 12×59
-// by 59×16, then V·W, 59×12 by 12×16) on a 16-column slab of a 1024-row
-// eigenvector block, and a D&C merge's 512×512 by 512×64 eigenvector tile.
+// Q₁, the two products of a Q₂ diamond of a bandwidth-48 chase on a
+// 16-column slab of a 1024-row eigenvector block — Vᵀ·C then V·W, 16×63 by
+// 63×16 and 63×16 by 16×16 at the default width g = 16, 12×59 and 59×12 at
+// g = 12 — and a D&C merge's 512×512 by 512×64 eigenvector tile.
 func BenchmarkGemmKernels(b *testing.B) {
 	for _, s := range []struct {
 		name              string
 		m, n, k, ldb, ldc int
 	}{
 		{"tsmqr48", 48, 48, 48, 48, 48},
-		{"q2_vt12x59", 12, 16, 59, 1024, 12}, // W = Vᵀ·C: C is a slab of E
-		{"q2_v59x12", 59, 16, 12, 12, 1024},  // E += V·W
+		{"q2_vt16x63", 16, 16, 63, 1024, 16}, // W = Vᵀ·C: C is a slab of E
+		{"q2_v63x16", 63, 16, 16, 16, 1024},  // E += V·W
+		{"q2_vt12x59", 12, 16, 59, 1024, 12},
+		{"q2_v59x12", 59, 16, 12, 12, 1024},
 		{"dc_merge512", 512, 64, 512, 512, 512},
 	} {
 		forEachPath(func(path string) {

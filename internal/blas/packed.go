@@ -2,9 +2,9 @@ package blas
 
 // Packing is a snapshot of the packed left-operand layout Dgemm's blocked
 // driver uses with the kernels now in use: the micro-kernel family, which
-// fixes the A-panel height and whether panels are k-interleaved and padded to
+// fixes the A-panel height, whether panels are k-interleaved and padded to
 // whole tiles (assembly kernels) or plain row streams of exact height
-// (portable kernels). Every operand is cut into DefaultKC chunks of k, as
+// (portable kernels), and the tile width a ragged B tail is padded to. Every operand is cut into DefaultKC chunks of k, as
 // Dgemm cuts its chains. It lets a caller that multiplies by the same matrix
 // many times — the prepared block reflectors of internal/householder — pack
 // it once with PackA and then run the micro-kernel grid on it directly with
@@ -51,16 +51,17 @@ func (p Packing) ALen(m, k int) int {
 // BScratch is the scratch GemmPackedA needs for a k×n right operand: room
 // for one KC chunk of the ragged last B panel, if n has one.
 func (p Packing) BScratch(k, n int) int {
-	if n%microNR == 0 {
+	nr := p.kern.nr()
+	if n%nr == 0 {
 		return 0
 	}
-	return microNR * min(k, DefaultKC)
+	return nr * min(k, DefaultKC)
 }
 
 // PackA packs the m×k matrix op(A) as a left operand: one m×kc block of
 // row-panels per KC chunk of k, chunk after chunk. Each block is preceded by
 // its skyline — per row-panel, the k range outside which all of the panel's
-// rows are exactly zero — so that GemmPackedA runs a structured operand (a
+// rows are exactly zero, stored off by one (skyRange) — so that GemmPackedA runs a structured operand (a
 // triangular factor, a trapezoidal or banded V) on its nonzero range only,
 // without the caller describing the structure.
 func (p Packing) PackA(dst []float64, trans Transpose, a []float64, lda, m, k int) {
@@ -90,26 +91,45 @@ func (p Packing) PackA(dst []float64, trans Transpose, a []float64, lda, m, k in
 					}
 				}
 			}
-			sky[2*pi], sky[2*pi+1] = float64(lo), float64(hi)
+			sky[2*pi], sky[2*pi+1] = float64(lo+1), float64(hi+1)
 		}
 	}
 }
 
+// skyRange decodes a row panel's skyline header (h0, h1), which PackA stores
+// as (lo+1, hi+1), into the start and length of its nonzero k range in a
+// chunk of kc. An all-zero panel, (kc, 0), has length 0. Any other header
+// outside 0 ≤ lo ≤ hi ≤ kc panics: storage nobody packed — zeroed, whose
+// header reads (−1, −1), or NaN-filled — must not pass for an operand of
+// zeros.
+func skyRange(h0, h1 float64, kc int) (lo, n int) {
+	l, u, k := h0-1, h1-1, float64(kc)
+	if l == k && u == 0 {
+		return 0, 0
+	}
+	if !(0 <= l && l <= u && u <= k) {
+		panic("blas: packed operand without a valid skyline header (never packed?)")
+	}
+	return int(l), int(u - l)
+}
+
 // GemmPackedA computes C += A·B for the m×n column-major C, with A (m×k)
 // packed by PackA and B a plain k×n column-major matrix. The micro-kernels
-// read B in place — columns 4q..4q+3 of a column-major matrix are exactly the
-// four streams of B panel q — so nothing is copied; that is also what lets a
-// product accumulated into a k×n matrix serve directly as the next product's
-// right operand. Only a ragged last panel (n mod 4 columns) is packed into
-// scratch (BScratch(k, n) values), zero-padded to the four streams every
-// kernel reads.
+// read B in place — nr consecutive columns of a column-major matrix are
+// exactly the nr streams of a B panel, for the tile width nr of the kernel
+// family (8 on AVX-512, else 4) — so nothing is copied; that is also what
+// lets a product accumulated into a k×n matrix serve directly as the next
+// product's right operand. Only a ragged last panel (n mod nr columns) is
+// packed into scratch (BScratch(k, n) values), zero-padded to the nr streams
+// the kernel reads.
 //
 // Every element of C is the same accumulation chain Dgemm runs — ascending k,
 // one partial sum added to memory per KC chunk — so for finite operands the
 // result is bitwise what Dgemm(…, 1, A, B, 1, C) gives, for every kernel and
 // for any split of C into column ranges.
 func (p Packing) GemmPackedA(m, n, k int, ap, b []float64, ldb int, c []float64, ldc int, scratch []float64) {
-	direct := n &^ (microNR - 1) // leading columns of B the kernels read in place
+	nr := p.kern.nr()
+	direct := n - n%nr // leading columns of B the kernels read in place
 	rest := n - direct
 	for kk := 0; kk < k; kk += DefaultKC {
 		kc := min(DefaultKC, k-kk)
@@ -118,8 +138,8 @@ func (p Packing) GemmPackedA(m, n, k int, ap, b []float64, ldb int, c []float64,
 			gemmMacro(panels, b[kk:], ldb, m, direct, kc, p.kern, c, ldc, sky)
 		}
 		if rest > 0 {
-			bp := scratch[:microNR*kc]
-			packB(bp, NoTrans, b[direct*ldb:], ldb, kk, 0, kc, rest, 1)
+			bp := scratch[:nr*kc]
+			packB(bp, NoTrans, b[direct*ldb:], ldb, kk, 0, kc, rest, 1, p.kern)
 			gemmMacro(panels, bp, kc, m, rest, kc, p.kern, c[direct*ldc:], ldc, sky)
 		}
 	}

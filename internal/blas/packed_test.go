@@ -1,7 +1,9 @@
 package blas
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -90,6 +92,43 @@ func TestGemmPackedAAllocs(t *testing.T) {
 			pk.GemmPackedA(m, n, k, ap, b, k, c, m, scratch)
 		}); allocs != 0 {
 			t.Fatalf("%s: %v allocations per GemmPackedA, want 0", path, allocs)
+		}
+	})
+}
+
+// TestGemmPackedAUnpackedPanics: storage that PackA never wrote must not
+// multiply as an operand of zeros. Its skyline headers, read from zero-filled
+// or NaN-filled storage, decode to no valid k range, and GemmPackedA panics
+// — while a packed all-zero operand, whose headers say "empty", leaves C
+// alone.
+func TestGemmPackedAUnpackedPanics(t *testing.T) {
+	const m, n, k = 37, 13, 150 // two KC chunks, a padded last row panel
+	rng := rand.New(rand.NewSource(47))
+	b := randMat(rng, k, n, k)
+	forEachPath(func(path string) {
+		pk := CurrentPacking()
+		ap := make([]float64, pk.ALen(m, k))
+		scratch := make([]float64, pk.BScratch(k, n))
+		for _, fill := range []float64{0, math.NaN()} {
+			for i := range ap {
+				ap[i] = fill
+			}
+			c := make([]float64, m*n)
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				pk.GemmPackedA(m, n, k, ap, b, k, c, m, scratch)
+				return
+			}()
+			if !panicked {
+				t.Errorf("%s: GemmPackedA on storage filled with %g did not panic", path, fill)
+			}
+		}
+		pk.PackA(ap, NoTrans, make([]float64, m*k), m, m, k)
+		c := randMat(rng, m, n, m)
+		want := slices.Clone(c)
+		pk.GemmPackedA(m, n, k, ap, b, k, c, m, scratch)
+		if d := maxDiff(c, want); d != 0 {
+			t.Errorf("%s: a packed zero operand changed C by %g", path, d)
 		}
 	})
 }

@@ -97,11 +97,11 @@ type Options struct {
 // adds the eigenvector staging matrix (n²), the Q₂ reflector essentials
 // (n²/2: about n²/(2·nb) chase reflectors of nb entries each; a values-only
 // chase keeps none), the stage-1 reflectors prepared for Q₁ (n²), the
-// prepared Q₂ diamonds (≤ 3n²/2: Q₂ holds ≈ n²/2 reflector entries, 576 per
-// 59-row diamond of 12 reflectors, whose two packed operands occupy 64×12
-// and 16×59 = 1712 values in the widest layout, the AVX-512 kernel's, which
-// pads the last row-panel of each to a whole 16-row tile: 1.49n²), and the
-// D&C's planes. The last is what tridiag.WorkSet retains at any worker
+// prepared Q₂ diamonds (≤ 7n²/4: Q₂ holds ≈ n²/2 reflector entries, 768 per
+// 63-row diamond of 16 reflectors, whose two packed operands occupy 72×16
+// and 24×63 = 2664 values in the widest layout, the AVX2 kernel's, which
+// pads the last row-panel of each to a whole 12-row tile: 1.73n²; the
+// AVX-512 kernel's 64×16 and 16×63 take 1.33n²), and the D&C's planes. The last is what tridiag.WorkSet retains at any worker
 // count: three n² planes laid out by the recursion tree (the bases, the
 // merges' gather scratch, their packed left factors), the packed one padded
 // to whole 16-row panels (≤ 16n more), and seven n-vectors. The estimate
@@ -123,7 +123,7 @@ func EstimateWorkspaceBytes(n, nb int, vectors bool) int64 {
 		bytes += nn                 // vector staging
 		bytes += nn / 2             // Q₂ reflector essentials
 		bytes += 3*nn + 24*int64(n) // D&C planes and vectors
-		bytes += 5 * nn / 2         // reflectors prepared for Q₁ and the Q₂ diamonds
+		bytes += 11 * nn / 4        // reflectors prepared for Q₁ and the Q₂ diamonds
 	}
 	bytes += 8 * int64(n) * int64(nb+2) // band, workband, scratch
 	return 8 * bytes

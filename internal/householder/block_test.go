@@ -327,9 +327,10 @@ func TestBlockApplyAllocs(t *testing.T) {
 
 // BenchmarkBlockApply measures the engine at the shapes the solver runs it
 // at: one stage-1 / Q₁ TS tile reflector (48×48 on a 128-column block) and
-// Q₂ diamonds of a bandwidth-48 chase at several group widths (59 rows × 12
-// reflectors is g = 12), reporting nominal Gflop/s: 4·rows·k·n for a diamond,
-// zeros of the aggregated V included, as the solver's trace counts it.
+// Q₂ diamonds of a bandwidth-48 chase at several group widths (63 rows × 16
+// reflectors is the default g = 16, whose Vᵀ is 16×63; 59 × 12 is g = 12),
+// reporting nominal Gflop/s: 4·rows·k·n for a diamond, zeros of the
+// aggregated V included, as the solver's trace counts it.
 func BenchmarkBlockApply(b *testing.B) {
 	cases := []struct {
 		ts         bool

@@ -71,14 +71,14 @@ phase-plan           TestSolveState|TestBuildPlan|TestPhaseNamesTimed  ./interna
 tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestParallelTridiag|TestSecularRoot|TestStedcHard|TestStedcScalingExact|TestSterfHard|TestWorkSetRetention|TestStedcSchedCancelThenReuse|TestDCRegionsFit|TestEstimateCoversArena  ./internal/tridiag ./internal/core
 stage1-lookahead     TestReduceLookahead|TestReduceMatchesMirrorReference|TestReduceTaskCount|TestLookaheadSolverBitwise|TestStage1  ./internal/band ./internal/core
 sched                TestSchedRandomDAGDrains|TestHelper  ./internal/sched
-packed-engine        TestBlock|TestGemmPackedA|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestProbeWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestGemmAsmBitwisePortable|TestFusedRulePin|TestSolveBitwiseAcrossKernels|BenchmarkGemmKernels  ./internal/householder ./internal/blas .
+packed-engine        TestBlock|TestGemmPackedA|TestGemmPackedAUnpackedPanics|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestProbeWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestGemmAsmBitwisePortable|TestFusedRulePin|TestSolveBitwiseAcrossKernels|BenchmarkGemmKernels  ./internal/householder ./internal/blas .
 level-kernels        TestLevel1AsmBitwisePortable|TestLevel2AsmBitwisePortable|TestLevelCanaries|TestFusedRulePin|TestUnsupportedShapesPanic|TestDsymvRowsSplitBitwise|TestDtrmvMatchesRowLoop  ./internal/blas
 one-stage            TestSytrd|TestApplyQ|TestParallelTridiagOneStage|TestSytrdJobBitwise|TestSytrdJobCancel|TestSytrdJobTaskQueued|TestSolverCancelDuringSytrd|TestLarftMatchesRowLoop  ./internal/onestage ./internal/householder ./internal/core .
 hard-inputs          TestScaledInputsAllMethodsAgree|TestSpectrumErrorScaled|TestResidualScaled  ./internal/core ./internal/testmat
 cli                  TestReadMatrixErrors  ./cmd/eigsolve
 inputs-untouched     TestInputsUntouched  .
 bulge                TestChaseBanded|TestReflectorLattice|TestChaseCancel|TestChaseTwoStreams|TestSolveBitwiseAcrossWorkers|TestSolverMoreLargeSolvesThanWorkers  ./internal/bulge .
-q2-diamonds          TestDiamondMatchesNaive|TestApplyNaiveMatchesDense|TestPlan  ./internal/backtransform
+q2-diamonds          TestDiamondMatchesNaive|TestApplyNaiveMatchesDense|TestPlan|BenchmarkBacktransform  ./internal/backtransform
 input-scan           TestNotFiniteError|TestEigRejectsNonSymmetric|TestScanInputWorkersHeld  .
 service              TestServerAuth|TestServerSubmitValidation|FuzzSubmitDecode|FuzzSubmitHandler|TestServerJobEndpoints|TestServerNaNPayloadMapsTo400|TestErrorMapping|TestMemStore|TestDiskStore|FuzzDiskStoreReplay|TestRoundTripBitwise|TestCancelMidSolveFreesSlot|TestOverBudgetRefused|TestConcurrentClients  ./internal/service ./client
 EOF
