@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -128,7 +127,7 @@ func (s *Solver) batchSolve(ctx context.Context, it *BatchItem, scheduler *sched
 	// Admission runs against the Solver's persistent gate (BatchConcurrency
 	// slots + MemoryBudget bytes, shared by every concurrent SolveBatch
 	// call).
-	cost := core.EstimateWorkspaceBytes(n, s.opts.NB, vectors)
+	cost := s.EstimateWorkspaceBytes(n, vectors)
 	waitStart := time.Now()
 	if err := s.gate.acquire(ctx, cost); err != nil {
 		return BatchResult{Err: err}

@@ -83,8 +83,9 @@ type Options struct {
 	// collectors and merge them here (see BatchResult.Trace).
 	Collector *trace.Collector
 	// MemoryBudget caps the bytes of workspace the Solver's arena pool
-	// retains across solves, and — during SolveBatch — the estimated
-	// footprint of concurrently admitted solves. 0 means unlimited.
+	// retains across solves and, during SolveBatch, the workspace of the
+	// solves admitted at once, each priced by Solver.EstimateWorkspaceBytes
+	// as the sum of its workspace slots' own sizes. 0 means unlimited.
 	MemoryBudget int64
 	// BatchConcurrency caps how many batch items SolveBatch runs at once;
 	// 0 picks the scheduler width (Workers, or 1 for a sequential Solver).
@@ -96,39 +97,20 @@ type Options struct {
 // internal layers (the scheduler hard-caps worker counts at
 // sched.MaxWorkers).
 func (o *Options) normalize() {
-	if o.Workers < 0 {
-		o.Workers = 0
-	}
-	if o.Workers > sched.MaxWorkers {
-		o.Workers = sched.MaxWorkers
-	}
-	if o.NB < 0 {
-		o.NB = 0
-	}
-	if o.MemoryBudget < 0 {
-		o.MemoryBudget = 0
-	}
-	if o.BatchConcurrency < 0 {
-		o.BatchConcurrency = 0
-	}
+	o.Workers = min(max(o.Workers, 0), sched.MaxWorkers)
+	o.NB = max(o.NB, 0)
+	o.MemoryBudget = max(o.MemoryBudget, 0)
+	o.BatchConcurrency = max(o.BatchConcurrency, 0)
 }
 
 func (o *Options) toCore(vectors bool, il, iu int) core.Options {
-	var c core.Options
-	if o != nil {
-		c.NB = o.NB
-		c.Collector = o.Collector
-		switch o.Method {
-		case BisectionInverseIteration:
-			c.Method = core.MethodBI
-		case QRIteration:
-			c.Method = core.MethodQR
-		default:
-			c.Method = core.MethodDC
-		}
+	c := core.Options{NB: o.NB, Collector: o.Collector, Method: core.MethodDC, Vectors: vectors, IL: il, IU: iu}
+	switch o.Method {
+	case BisectionInverseIteration:
+		c.Method = core.MethodBI
+	case QRIteration:
+		c.Method = core.MethodQR
 	}
-	c.Vectors = vectors
-	c.IL, c.IU = il, iu
 	return c
 }
 

@@ -16,6 +16,7 @@
 package backtransform
 
 import (
+	"repro/internal/band"
 	"repro/internal/blas"
 	"repro/internal/bulge"
 	"repro/internal/householder"
@@ -89,43 +90,15 @@ func NewPlan(res *bulge.Result, group int, ws *work.Arena) *Plan {
 	if group <= 0 {
 		group = defaultGroup(res.B)
 	}
-	cache, _ := ws.Value(work.BacktransPlan).(*planCache)
-	if cache == nil {
-		cache = &planCache{} // nil ws: fresh each call, SetValue is a no-op
-		ws.SetValue(work.BacktransPlan, cache)
-	}
+	cache := work.Value[planCache](ws, work.BacktransPlan)
 	p := &cache.plan
 	*p = Plan{n: res.N, ws: ws}
 	if len(res.Tau) == 0 {
 		return p
 	}
 	n, b := res.N, res.B
-	// Sweeps 0 … n−3 have kernels, sweep 0 the most.
-	nsw, nl := n-2, res.Steps(0)
-	ng := (nsw + group - 1) / group
-	shape := func(j, l int) (rowStart, rows, k int) {
-		lo := j * group
-		for k < min(group, nsw-lo) && res.Steps(lo+k) > l {
-			k++
-		}
-		rowStart = lo + l*b + 1
-		return rowStart, min(k-1+b, n-rowStart), k
-	}
-
-	// First pass: count blocks and size the packed-reflector storage exactly.
-	nBlocks, packed := 0, 0
-	for j := ng - 1; j >= 0; j-- {
-		for l := 0; l < nl; l++ {
-			_, rows, k := shape(j, l)
-			if k == 0 {
-				continue
-			}
-			nBlocks++
-			packed += householder.PackedLen(false, rows, k, householder.FormH)
-			p.maxK = max(p.maxK, k)
-			p.maxRows = max(p.maxRows, rows)
-		}
-	}
+	nBlocks, packed, maxK, maxRows := layout(n, b, group)
+	p.maxK, p.maxRows = maxK, maxRows
 	store := ws.Floats(work.BacktransSlab, packed, false)
 	if cap(cache.blocks) < nBlocks {
 		cache.blocks = make([]diamond, 0, nBlocks)
@@ -142,9 +115,9 @@ func NewPlan(res *bulge.Result, group int, ws *work.Arena) *Plan {
 	// offset of the storage.
 	blocks := cache.blocks[:0]
 	at := 0
-	for j := ng - 1; j >= 0; j-- {
-		for l := 0; l < nl; l++ {
-			rowStart, rows, k := shape(j, l)
+	for j := (n - 3) / group; j >= 0; j-- {
+		for l := 0; l < res.Steps(0); l++ {
+			rowStart, rows, k := diamondShape(n, b, group, j, l)
 			if k == 0 {
 				continue
 			}
@@ -166,6 +139,55 @@ func NewPlan(res *bulge.Result, group int, ws *work.Arena) *Plan {
 	cache.blocks = blocks
 	p.blocks = blocks
 	return p
+}
+
+// diamondShape is diamond (j, ℓ) of a chase of order n and bandwidth b in
+// groups of g sweeps: the row of its first reflector's implicit 1, its row
+// span, and its reflector count k, 0 for no diamond.
+func diamondShape(n, b, g, j, l int) (rowStart, rows, k int) {
+	lo := j * g
+	for k < min(g, n-2-lo) && bulge.SweepSteps(n, b, lo+k) > l {
+		k++
+	}
+	rowStart = lo + l*b + 1
+	return rowStart, min(k-1+b, n-rowStart), k
+}
+
+// layout is NewPlan's first pass over the diamonds of a chase of order n and
+// bandwidth b in groups of g sweeps: their count, the length of their
+// prepared form, and the widest and the tallest. Sweeps 0 … n−3 have
+// kernels, sweep 0 the most. It takes O(n) steps: a group's first levels
+// are whole diamonds of one shape, counted at once, and only the few below
+// them are shaped one by one.
+func layout(n, b, g int) (blocks, packed, maxK, maxRows int) {
+	add := func(count, rows, k int) {
+		blocks += count
+		packed += count * householder.PackedLen(false, rows, k, householder.FormH)
+		maxK, maxRows = max(maxK, k), max(maxRows, rows)
+	}
+	for lo := 0; lo < n-2; lo += g {
+		// Levels below full have all kf sweeps and their kf − 1 + b rows.
+		kf := min(g, n-2-lo)
+		full := min(bulge.SweepSteps(n, b, lo+kf-1), (n-lo-kf)/b)
+		if full > 0 {
+			add(full, kf-1+b, kf)
+		}
+		for l := full; l < bulge.SweepSteps(n, b, lo); l++ {
+			_, rows, k := diamondShape(n, b, g, lo/g, l)
+			add(1, rows, k)
+		}
+	}
+	return blocks, packed, maxK, maxRows
+}
+
+// Workspace is the float64 storage the back-transformation keeps in its
+// arena for a chase of order n and bandwidth b whose stage 1 ran at tile size
+// nb, on the given number of workers: the prepared Q₂ diamonds (NewPlan) and
+// each worker's scratch for the fused pass (ApplyFused).
+func Workspace(n, b, nb, workers int) int {
+	_, packed, maxK, maxRows := layout(n, b, defaultGroup(b))
+	p, f := Plan{maxK: maxK, maxRows: maxRows}, band.Factor{NB: nb}
+	return packed + work.SlabsLen(workers, max(p.Work(), f.Q1Work()))
 }
 
 // Work is the scratch ApplyBlock needs, whatever the block's width.

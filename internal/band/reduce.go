@@ -119,15 +119,6 @@ type stage1Cache struct {
 	r reducer
 }
 
-func stage1For(ws *work.Arena) *stage1Cache {
-	if sc, ok := ws.Value(work.Stage1Factor).(*stage1Cache); ok {
-		return sc
-	}
-	sc := &stage1Cache{}
-	ws.SetValue(work.Stage1Factor, sc)
-	return sc
-}
-
 // PanelReflectors returns the reflector count of panel k.
 func (f *Factor) PanelReflectors(k int) int {
 	return min(f.A.TileRows(k+1), f.A.TileCols(k))
@@ -382,15 +373,12 @@ func newReducer(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc 
 	}
 	tm := ws.Tiles(work.Stage1Tiles, n, nb)
 	tm.FromLapack(a)
-	sc := stage1For(ws)
+	sc := work.Value[stage1Cache](ws, work.Stage1Factor)
 	f := &sc.f
 	hge, hts := f.Hge, f.Hts
 	*f = Factor{N: n, NB: nb, NT: tm.NT, A: tm}
 	nt := f.NT
-	forms := householder.FormH | householder.FormHT
-	if cfg.ValuesOnly {
-		forms = householder.FormHT
-	}
+	forms := prepForms(cfg.ValuesOnly)
 
 	// Lay out one buffer for the prepared reflectors: the per-panel sizes are
 	// known up front, so it is exact. The list spines (Hge, Hts and its
@@ -406,17 +394,12 @@ func newReducer(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc 
 	capP := 0
 	for k := 0; k < nt-1; k++ {
 		panelOff = append(panelOff, capP)
-		m1 := tm.TileRows(k + 1)
-		kw := tm.TileCols(k)
-		capP += householder.PackedLen(false, m1, min(m1, kw), forms)
+		capP += panelLen(n, nb, k, forms)
 		nts := max(0, nt-k-2)
 		if cap(f.Hts[k]) < nts {
 			f.Hts[k] = make([]householder.Block, nts)
 		}
 		f.Hts[k] = f.Hts[k][:nts]
-		for i := k + 2; i < nt; i++ {
-			capP += householder.PackedLen(true, tm.TileRows(i), kw, forms)
-		}
 	}
 
 	*r = reducer{
@@ -428,6 +411,40 @@ func newReducer(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc 
 		panelOff: panelOff,
 	}
 	return r
+}
+
+// prepForms are the op(H) forms the panel reflectors are prepared for: Hᵀ
+// for the reduction's own updates and, unless only values are wanted, H for
+// Q₁·C.
+func prepForms(valuesOnly bool) householder.Form {
+	if valuesOnly {
+		return householder.FormHT
+	}
+	return householder.FormH | householder.FormHT
+}
+
+// panelLen is the prepared-reflector storage of panel k of an order-n
+// reduction at tile size nb: Hge[k]'s operands, then Hts[k]'s in tile order,
+// of which only the last tile row can be short (see store).
+func panelLen(n, nb, k int, forms householder.Form) int {
+	nt := (n + nb - 1) / nb
+	m1 := min(nb, n-(k+1)*nb)
+	l := householder.PackedLen(false, m1, min(m1, nb), forms)
+	if nt-k-2 > 0 {
+		l += (nt-k-3)*householder.PackedLen(true, nb, nb, forms) + householder.PackedLen(true, n-(nt-1)*nb, nb, forms)
+	}
+	return l
+}
+
+// Workspace is the float64 storage Reduce keeps in its arena for an order-n
+// matrix at tile size nb > 0 on the given number of workers: the tiles, the
+// prepared reflectors (panelLen), each worker's kernel scratch and the band.
+func Workspace(n, nb, workers int, valuesOnly bool) int {
+	l := n*n + work.SlabsLen(workers, scratchLen(nb)) + (min(nb, max(0, n-1))+1)*n
+	for k := 0; k < (n+nb-1)/nb-1; k++ {
+		l += panelLen(n, nb, k, prepForms(valuesOnly))
+	}
+	return l
 }
 
 // runSeq executes the kernel sequence in submission order on the calling

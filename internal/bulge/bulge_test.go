@@ -169,7 +169,7 @@ func TestChaseSmallAndDegenerate(t *testing.T) {
 // sweep-major and level-minor. fn returning false stops the walk.
 func forEachStep(n, bw int, fn func(sw, lvl int) bool) {
 	for sw := 0; sw <= n-3; sw++ {
-		for lvl, steps := 0, sweepSteps(n, bw, sw); lvl < steps; lvl++ {
+		for lvl, steps := 0, SweepSteps(n, bw, sw); lvl < steps; lvl++ {
 			if !fn(sw, lvl) {
 				return
 			}
@@ -236,11 +236,11 @@ func TestChaseCancel(t *testing.T) {
 		}
 		ws := work.NewArena()
 		cut := Chase(b, job, true, ws, nil)
-		band := slices.Clone(chaserFor(ws).w.data)
+		band := slices.Clone(work.Value[chaser](ws, work.Stage2Out).w.data)
 		if err := job.Wait(); !errors.Is(err, context.Canceled) {
 			t.Fatalf("n=%d workers=%d: job error %v, want context.Canceled", tc.n, tc.workers, err)
 		}
-		if !slices.Equal(band, chaserFor(ws).w.data) {
+		if !slices.Equal(band, work.Value[chaser](ws, work.Stage2Out).w.data) {
 			t.Fatalf("n=%d workers=%d: the band changed after Chase returned", tc.n, tc.workers)
 		}
 		got := len(cut.Tau)
@@ -282,14 +282,14 @@ func TestReflectorLattice(t *testing.T) {
 		{"8-kernel sweep", 30, 4},
 	} {
 		n, kd := tc.n, tc.kd
-		if got, want := sweepSteps(n, kd, 0), 1+(n-2)/kd; got != want {
+		if got, want := SweepSteps(n, kd, 0), 1+(n-2)/kd; got != want {
 			t.Fatalf("%s: first sweep has %d kernels, want %d", tc.name, got, want)
 		}
 		res := Chase(randBand(rng, n, kd), nil, true, nil, nil)
 		for sw := 0; sw < n+kd; sw++ {
 			steps := res.Steps(sw)
-			if steps != sweepSteps(n, kd, sw) {
-				t.Fatalf("%s: Steps(%d) = %d, want %d", tc.name, sw, steps, sweepSteps(n, kd, sw))
+			if steps != SweepSteps(n, kd, sw) {
+				t.Fatalf("%s: Steps(%d) = %d, want %d", tc.name, sw, steps, SweepSteps(n, kd, sw))
 			}
 			if sw > 0 && steps > res.Steps(sw-1) {
 				t.Fatalf("%s: Steps(%d) = %d > Steps(%d)", tc.name, sw, steps, sw-1)

@@ -60,7 +60,7 @@ type Result struct {
 // Steps is the number of kernels, and so of reflectors, of sweep s: level 0
 // and the chase levels 1 … Steps(s)−1. It does not increase with s and is 0
 // from sweep N−2 on.
-func (r *Result) Steps(s int) int { return sweepSteps(r.N, r.B, s) }
+func (r *Result) Steps(s int) int { return SweepSteps(r.N, r.B, s) }
 
 // Reflector returns the reflector kernel (s, ℓ) generated: the full vector
 // [1; v] acts on rows row … row+len(v) with row = s + ℓ·B + 1 and
@@ -78,13 +78,13 @@ func (r *Result) Reflector(s, l int) (row int, v []float64, tau float64) {
 // (EXPERIMENTS.md, "Both workers in a solve's serial sections").
 const TwoStreamOrder = 1024
 
-// sweepSteps is the one definition of the kernel lattice: the number of
-// kernels of sweep sw. Level 0 is the sweep-starting xHBCEU kernel, which
+// SweepSteps is the one definition of the kernel lattice: the number of
+// kernels of sweep sw of a chase of order n and bandwidth bw. Level 0 is the sweep-starting xHBCEU kernel, which
 // exists when column sw has at least two entries below the diagonal to work
 // on; level ℓ ≥ 1 is the combined xHBREL+xHBLRU chase kernel, which exists
 // while the previous block was a full one (bw rows from sw+(ℓ−1)·bw+1) with at
 // least one row after it.
-func sweepSteps(n, bw, sw int) int {
+func SweepSteps(n, bw, sw int) int {
 	if min(bw, n-1-sw) < 2 {
 		return 0
 	}
@@ -126,15 +126,6 @@ type chaser struct {
 	t     matrix.Tridiagonal
 }
 
-func chaserFor(ws *work.Arena) *chaser {
-	if c, ok := ws.Value(work.Stage2Out).(*chaser); ok {
-		return c
-	}
-	c := &chaser{}
-	ws.SetValue(work.Stage2Out, c)
-	return c
-}
-
 // init readies c to chase b2: it lays out the kernel offsets and the stream
 // buffers and, only for a chase that keeps Q₂, sizes the τ slots and the
 // essentials buffer, both exactly.
@@ -148,7 +139,7 @@ func (c *chaser) init(b2 *matrix.SymBand, wantQ bool, ws *work.Arena, tc *trace.
 		c.st[k] = stream{u: buf[:bw], p: buf[bw:]}
 		c.ring[k] = stream{u: sc.For(2)[k*bw : (k+1)*bw]}
 	}
-	// Sweeps 0 … n−3 have kernels; sweepSteps is 0 from n−2 on.
+	// Sweeps 0 … n−3 have kernels; SweepSteps is 0 from n−2 on.
 	nsw := max(0, n-2)
 	c.off, c.voff = c.off[:0], c.voff[:0]
 	c.nB = 0
@@ -156,14 +147,12 @@ func (c *chaser) init(b2 *matrix.SymBand, wantQ bool, ws *work.Arena, tc *trace.
 	for sw := 0; sw < nsw; sw++ {
 		c.off = append(c.off, nref)
 		c.voff = append(c.voff, capV)
-		steps := sweepSteps(n, bw, sw)
+		steps := SweepSteps(n, bw, sw)
 		if upperHalf(steps) < steps {
 			c.nB++
 		}
 		nref += steps
-		// Reflector (s, ℓ) starts at row s + ℓ·bw + 1 and spans at most bw
-		// rows; only the last of a sweep is shorter.
-		capV += (steps-1)*(bw-1) + min(bw, n-(sw+(steps-1)*bw+1)) - 1
+		capV += essentialsLen(n, bw, sw)
 	}
 	c.off = append(c.off, nref)
 	c.vs, c.tau = nil, c.tau[:0]
@@ -175,6 +164,28 @@ func (c *chaser) init(b2 *matrix.SymBand, wantQ bool, ws *work.Arena, tc *trace.
 	}
 	c.tau = c.tau[:nref]
 	c.vs = ws.Floats(work.Stage2Slab, capV, false)
+}
+
+// essentialsLen is the storage of sweep sw's reflector essentials: reflector
+// (sw, ℓ) starts at row sw + ℓ·bw + 1 and spans at most bw rows; only the last
+// of a sweep is shorter.
+func essentialsLen(n, bw, sw int) int {
+	steps := SweepSteps(n, bw, sw)
+	return (steps-1)*(bw-1) + min(bw, n-(sw+(steps-1)*bw+1)) - 1
+}
+
+// Workspace is the float64 storage Chase keeps in its arena for a band of
+// order n and bandwidth bw: the extended band, the streams' scratch, the
+// tridiagonal and, when it keeps Q₂, every reflector's essentials.
+func Workspace(n, bw int, wantQ bool) int {
+	if n == 0 || bw <= 1 {
+		return 0 // nothing to chase
+	}
+	l := (workbandKD(n, bw)+1)*n + work.SlabsLen(3, 2*bw) + 2*n - 1
+	for sw := 0; wantQ && sw < n-2; sw++ {
+		l += essentialsLen(n, bw, sw)
+	}
+	return l
 }
 
 // record stores the reflector stream st's current kernel (sw, lvl)
@@ -386,7 +397,7 @@ func Chase(b2 *matrix.SymBand, job *sched.Job, wantQ bool, ws *work.Arena, tc *t
 func chase(b2 *matrix.SymBand, job *sched.Job, wantQ bool, ws *work.Arena, tc *trace.Collector, two bool) *Result {
 	n := b2.N
 	bw := b2.KD
-	c := chaserFor(ws)
+	c := work.Value[chaser](ws, work.Stage2Out)
 	res := &c.res
 	*res = Result{N: n, B: bw}
 	if n == 0 {

@@ -24,10 +24,7 @@ type workBand struct {
 // must start zeroed, which the arena guarantees (and a fresh allocation
 // trivially provides).
 func (w *workBand) init(b *matrix.SymBand, ws *work.Arena) {
-	kd := min(2*b.KD-1, b.N-1)
-	if kd < b.KD {
-		kd = b.KD
-	}
+	kd := workbandKD(b.N, b.KD)
 	*w = workBand{n: b.N, bw: b.KD, kd: kd, lda: kd + 1}
 	w.data = ws.Floats(work.Stage2Work, w.lda*b.N, true)
 	for j := 0; j < b.N; j++ {
@@ -36,6 +33,10 @@ func (w *workBand) init(b *matrix.SymBand, ws *work.Arena) {
 		}
 	}
 }
+
+// workbandKD is the working bandwidth of an order-n band of bandwidth bw:
+// room for the bulges' 2bw−1 subdiagonals, within the matrix.
+func workbandKD(n, bw int) int { return max(min(2*bw-1, n-1), bw) }
 
 func (w *workBand) at(i, j int) float64 {
 	if i < j {

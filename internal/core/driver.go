@@ -16,8 +16,10 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/backtransform"
 	"repro/internal/band"
 	"repro/internal/blas"
+	"repro/internal/bulge"
 	"repro/internal/matrix"
 	"repro/internal/onestage"
 	"repro/internal/sched"
@@ -89,44 +91,62 @@ type Options struct {
 	Dst *matrix.Dense
 }
 
-// EstimateWorkspaceBytes is the admission-control model of one solve's peak
-// internal workspace. Every solve holds the stage-1 tile storage (n²; the
-// one-stage pipeline's working copy takes its place), the stage-1 block
-// reflectors prepared for the reduction's own updates (3n²/2) and the
-// band/workband/scratch structures (O(n·nb)). When vectors are computed it
-// adds the eigenvector staging matrix (n²), the Q₂ reflector essentials
-// (n²/2: about n²/(2·nb) chase reflectors of nb entries each; a values-only
-// chase keeps none), the stage-1 reflectors prepared for Q₁ (n²), the
-// prepared Q₂ diamonds (≤ 7n²/4: Q₂ holds ≈ n²/2 reflector entries, 768 per
-// 63-row diamond of 16 reflectors, whose two packed operands occupy 72×16
-// and 24×63 = 2664 values in the widest layout, the AVX2 kernel's, which
-// pads the last row-panel of each to a whole 12-row tile: 1.73n²; the
-// AVX-512 kernel's 64×16 and 16×63 take 1.33n²), and the D&C's planes. The last is what tridiag.WorkSet retains at any worker
-// count: three n² planes laid out by the recursion tree (the bases, the
-// merges' gather scratch, their packed left factors), the packed one padded
-// to whole 16-row panels (≤ 16n more), and seven n-vectors. The estimate
-// deliberately overestimates slightly: the batch layer uses it to bound how
-// many solves may hold workspace concurrently under a memory budget, where
-// admitting late is recoverable and admitting past physical memory is not.
-// nb ≤ 0 means the default tile size.
-func EstimateWorkspaceBytes(n, nb int, vectors bool) int64 {
+// EstimateWorkspaceBytes is the workspace a solve of order n under o leaves
+// in its arena, for the whole spectrum (a subset takes no more): the sum of
+// workspaceSlots, each sized by the function its allocator calls, as a
+// LAPACK workspace query (LWORK = −1) is answered. oneStage picks
+// SyevOneStage's pipeline. The batch gate admits solves by it.
+func EstimateWorkspaceBytes(n int, o Options, oneStage bool) (bytes int64) {
+	for _, l := range workspaceSlots(n, o, oneStage) {
+		bytes += 8 * int64(l)
+	}
+	return bytes
+}
+
+// workspaceSlots is the float64 storage each step of an order-n solve under
+// o keeps in its arena on o.Sched's workers, else o.Workers: stage 1 (in the
+// one-stage pipeline the working copy and SytrdJob's and ApplyQJob's work),
+// stage 2, the tridiagonal solve and the back-transformation.
+func workspaceSlots(n int, o Options, oneStage bool) (slots [4]int) {
 	if n <= 0 {
-		return 0
+		return slots
+	}
+	w := max(1, o.Workers)
+	if o.Sched != nil {
+		w = o.Sched.Workers()
+	}
+	// All but the D&C with vectors copy (d, e) (solveTridiagonal's scratch),
+	// and QR keeps its k vectors in the vector stage.
+	k := 0
+	if o.Vectors {
+		k = n
+	}
+	switch {
+	case o.Vectors && o.Method == MethodDC:
+		slots[2] = tridiag.Workspace(n, n, true)
+	case o.Method == MethodBI:
+		slots[2] = 2*n - 1 + tridiag.Workspace(n, k, false)
+	default:
+		slots[2] = 2*n - 1 + k*n
+	}
+	nb := o.NB
+	if oneStage {
+		if nb <= 0 {
+			nb = onestage.DefaultNB
+		}
+		slots[0] = n*n + onestage.Workspace(n, nb, w, o.Vectors)
+		return slots
 	}
 	if nb <= 0 {
 		nb = band.DefaultNB
 	}
-	nn := int64(n) * int64(n)
-	bytes := nn         // tile storage (or the one-stage working copy)
-	bytes += 3 * nn / 2 // stage-1 reflectors prepared for the reduction
-	if vectors {
-		bytes += nn                 // vector staging
-		bytes += nn / 2             // Q₂ reflector essentials
-		bytes += 3*nn + 24*int64(n) // D&C planes and vectors
-		bytes += 11 * nn / 4        // reflectors prepared for Q₁ and the Q₂ diamonds
+	b := min(nb, n-1)
+	slots[0] = band.Workspace(n, nb, w, !o.Vectors)
+	slots[1] = bulge.Workspace(n, b, o.Vectors)
+	if o.Vectors {
+		slots[3] = backtransform.Workspace(n, b, nb, w)
 	}
-	bytes += 8 * int64(n) * int64(nb+2) // band, workband, scratch
-	return 8 * bytes
+	return slots
 }
 
 // Result of an eigensolve.
@@ -243,24 +263,6 @@ func SyevOneStage(ctx context.Context, a *matrix.Dense, o Options) (*Result, err
 	return res, nil
 }
 
-// tridiagWorks returns the arena's retained tridiag.WorkSet (the D&C's
-// planes, and scratch per scheduler worker plus the sequential one), creating
-// it on first use and growing it to the current pool width. A nil arena gets
-// a set of its own, dropped with the solve.
-func tridiagWorks(ws *work.Arena, workers int) *tridiag.WorkSet {
-	if ws == nil {
-		return tridiag.NewWorkSet(workers)
-	}
-	if v := ws.Value(work.TridiagWork); v != nil {
-		set := v.(*tridiag.WorkSet)
-		set.Grow(workers)
-		return set
-	}
-	set := tridiag.NewWorkSet(workers)
-	ws.SetValue(work.TridiagWork, set)
-	return set
-}
-
 // intoVectors materializes the n×k eigenvector block src into dst when dst
 // has the right shape, else into a fresh matrix. The result never aliases
 // arena- or WorkSet-owned storage.
@@ -284,7 +286,10 @@ func intoVectors(dst *matrix.Dense, src *matrix.Dense) *matrix.Dense {
 func solveTridiagonal(t *matrix.Tridiagonal, o *Options, il, iu int, ws *work.Arena, tc *trace.Collector, job *sched.Job) (vals []float64, evecs *matrix.Dense, err error) {
 	n := t.N()
 	k := iu - il + 1
-	set := tridiagWorks(ws, job.Workers())
+	// The arena's retained WorkSet (the D&C's planes, and scratch per worker
+	// and for the submitting goroutine), grown to the pool's width.
+	set := work.Value[tridiag.WorkSet](ws, work.TridiagWork)
+	set.Grow(job.Workers())
 	tc.Phase(trace.PhaseEigT, func() {
 		// Scratch copies of (d, e): the solvers destroy their inputs.
 		scratch := func() (d, e []float64) {

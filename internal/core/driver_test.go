@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/blas"
 	"repro/internal/matrix"
 	"repro/internal/testmat"
 	"repro/internal/trace"
@@ -130,31 +131,67 @@ var pipelines = []struct {
 	solve func(context.Context, *matrix.Dense, Options) (*Result, error)
 }{{"two-stage", SyevTwoStage}, {"one-stage", SyevOneStage}}
 
-// TestEstimateCoversArena: the admission-control estimate prices what a solve
-// leaves in its arena, on both pipelines, with and without vectors — the
-// D&C's pool and the Q₂ reflector slab included.
+// TestEstimateCoversArena: the admission estimate is what a solve leaves in a
+// fresh arena, up to 64 bytes per row of A: on both pipelines, every method
+// (the D&C alone above n = 256), with vectors and values only, on one worker
+// and two, at every NB, under the probed GEMM kernels and, to n = 131, the
+// portable ones, whose packed layouts pad differently (they take seconds at
+// n = 300). Each row logs its slots, and the test first logs the slots of
+// larger solves, from the sizes alone.
 func TestEstimateCoversArena(t *testing.T) {
-	for _, n := range []int{256, 1024} {
-		a := testmat.RandomSym(rand.New(rand.NewSource(int64(n))), n)
+	slotNames := [...]string{"stage1", "stage2", "tridiag", "backtrans"}
+	for _, n := range []int{1024, 2048, 4096, 8192} {
 		for _, p := range pipelines {
 			for _, vectors := range []bool{true, false} {
-				for _, workers := range []int{1, 2} {
-					arena := work.NewArena()
-					o := Options{Method: MethodDC, Vectors: vectors, Workers: workers, Arena: arena}
-					if _, err := p.solve(context.Background(), a, o); err != nil {
-						t.Fatal(err)
-					}
-					got, est := arena.Bytes(), EstimateWorkspaceBytes(n, o.NB, vectors)
-					nn := float64(8 * n * n)
-					label := fmt.Sprintf("%s n=%d vectors=%v workers=%d", p.name, n, vectors, workers)
-					t.Logf("%s: arena %.2f n², estimate %.2f n²", label, float64(got)/nn, float64(est)/nn)
-					if est < got {
-						t.Errorf("%s: estimate %d bytes < arena %d bytes", label, est, got)
+				o := Options{Vectors: vectors, Workers: 2}
+				slots := workspaceSlots(n, o, p.name == "one-stage")
+				nn := float64(n * n)
+				t.Logf("%s n=%d vectors=%v W=2: %s %.2f, %s %.2f, %s %.2f, %s %.2f n²; %.2f GiB",
+					p.name, n, vectors, slotNames[0], float64(slots[0])/nn, slotNames[1], float64(slots[1])/nn,
+					slotNames[2], float64(slots[2])/nn, slotNames[3], float64(slots[3])/nn,
+					float64(EstimateWorkspaceBytes(n, o, p.name == "one-stage"))/(1<<30))
+			}
+		}
+	}
+	every := []int{16, 24, 32, 48, 64}
+	type row struct{ n, nbs []int }
+	check := func(family string, rows ...row) {
+		for _, r := range rows {
+			for _, n := range r.n {
+				a := testmat.RandomSym(rand.New(rand.NewSource(int64(n))), n)
+				methods := []Method{MethodDC}
+				if n <= 256 {
+					methods = append(methods, MethodBI, MethodQR)
+				}
+				for _, nb := range r.nbs {
+					for _, p := range pipelines {
+						for _, m := range methods {
+							for _, vectors := range []bool{true, false} {
+								for _, workers := range []int{1, 2} {
+									arena := work.NewArena()
+									o := Options{NB: nb, Method: m, Vectors: vectors, Workers: workers, Arena: arena}
+									if _, err := p.solve(context.Background(), a, o); err != nil {
+										t.Fatal(err)
+									}
+									got := arena.Bytes()
+									est := EstimateWorkspaceBytes(n, o, p.name == "one-stage")
+									label := fmt.Sprintf("%s %s n=%d NB=%d %v vectors=%v W=%d", family, p.name, n, nb, m, vectors, workers)
+									t.Logf("%s: arena %d bytes, estimate +%d; slots %v floats", label, got, est-got,
+										workspaceSlots(n, o, p.name == "one-stage"))
+									if est < got || est-got > 64*int64(n) {
+										t.Errorf("%s: estimate %d bytes, arena %d bytes: want 0 ≤ estimate − arena ≤ %d", label, est, got, 64*n)
+									}
+								}
+							}
+						}
 					}
 				}
 			}
 		}
 	}
+	check(blas.GemmKernel(), row{[]int{64, 131, 300}, every}, row{[]int{1024}, []int{24, 48}})
+	defer blas.UseAsm(blas.UseAsm(false))
+	check("portable", row{[]int{64, 131}, every})
 }
 
 // TestPreparedReflectorsNaNFilled fills the slots the prepared reflectors

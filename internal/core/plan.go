@@ -24,7 +24,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
-	"repro/internal/work"
 )
 
 // Phase is one resumable step of the two-stage eigensolver. Running a phase
@@ -62,14 +61,10 @@ type SolveState struct {
 	a *matrix.Dense
 	o Options
 
-	n, il, iu, nb int
+	il, iu int
 
 	phaseJobs
 	ownSched bool // transient scheduler created for this solve; Close shuts it down
-	workers  int
-
-	ws *work.Arena
-	tc *trace.Collector
 
 	// Cross-phase artifacts, owned by the state (arena-backed except for
 	// vals/evecs, which are caller-owned copies).
@@ -105,25 +100,14 @@ func NewSolveState(ctx context.Context, a *matrix.Dense, o Options) (*SolveState
 	st := &SolveState{
 		a:  a,
 		o:  o,
-		n:  n,
 		il: il,
 		iu: iu,
-		ws: o.Arena,
-		tc: o.Collector,
 
 		phaseJobs: phaseJobs{s: o.Sched},
 	}
 	if st.s == nil && o.Workers > 1 {
 		st.s = sched.New(o.Workers)
 		st.ownSched = true
-	}
-	st.workers = 1
-	if st.s != nil {
-		st.workers = st.s.Workers()
-	}
-	st.nb = o.NB
-	if st.nb <= 0 {
-		st.nb = band.DefaultNB
 	}
 	return st, BuildPlan(&o), nil
 }
@@ -189,9 +173,9 @@ func (Stage1) Name() string { return trace.PhaseStage1 }
 
 func (Stage1) Run(ctx context.Context, st *SolveState) error {
 	job := st.phaseJob(ctx)
-	cfg := band.Config{NB: st.nb, ValuesOnly: !st.o.Vectors}
-	st.tc.Phase(trace.PhaseStage1, func() {
-		st.f1 = band.Reduce(st.a, cfg, job, st.ws, st.tc)
+	cfg := band.Config{NB: st.o.NB, ValuesOnly: !st.o.Vectors}
+	st.o.Collector.Phase(trace.PhaseStage1, func() {
+		st.f1 = band.Reduce(st.a, cfg, job, st.o.Arena, st.o.Collector)
 	})
 	return job.Err()
 }
@@ -210,8 +194,8 @@ func (Stage2) Name() string { return trace.PhaseStage2 }
 
 func (Stage2) Run(ctx context.Context, st *SolveState) error {
 	job := st.phaseJob(ctx)
-	st.tc.Phase(trace.PhaseStage2, func() {
-		st.chase = bulge.Chase(st.f1.Band, job, st.o.Vectors, st.ws, st.tc)
+	st.o.Collector.Phase(trace.PhaseStage2, func() {
+		st.chase = bulge.Chase(st.f1.Band, job, st.o.Vectors, st.o.Arena, st.o.Collector)
 	})
 	return job.Err()
 }
@@ -223,7 +207,7 @@ type Tridiag struct{}
 func (Tridiag) Name() string { return trace.PhaseEigT }
 
 func (Tridiag) Run(ctx context.Context, st *SolveState) error {
-	vals, evecs, err := solveTridiagonal(st.chase.T, &st.o, st.il, st.iu, st.ws, st.tc, st.phaseJob(ctx))
+	vals, evecs, err := solveTridiagonal(st.chase.T, &st.o, st.il, st.iu, st.o.Arena, st.o.Collector, st.phaseJob(ctx))
 	if err != nil {
 		return err
 	}
@@ -245,9 +229,9 @@ func (Backtrans) Run(ctx context.Context, st *SolveState) error {
 		return err
 	}
 	job := st.phaseJob(ctx)
-	st.tc.Phase(trace.PhaseBacktrans, func() {
-		plan := backtransform.NewPlan(st.chase, 0, st.ws)
-		plan.ApplyFused(st.f1, st.evecs, job, 0, st.tc)
+	st.o.Collector.Phase(trace.PhaseBacktrans, func() {
+		plan := backtransform.NewPlan(st.chase, 0, st.o.Arena)
+		plan.ApplyFused(st.f1, st.evecs, job, 0, st.o.Collector)
 	})
 	if err := job.Err(); err != nil {
 		return err

@@ -93,16 +93,6 @@ func (m *Dense) CopyFrom(src *Dense) {
 	}
 }
 
-// Zero sets every element of m to zero.
-func (m *Dense) Zero() {
-	for j := 0; j < m.Cols; j++ {
-		col := m.Data[j*m.Stride : j*m.Stride+m.Rows]
-		for i := range col {
-			col[i] = 0
-		}
-	}
-}
-
 // Transpose returns a newly allocated mᵀ.
 func (m *Dense) Transpose() *Dense {
 	out := NewDense(m.Cols, m.Rows)

@@ -96,24 +96,6 @@ func (t *TileMatrix) FromLapack(d *Dense) {
 	}
 }
 
-// ToLapack converts the tile matrix back into a column-major dense matrix,
-// the other direction of the DTL.
-func (t *TileMatrix) ToLapack() *Dense {
-	d := NewDense(t.N, t.N)
-	for tj := 0; tj < t.NT; tj++ {
-		jc := t.TileCols(tj)
-		for ti := 0; ti < t.NT; ti++ {
-			ir := t.TileRows(ti)
-			tile := t.Tile(ti, tj)
-			for j := 0; j < jc; j++ {
-				dst := d.Data[(ti*t.NB)+(tj*t.NB+j)*d.Stride:]
-				copy(dst[:ir], tile[j*ir:j*ir+ir])
-			}
-		}
-	}
-	return d
-}
-
 // TileID returns a stable integer identifier for tile (i, j), used as the
 // resource key for dependence tracking in the task scheduler.
 func (t *TileMatrix) TileID(i, j int) int { return i + j*t.NT }

@@ -57,16 +57,12 @@ func ApplyQJob(a *matrix.Dense, tau []float64, trans blas.Transpose, c *matrix.D
 	// on a nil job q stays on the stack and nothing is allocated.
 	var one colHalves
 	q := &one
-	parts := 1
-	if job.Workers() >= 2 && m >= 2*blas.DefaultNC {
-		q, parts = newColHalves(job.Helper("APPLYQ")), 2
+	parts, nT, nStore, nApply, nWork := applyQLens(n, m, nb, job.Workers())
+	if parts == 2 {
+		q = newColHalves(job.Helper("APPLYQ"))
 		defer q.help.End()
 	}
-	q.trans, q.m, q.cols, q.ldc = trans, m, (m+parts-1)/parts, c.Stride
-	rmax := n - 1
-	nT, nStore := nb*nb, householder.PackedLen(false, rmax, nb, form)
-	q.nApply = householder.ApplyWork(blas.Left, rmax, nb, q.cols)
-	nWork := max(householder.PrepareWork(rmax, nb), parts*q.nApply)
+	q.trans, q.m, q.cols, q.ldc, q.nApply = trans, m, (m+parts-1)/parts, c.Stride, nApply
 	buf := ws.Floats(work.OneStageWork, nT+nStore+nWork, false)
 	tmat, store := buf[:nT], buf[nT:nT+nStore]
 	q.wk = buf[nT+nStore:]
@@ -94,6 +90,33 @@ func ApplyQJob(a *matrix.Dense, tau []float64, trans blas.Transpose, c *matrix.D
 		}
 		tc.AddFlops(trace.KLarfb, 4*int64(rows)*int64(m)*int64(pb))
 	}
+}
+
+// applyQLens lays out ApplyQJob's buffer for an order-n a, an m-column C
+// and panel width nb on the given number of workers: one panel's T factor
+// and its prepared reflectors (either form is as long), then the scratch to
+// prepare the panel and to apply it to each of C's column parts.
+func applyQLens(n, m, nb, workers int) (parts, nT, nStore, nApply, nWork int) {
+	parts = 1
+	if workers >= 2 && m >= 2*blas.DefaultNC {
+		parts = 2
+	}
+	nApply = householder.ApplyWork(blas.Left, n-1, nb, (m+parts-1)/parts)
+	nWork = max(householder.PrepareWork(n-1, nb), parts*nApply)
+	return parts, nb * nb, householder.PackedLen(false, n-1, nb, householder.FormH), nApply, nWork
+}
+
+// Workspace is the float64 storage SytrdJob and, with vectors, ApplyQJob
+// keep in their arena for an order-n matrix at panel width nb on the given
+// number of workers, for all n vectors: the panel W and the buffer they share.
+func Workspace(n, nb, workers int, vectors bool) int {
+	if n <= 1 {
+		return 0
+	} else if !vectors {
+		return n*nb + nb
+	}
+	_, nT, nStore, _, nWork := applyQLens(n, n, nb, workers)
+	return n*nb + nT + nStore + nWork
 }
 
 // colHalves applies a prepared panel to the rows of C below the panel's

@@ -311,59 +311,73 @@ func TestStedcSchedCancelThenReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The inline re-solve's allocations are counted as the least of three
+	// cancel-then-re-solve rounds on fresh sets: the process-wide count also
+	// charges other goroutines' allocations (the race runtime's among them)
+	// to the solve, and only the least is the solve's own.
 	for _, workers := range []int{1, 2} {
-		var s *sched.Scheduler
-		job := func(ctx context.Context) *sched.Job {
-			if s == nil {
-				return sched.Inline(ctx)
-			}
-			return s.NewJob(ctx)
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			least = min(least, cancelThenReuse(t, workers, d, e, want, wantQ))
 		}
-		if workers > 1 {
-			s = sched.New(workers)
-		}
-		ws := NewWorkSet(workers)
-		// A full solve counts the checks it makes, and warms the set.
-		count := &cancelAfter{Context: context.Background(), k: math.MaxInt64}
-		if _, _, err := StedcSched(d, e, ws, job(count), 0, nil); err != nil {
-			t.Fatal(err)
-		}
-		bytes := ws.WorkspaceBytes()
-		cut := &cancelAfter{Context: context.Background(), k: count.calls.Load() / 2}
-		if _, _, err := StedcSched(d, e, ws, job(cut), 0, nil); !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: canceled solve returned %v, want context.Canceled", workers, err)
-		}
-		// No collection may start inside the count: the runtime's own
-		// allocations for one would be counted as the solve's.
-		runtime.GC()
-		gc := debug.SetGCPercent(-1)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		var vals []float64
-		var q *matrix.Dense
-		if s == nil {
-			vals, q, err = StedcSched(d, e, ws, nil, 0, nil)
-		} else {
-			vals, q, err = StedcSched(d, e, ws, s.NewJob(nil), 0, nil)
-		}
-		runtime.ReadMemStats(&after)
-		debug.SetGCPercent(gc)
-		if err != nil {
-			t.Fatalf("workers=%d: solve after the cancellation: %v", workers, err)
-		}
-		if !sameVec(vals, want) || !sameMat(q, wantQ) {
-			t.Errorf("workers=%d: solve after the cancellation differs from a fresh set's", workers)
-		}
-		if got := ws.WorkspaceBytes(); got != bytes {
-			t.Errorf("workers=%d: %d bytes retained after the cancellation, %d before", workers, got, bytes)
-		}
-		if a := after.Mallocs - before.Mallocs; s == nil && a != 0 {
-			t.Errorf("inline solve after the cancellation made %d allocations, want 0", a)
-		}
-		if s != nil {
-			s.Shutdown()
+		if workers == 1 && least != 0 {
+			t.Errorf("inline solve after the cancellation made %d allocations, want 0", least)
 		}
 	}
+}
+
+// cancelThenReuse runs one round of TestStedcSchedCancelThenReuse on a fresh
+// set at the given width and returns the re-solve's allocations.
+func cancelThenReuse(t *testing.T, workers int, d, e, want []float64, wantQ *matrix.Dense) uint64 {
+	t.Helper()
+	var s *sched.Scheduler
+	job := func(ctx context.Context) *sched.Job {
+		if s == nil {
+			return sched.Inline(ctx)
+		}
+		return s.NewJob(ctx)
+	}
+	if workers > 1 {
+		s = sched.New(workers)
+		defer s.Shutdown()
+	}
+	ws := NewWorkSet(workers)
+	// A full solve counts the checks it makes, and warms the set.
+	count := &cancelAfter{Context: context.Background(), k: math.MaxInt64}
+	if _, _, err := StedcSched(d, e, ws, job(count), 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	bytes := ws.WorkspaceBytes()
+	cut := &cancelAfter{Context: context.Background(), k: count.calls.Load() / 2}
+	if _, _, err := StedcSched(d, e, ws, job(cut), 0, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("workers=%d: canceled solve returned %v, want context.Canceled", workers, err)
+	}
+	// No collection may start inside the count: the runtime's own
+	// allocations for one would be counted as the solve's.
+	runtime.GC()
+	gc := debug.SetGCPercent(-1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var vals []float64
+	var q *matrix.Dense
+	var err error
+	if s == nil {
+		vals, q, err = StedcSched(d, e, ws, nil, 0, nil)
+	} else {
+		vals, q, err = StedcSched(d, e, ws, s.NewJob(nil), 0, nil)
+	}
+	runtime.ReadMemStats(&after)
+	debug.SetGCPercent(gc)
+	if err != nil {
+		t.Fatalf("workers=%d: solve after the cancellation: %v", workers, err)
+	}
+	if !sameVec(vals, want) || !sameMat(q, wantQ) {
+		t.Errorf("workers=%d: solve after the cancellation differs from a fresh set's", workers)
+	}
+	if got := ws.WorkspaceBytes(); got != bytes {
+		t.Errorf("workers=%d: %d bytes retained after the cancellation, %d before", workers, got, bytes)
+	}
+	return after.Mallocs - before.Mallocs
 }
 
 // TestDCRegionsFit: every merge of the recursion tree packs its left factor,

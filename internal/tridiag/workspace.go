@@ -126,7 +126,7 @@ func (s *WorkSet) Worker(i int) *Work { return s.works[i] }
 // solve on the inline (sequential) path.
 func (s *WorkSet) Seq() *Work { return s.works[len(s.works)-1] }
 
-// tridiag returns the set's copy slots for a tridiagonal of order n ≥ 1.
+// copySlots returns the set's copy slots for a tridiagonal of order n ≥ 1.
 func (s *WorkSet) copySlots(n int) (dd, ee []float64) {
 	return grown(&s.dd, n), grown(&s.ee, n-1)
 }
@@ -135,18 +135,34 @@ func (s *WorkSet) copySlots(n int) (dd, ee []float64) {
 // a root of order n.
 func packedStride(pk blas.Packing, n int) int { return (pk.ALen(n, n) + n - 1) / n }
 
+// dcLens are the lengths growDC gives z, g, p, dd, ee, dsec, zsec, mu, zhat
+// and sorted for a root of order n ≥ 1 packed under pk.
+func dcLens(n int, pk blas.Packing) [10]int {
+	return [...]int{n * n, n * n, n * packedStride(pk, n), n, n - 1, n, n, n, n, n}
+}
+
 // growDC grows the D&C's planes and vectors to a root of order n ≥ 1 packed
 // under pk.
 func (s *WorkSet) growDC(n int, pk blas.Packing) {
-	grown(&s.z, n*n)
-	grown(&s.g, n*n)
-	grown(&s.p, n*packedStride(pk, n))
-	s.copySlots(n)
-	for _, v := range []*[]float64{&s.dsec, &s.zsec, &s.mu, &s.zhat, &s.sorted} {
-		grown(v, n)
+	lens := dcLens(n, pk)
+	for i, v := range []*[]float64{&s.z, &s.g, &s.p, &s.dd, &s.ee, &s.dsec, &s.zsec, &s.mu, &s.zhat, &s.sorted} {
+		grown(v, lens[i])
 	}
 	grown(&s.slot, n)
 	grown(&s.base, n)
+}
+
+// Workspace is the float64 storage a WorkSet keeps (WorkspaceBytes) after an
+// order-n solve: the D&C's with vectors (dc), under the packing now in use,
+// or bisection's and inverse iteration's for k vectors, scaled copies included.
+func Workspace(n, k int, dc bool) (l int) {
+	if !dc {
+		return n*k + 2*n - 1 + k
+	}
+	for _, v := range dcLens(n, blas.CurrentPacking()) {
+		l += v
+	}
+	return l
 }
 
 // result returns the r×c matrix of stride r at the start of data, in the

@@ -69,8 +69,6 @@ const (
 type Arena struct {
 	floats map[Key][]float64
 	values map[Key]any
-	denses map[Key]*matrix.Dense
-	bands  map[Key]*matrix.SymBand
 
 	// Pool bookkeeping: the size class of the solve the arena last served
 	// and, while idle under a budgeted pool, its counted footprint.
@@ -83,8 +81,6 @@ func NewArena() *Arena {
 	return &Arena{
 		floats: make(map[Key][]float64),
 		values: make(map[Key]any),
-		denses: make(map[Key]*matrix.Dense),
-		bands:  make(map[Key]*matrix.SymBand),
 	}
 }
 
@@ -112,16 +108,8 @@ func (a *Arena) Floats(k Key, n int, zero bool) []float64 {
 // slot's buffer. Both the header and the backing array are retained, so a
 // steady-state request costs zero allocations.
 func (a *Arena) Dense(k Key, r, c int, zero bool) *matrix.Dense {
-	data := a.Floats(k, max(1, r)*c, zero)
-	if a == nil {
-		return matrix.NewDenseFrom(r, c, max(1, r), data)
-	}
-	d := a.denses[k]
-	if d == nil {
-		d = &matrix.Dense{}
-		a.denses[k] = d
-	}
-	d.Rows, d.Cols, d.Stride, d.Data = r, c, max(1, r), data
+	d := Value[matrix.Dense](a, k)
+	d.Rows, d.Cols, d.Stride, d.Data = r, c, max(1, r), a.Floats(k, max(1, r)*c, zero)
 	return d
 }
 
@@ -131,14 +119,7 @@ func (a *Arena) Band(k Key, n, kd int) *matrix.SymBand {
 	if kd >= n && n > 0 {
 		kd = n - 1
 	}
-	if a == nil {
-		return matrix.NewSymBand(n, kd)
-	}
-	b := a.bands[k]
-	if b == nil {
-		b = &matrix.SymBand{}
-		a.bands[k] = b
-	}
+	b := Value[matrix.SymBand](a, k)
 	b.N, b.KD, b.LDA, b.Data = n, kd, kd+1, a.Floats(k, (kd+1)*n, true)
 	return b
 }
@@ -169,47 +150,44 @@ func (s WorkerSlabs) For(w int) []float64 {
 // backed by one slab (a single allocation even on first use; zero in steady
 // state). A nil arena allocates a fresh slab.
 func (a *Arena) WorkerSlabs(k Key, workers, size int) WorkerSlabs {
-	stride := (size + slabAlign - 1) &^ (slabAlign - 1)
-	if stride == 0 {
-		stride = slabAlign
-	}
+	stride := SlabsLen(1, size)
 	return WorkerSlabs{buf: a.Floats(k, workers*stride, false), stride: stride, size: size}
+}
+
+// SlabsLen is the length of the slab WorkerSlabs carves for the given workers
+// and size: a stride of size rounded up to whole cache lines, at least one.
+func SlabsLen(workers, size int) int {
+	return workers * max(slabAlign, (size+slabAlign-1)&^(slabAlign-1))
 }
 
 // Tiles returns a retained n×n tile matrix with tile size nb. Contents are
 // unspecified; the caller is expected to overwrite every tile (the DTL's
-// FromLapack does). A dimension change reallocates.
+// FromLapack does). A dimension change reallocates the tiles.
 func (a *Arena) Tiles(k Key, n, nb int) *matrix.TileMatrix {
-	if a == nil {
-		return matrix.NewTileMatrix(n, nb)
+	tm := Value[matrix.TileMatrix](a, k)
+	if tm.N != n || tm.NB != nb {
+		*tm = *matrix.NewTileMatrix(n, nb)
 	}
-	if tm, ok := a.values[k].(*matrix.TileMatrix); ok && tm.N == n && tm.NB == nb {
-		return tm
-	}
-	tm := matrix.NewTileMatrix(n, nb)
-	a.values[k] = tm
 	return tm
 }
 
-// Value returns the opaque cached value for a slot (nil if absent). Stage
-// packages use it to retain typed caches (e.g. the chaser and its outputs)
-// without this package importing them.
-func (a *Arena) Value(k Key) any {
+// Value returns the slot's value of type T, new and zero on first use (and
+// always on a nil arena). Stage packages keep their typed caches there, the
+// chaser and its outputs for one, without this package importing them.
+func Value[T any](a *Arena, k Key) *T {
 	if a == nil {
-		return nil
+		return new(T)
 	}
-	return a.values[k]
-}
-
-// SetValue caches an opaque value under a slot.
-func (a *Arena) SetValue(k Key, v any) {
-	if a != nil {
+	v, ok := a.values[k].(*T)
+	if !ok {
+		v = new(T)
 		a.values[k] = v
 	}
+	return v
 }
 
-// WorkspaceSized is implemented by opaque values cached on an Arena (via
-// SetValue) that want their retained storage counted by Arena.Bytes. Values
+// WorkspaceSized is implemented by values cached on an Arena (Value, Tiles)
+// that want their retained storage counted by Arena.Bytes. Values
 // that do not implement it are counted as zero — the budget is a bound on
 // the dominant buffers, not an exact heap audit.
 type WorkspaceSized interface {
@@ -277,17 +255,6 @@ func (pl *Pool) SetBudget(bytes int64) {
 	pl.mu.Lock()
 	pl.budget = bytes
 	pl.mu.Unlock()
-}
-
-// Retained reports the bytes currently held by idle arenas. It is tracked
-// only when a budget is set; without one it reports 0.
-func (pl *Pool) Retained() int64 {
-	if pl == nil {
-		return 0
-	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.retained
 }
 
 // Get takes an arena suitable for an order-n solve from the pool, or returns

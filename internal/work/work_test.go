@@ -42,10 +42,9 @@ func TestNilArena(t *testing.T) {
 	if b := a.Band("k", 6, 2); b.N != 6 || b.KD != 2 || b.LDA != 3 {
 		t.Fatal("nil arena Band")
 	}
-	if v := a.Value("k"); v != nil {
+	if v := Value[int](a, "k"); v == nil || *v != 0 {
 		t.Fatal("nil arena Value")
 	}
-	a.SetValue("k", 1) // must not panic
 }
 
 func TestDenseHeaderReuse(t *testing.T) {
@@ -186,18 +185,18 @@ func TestPoolBudget(t *testing.T) {
 	b := p.Get(8)
 	b.Floats("k", 600, false)
 	p.Put(a)
-	if got := p.Retained(); got != 600*8 {
+	if got := p.retained; got != 600*8 {
 		t.Fatalf("retained = %d, want %d", got, 600*8)
 	}
 	// b would push retained past the budget: dropped, not pooled.
 	p.Put(b)
-	if got := p.Retained(); got != 600*8 {
+	if got := p.retained; got != 600*8 {
 		t.Fatalf("over-budget Put was retained: %d bytes", got)
 	}
 	if got := p.Get(8); got != a {
 		t.Fatal("surviving arena not recycled")
 	}
-	if p.Retained() != 0 {
+	if p.retained != 0 {
 		t.Fatal("retained not released on Get")
 	}
 }
@@ -214,11 +213,11 @@ func TestArenaBytes(t *testing.T) {
 		t.Fatalf("Bytes = %d, want %d", got, want)
 	}
 	// Opaque values are counted only through WorkspaceSized.
-	a.SetValue("v", 42)
+	*Value[int](a, "v") = 42
 	if got := a.Bytes(); got != want {
 		t.Fatalf("non-sized value changed footprint: %d", got)
 	}
-	a.SetValue("sized", sizedVal(64))
+	*Value[sizedVal](a, "sized") = 64
 	if got := a.Bytes(); got != want+64 {
 		t.Fatalf("WorkspaceSized not counted: %d, want %d", got, want+64)
 	}
@@ -237,11 +236,15 @@ func TestTilesAndValue(t *testing.T) {
 	if a.Tiles("k", 16, 4) != tm {
 		t.Fatal("tile matrix not retained")
 	}
-	if a.Tiles("k", 16, 8) == tm {
+	tile := tm.Tile(0, 0)
+	if tm = a.Tiles("k", 16, 8); tm.NB != 8 || &tm.Tile(0, 0)[0] == &tile[0] {
 		t.Fatal("dimension change must reallocate")
 	}
-	a.SetValue("v", 42)
-	if a.Value("v").(int) != 42 {
+	*Value[int](a, "v") = 42
+	if *Value[int](a, "v") != 42 {
 		t.Fatal("Value roundtrip")
+	}
+	if *Value[float64](a, "v") != 0 {
+		t.Fatal("Value of another type must start from zero")
 	}
 }

@@ -68,7 +68,8 @@ done <<'EOF'
 fused-backtransform  TestApplyFused|TestFusedBacktrans|TestSolverCancelDuringBacktrans  ./internal/backtransform ./internal/core .
 batch                TestSolveBatch|TestSolveBatchMatchesSolo|TestSolveBatchFanout|TestSolveBatchCancel|TestSolveBatchCloseMidFlight|TestSolveBatchSmallItemsNeedNoWorker|TestSolveBatchConcurrentCalls|TestSolveBatchTraceAttribution|TestBatchIsolationMixed|TestNotFiniteError|TestNoConvergencePropagation|TestOptionsClamp|TestDegenerateShapes|TestBatchRangeValidatedWithoutDst|TestBatchGateOverBudgetClamp|TestSolveBatchOversizedItemsRunAlone|TestSolverGateSharedAcrossBatchCalls|TestNewSolverIgnoresTuneProfileEnv  .
 phase-plan           TestSolveState|TestBuildPlan|TestPhaseNamesTimed  ./internal/core
-tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestParallelTridiag|TestSecularRoot|TestStedcHard|TestStedcScalingExact|TestSterfHard|TestWorkSetRetention|TestStedcSchedCancelThenReuse|TestDCRegionsFit|TestEstimateCoversArena  ./internal/tridiag ./internal/core
+tridiag              TestStedcSched|TestStebzSched|TestSteinSched|TestParallelTridiag|TestSecularRoot|TestStedcHard|TestStedcScalingExact|TestSterfHard|TestWorkSetRetention|TestStedcSchedCancelThenReuse|TestDCRegionsFit  ./internal/tridiag ./internal/core
+workspace            TestEstimateCoversArena|TestBatchGateOverBudgetClamp|TestSolveBatchOversizedItemsRunAlone|TestOverBudgetRefused|TestDigests  ./internal/core . ./client
 stage1-lookahead     TestReduceLookahead|TestReduceMatchesMirrorReference|TestReduceTaskCount|TestLookaheadSolverBitwise|TestStage1  ./internal/band ./internal/core
 sched                TestSchedRandomDAGDrains|TestHelper  ./internal/sched
 packed-engine        TestBlock|TestGemmPackedA|TestGemmPackedAUnpackedPanics|TestAsmKernelCanaries|TestAsmKernelBoundsAssertions|TestProbeWithoutAVX2|TestDgemmKernelsBitwiseIdentical|TestGemmAsmBitwisePortable|TestFusedRulePin|TestSolveBitwiseAcrossKernels|BenchmarkGemmKernels  ./internal/householder ./internal/blas .

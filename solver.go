@@ -89,15 +89,19 @@ func NewSolver(opts *Options) *Solver {
 	return s
 }
 
-// EstimateWorkspaceBytes reports the workspace footprint the Solver would
-// reserve for one order-n solve (with or without eigenvectors) under its
-// configured tile size — the exact cost the admission gate charges against
-// Options.MemoryBudget. Serving layers use it to price requests up front:
-// a request whose estimate exceeds the budget would be clamped and run
-// alone (see batchGate), so a service that wants to refuse such requests
-// outright compares this estimate against MemoryBudget before admitting.
+// EstimateWorkspaceBytes reports the workspace one order-n solve (with or
+// without eigenvectors) leaves in its arena under the Solver's Algorithm,
+// Method and NB, on the workers SolveBatch runs it on (one below order 512):
+// the sum of the workspace slots' own sizes, and the exact cost the admission
+// gate charges against Options.MemoryBudget. A request whose estimate exceeds
+// the budget would be clamped and run alone (see batchGate); a service that
+// would rather refuse it compares the two up front.
 func (s *Solver) EstimateWorkspaceBytes(n int, vectors bool) int64 {
-	return core.EstimateWorkspaceBytes(n, s.opts.NB, vectors)
+	co := s.opts.toCore(vectors, 0, 0)
+	if n >= batchFanout {
+		co.Workers = s.opts.Workers
+	}
+	return core.EstimateWorkspaceBytes(n, co, s.opts.Algorithm == OneStage)
 }
 
 // MemoryBudget reports the byte budget the Solver admits concurrent solves
@@ -256,11 +260,7 @@ func (s *Solver) runSolve(ctx context.Context, scheduler *sched.Scheduler, tc *t
 	// solves do not allocate them. The arena is private to this solve, which
 	// keeps header writes race-free even when the same input matrix is
 	// solved concurrently.
-	hs, _ := ws.Value(solverHdrKey).(*denseHdrs)
-	if hs == nil {
-		hs = &denseHdrs{}
-		ws.SetValue(solverHdrKey, hs)
-	}
+	hs := work.Value[denseHdrs](ws, solverHdrKey)
 	ad := &hs.a
 	*ad = matrix.Dense{Rows: a.r, Cols: a.c, Stride: max(1, a.r), Data: a.data}
 
